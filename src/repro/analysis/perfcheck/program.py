@@ -222,7 +222,11 @@ def count_flops(
     def one_stmt(s: ast.stmt) -> float:
         if isinstance(s, ast.For):
             mult = _loop_multiplier(s, int_consts)
-            return mult * stmt_count(s.body) + stmt_count(s.orelse)
+            # The iterable is evaluated once; when it is a local generator
+            # (the tile walk of the directional sweeps) its body is where
+            # the arithmetic lives.
+            return (expr_count(s.iter) + mult * stmt_count(s.body)
+                    + stmt_count(s.orelse))
         if isinstance(s, ast.While):
             return stmt_count(s.body)
         if isinstance(s, ast.If):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..physics.eos import conserved_to_primitive, max_characteristic_velocity
-from ..physics.equations import compute_rhs
+from ..physics.equations import SweepWorkspace, compute_rhs
 from ..physics.riemann import hlle_flux
 from ..physics.state import COMPUTE_DTYPE, GAMMA, NQ, PI
 from ..physics.weno import Weno5Workspace, weno5
@@ -34,8 +34,9 @@ from .ringbuffer import RING_DEPTH, SliceRing
 
 
 def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
-               order: int = 5, solver: str = "hlle") -> np.ndarray:
-    """Whole-block vectorized RHS.
+               order: int = 5, solver: str = "hlle",
+               workspace: SweepWorkspace | None = None) -> np.ndarray:
+    """Whole-block RHS: pencil-tile directional sweeps over one block.
 
     Parameters
     ----------
@@ -44,7 +45,10 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     h:
         Grid spacing.
     fused:
-        Use the micro-fused WENO kernel (Table 9 variant).
+        Use the re-associated WENO kernel (equal to round-off only).
+    workspace:
+        Optional :class:`~repro.physics.equations.SweepWorkspace` the
+        caller keeps across calls (one per thread).
 
     Returns
     -------
@@ -54,7 +58,8 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     Upad = np.ascontiguousarray(
         np.moveaxis(pad_aos, -1, 0), dtype=COMPUTE_DTYPE
     )
-    rhs_soa = compute_rhs(Upad, h, fused=fused, order=order, solver=solver)
+    rhs_soa = compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
+                          workspace=workspace)
     return np.ascontiguousarray(np.moveaxis(rhs_soa, 0, -1))
 
 
@@ -125,7 +130,7 @@ def rhs_kernel_slices(pad_aos: np.ndarray, h: float) -> np.ndarray:
 
     # Workspaces held across the sweep: one for the z-face stencils, one
     # shared by the in-plane sweeps of every finalized slice.
-    ws_z = Weno5Workspace((NQ, n, n, 1), dtype=COMPUTE_DTYPE)
+    ws_z = Weno5Workspace((NQ, 1, n, n), dtype=COMPUTE_DTYPE, axis=1)
     ws_plane = Weno5Workspace((NQ, n, n + 1), dtype=COMPUTE_DTYPE)
 
     flux_prev: np.ndarray | None = None
@@ -145,11 +150,13 @@ def rhs_kernel_slices(pad_aos: np.ndarray, h: float) -> np.ndarray:
         # 6-cell stencil of the z-face between cells zp-3 and zp-2,
         # i.e. global face index f = zp - 5 (0 .. n).
         f = zp - (RING_DEPTH - 1)
+        # Stencil axis first: every tap of the z stencil is a whole
+        # contiguous plane per quantity.
         sten = np.stack(
-            [ring[i][:, g:-g, g:-g] for i in range(RING_DEPTH)], axis=-1
-        )  # (NQ, n, n, 6)
-        Wm, Wp = weno5(sten, ws_z)
-        flux, ustar = hlle_flux(Wm[..., 0], Wp[..., 0], normal=2)
+            [ring[i][:, g:-g, g:-g] for i in range(RING_DEPTH)], axis=1
+        )  # (NQ, 6, n, n)
+        Wm, Wp = weno5(sten, ws_z, axis=1)
+        flux, ustar = hlle_flux(Wm[:, 0], Wp[:, 0], normal=2)
 
         if f >= 1:
             # Finalize output slice k = f - 1 (padded index k + GHOSTS;

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core.block import GHOSTS, Block, padded_aos
 from ..core.kernels import rhs_kernel, rhs_kernel_slices, sos_kernel, update_stage
+from ..physics.equations import SweepWorkspace
 from .dispatcher import Dispatcher, ScheduleStats
 from .ghosts import BoundarySpec, fill_block_ghosts
 from .grid import BlockGrid
@@ -33,7 +34,7 @@ class NodeSolver:
     dispatcher:
         Work dispatcher (defaults to a 4-worker instrumented dispatcher).
     fused:
-        Use the micro-fused WENO kernel.
+        Use the re-associated WENO variant (equal to round-off only).
     use_slices:
         Use the ring-buffer streaming RHS instead of the whole-block
         vectorized one (identical numerics, different memory behaviour).
@@ -76,6 +77,17 @@ class NodeSolver:
             self._tls.pad = pad
         return pad
 
+    def _sweep_workspace(self) -> SweepWorkspace:
+        """The per-thread scratch of the RHS sweeps, next to the pad buffer.
+
+        Thread-local like the pad: ``sim`` ranks and the ``threads``
+        dispatcher run solvers on several threads of one process.
+        """
+        sweep = getattr(self._tls, "sweep", None)
+        if sweep is None:
+            sweep = self._tls.sweep = SweepWorkspace()
+        return sweep
+
     # -- kernels ----------------------------------------------------------
 
     def rhs_for_block(self, block: Block, remote_provider=None) -> np.ndarray:
@@ -87,7 +99,8 @@ class NodeSolver:
         if self.use_slices:
             return rhs_kernel_slices(pad, self.grid.h)
         return rhs_kernel(pad, self.grid.h, fused=self.fused,
-                          order=self.order, solver=self.solver)
+                          order=self.order, solver=self.solver,
+                          workspace=self._sweep_workspace())
 
     def evaluate_rhs(
         self,

@@ -7,7 +7,7 @@ state
 eos
     Stiffened-gas equation of state, material definitions, CONV/BACK.
 weno
-    Fifth-order WENO reconstruction (baseline + micro-fused).
+    Fifth-order WENO reconstruction (micro-fused line-table kernel).
 riemann
     HLLE numerical flux with quasi-conservative Gamma/Pi transport.
 equations
@@ -29,7 +29,12 @@ from .eos import (
     sound_speed,
     total_energy,
 )
-from .equations import STENCIL_WIDTH, compute_rhs, directional_rhs
+from .equations import (
+    STENCIL_WIDTH,
+    SweepWorkspace,
+    compute_rhs,
+    directional_rhs,
+)
 from .exact_riemann import RiemannSide, RiemannSolution, sample, solve
 from .rayleigh import (
     Gilmore,
@@ -82,6 +87,7 @@ __all__ = [
     "sample",
     "solve",
     "STORAGE_DTYPE",
+    "SweepWorkspace",
     "VAPOR",
     "Weno5Workspace",
     "aos_to_soa",

@@ -26,7 +26,7 @@ class SimulationConfig:
     # -- numerics ---------------------------------------------------------
     cfl: float = 0.3  #: paper Section 7
     stepper: str = "rk3"  #: "rk3" (production) or "euler" (ablation)
-    fused_weno: bool = False  #: micro-fused WENO kernel (Table 9)
+    fused_weno: bool = False  #: re-associated WENO5 variant (round-off equal)
     use_slices: bool = False  #: ring-buffer streaming RHS
     weno_order: int = 5  #: spatial order: 5 (production) or 3 (ablation)
     riemann_solver: str = "hlle"  #: "hlle" (paper) or "hllc"

@@ -22,6 +22,20 @@ def make_rng(seed=SEED):
     return np.random.default_rng(seed)
 
 
+def bytes_equal(a, b) -> bool:
+    """Same shape, dtype and bytes -- signed zeros and NaN payloads count.
+
+    The comparison of every bit-identity test: ``np.array_equal`` calls
+    ``-0.0`` and ``+0.0`` equal and never equates two NaNs.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
 @pytest.fixture
 def rng():
     """Function-scoped deterministic generator with the suite base seed."""

@@ -1,12 +1,16 @@
 """Bit-identity and dtype-contract tests of the workspace-threaded hot path.
 
-The perfcheck PR rewrote the production WENO5/HLLE kernels to thread
-``out=``/workspace buffers through the hot expression chains (rule CP003).
-These tests pin the refactor's two contracts:
+The production WENO5/HLLE kernels thread ``out=``/workspace buffers
+through the hot expression chains (rule CP003), WENO5 reads shared line
+tables, and the RHS walks each direction in cache-sized pencil tiles with
+the sweep axis first.  None of that may change a bit of the result:
 
-* **bit identity** -- the ``out=``-threaded evaluation issues the exact
-  ufunc tree of the original expression form, so results must be
-  *bitwise* equal (``np.array_equal``), not merely close;
+* **bit identity** -- every kernel issues the evaluation tree of its
+  expression form per element, so results are compared with
+  ``conftest.bytes_equal`` (``tobytes()``): ``np.array_equal`` calls ``-0.0``
+  and ``+0.0`` equal, and ``0.0 - div`` is not ``-div``.  The whole RHS
+  is held to an expression-form reference sweep (last-axis layout, no
+  tiling, no workspace) built on ``_weno5_minus_raw``;
 * **dtype preservation** -- float32 face states stay float32 end to end
   (rules CP001/CP002: no silent promotion, no strong scalars).
 """
@@ -16,24 +20,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernels import rhs_kernel
+from repro.physics import equations
 from repro.physics.eos import (
     LIQUID,
+    VAPOR,
     conserved_to_primitive,
     pressure,
     primitive_to_conserved,
     sound_speed,
     total_energy,
 )
-from repro.physics.riemann import einfeldt_wave_speeds, hlle_flux
+from repro.physics.equations import SweepWorkspace, compute_rhs, directional_rhs
+from repro.physics.riemann import einfeldt_wave_speeds, hllc_flux, hlle_flux
 from repro.physics.state import ENERGY, GAMMA, NQ, PI, RHO, RHOU, RHOV, RHOW
 from repro.physics.weno import (
     Weno5Workspace,
+    _weno3_biased,
     _weno5_minus_raw,
     weno5,
     weno5_fused,
 )
 
-from .conftest import make_rng
+from .conftest import bytes_equal, make_rng
 
 
 def _face_states(rng, shape=(4, 9), dtype=np.float64):
@@ -111,8 +120,8 @@ class TestWeno5BitIdentity:
             v[..., k : k + nfaces] for k in range(6)
         )
         minus, plus = weno5(v)
-        assert np.array_equal(minus, _weno5_minus_raw(a, b, c, d, e))
-        assert np.array_equal(plus, _weno5_minus_raw(f, e, d, c, b))
+        assert bytes_equal(minus, _weno5_minus_raw(a, b, c, d, e))
+        assert bytes_equal(plus, _weno5_minus_raw(f, e, d, c, b))
 
     def test_workspace_and_out_arrays_are_bit_identical(self):
         v = make_rng(7).normal(size=(NQ, 4, 4, 12)) * 3.0
@@ -123,8 +132,8 @@ class TestWeno5BitIdentity:
         op = np.empty(shape)
         minus, plus = weno5(v, workspace=ws, out_minus=om, out_plus=op)
         assert minus is om and plus is op
-        assert np.array_equal(minus, base_minus)
-        assert np.array_equal(plus, base_plus)
+        assert bytes_equal(minus, base_minus)
+        assert bytes_equal(plus, base_plus)
 
     def test_workspace_reuse_does_not_contaminate(self):
         # A dirty workspace (filled by a previous call on other data)
@@ -137,8 +146,8 @@ class TestWeno5BitIdentity:
         weno5(v1, workspace=ws)  # dirty the buffers
         minus, plus = weno5(v2, workspace=ws)
         ref_minus, ref_plus = weno5(v2)
-        assert np.array_equal(minus, ref_minus)
-        assert np.array_equal(plus, ref_plus)
+        assert bytes_equal(minus, ref_minus)
+        assert bytes_equal(plus, ref_plus)
 
     def test_fused_variant_same_workspace_contract(self):
         v = make_rng(3).normal(size=(NQ, 5, 13))
@@ -147,8 +156,8 @@ class TestWeno5BitIdentity:
         weno5_fused(v + 1.0, workspace=ws)  # dirty the buffers
         minus, plus = weno5_fused(v, workspace=ws)
         ref_minus, ref_plus = weno5_fused(v)
-        assert np.array_equal(minus, ref_minus)
-        assert np.array_equal(plus, ref_plus)
+        assert bytes_equal(minus, ref_minus)
+        assert bytes_equal(plus, ref_plus)
 
 
 class TestHlleBitIdentity:
@@ -157,8 +166,8 @@ class TestHlleBitIdentity:
         W_l, W_r = _face_states(make_rng(normal + 1))
         flux, ustar = hlle_flux(W_l, W_r, normal)
         ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, normal)
-        assert np.array_equal(flux, ref_flux)
-        assert np.array_equal(ustar, ref_ustar)
+        assert bytes_equal(flux, ref_flux)
+        assert bytes_equal(ustar, ref_ustar)
 
     def test_scalar_face_states(self):
         # 1-d (NQ,) states exercise the 0-d ``flux[RHO, ...]`` out= views.
@@ -166,8 +175,8 @@ class TestHlleBitIdentity:
         flux, ustar = hlle_flux(W_l, W_r, 0)
         ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, 0)
         assert flux.shape == (NQ,)
-        assert np.array_equal(flux, ref_flux)
-        assert float(ustar) == float(ref_ustar)
+        assert bytes_equal(flux, ref_flux)
+        assert bytes_equal(ustar, ref_ustar)
 
     def test_supersonic_faces_upwind_bit_identically(self):
         # Fully supersonic faces (s_l > 0) reduce HLLE to the upwind
@@ -177,8 +186,155 @@ class TestHlleBitIdentity:
             W[RHOU] += 50.0  # far above the liquid sound speed
         flux, ustar = hlle_flux(W_l, W_r, 0)
         ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, 0)
-        assert np.array_equal(flux, ref_flux)
-        assert np.array_equal(ustar, ref_ustar)
+        assert bytes_equal(flux, ref_flux)
+        assert bytes_equal(ustar, ref_ustar)
+
+
+def _padded_state(interior, seed, kind="cloud", dtype=np.float64):
+    """Ghost-padded conserved SoA state ``(NQ, nz+6, ny+6, nx+6)``.
+
+    ``cloud``: rough two-material field with sharp interfaces and exact
+    zeros in the velocities; ``uniform``: one state everywhere (the RHS
+    is exactly zero); ``supersonic``: ``cloud`` moving far above the
+    liquid sound speed in all three directions, so HLLE upwinds.
+    """
+    rng = make_rng(seed)
+    shape = tuple(n + 6 for n in interior)
+    W = np.empty((NQ,) + shape)
+    if kind == "uniform":
+        for q, value in zip(
+            (RHO, RHOU, RHOV, RHOW, ENERGY, GAMMA, PI),
+            (1000.0, 1.0, -2.0, 3.0, 100.0, LIQUID.G, LIQUID.P),
+        ):
+            W[q] = value
+    else:
+        vapor = (rng.uniform(size=shape) > 0.7).astype(float)
+        W[RHO] = rng.uniform(1.0, 1000.0, shape)
+        for q in (RHOU, RHOV, RHOW):
+            W[q] = rng.uniform(-5.0, 5.0, shape)
+            W[q][rng.uniform(size=shape) > 0.8] = 0.0
+            if kind == "supersonic":
+                W[q] += 3000.0
+        W[ENERGY] = rng.uniform(10.0, 200.0, shape)
+        W[GAMMA] = LIQUID.G * (1.0 - vapor) + VAPOR.G * vapor
+        W[PI] = LIQUID.P * (1.0 - vapor) + VAPOR.P * vapor
+    return primitive_to_conserved(W).astype(dtype)
+
+
+def _ref_faces(Wd, order):
+    """Expression-form face states along the last axis."""
+    nfaces = Wd.shape[-1] - 5
+    a, b, c, d, e, f = (Wd[..., k : k + nfaces] for k in range(6))
+    if order == 5:
+        return _weno5_minus_raw(a, b, c, d, e), _weno5_minus_raw(f, e, d, c, b)
+    return _weno3_biased(b, c, d), _weno3_biased(e, d, c)
+
+
+def _ref_directional(Wpad, axis, h, order, solver):
+    """One sweep as whole-block expressions: ``(div, phi_corr)``."""
+    inner = slice(3, -3)
+    index = [slice(None), inner, inner, inner]
+    index[axis + 1] = slice(None)
+    Wd = np.ascontiguousarray(np.swapaxes(Wpad[tuple(index)], axis + 1, 3))
+    W_minus, W_plus = _ref_faces(Wd, order)
+    flux_fn = _ref_hlle_flux if solver == "hlle" else hllc_flux
+    flux, ustar = flux_fn(W_minus, W_plus, 2 - axis)
+    inv_h = 1.0 / h
+    div = (flux[..., 1:] - flux[..., :-1]) * inv_h
+    du = (ustar[..., 1:] - ustar[..., :-1]) * inv_h
+    phi_corr = np.zeros_like(div)
+    phi_corr[GAMMA] = Wd[GAMMA][..., 3:-3] * du
+    phi_corr[PI] = Wd[PI][..., 3:-3] * du
+    return np.swapaxes(div, axis + 1, 3), np.swapaxes(phi_corr, axis + 1, 3)
+
+
+def _ref_compute_rhs(Upad, h, order=5, solver="hlle"):
+    """The RHS summed z -> y -> x from the reference sweeps."""
+    Wpad = conserved_to_primitive(Upad)
+    rhs = None
+    for axis in range(3):
+        div, phi_corr = _ref_directional(Wpad, axis, h, order, solver)
+        contrib = phi_corr - div
+        rhs = contrib if rhs is None else rhs + contrib
+    return rhs
+
+
+class TestWholeRhsBitIdentity:
+    """``compute_rhs`` against the untiled expression-form reference."""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("solver", ["hlle", "hllc"])
+    @pytest.mark.parametrize(
+        "interior", [(8, 8, 8), (16, 16, 16), (8, 16, 32), (10, 12, 14)]
+    )
+    def test_every_order_and_solver(self, interior, solver, order):
+        Upad = _padded_state(interior, seed=sum(interior) + order)
+        rhs = compute_rhs(Upad, 0.01, order=order, solver=solver)
+        assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01, order, solver))
+
+    def test_paper_block_has_a_remainder_tile(self):
+        # 32 rows of pencils in tiles of 7: four full tiles and one of 4.
+        Upad = _padded_state((32, 32, 32), seed=32)
+        per_row = NQ * 38 * 32
+        assert 32 % (equations.TILE_ELEMENTS // per_row) != 0
+        assert bytes_equal(compute_rhs(Upad, 0.02), _ref_compute_rhs(Upad, 0.02))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_pencil_count_not_a_multiple_of_the_tile(self, monkeypatch, rows):
+        Upad = _padded_state((16, 16, 16), seed=rows)
+        monkeypatch.setattr(equations, "TILE_ELEMENTS", rows * NQ * 22 * 16)
+        assert bytes_equal(compute_rhs(Upad, 0.01), _ref_compute_rhs(Upad, 0.01))
+
+    @pytest.mark.parametrize("solver", ["hlle", "hllc"])
+    def test_uniform_state_is_positive_zero_everywhere(self, solver):
+        Upad = _padded_state((8, 16, 8), seed=0, kind="uniform")
+        rhs = compute_rhs(Upad, 0.01, solver=solver)
+        assert bytes_equal(rhs, np.zeros((NQ, 8, 16, 8)))
+        assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01, solver=solver))
+
+    @pytest.mark.parametrize("solver", ["hlle", "hllc"])
+    def test_supersonic(self, solver):
+        Upad = _padded_state((8, 8, 16), seed=5, kind="supersonic")
+        rhs = compute_rhs(Upad, 0.01, solver=solver)
+        assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01, solver=solver))
+
+    def test_float32_state(self):
+        Upad = _padded_state((8, 8, 8), seed=9, dtype=np.float32)
+        rhs = compute_rhs(Upad, 0.01)
+        assert rhs.dtype == np.float32
+        assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01))
+
+    def test_held_workspace_across_shapes_and_dtypes(self):
+        # One workspace serves every tile shape it has seen; revisiting
+        # a shape finds buffers dirtied by the calls in between.
+        ws = SweepWorkspace()
+        states = [
+            _padded_state((8, 8, 8), seed=1),
+            _padded_state((16, 8, 12), seed=2),
+            _padded_state((8, 8, 8), seed=3, dtype=np.float32),
+            _padded_state((8, 8, 8), seed=4),
+        ]
+        for Upad in states:
+            rhs = compute_rhs(Upad, 0.01, workspace=ws)
+            assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_directional_rhs(self, axis):
+        Wpad = conserved_to_primitive(_padded_state((8, 12, 16), seed=axis))
+        div, phi_corr = directional_rhs(Wpad, axis, 0.05)
+        ref_div, ref_corr = _ref_directional(Wpad, axis, 0.05, 5, "hlle")
+        assert bytes_equal(div, ref_div)
+        assert bytes_equal(phi_corr, ref_corr)
+
+    def test_rhs_kernel_aos(self):
+        Upad = _padded_state((8, 8, 8), seed=7)
+        pad = np.moveaxis(Upad, 0, -1).astype(np.float32)
+        ref = _ref_compute_rhs(
+            np.ascontiguousarray(np.moveaxis(pad, -1, 0), dtype=np.float64), 0.1
+        )
+        for workspace in (None, SweepWorkspace()):
+            rhs = rhs_kernel(pad, 0.1, workspace=workspace)
+            assert bytes_equal(rhs, np.moveaxis(ref, 0, -1))
 
 
 class TestDtypeContracts:

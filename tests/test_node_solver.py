@@ -10,7 +10,7 @@ from repro.node.solver import NodeSolver
 from repro.physics.eos import LIQUID, sound_speed
 from repro.physics.state import NQ
 
-from .conftest import make_uniform_aos
+from .conftest import bytes_equal, make_smooth_aos, make_uniform_aos
 
 
 def uniform_grid(num_blocks=(2, 2, 2), n=8, **kw):
@@ -32,8 +32,6 @@ class TestRhsEvaluation:
     def test_block_independence_of_decomposition(self, rng):
         """One 16^3 block and eight 8^3 blocks must give identical RHS for
         the same global field (intra-rank ghosts are exact)."""
-        from .conftest import make_smooth_aos
-
         field = make_smooth_aos((16, 16, 16), rng).astype(np.float32)
 
         g1 = BlockGrid((1, 1, 1), 16, h=0.1)
@@ -50,8 +48,6 @@ class TestRhsEvaluation:
         np.testing.assert_allclose(assembled, r1, rtol=1e-6, atol=1e-7)
 
     def test_slices_equals_vectorized(self, rng):
-        from .conftest import make_smooth_aos
-
         field = make_smooth_aos((16, 16, 16), rng).astype(np.float32)
         g = BlockGrid((2, 2, 2), 8, h=0.1)
         g.from_array(field)
@@ -62,6 +58,23 @@ class TestRhsEvaluation:
             np.testing.assert_allclose(
                 r_sl[idx], r_vec[idx], rtol=1e-13, atol=1e-12 * scale
             )
+
+    def test_threads_dispatcher_matches_sequential_bytes(self, rng):
+        """Each worker thread sweeps in its own pad buffer and sweep
+        workspace; sharing either would corrupt a neighbour's tile."""
+        field = make_smooth_aos((16, 16, 32), rng).astype(np.float32)
+        g = BlockGrid((2, 2, 4), 8, h=0.1)
+        g.from_array(field)
+        sequential = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        threaded = NodeSolver(
+            g, dispatcher=Dispatcher(mode="threads", num_workers=2)
+        )
+        expected = sequential.evaluate_rhs()
+        for _ in range(3):  # workspaces are reused from the second round on
+            got = threaded.evaluate_rhs()
+            assert got.keys() == expected.keys() and len(got) == 16
+            for idx, rhs in expected.items():
+                assert bytes_equal(got[idx], rhs), idx
 
     def test_schedule_recorded(self):
         g = uniform_grid()

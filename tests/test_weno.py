@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.physics.weno import (
     Weno5Workspace,
+    weno3,
     weno5,
     weno5_faces_scalar,
     weno5_fused,
 )
 
-from .conftest import make_rng
+from .conftest import bytes_equal, make_rng
 
 
 def _faces_count(m):
@@ -49,6 +50,60 @@ class TestBasics:
         minus_r, plus_r = weno5(v[::-1].copy())
         np.testing.assert_allclose(minus, plus_r[::-1], rtol=1e-13)
         np.testing.assert_allclose(plus, minus_r[::-1], rtol=1e-13)
+
+
+class TestWorkspaceKey:
+    """A caller's workspace is used only when shape, dtype *and* stencil
+    axis match the call; anything else is replaced, never reinterpreted."""
+
+    @pytest.mark.parametrize("fn", [weno5, weno5_fused])
+    def test_dtype_mismatch_recovers(self, fn, rng):
+        # A float64 workspace under a float32 input used to compute in
+        # mixed precision and cast down on the last out=.
+        v = (rng.normal(size=(3, 14)) * 4.0).astype(np.float32)
+        ws = Weno5Workspace((3, 9), dtype=np.float64)
+        minus, plus = fn(v, ws)
+        ref_minus, ref_plus = fn(v)
+        assert minus.dtype == np.float32 and plus.dtype == np.float32
+        assert bytes_equal(minus, ref_minus)
+        assert bytes_equal(plus, ref_plus)
+
+    def test_axis_mismatch_recovers(self, rng):
+        v = rng.normal(size=(11, 11))
+        ws = Weno5Workspace((6, 11), axis=0)
+        minus, plus = weno5(v, ws, axis=1)
+        ref_minus, ref_plus = weno5(v)
+        assert bytes_equal(minus, ref_minus)
+        assert bytes_equal(plus, ref_plus)
+
+
+class TestStencilAxis:
+    """``axis`` selects the stencil direction; the arithmetic per element
+    is the last-axis one, so results agree to the bit."""
+
+    @pytest.mark.parametrize("fn", [weno5, weno5_fused, weno3])
+    @pytest.mark.parametrize("axis", [0, 1, -2])
+    def test_matches_last_axis(self, fn, axis, rng):
+        v = rng.normal(size=(12, 13, 14)) * 3.0
+        minus, plus = fn(v, axis=axis)
+        ref_minus, ref_plus = fn(np.ascontiguousarray(np.moveaxis(v, axis, -1)))
+        assert bytes_equal(np.moveaxis(minus, axis, -1), ref_minus)
+        assert bytes_equal(np.moveaxis(plus, axis, -1), ref_plus)
+
+    def test_held_workspace_along_axis(self, rng):
+        v = rng.normal(size=(7, 14, 4, 8))
+        ws = Weno5Workspace((7, 9, 4, 8), axis=1)
+        out_m, out_p = np.empty((7, 9, 4, 8)), np.empty((7, 9, 4, 8))
+        weno5(v + 3.0, ws, out_m, out_p, axis=1)  # dirty every buffer
+        minus, plus = weno5(v, ws, out_m, out_p, axis=1)
+        assert minus is out_m and plus is out_p
+        ref_minus, ref_plus = weno5(v, axis=1)
+        assert bytes_equal(minus, ref_minus)
+        assert bytes_equal(plus, ref_plus)
+
+    def test_too_short_along_axis_raises(self):
+        with pytest.raises(ValueError, match="at least 6"):
+            weno5(np.zeros((5, 20)), axis=0)
 
 
 class TestAccuracy:
