@@ -53,7 +53,7 @@ def measure_ghost_overhead(n=16, reps=20):
 
     # Warm both paths.
     solver.rhs_for_block(block)
-    pad = solver._pad_buffer().copy()
+    pad = solver._pad_buffer()[0].copy()  # the run of one just loaded
 
     t0 = time.perf_counter()
     for _ in range(reps):

@@ -31,6 +31,13 @@ BACKEND_NUMBA = "numba"
 #: Dtype-contract shorthand strings used by the spec table.
 _COMPUTE = "dtype-preserving; production COMPUTE_DTYPE (float64) SoA"
 _AOS_IN = "STORAGE_DTYPE (float32) AoS in, COMPUTE_DTYPE (float64) out"
+#: The RHS entry points take one block or a batch of blocks.
+_COMPUTE_BATCH = (
+    _COMPUTE + ", one block (NQ, z, y, x) or a batch (NQ, B, z, y, x)"
+)
+_AOS_BATCH_IN = (
+    _AOS_IN + ", one block (z, y, x, NQ) or a batch (B, z, y, x, NQ)"
+)
 _AOS_INPLACE = (
     "STORAGE_DTYPE (float32) AoS in place; COMPUTE_DTYPE (float64) "
     "arithmetic"
@@ -85,13 +92,13 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "sos"),
     # physics.equations -- RHS assembly (directional sweeps).
     KernelSpec("directional_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
+               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE_BATCH, None),
     KernelSpec("compute_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
+               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE_BATCH, None),
     # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
     # buffers: numpy-only by design) and the UP stage.
     KernelSpec("rhs_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
+               (BACKEND_NUMPY,), _AOS_BATCH_IN, None),
     KernelSpec("rhs_kernel_slices", "core/kernels.py",
                (BACKEND_NUMPY,), _AOS_IN, None),
     KernelSpec("sos_kernel", "core/kernels.py",

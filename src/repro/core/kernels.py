@@ -36,31 +36,47 @@ from .ringbuffer import RING_DEPTH, SliceRing
 def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
                order: int = 5, solver: str = "hlle",
                workspace: SweepWorkspace | None = None) -> np.ndarray:
-    """Whole-block RHS: pencil-tile directional sweeps over one block.
+    """Whole-block RHS: pencil-tile directional sweeps over a batch of blocks.
 
     Parameters
     ----------
     pad_aos:
-        Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)``.
+        Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)``, or a
+        batch of ``B`` blocks ``(B, n+6, n+6, n+6, NQ)``: converted to
+        double-precision SoA once and swept as one array, which is what
+        lets small blocks share the per-call cost of every pass.  Each
+        block of a batch gets the bytes it gets alone.
     h:
         Grid spacing.
     fused:
         Use the re-associated WENO kernel (equal to round-off only).
     workspace:
         Optional :class:`~repro.physics.equations.SweepWorkspace` the
-        caller keeps across calls (one per thread).
+        caller keeps across calls (one per thread); it also holds the
+        SoA fields of the batch.
 
     Returns
     -------
-    AoS time derivative of the conserved state, shape ``(n, n, n, NQ)``,
-    in compute precision.
+    AoS time derivative of the conserved state, shape ``(n, n, n, NQ)`` or
+    ``(B, n, n, n, NQ)``, in compute precision; a fresh array the caller
+    owns.
     """
-    Upad = np.ascontiguousarray(
-        np.moveaxis(pad_aos, -1, 0), dtype=COMPUTE_DTYPE
-    )
-    rhs_soa = compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
-                          workspace=workspace)
-    return np.ascontiguousarray(np.moveaxis(rhs_soa, 0, -1))
+    if pad_aos.ndim not in (4, 5):
+        raise ValueError(
+            "expected (n+6, n+6, n+6, NQ) or (B, n+6, n+6, n+6, NQ), got "
+            f"{pad_aos.shape}"
+        )
+    batch = pad_aos if pad_aos.ndim == 5 else pad_aos[np.newaxis]
+    if workspace is None:
+        workspace = SweepWorkspace()
+    interior = tuple(m - 2 * GHOSTS for m in batch.shape[1:4])
+    Upad = workspace.staging(batch.shape[0], interior, COMPUTE_DTYPE)
+    _, rhs_soa = workspace.fields(batch.shape[0], interior, COMPUTE_DTYPE)
+    np.copyto(Upad, np.moveaxis(batch, -1, 0))
+    compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
+                workspace=workspace, out=rhs_soa)
+    rhs = np.ascontiguousarray(np.moveaxis(rhs_soa, 0, -1))
+    return rhs if pad_aos.ndim == 5 else rhs[0]
 
 
 def _plane_rhs(

@@ -19,6 +19,12 @@ supports two modes:
     recording per-worker busy time.
 
 Both modes return :class:`ScheduleStats`.
+
+A work item is whatever the caller hands out.  :class:`NodeSolver` hands
+out *runs* of consecutive blocks -- one block where a block fills a sweep
+tile (the paper's 32^3), several where blocks are small (five at 8^3) --
+so ``item_durations`` and the flight record's ``schedule.items`` count
+runs, and equal the block count only in the first case.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class ScheduleStats:
 
     busy: np.ndarray  #: seconds of work per worker
     makespan: float  #: simulated/observed parallel completion time
-    item_durations: np.ndarray  #: seconds per work item
+    item_durations: np.ndarray  #: seconds per work item (a run of blocks)
 
     @property
     def imbalance(self) -> float:
@@ -95,7 +101,11 @@ def simulate_dynamic_schedule(durations, num_workers: int) -> ScheduleStats:
 
 
 class Dispatcher:
-    """Dynamic block-work dispatcher with per-worker accounting."""
+    """Dynamic work dispatcher with per-worker accounting.
+
+    Items are opaque: one item is one call of ``fn``, timed as a whole
+    (the node layer's items are runs of blocks, see the module docstring).
+    """
 
     def __init__(self, num_workers: int = 4, mode: str = "instrumented"):
         if mode not in ("instrumented", "threads"):

@@ -1,9 +1,10 @@
 """Node-layer solver: per-rank kernel orchestration.
 
 Coordinates the work within a rank (paper Section 6, node layer): for each
-block, load data + ghosts into a per-thread padded buffer, run the core
-kernels, and store results.  Supports the halo/interior block split used
-by the cluster layer to overlap communication with computation.
+run of blocks, load data + ghosts into per-thread padded buffers, run the
+core kernel once over the run, and store results.  Supports the
+halo/interior block split used by the cluster layer to overlap
+communication with computation.
 """
 
 from __future__ import annotations
@@ -14,10 +15,28 @@ import numpy as np
 
 from ..core.block import GHOSTS, Block, padded_aos
 from ..core.kernels import rhs_kernel, rhs_kernel_slices, sos_kernel, update_stage
-from ..physics.equations import SweepWorkspace
+from ..physics.equations import SweepWorkspace, blocks_per_tile
+from ..physics.equations import check_scheme as check_sweep_scheme
 from .dispatcher import Dispatcher, ScheduleStats
 from .ghosts import BoundarySpec, fill_block_ghosts
 from .grid import BlockGrid
+
+
+def check_scheme(order: int, solver: str, fused: bool,
+                 use_slices: bool) -> None:
+    """Reject a numerical scheme no RHS path implements (``ValueError``).
+
+    ``order`` and ``solver`` must be ones the sweeps implement
+    (:func:`repro.physics.equations.check_scheme`); the streaming RHS
+    (``use_slices``) is WENO5 + HLLE only and would silently ignore any
+    other choice.
+    """
+    check_sweep_scheme(order, solver)
+    if use_slices and (order != 5 or solver != "hlle" or fused):
+        raise ValueError(
+            "use_slices runs WENO5 + HLLE only: it cannot be combined with "
+            f"order={order}, solver={solver!r}, fused={fused}"
+        )
 
 
 class NodeSolver:
@@ -33,11 +52,22 @@ class NodeSolver:
         ``remote_provider`` passed to :meth:`evaluate_rhs`.
     dispatcher:
         Work dispatcher (defaults to a 4-worker instrumented dispatcher).
+        Its work item is a *run* of consecutive blocks of the list given
+        to :meth:`evaluate_rhs`: the paper hands out work "at a
+        granularity of one block" (Section 6), which is one run where a
+        block fills a sweep tile (the paper's 32^3, and 16^3).  Smaller
+        blocks go several to a run, at most
+        :func:`~repro.physics.equations.blocks_per_tile` (five at 8^3),
+        so that they share one core-kernel call -- fewer when that makes
+        the number of runs a multiple of the workers.  ``last_schedule``
+        therefore counts runs, not blocks.
     fused:
         Use the re-associated WENO variant (equal to round-off only).
     use_slices:
         Use the ring-buffer streaming RHS instead of the whole-block
-        vectorized one (identical numerics, different memory behaviour).
+        vectorized one (identical numerics, different memory behaviour),
+        block by block within a run.  WENO5 + HLLE only: any other
+        ``order``, ``solver`` or ``fused`` raises ``ValueError``.
     tracer:
         Optional :class:`repro.telemetry.Tracer`; when set, the solver
         counts kernel work (``rhs_cell_updates``, ``up_cell_updates``,
@@ -56,6 +86,7 @@ class NodeSolver:
         solver: str = "hlle",
         tracer=None,
     ):
+        check_scheme(order, solver, fused, use_slices)
         self.grid = grid
         self.boundary = boundary or BoundarySpec.all_extrapolate()
         self.dispatcher = dispatcher or Dispatcher(num_workers=4)
@@ -65,22 +96,27 @@ class NodeSolver:
         self.solver = solver
         self.tracer = tracer
         self._tls = threading.local()
+        #: Blocks of the longest run.
+        self._run_blocks = blocks_per_tile((grid.block_size,) * 3)
         self.last_schedule: ScheduleStats | None = None
 
     # -- per-thread work area ------------------------------------------
 
     def _pad_buffer(self) -> np.ndarray:
-        """The per-thread dedicated padded buffer (paper Section 6)."""
-        pad = getattr(self._tls, "pad", None)
-        if pad is None or pad.shape[0] != self.grid.block_size + 2 * GHOSTS:
-            pad = padded_aos(self.grid.block_size)
-            self._tls.pad = pad
-        return pad
+        """The per-thread dedicated padded buffers (paper Section 6): one
+        per block of the longest run, ``(run, n+6, n+6, n+6, NQ)``."""
+        pads = getattr(self._tls, "pads", None)
+        if pads is None:
+            single = padded_aos(self.grid.block_size)
+            pads = self._tls.pads = np.repeat(
+                single[np.newaxis], self._run_blocks, axis=0
+            )
+        return pads
 
     def _sweep_workspace(self) -> SweepWorkspace:
-        """The per-thread scratch of the RHS sweeps, next to the pad buffer.
+        """The per-thread scratch of the RHS sweeps, next to the pad buffers.
 
-        Thread-local like the pad: ``sim`` ranks and the ``threads``
+        Thread-local like the pads: ``sim`` ranks and the ``threads``
         dispatcher run solvers on several threads of one process.
         """
         sweep = getattr(self._tls, "sweep", None)
@@ -90,17 +126,41 @@ class NodeSolver:
 
     # -- kernels ----------------------------------------------------------
 
-    def rhs_for_block(self, block: Block, remote_provider=None) -> np.ndarray:
-        """Evaluate the RHS of one block (ghost load + core kernel)."""
+    def _block_runs(self, block_list: list[Block]) -> list[list[Block]]:
+        """Split ``block_list``, in order, into the runs the dispatcher
+        hands out: the fewest runs of even length that fit one sweep tile
+        each, rounded up to a whole number of runs per worker (of equal
+        cost the dynamic schedule then gives every worker as many)."""
+        count = len(block_list)
+        if count == 0:
+            return []
+        workers = self.dispatcher.num_workers
+        nruns = -(-count // self._run_blocks)
+        nruns = min(count, -(-nruns // workers) * workers)
+        bounds = [k * count // nruns for k in range(nruns + 1)]
+        return [block_list[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def _rhs_for_run(self, run: list[Block], remote_provider=None):
+        """RHS of a run of blocks: ghost loads, then one core-kernel call.
+
+        Returns one AoS array ``(n, n, n, NQ)`` per block, in run order.
+        """
         g = GHOSTS
-        pad = self._pad_buffer()
-        pad[g:-g, g:-g, g:-g, :] = block.data
-        fill_block_ghosts(pad, self.grid, block, self.boundary, remote_provider)
+        pads = self._pad_buffer()[:len(run)]
+        for pad, block in zip(pads, run):
+            pad[g:-g, g:-g, g:-g, :] = block.data
+            fill_block_ghosts(pad, self.grid, block, self.boundary,
+                              remote_provider)
         if self.use_slices:
-            return rhs_kernel_slices(pad, self.grid.h)
-        return rhs_kernel(pad, self.grid.h, fused=self.fused,
+            return [rhs_kernel_slices(pad, self.grid.h) for pad in pads]
+        return rhs_kernel(pads, self.grid.h, fused=self.fused,
                           order=self.order, solver=self.solver,
                           workspace=self._sweep_workspace())
+
+    def rhs_for_block(self, block: Block, remote_provider=None) -> np.ndarray:
+        """Evaluate the RHS of one block (ghost load + core kernel): a run
+        of one."""
+        return self._rhs_for_run([block], remote_provider)[0]
 
     def evaluate_rhs(
         self,
@@ -112,17 +172,23 @@ class NodeSolver:
 
         ``blocks`` defaults to all blocks in SFC order (the paper's
         dispatch order); the cluster layer passes the interior subset
-        first and the halo subset after the ghost messages arrive.
+        first and the halo subset after the ghost messages arrive.  The
+        list is cut, in order, into runs of blocks (see the class
+        docstring); one run is one work item of the dispatcher and one
+        call of the core kernel, so ``last_schedule.item_durations`` has
+        one entry per run.
         ``sanitizer`` (an optional
         :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks every
         block's time derivative for NaN/Inf, localizing findings to the
         block index and the offending quantity.
         """
         block_list = list(blocks) if blocks is not None else list(self.grid.sfc_blocks())
-        results, stats = self.dispatcher.run(
-            block_list, lambda b: self.rhs_for_block(b, remote_provider)
+        runs = self._block_runs(block_list)
+        per_run, stats = self.dispatcher.run(
+            runs, lambda run: self._rhs_for_run(run, remote_provider)
         )
         self.last_schedule = stats
+        results = [rhs for out in per_run for rhs in out]
         if sanitizer is not None:
             where = f"RHS ({sanitizer.context})"
             for blk, rhs in zip(block_list, results):

@@ -144,15 +144,18 @@ def max_characteristic_velocity(W: np.ndarray) -> float:
     return float(speed.max())
 
 
-def conserved_to_primitive(U: np.ndarray) -> np.ndarray:
+def conserved_to_primitive(
+    U: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """CONV stage: convert SoA conserved data ``(NQ, ...)`` to primitives.
 
     Output layout (same shape): ``rho, u, v, w, p, Gamma, Pi``.  The paper
     performs the spatial reconstruction on primitive quantities to avoid
     spurious pressure/velocity oscillations at material interfaces
-    (Abgrall & Karni; Johnsen & Colonius).
+    (Abgrall & Karni; Johnsen & Colonius).  ``out`` is an optional array
+    of the shape and dtype of ``U`` (not ``U`` itself) to write into.
     """
-    W = np.empty_like(U)
+    W = np.empty_like(U) if out is None else out
     rho = U[RHO]
     inv_rho = 1.0 / rho
     W[RHO] = rho

@@ -13,16 +13,20 @@ property tests validate directly.
 
 Each direction is one **pencil-tile sweep** (the paper's data reordering
 for directional sweeps, Table 3, over cache-resident slices, Fig. 2): the
-primitives are viewed with the sweep axis right after the quantity axis,
-``(NQ, cells, rows, width)``, so that every shifted stencil operand is a
-long contiguous run, and walked in tiles of whole rows of pencils.  A
-tile is copied into a contiguous buffer, reconstructed, passed through
-the Riemann solver, differenced and added into the result while it is
-still in cache.  The arithmetic per element does not depend on layout or
-tiling: results are bit-identical to whole-block expressions.
+primitives of a batch of blocks are viewed with the sweep axis right
+after the quantity axis, ``(NQ, cells, blocks, rows, width)``, so that
+every shifted stencil operand is a long contiguous run, and walked in
+tiles shaped by the cache alone: some rows of pencils of one large block,
+or all rows of several small blocks.  A tile is copied into a contiguous
+buffer, reconstructed, passed through the Riemann solver, differenced and
+added into the result while it is still in cache.  The arithmetic per
+element does not depend on layout, batch or tiling: results are
+bit-identical to whole-block expressions, block by block.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,122 +43,328 @@ STENCIL_WIDTH = 3
 RIEMANN_SOLVERS = {"hlle": hlle_flux, "hllc": hllc_flux}
 
 
+def check_scheme(order: int, solver: str) -> None:
+    """Reject a reconstruction order or Riemann solver the sweeps do not
+    implement (``ValueError``)."""
+    if order not in (3, 5):
+        raise ValueError(f"unsupported WENO order {order}; choose 3 or 5")
+    if solver not in RIEMANN_SOLVERS:
+        raise ValueError(
+            f"unknown Riemann solver {solver!r}; choose from "
+            f"{sorted(RIEMANN_SOLVERS)}"
+        )
+
+
 #: Elements per scratch buffer of a sweep tile.  A tile is copied once and
-#: then streamed through some 250 ufunc passes over two dozen buffers of
-#: its size, so it should be small enough to stay cache resident and large
-#: enough to amortize the per-pass call cost (about 1 us).  Measured on the
-#: build host (Xeon, 4 MiB L2 per core), ``compute_rhs`` of one 32^3 block,
-#: median ms of 30 interleaved rounds: 8 Ki 84, 16 Ki 81, 32 Ki 63,
-#: 40-96 Ki 58-62, 128 Ki 69, 256 Ki 74, untiled 75.  A 16^3 block is
-#: fastest as a single tile (39 424 elements: 7.4 ms against 8.8-9.7 ms in
-#: two or three); an 8^3 block (6 272) is one tile at any setting.
+#: then streamed through several hundred ufunc passes over a dozen buffers
+#: of its size, so it should be small enough to stay cache resident and
+#: large enough to amortize the per-pass call cost (about 1 us).  Measured
+#: on the build host (Xeon, 4 MiB L2 per core) with WENO chunked as below:
+#: ``compute_rhs`` of one 32^3 block, 30 interleaved rounds, median of the
+#: per-round time relative to 64 Ki (41-51 ms as the host drifts): 8 Ki
+#: 1.35, 16 Ki 1.30, 32 Ki 1.14, 48 Ki 1.01, 64 Ki 1.00, 96 Ki 0.99,
+#: 128 Ki 1.04, 256 Ki 1.26, untiled 1.66.  A 16^3 block is one tile of
+#: 39 424 elements at any setting in the flat range.
 TILE_ELEMENTS = 65536
 
+#: Cells of whole quantities per ``weno5`` call inside a tile.  WENO is
+#: independent per quantity and streams nine tables and nine buffers of
+#: the chunk's size, so the chunk, not the tile, is what has to fit the
+#: L2: all seven quantities of a 32^3 tile are 10 MB of WENO operands, one
+#: quantity (8 512 cells) is 1.2 MB.  Same measurement, a 32^3 block at a
+#: 64 Ki tile, relative to one quantity a chunk: two 1.01, three 1.03,
+#: four 1.04, all seven 1.13; a 16^3 block (5 632 cells a quantity): two
+#: 1.00, all seven 1.07; five 8^3 blocks (4 480): no difference from one
+#: to seven (0.97-1.00) -- so the constant only has to stay below two
+#: 32^3 quantities and above one.
+WENO_CHUNK_ELEMENTS = 12288
 
-class _TileScratch:
-    """Every buffer one tile of a directional sweep needs, by tile shape."""
+#: Rows of the state that carry no quasi-conservative correction, and the
+#: advected ``Gamma``/``Pi`` rows that do (the trailing two of the layout).
+_EULER = slice(0, GAMMA)
+_ADVECTED = slice(GAMMA, NQ)
 
-    def __init__(self, shape: tuple[int, int, int, int], dtype):
-        nq, ncells, rows, width = shape
-        faces = (nq, ncells - 5, rows, width)
-        cells = (nq, ncells - 2 * STENCIL_WIDTH, rows, width)
-        self.W = np.empty(shape, dtype=dtype)
-        self.W_minus = np.empty(faces, dtype=dtype)
-        self.W_plus = np.empty(faces, dtype=dtype)
-        self.weno = Weno5Workspace(faces, dtype=dtype, axis=1)
-        self.div = np.empty(cells, dtype=dtype)
-        self.du = np.empty(cells[1:], dtype=dtype)
-        # Only the Gamma and Pi rows are ever written: the other rows are
-        # the exact zeros ``phi_corr - div`` subtracts from.
-        self.phi_corr = np.zeros(cells, dtype=dtype)
+#: A tile of whole blocks fills one part in this many of
+#: :data:`TILE_ELEMENTS`: every block of a batch also keeps its pad, its
+#: padded primitives and its result resident (0.5 MB a block at 8^3),
+#: which one more row of a large block does not.  ``evaluate_rhs`` over 64
+#: blocks of 8^3, same measurement, time relative to five blocks a tile:
+#: one 1.45, two 1.26, three 1.13, five 1.00, seven 0.96, ten 0.85, twenty
+#: 0.83 -- and the ladder's ``halo2_b8`` peak RSS (two rank threads, every
+#: block a halo block) against the per-block parent's 186 MB: five 193 MB
+#: (+3.8 %), ten 200 MB (+7.7 %, of a 10 % bound).
+_BLOCK_TILE_DIVISOR = 2
+
+
+def _tile_extent(ncells: int, nrows: int, width: int) -> tuple[int, int]:
+    """``(blocks, rows)`` one tile of a ``(NQ, ncells, blocks, nrows,
+    width)`` sweep holds: as many rows of one block as fit
+    :data:`TILE_ELEMENTS`, or, when all do, as many whole blocks as fit
+    its share for blocks (at least one)."""
+    per_row = NQ * ncells * width
+    rows = min(nrows, max(1, TILE_ELEMENTS // per_row))
+    if rows < nrows:
+        return 1, rows
+    per_block = _BLOCK_TILE_DIVISOR * per_row * nrows
+    return max(1, TILE_ELEMENTS // per_block), nrows
+
+
+def blocks_per_tile(interior: tuple[int, int, int]) -> int:
+    """Whole blocks of ``interior`` cells ``(nz, ny, nx)`` one tile holds
+    in every sweep direction.
+
+    The node layer hands out runs of at most this many blocks, so that
+    8^3 blocks share their per-call cost and a 32^3 block stays one work
+    item.  Returns a python int, 1 for a block that is tiled by rows.
+    """
+    nz, ny, nx = interior
+    g2 = 2 * STENCIL_WIDTH
+    return min(_tile_extent(nz + g2, ny, nx)[0],
+               _tile_extent(ny + g2, nz, nx)[0],
+               _tile_extent(nx + g2, nz, ny)[0])
+
+
+def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def _chunk_quantities(shape, full) -> int:
+    """Whole quantities per WENO chunk of a tile of ``shape`` in a sweep
+    whose full tile has shape ``full``.
+
+    The full tile is chunked by :data:`WENO_CHUNK_ELEMENTS` (at least one
+    quantity); a shorter tile takes as many quantities as fit the cells of
+    that chunk, so it is swept in fewer, equally long passes out of the
+    same workspace memory.
+    """
+    nq = full[0]
+    per_quantity = math.prod(full[1:])
+    cells = per_quantity * min(nq, max(1, WENO_CHUNK_ELEMENTS // per_quantity))
+    return min(nq, cells // math.prod(shape[1:]))
+
+
+def _tile_buffers(shape, chunk: int):
+    """Shapes of the buffers a tile of ``shape`` is swept through: the
+    flat WENO workspace of ``chunk`` quantities, the tile, the two face
+    states, ``div``, ``corr`` and ``du``.
+
+    The WENO workspace comes first so that it stays where it is as tile
+    shapes change: pages of the scratch that no shape reaches are never
+    touched, hence never resident.
+    """
+    nq, ncells = shape[:2]
+    faces = (nq, ncells - 5) + shape[2:]
+    cells = (nq, ncells - 2 * STENCIL_WIDTH) + shape[2:]
+    weno = Weno5Workspace.elements((chunk,) + faces[1:], axis=1)
+    return ((weno,), shape, faces, faces, cells, (NQ - GAMMA,) + cells[1:],
+            cells[1:])
+
+
+class _TileViews:
+    """The buffers of one tile shape, carved from the flat scratch."""
+
+    def __init__(self, shape, chunk: int, flat: np.ndarray):
+        (weno, self.W, self.W_minus, self.W_plus, self.div, self.corr,
+         self.du) = _carve(flat, _tile_buffers(shape, chunk))
+        g = STENCIL_WIDTH
+        #: Cell-centred ``Gamma`` and ``Pi`` of the tile's interior cells.
+        self.advected = self.W[_ADVECTED, g:-g]
+        #: ``(W, workspace, W_minus, W_plus)`` per chunk of at most
+        #: ``chunk`` whole quantities: as few chunks as that allows, of
+        #: even sizes, all viewing the same workspace memory.
+        self.chunks = []
+        nq = shape[0]
+        nchunks = -(-nq // chunk)
+        for k in range(nchunks):
+            q0, q1 = k * nq // nchunks, (k + 1) * nq // nchunks
+            self.chunks.append((
+                self.W[q0:q1],
+                Weno5Workspace((q1 - q0,) + self.W_minus.shape[1:],
+                               dtype=flat.dtype, axis=1, buffer=weno),
+                self.W_minus[q0:q1],
+                self.W_plus[q0:q1],
+            ))
+
+
+def _padded(nblocks: int, interior) -> tuple[int, ...]:
+    """Shape of a ghost-padded SoA batch of ``interior``-cell blocks."""
+    return (NQ, nblocks) + tuple(n + 2 * STENCIL_WIDTH for n in interior)
 
 
 class SweepWorkspace:
     """Scratch of the pencil-tile sweeps, held by one thread at a time.
 
-    Buffers are created on first use per tile shape and dtype (a cubic
-    block has one full tile shape for all three directions, plus one for
-    the remainder tile), so a caller that keeps the workspace across
-    calls -- the node layer keeps one per worker thread -- sweeps without
-    allocating anything but what the Riemann solver returns.
+    One flat array, sized once for the full tile of the sweep at hand
+    (at most :data:`TILE_ELEMENTS` per buffer, plus one WENO chunk) and
+    viewed per tile shape, plus the primitive and result SoA fields of the
+    batch, reserved for a tile-full of blocks.  A caller that keeps the
+    workspace across calls -- the node layer keeps one per worker thread
+    -- sweeps without allocating anything but what the Riemann solver
+    returns, whatever mix of batch sizes and remainder tiles it passes
+    through; :attr:`nbytes` stays what the first call made it unless a
+    later block shape or batch needs more.
     """
 
     def __init__(self):
-        self._tiles: dict[tuple, _TileScratch] = {}
+        self._flat: np.ndarray | None = None
+        self._views: tuple | None = None  # (key, _TileViews) of the last tile
+        self._fields: tuple[np.ndarray, np.ndarray] | None = None
 
-    def tile(self, shape: tuple[int, int, int, int], dtype) -> _TileScratch:
-        """The scratch buffers of a ``(NQ, cells, rows, width)`` tile."""
-        key = (shape, np.dtype(dtype))
-        scratch = self._tiles.get(key)
-        if scratch is None:
-            scratch = self._tiles[key] = _TileScratch(shape, dtype)
-        return scratch
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the flat scratch and the batch fields."""
+        held = () if self._fields is None else self._fields
+        flat = 0 if self._flat is None else self._flat.nbytes
+        return flat + sum(f.nbytes for f in held)
+
+    def _reserve(self, needed: int, dtype: np.dtype) -> np.ndarray:
+        """The flat scratch, with at least ``needed`` entries of ``dtype``."""
+        flat = self._flat
+        if flat is None or flat.dtype != dtype or flat.size < needed:
+            flat = self._flat = np.empty(needed, dtype=dtype)
+            self._views = None
+        return flat
+
+    def tile(self, shape, dtype, full) -> _TileViews:
+        """The buffers of a ``(NQ, cells, blocks, rows, width)`` tile.
+
+        ``full`` is the shape of a full tile of the sweep this one belongs
+        to: it sets the WENO chunk, and the scratch is sized for it, so
+        that a short first batch or a remainder tile does not make a later
+        full one reallocate.
+        """
+        dtype = np.dtype(dtype)
+        key = (shape, full)
+        views = self._views
+        if views is None or views[0] != key or self._flat.dtype != dtype:
+            needed = sum(math.prod(b) for b in _tile_buffers(
+                full, _chunk_quantities(full, full)
+            ))
+            views = self._views = (key, _TileViews(
+                shape, _chunk_quantities(shape, full),
+                self._reserve(needed, dtype),
+            ))
+        return views[1]
+
+    def staging(self, nblocks: int, interior, dtype) -> np.ndarray:
+        """A conserved SoA batch ``(NQ, nblocks, nz+6, ny+6, nx+6)`` to
+        convert storage data into and hand to :func:`compute_rhs`.
+
+        It is the memory of the tile scratch: the conserved state is dead
+        once the CONV stage has run, which is before the first tile, so
+        its contents are valid only until :func:`compute_rhs` is entered
+        with this workspace.
+        """
+        shape = _padded(nblocks, interior)
+        size = math.prod(shape)
+        return self._reserve(size, np.dtype(dtype))[:size].reshape(shape)
+
+    def fields(self, nblocks: int, interior, dtype):
+        """``(Wpad, rhs)`` of a batch: the primitive SoA field
+        ``(NQ, nblocks, nz+6, ny+6, nx+6)`` and the result
+        ``(NQ, nblocks, nz, ny, nx)``, views of held memory."""
+        dtype = np.dtype(dtype)
+        shapes = (_padded(nblocks, interior), (NQ, nblocks) + tuple(interior))
+        held = self._fields
+        if held is None or any(
+            flat.dtype != dtype or flat.size < math.prod(shape)
+            for flat, shape in zip(held, shapes)
+        ):
+            reserve = max(nblocks, blocks_per_tile(interior))
+            held = self._fields = tuple(
+                np.empty(math.prod(shape) // nblocks * reserve, dtype=dtype)
+                for shape in shapes
+            )
+        return tuple(
+            flat[:math.prod(shape)].reshape(shape)
+            for flat, shape in zip(held, shapes)
+        )
+
+
+def _as_batch(field: np.ndarray) -> np.ndarray:
+    """``(NQ, B, z, y, x)`` view of a field given with or without ``B``."""
+    if field.ndim == 5:
+        return field
+    if field.ndim == 4:
+        return field[:, np.newaxis]
+    raise ValueError(
+        f"expected (NQ, nz, ny, nx) or (NQ, B, nz, ny, nx), got {field.shape}"
+    )
 
 
 def _sweep_first(field: np.ndarray, axis: int) -> np.ndarray:
-    """View of a ``(NQ, z, y, x)`` field with the sweep direction at axis 1.
+    """View of a ``(NQ, B, z, y, x)`` batch with the sweep direction at
+    axis 1: ``(NQ, cells, B, rows, width)``.
 
-    The z sweep needs no transpose, y swaps whole x rows, x becomes
-    ``(NQ, x, z, y)`` -- a gather, done tile by tile.
+    The z sweep moves whole blocks, y swaps whole x rows, x becomes
+    ``(NQ, x, B, z, y)`` -- a gather, done tile by tile.
     """
     if axis == 0:
-        return field
+        return field.transpose(0, 2, 1, 3, 4)
     if axis == 1:
-        return np.swapaxes(field, 1, 2)
+        return field.transpose(0, 3, 1, 2, 4)
     if axis == 2:
-        return np.moveaxis(field, 3, 1)
+        return field.transpose(0, 4, 1, 2, 3)
     raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
 
 
 def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
     """Pencil-tile sweep of one direction: WENO -> Riemann flux -> difference.
 
-    Walks the sweep-axis-first view of the primitives in tiles of whole
-    rows of pencils, small enough that the buffers a tile passes through
-    stay cache resident (:data:`TILE_ELEMENTS`), and yields
-    ``(j0, j1, div, phi_corr)`` per tile: rows ``j0:j1`` of axis 2 of the
-    sweep-axis-first result, ``div`` and ``phi_corr`` as documented in
-    :func:`directional_rhs`.  The yielded arrays are workspace buffers,
+    Walks the sweep-axis-first view of a batch of primitives
+    ``(NQ, B, nz+6, ny+6, nx+6)`` in tiles small enough that the buffers a
+    tile passes through stay cache resident (:data:`TILE_ELEMENTS`) --
+    rows of one block or whole blocks, see :func:`_tile_extent` -- with
+    WENO5 issued per chunk of whole quantities
+    (:data:`WENO_CHUNK_ELEMENTS`), and yields ``(b0, b1, j0, j1, div,
+    corr)`` per tile: blocks ``b0:b1`` and rows ``j0:j1`` (axes 2 and 3)
+    of the sweep-axis-first result, ``div`` the flux divergence of all
+    quantities and ``corr`` the ``phi * div(u)`` correction of the
+    ``Gamma`` and ``Pi`` rows.  The yielded arrays are workspace buffers,
     valid (and writable) until the next tile is requested.
     """
-    if order not in (3, 5):
-        raise ValueError(f"unsupported WENO order {order}")
+    check_scheme(order, solver)
     # Explicit branch (not the RIEMANN_SOLVERS table): dict-of-functions
     # dispatch does not lower to compiled backends (perfcheck CP004).
-    if solver == "hlle":
-        flux_fn = hlle_flux
-    elif solver == "hllc":
-        flux_fn = hllc_flux
-    else:
-        raise ValueError(
-            f"unknown Riemann solver {solver!r}; choose from "
-            f"{sorted(RIEMANN_SOLVERS)}"
-        )
+    flux_fn = hlle_flux if solver == "hlle" else hllc_flux
     g = STENCIL_WIDTH
-    Wd = _sweep_first(Wpad, axis)[:, :, g:-g, g:-g]
+    Wd = _sweep_first(Wpad, axis)[:, :, :, g:-g, g:-g]
     normal = 2 - axis  # z, y, x sweeps see w, v, u as the normal velocity
     inv_h = 1.0 / h
-    nq, ncells, npencil_rows, width = Wd.shape
-    rows = min(npencil_rows, max(1, TILE_ELEMENTS // (nq * ncells * width)))
-    for j0 in range(0, npencil_rows, rows):
-        j1 = min(j0 + rows, npencil_rows)
-        t = workspace.tile((nq, ncells, j1 - j0, width), Wd.dtype)
-        np.copyto(t.W, Wd[:, :, j0:j1])
-        if order == 3:
-            W_minus, W_plus = weno3(t.W, axis=1)
-        elif fused:
-            W_minus, W_plus = weno5_fused(t.W, t.weno, t.W_minus, t.W_plus, 1)
-        else:
-            W_minus, W_plus = weno5(t.W, t.weno, t.W_minus, t.W_plus, 1)
-        flux, ustar = flux_fn(W_minus, W_plus, normal)
+    nq, ncells, nblocks, nrows, width = Wd.shape
+    tile_blocks, tile_rows = _tile_extent(ncells, nrows, width)
+    full = (nq, ncells, tile_blocks, tile_rows, width)
+    for b0 in range(0, nblocks, tile_blocks):
+        b1 = min(b0 + tile_blocks, nblocks)
+        for j0 in range(0, nrows, tile_rows):
+            j1 = min(j0 + tile_rows, nrows)
+            t = workspace.tile(
+                (nq, ncells, b1 - b0, j1 - j0, width), Wd.dtype, full
+            )
+            np.copyto(t.W, Wd[:, :, b0:b1, j0:j1])
+            if order == 3:
+                W_minus, W_plus = weno3(t.W, axis=1)
+            else:
+                W_minus, W_plus = t.W_minus, t.W_plus
+                for W, weno, chunk_minus, chunk_plus in t.chunks:
+                    if fused:
+                        weno5_fused(W, weno, chunk_minus, chunk_plus, 1)
+                    else:
+                        weno5(W, weno, chunk_minus, chunk_plus, 1)
+            flux, ustar = flux_fn(W_minus, W_plus, normal)
 
-        np.subtract(flux[:, 1:], flux[:, :-1], out=t.div)
-        np.multiply(t.div, inv_h, out=t.div)
-        np.subtract(ustar[1:], ustar[:-1], out=t.du)
-        np.multiply(t.du, inv_h, out=t.du)
-        np.multiply(t.W[GAMMA, g:-g], t.du, out=t.phi_corr[GAMMA])
-        np.multiply(t.W[PI, g:-g], t.du, out=t.phi_corr[PI])
-        yield j0, j1, t.div, t.phi_corr
+            np.subtract(flux[:, 1:], flux[:, :-1], out=t.div)
+            np.multiply(t.div, inv_h, out=t.div)
+            np.subtract(ustar[1:], ustar[:-1], out=t.du)
+            np.multiply(t.du, inv_h, out=t.du)
+            np.multiply(t.advected, t.du, out=t.corr)
+            yield b0, b1, j0, j1, t.div, t.corr
 
 
 def directional_rhs(
@@ -172,11 +382,11 @@ def directional_rhs(
     ----------
     Wpad:
         Primitive SoA field ``(NQ, nz+6, ny+6, nx+6)`` (ghost-padded in all
-        directions).
+        directions), or a batch of blocks ``(NQ, B, nz+6, ny+6, nx+6)``.
     axis:
-        Sweep direction: 0 = z (array axis 1), 1 = y (axis 2), 2 = x
-        (axis 3).  The *normal velocity* passed to HLLE is ``w``, ``v``,
-        ``u`` respectively.
+        Sweep direction: 0 = z, 1 = y, 2 = x (the last three array axes).
+        The *normal velocity* passed to HLLE is ``w``, ``v``, ``u``
+        respectively.
     h:
         Grid spacing.
     workspace:
@@ -185,23 +395,26 @@ def directional_rhs(
     Returns
     -------
     (div, phi_corr):
-        ``div`` -- shape ``(NQ, nz, ny, nx)`` flux divergence (to be
+        ``div`` -- shape ``(NQ, [B,] nz, ny, nx)`` flux divergence (to be
         subtracted from the state's time derivative); ``phi_corr`` -- the
         non-conservative correction ``phi * div(u)`` for the ``Gamma`` and
         ``Pi`` rows (zero elsewhere), to be *added*.
     """
     if workspace is None:
         workspace = SweepWorkspace()
+    batch = _as_batch(Wpad)
     g = STENCIL_WIDTH
-    div = np.empty_like(Wpad[:, g:-g, g:-g, g:-g])
-    phi_corr = np.empty_like(div)
+    div = np.empty_like(batch[:, :, g:-g, g:-g, g:-g])
+    phi_corr = np.zeros_like(div)
     div_rows = _sweep_first(div, axis)
-    corr_rows = _sweep_first(phi_corr, axis)
-    for j0, j1, tile_div, tile_corr in _sweep_tiles(
-        Wpad, axis, h, fused, workspace, order, solver
+    corr_rows = _sweep_first(phi_corr[_ADVECTED], axis)
+    for b0, b1, j0, j1, tile_div, tile_corr in _sweep_tiles(
+        batch, axis, h, fused, workspace, order, solver
     ):
-        div_rows[:, :, j0:j1] = tile_div
-        corr_rows[:, :, j0:j1] = tile_corr
+        div_rows[:, :, b0:b1, j0:j1] = tile_div
+        corr_rows[:, :, b0:b1, j0:j1] = tile_corr
+    if Wpad.ndim == 4:
+        return div[:, 0], phi_corr[:, 0]
     return div, phi_corr
 
 
@@ -212,6 +425,7 @@ def compute_rhs(
     order: int = 5,
     solver: str = "hlle",
     workspace: SweepWorkspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full RHS of the semi-discrete system from padded conserved data.
 
@@ -219,7 +433,9 @@ def compute_rhs(
     ----------
     Upad:
         Conserved SoA field ``(NQ, n+6, n+6, n+6)`` (or anisotropic interior
-        extents), ghost cells filled by the node/cluster layers.
+        extents), ghost cells filled by the node/cluster layers -- or a
+        batch of ``B`` such blocks, ``(NQ, B, n+6, n+6, n+6)``.  The blocks
+        of a batch are independent: each gets the bytes it gets alone.
     h:
         Uniform grid spacing.
     fused:
@@ -232,27 +448,39 @@ def compute_rhs(
     workspace:
         Optional :class:`SweepWorkspace` kept across calls (one per
         thread); by default a fresh one is allocated.
+    out:
+        Optional array of the result's shape and dtype to write into.
 
     Returns
     -------
-    Time derivative ``dU/dt`` of shape ``(NQ, nz, ny, nx)``.
+    Time derivative ``dU/dt`` of shape ``(NQ, nz, ny, nx)``, or
+    ``(NQ, B, nz, ny, nx)`` for a batch.
     """
     if Upad.shape[0] != NQ:
         raise ValueError(f"expected leading axis {NQ}, got {Upad.shape}")
+    batch = _as_batch(Upad)
     if workspace is None:
         workspace = SweepWorkspace()
-    Wpad = conserved_to_primitive(Upad)  # CONV stage
-    g = STENCIL_WIDTH
-    rhs = np.empty_like(Wpad[:, g:-g, g:-g, g:-g])
+    g2 = 2 * STENCIL_WIDTH
+    _, nblocks, mz, my, mx = batch.shape
+    interior = (mz - g2, my - g2, mx - g2)
+    Wpad, _ = workspace.fields(nblocks, interior, batch.dtype)
+    conserved_to_primitive(batch, out=Wpad)  # CONV stage
+    if out is None:
+        out = np.empty(Upad.shape[:-3] + interior, dtype=Upad.dtype)
+    rhs = _as_batch(out)
     for axis in range(3):
         rows = _sweep_first(rhs, axis)
-        for j0, j1, div, phi_corr in _sweep_tiles(
+        for b0, b1, j0, j1, div, corr in _sweep_tiles(
             Wpad, axis, h, fused, workspace, order, solver
         ):
             # SUM stage: rhs = (corr_z - div_z) + (corr_y - div_y) + ...
-            np.subtract(phi_corr, div, out=div)
+            # Rows without a correction get ``0.0 - div``, which is not
+            # ``-div`` where ``div`` is a zero.
+            np.subtract(0.0, div[_EULER], out=div[_EULER])
+            np.subtract(corr, div[_ADVECTED], out=div[_ADVECTED])
             if axis == 0:
-                rows[:, :, j0:j1] = div
+                rows[:, :, b0:b1, j0:j1] = div
             else:
-                rows[:, :, j0:j1] += div
-    return rhs
+                rows[:, :, b0:b1, j0:j1] += div
+    return out

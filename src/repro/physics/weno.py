@@ -32,6 +32,8 @@ with ``minus[j]`` and ``plus[j]`` collocated at the same face.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .state import COMPUTE_DTYPE
@@ -82,7 +84,7 @@ class Weno5Workspace:
 
     A workspace is keyed to the face (output) shape, the dtype and the
     stencil axis; re-creating one per call would defeat the purpose, so
-    callers on the hot path hold on to one per tile or slice shape -- the
+    callers on the hot path hold on to one per chunk or slice shape -- the
     Python analogue of the paper's per-thread ring buffers.
 
     Besides nine face-shaped temporaries it owns the nine cell-shaped
@@ -90,10 +92,15 @@ class Weno5Workspace:
     smoothness terms ``S-``, ``S+``, ``Q``), together with their shifted
     views: a table entry is computed once per cell and read by every
     face whose stencil covers that cell, on both sides.
+
+    ``buffer`` is an optional flat array of at least :meth:`elements`
+    entries of ``dtype`` to carve all eighteen arrays from, for a caller
+    that views one held scratch per shape instead of allocating per
+    shape; by default the workspace allocates its own.
     """
 
     def __init__(self, shape: tuple[int, ...], dtype=COMPUTE_DTYPE,
-                 axis: int = -1):
+                 axis: int = -1, buffer: np.ndarray | None = None):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         self.axis = axis % len(self.shape)
@@ -101,8 +108,25 @@ class Weno5Workspace:
         ncells = nfaces + 5
         cells = (self.shape[: self.axis] + (ncells,)
                  + self.shape[self.axis + 1:])
-        self._bufs = tuple(np.empty(self.shape, dtype=dtype) for _ in range(9))
-        tables = tuple(np.empty(cells, dtype=dtype) for _ in range(9))
+        needed = self.elements(self.shape, self.axis)
+        if buffer is None:
+            buffer = np.empty(needed, dtype=self.dtype)
+        elif buffer.dtype != self.dtype or buffer.size < needed:
+            raise ValueError(
+                f"buffer must hold {needed} {self.dtype} entries, got "
+                f"{buffer.size} of {buffer.dtype}"
+            )
+        nface_elems, ncell_elems = math.prod(self.shape), math.prod(cells)
+        tables_at = 9 * nface_elems
+        self._bufs = tuple(
+            buffer[k * nface_elems:(k + 1) * nface_elems].reshape(self.shape)
+            for k in range(9)
+        )
+        tables = tuple(
+            buffer[tables_at + k * ncell_elems:
+                   tables_at + (k + 1) * ncell_elems].reshape(cells)
+            for k in range(9)
+        )
         #: ``2v, 3v, 4v, 5v, 7v, 11v`` over every cell of the line.
         self.scaled = tables[:6]
         #: ``S-``, ``S+``, ``Q`` over the cells that have both neighbours.
@@ -117,6 +141,13 @@ class Weno5Workspace:
             tuple(_shifted(t, self.axis, k, nfaces) for k in range(6))
             for t in tables
         )
+
+    @staticmethod
+    def elements(shape: tuple[int, ...], axis: int = -1) -> int:
+        """Entries a workspace of face ``shape`` needs: nine face-shaped
+        buffers and nine tables five cells longer along ``axis``."""
+        faces = math.prod(shape)
+        return 9 * (faces + faces // shape[axis] * (shape[axis] + 5))
 
     def buffers(self) -> tuple[np.ndarray, ...]:
         """The nine face-shaped scratch buffers, in unpack order."""
@@ -276,7 +307,7 @@ def weno5(
     workspace, out_minus, out_plus:
         Optional preallocated :class:`Weno5Workspace` and output arrays
         (the shape of ``v`` with ``M - 5`` along ``axis``).  Callers on
-        the hot path hold these per tile shape; passing them eliminates
+        the hot path hold these per chunk shape; passing them eliminates
         all per-call allocations.  Results are bit-identical either way.
     axis:
         The stencil axis.  The directional sweeps put it *first* after

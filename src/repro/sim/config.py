@@ -116,14 +116,18 @@ class SimulationConfig:
             self.cells = (self.cells, self.cells, self.cells)
         else:
             self.cells = tuple(int(c) for c in self.cells)
+        if self.block_size < 6:
+            raise ValueError("block_size must be at least 6 (WENO ghosts)")
         for c in self.cells:
             if c % self.block_size:
                 raise ValueError(
                     f"cells={self.cells} not divisible by "
                     f"block_size={self.block_size}"
                 )
-        if self.block_size < 6:
-            raise ValueError("block_size must be at least 6 (WENO ghosts)")
+        from ..node.solver import check_scheme
+
+        check_scheme(self.weno_order, self.riemann_solver, self.fused_weno,
+                     self.use_slices)
         if self.cfl <= 0 or self.cfl > 1:
             raise ValueError("cfl must be in (0, 1]")
         if self.ranks < 1:

@@ -75,6 +75,33 @@ class TestSchemeOptions:
             )
 
 
+class TestSchemeValidation:
+    """An unsupported scheme fails at configuration time, with a
+    ``ValueError``, instead of at the first sweep or not at all."""
+
+    @pytest.mark.parametrize("opts", [
+        {"weno_order": 3}, {"riemann_solver": "hllc"}, {"fused_weno": True},
+    ])
+    def test_use_slices_rejects_what_it_would_ignore(self, opts):
+        # The streaming RHS is WENO5 + HLLE: it used to run exactly that,
+        # whatever the configuration asked for.
+        with pytest.raises(ValueError, match="use_slices"):
+            cfg(use_slices=True, **opts)
+
+    def test_unknown_order_and_solver(self):
+        with pytest.raises(ValueError, match="WENO order"):
+            cfg(weno_order=4)
+        with pytest.raises(ValueError, match="Riemann solver"):
+            cfg(riemann_solver="roe")
+
+    @pytest.mark.parametrize("block_size", [0, -8, 5])
+    def test_block_size_too_small_is_a_value_error(self, block_size):
+        # block_size=0 used to reach the divisibility check first:
+        # ZeroDivisionError.
+        with pytest.raises(ValueError, match="block_size"):
+            SimulationConfig(cells=16, block_size=block_size)
+
+
 class TestDiagnosticsOptions:
     def test_diag_interval_skips_records(self):
         r = Simulation(cfg(max_steps=6, diag_interval=3), IC).run()

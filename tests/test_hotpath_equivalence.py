@@ -337,6 +337,161 @@ class TestWholeRhsBitIdentity:
             assert bytes_equal(rhs, np.moveaxis(ref, 0, -1))
 
 
+def _batch_state(n, count, seed, dtype=np.float64):
+    """``count`` unrelated padded ``n``^3 states, ``(NQ, count, n+6, ...)``."""
+    return np.stack(
+        [_padded_state((n,) * 3, seed=seed + k, dtype=dtype)
+         for k in range(count)],
+        axis=1,
+    )
+
+
+def _batch_sizes(n, production):
+    """1, 2, a full tile of blocks and one more (a batch that spans two
+    tiles); 7 too, except for the slow 32^3 ablation schemes."""
+    full = equations.blocks_per_tile((n,) * 3)
+    sizes = {1, 2, full, full + 1}
+    if production or n < 32:
+        sizes.add(7)
+    return sorted(sizes)
+
+
+class TestBatchedRhsBitIdentity:
+    """Every block of a batch gets the bytes of its single-block call,
+    whatever the batch size, order, tile split and WENO chunk."""
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("solver", ["hlle", "hllc"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_compute_rhs_any_batch_size(self, n, solver, order, fused):
+        scheme = dict(solver=solver, order=order, fused=fused)
+        sizes = _batch_sizes(n, production=scheme == dict(
+            solver="hlle", order=5, fused=False))
+        Upad = _batch_state(n, sizes[-1], seed=n)
+        alone = [compute_rhs(Upad[:, k], 0.02, **scheme)
+                 for k in range(sizes[-1])]
+        ws = SweepWorkspace()  # held across sizes: dirty buffers
+        for size in sizes:
+            rhs = compute_rhs(Upad[:, :size], 0.02, workspace=ws, **scheme)
+            assert rhs.shape == (NQ, size, n, n, n)
+            for k in range(size):
+                assert bytes_equal(rhs[:, k], alone[k]), (size, k)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_shuffled_batch_gives_each_block_the_same_bytes(self, n):
+        count = equations.blocks_per_tile((n,) * 3) + 3
+        Upad = _batch_state(n, count, seed=5 * n)
+        rhs = compute_rhs(Upad, 0.02)
+        order = make_rng(n).permutation(count)
+        shuffled = compute_rhs(np.ascontiguousarray(Upad[:, order]), 0.02)
+        for slot, k in enumerate(order):
+            assert bytes_equal(shuffled[:, slot], rhs[:, k]), (slot, k)
+
+    @pytest.mark.parametrize("scheme", [
+        dict(), dict(solver="hllc"), dict(order=3), dict(fused=True),
+    ])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_rhs_kernel_any_batch_size(self, n, scheme):
+        sizes = _batch_sizes(n, production=True)
+        Upad = _batch_state(n, sizes[-1], seed=7 * n)
+        pads = np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
+        alone = [rhs_kernel(pads[k], 0.1, **scheme) for k in range(sizes[-1])]
+        ws = SweepWorkspace()
+        for size in sizes:
+            rhs = rhs_kernel(pads[:size], 0.1, workspace=ws, **scheme)
+            assert rhs.shape == (size, n, n, n, NQ)
+            assert rhs.dtype == np.float64
+            for k in range(size):
+                assert bytes_equal(rhs[k], alone[k]), (size, k)
+
+    def test_rhs_kernel_held_workspace_across_block_shapes(self):
+        # The second shape has fewer padded cells than the first but more
+        # interior ones: each held field is checked for its own size.
+        ws = SweepWorkspace()
+        for interior in ((6, 6, 300), (24, 24, 24), (8, 8, 8)):
+            Upad = _padded_state(interior, seed=sum(interior))
+            pad = np.ascontiguousarray(np.moveaxis(Upad, 0, -1),
+                                       dtype=np.float32)
+            assert bytes_equal(rhs_kernel(pad, 0.1, workspace=ws),
+                               rhs_kernel(pad, 0.1))
+
+    def test_rhs_kernel_batch_matches_the_reference_sweep(self):
+        Upad = _batch_state(8, 3, seed=40)
+        pads = np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
+        rhs = rhs_kernel(pads, 0.1)
+        for k in range(3):
+            ref = _ref_compute_rhs(
+                np.ascontiguousarray(np.moveaxis(pads[k], -1, 0),
+                                     dtype=np.float64), 0.1)
+            assert bytes_equal(rhs[k], np.moveaxis(ref, 0, -1))
+
+    def test_float32_batch(self):
+        Upad = _batch_state(8, 3, seed=9, dtype=np.float32)
+        rhs = compute_rhs(Upad, 0.01)
+        assert rhs.dtype == np.float32
+        for k in range(3):
+            assert bytes_equal(rhs[:, k], _ref_compute_rhs(Upad[:, k], 0.01))
+
+    @pytest.mark.parametrize("tile", [6272, 3 * 6272, 40000, 1 << 20])
+    @pytest.mark.parametrize("chunk", [1, 2000, 7000, 1 << 20])
+    def test_any_tile_split_and_chunk_size(self, monkeypatch, tile, chunk):
+        # From one block a tile and one quantity a chunk to everything at
+        # once: the split never shows in the bytes.
+        Upad = _batch_state(8, 7, seed=77)
+        expected = compute_rhs(Upad, 0.02)
+        monkeypatch.setattr(equations, "TILE_ELEMENTS", tile)
+        monkeypatch.setattr(equations, "WENO_CHUNK_ELEMENTS", chunk)
+        assert bytes_equal(compute_rhs(Upad, 0.02), expected)
+        assert bytes_equal(expected[:, 3], _ref_compute_rhs(Upad[:, 3], 0.02))
+
+    def test_directional_rhs_batch(self):
+        Wpad = conserved_to_primitive(_batch_state(8, 6, seed=3))
+        div, phi_corr = directional_rhs(Wpad, 1, 0.05)
+        for k in range(6):
+            ref_div, ref_corr = _ref_directional(Wpad[:, k], 1, 0.05, 5, "hlle")
+            assert bytes_equal(div[:, k], ref_div)
+            assert bytes_equal(phi_corr[:, k], ref_corr)
+
+    def test_bad_rank_is_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            compute_rhs(np.ones((NQ, 14, 14)), 0.1)
+        with pytest.raises(ValueError, match="expected"):
+            rhs_kernel(np.ones((2, 2, 14, 14, 14, NQ)), 0.1)
+
+
+class TestChunkedWenoBitIdentity:
+    """WENO5 per chunk of whole quantities out of one carved workspace
+    against the whole tile at once and against the expression form."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_equal_whole_tile_and_raw(self, per_chunk, dtype):
+        # A tile as the sweep holds it: (NQ, cells, blocks, rows, width).
+        v = (make_rng(per_chunk).normal(size=(NQ, 14, 3, 4, 8)) * 9.0).astype(dtype)
+        whole_minus, whole_plus = weno5(v, axis=1)
+        faces = (per_chunk, 9, 3, 4, 8)
+        buffer = np.empty(Weno5Workspace.elements(faces, axis=1), dtype=dtype)
+        minus, plus = np.empty_like(whole_minus), np.empty_like(whole_plus)
+        for q0 in range(0, NQ, per_chunk):
+            q1 = min(q0 + per_chunk, NQ)
+            ws = Weno5Workspace((q1 - q0,) + faces[1:], dtype=dtype, axis=1,
+                                buffer=buffer)
+            weno5(v[q0:q1], ws, minus[q0:q1], plus[q0:q1], 1)
+        assert bytes_equal(minus, whole_minus)
+        assert bytes_equal(plus, whole_plus)
+        a, b, c, d, e, f = (v[:, k:k + 9] for k in range(6))
+        assert bytes_equal(minus, _weno5_minus_raw(a, b, c, d, e))
+        assert bytes_equal(plus, _weno5_minus_raw(f, e, d, c, b))
+
+    def test_workspace_buffer_must_fit(self):
+        with pytest.raises(ValueError, match="buffer must hold"):
+            Weno5Workspace((2, 9, 4), axis=1, buffer=np.empty(10))
+        with pytest.raises(ValueError, match="buffer must hold"):
+            Weno5Workspace((2, 9, 4), axis=1,
+                           buffer=np.empty(10_000, dtype=np.float32))
+
+
 class TestDtypeContracts:
     """float32 in -> float32 out (rules CP001/CP002 at runtime)."""
 

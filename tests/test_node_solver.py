@@ -60,8 +60,9 @@ class TestRhsEvaluation:
             )
 
     def test_threads_dispatcher_matches_sequential_bytes(self, rng):
-        """Each worker thread sweeps in its own pad buffer and sweep
-        workspace; sharing either would corrupt a neighbour's tile."""
+        """Each worker thread sweeps its runs of blocks in its own pad
+        buffers and sweep workspace; sharing either would corrupt a
+        neighbour's tile."""
         field = make_smooth_aos((16, 16, 32), rng).astype(np.float32)
         g = BlockGrid((2, 2, 4), 8, h=0.1)
         g.from_array(field)
@@ -72,6 +73,7 @@ class TestRhsEvaluation:
         expected = sequential.evaluate_rhs()
         for _ in range(3):  # workspaces are reused from the second round on
             got = threaded.evaluate_rhs()
+            assert threaded.last_schedule.item_durations.size == 4  # runs
             assert got.keys() == expected.keys() and len(got) == 16
             for idx, rhs in expected.items():
                 assert bytes_equal(got[idx], rhs), idx
@@ -82,6 +84,120 @@ class TestRhsEvaluation:
         solver.evaluate_rhs()
         assert solver.last_schedule is not None
         assert solver.last_schedule.busy.size == 3
+
+
+def smooth_grid(num_blocks, n, rng):
+    g = BlockGrid(num_blocks, n, h=0.1)
+    cells = tuple(b * n for b in num_blocks)
+    g.from_array(make_smooth_aos(cells, rng).astype(np.float32))
+    return g
+
+
+class TestBlockRuns:
+    """``evaluate_rhs`` sweeps runs of blocks through one kernel call:
+    same bytes per block as ``rhs_for_block``, a bounded work area, and
+    a schedule that counts runs."""
+
+    @pytest.mark.parametrize("boundary", [
+        BoundarySpec.all_periodic(),
+        BoundarySpec.wall_at(0, -1),
+        BoundarySpec.all_extrapolate(),
+    ])
+    def test_equals_rhs_for_block_per_block(self, rng, boundary):
+        g = smooth_grid((2, 2, 3), 8, rng)
+        solver = NodeSolver(g, boundary=boundary,
+                            dispatcher=Dispatcher(num_workers=1))
+        rhs = solver.evaluate_rhs()
+        assert solver.last_schedule.item_durations.size == 3  # 12 in 5s
+        for block in g.sfc_blocks():
+            assert bytes_equal(rhs[block.index], solver.rhs_for_block(block))
+
+    def test_halo_list_with_remote_provider(self, rng):
+        """The cluster layer's second call: a sublist, ghosts from a
+        provider where the rank has no sibling."""
+        g = smooth_grid((2, 2, 2), 8, rng)
+        slabs = {}
+
+        def provider(index, axis, side):
+            key = (index, axis, side)
+            if axis == 1:
+                return None  # falls through to the boundary condition
+            if key not in slabs:
+                shape = [8, 8, 8, NQ]
+                shape[axis] = 3
+                slab = np.ones(shape, dtype=np.float32)
+                slab[..., 0] += 0.01 * len(slabs)
+                slabs[key] = slab
+            return slabs[key]
+
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        halo = list(g.sfc_blocks())[1:8]
+        rhs = solver.evaluate_rhs(halo, provider)
+        assert list(rhs) == [b.index for b in halo]
+        assert slabs
+        for block in halo:
+            assert bytes_equal(
+                rhs[block.index], solver.rhs_for_block(block, provider)
+            )
+        assert solver.evaluate_rhs([]) == {}
+
+    @pytest.mark.parametrize("opts", [
+        dict(solver="hllc"), dict(order=3), dict(fused=True),
+        dict(use_slices=True),
+    ])
+    def test_every_scheme_goes_through_runs(self, rng, opts):
+        g = smooth_grid((2, 2, 2), 8, rng)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1), **opts)
+        rhs = solver.evaluate_rhs()
+        for block in g.sfc_blocks():
+            assert bytes_equal(rhs[block.index], solver.rhs_for_block(block))
+
+    def test_work_area_is_sized_by_the_first_call(self, rng):
+        g = smooth_grid((4, 4, 4), 8, rng)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        blocks = list(g.sfc_blocks())
+        sizes = []
+        for count in (1, 3, 10, 11, 64):
+            rhs = solver.evaluate_rhs(blocks[:count])
+            assert len(rhs) == count
+            sizes.append((solver._sweep_workspace().nbytes,
+                          solver._pad_buffer().nbytes))
+        assert len(set(sizes)) == 1, sizes
+        # Bounded by the tile, not by the grid: far less than one pad
+        # and one primitive field per block.
+        assert sum(sizes[0]) < 64 * 14 ** 3 * NQ * (4 + 8) / 4
+
+    @pytest.mark.parametrize("n, num_blocks, workers, runs", [
+        (8, (4, 4, 4), 1, 13),   # 64 blocks, at most 5 to a run
+        (8, (4, 4, 4), 4, 16),   # ... and a whole number per worker
+        (8, (2, 2, 2), 4, 4),    # 8 blocks: no worker left without a run
+        (8, (1, 1, 3), 4, 3),    # fewer blocks than workers: one each
+        (16, (2, 2, 2), 2, 8),   # a 16^3 block fills its tile
+        (32, (1, 1, 2), 2, 2),   # the paper's granularity: one block
+    ])
+    def test_schedule_counts_runs(self, n, num_blocks, workers, runs):
+        g = uniform_grid(num_blocks, n)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=workers))
+        rhs = solver.evaluate_rhs()
+        stats = solver.last_schedule
+        assert len(rhs) == len(g.blocks)
+        assert stats.item_durations.size == runs
+        assert stats.to_dict()["items"] == runs
+        if len(g.blocks) >= workers:
+            assert (stats.busy > 0).all()
+
+    @pytest.mark.parametrize("opts", [
+        dict(order=3), dict(solver="hllc"), dict(fused=True),
+    ])
+    def test_use_slices_rejects_what_it_would_ignore(self, opts):
+        with pytest.raises(ValueError, match="use_slices"):
+            NodeSolver(uniform_grid(), use_slices=True, **opts)
+
+    def test_unknown_scheme_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="WENO order"):
+            NodeSolver(uniform_grid(), order=7)
+        with pytest.raises(ValueError, match="Riemann solver"):
+            NodeSolver(uniform_grid(), solver="roe")
 
 
 class TestSos:

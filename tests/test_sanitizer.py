@@ -266,7 +266,8 @@ class TestKernelPathLocalization:
 
         def bad_rhs(pad, h, **kw):
             out = orig(pad, h, **kw)
-            out[0, 0, 0, RHO] = np.nan
+            # The node layer passes a batch of pads: poison every block.
+            out[..., 0, 0, 0, RHO] = np.nan
             return out
 
         v = self._run_expecting_violation(
