@@ -5,6 +5,13 @@ small cloud-collapse simulation and reports the per-stage imbalance
 ``(t_max - t_min)/t_avg`` across workers, plus a modeled IO imbalance
 from the per-rank payload spread.
 
+DEC is resolved per chunk of blocks: the compressor transforms and
+decimates a cache-sized chunk at a time (``wavelet.blocks_per_chunk``)
+and its blocks share the chunk's wall, so a rank whose blocks fit one
+chunk -- this case -- reads 0 (the array work per block does not depend on
+the data, which is what the per-block wall times of the loop it replaces
+showed as 20-40 % of host noise).
+
 Shape criteria from the paper: ENC imbalance >> DEC imbalance (encoding
 cost tracks the data-dependent coefficient volume), and pressure shows
 the wilder encoding imbalance of the two quantities.

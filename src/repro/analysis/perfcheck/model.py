@@ -42,6 +42,10 @@ _AOS_INPLACE = (
     "STORAGE_DTYPE (float32) AoS in place; COMPUTE_DTYPE (float64) "
     "arithmetic"
 )
+_WAVELET = (
+    "float32 or float64 preserved, one block (z, y, x) or a batch "
+    "(B, z, y, x); COMPUTE_DTYPE (float64) prediction rounded once"
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,15 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("fill_block_ghosts", "node/ghosts.py",
                (BACKEND_NUMPY,), "STORAGE_DTYPE (float32) AoS in place",
                None),
+    # compression -- FWT is one of the paper's four core kernels; the
+    # axis-first lifting works through strided views and held scratch,
+    # numpy-only by design.
+    KernelSpec("fwt3d", "compression/wavelet.py",
+               (BACKEND_NUMPY,), _WAVELET, None),
+    KernelSpec("iwt3d", "compression/wavelet.py",
+               (BACKEND_NUMPY,), _WAVELET, None),
+    KernelSpec("decimate", "compression/decimation.py",
+               (BACKEND_NUMPY,), "dtype-preserving, in place", None),
 )
 
 #: Module path suffixes the ``--perf`` CLI analyzes by default.

@@ -10,6 +10,7 @@ writes offset by an exclusive prefix sum.
 from .decimation import (
     DecimationStats,
     decimate,
+    decimate_batch,
     exact_amplification,
     guaranteed_threshold,
 )
@@ -34,6 +35,7 @@ from .wavelet import (
     iwt1d_level,
     iwt3d,
     level_of_coefficient,
+    lift_batch,
     max_levels,
 )
 
@@ -50,6 +52,7 @@ __all__ = [
     "WriteStats",
     "amr_profitability",
     "decimate",
+    "decimate_batch",
     "detail_mask",
     "exact_amplification",
     "file_size",
@@ -59,6 +62,7 @@ __all__ = [
     "iwt1d_level",
     "iwt3d",
     "level_of_coefficient",
+    "lift_batch",
     "max_levels",
     "read_compressed",
     "read_field",

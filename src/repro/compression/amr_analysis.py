@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..physics.state import NQ
-from .wavelet import detail_mask, fwt3d, max_levels
+from .wavelet import block_tiles, fwt3d, max_levels
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,15 @@ class AmrProfile:
 def _block_detail_max(field: np.ndarray, block_size: int) -> np.ndarray:
     """Max |detail| per block of one scalar field, normalized to range."""
     scale = float(field.max() - field.min()) or 1.0
-    counts = tuple(n // block_size for n in field.shape)
-    levels = max_levels(block_size)
-    mask = detail_mask((block_size,) * 3, levels)
-    out = np.empty(counts)
-    for bz in range(counts[0]):
-        for by in range(counts[1]):
-            for bx in range(counts[2]):
-                blk = field[
-                    bz * block_size : (bz + 1) * block_size,
-                    by * block_size : (by + 1) * block_size,
-                    bx * block_size : (bx + 1) * block_size,
-                ].astype(np.float64)
-                c = fwt3d(blk, levels)
-                out[bz, by, bx] = np.abs(c[mask]).max() / scale
-    return out
+    bs = block_size
+    counts = tuple(n // bs for n in field.shape)
+    levels = max_levels(bs)
+    whole = field[: counts[0] * bs, : counts[1] * bs, : counts[2] * bs]
+    blocks = block_tiles(whole, bs).reshape(-1, bs, bs, bs)
+    details = np.abs(fwt3d(blocks.astype(np.float64), levels))
+    corner = bs >> levels
+    details[:, :corner, :corner, :corner] = 0.0  # the coarse approximation
+    return details.reshape(len(details), -1).max(axis=1).reshape(counts) / scale
 
 
 def amr_profitability(

@@ -21,6 +21,7 @@ orders of magnitude too conservative; the operator-based factor is tight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,20 +68,21 @@ class DecimationStats:
         return 1.0 - self.zeroed / self.total_details
 
 
-def decimate(
+def decimate_batch(
     coeffs: np.ndarray,
     levels: int,
     eps: float,
     guaranteed: bool = True,
-) -> DecimationStats:
-    """Zero small detail coefficients of a 3D transform, in place.
+) -> list[DecimationStats]:
+    """Zero the small detail coefficients of every block of a batch, in
+    place.
 
     Parameters
     ----------
     coeffs:
-        Output of :func:`repro.compression.wavelet.fwt3d` (modified in
-        place -- the paper performs "in-place transform, decimation and
-        encoding").
+        ``(B, nz, ny, nx)`` output of
+        :func:`repro.compression.wavelet.fwt3d` (modified in place -- the
+        paper performs "in-place transform, decimation and encoding").
     levels:
         Number of transform levels.
     eps:
@@ -89,17 +91,31 @@ def decimate(
         the raw magnitude threshold is ``eps`` itself (the paper's usage:
         higher compression, error typically a small multiple of ``eps``
         and strictly bounded by ``eps * exact_amplification(...)``).
+
+    Returns one :class:`DecimationStats` per block.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    mask = detail_mask(coeffs.shape, levels)
-    t = guaranteed_threshold(eps, coeffs.shape, levels) if guaranteed else eps
-    details = coeffs[mask]
-    small = np.abs(details) < t
-    details[small] = 0.0
-    coeffs[mask] = details
-    return DecimationStats(
-        total_details=int(mask.sum()),
-        zeroed=int(small.sum()),
-        threshold=float(t),
-    )
+    shape = coeffs.shape[1:]
+    t = guaranteed_threshold(eps, shape, levels) if guaranteed else eps
+    small = np.abs(coeffs) < t
+    # Everything but the coarse corner is detail.
+    corner = tuple(n >> levels for n in shape)
+    small[:, : corner[0], : corner[1], : corner[2]] = False
+    np.putmask(coeffs, small, 0.0)
+    zeroed = np.count_nonzero(small.reshape(len(small), -1), axis=1)
+    total = math.prod(shape) - math.prod(corner)
+    return [
+        DecimationStats(total_details=total, zeroed=int(z), threshold=float(t))
+        for z in zeroed
+    ]
+
+
+def decimate(
+    coeffs: np.ndarray,
+    levels: int,
+    eps: float,
+    guaranteed: bool = True,
+) -> DecimationStats:
+    """:func:`decimate_batch` of one 3D block, in place."""
+    return decimate_batch(coeffs[np.newaxis], levels, eps, guaranteed)[0]

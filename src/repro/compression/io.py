@@ -87,22 +87,42 @@ def read_header(path: str) -> dict:
     """Read and parse the fixed-size header of a dump file."""
     with open(path, "rb") as f:
         blob = f.read(HEADER_SIZE)
-    header = json.loads(blob.decode().rstrip())
-    if header.get("magic") != _MAGIC:
+    if len(blob) < HEADER_SIZE:
+        raise ValueError(
+            f"{path}: header cut short, {len(blob)} of {HEADER_SIZE} bytes"
+        )
+    try:
+        header = json.loads(blob.decode().rstrip())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: unreadable dump header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise ValueError(f"{path} is not a repro wavelet dump")
     return header
 
 
-def read_compressed(path: str) -> list[CompressedField]:
-    """Read every rank's compressed field from a dump file."""
+def _read_ranks(path: str):
+    """``(index entry, CompressedField)`` of every rank in a dump file."""
     header = read_header(path)
-    out: list[CompressedField] = []
     with open(path, "rb") as f:
-        for entry in header["ranks"]:
+        for rank, entry in enumerate(header["ranks"]):
             f.seek(entry["offset"])
             payload = f.read(entry["size"])
-            out.append(CompressedField.from_metadata(payload, entry["meta"]))
-    return out
+            if len(payload) != entry["size"]:
+                raise ValueError(
+                    f"{path}: payload of rank {rank} cut short at byte "
+                    f"{entry['offset'] + len(payload)}: {len(payload)} of "
+                    f"{entry['size']} bytes"
+                )
+            yield entry, CompressedField.from_metadata(payload, entry["meta"])
+
+
+def read_compressed(path: str) -> list[CompressedField]:
+    """Read every rank's compressed field from a dump file.
+
+    A file that is cut short raises ``ValueError`` naming the rank and the
+    byte offset; so does decompressing a payload whose streams are.
+    """
+    return [cf for _, cf in _read_ranks(path)]
 
 
 def read_field(path: str, compressor: WaveletCompressor | None = None) -> np.ndarray:
@@ -110,16 +130,16 @@ def read_field(path: str, compressor: WaveletCompressor | None = None) -> np.nda
     along the z axis slab-wise (the reader of single-rank dumps and of
     driver dumps, which record each rank's subdomain origin in ``extra``).
     """
-    header = read_header(path)
     compressor = compressor or WaveletCompressor()
     pieces = []
-    with open(path, "rb") as f:
-        for entry in header["ranks"]:
-            f.seek(entry["offset"])
-            payload = f.read(entry["size"])
-            cf = CompressedField.from_metadata(payload, entry["meta"])
-            origin = tuple(entry.get("extra", {}).get("origin_cells", (0, 0, 0)))
+    for rank, (entry, cf) in enumerate(_read_ranks(path)):
+        origin = tuple(entry.get("extra", {}).get("origin_cells", (0, 0, 0)))
+        try:
             pieces.append((origin, compressor.decompress(cf)))
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: rank {rank} (payload at byte {entry['offset']}): {exc}"
+            ) from exc
     if len(pieces) == 1:
         return pieces[0][1]
     # Stitch subdomains by cell origin.

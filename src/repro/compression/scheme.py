@@ -23,9 +23,9 @@ from ..node.dispatcher import simulate_dynamic_schedule
 from ..telemetry.clock import now
 from ..node.sfc import morton_order
 from . import zerotree
-from .decimation import DecimationStats, decimate, guaranteed_threshold
+from .decimation import DecimationStats, decimate_batch, guaranteed_threshold
 from .encoder import EncodeStats, StreamEncoder
-from .wavelet import fwt3d, iwt3d, max_levels
+from .wavelet import block_tiles, blocks_per_chunk, lift_batch, max_levels
 
 
 @dataclass
@@ -34,7 +34,9 @@ class CompressionStats:
 
     raw_bytes: int
     compressed_bytes: int
-    dec_seconds: np.ndarray  #: per-block FWT+decimation times
+    #: per-block FWT+decimation times: the wall of the chunk of blocks
+    #: transformed and decimated together, shared equally by its blocks
+    dec_seconds: np.ndarray
     enc_stats: list[EncodeStats]
     decimation: list[DecimationStats]
 
@@ -149,18 +151,14 @@ class WaveletCompressor:
         )
 
     @staticmethod
-    def _block_indices(shape: tuple[int, int, int], bs: int) -> list[tuple[int, int, int]]:
-        """Block coordinates in Morton order (SFC assignment to threads)."""
-        counts = tuple(n // bs for n in shape)
-        idx = np.array(
-            [
-                (bz, by, bx)
-                for bz in range(counts[0])
-                for by in range(counts[1])
-                for bx in range(counts[2])
-            ]
-        )
-        return [tuple(idx[i]) for i in morton_order(idx)]
+    def _morton_tiles(fld: np.ndarray, bs: int) -> tuple[np.ndarray, tuple]:
+        """``(tiles, order)``: the :func:`block_tiles` view of a
+        C-contiguous field, and the block coordinates in Morton order (SFC
+        assignment to threads) as an index into it: ``tiles[order]`` is
+        the ``(B, bs, bs, bs)`` batch of all blocks."""
+        tiles = block_tiles(fld, bs)
+        idx = np.indices(tiles.shape[:3]).reshape(3, -1).T
+        return tiles, tuple(idx[morton_order(idx)].T)
 
     # -- pipeline ------------------------------------------------------------
 
@@ -174,32 +172,28 @@ class WaveletCompressor:
             raise ValueError(f"field shape {fld.shape} not divisible by block {bs}")
         levels = max_levels(bs)
 
-        order = self._block_indices(fld.shape, bs)
-        coeff_blocks: list[np.ndarray] = []
-        dec_seconds = np.empty(len(order))
+        # One buffer from here to the file: blocks gathered in Morton order,
+        # transformed and decimated in place chunk by chunk, deflated where
+        # they lie.
+        tiles, order = self._morton_tiles(fld, bs)
+        coeffs = tiles[order]
+        dec_seconds = np.empty(len(coeffs))
         dec_stats: list[DecimationStats] = []
-        for i, (bz, by, bx) in enumerate(order):
+        step = blocks_per_chunk((bs, bs, bs))
+        for start in range(0, len(coeffs), step):
             t0 = now()
-            blk = fld[
-                bz * bs : (bz + 1) * bs,
-                by * bs : (by + 1) * bs,
-                bx * bs : (bx + 1) * bs,
-            ]
-            coeffs = fwt3d(blk, levels)
+            chunk = coeffs[start : start + step]
+            lift_batch(chunk, levels)
             if self.encoder_kind == "zlib":
-                dec_stats.append(
-                    decimate(coeffs, levels, self.eps,
-                             guaranteed=self.guaranteed)
+                dec_stats += decimate_batch(
+                    chunk, levels, self.eps, guaranteed=self.guaranteed
                 )
-            dec_seconds[i] = now() - t0
-            coeff_blocks.append(coeffs)
+            dec_seconds[start : start + step] = (now() - t0) / len(chunk)
 
         if self.encoder_kind == "zerotree":
-            payload, enc_stats = self._encode_zerotree(coeff_blocks, levels)
+            payload, enc_stats = self._encode_zerotree(coeffs, levels)
         else:
-            payload, enc_stats = self.encoder.encode(
-                coeff_blocks, self.num_threads
-            )
+            payload, enc_stats = self.encoder.encode(coeffs, self.num_threads)
         stats = CompressionStats(
             raw_bytes=fld.nbytes,
             compressed_bytes=len(payload),
@@ -249,7 +243,7 @@ class WaveletCompressor:
             )
         return b"".join(chunks), stats
 
-    def _decode_zerotree(self, payload: bytes, levels: int):
+    def _decode_zerotree(self, payload: bytes, levels: int) -> np.ndarray:
         import struct
 
         (count,) = struct.unpack_from("<I", payload, 0)
@@ -262,23 +256,21 @@ class WaveletCompressor:
                 zerotree.decode(payload[offset : offset + size], levels)
             )
             offset += size
-        return blocks
+        return np.stack(blocks)
 
     def decompress(self, cf: CompressedField) -> np.ndarray:
         """Exact inverse of the lossless stages (lossy error <= eps)."""
         bs = cf.block_size
         if self.encoder_kind == "zerotree":
-            blocks = self._decode_zerotree(cf.payload, cf.levels)
+            coeffs = self._decode_zerotree(cf.payload, cf.levels)
         else:
-            blocks = self.encoder.decode(cf.payload, (bs, bs, bs))
-        order = self._block_indices(cf.field_shape, bs)
-        if len(blocks) != len(order):
-            raise ValueError("payload block count does not match field shape")
+            coeffs = self.encoder.decode_batch(cf.payload, (bs, bs, bs))
         out = np.empty(cf.field_shape, dtype=np.dtype(cf.dtype))
-        for (bz, by, bx), coeffs in zip(order, blocks):
-            out[
-                bz * bs : (bz + 1) * bs,
-                by * bs : (by + 1) * bs,
-                bx * bs : (bx + 1) * bs,
-            ] = iwt3d(coeffs, cf.levels)
+        tiles, order = self._morton_tiles(out, bs)
+        if len(coeffs) != len(order[0]):
+            raise ValueError("payload block count does not match field shape")
+        step = blocks_per_chunk((bs, bs, bs))
+        for start in range(0, len(coeffs), step):
+            lift_batch(coeffs[start : start + step], cf.levels, inverse=True)
+        tiles[order] = coeffs
         return out

@@ -14,6 +14,9 @@ Plesset's collapse/rebound studies.  These models are the *baselines* the
 
 All integrators use ``scipy.integrate.solve_ivp`` with stiff-safe settings
 and report trajectories ``(t, R, Rdot)`` plus detected collapse events.
+SciPy is imported where an integration starts, not with the module:
+``import repro`` -- every spawned rank and service worker -- would
+otherwise spend half its import time on an integrator it never calls.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 #: Rayleigh's constant: t_c = K * R0 * sqrt(rho / dp) for an empty cavity.
 RAYLEIGH_CONSTANT = 0.914681
@@ -105,6 +107,8 @@ class RayleighPlesset:
         cavity the Rayleigh-Plesset singularity is reached in finite time
         and the solver would otherwise stall.
         """
+        from scipy.integrate import solve_ivp
+
         floor = r_floor_frac * self.R0
 
         def hit_floor(t, y):
@@ -233,6 +237,8 @@ class Gilmore:
         self, t_end: float, rtol: float = 1e-9, atol: float = 1e-12,
         r_floor_frac: float = 1e-3,
     ) -> BubbleTrajectory:
+        from scipy.integrate import solve_ivp
+
         floor = r_floor_frac * self.R0
 
         def hit_floor(t, y):

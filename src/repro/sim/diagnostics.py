@@ -18,13 +18,16 @@ from ..physics.eos import LIQUID, VAPOR, pressure
 from ..physics.state import ENERGY, GAMMA, PI, RHO, RHOU, RHOV, RHOW
 
 
+def _columns(field: np.ndarray, *quantities: int) -> list[np.ndarray]:
+    """Quantities of an AoS field ``(..., NQ)`` as float64 arrays, one
+    conversion per quantity read (converting the field first would write
+    all ``NQ`` columns to read a few 56-byte-strided ones)."""
+    return [field[..., q].astype(np.float64) for q in quantities]
+
+
 def pressure_field(field: np.ndarray) -> np.ndarray:
     """Pointwise pressure of an AoS field ``(..., NQ)``."""
-    f = field.astype(np.float64)
-    return pressure(
-        f[..., RHO], f[..., RHOU], f[..., RHOV], f[..., RHOW],
-        f[..., ENERGY], f[..., GAMMA], f[..., PI],
-    )
+    return pressure(*_columns(field, RHO, RHOU, RHOV, RHOW, ENERGY, GAMMA, PI))
 
 
 def max_pressure(field: np.ndarray) -> float:
@@ -41,10 +44,8 @@ def wall_max_pressure(field: np.ndarray, axis: int = 0, side: int = -1) -> float
 
 def kinetic_energy(field: np.ndarray, h: float) -> float:
     """Total kinetic energy ``sum(|rho u|^2 / (2 rho)) * h^3``."""
-    f = field.astype(np.float64)
-    ke = 0.5 * (
-        f[..., RHOU] ** 2 + f[..., RHOV] ** 2 + f[..., RHOW] ** 2
-    ) / f[..., RHO]
+    rho, ru, rv, rw = _columns(field, RHO, RHOU, RHOV, RHOW)
+    ke = 0.5 * (ru ** 2 + rv ** 2 + rw ** 2) / rho
     return float(ke.sum() * h**3)
 
 

@@ -114,3 +114,56 @@ class TestErrors:
         path.write_bytes(b'{"magic": "nope"}'.ljust(HEADER_SIZE) + b"x")
         with pytest.raises(ValueError):
             read_header(str(path))
+
+
+class TestCorruptDump:
+    """Cut and corrupt dump files fail with a located ``ValueError``."""
+
+    @staticmethod
+    def dump(tmp_path):
+        path = str(tmp_path / "p.rwz")
+        t = np.linspace(0, 3, 16, dtype=np.float32)
+        fld = np.sin(t)[:, None, None] * np.cos(t)[None, :, None] * t[None, None, :]
+        comm = SimWorld(1).comm(0)
+        cf = WaveletCompressor(eps=1e-4).compress(fld)
+        write_compressed_parallel(comm, path, "p", cf)
+        return path
+
+    @staticmethod
+    def rewrite(path, edit):
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        with open(path, "wb") as f:
+            f.write(edit(blob))
+
+    def test_cut_in_header(self, tmp_path):
+        path = self.dump(tmp_path)
+        self.rewrite(path, lambda blob: blob[:100])
+        for reader in (read_header, read_compressed, read_field):
+            with pytest.raises(ValueError, match="header cut short, 100 of"):
+                reader(path)
+
+    def test_unreadable_header(self, tmp_path):
+        path = self.dump(tmp_path)
+        self.rewrite(path, lambda blob: b"{" * HEADER_SIZE + blob[HEADER_SIZE:])
+        with pytest.raises(ValueError, match="unreadable dump header"):
+            read_field(path)
+
+    def test_cut_in_payload(self, tmp_path):
+        path = self.dump(tmp_path)
+        self.rewrite(path, lambda blob: blob[:-7])
+        for reader in (read_compressed, read_field):
+            with pytest.raises(ValueError, match="payload of rank 0 cut short at byte"):
+                reader(path)
+
+    def test_flipped_payload_byte(self, tmp_path):
+        path = self.dump(tmp_path)
+
+        def flip(blob):
+            blob[HEADER_SIZE + 40] ^= 0xFF
+            return blob
+
+        self.rewrite(path, flip)
+        assert len(read_compressed(path)) == 1  # framing intact
+        with pytest.raises(ValueError, match=rf"rank 0 \(payload at byte {HEADER_SIZE}\): stream 0: inflate failed"):
+            read_field(path)

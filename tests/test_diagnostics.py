@@ -17,7 +17,10 @@ from repro.sim.diagnostics import (
     wall_max_pressure,
 )
 
-from .conftest import make_uniform_aos
+from repro.physics.eos import pressure
+from repro.physics.state import ENERGY, GAMMA, PI, RHO, RHOU, RHOV, RHOW
+
+from .conftest import bytes_equal, make_smooth_aos, make_uniform_aos
 
 
 class TestPressure:
@@ -102,3 +105,30 @@ class TestReduction:
             assert d.wall_max_pressure == pytest.approx(100.0, rel=1e-4)
             assert d.kinetic_energy == 0.0
             assert d.vapor_volume == pytest.approx(0.0, abs=1e-4)
+
+
+class TestColumnConversionBitIdentity:
+    """``pressure_field`` / ``kinetic_energy`` convert the columns they read,
+    not the field; the results are the whole-field expression's bytes."""
+
+    @staticmethod
+    def fields(rng):
+        aos = make_smooth_aos((12, 10, 8), rng, dtype=np.float32)
+        return {"contiguous": aos, "wall layer": aos[:, -1:], "strided": aos[::2, 1:, ::3]}
+
+    def test_pressure_field(self, rng):
+        for name, field in self.fields(rng).items():
+            f = field.astype(np.float64)
+            expected = pressure(
+                f[..., RHO], f[..., RHOU], f[..., RHOV], f[..., RHOW],
+                f[..., ENERGY], f[..., GAMMA], f[..., PI],
+            )
+            assert bytes_equal(pressure_field(field), expected), name
+
+    def test_kinetic_energy(self, rng):
+        for name, field in self.fields(rng).items():
+            f = field.astype(np.float64)
+            ke = 0.5 * (
+                f[..., RHOU] ** 2 + f[..., RHOV] ** 2 + f[..., RHOW] ** 2
+            ) / f[..., RHO]
+            assert kinetic_energy(field, 0.25) == float(ke.sum() * 0.25**3), name

@@ -1,5 +1,7 @@
 """Tests for the per-thread stream encoder (repro.compression.encoder)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,48 @@ class TestErrors:
         payload, _ = enc.encode([np.zeros((4, 4), np.float32)], 1)
         with pytest.raises(ValueError):
             enc.decode(payload, (5, 5))
+
+
+class TestCorruptPayload:
+    """A cut or corrupt payload fails typed: ``ValueError`` naming the
+    stream and the byte offset, never ``struct.error`` / ``zlib.error``."""
+
+    @staticmethod
+    def payload(rng, num_streams=2):
+        blocks = [rng.normal(size=(8, 8, 8)).astype(np.float32)
+                  for _ in range(6)]
+        return StreamEncoder().encode(blocks, num_streams)[0]
+
+    def test_short_header(self, rng):
+        with pytest.raises(ValueError, match="header cut short: 5 of 16"):
+            StreamEncoder().decode(self.payload(rng)[:5], (8, 8, 8))
+
+    def test_short_stream_header(self, rng):
+        with pytest.raises(ValueError, match="stream 0: header cut short at byte 16"):
+            StreamEncoder().decode(self.payload(rng)[:20], (8, 8, 8))
+
+    def test_short_stream(self, rng):
+        payload = self.payload(rng)
+        with pytest.raises(ValueError, match=r"stream 1: \d+ bytes expected at byte \d+, \d+ left"):
+            StreamEncoder().decode(payload[:-7], (8, 8, 8))
+
+    def test_bit_flip_fails_inflate(self, rng):
+        payload = bytearray(self.payload(rng))
+        payload[40] ^= 0xFF
+        with pytest.raises(ValueError, match=r"stream 0: inflate failed in the \d+ bytes at byte 24"):
+            StreamEncoder().decode(bytes(payload), (8, 8, 8))
+
+    def test_inflated_size_mismatch(self, rng):
+        """A stream that inflates cleanly to the wrong number of bytes
+        (here: its header claims one block more than it holds)."""
+        payload = bytearray(self.payload(rng, num_streams=1))
+        comp_size, n_blocks = struct.unpack_from("<II", payload, 16)
+        struct.pack_into("<II", payload, 16, comp_size, n_blocks + 1)
+        with pytest.raises(ValueError, match="stream 0 at byte 24: inflated to 12288 bytes, 7 blocks need 14336"):
+            StreamEncoder().decode(bytes(payload), (8, 8, 8))
+
+    def test_unknown_dtype_code(self, rng):
+        payload = bytearray(self.payload(rng))
+        payload[12] = 9
+        with pytest.raises(ValueError, match="dtype code 9"):
+            StreamEncoder().decode(bytes(payload), (8, 8, 8))

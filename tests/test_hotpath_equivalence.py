@@ -13,14 +13,41 @@ the sweep axis first.  None of that may change a bit of the result:
   tiling, no workspace) built on ``_weno5_minus_raw``;
 * **dtype preservation** -- float32 face states stay float32 end to end
   (rules CP001/CP002: no silent promotion, no strong scalars).
+
+The compression layer is held to the same standard: the axis-first
+lifting kernel over batches of blocks against the ``fwt1d_level`` /
+``iwt1d_level`` composition, and a whole ``compress`` / ``decompress``
+against a pipeline assembled block by block from that oracle.
 """
 
 from __future__ import annotations
 
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.cluster.mpi_sim import SimWorld
+from repro.compression import wavelet, zerotree
+from repro.compression.decimation import (
+    DecimationStats,
+    decimate,
+    guaranteed_threshold,
+)
+from repro.compression.encoder import StreamEncoder
+from repro.compression.io import read_field, write_compressed_parallel
+from repro.compression.scheme import WaveletCompressor
+from repro.compression.wavelet import (
+    detail_mask,
+    fwt1d_level,
+    fwt3d,
+    iwt1d_level,
+    iwt3d,
+    max_levels,
+)
 from repro.core.kernels import rhs_kernel
+from repro.node.sfc import morton_order
 from repro.physics import equations
 from repro.physics.eos import (
     LIQUID,
@@ -490,6 +517,232 @@ class TestChunkedWenoBitIdentity:
         with pytest.raises(ValueError, match="buffer must hold"):
             Weno5Workspace((2, 9, 4), axis=1,
                            buffer=np.empty(10_000, dtype=np.float32))
+
+
+def _oracle_fwt3d(block, levels):
+    """Expression-form forward transform of one block: ``fwt1d_level``
+    along x, y, z of the coarse corner through last-axis transpositions."""
+    c = np.array(block, copy=True)
+    nz, ny, nx = c.shape
+    for _ in range(levels):
+        sub = c[:nz, :ny, :nx]
+        for axis in (2, 1, 0):
+            view = np.swapaxes(sub, axis, 2)
+            view[...] = fwt1d_level(np.ascontiguousarray(view))
+        nz, ny, nx = nz // 2, ny // 2, nx // 2
+    return c
+
+
+def _oracle_iwt3d(coeffs, levels):
+    """Expression-form inverse: ``iwt1d_level`` along z, y, x, coarse to
+    fine."""
+    c = np.array(coeffs, copy=True)
+    for lvl in range(levels - 1, -1, -1):
+        sub = c[tuple(slice(0, n >> lvl) for n in c.shape)]
+        for axis in (0, 1, 2):
+            view = np.swapaxes(sub, axis, 2)
+            view[...] = iwt1d_level(np.ascontiguousarray(view))
+    return c
+
+
+def _oracle_decimate(coeffs, levels, eps, guaranteed):
+    """Expression-form decimation of one block through its detail mask."""
+    mask = detail_mask(coeffs.shape, levels)
+    t = guaranteed_threshold(eps, coeffs.shape, levels) if guaranteed else eps
+    details = coeffs[mask]
+    small = np.abs(details) < t
+    details[small] = 0.0
+    coeffs[mask] = details
+    return DecimationStats(int(mask.sum()), int(small.sum()), float(t))
+
+
+def _morton_slices(shape, bs):
+    """Block slices of a field in the compressor's Morton order."""
+    idx = np.array([(bz, by, bx)
+                    for bz in range(shape[0] // bs)
+                    for by in range(shape[1] // bs)
+                    for bx in range(shape[2] // bs)])
+    return [tuple(slice(i * bs, (i + 1) * bs) for i in idx[k])
+            for k in morton_order(idx)]
+
+
+def _dump_field(shape, dtype=np.float32):
+    """A bump plus hashed noise from ``+``, ``*`` and ``/`` on integers
+    alone: the same bytes on every host, and both kept and zeroed
+    details at ``eps = 1e-2``."""
+    z, y, x = np.meshgrid(
+        *(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
+    bump = 1.0 / (1.0 + ((z - 11.0) ** 2 + (y - 30.0) ** 2
+                         + (x - 17.0) ** 2) / 40.0)
+    noise = (np.arange(z.size, dtype=np.uint64) * np.uint64(2654435761)
+             % np.uint64(1 << 20)).reshape(shape)
+    return (100.0 * bump + noise / float(1 << 30)).astype(dtype)
+
+
+class TestBatchedWaveletBitIdentity:
+    """``fwt3d`` / ``iwt3d`` of a batch = per block = the 1-D oracle, and
+    the compressor's one-buffer pipeline = the per-block pipeline, byte
+    for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_any_batch_size_and_level_count(self, n, dtype):
+        run_full = wavelet.RUN_ELEMENTS // n**3
+        rng = make_rng(n)
+        # Values over six decades, so that sums round.
+        data = (rng.normal(size=(run_full + 1, n, n, n))
+                * 10.0 ** rng.uniform(-3, 3, size=(run_full + 1, 1, 1, 1))
+                ).astype(dtype)
+        for levels in range(max_levels(n) + 1):
+            coeffs = np.stack([_oracle_fwt3d(b, levels) for b in data])
+            back = np.stack([_oracle_iwt3d(c, levels) for c in coeffs])
+            for count in (1, 2, 7, run_full, run_full + 1):
+                got = fwt3d(data[:count], levels)
+                assert got.dtype == dtype
+                assert bytes_equal(got, coeffs[:count]), (levels, count)
+                assert bytes_equal(iwt3d(coeffs[:count], levels),
+                                   back[:count]), (levels, count)
+            # The 3-D call is the batch of one through the same code.
+            assert bytes_equal(fwt3d(data[0], levels), coeffs[0])
+            assert bytes_equal(iwt3d(coeffs[0], levels), back[0])
+        assert bytes_equal(fwt3d(data[:3]), coeffs[:3])  # default: deepest
+
+    @pytest.mark.parametrize("run", [700, 4096, 40000, 1 << 22])
+    def test_any_run_split(self, monkeypatch, run):
+        monkeypatch.setattr(wavelet, "RUN_ELEMENTS", run)
+        data = make_rng(run).normal(size=(5, 16, 16, 16)).astype(np.float32)
+        coeffs = np.stack([_oracle_fwt3d(b, 2) for b in data])
+        assert bytes_equal(fwt3d(data, 2), coeffs)
+        assert bytes_equal(iwt3d(coeffs, 2),
+                           np.stack([_oracle_iwt3d(c, 2) for c in coeffs]))
+
+    def test_anisotropic_block_and_strided_input(self):
+        data = make_rng(3).normal(size=(2, 8, 16, 32))
+        for levels in (0, 1):
+            coeffs = np.stack([_oracle_fwt3d(b, levels) for b in data])
+            assert bytes_equal(fwt3d(data, levels), coeffs)
+            assert bytes_equal(fwt3d(data[1], levels), coeffs[1])
+            assert bytes_equal(iwt3d(coeffs, levels), np.stack(
+                [_oracle_iwt3d(c, levels) for c in coeffs]))
+        wide = make_rng(4).normal(size=(16, 16, 48)).astype(np.float32)
+        assert bytes_equal(fwt3d(wide[:, :, 16:32], 2),
+                           _oracle_fwt3d(wide[:, :, 16:32], 2))
+
+    def test_signed_zeros_infinities_and_nans(self):
+        data = make_rng(5).normal(size=(2, 16, 16, 16)).astype(np.float32)
+        data[0, 3, 4, 5] = np.inf
+        data[1, 0, 0, 0] = np.nan
+        data[1, 8:] = -0.0
+        data[0, :, :4] = 0.0
+        with np.errstate(invalid="ignore"):
+            coeffs = np.stack([_oracle_fwt3d(b, 2) for b in data])
+            assert bytes_equal(fwt3d(data, 2), coeffs)
+            assert bytes_equal(iwt3d(coeffs, 2), np.stack(
+                [_oracle_iwt3d(c, 2) for c in coeffs]))
+
+    def test_input_is_left_alone_and_bad_input_rejected(self):
+        data = make_rng(6).normal(size=(3, 8, 8, 8))
+        keep = data.copy()
+        fwt3d(data, 1)
+        iwt3d(data, 1)
+        assert bytes_equal(data, keep)
+        with pytest.raises(ValueError):
+            fwt3d(data[0, 0], 1)
+        with pytest.raises(ValueError):
+            fwt3d(data, 2)
+        with pytest.raises(ValueError):
+            iwt3d(data, 2)
+        with pytest.raises(TypeError):
+            fwt3d(data.astype(np.int32), 1)
+
+    def test_decimate_is_the_batch_of_one(self):
+        data = make_rng(7).normal(size=(16, 16, 16)).astype(np.float32)
+        for guaranteed in (True, False):
+            for eps in (0.0, 0.3):
+                ours, ref = fwt3d(data, 2), _oracle_fwt3d(data, 2)
+                assert (decimate(ours, 2, eps, guaranteed)
+                        == _oracle_decimate(ref, 2, eps, guaranteed))
+                assert bytes_equal(ours, ref)
+
+    @staticmethod
+    def _reference_pipeline(fld, bs, eps, guaranteed, threads):
+        """``(payload, decimation stats, restored field)`` assembled block
+        by block from the oracle, per-block decimation and a list of
+        blocks through the encoder."""
+        levels = max_levels(bs)
+        slices = _morton_slices(fld.shape, bs)
+        blocks = [_oracle_fwt3d(fld[sel], levels) for sel in slices]
+        stats = [_oracle_decimate(c, levels, eps, guaranteed) for c in blocks]
+        encoder = StreamEncoder()
+        payload, _ = encoder.encode(blocks, threads)
+        restored = np.empty_like(fld)
+        for sel, c in zip(slices, encoder.decode(payload, (bs,) * 3)):
+            restored[sel] = _oracle_iwt3d(c, levels)
+        return payload, stats, restored
+
+    @pytest.mark.parametrize("guaranteed", [True, False])
+    @pytest.mark.parametrize("threads", [1, 3, 4])
+    @pytest.mark.parametrize("shape,bs", [((32, 32, 32), 16),
+                                          ((16, 32, 8), 8),
+                                          ((32, 64, 32), 32)])
+    def test_compress_equals_the_per_block_pipeline(self, shape, bs, threads,
+                                                    guaranteed):
+        fld = _dump_field(shape)
+        for eps in (1e-2, 0.0):
+            comp = WaveletCompressor(eps=eps, block_size=bs,
+                                     num_threads=threads,
+                                     guaranteed=guaranteed)
+            cf = comp.compress(fld)
+            payload, stats, restored = self._reference_pipeline(
+                fld, bs, eps, guaranteed, threads)
+            assert cf.payload == payload
+            assert cf.stats.decimation == stats
+            assert cf.stats.dec_seconds.size == len(stats)
+            assert bytes_equal(comp.decompress(cf), restored)
+
+    def test_zerotree_equals_the_per_block_pipeline(self):
+        fld = _dump_field((16, 32, 16))
+        comp = WaveletCompressor(eps=1e-2, block_size=8,
+                                 encoder_kind="zerotree")
+        cf = comp.compress(fld)
+        slices = _morton_slices(fld.shape, 8)
+        blocks = [_oracle_fwt3d(fld[sel], 1) for sel in slices]
+        payload, _ = comp._encode_zerotree(blocks, 1)
+        assert cf.payload == payload
+        assert cf.stats.decimation == []
+        restored = np.empty_like(fld)
+        for sel, c in zip(slices, blocks):
+            coded, _ = zerotree.encode(np.asarray(c, dtype=np.float64), 1,
+                                       t_stop=comp._zerotree_t_stop(1))
+            restored[sel] = _oracle_iwt3d(zerotree.decode(coded, 1), 1)
+        assert bytes_equal(comp.decompress(cf), restored)
+
+    def test_seeded_dump_file_is_the_parent_commits(self, tmp_path):
+        """SHA-256 recorded at the parent of the batched kernel (d99d8a7).
+        The coefficient and field hashes hold anywhere; the file's only
+        where deflate is the zlib the hash was taken with."""
+        fld = _dump_field((32, 64, 32))
+        comp = WaveletCompressor(eps=1e-2, block_size=16, num_threads=3,
+                                 guaranteed=False)
+        cf = comp.compress(fld)
+        path = str(tmp_path / "p.rwz")
+        write_compressed_parallel(SimWorld(1).comm(0), path, "p", cf)
+
+        def sha(data):
+            return hashlib.sha256(data).hexdigest()
+
+        coeffs = comp.encoder.decode_batch(cf.payload, (16, 16, 16))
+        assert sha(coeffs.tobytes()) == (
+            "3035f35fcee984f2a159df885f123ece872e5f771a9937cb9a5d86aa9f7ae5e7")
+        assert sum(s.zeroed for s in cf.stats.decimation) == 57729
+        assert sha(read_field(path, comp).tobytes()) == (
+            "dd36e1e028feac0da0c40d755eced8e17d080e03e5e9bf319edd869401c11664")
+        if zlib.ZLIB_RUNTIME_VERSION == "1.2.13":
+            with open(path, "rb") as f:
+                assert sha(f.read()) == (
+                    "36405f4297ad5d324a00064e3f70a20f1cb9b9768ef9e73673bd3774"
+                    "829adf10")
+            assert len(cf.payload) == 30351
 
 
 class TestDtypeContracts:
