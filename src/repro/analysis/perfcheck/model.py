@@ -42,6 +42,25 @@ _AOS_INPLACE = (
     "STORAGE_DTYPE (float32) AoS in place; COMPUTE_DTYPE (float64) "
     "arithmetic"
 )
+#: Operands the kernels of a rank's steady-state step take so that it
+#: allocates no array.
+_HLLE_WORKSPACE = (
+    _COMPUTE + "; flux, ustar and 12 face temporaries in an optional held "
+    "HlleWorkspace (the sweeps hold one per thread)"
+)
+_AOS_BATCH_OUT = (
+    _AOS_BATCH_IN + "; optional out= (the result's array, or one "
+    "(z, y, x, NQ) array per block)"
+)
+_AOS_STREAM_IN = (
+    "STORAGE_DTYPE (float32) AoS in, one block or a sequence of blocks, "
+    "python float out; streamed through a COMPUTE_DTYPE (float64) "
+    "(NQ + 2, cells) SoA chunk of an optional held flat scratch"
+)
+_AOS_STREAM_INPLACE = (
+    _AOS_INPLACE + ", any shape or strided view, streamed in chunks of "
+    "half of an optional held flat COMPUTE_DTYPE scratch"
+)
 _WAVELET = (
     "float32 or float64 preserved, one block (z, y, x) or a batch "
     "(B, z, y, x); COMPUTE_DTYPE (float64) prediction rounded once"
@@ -76,7 +95,7 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
     # physics.riemann -- the HLLE stage.
     KernelSpec("hlle_flux", "physics/riemann.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "hlle"),
+               (BACKEND_NUMPY, BACKEND_NUMBA), _HLLE_WORKSPACE, "hlle"),
     KernelSpec("einfeldt_wave_speeds", "physics/riemann.py",
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "wavespeeds"),
     KernelSpec("hllc_flux", "physics/riemann.py",
@@ -102,13 +121,13 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
     # buffers: numpy-only by design) and the UP stage.
     KernelSpec("rhs_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_BATCH_IN, None),
+               (BACKEND_NUMPY,), _AOS_BATCH_OUT, None),
     KernelSpec("rhs_kernel_slices", "core/kernels.py",
                (BACKEND_NUMPY,), _AOS_IN, None),
     KernelSpec("sos_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
+               (BACKEND_NUMPY,), _AOS_STREAM_IN, None),
     KernelSpec("update_stage", "core/kernels.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _AOS_INPLACE, "up"),
+               (BACKEND_NUMPY, BACKEND_NUMBA), _AOS_STREAM_INPLACE, "up"),
     # core.timestepper / node layer -- orchestration around the kernels.
     KernelSpec("advance", "core/timestepper.py",
                (BACKEND_NUMPY,), _AOS_INPLACE, None),

@@ -40,6 +40,7 @@ from ..analysis.sanitizer import (
 )
 from ..compression.io import write_compressed_parallel
 from ..compression.scheme import WaveletCompressor
+from ..core.kernels import dt_from_sos
 from ..core.timestepper import make_stepper
 from ..node.dispatcher import Dispatcher
 from ..node.grid import BlockGrid
@@ -316,7 +317,7 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
                         f"solution diverged at step {step}: non-finite "
                         "characteristic velocity (check resolution/CFL)"
                     )
-                dt = config.cfl * h / sos
+                dt = dt_from_sos(sos, h, config.cfl)
                 if t + dt > config.t_end:
                     dt = config.t_end - t
             if tracer is not None:

@@ -263,11 +263,13 @@ class Request:
         return [r.wait(timeout) for r in requests]
 
 
-# Reduction operators usable with allreduce/exscan.
+# Reduction operators usable with allreduce/exscan.  "max" and "min"
+# carry a NaN from any rank to the result (``a != a``): the driver's
+# divergence check reads the reduced value, not the local ones.
 OPS: dict[str, Callable[[Any, Any], Any]] = {
     "sum": lambda a, b: a + b,
-    "max": lambda a, b: a if a >= b else b,
-    "min": lambda a, b: a if a <= b else b,
+    "max": lambda a, b: a if a >= b or a != a else b,
+    "min": lambda a, b: a if a <= b or a != a else b,
 }
 
 

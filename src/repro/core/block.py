@@ -82,19 +82,27 @@ class Block:
 
     # -- ghost extraction (used by node/cluster ghost reconstruction) ---
 
-    def face_slab(self, axis: int, side: int, width: int = GHOSTS) -> np.ndarray:
-        """Return the slab of ``width`` cell layers at one face.
+    def face_view(self, axis: int, side: int, width: int = GHOSTS) -> np.ndarray:
+        """View of the ``width`` cell layers at one face.
 
         ``axis`` is the spatial axis (0=z, 1=y, 2=x) and ``side`` is -1 for
-        the low face or +1 for the high face.  The returned array is a copy
-        (it is about to be shipped to a neighbor's ghost region or into an
-        MPI message).
+        the low face or +1 for the high face.  A strided view of the block
+        data, for a caller that copies it somewhere at once (a sibling's
+        ghost region).
         """
         if side not in (-1, 1):
             raise ValueError("side must be -1 or +1")
         sel = [slice(None)] * 3
         sel[axis] = slice(0, width) if side == -1 else slice(self.n - width, self.n)
-        return self.data[tuple(sel)].copy()
+        return self.data[tuple(sel)]
+
+    def face_slab(self, axis: int, side: int, width: int = GHOSTS) -> np.ndarray:
+        """Return the slab of ``width`` cell layers at one face.
+
+        As :meth:`face_view`, but the returned array is a copy (it is
+        about to be shipped into an MPI message).
+        """
+        return self.face_view(axis, side, width).copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Block(n={self.n}, index={self.index})"

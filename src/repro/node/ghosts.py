@@ -75,27 +75,22 @@ def _ghost_region(pad: np.ndarray, axis: int, side: int) -> np.ndarray:
     return pad[tuple(sel)]
 
 
-def _interior_edge(pad: np.ndarray, axis: int, side: int, width: int) -> np.ndarray:
-    """View of the ``width`` interior layers adjacent to a face."""
-    g = GHOSTS
-    sel = [slice(g, -g)] * 3
-    sel[axis] = slice(g, g + width) if side == -1 else slice(-g - width, -g)
-    return pad[tuple(sel)]
+def _apply_boundary(pad: np.ndarray, block: Block, axis: int, side: int,
+                    kind: str) -> None:
+    """Fill one face-slab ghost region from the block's own edge layers.
 
-
-def _apply_boundary(pad: np.ndarray, axis: int, side: int, kind: str) -> None:
+    They are read from ``block.data`` (which the interior of ``pad``
+    holds a copy of): assigned from ``pad`` itself, NumPy cannot rule out
+    an overlap with the ghost region and copies the source first.
+    """
     g = GHOSTS
     ghost = _ghost_region(pad, axis, side)
     if kind == "extrapolate":
         # Repeat the first interior layer (zero-gradient).
-        sel = [slice(g, -g)] * 3
-        sel[axis] = slice(g, g + 1) if side == -1 else slice(-g - 1, -g)
-        ghost[...] = pad[tuple(sel)]
+        ghost[...] = block.face_view(axis, side, 1)
     elif kind == "reflect":
-        mirrored = np.flip(_interior_edge(pad, axis, side, g), axis=axis)
-        mirrored = mirrored.copy()
-        mirrored[..., RHOU + (2 - axis)] *= -1.0  # negate normal momentum
-        ghost[...] = mirrored
+        ghost[...] = np.flip(block.face_view(axis, side, g), axis=axis)
+        ghost[..., RHOU + (2 - axis)] *= -1.0  # negate normal momentum
     else:  # pragma: no cover - periodic handled by the caller via wrap
         raise ValueError(f"boundary kind {kind!r} must be resolved by caller")
 
@@ -120,7 +115,7 @@ def fill_block_ghosts(
         for side in (-1, 1):
             neigh = grid.neighbor(block.index, axis, side)
             if neigh is not None:
-                _ghost_region(pad, axis, side)[...] = neigh.face_slab(axis, -side, g)
+                _ghost_region(pad, axis, side)[...] = neigh.face_view(axis, -side, g)
                 continue
             if remote_provider is not None:
                 slab = remote_provider(block.index, axis, side)
@@ -132,6 +127,6 @@ def fill_block_ghosts(
                 wrap = list(block.index)
                 wrap[axis] = grid.num_blocks[axis] - 1 if side == -1 else 0
                 neigh = grid.blocks[tuple(wrap)]
-                _ghost_region(pad, axis, side)[...] = neigh.face_slab(axis, -side, g)
+                _ghost_region(pad, axis, side)[...] = neigh.face_view(axis, -side, g)
             else:
-                _apply_boundary(pad, axis, side, kind)
+                _apply_boundary(pad, block, axis, side, kind)

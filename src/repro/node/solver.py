@@ -5,6 +5,10 @@ run of blocks, load data + ghosts into per-thread padded buffers, run the
 core kernel once over the run, and store results.  Supports the
 halo/interior block split used by the cluster layer to overlap
 communication with computation.
+
+Everything a step needs is held: the pads, the sweep scratch and the
+UP/SOS scratch per thread, one RHS buffer per block per solver.  After
+its first step a rank's step allocates no array.
 """
 
 from __future__ import annotations
@@ -14,9 +18,17 @@ import threading
 import numpy as np
 
 from ..core.block import GHOSTS, Block, padded_aos
-from ..core.kernels import rhs_kernel, rhs_kernel_slices, sos_kernel, update_stage
+from ..core.kernels import (
+    nan_max,
+    rhs_kernel,
+    rhs_kernel_slices,
+    sos_kernel,
+    stream_scratch,
+    update_stage,
+)
 from ..physics.equations import SweepWorkspace, blocks_per_tile
 from ..physics.equations import check_scheme as check_sweep_scheme
+from ..physics.state import COMPUTE_DTYPE, NQ
 from .dispatcher import Dispatcher, ScheduleStats
 from .ghosts import BoundarySpec, fill_block_ghosts
 from .grid import BlockGrid
@@ -98,6 +110,12 @@ class NodeSolver:
         self._tls = threading.local()
         #: Blocks of the longest run.
         self._run_blocks = blocks_per_tile((grid.block_size,) * 3)
+        #: The RHS of every block, ``(blocks, n, n, n, NQ)`` in compute
+        #: precision, allocated by the first :meth:`evaluate_rhs`; a
+        #: solver that never evaluates one (dumps, checkpoint readers)
+        #: holds none.
+        self._rhs: np.ndarray | None = None
+        self._rhs_slot = {idx: k for k, idx in enumerate(grid.blocks)}
         self.last_schedule: ScheduleStats | None = None
 
     # -- per-thread work area ------------------------------------------
@@ -124,6 +142,29 @@ class NodeSolver:
             sweep = self._tls.sweep = SweepWorkspace()
         return sweep
 
+    def _stream_scratch(self) -> np.ndarray:
+        """The per-thread scratch UP and SOS stream block data through."""
+        scratch = getattr(self._tls, "stream", None)
+        if scratch is None:
+            scratch = self._tls.stream = stream_scratch()
+        return scratch
+
+    def _rhs_buffers(self, run: list[Block]) -> list[np.ndarray]:
+        """The held RHS arrays ``(n, n, n, NQ)`` of the blocks of ``run``."""
+        if self._rhs is None:
+            n = self.grid.block_size
+            self._rhs = np.empty((len(self._rhs_slot), n, n, n, NQ),
+                                 dtype=COMPUTE_DTYPE)
+        return [self._rhs[self._rhs_slot[b.index]] for b in run]
+
+    @property
+    def work_area_nbytes(self) -> int:
+        """Bytes held for the calling thread's kernels: pads, sweep
+        scratch and UP/SOS scratch of this thread, plus the RHS buffers."""
+        held = [getattr(self._tls, name, None)
+                for name in ("pads", "sweep", "stream")] + [self._rhs]
+        return sum(part.nbytes for part in held if part is not None)
+
     # -- kernels ----------------------------------------------------------
 
     def _block_runs(self, block_list: list[Block]) -> list[list[Block]]:
@@ -143,7 +184,8 @@ class NodeSolver:
     def _rhs_for_run(self, run: list[Block], remote_provider=None):
         """RHS of a run of blocks: ghost loads, then one core-kernel call.
 
-        Returns one AoS array ``(n, n, n, NQ)`` per block, in run order.
+        Returns one AoS array ``(n, n, n, NQ)`` per block, in run order:
+        the buffers held for those blocks.
         """
         g = GHOSTS
         pads = self._pad_buffer()[:len(run)]
@@ -151,15 +193,17 @@ class NodeSolver:
             pad[g:-g, g:-g, g:-g, :] = block.data
             fill_block_ghosts(pad, self.grid, block, self.boundary,
                               remote_provider)
+        out = self._rhs_buffers(run)
         if self.use_slices:
-            return [rhs_kernel_slices(pad, self.grid.h) for pad in pads]
+            return [rhs_kernel_slices(pad, self.grid.h, out=rhs)
+                    for pad, rhs in zip(pads, out)]
         return rhs_kernel(pads, self.grid.h, fused=self.fused,
                           order=self.order, solver=self.solver,
-                          workspace=self._sweep_workspace())
+                          workspace=self._sweep_workspace(), out=out)
 
     def rhs_for_block(self, block: Block, remote_provider=None) -> np.ndarray:
         """Evaluate the RHS of one block (ghost load + core kernel): a run
-        of one."""
+        of one.  The result is the solver's, see :meth:`evaluate_rhs`."""
         return self._rhs_for_run([block], remote_provider)[0]
 
     def evaluate_rhs(
@@ -177,6 +221,11 @@ class NodeSolver:
         docstring); one run is one work item of the dispatcher and one
         call of the core kernel, so ``last_schedule.item_durations`` has
         one entry per run.
+
+        The arrays of the result are the solver's own, one per block: each
+        is valid until an RHS of *that block* is next evaluated (the
+        interior map stays valid while the halo subset is evaluated).
+        Copy what has to outlive that.
         ``sanitizer`` (an optional
         :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks every
         block's time derivative for NaN/Inf, localizing findings to the
@@ -214,10 +263,11 @@ class NodeSolver:
         :class:`repro.analysis.sanitizer.NumericsSanitizer`) is forwarded
         to the UP kernel so every post-stage block write is checked.
         """
+        scratch = self._stream_scratch()
         for idx, rhs in rhs_map.items():
             block = self.grid.blocks[idx]
             update_stage(block.data, self.grid.residual(idx), rhs, a, b, dt,
-                         sanitizer=sanitizer, block=idx)
+                         sanitizer=sanitizer, block=idx, scratch=scratch)
         if self.tracer is not None:
             self.tracer.count(
                 "up_cell_updates", len(rhs_map) * self.grid.block_size ** 3
@@ -241,24 +291,28 @@ class NodeSolver:
     def max_sos(self, sanitizer=None) -> float:
         """Rank-local SOS reduction (maximum characteristic velocity).
 
-        ``sanitizer`` (an optional
-        :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks each
-        block's reduction for NaN/Inf so a diverged block is reported by
-        index before the global allreduce collapses it to a single value.
+        The cells of all blocks are streamed through the SOS kernel as
+        one sequence; a NaN anywhere makes the result NaN.  ``sanitizer``
+        (an optional :class:`repro.analysis.sanitizer.NumericsSanitizer`)
+        checks each block's reduction for NaN/Inf so a diverged block is
+        reported by index before the global allreduce collapses it to a
+        single value: the kernel then runs block by block.
         """
         if self.tracer is not None:
             self.tracer.count(
                 "dt_cell_evals",
                 len(self.grid.blocks) * self.grid.block_size ** 3,
             )
+        scratch = self._stream_scratch()
         if sanitizer is None:
-            return max(sos_kernel(b.data) for b in self.grid.blocks.values())
+            return sos_kernel(
+                [b.data for b in self.grid.blocks.values()], scratch)
         where = f"SOS ({sanitizer.context})"
-        values = []
+        peak = -np.inf
         for idx, block in self.grid.blocks.items():
-            s = sos_kernel(block.data)
+            s = sos_kernel(block.data, scratch)
             sanitizer.check_finite(
                 np.asarray(s), where=where, block=idx, field="sos"
             )
-            values.append(s)
-        return max(values)
+            peak = nan_max(peak, s)
+        return peak

@@ -126,6 +126,91 @@ def sound_speed(rho, p, G, P):
     return np.sqrt(np.maximum(c2, _SOUND_SPEED_FLOOR))
 
 
+def pressure_into(rho, ru, rv, rw, E, G, P, out: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """:func:`pressure` as ``out=`` passes, bit for bit.
+
+    ``out`` and ``work`` are arrays shaped like the operands and none of
+    them; the result is in ``out``.
+    """
+    np.multiply(ru, ru, out=out)
+    np.multiply(rv, rv, out=work)
+    np.add(out, work, out=out)
+    np.multiply(rw, rw, out=work)
+    np.add(out, work, out=out)
+    np.multiply(0.5, out, out=out)
+    np.divide(out, rho, out=out)
+    np.subtract(E, out, out=out)
+    np.subtract(out, P, out=out)
+    return np.divide(out, G, out=out)
+
+
+def total_energy_into(W: np.ndarray, out: np.ndarray,
+                      work: np.ndarray) -> np.ndarray:
+    """:func:`total_energy` of primitive SoA states ``W`` as ``out=`` passes.
+
+    ``out`` and ``work`` are arrays shaped like one quantity of ``W`` (and
+    no part of it); the result, in ``out``, is the value the expression
+    form computes, bit for bit.
+    """
+    u, v, w = W[RHOU], W[RHOV], W[RHOW]
+    np.multiply(u, u, out=work)
+    np.multiply(v, v, out=out)
+    np.add(work, out, out=work)
+    np.multiply(w, w, out=out)
+    np.add(work, out, out=work)
+    np.multiply(0.5, W[RHO], out=out)
+    np.multiply(out, work, out=work)
+    np.multiply(W[GAMMA], W[ENERGY], out=out)
+    np.add(out, W[PI], out=out)
+    return np.add(out, work, out=out)
+
+
+def sound_speed_into(rho, p, G, P, out: np.ndarray,
+                     work: np.ndarray) -> np.ndarray:
+    """:func:`sound_speed` as ``out=`` passes, bit for bit.
+
+    ``out`` and ``work`` are arrays shaped like the operands and none of
+    them, except that ``work`` may be dead storage of any kind; the
+    result is in ``out``.
+    """
+    np.add(G, 1.0, out=out)
+    np.multiply(out, p, out=out)
+    np.add(out, P, out=out)
+    np.multiply(G, rho, out=work)
+    np.divide(out, work, out=out)
+    np.maximum(out, _SOUND_SPEED_FLOOR, out=out)
+    return np.sqrt(out, out=out)
+
+
+def max_velocity_of_conserved(U: np.ndarray, work: np.ndarray) -> float:
+    """:func:`max_characteristic_velocity` of *conserved* SoA data
+    ``(NQ, cells)``, the CONV stage included, without a temporary.
+
+    ``U`` is destroyed and ``work`` is two more rows like it,
+    ``(2, cells)``.  Every cell's ``|u_i| + c`` is the value
+    ``max_characteristic_velocity(conserved_to_primitive(U))`` computes;
+    returns their maximum as a python float, NaN if any is NaN.
+    """
+    rho, ru, rv, rw, E, G, P = U
+    t0, t1 = work
+    pressure_into(rho, ru, rv, rw, E, G, P, t0, t1)
+    # max |u_i|, in ru
+    np.divide(1.0, rho, out=t1)
+    np.multiply(ru, t1, out=ru)
+    np.multiply(rv, t1, out=rv)
+    np.multiply(rw, t1, out=rw)
+    np.abs(ru, out=ru)
+    np.abs(rv, out=rv)
+    np.abs(rw, out=rw)
+    np.maximum(rv, rw, out=rv)
+    np.maximum(ru, rv, out=ru)
+    # c in t1; the energy row is dead and serves as its scratch
+    sound_speed_into(rho, t0, G, P, t1, E)
+    np.add(ru, t1, out=ru)
+    return float(ru.max())
+
+
 def max_characteristic_velocity(W: np.ndarray) -> float:
     """Maximum of ``|u_i| + c`` over an SoA primitive array ``(NQ, ...)``.
 
@@ -144,6 +229,13 @@ def max_characteristic_velocity(W: np.ndarray) -> float:
     return float(speed.max())
 
 
+def _quantity_rows(W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``NQ`` quantities of an SoA array as arrays to pass as
+    ``out=`` -- 0-d views where ``W`` is a single state ``(NQ,)``."""
+    return (W[RHO, ...], W[RHOU, ...], W[RHOV, ...], W[RHOW, ...],
+            W[ENERGY, ...], W[GAMMA, ...], W[PI, ...])
+
+
 def conserved_to_primitive(
     U: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -154,15 +246,22 @@ def conserved_to_primitive(
     spurious pressure/velocity oscillations at material interfaces
     (Abgrall & Karni; Johnsen & Colonius).  ``out`` is an optional array
     of the shape and dtype of ``U`` (not ``U`` itself) to write into.
+
+    Issued as ``out=`` passes with rows of the result as scratch, so that
+    nothing else is allocated; every value is the one of the expression
+    form, ``u_i = (rho u_i) * (1 / rho)`` and :func:`pressure`.
     """
     W = np.empty_like(U) if out is None else out
-    rho = U[RHO]
-    inv_rho = 1.0 / rho
+    _, u, v, w, p, G, P = _quantity_rows(W)
+    rho, ru, rv, rw = U[RHO], U[RHOU], U[RHOV], U[RHOW]
+    # the Gamma and Pi rows, written last, are scratch until then
+    pressure_into(rho, ru, rv, rw, U[ENERGY], U[GAMMA], U[PI], p, G)
+    # velocities, with 1 / rho in the Pi row
+    np.divide(1.0, rho, out=P)
+    np.multiply(ru, P, out=u)
+    np.multiply(rv, P, out=v)
+    np.multiply(rw, P, out=w)
     W[RHO] = rho
-    W[RHOU] = U[RHOU] * inv_rho
-    W[RHOV] = U[RHOV] * inv_rho
-    W[RHOW] = U[RHOW] * inv_rho
-    W[ENERGY] = pressure(rho, U[RHOU], U[RHOV], U[RHOW], U[ENERGY], U[GAMMA], U[PI])
     W[GAMMA] = U[GAMMA]
     W[PI] = U[PI]
     return W

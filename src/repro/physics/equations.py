@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .eos import conserved_to_primitive
-from .riemann import hllc_flux, hlle_flux
+from .riemann import HlleWorkspace, hllc_flux, hlle_flux
 from .state import GAMMA, NQ, PI
 from .weno import Weno5Workspace, weno3, weno5, weno5_fused
 
@@ -149,6 +149,11 @@ def _chunk_quantities(shape, full) -> int:
     return min(nq, cells // math.prod(shape[1:]))
 
 
+def _face_shape(shape) -> tuple[int, ...]:
+    """Shape of the face states of a tile of ``shape``."""
+    return (shape[0], shape[1] - 5) + shape[2:]
+
+
 def _tile_buffers(shape, chunk: int):
     """Shapes of the buffers a tile of ``shape`` is swept through: the
     flat WENO workspace of ``chunk`` quantities, the tile, the two face
@@ -159,19 +164,29 @@ def _tile_buffers(shape, chunk: int):
     touched, hence never resident.
     """
     nq, ncells = shape[:2]
-    faces = (nq, ncells - 5) + shape[2:]
+    faces = _face_shape(shape)
     cells = (nq, ncells - 2 * STENCIL_WIDTH) + shape[2:]
     weno = Weno5Workspace.elements((chunk,) + faces[1:], axis=1)
     return ((weno,), shape, faces, faces, cells, (NQ - GAMMA,) + cells[1:],
             cells[1:])
 
 
-class _TileViews:
-    """The buffers of one tile shape, carved from the flat scratch."""
+#: Tile shapes a :class:`SweepWorkspace` keeps views for.  A sweep of
+#: 32^3 blocks alternates between two (full tile, remainder tile); carving
+#: them anew at every change was 290 us, 144 times a step (4 % of it).
+_VIEW_SETS = 8
 
-    def __init__(self, shape, chunk: int, flat: np.ndarray):
+
+class _TileViews:
+    """The buffers of one tile shape, carved from the flat scratch, and
+    the HLLE workspace of its face tile, carved from ``hlle``."""
+
+    def __init__(self, shape, chunk: int, flat: np.ndarray,
+                 hlle: np.ndarray):
         (weno, self.W, self.W_minus, self.W_plus, self.div, self.corr,
          self.du) = _carve(flat, _tile_buffers(shape, chunk))
+        #: Outputs and scratch of the HLLE stage over the whole face tile.
+        self.hlle = HlleWorkspace(self.W_minus.shape, flat.dtype, buffer=hlle)
         g = STENCIL_WIDTH
         #: Cell-centred ``Gamma`` and ``Pi`` of the tile's interior cells.
         self.advected = self.W[_ADVECTED, g:-g]
@@ -202,33 +217,44 @@ class SweepWorkspace:
 
     One flat array, sized once for the full tile of the sweep at hand
     (at most :data:`TILE_ELEMENTS` per buffer, plus one WENO chunk) and
-    viewed per tile shape, plus the primitive and result SoA fields of the
-    batch, reserved for a tile-full of blocks.  A caller that keeps the
+    viewed per tile shape, a second one for the HLLE stage of that tile,
+    plus the primitive and result SoA fields of the batch, reserved for a
+    tile-full of blocks.  The HLLE buffers are an allocation of their own
+    because glibc's mmap and trim thresholds follow the largest chunk a
+    process has freed: carved from the flat scratch they made it 2.30 MB
+    for 1.84 at 8^3, and the ladder's ``halo2_b8`` (which runs, and tears
+    down, one solver after another) read 12.7 % more peak RSS for 0.5 MB
+    more held -- as a chunk of their own, none.  A caller that keeps the
     workspace across calls -- the node layer keeps one per worker thread
-    -- sweeps without allocating anything but what the Riemann solver
-    returns, whatever mix of batch sizes and remainder tiles it passes
-    through; :attr:`nbytes` stays what the first call made it unless a
-    later block shape or batch needs more.
+    -- sweeps WENO5 + HLLE without allocating an array, whatever mix of
+    batch sizes and remainder tiles it passes through; :attr:`nbytes`
+    stays what the first call made it unless a later block shape or batch
+    needs more.
     """
 
     def __init__(self):
         self._flat: np.ndarray | None = None
-        self._views: tuple | None = None  # (key, _TileViews) of the last tile
+        self._hlle: np.ndarray | None = None
+        #: ``_TileViews`` per tile shape met (a few: the full tile and the
+        #: remainder of each batch size); views only, no memory of their own.
+        self._views: dict[tuple, _TileViews] = {}
         self._fields: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the flat scratch and the batch fields."""
-        held = () if self._fields is None else self._fields
-        flat = 0 if self._flat is None else self._flat.nbytes
-        return flat + sum(f.nbytes for f in held)
+        """Bytes held: the two flat scratches and the batch fields."""
+        held = (self._flat, self._hlle) + (self._fields or ())
+        return sum(part.nbytes for part in held if part is not None)
 
-    def _reserve(self, needed: int, dtype: np.dtype) -> np.ndarray:
-        """The flat scratch, with at least ``needed`` entries of ``dtype``."""
-        flat = self._flat
+    def _reserve(self, needed: int, dtype: np.dtype,
+                 name: str = "_flat") -> np.ndarray:
+        """The flat scratch ``name``, with at least ``needed`` entries of
+        ``dtype``; views of the one it replaces are dropped."""
+        flat = getattr(self, name)
         if flat is None or flat.dtype != dtype or flat.size < needed:
-            flat = self._flat = np.empty(needed, dtype=dtype)
-            self._views = None
+            flat = np.empty(needed, dtype=dtype)
+            setattr(self, name, flat)
+            self._views.clear()
         return flat
 
     def tile(self, shape, dtype, full) -> _TileViews:
@@ -240,17 +266,22 @@ class SweepWorkspace:
         full one reallocate.
         """
         dtype = np.dtype(dtype)
-        key = (shape, full)
-        views = self._views
-        if views is None or views[0] != key or self._flat.dtype != dtype:
+        key = (shape, full, dtype)
+        views = self._views.get(key)
+        if views is None:
             needed = sum(math.prod(b) for b in _tile_buffers(
                 full, _chunk_quantities(full, full)
             ))
-            views = self._views = (key, _TileViews(
-                shape, _chunk_quantities(shape, full),
-                self._reserve(needed, dtype),
-            ))
-        return views[1]
+            flat = self._reserve(needed, dtype)
+            hlle = self._reserve(
+                HlleWorkspace.elements(_face_shape(full), dtype), dtype,
+                "_hlle")
+            if len(self._views) >= _VIEW_SETS:
+                self._views.clear()
+            views = self._views[key] = _TileViews(
+                shape, _chunk_quantities(shape, full), flat, hlle
+            )
+        return views
 
     def staging(self, nblocks: int, interior, dtype) -> np.ndarray:
         """A conserved SoA batch ``(NQ, nblocks, nz+6, ny+6, nx+6)`` to
@@ -298,6 +329,12 @@ def _as_batch(field: np.ndarray) -> np.ndarray:
     )
 
 
+#: Axis orders of the sweep-axis-first view of a ``(NQ, B, z, y, x)``
+#: batch, per sweep axis, and the orders that undo them.
+_SWEEP_FIRST = ((0, 2, 1, 3, 4), (0, 3, 1, 2, 4), (0, 4, 1, 2, 3))
+_NATURAL = ((0, 2, 1, 3, 4), (0, 2, 3, 1, 4), (0, 2, 3, 4, 1))
+
+
 def _sweep_first(field: np.ndarray, axis: int) -> np.ndarray:
     """View of a ``(NQ, B, z, y, x)`` batch with the sweep direction at
     axis 1: ``(NQ, cells, B, rows, width)``.
@@ -305,13 +342,9 @@ def _sweep_first(field: np.ndarray, axis: int) -> np.ndarray:
     The z sweep moves whole blocks, y swaps whole x rows, x becomes
     ``(NQ, x, B, z, y)`` -- a gather, done tile by tile.
     """
-    if axis == 0:
-        return field.transpose(0, 2, 1, 3, 4)
-    if axis == 1:
-        return field.transpose(0, 3, 1, 2, 4)
-    if axis == 2:
-        return field.transpose(0, 4, 1, 2, 3)
-    raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    return field.transpose(_SWEEP_FIRST[axis])
 
 
 def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
@@ -323,11 +356,12 @@ def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
     rows of one block or whole blocks, see :func:`_tile_extent` -- with
     WENO5 issued per chunk of whole quantities
     (:data:`WENO_CHUNK_ELEMENTS`), and yields ``(b0, b1, j0, j1, div,
-    corr)`` per tile: blocks ``b0:b1`` and rows ``j0:j1`` (axes 2 and 3)
-    of the sweep-axis-first result, ``div`` the flux divergence of all
-    quantities and ``corr`` the ``phi * div(u)`` correction of the
-    ``Gamma`` and ``Pi`` rows.  The yielded arrays are workspace buffers,
-    valid (and writable) until the next tile is requested.
+    corr, spare)`` per tile: blocks ``b0:b1`` and rows ``j0:j1`` (axes 2
+    and 3) of the sweep-axis-first result, ``div`` the flux divergence of
+    all quantities, ``corr`` the ``phi * div(u)`` correction of the
+    ``Gamma`` and ``Pi`` rows, and ``spare`` a flat buffer longer than
+    ``div`` whose contents are dead.  The yielded arrays are workspace
+    buffers, valid (and writable) until the next tile is requested.
     """
     check_scheme(order, solver)
     # Explicit branch (not the RIEMANN_SOLVERS table): dict-of-functions
@@ -357,14 +391,14 @@ def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
                         weno5_fused(W, weno, chunk_minus, chunk_plus, 1)
                     else:
                         weno5(W, weno, chunk_minus, chunk_plus, 1)
-            flux, ustar = flux_fn(W_minus, W_plus, normal)
+            flux, ustar = flux_fn(W_minus, W_plus, normal, t.hlle)
 
             np.subtract(flux[:, 1:], flux[:, :-1], out=t.div)
             np.multiply(t.div, inv_h, out=t.div)
             np.subtract(ustar[1:], ustar[:-1], out=t.du)
             np.multiply(t.du, inv_h, out=t.du)
             np.multiply(t.advected, t.du, out=t.corr)
-            yield b0, b1, j0, j1, t.div, t.corr
+            yield b0, b1, j0, j1, t.div, t.corr, t.W_minus.reshape(-1)
 
 
 def directional_rhs(
@@ -408,7 +442,7 @@ def directional_rhs(
     phi_corr = np.zeros_like(div)
     div_rows = _sweep_first(div, axis)
     corr_rows = _sweep_first(phi_corr[_ADVECTED], axis)
-    for b0, b1, j0, j1, tile_div, tile_corr in _sweep_tiles(
+    for b0, b1, j0, j1, tile_div, tile_corr, _ in _sweep_tiles(
         batch, axis, h, fused, workspace, order, solver
     ):
         div_rows[:, :, b0:b1, j0:j1] = tile_div
@@ -471,7 +505,7 @@ def compute_rhs(
     rhs = _as_batch(out)
     for axis in range(3):
         rows = _sweep_first(rhs, axis)
-        for b0, b1, j0, j1, div, corr in _sweep_tiles(
+        for b0, b1, j0, j1, div, corr, spare in _sweep_tiles(
             Wpad, axis, h, fused, workspace, order, solver
         ):
             # SUM stage: rhs = (corr_z - div_z) + (corr_y - div_y) + ...
@@ -479,8 +513,16 @@ def compute_rhs(
             # ``-div`` where ``div`` is a zero.
             np.subtract(0.0, div[_EULER], out=div[_EULER])
             np.subtract(corr, div[_ADVECTED], out=div[_ADVECTED])
+            part = rows[:, :, b0:b1, j0:j1]
             if axis == 0:
-                rows[:, :, b0:b1, j0:j1] = div
+                part[...] = div
             else:
-                rows[:, :, b0:b1, j0:j1] += div
+                # Added in the memory order of the result, through a
+                # reordered copy in dead scratch: for ``part += div`` on
+                # the sweep-first view NumPy buffers both operands (two
+                # 64 KB allocations a tile, 1.5-4 times the time).
+                part = part.transpose(_NATURAL[axis])
+                term = spare[:div.size].reshape(part.shape)
+                np.copyto(term.transpose(_SWEEP_FIRST[axis]), div)
+                np.add(part, term, out=part)
     return out

@@ -1,11 +1,14 @@
 """Tests for the simulation driver (repro.cluster.driver)."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.cluster.driver import Simulation
+from repro.cluster.mpi_sim import SimWorld, WorldError
+from repro.cluster.procs import ProcsWorld
 from repro.compression.io import read_field, read_header
 from repro.sim.config import SimulationConfig
 from repro.sim.ic import cloud_collapse, uniform
@@ -135,3 +138,77 @@ class TestDumps:
         assert res.timers.get("IO_WAVELET", 0) > 0
         assert res.timers.get("IO_FWT", 0) > 0
         assert res.timers.get("IO_WRITE", 0) > 0
+
+
+@dataclass(frozen=True)
+class NanCellIC:
+    """A quiescent liquid whose energy is NaN in the cell that contains
+    the point ``where`` (z, y, x) -- one cell of one block of one rank.
+    Module-level, so the procs backend can pickle it."""
+
+    where: tuple[float, float, float]
+    h: float
+
+    def __call__(self, z, y, x):
+        out = uniform()(z, y, x)
+        hit = ((np.abs(z - self.where[0]) < self.h / 2)
+               & (np.abs(y - self.where[1]) < self.h / 2)
+               & (np.abs(x - self.where[2]) < self.h / 2))
+        out[..., 4][hit] = np.nan
+        return out
+
+
+def _reduce_with_nan(comm, nan_rank, op):
+    value = float("nan") if comm.rank == nan_rank else float(comm.rank + 1)
+    return comm.allreduce(value, op=op)
+
+
+class TestDivergenceReachesTheCheck:
+    """The DT kernel folds block maxima per rank and rank maxima per
+    world; a NaN anywhere must survive both folds, or the run continues
+    on a NaN state (python's ``max`` keeps a NaN only where it comes
+    first, ``a if a >= b else b`` only where it comes last)."""
+
+    @staticmethod
+    def _run_diverged(block_index, **config):
+        cfg = small_config(diag_interval=0, num_workers=1, **config)
+        cell = tuple((8 * b + 3 + 0.5) * cfg.h for b in block_index)
+        with pytest.raises(WorldError) as err:
+            Simulation(cfg, NanCellIC(cell, cfg.h)).run()
+        causes = list(err.value.primary_failures.values())
+        assert causes and all(isinstance(c, RuntimeError) for c in causes)
+        assert all("solution diverged at step 0" in str(c) for c in causes)
+        return causes
+
+    @pytest.mark.parametrize("block_index", list(np.ndindex(2, 2, 2)))
+    def test_nan_in_every_block_position(self, block_index):
+        self._run_diverged(block_index)
+
+    @pytest.mark.parametrize("backend", ["sim", "procs"])
+    @pytest.mark.parametrize("block_index", [(0, 0, 0), (1, 1, 1)])
+    def test_nan_on_either_rank(self, block_index, backend,
+                                resource_ledger):
+        # The two blocks differ in every coordinate: whichever way the
+        # domain is split, they belong to different ranks -- and both
+        # ranks see the NaN after the allreduce.
+        causes = self._run_diverged(block_index, ranks=2,
+                                    cluster_backend=backend)
+        assert len(causes) == 2
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_allreduce_carries_nan_from_any_rank(self, op, resource_ledger):
+        for world in (SimWorld(3), ProcsWorld(2, timeout=60.0)):
+            for nan_rank in range(world.size):
+                out = world.run(_reduce_with_nan, nan_rank, op)
+                assert len(out) == world.size and all(np.isnan(out)), (
+                    type(world).__name__, nan_rank, out)
+            clean = world.run(_reduce_with_nan, -1, op)
+            assert clean == [float(world.size if op == "max" else 1)] * (
+                world.size)
+
+    def test_nonpositive_velocity_is_a_typed_error(self):
+        from repro.core.kernels import dt_from_sos
+
+        assert dt_from_sos(5.0, 0.25, 0.3) == 0.3 * 0.25 / 5.0
+        with pytest.raises(ValueError, match="must be positive"):
+            dt_from_sos(-1.0, 0.25, 0.3)

@@ -14,6 +14,12 @@ the sweep axis first.  None of that may change a bit of the result:
 * **dtype preservation** -- float32 face states stay float32 end to end
   (rules CP001/CP002: no silent promotion, no strong scalars).
 
+The memory-bound kernels are streamed through held scratch: UP against
+the six-line expression form it replaced, SOS (one chunk shared by all the
+blocks of a rank) against the per-block expression form, HLLE on a held
+workspace against the allocating expression form -- and a whole run
+against SHA-256 digests recorded before any of it.
+
 The compression layer is held to the same standard: the axis-first
 lifting kernel over batches of blocks against the ``fwt1d_level`` /
 ``iwt1d_level`` composition, and a whole ``compress`` / ``decompress``
@@ -46,20 +52,35 @@ from repro.compression.wavelet import (
     iwt3d,
     max_levels,
 )
-from repro.core.kernels import rhs_kernel
+from repro.cluster import Simulation
+from repro.core.kernels import (
+    rhs_kernel,
+    sos_kernel,
+    stream_scratch,
+    update_stage,
+)
+from repro.core.timestepper import LowStorageRK3
+from repro.node.grid import BlockGrid
 from repro.node.sfc import morton_order
+from repro.node.solver import NodeSolver
 from repro.physics import equations
 from repro.physics.eos import (
     LIQUID,
     VAPOR,
     conserved_to_primitive,
+    max_characteristic_velocity,
     pressure,
     primitive_to_conserved,
     sound_speed,
     total_energy,
 )
 from repro.physics.equations import SweepWorkspace, compute_rhs, directional_rhs
-from repro.physics.riemann import einfeldt_wave_speeds, hllc_flux, hlle_flux
+from repro.physics.riemann import (
+    HlleWorkspace,
+    einfeldt_wave_speeds,
+    hllc_flux,
+    hlle_flux,
+)
 from repro.physics.state import ENERGY, GAMMA, NQ, PI, RHO, RHOU, RHOV, RHOW
 from repro.physics.weno import (
     Weno5Workspace,
@@ -69,7 +90,9 @@ from repro.physics.weno import (
     weno5_fused,
 )
 
-from .conftest import bytes_equal, make_rng
+from repro.sim import SimulationConfig, cloud_collapse, generate_cloud
+
+from .conftest import bytes_equal, make_rng, make_smooth_aos
 
 
 def _face_states(rng, shape=(4, 9), dtype=np.float64):
@@ -277,7 +300,7 @@ def _ref_directional(Wpad, axis, h, order, solver):
 
 def _ref_compute_rhs(Upad, h, order=5, solver="hlle"):
     """The RHS summed z -> y -> x from the reference sweeps."""
-    Wpad = conserved_to_primitive(Upad)
+    Wpad = _ref_conserved_to_primitive(Upad)
     rhs = None
     for axis in range(3):
         div, phi_corr = _ref_directional(Wpad, axis, h, order, solver)
@@ -517,6 +540,367 @@ class TestChunkedWenoBitIdentity:
         with pytest.raises(ValueError, match="buffer must hold"):
             Weno5Workspace((2, 9, 4), axis=1,
                            buffer=np.empty(10_000, dtype=np.float32))
+
+
+def _ref_update_stage(u, res, rhs, a, b, dt):
+    """The expression form of the UP kernel: four block-sized temporaries,
+    ``U`` advanced from the unrounded ``S``."""
+    res64 = res.astype(np.float64)
+    res64 *= a
+    res64 += dt * rhs
+    u64 = u.astype(np.float64)
+    u64 += b * res64
+    res[...] = res64
+    u[...] = u64
+
+
+def _up_operands(shape, seed, specials=False):
+    """``(state, residual, rhs)`` of ``shape``; with ``specials`` every
+    operand carries signed zeros, infinities, NaNs and subnormals."""
+    rng = make_rng(seed)
+    u = rng.normal(size=shape).astype(np.float32)
+    res = rng.normal(size=shape).astype(np.float32)
+    rhs = rng.normal(size=shape) * 50.0
+    if specials:
+        values = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-42, 3e38)
+        for k, arr in enumerate((u, res, rhs)):
+            flat = arr.reshape(-1)
+            at = rng.choice(flat.size, size=3 * len(values), replace=False)
+            flat[at] = np.roll(np.tile(values, 3), k)
+        rhs.reshape(-1)[::97] = 5e-324
+    return u, res, rhs
+
+
+class _CountingSanitizer:
+    """Records the hook calls of the UP kernel."""
+
+    def __init__(self):
+        self.calls = []
+
+    def check_block_write(self, data, block=None):
+        self.calls.append(("write", block, data.shape))
+
+    def check_state(self, data, block=None):
+        self.calls.append(("state", block, data.shape))
+
+
+class TestStreamedUpdateBitIdentity:
+    """The streamed UP kernel against the expression form it replaced:
+    chunking, layout and a held scratch never show in the bytes."""
+
+    STAGES = [(st.a, st.b) for st in LowStorageRK3.stages]
+
+    @staticmethod
+    def _check(u, res, rhs, a, b, dt, scratch):
+        want_u, want_res = u.copy(), res.copy()
+        with np.errstate(all="ignore"):
+            _ref_update_stage(want_u, want_res, rhs, a, b, dt)
+            update_stage(u, res, rhs, a, b, dt, scratch=scratch)
+        assert bytes_equal(u, want_u)
+        assert bytes_equal(res, want_res)
+
+    @pytest.mark.parametrize("stage", range(3))
+    @pytest.mark.parametrize("shape", [
+        (8, 8, 8, NQ), (16, 16, 16, NQ), (32, 32, 32, NQ), (5, 9, 6, NQ),
+    ])
+    def test_every_stage_and_block_shape(self, shape, stage):
+        a, b = self.STAGES[stage]
+        assert self.STAGES[0][0] == 0.0  # a = 0 still multiplies
+        size = int(np.prod(shape))
+        # One element a chunk only where that is 1 890 pass sets, not
+        # 229 376; the default scratch; a held one that is far too large.
+        chunks = [size - 1, size, size + 1, 1000, None, 4 * size]
+        if size < 2000:
+            chunks.append(1)
+        for chunk in chunks:
+            scratch = None if chunk is None else stream_scratch(2 * chunk)
+            u, res, rhs = _up_operands(shape, seed=size + stage)
+            self._check(u, res, rhs, a, b, 1e-3, scratch)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 300, 2351, 2352, 2353, 10 ** 5])
+    def test_signed_zeros_infinities_nans_and_subnormals(self, chunk):
+        for stage, (a, b) in enumerate(self.STAGES):
+            u, res, rhs = _up_operands((6, 8, 7, NQ), seed=stage,
+                                       specials=True)
+            self._check(u, res, rhs, a, b, 0.25, stream_scratch(2 * chunk))
+
+    @pytest.mark.parametrize("chunk", [1, 50, 7 * 8 * NQ, 4000, 10 ** 5])
+    def test_strided_operands(self, chunk):
+        # Sub-blocks of larger fields (rows of 8 cells out of 12), a
+        # residual that is contiguous and an RHS strided another way.
+        scratch = stream_scratch(2 * chunk)
+        field, _, big_rhs = _up_operands((12, 12, 12, NQ), seed=chunk)
+        _, res, _ = _up_operands((7, 8, 8, NQ), seed=chunk + 1)
+        inner = (slice(1, 8), slice(2, 10), slice(4, 12))
+        a, b = self.STAGES[1]
+        want = field.copy()
+        self._check(field[inner], res, big_rhs[::-1][inner], a, b, 1e-2,
+                    scratch)
+        outside = np.ones(field.shape, dtype=bool)
+        outside[inner] = False
+        assert bytes_equal(field[outside], want[outside])
+        assert not bytes_equal(field[inner], want[inner])
+
+    @pytest.mark.parametrize("chunk", [1000, None])
+    def test_batch_of_blocks_equals_block_by_block(self, chunk):
+        scratch = None if chunk is None else stream_scratch(2 * chunk)
+        u, res, rhs = _up_operands((5, 8, 8, 8, NQ), seed=3, specials=True)
+        a, b = self.STAGES[2]
+        want_u, want_res = u.copy(), res.copy()
+        with np.errstate(all="ignore"):
+            for k in range(5):
+                _ref_update_stage(want_u[k], want_res[k], rhs[k], a, b, 0.5)
+            update_stage(u, res, rhs, a, b, 0.5, scratch=scratch)
+        assert bytes_equal(u, want_u)
+        assert bytes_equal(res, want_res)
+
+    def test_float32_rhs_is_scaled_in_its_own_precision(self):
+        # ``dt * rhs`` of a float32 RHS is a float32 product in the
+        # expression form; the streamed kernel must not widen it first.
+        u, res, rhs = _up_operands((4, 4, 4, NQ), seed=8)
+        self._check(u, res, rhs.astype(np.float32), -0.4, 0.7, 1e-3, None)
+
+    def test_sanitizer_is_called_once_per_call(self):
+        u, res, rhs = _up_operands((8, 8, 8, NQ), seed=1)
+        sanitizer = _CountingSanitizer()
+        update_stage(u, res, rhs, 0.0, 1.0, 1e-3, sanitizer=sanitizer,
+                     block=(1, 2, 3), scratch=stream_scratch(2 * 100))
+        assert sanitizer.calls == [("write", (1, 2, 3), u.shape),
+                                   ("state", (1, 2, 3), u.shape)]
+
+
+def _ref_conserved_to_primitive(U):
+    """The expression form of the CONV stage (temporaries and all)."""
+    W = np.empty_like(U)
+    rho = U[RHO]
+    inv_rho = 1.0 / rho
+    W[RHO] = rho
+    W[RHOU] = U[RHOU] * inv_rho
+    W[RHOV] = U[RHOV] * inv_rho
+    W[RHOW] = U[RHOW] * inv_rho
+    W[ENERGY] = pressure(rho, U[RHOU], U[RHOV], U[RHOW], U[ENERGY],
+                         U[GAMMA], U[PI])
+    W[GAMMA] = U[GAMMA]
+    W[PI] = U[PI]
+    return W
+
+
+class TestConvBitIdentity:
+    """CONV writes its passes through rows of the result; the values are
+    those of the expression form."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 6, 7, 8)])
+    def test_matches_expression_form(self, shape, dtype):
+        W, _ = _face_states(make_rng(len(shape)), shape=shape, dtype=dtype)
+        U = primitive_to_conserved(W)
+        ref = _ref_conserved_to_primitive(U)
+        assert bytes_equal(conserved_to_primitive(U), ref)
+        out = np.full_like(U, np.nan)  # a dirty destination
+        assert conserved_to_primitive(U, out=out) is out
+        assert bytes_equal(out, ref)
+
+    def test_zero_density_cells_propagate_like_the_expression(self):
+        W, _ = _face_states(make_rng(3), shape=(4, 4))
+        U = primitive_to_conserved(W)
+        U[:, 1, 2] = 0.0
+        U[RHO, 3, 3] = np.inf
+        with np.errstate(all="ignore"):
+            ref = _ref_conserved_to_primitive(U)
+            assert bytes_equal(conserved_to_primitive(U), ref)
+
+
+def _ref_sos(block_aos):
+    """The per-block expression form of the SOS kernel."""
+    U = np.ascontiguousarray(np.moveaxis(block_aos, -1, 0), dtype=np.float64)
+    return max_characteristic_velocity(_ref_conserved_to_primitive(U))
+
+
+def _sos_grid(num_blocks, n, seed):
+    grid = BlockGrid(num_blocks, n, h=0.1)
+    field = make_smooth_aos(grid.cells, make_rng(seed)).astype(np.float32)
+    # One fast cell somewhere, so the maximum is not on a smooth crest.
+    field[grid.cells[0] // 2, 3, 5, RHOU:RHOW + 1] *= 3.0
+    grid.from_array(field)
+    return grid
+
+
+class TestStreamedSosBitIdentity:
+    """``max_sos`` streams the cells of all blocks through one chunk; the
+    result is the maximum of the per-block expression form, and NaN
+    wherever that sees one."""
+
+    GRIDS = [((1, 1, 1), 8), ((1, 1, 3), 8), ((4, 4, 4), 8), ((2, 2, 2), 32)]
+
+    @pytest.mark.parametrize("num_blocks, n", GRIDS)
+    def test_any_block_count_and_chunk_size(self, num_blocks, n):
+        grid = _sos_grid(num_blocks, n, seed=n + len(num_blocks))
+        blocks = [b.data for b in grid.blocks.values()]
+        want = max(_ref_sos(b) for b in blocks)
+        assert NodeSolver(grid).max_sos() == want
+        assert sos_kernel(blocks) == want
+        cells = n ** 3
+        # One cell a chunk (8^3 only), chunks that end inside a block, at
+        # its end, one cell into the next, several blocks a chunk.
+        chunks = [cells - 1, cells, cells + 1, 3 * cells + 17, 100 * cells]
+        chunks += [1, 77] if n == 8 and len(blocks) <= 3 else [1531]
+        for chunk in chunks:
+            scratch = stream_scratch((NQ + 2) * chunk)
+            assert sos_kernel(blocks, scratch) == want, chunk
+
+    def test_one_block_is_the_run_of_one(self):
+        grid = _sos_grid((1, 1, 2), 8, seed=4)
+        for block in grid.blocks.values():
+            assert sos_kernel(block.data) == _ref_sos(block.data)
+        # A strided view of block data is read, not flattened in place.
+        data = grid.blocks[(0, 0, 1)].data
+        assert sos_kernel(data[::2, :, 1:]) == _ref_sos(data[::2, :, 1:])
+
+    @pytest.mark.parametrize("num_blocks, n", GRIDS)
+    def test_nan_anywhere_reaches_the_result(self, num_blocks, n):
+        grid = _sos_grid(num_blocks, n, seed=9)
+        blocks = list(grid.blocks.values())
+        solver = NodeSolver(grid)
+        chunks = [None, (NQ + 2) * (n ** 3 + 5), (NQ + 2) * 100]
+        # Every block position (first, last and a spread of 64).
+        for k in sorted({0, len(blocks) - 1, *range(1, len(blocks), 7)}):
+            cell = (n - 1, k % n, (3 * k) % n)
+            saved = blocks[k].data[cell].copy()
+            blocks[k].data[cell][ENERGY] = np.nan
+            assert np.isnan(solver.max_sos()), k
+            for size in chunks:
+                scratch = None if size is None else stream_scratch(size)
+                got = sos_kernel([b.data for b in blocks], scratch)
+                assert np.isnan(got), (k, size)
+            blocks[k].data[cell] = saved
+        assert solver.max_sos() == max(_ref_sos(b.data) for b in blocks)
+
+
+def _zero_face(W_l, W_r, index):
+    """Make one face identically zero on both sides: a span that is not
+    positive, which sends the whole batch down the masked branch."""
+    W_l[(slice(None),) + index] = 0.0
+    W_r[(slice(None),) + index] = 0.0
+
+
+class TestHlleWorkspaceBitIdentity:
+    """HLLE on a held workspace (the sweeps hold one per thread) against
+    the allocating expression form."""
+
+    #: Face tiles of the sweeps: five 8^3 blocks, one 8^3 and one 16^3
+    #: block, a full and a remainder tile of a 32^3 block, a plane of the
+    #: ring-buffer kernel, a line.
+    SHAPES = [(9, 5, 8, 8), (9, 1, 8, 8), (17, 1, 16, 16), (33, 1, 7, 32),
+              (33, 1, 4, 32), (8, 9), (11,)]
+
+    @pytest.mark.parametrize("normal", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_normal_and_tile_shape(self, shape, normal):
+        W_l, W_r = _face_states(make_rng(len(shape) + normal), shape=shape)
+        ws = HlleWorkspace(W_l.shape)
+        ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, normal)
+        for workspace in (None, ws, ws):  # fresh, held, held and dirty
+            flux, ustar = hlle_flux(W_l, W_r, normal, workspace)
+            assert bytes_equal(flux, ref_flux)
+            assert bytes_equal(ustar, ref_ustar)
+        assert flux is ws.flux and ustar is ws.ustar
+
+    @pytest.mark.parametrize("normal", [0, 1, 2])
+    def test_identically_zero_face_takes_the_masked_branch(self, normal):
+        shape = (9, 2, 8, 8)
+        W_l, W_r = _face_states(make_rng(normal + 20), shape=shape)
+        _zero_face(W_l, W_r, (4, 1, 3, 5))
+        _zero_face(W_l, W_r, (0, 0, 0, 0))
+        ws = HlleWorkspace(W_l.shape)
+        with np.errstate(all="ignore"):
+            ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, normal)
+            flux, ustar = hlle_flux(W_l, W_r, normal, ws)
+        assert ws.degenerate.sum() == 2
+        assert bytes_equal(flux, ref_flux)
+        assert bytes_equal(ustar, ref_ustar)
+        # The same workspace on a batch without such a face: nothing of
+        # the masked call survives.
+        W_l, W_r = _face_states(make_rng(normal + 30), shape=shape)
+        flux, ustar = hlle_flux(W_l, W_r, normal, ws)
+        ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, normal)
+        assert not ws.degenerate.any()
+        assert bytes_equal(flux, ref_flux)
+        assert bytes_equal(ustar, ref_ustar)
+
+    def test_held_workspace_across_shapes_and_dtypes(self):
+        ws = HlleWorkspace((NQ, 9, 5, 8, 8))
+        for shape, dtype in (((9, 5, 8, 8), np.float64),
+                             ((9, 4, 8, 8), np.float64),
+                             ((9, 5, 8, 8), np.float32),
+                             ((9, 5, 8, 8), np.float64)):
+            W_l, W_r = _face_states(make_rng(sum(shape)), shape=shape,
+                                    dtype=dtype)
+            flux, ustar = hlle_flux(W_l, W_r, 1, ws)
+            ref_flux, ref_ustar = _ref_hlle_flux(W_l, W_r, 1)
+            assert bytes_equal(flux, ref_flux)
+            assert bytes_equal(ustar, ref_ustar)
+            # A workspace of another shape or dtype is not written to.
+            assert (flux is ws.flux) == (W_l.shape == ws.shape
+                                         and W_l.dtype == ws.dtype)
+
+    def test_buffer_is_the_callers_and_must_fit(self):
+        shape = (NQ, 9, 2, 8, 8)
+        needed = HlleWorkspace.elements(shape)
+        flat = np.empty(needed + 10)
+        ws = HlleWorkspace(shape, buffer=flat)
+        assert np.shares_memory(ws.flux, flat)
+        assert np.shares_memory(ws.degenerate, flat)
+        with pytest.raises(ValueError, match="buffer must hold"):
+            HlleWorkspace(shape, buffer=np.empty(needed - 1))
+        with pytest.raises(ValueError, match="buffer must hold"):
+            HlleWorkspace(shape, buffer=np.empty(needed, dtype=np.float32))
+
+
+#: name -> (cells, block size, periodic, cloud centre (z, y, x)): the case
+#: families of the benchmark ladder's step workloads.
+RUN_FAMILIES = {
+    "cloud64_b32": (64, 32, (False,) * 3, (0.5, 0.5, 0.5)),
+    "cloud32_b8": (32, 8, (False,) * 3, (0.5, 0.5, 0.5)),
+    "halo2_b8": ((32, 16, 16), 8, (True,) * 3, (1.0, 0.5, 0.5)),
+}
+
+#: SHA-256 of the final field of a 3-step run, recorded at the parent of
+#: the streamed UP/SOS kernels (bbb2cf4); one digest per family because
+#: rank count and backend never show in the field.
+RUN_DIGESTS = {
+    "cloud64_b32":
+        "220db5b8f04d4a2e4b2eb9e352bdbee0a526d8f2d1548425efba1397c92da574",
+    "cloud32_b8":
+        "7c84c28ac73be0953c7600ed27b27681976138696f9d3ee89634795b60190ac5",
+    "halo2_b8":
+        "1944361426c1937772636b1f0bb0c34a18389102fad76ad9fd870166650d9f55",
+}
+
+
+class TestRecordedRunDigests:
+    """Whole runs -- DT, three RK stages of RHS + UP, halos, allreduce --
+    end in the bytes they ended in before UP, SOS and HLLE were streamed
+    through held scratch."""
+
+    @pytest.mark.parametrize("ranks, backend",
+                             [(1, "sim"), (2, "sim"), (2, "procs")])
+    @pytest.mark.parametrize("family", sorted(RUN_FAMILIES))
+    def test_final_field_of_a_three_step_run(self, family, ranks, backend,
+                                             resource_ledger):
+        cells, block, periodic, centre = RUN_FAMILIES[family]
+        config = SimulationConfig(
+            cells=cells, block_size=block, periodic=periodic, max_steps=3,
+            ranks=ranks, cluster_backend=backend, num_workers=1,
+            diag_interval=0, dump_interval=0,
+        )
+        rng = np.random.default_rng([15, zlib.crc32(family.encode())])
+        cloud = generate_cloud(8, centre, 0.38, rng=rng, r_min=0.07,
+                               r_max=0.11)
+        result = Simulation(
+            config, cloud_collapse(cloud, smoothing=config.h)).run()
+        assert len(result.records) == 3
+        digest = hashlib.sha256(result.final_field.tobytes()).hexdigest()
+        assert digest == RUN_DIGESTS[family]
 
 
 def _oracle_fwt3d(block, levels):

@@ -8,12 +8,18 @@ from repro.core.kernels import (
     rhs_kernel,
     rhs_kernel_slices,
     sos_kernel,
+    stream_scratch,
     update_stage,
 )
 from repro.physics.eos import LIQUID, sound_speed
 from repro.physics.state import NQ
 
-from .conftest import make_interface_aos, make_smooth_aos, make_uniform_aos
+from .conftest import (
+    bytes_equal,
+    make_interface_aos,
+    make_smooth_aos,
+    make_uniform_aos,
+)
 
 
 class TestRhsEquivalence:
@@ -68,6 +74,15 @@ class TestSosKernel:
         assert sos_kernel(aos) == pytest.approx(c + 50.0, rel=1e-5)
 
 
+    def test_sequence_of_blocks_and_scratch_that_cannot_hold_a_cell(self):
+        slow = make_uniform_aos((8, 8, 8)).astype(np.float32)
+        fast = make_uniform_aos((8, 8, 8), u=(0.0, 0.0, 10.0)).astype(
+            np.float32)
+        assert sos_kernel([slow, fast, slow]) == sos_kernel(fast)
+        with pytest.raises(ValueError, match="scratch must hold"):
+            sos_kernel(slow, stream_scratch(NQ + 1))
+
+
 class TestDtKernel:
     def test_formula(self):
         assert dt_from_sos(10.0, h=0.1, cfl=0.3) == pytest.approx(0.003)
@@ -107,3 +122,53 @@ class TestUpdateStage:
         u_id, res_id = id(u), id(res)
         update_stage(u, res, rhs, 0.0, 1.0, 0.1)
         assert id(u) == u_id and id(res) == res_id
+
+    def test_strided_views_are_updated_in_place(self, rng):
+        """A sub-block of a larger field has no flat view; the kernel must
+        still write through to it, whatever the scratch it is given."""
+        field = rng.normal(size=(10, 10, 10, NQ)).astype(np.float32)
+        registers = rng.normal(size=field.shape).astype(np.float32)
+        rhs = rng.normal(size=(6, 6, 6, NQ))
+        inner = (slice(2, 8),) * 3
+        want_u = field.copy()
+        want_s = registers.copy()
+        s64 = -0.5 * want_s[inner].astype(np.float64) + 0.1 * rhs
+        want_u[inner] = want_u[inner].astype(np.float64) + 0.9 * s64
+        want_s[inner] = s64
+        for scratch in (None, stream_scratch(2 * 100)):
+            u, s = field.copy(), registers.copy()
+            update_stage(u[inner], s[inner], rhs, -0.5, 0.9, 0.1,
+                         scratch=scratch)
+            assert bytes_equal(u, want_u)
+            assert bytes_equal(s, want_s)
+
+    def test_scratch_without_two_entries_is_rejected(self, rng):
+        u = rng.normal(size=(2, 2, 2, NQ)).astype(np.float32)
+        with pytest.raises(ValueError, match="scratch must hold"):
+            update_stage(u, np.zeros_like(u), np.zeros(u.shape), 0.0, 1.0,
+                         0.1, scratch=stream_scratch(1))
+
+    def test_rhs_that_would_broadcast_is_rejected(self, rng):
+        u = rng.normal(size=(4, 4, 4, NQ)).astype(np.float32)
+        before = u.copy()
+        with pytest.raises(ValueError, match="rhs_aos"):
+            update_stage(u, np.zeros_like(u), np.ones(NQ), 0.0, 1.0, 0.1)
+        assert bytes_equal(u, before)
+
+    def test_residual_of_another_shape_is_rejected(self, rng):
+        u = rng.normal(size=(4, 4, 4, NQ)).astype(np.float32)
+        with pytest.raises(ValueError, match="residual_aos"):
+            update_stage(u, np.zeros((4, 4, NQ), dtype=np.float32),
+                         np.zeros(u.shape), 0.0, 1.0, 0.1)
+
+    def test_state_in_compute_precision_is_rejected(self, rng):
+        u = rng.normal(size=(4, 4, 4, NQ))
+        with pytest.raises(ValueError, match="u_aos"):
+            update_stage(u, np.zeros(u.shape, dtype=np.float32),
+                         np.zeros(u.shape), 0.0, 1.0, 0.1)
+
+    def test_residual_in_compute_precision_is_rejected(self, rng):
+        u = rng.normal(size=(4, 4, 4, NQ)).astype(np.float32)
+        with pytest.raises(ValueError, match="residual_aos"):
+            update_stage(u, np.zeros(u.shape), np.zeros(u.shape),
+                         0.0, 1.0, 0.1)

@@ -1,8 +1,13 @@
 """Tests for the node-layer solver (repro.node.solver)."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import NumericsWarning, make_sanitizer
+from repro.core.timestepper import LowStorageRK3
 from repro.node.dispatcher import Dispatcher
 from repro.node.ghosts import BoundarySpec
 from repro.node.grid import BlockGrid
@@ -11,6 +16,12 @@ from repro.physics.eos import LIQUID, sound_speed
 from repro.physics.state import NQ
 
 from .conftest import bytes_equal, make_smooth_aos, make_uniform_aos
+
+
+def copied(rhs_map):
+    """An ``evaluate_rhs`` result that outlives the solver's next call:
+    the arrays of the map are the solver's own buffers."""
+    return {idx: rhs.copy() for idx, rhs in rhs_map.items()}
 
 
 def uniform_grid(num_blocks=(2, 2, 2), n=8, **kw):
@@ -70,7 +81,7 @@ class TestRhsEvaluation:
         threaded = NodeSolver(
             g, dispatcher=Dispatcher(mode="threads", num_workers=2)
         )
-        expected = sequential.evaluate_rhs()
+        expected = copied(sequential.evaluate_rhs())
         for _ in range(3):  # workspaces are reused from the second round on
             got = threaded.evaluate_rhs()
             assert threaded.last_schedule.item_durations.size == 4  # runs
@@ -107,7 +118,7 @@ class TestBlockRuns:
         g = smooth_grid((2, 2, 3), 8, rng)
         solver = NodeSolver(g, boundary=boundary,
                             dispatcher=Dispatcher(num_workers=1))
-        rhs = solver.evaluate_rhs()
+        rhs = copied(solver.evaluate_rhs())
         assert solver.last_schedule.item_durations.size == 3  # 12 in 5s
         for block in g.sfc_blocks():
             assert bytes_equal(rhs[block.index], solver.rhs_for_block(block))
@@ -132,7 +143,7 @@ class TestBlockRuns:
 
         solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
         halo = list(g.sfc_blocks())[1:8]
-        rhs = solver.evaluate_rhs(halo, provider)
+        rhs = copied(solver.evaluate_rhs(halo, provider))
         assert list(rhs) == [b.index for b in halo]
         assert slabs
         for block in halo:
@@ -148,7 +159,7 @@ class TestBlockRuns:
     def test_every_scheme_goes_through_runs(self, rng, opts):
         g = smooth_grid((2, 2, 2), 8, rng)
         solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1), **opts)
-        rhs = solver.evaluate_rhs()
+        rhs = copied(solver.evaluate_rhs())
         for block in g.sfc_blocks():
             assert bytes_equal(rhs[block.index], solver.rhs_for_block(block))
 
@@ -200,11 +211,150 @@ class TestBlockRuns:
             NodeSolver(uniform_grid(), solver="roe")
 
 
+class TestSolverOwnedResults:
+    """``evaluate_rhs`` hands out the solver's per-block buffers: valid
+    until the RHS of that block is next evaluated, and not a moment
+    longer."""
+
+    def test_interior_map_survives_the_halo_call(self, rng):
+        g = smooth_grid((2, 2, 2), 8, rng)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        blocks = list(g.sfc_blocks())
+        interior, halo = blocks[:3], blocks[3:]
+        rhs_map = solver.evaluate_rhs(interior)
+        kept = copied(rhs_map)
+        rhs_map.update(solver.evaluate_rhs(halo))
+        assert set(rhs_map) == set(g.blocks)
+        for idx, rhs in kept.items():
+            assert bytes_equal(rhs_map[idx], rhs)
+        # Every block has an array of its own.
+        arrays = list(rhs_map.values())
+        for k, a in enumerate(arrays):
+            assert a.shape == (8, 8, 8, NQ) and a.dtype == np.float64
+            assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+
+    def test_next_evaluation_of_a_block_reuses_its_array(self, rng):
+        g = smooth_grid((1, 1, 2), 8, rng)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        first = solver.evaluate_rhs()
+        kept = copied(first)
+        g.blocks[(0, 0, 0)].data[..., 0] *= 1.5
+        second = solver.evaluate_rhs()
+        for idx in first:
+            assert np.shares_memory(second[idx], first[idx])
+        # The old map now reads the new RHS: what was kept does not.
+        assert not bytes_equal(first[(0, 0, 0)], kept[(0, 0, 0)])
+        assert np.shares_memory(solver.rhs_for_block(g.blocks[(0, 0, 1)]),
+                                first[(0, 0, 1)])
+
+    def test_no_rhs_buffer_before_the_first_evaluation(self, rng):
+        """The dump and checkpoint paths build grids (and solvers) that
+        never evaluate an RHS: they hold no float64 copy of the field."""
+        g = smooth_grid((2, 2, 2), 8, rng)
+        solver = NodeSolver(g)
+        solver.max_sos()
+        g.to_array()
+        assert solver._rhs is None
+        assert solver.work_area_nbytes == solver._stream_scratch().nbytes
+        solver.evaluate_rhs(list(g.sfc_blocks())[:1])
+        assert solver._rhs.nbytes == 8 * 8 ** 3 * NQ * 8
+
+    def test_work_area_does_not_depend_on_the_block_list(self, rng):
+        g = smooth_grid((2, 2, 2), 16, rng)
+        blocks = list(g.sfc_blocks())
+        sizes = []
+        for count in (1, 3, 8):
+            solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+            rhs = solver.evaluate_rhs(blocks[:count])
+            solver.update(rhs, 0.0, 1.0, 0.0)
+            solver.max_sos()
+            sizes.append(solver.work_area_nbytes)
+            # ... and another list leaves it what the first one made it.
+            solver.evaluate_rhs(blocks)
+            assert solver.work_area_nbytes == sizes[-1]
+        assert len(set(sizes)) == 1, sizes
+
+
+def traced_peak(fn) -> int:
+    """Peak of traced memory while ``fn()`` runs, above its start."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+class TestSteadyStateAllocation:
+    """After its first stage a rank's stage allocates no array: the pads,
+    the sweep scratch (WENO, HLLE, tile buffers), the UP/SOS scratch and
+    the RHS buffers are all held."""
+
+    #: Peak of traced memory over a stage, above its start.  One HLLE
+    #: temporary at 16^3 is 35 KB and one RHS result 229 KB; what remains
+    #: are python objects (views, the result dicts, the schedule arrays).
+    CEILING = 32 * 1024
+
+    @pytest.mark.parametrize("sanitize", ["off", "warn"])
+    def test_a_warm_stage_allocates_no_array(self, rng, sanitize):
+        g = smooth_grid((2, 2, 2), 16, rng)
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        sanitizer = make_sanitizer(sanitize)
+        blocks = list(g.sfc_blocks())
+        interior, halo = blocks[:5], blocks[5:]
+        stage = LowStorageRK3.stages[1]
+
+        def one_stage():
+            sos = solver.max_sos(sanitizer=sanitizer)
+            rhs_map = solver.evaluate_rhs(interior, sanitizer=sanitizer)
+            rhs_map.update(solver.evaluate_rhs(halo, sanitizer=sanitizer))
+            solver.update(rhs_map, stage.a, stage.b, 1e-4 / sos,
+                          sanitizer=sanitizer)
+
+        one_stage()  # warm: everything held is allocated here
+        held = solver.work_area_nbytes
+        ceiling = self.CEILING
+        if sanitizer is not None:
+            # The checks convert the block they look at (a float64 copy,
+            # masks, the pressure expression): what they allocate for one
+            # block is theirs, and is all a stage under them may add.
+            data = blocks[0].data
+            rhs = solver.rhs_for_block(blocks[0])
+            ceiling += max(
+                traced_peak(lambda: sanitizer.check_state(data)),
+                traced_peak(lambda: sanitizer.check_finite(rhs)),
+            )
+        assert traced_peak(one_stage) < ceiling
+        assert solver.work_area_nbytes == held
+        assert sanitizer is None or not sanitizer.report.violations
+
+
 class TestSos:
     def test_uniform(self):
         g = uniform_grid()
         c = float(sound_speed(1000.0, 100.0, LIQUID.G, LIQUID.P))
         assert NodeSolver(g).max_sos() == pytest.approx(c, rel=1e-5)
+
+    @pytest.mark.parametrize("sanitize", ["off", "warn"])
+    def test_nan_in_any_block_is_carried_to_the_result(self, sanitize):
+        """python's ``max`` keeps a NaN only where it comes first: a block
+        diverged in any position must reach the divergence check."""
+        g = uniform_grid((1, 2, 2))
+        solver = NodeSolver(g)
+        for idx, block in g.blocks.items():
+            saved = block.data[3, 4, 5].copy()
+            block.data[3, 4, 5, 4] = np.nan
+            sanitizer = make_sanitizer(sanitize)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericsWarning)
+                assert np.isnan(solver.max_sos(sanitizer=sanitizer)), idx
+            if sanitizer is not None:
+                assert [v.block for v in sanitizer.report.violations] == [idx]
+            block.data[3, 4, 5] = saved
+        assert np.isfinite(solver.max_sos())
 
 
 class TestUpdate:

@@ -266,8 +266,10 @@ class TestKernelPathLocalization:
 
         def bad_rhs(pad, h, **kw):
             out = orig(pad, h, **kw)
-            # The node layer passes a batch of pads: poison every block.
-            out[..., 0, 0, 0, RHO] = np.nan
+            # The node layer passes a batch of pads and one buffer per
+            # block to write into: poison every block.
+            for rhs in out:
+                rhs[0, 0, 0, RHO] = np.nan
             return out
 
         v = self._run_expecting_violation(
@@ -301,11 +303,11 @@ class TestKernelPathLocalization:
 
         calls = {"n": 0}
 
-        def bad_sos(block_aos):
+        def bad_sos(block_aos, scratch=None):
             calls["n"] += 1
             if calls["n"] == 3:
                 return float("nan")
-            return orig(block_aos)
+            return orig(block_aos, scratch)
 
         v = self._run_expecting_violation(
             monkeypatch, "repro.node.solver.sos_kernel", bad_sos
