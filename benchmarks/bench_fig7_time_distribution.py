@@ -50,7 +50,9 @@ def test_fig7_time_distribution(benchmark, dump_run):
         }
         for k in compute_keys
     ]
-    text = format_table(rows, "Fig 7 (left): step time distribution")
+    text = format_table(
+        rows, "Fig 7 (left): step time distribution "
+        f"(kernels: {res.kernels['backend']})")
 
     io_total = timers.get("IO_WAVELET", 0.0)
     fwt = timers.get("IO_FWT", 0.0)

@@ -5,8 +5,14 @@ scale with cores + SMT; UP saturates at the memory bandwidth).
 
 Right: the three kernels placed against the BQC roofline.
 
-Measured: real thread scaling of the Python node layer (dispatcher in
-``threads`` mode -- NumPy releases the GIL inside the kernels).
+Measured: real thread scaling of the node layer (dispatcher in
+``threads`` mode) over the eight 32^3 blocks of a 64^3 rank, on both
+kernel paths.  The NumPy passes hold the GIL between ~220 short ufunc
+calls a tile, so a second worker mostly adds contention; a call into the
+compiled library (``repro.native``) drops the GIL for the whole run of
+blocks, so two workers can overlap -- when the host's second vCPU is
+free, which on the shared build host it is not always.  Reported with
+its spread, not claimed.
 """
 
 import time
@@ -14,6 +20,7 @@ import time
 import numpy as np
 from _common import write_result
 
+from repro import native
 from repro.node.dispatcher import Dispatcher
 from repro.node.grid import BlockGrid
 from repro.node.solver import NodeSolver
@@ -50,8 +57,11 @@ def render_model() -> str:
     )
 
 
-def measured_thread_scaling():
-    g = BlockGrid((2, 2, 2), 16, h=0.05)
+def measured_thread_scaling(repeats=9):
+    """One ``evaluate_rhs`` over eight 32^3 blocks per (path, workers):
+    min / median / max of ``repeats`` warm rounds, and the digest of the
+    result (the same for every row)."""
+    g = BlockGrid((2, 2, 2), 32, h=0.05)
     rng = np.random.default_rng(0)
     field = np.zeros(g.cells + (7,), dtype=np.float32)
     field[..., 0] = 1000.0 * (1 + 0.01 * rng.normal(size=g.cells))
@@ -59,14 +69,33 @@ def measured_thread_scaling():
     field[..., 5] = 0.179
     field[..., 6] = 1212.0
     g.from_array(field)
+    loaded = native.lib
     rows = []
-    for workers in (1, 2, 4):
-        solver = NodeSolver(g, dispatcher=Dispatcher(workers, mode="threads"))
-        solver.evaluate_rhs()  # warm
-        t0 = time.perf_counter()
-        solver.evaluate_rhs()
-        elapsed = time.perf_counter() - t0
-        rows.append({"workers": workers, "s/rank-RHS": elapsed})
+    try:
+        for path in ("numpy", "c"):
+            if path == "c" and loaded is None:
+                continue
+            native.lib = loaded if path == "c" else None
+            for workers in (1, 2):
+                solver = NodeSolver(
+                    g, dispatcher=Dispatcher(workers, mode="threads"))
+                solver.evaluate_rhs()  # warm: work areas are made here
+                times = []
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    rhs = solver.evaluate_rhs()
+                    times.append(time.perf_counter() - t0)
+                rows.append({
+                    "kernels": path, "workers": workers,
+                    "min [ms]": 1e3 * min(times),
+                    "median [ms]": 1e3 * float(np.median(times)),
+                    "max [ms]": 1e3 * max(times),
+                    "work areas": len(solver._areas),
+                    "digest": hash(b"".join(
+                        rhs[idx].tobytes() for idx in sorted(rhs))),
+                })
+    finally:
+        native.lib = loaded
     return rows
 
 
@@ -85,15 +114,24 @@ def test_fig9_measured_threads(benchmark):
     import os
 
     rows = benchmark.pedantic(measured_thread_scaling, rounds=1, iterations=1)
-    speedup = rows[0]["s/rank-RHS"] / rows[-1]["s/rank-RHS"]
+    assert len({row.pop("digest") for row in rows}) == 1  # same bytes
+    median = {(r["kernels"], r["workers"]): r["median [ms]"] for r in rows}
+    lines = [
+        f"{path}: 2 workers / 1 worker = "
+        f"{median[path, 2] / median[path, 1]:.2f}x the time (median)"
+        for path in ("numpy", "c") if (path, 1) in median
+    ]
     text = format_table(
-        rows, "Measured Python node-layer thread scaling (real threads)",
-        floatfmt="{:.4f}",
+        rows, "Measured node-layer thread scaling: evaluate_rhs of eight "
+        "32^3 blocks, real threads,\n9 warm rounds per row",
+        floatfmt="{:.1f}",
     ) + (
-        f"\n4-worker speedup: {speedup:.2f}x on {os.cpu_count()} CPU(s)\n"
-        "(NumPy elementwise kernels hold the GIL; on a single-CPU host the\n"
-        " dispatcher demonstrates correct dynamic scheduling, not speedup)"
+        f"\n{os.cpu_count()} CPU(s), shared host.  " + "; ".join(lines) +
+        "\n(the NumPy passes hold the GIL between ufunc calls, so a second "
+        "worker adds\n contention; the compiled call drops it for a whole "
+        "run of blocks.  The work\n areas are the solver's, one per worker "
+        "that ever overlapped: no round re-makes them)"
     )
     write_result("fig9_thread_scaling_measured", text)
-    # The work queue must at least not add significant overhead.
-    assert speedup > 0.5
+    # Every worker that ran kept its work area; none was made per round.
+    assert all(r["work areas"] <= r["workers"] for r in rows)

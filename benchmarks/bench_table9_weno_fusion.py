@@ -7,6 +7,12 @@ row and a *measured* comparison are produced: the expression form
 production ``weno5`` with a held workspace (the same arithmetic, bit for
 bit, as ``out=``-threaded passes over shared line tables) -- the same
 engineering idea, observable in Python as fewer passes over memory.
+
+Below it, the fusion done for real: one whole RHS of a 32^3 block through
+the NumPy pencil-tile passes against the compiled tile body of
+``repro.native`` (WENO5 -> HLLE -> difference -> SUM once through
+registers, a ring of two flux rows), byte-identical, with the cost per
+cell that the PAPER_MAP row compares with MFC's reported grind time.
 """
 
 import time
@@ -15,7 +21,9 @@ import numpy as np
 import pytest
 from _common import write_result
 
+from repro import native
 from repro.perf.scaling import table9
+from repro.physics.equations import SweepWorkspace, compute_rhs
 from repro.physics.weno import Weno5Workspace, _weno5_minus_raw, weno5
 
 
@@ -68,7 +76,47 @@ def test_table9_fused_weno(benchmark, weno_input, held):
     benchmark(weno5, weno_input, *held)
 
 
-def test_table9_measured_comparison(benchmark, weno_input, held):
+def whole_rhs_comparison(monkeypatch, n=32, reps=7) -> str:
+    """``compute_rhs`` of one ``n``^3 block on both kernel paths: median
+    of ``reps`` warm calls each, same bytes."""
+    rng = np.random.default_rng(4)
+    Upad = np.empty((7,) + (n + 6,) * 3)
+    Upad[0] = 1000.0 * (1 + 0.02 * rng.normal(size=Upad.shape[1:]))
+    Upad[1:4] = rng.normal(size=(3,) + Upad.shape[1:])
+    Upad[4], Upad[5], Upad[6] = 1300.0, 0.179, 1212.0
+    workspace, out = SweepWorkspace(), np.empty((7, n, n, n))
+
+    def median_ms():
+        compute_rhs(Upad, 0.05, workspace=workspace, out=out)  # warm
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            compute_rhs(Upad, 0.05, workspace=workspace, out=out)
+            times.append(time.perf_counter() - t0)
+        return 1e3 * float(np.median(times)), out.tobytes()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "lib", None)
+        t_numpy, want = median_ms()
+    lines = [f"Whole RHS of one {n}^3 block (compute_rhs: CONV + the three "
+             "sweeps), median of 7:",
+             f"  NumPy pencil-tile passes  : {t_numpy:7.2f} ms  "
+             f"({1e6 * t_numpy / n ** 3:6.0f} ns per cell)"]
+    if native.lib is None:
+        lines.append("  compiled tile body        : not built here "
+                     f"({native.status()['reason']})")
+    else:
+        t_c, got = median_ms()
+        assert got == want
+        lines.append(
+            f"  compiled tile body (C)    : {t_c:7.2f} ms  "
+            f"({1e6 * t_c / n ** 3:6.0f} ns per cell)   same bytes")
+        lines.append(
+            f"  time improvement          : {t_numpy / t_c:7.2f}x")
+    return "\n".join(lines)
+
+
+def test_table9_measured_comparison(benchmark, weno_input, held, monkeypatch):
     """Direct timing comparison written to the results file."""
 
     def compare():
@@ -94,7 +142,8 @@ def test_table9_measured_comparison(benchmark, weno_input, held):
         "Measured Python WENO fusion gain:\n"
         f"  baseline (expression form): {t_base * 1e3:7.2f} ms\n"
         f"  fused (held workspace)    : {t_fused * 1e3:7.2f} ms\n"
-        f"  time improvement          : {gain:7.2f}x   [paper: 1.3x]"
+        f"  time improvement          : {gain:7.2f}x   [paper: 1.3x]\n\n"
+        + whole_rhs_comparison(monkeypatch)
     )
     write_result("table9_weno_fusion_measured", text)
     # The fused kernel must win, as in the paper (paper: 1.3x).

@@ -29,9 +29,10 @@ Three parts:
   a dynamic vector-clock race detector + deadlock watchdog for the
   thread-based runtime (CC101/CC102, ``--concurrency-check`` on runs).
 * :mod:`repro.analysis.perfcheck` -- **kernel-check**, a static hot-path
-  performance analyzer (rules CP001..CP006, ``python -m repro.analysis
-  --perf``) that certifies the declared hot-path kernels for compiled
-  backends and emits the machine-readable ``kernel_manifest.json``.
+  performance analyzer (rules CP001..CP003 and CP006, ``python -m
+  repro.analysis --perf``) that holds the declared hot-path kernels to
+  their contracts and emits the machine-readable
+  ``kernel_manifest.json``.
 * :mod:`repro.analysis.syscheck` -- **sys-check**, a static
   resource-lifecycle and process-safety analyzer for the multi-process
   layers (rules RS001..RS007, ``python -m repro.analysis --sys``), plus

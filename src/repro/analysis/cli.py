@@ -10,8 +10,8 @@ Usage::
     python -m repro.analysis --list-rules         # print the catalogues
     cubism-lint src/repro --select CL001,CL002    # installed entry point
 
-``--perf`` (and ``--all``) additionally emit the kernel certification
-manifest (``--manifest-out``, default ``kernel_manifest.json``).
+``--perf`` (and ``--all``) additionally emit the kernel manifest
+(``--manifest-out``, default ``kernel_manifest.json``).
 ``--all`` merges every family into one JSON report
 (``repro.analysis_report/v1``) with a worst-of exit code, collapsing
 four CI invocations into one.
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--perf", action="store_true",
         help="run kernel-check (static hot-path performance analyzer, "
-        "CP-series rules) and emit the kernel certification manifest",
+        "CP-series rules) and emit the kernel manifest",
     )
     ap.add_argument(
         "--sys", dest="syscheck", action="store_true",

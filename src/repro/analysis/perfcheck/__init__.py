@@ -2,12 +2,10 @@
 
 Whole-program abstract interpretation over the solver's hot-path
 modules (WENO, Riemann, EOS, RHS assembly, block kernels, time stepper,
-ghost exchange) that certifies each declared kernel for the compiled
-backends the roadmap targets.  Six rules -- CP001 silent float32/float64
-promotion, CP002 strong-scalar contamination, CP003 hidden-temporary
-accounting, CP004 compiled-subset certification, CP005 fancy-indexing
-fusion blockers, CP006 counted-vs-modeled arithmetic-intensity
-divergence -- produce :class:`~repro.analysis.lint.Violation` findings
+ghost exchange) that holds each declared kernel to its contracts.  Four
+rules -- CP001 silent float32/float64 promotion, CP002 strong-scalar
+contamination, CP003 hidden-temporary accounting, CP006
+counted-vs-modeled arithmetic-intensity divergence -- produce :class:`~repro.analysis.lint.Violation` findings
 plus a machine-readable ``kernel_manifest.json``.  Run with
 ``python -m repro.analysis --perf``; see ``docs/analysis.md``.
 """
@@ -16,12 +14,10 @@ from .dtypes import DtypeInference, Promotion, StrongScalar, infer
 from .manifest import (
     MANIFEST_SCHEMA,
     build_kernel_manifest,
-    certified_backends,
+    native_entry_points,
     write_kernel_manifest,
 )
 from .model import (
-    BACKEND_NUMBA,
-    BACKEND_NUMPY,
     HOT_KERNELS,
     HOT_MODULES,
     KernelSpec,
@@ -51,8 +47,6 @@ from .rules import (
 
 __all__ = [
     "ALLOC_THRESHOLD",
-    "BACKEND_NUMBA",
-    "BACKEND_NUMPY",
     "DtypeInference",
     "FunctionEntry",
     "HOT_KERNELS",
@@ -70,7 +64,6 @@ __all__ = [
     "analyze_paths",
     "build_kernel_manifest",
     "build_program",
-    "certified_backends",
     "check_paths",
     "check_program",
     "check_sources",
@@ -78,6 +71,7 @@ __all__ = [
     "count_operand_bytes",
     "infer",
     "modeled_arithmetic",
+    "native_entry_points",
     "register_perf_rule",
     "registered_perf_rules",
     "write_kernel_manifest",

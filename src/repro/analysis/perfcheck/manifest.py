@@ -1,26 +1,24 @@
 """Machine-readable kernel manifest emitted by the perf analyzer.
 
-``kernel_manifest.json`` is the analyzer's certification artifact: one
-record per declared hot-path kernel with its signature, dtype contract,
-the backend set it is *certified* for (declared backends minus any
-compiled backend invalidated by post-pragma CP004/CP005 findings in the
-kernel's call closure), and its statically counted arithmetic intensity
-next to the shared roofline-model value.  The upcoming backend registry
-consumes this file as its source of truth for which kernels may be
-dispatched to a compiled backend; CI regenerates and uploads it on every
-run so drift between code and certification is visible in review.
+``kernel_manifest.json`` is the analyzer's record of the declared
+hot-path kernels: one entry per kernel with its signature (read off the
+source), dtype contract, helper closure, the entry points of the compiled
+library its closure calls (``lib.repro_*``: the kernels with a door to
+:mod:`repro.native`), and its statically counted arithmetic intensity
+next to the shared roofline-model value.  CI regenerates it on every run
+so drift between code and declaration is visible in review.
 
-Schema (``repro.kernel_manifest/v1``)::
+Schema (``repro.kernel_manifest/v2``)::
 
     {
-      "schema": "repro.kernel_manifest/v1",
+      "schema": "repro.kernel_manifest/v2",
       "checks_run": <int>,
       "findings_total": <int>,
       "kernels": [
         {
           "name": ..., "module": ..., "signature": ...,
           "dtype_contract": ...,
-          "declared_backends": [...], "certified_backends": [...],
+          "native_entry_points": [...],
           "closure": [...],
           "arithmetic": {
             "counted_flops_per_point": <float>,
@@ -43,15 +41,15 @@ import os
 from pathlib import Path
 
 from ..lint import Violation
-from .model import BACKEND_NUMBA, modeled_arithmetic
+from .model import modeled_arithmetic
 from .program import KernelInfo, PerfProgram
 from .report import PerfReport
 
 #: Manifest schema identifier.
-MANIFEST_SCHEMA = "repro.kernel_manifest/v1"
+MANIFEST_SCHEMA = "repro.kernel_manifest/v2"
 
-#: Findings under these rules invalidate compiled-backend certification.
-_CERTIFICATION_RULES = frozenset({"CP004", "CP005"})
+#: Prefix of the entry points of ``native/kernels.c``.
+_NATIVE_PREFIX = "repro_"
 
 
 def _signature(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str:
@@ -98,14 +96,20 @@ def _closure_findings(
     return out
 
 
-def certified_backends(
-    info: KernelInfo, findings: list[Violation]
-) -> tuple[str, ...]:
-    """Declared backends minus compiled ones invalidated by findings."""
-    backends = list(info.spec.backends)
-    if any(v.rule in _CERTIFICATION_RULES for v in findings):
-        backends = [b for b in backends if b != BACKEND_NUMBA]
-    return tuple(backends)
+def native_entry_points(info: KernelInfo, program: PerfProgram) -> list[str]:
+    """Entry points of the compiled library the kernel's closure calls
+    (``<anything>.repro_*(...)``), sorted; empty for a NumPy-only kernel."""
+    found: set[str] = set()
+    for name in info.closure:
+        entry = program.functions.get(name)
+        if entry is None:
+            continue
+        for node in ast.walk(entry.fn):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr.startswith(_NATIVE_PREFIX)):
+                found.add(node.func.attr)
+    return sorted(found)
 
 
 def build_kernel_manifest(
@@ -121,8 +125,7 @@ def build_kernel_manifest(
             "module": info.spec.module,
             "signature": _signature(info.entry.fn),
             "dtype_contract": info.spec.dtype_contract,
-            "declared_backends": list(info.spec.backends),
-            "certified_backends": list(certified_backends(info, findings)),
+            "native_entry_points": native_entry_points(info, program),
             "closure": sorted(info.closure),
             "arithmetic": {
                 "counted_flops_per_point": round(info.counted_flops, 1),

@@ -4,18 +4,17 @@ The paper's core layer kept a hand-maintained list of the kernels that
 matter (RHS, DT, UP and their substages) and hand-verified each one
 before lowering it to QPX intrinsics.  This module is that list for the
 Python reproduction: every entry names a kernel function in one of the
-hot-path modules, the backends it is *declared* to target, its dtype
-contract, and (when the roofline model covers it) the key into the
-shared per-point arithmetic table
+hot-path modules, its dtype contract and, when the roofline model covers
+it, the key into the shared per-point arithmetic table
 :data:`repro.perf.kernels.KERNEL_ARITHMETIC`.
 
-The static analyzer certifies each declared kernel: a kernel declared
-for the ``numba`` backend that carries compiled-subset findings (CP004/
-CP005) is *not* certified for it, and the emitted
-``kernel_manifest.json`` records the de-rated backend set.  The upcoming
-backend registry consumes the manifest as its source of truth, so
-adding a kernel here is the first step of the "certify a new kernel"
-walkthrough in ``docs/analysis.md``.
+The emitted ``kernel_manifest.json`` records, per kernel, what is
+declared here next to what is read off the source -- signature, helper
+closure, counted arithmetic and the entry points of the compiled library
+(:mod:`repro.native`) its closure calls -- so that drift between code and
+declaration shows in review.  Adding a kernel
+here is the first step of the "declare a new kernel" walkthrough in
+``docs/analysis.md``.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...perf.kernels import KERNEL_ARITHMETIC, KernelArithmetic
-
-#: Backend identifiers a kernel can declare.
-BACKEND_NUMPY = "numpy"
-BACKEND_NUMBA = "numba"
 
 #: Dtype-contract shorthand strings used by the spec table.
 _COMPUTE = "dtype-preserving; production COMPUTE_DTYPE (float64) SoA"
@@ -61,6 +56,11 @@ _AOS_STREAM_INPLACE = (
     _AOS_INPLACE + ", any shape or strided view, streamed in chunks of "
     "half of an optional held flat COMPUTE_DTYPE scratch"
 )
+#: The four kernels with a door to :mod:`repro.native`.
+_NATIVE = (
+    "; the contiguous production case runs in the compiled library where "
+    "one is built, same bytes"
+)
 _WAVELET = (
     "float32 or float64 preserved, one block (z, y, x) or a batch "
     "(B, z, y, x); COMPUTE_DTYPE (float64) prediction rounded once"
@@ -69,80 +69,56 @@ _WAVELET = (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Declaration of one hot-path kernel the analyzer certifies."""
+    """Declaration of one hot-path kernel the analyzer checks."""
 
     name: str  #: function name in the defining module
     module: str  #: path suffix of the defining module (``physics/weno.py``)
-    backends: tuple[str, ...]  #: declared target backends
     dtype_contract: str  #: human-readable precision contract
     model_key: str | None = None  #: key into the shared arithmetic table
 
 
-#: The declared hot-path kernels (ISSUE 6 module set).  ``numba`` in the
-#: backend tuple means the kernel is intended for nopython compilation
-#: and must stay inside the compiled subset (rules CP004/CP005);
-#: numpy-only kernels use constructs the vectorized fallback needs
-#: (moveaxis wrappers, ring buffers, closures) and are exempt from
-#: subset certification by declaration rather than by pragma.
+#: The declared hot-path kernels (ISSUE 6 module set).
 HOT_KERNELS: tuple[KernelSpec, ...] = (
     # physics.weno -- the WENO stage dominates the RHS (83 % of its
     # instructions, paper Table 8).
-    KernelSpec("weno5", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "weno5"),
-    KernelSpec("weno5_fused", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "weno5"),
-    KernelSpec("weno3", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
+    KernelSpec("weno5", "physics/weno.py", _COMPUTE, "weno5"),
+    KernelSpec("weno5_fused", "physics/weno.py", _COMPUTE, "weno5"),
+    KernelSpec("weno3", "physics/weno.py", _COMPUTE),
     # physics.riemann -- the HLLE stage.
-    KernelSpec("hlle_flux", "physics/riemann.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _HLLE_WORKSPACE, "hlle"),
-    KernelSpec("einfeldt_wave_speeds", "physics/riemann.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "wavespeeds"),
-    KernelSpec("hllc_flux", "physics/riemann.py",
-               (BACKEND_NUMPY,), _COMPUTE, None),
+    KernelSpec("hlle_flux", "physics/riemann.py", _HLLE_WORKSPACE, "hlle"),
+    KernelSpec("einfeldt_wave_speeds", "physics/riemann.py", _COMPUTE,
+               "wavespeeds"),
+    KernelSpec("hllc_flux", "physics/riemann.py", _COMPUTE),
     # physics.eos -- CONV/BACK stages and the DT reduction chain.
-    KernelSpec("conserved_to_primitive", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "conv"),
-    KernelSpec("primitive_to_conserved", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "back"),
-    KernelSpec("pressure", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "pressure"),
-    KernelSpec("total_energy", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "total_energy"),
-    KernelSpec("sound_speed", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "sound_speed"),
-    KernelSpec("max_characteristic_velocity", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "sos"),
+    KernelSpec("conserved_to_primitive", "physics/eos.py", _COMPUTE, "conv"),
+    KernelSpec("primitive_to_conserved", "physics/eos.py", _COMPUTE, "back"),
+    KernelSpec("pressure", "physics/eos.py", _COMPUTE, "pressure"),
+    KernelSpec("total_energy", "physics/eos.py", _COMPUTE, "total_energy"),
+    KernelSpec("sound_speed", "physics/eos.py", _COMPUTE, "sound_speed"),
+    KernelSpec("max_characteristic_velocity", "physics/eos.py", _COMPUTE,
+               "sos"),
     # physics.equations -- RHS assembly (directional sweeps).
-    KernelSpec("directional_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE_BATCH, None),
+    KernelSpec("directional_rhs", "physics/equations.py", _COMPUTE_BATCH),
     KernelSpec("compute_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE_BATCH, None),
+               _COMPUTE_BATCH + _NATIVE),
     # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
-    # buffers: numpy-only by design) and the UP stage.
-    KernelSpec("rhs_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_BATCH_OUT, None),
-    KernelSpec("rhs_kernel_slices", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
-    KernelSpec("sos_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_STREAM_IN, None),
+    # buffers) and the UP stage.
+    KernelSpec("rhs_kernel", "core/kernels.py", _AOS_BATCH_OUT + _NATIVE),
+    KernelSpec("rhs_kernel_slices", "core/kernels.py", _AOS_IN),
+    KernelSpec("sos_kernel", "core/kernels.py", _AOS_STREAM_IN + _NATIVE),
     KernelSpec("update_stage", "core/kernels.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _AOS_STREAM_INPLACE, "up"),
+               _AOS_STREAM_INPLACE + _NATIVE, "up"),
     # core.timestepper / node layer -- orchestration around the kernels.
-    KernelSpec("advance", "core/timestepper.py",
-               (BACKEND_NUMPY,), _AOS_INPLACE, None),
+    KernelSpec("advance", "core/timestepper.py", _AOS_INPLACE),
     KernelSpec("fill_block_ghosts", "node/ghosts.py",
-               (BACKEND_NUMPY,), "STORAGE_DTYPE (float32) AoS in place",
-               None),
+               "STORAGE_DTYPE (float32) AoS in place"),
     # compression -- FWT is one of the paper's four core kernels; the
     # axis-first lifting works through strided views and held scratch,
     # numpy-only by design.
-    KernelSpec("fwt3d", "compression/wavelet.py",
-               (BACKEND_NUMPY,), _WAVELET, None),
-    KernelSpec("iwt3d", "compression/wavelet.py",
-               (BACKEND_NUMPY,), _WAVELET, None),
+    KernelSpec("fwt3d", "compression/wavelet.py", _WAVELET),
+    KernelSpec("iwt3d", "compression/wavelet.py", _WAVELET),
     KernelSpec("decimate", "compression/decimation.py",
-               (BACKEND_NUMPY,), "dtype-preserving, in place", None),
+               "dtype-preserving, in place"),
 )
 
 #: Module path suffixes the ``--perf`` CLI analyzes by default.

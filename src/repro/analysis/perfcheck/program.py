@@ -92,9 +92,6 @@ class PerfProgram:
     #: bare name -> defining entry (first definition wins on collision)
     functions: dict[str, FunctionEntry] = field(default_factory=dict)
     kernels: list[KernelInfo] = field(default_factory=list)
-    #: module-level names bound to dict literals, per path (CP004's
-    #: dict-of-functions dispatch detection)
-    dict_consts: dict[str, set[str]] = field(default_factory=dict)
     #: module-level integer constants, per path (loop enumeration)
     int_consts: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -110,22 +107,17 @@ class PerfProgram:
         return out
 
 
-def _module_consts(tree: ast.Module) -> tuple[set[str], dict[str, int]]:
-    """Names of module-level dict literals and int constants."""
-    dicts: set[str] = set()
+def _module_consts(tree: ast.Module) -> dict[str, int]:
+    """Module-level int constants by name."""
     ints: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             t = node.targets[0]
-            if not isinstance(t, ast.Name):
-                continue
-            if isinstance(node.value, (ast.Dict, ast.DictComp)):
-                dicts.add(t.id)
-            elif isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, int
-            ):
+            if (isinstance(t, ast.Name)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, int)):
                 ints[t.id] = node.value.value
-    return dicts, ints
+    return ints
 
 
 def _call_name(call: ast.Call) -> str | None:
@@ -256,7 +248,10 @@ def count_flops(
             cost = 0.0 if isinstance(e.operand, ast.Constant) else 1.0
             total += cost + inner
         elif isinstance(e, ast.Compare):
-            total += float(len(e.ops)) + expr_count(e.left)
+            # ``is`` / ``is not`` pick a path, they are not arithmetic
+            # (the allocation count of CP003 leaves them out too).
+            total += sum(not isinstance(op, (ast.Is, ast.IsNot))
+                         for op in e.ops) + expr_count(e.left)
             for c in e.comparators:
                 total += expr_count(c)
         elif isinstance(e, ast.Call):
@@ -423,9 +418,7 @@ def build_program(
         except SyntaxError:
             continue
         program.sources[path] = sf
-        dicts, ints = _module_consts(sf.tree)
-        program.dict_consts[path] = dicts
-        program.int_consts[path] = ints
+        program.int_consts[path] = _module_consts(sf.tree)
         for node in ast.walk(sf.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name not in program.functions:

@@ -1,8 +1,9 @@
 """CP-series rules of the static hot-path performance analyzer.
 
-Six whole-program rules certify the declared hot-path kernels
-(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) for the compiled
-backends the roadmap targets:
+Four whole-program rules hold the declared hot-path kernels
+(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) to their dtype,
+allocation and arithmetic contracts (CP004 / CP005 certified kernels for
+a ``numba`` backend that was decided against; retired with it):
 
 * **CP001 silent-promotion** -- a float32 and a float64 operand provably
   meet in one expression (dtype propagation per
@@ -15,12 +16,6 @@ backends the roadmap targets:
   intermediate arrays per call with (almost) no ``out=`` / workspace /
   in-place discipline, against the ``Weno5Workspace`` / ``SliceRing``
   idiom of the fused kernels.
-* **CP004 compiled-subset** -- a kernel declared for the ``numba``
-  backend contains constructs nopython mode cannot lower (try/except,
-  closures, generator expressions, dict/list juggling, dict-of-functions
-  dispatch, context managers).
-* **CP005 fancy-indexing** -- advanced indexing (index arrays, boolean
-  masks) in a compiled-target kernel blocks loop fusion.
 * **CP006 intensity-divergence** -- the statically counted arithmetic
   intensity of a kernel diverges more than 2x from the shared roofline
   table :data:`repro.perf.kernels.KERNEL_ARITHMETIC` -- either the
@@ -41,7 +36,7 @@ from typing import Iterable, Iterator
 
 from ..lint import Violation, iter_python_files
 from .dtypes import ELEMENTWISE, infer
-from .model import BACKEND_NUMBA, HOT_KERNELS, KernelSpec, modeled_arithmetic
+from .model import HOT_KERNELS, KernelSpec, modeled_arithmetic
 from .program import (
     _REDUCTIONS,
     FunctionEntry,
@@ -106,18 +101,10 @@ def registered_perf_rules() -> list[type[PerfRule]]:
 # -- scan-scope helpers ---------------------------------------------------
 
 
-def _unique_functions(
-    program: PerfProgram, numba_only: bool = False
-) -> Iterator[FunctionEntry]:
-    """Each function in scope exactly once (kernels + helper closures).
-
-    With ``numba_only`` the scope narrows to the closures of kernels
-    declared for the ``numba`` backend (CP004/CP005 certification).
-    """
+def _unique_functions(program: PerfProgram) -> Iterator[FunctionEntry]:
+    """Each function in scope exactly once (kernels + helper closures)."""
     seen: set[tuple[str, str]] = set()
     for info in program.kernels:
-        if numba_only and BACKEND_NUMBA not in info.spec.backends:
-            continue
         for name in info.closure:
             entry = program.functions.get(name)
             if entry is None:
@@ -269,161 +256,6 @@ class HiddenTemporaries(PerfRule):
                     "thread out=/workspace buffers through the hot "
                     "expression chain (Weno5Workspace idiom)",
                 )
-
-
-# -- CP004: compiled-subset certification ---------------------------------
-
-#: Constructs Numba nopython mode cannot lower, with display labels.
-_SUBSET_VIOLATIONS: tuple[tuple[type, str], ...] = (
-    (ast.Try, "try/except block"),
-    (ast.With, "context manager"),
-    (ast.Lambda, "lambda closure"),
-    (ast.GeneratorExp, "generator expression"),
-    (ast.ListComp, "list comprehension"),
-    (ast.SetComp, "set comprehension"),
-    (ast.DictComp, "dict comprehension"),
-    (ast.Dict, "dict literal"),
-    (ast.Set, "set literal"),
-    (ast.List, "list literal"),
-    (ast.Global, "global statement"),
-    (ast.Nonlocal, "nonlocal statement"),
-    (ast.Starred, "star-unpacking"),
-)
-
-
-@register_perf_rule
-class CompiledSubset(PerfRule):
-    """CP004: constructs nopython compilation cannot lower.
-
-    Applies to kernels declared for the ``numba`` backend and their
-    helper closures: object-mode constructs (try/except, context
-    managers), closures (lambda, nested def), generator/list/dict
-    comprehensions, dict/list-of-array juggling, and dict-of-functions
-    dispatch through a module-level table.  A kernel carrying CP004
-    findings is de-rated to the ``numpy`` backend in the manifest.
-    """
-
-    rule_id = "CP004"
-    name = "compiled-subset"
-    description = (
-        "construct Numba nopython mode cannot lower inside a kernel "
-        "declared for a compiled backend"
-    )
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program, numba_only=True):
-            dict_names = program.dict_consts.get(entry.path, set())
-            for node in ast.walk(entry.fn):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node is not entry.fn:
-                        yield self.violation(
-                            entry.path, node,
-                            f"nested function {node.name}() inside "
-                            f"{entry.name}(): closures do not lower to "
-                            "nopython code",
-                        )
-                    continue
-                for typ, label in _SUBSET_VIOLATIONS:
-                    if isinstance(node, typ):
-                        yield self.violation(
-                            entry.path, node,
-                            f"{label} inside compiled-target kernel "
-                            f"{entry.name}(): outside the nopython "
-                            "subset",
-                        )
-                        break
-                if (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, ast.Load)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in dict_names
-                ):
-                    yield self.violation(
-                        entry.path, node,
-                        f"dict-of-functions dispatch "
-                        f"{node.value.id}[...] inside {entry.name}(): "
-                        "replace with an explicit branch for compiled "
-                        "backends",
-                    )
-
-
-# -- CP005: fancy indexing ------------------------------------------------
-
-
-def _array_locals(fn: ast.AST) -> set[str]:
-    """Local names provably bound to arrays (constructor/ufunc results)."""
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            name = _call_name(node.value)
-            if name in ELEMENTWISE or name in (
-                "empty", "zeros", "ones", "full", "array", "asarray",
-                "arange", "argsort", "nonzero", "flatnonzero", "argwhere",
-            ):
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        out.add(t.id)
-    return out
-
-
-@register_perf_rule
-class FancyIndexing(PerfRule):
-    """CP005: advanced-indexing patterns that block fusion.
-
-    Index arrays (gathers), boolean masks and list indices force NumPy
-    through non-contiguous gather paths and cannot fuse in compiled
-    backends; compiled-target kernels must index with slices and
-    integers only.  Conservative: an index *name* is flagged only when
-    it is provably array-valued in the same function.
-    """
-
-    rule_id = "CP005"
-    name = "fancy-indexing"
-    description = (
-        "index-array / boolean-mask / list indexing inside a "
-        "compiled-target kernel -- blocks vectorization and fusion"
-    )
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program, numba_only=True):
-            arrays = _array_locals(entry.fn)
-            for node in ast.walk(entry.fn):
-                if not isinstance(node, ast.Subscript):
-                    continue
-                if not isinstance(node.ctx, ast.Load):
-                    continue
-                for idx in self._index_parts(node.slice):
-                    label = self._fancy_label(idx, arrays)
-                    if label is not None:
-                        yield self.violation(
-                            entry.path, node,
-                            f"{label} index inside compiled-target "
-                            f"kernel {entry.name}(): gathers block "
-                            "fusion; use slices/integers or hoist a "
-                            "precomputed contiguous view",
-                        )
-                        break
-
-    @staticmethod
-    def _index_parts(idx: ast.expr) -> list[ast.expr]:
-        if isinstance(idx, ast.Tuple):
-            return list(idx.elts)
-        return [idx]
-
-    @staticmethod
-    def _fancy_label(idx: ast.expr, arrays: set[str]) -> str | None:
-        if isinstance(idx, ast.List):
-            return "list"
-        if isinstance(idx, ast.Compare):
-            return "boolean-mask"
-        if isinstance(idx, ast.Name) and idx.id in arrays:
-            return "index-array"
-        if isinstance(idx, ast.Call):
-            name = _call_name(idx)
-            if name in ("nonzero", "flatnonzero", "argwhere", "where",
-                        "argsort"):
-                return "index-array"
-        return None
 
 
 # -- CP006: arithmetic-intensity cross-check ------------------------------

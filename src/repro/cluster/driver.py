@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import native
 from ..analysis.concurrency import (
     ConcurrencyReport,
     ConcurrencyViolationError,
@@ -102,6 +103,9 @@ class RankResult:
     telemetry: MetricsSnapshot | None = None
     #: per-rank span events (only when telemetry="trace")
     trace_events: list[SpanEvent] | None = None
+    #: which kernels ran in this rank's process when it finished
+    #: (:func:`repro.native.status`)
+    kernels: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -122,6 +126,13 @@ class RunResult:
     #: runtime concurrency findings -- races and watchdog-diagnosed
     #: deadlocks (None when concurrency_check="off")
     concurrency_report: ConcurrencyReport | None = None
+
+    @property
+    def kernels(self) -> dict:
+        """Which kernels produced the result: rank 0's
+        :func:`repro.native.status` (``backend`` ``"c"`` or ``"numpy"``,
+        and why) -- every rank runs the same checkout on the same host."""
+        return self.rank_results[0].kernels
 
     @property
     def cells_per_second(self) -> float:
@@ -464,6 +475,7 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
             list(tracer.events)
             if tracer is not None and tracer.mode == "trace" else None
         ),
+        kernels=native.status(),
     )
 
 
@@ -626,6 +638,8 @@ class Simulation:
         if self.config.cluster_backend == "procs":
             from .procs import ProcsWorld
 
+            # Built here, once, not by every rank process starting cold.
+            native.ensure_loaded()
             world = ProcsWorld(
                 self.config.ranks,
                 timeout=timeout,

@@ -21,19 +21,27 @@ precision).  UP and SOS are *streamed*: whatever the size of their
 operands, they are walked in cache-sized chunks through one small scratch
 (:func:`stream_scratch`) that the caller may hold across calls, as the
 node layer does per thread -- then neither allocates an array.
+
+Where :mod:`repro.native` has a compiled library, the production cases of
+all three (WENO5 + HLLE on storage pads, contiguous operands) run in it:
+one pass over memory each, byte for byte what the NumPy passes here
+compute.  Those stay as the fallback, the oracle and the ablations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import native
 from ..physics.eos import conserved_to_primitive, max_velocity_of_conserved
-from ..physics.equations import SweepWorkspace, compute_rhs
+from ..physics.equations import SweepWorkspace, compute_rhs, native_sweeps
 from ..physics.riemann import hlle_flux
 from ..physics.state import COMPUTE_DTYPE, GAMMA, NQ, PI, STORAGE_DTYPE
 from ..physics.weno import Weno5Workspace, weno5
 from .block import GHOSTS
 from .ringbuffer import RING_DEPTH, SliceRing
+
+_STORAGE = np.dtype(STORAGE_DTYPE)
 
 
 def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
@@ -78,18 +86,38 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     batch = pad_aos if pad_aos.ndim == 5 else pad_aos[np.newaxis]
     if workspace is None:
         workspace = SweepWorkspace()
+    nblocks = batch.shape[0]
     interior = tuple(m - 2 * GHOSTS for m in batch.shape[1:4])
-    Upad = workspace.staging(batch.shape[0], interior, COMPUTE_DTYPE)
-    _, rhs_soa = workspace.fields(batch.shape[0], interior, COMPUTE_DTYPE)
-    np.copyto(Upad, np.moveaxis(batch, -1, 0))
-    compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
-                workspace=workspace, out=rhs_soa)
+    lib = native_sweeps(order, solver, fused)
+    if (lib is not None and native.addressable(batch, _STORAGE)
+            and batch.shape[-1] == NQ):
+        # Storage pads -> primitive SoA in one pass (the staging copy and
+        # the CONV stage), then the three sweeps: the bytes of the path
+        # below, and no tile scratch.
+        Wpad, rhs_soa = workspace.fields(nblocks, interior, COMPUTE_DTYPE)
+        lib.repro_conv_aos_to_soa(batch.ctypes.data, Wpad[0].size,
+                                  Wpad.ctypes.data)
+        lib.repro_rhs_sweeps(Wpad.ctypes.data, nblocks, *interior, 1.0 / h,
+                             rhs_soa.ctypes.data)
+    else:
+        Upad = workspace.staging(nblocks, interior, COMPUTE_DTYPE)
+        _, rhs_soa = workspace.fields(nblocks, interior, COMPUTE_DTYPE)
+        np.copyto(Upad, np.moveaxis(batch, -1, 0))
+        compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
+                    workspace=workspace, out=rhs_soa)
     rhs_aos = np.moveaxis(rhs_soa, 0, -1)
     if pad_aos.ndim == 4:
         rhs_aos = rhs_aos[0]
     if out is None:
         out = np.empty(rhs_aos.shape, dtype=rhs_aos.dtype)
-    if isinstance(out, np.ndarray):
+    per_block = (out,) if pad_aos.ndim == 4 else out
+    if lib is not None and len(per_block) == nblocks and all(
+        native.addressable(dst, COMPUTE_DTYPE, writeable=True)
+        and dst.shape == interior + (NQ,) for dst in per_block
+    ):
+        lib.repro_soa_to_aos(rhs_soa.ctypes.data, nblocks,
+                             rhs_soa[0, 0].size, native.addresses(per_block))
+    elif isinstance(out, np.ndarray):
         np.copyto(out, rhs_aos)
     else:
         for dst, src in zip(out, rhs_aos):
@@ -221,8 +249,6 @@ def rhs_kernel_slices(pad_aos: np.ndarray, h: float,
     return rhs
 
 
-_STORAGE = np.dtype(STORAGE_DTYPE)
-
 #: Entries of the scratch UP and SOS stream their operands through
 #: (512 KiB).  UP walks its flat operands in chunks of half of it (two
 #: float64 buffers, next to 16 bytes of operands per element: 1 MiB a
@@ -286,20 +312,32 @@ def sos_kernel(blocks, scratch: np.ndarray | None = None) -> float:
     a large block takes several.  Returns the maximum as a python float
     -- NaN if any cell's velocity is NaN -- which the cluster layer
     reduces globally and the DT kernel converts into the CFL-limited step.
+
+    Contiguous storage-precision blocks of one size are reduced in one
+    pass by the compiled library where there is one (:mod:`repro.native`);
+    the value is the same.
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = (blocks,)
+    blocks = (blocks,) if isinstance(blocks, np.ndarray) else tuple(blocks)
+    if scratch is not None and scratch.size < _SOS_ROWS:
+        raise ValueError(
+            f"scratch must hold at least {_SOS_ROWS} entries, got "
+            f"{scratch.size}"
+        )
+    lib = native.lib
+    if lib is not None and blocks and all(
+        native.addressable(b, _STORAGE) and b.size == blocks[0].size
+        for b in blocks
+    ):
+        # One pass over the cells, a NaN carried: the value of the chunked
+        # passes below.
+        return lib.repro_max_sos(native.addresses(blocks), len(blocks),
+                                 blocks[0].size // NQ)
     if scratch is None:
         scratch = _own_scratch(
             _SOS_ROWS * (sum(b.size for b in blocks) // NQ))
     chunk = scratch[:scratch.size - scratch.size % _SOS_ROWS].reshape(
         _SOS_ROWS, -1)
     capacity = chunk.shape[1]
-    if capacity == 0:
-        raise ValueError(
-            f"scratch must hold at least {_SOS_ROWS} entries, got "
-            f"{scratch.size}"
-        )
     peak = float("-inf")
     filled = 0
     for data in blocks:
@@ -406,7 +444,9 @@ def update_stage(
     the two expressions above as same-type passes and rounded once into
     place -- ``U`` from the unrounded ``S`` -- so that a block far larger
     than the cache is updated out of it.  The chunking changes no bit of
-    the result.
+    the result, and neither does the compiled library
+    (:mod:`repro.native`), which takes contiguous operands with a
+    compute-precision RHS in one pass where it is there.
 
     ``sanitizer`` is an optional
     :class:`repro.analysis.sanitizer.NumericsSanitizer`; when given, the
@@ -421,31 +461,44 @@ def update_stage(
     ``STORAGE_DTYPE``.
     """
     _check_update_operands(u_aos, residual_aos, rhs_aos)
-    if scratch is None:
-        scratch = _own_scratch(2 * u_aos.size)
-    elif scratch.size < 2:
+    if scratch is not None and scratch.size < 2:
         raise ValueError(
             f"scratch must hold at least 2 entries, got {scratch.size}"
         )
-    if (u_aos.flags.c_contiguous and residual_aos.flags.c_contiguous
-            and rhs_aos.flags.c_contiguous):
-        # Flat views: a chunk is a run of half the scratch.
-        u, res, rhs = u_aos.ravel(), residual_aos.ravel(), rhs_aos.ravel()
-        step = scratch.size // 2
-        s_all, t_all = scratch, scratch[step:]
+    flat = (u_aos.flags.c_contiguous and residual_aos.flags.c_contiguous
+            and rhs_aos.flags.c_contiguous)
+    lib = native.lib
+    if (lib is not None and flat
+            and native.addressable(rhs_aos, COMPUTE_DTYPE)
+            and u_aos.flags.writeable and residual_aos.flags.writeable):
+        # One pass, one rounding store each: the bytes of the chunked
+        # passes below.
+        lib.repro_update_stage(u_aos.ctypes.data, residual_aos.ctypes.data,
+                               rhs_aos.ctypes.data, u_aos.size, float(a),
+                               float(b), float(dt))
     else:
-        u, res, rhs = u_aos, residual_aos, rhs_aos
-        step, s_all, t_all = _slab_chunks(u_aos, scratch)
-    count = len(u)
-    if count <= step:
-        # One chunk: the operands as they are, no loop.
-        _update_chunk(u, res, rhs, s_all[:count], t_all[:count], a, b, dt)
-    else:
-        for start in range(0, count, step):
-            u_c = u[start:start + step]
-            _update_chunk(u_c, res[start:start + step],
-                          rhs[start:start + step], s_all[:len(u_c)],
-                          t_all[:len(u_c)], a, b, dt)
+        if scratch is None:
+            scratch = _own_scratch(2 * u_aos.size)
+        if flat:
+            # Flat views: a chunk is a run of half the scratch.
+            u, res, rhs = (u_aos.ravel(), residual_aos.ravel(),
+                           rhs_aos.ravel())
+            step = scratch.size // 2
+            s_all, t_all = scratch, scratch[step:]
+        else:
+            u, res, rhs = u_aos, residual_aos, rhs_aos
+            step, s_all, t_all = _slab_chunks(u_aos, scratch)
+        count = len(u)
+        if count <= step:
+            # One chunk: the operands as they are, no loop.
+            _update_chunk(u, res, rhs, s_all[:count], t_all[:count], a, b,
+                          dt)
+        else:
+            for start in range(0, count, step):
+                chunk = slice(start, start + step)
+                u_c = u[chunk]
+                _update_chunk(u_c, res[chunk], rhs[chunk], s_all[:len(u_c)],
+                              t_all[:len(u_c)], a, b, dt)
     if sanitizer is not None:
         sanitizer.check_block_write(u_aos, block=block)
         sanitizer.check_state(u_aos, block=block)

@@ -1,0 +1,430 @@
+/* Compiled tile bodies of the core-layer kernels: RHS, UP, SOS.
+ *
+ * Every function here is the per-element arithmetic of a NumPy kernel in
+ * repro.physics / repro.core, statement for statement: the same IEEE
+ * operations on the same operands in the same order, so results are
+ * byte-identical to the NumPy path (which stays as the fallback and the
+ * oracle the tests hold this file to).  What changes is where the
+ * intermediates live: one row of lanes is reconstructed (WENO5), fluxed
+ * (HLLE), differenced and summed while it sits in registers and small
+ * stack arrays -- the paper's micro-fusion with a ring of two flux rows
+ * (Section 6, Table 9) -- instead of ~220 array passes per tile.
+ *
+ * Build: gcc -O3 -ffp-contract=off -fno-fast-math (see native/__init__.py).
+ * No contraction into FMAs, no reassociation: vector width never changes
+ * a bit, so one library carries AVX-512, AVX2 and baseline clones of the
+ * hot entry points and picks at load time (never SIGILL on another host).
+ */
+
+#include <math.h>
+#include <stddef.h>
+
+#define NQ 7
+enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
+/* Row of the HLLE-consistent interface velocity among the flux rows. */
+#define USTAR NQ
+
+/* Lanes of one row chunk: faces of an x pencil, cells of a z or y row. */
+#define LANES 64
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+#define INLINE static inline __attribute__((always_inline))
+
+#define WENO_EPS 1.0e-6
+#define D0 0.1
+#define D1 0.6
+#define D2 0.3
+#define C13 (13.0 / 12.0)
+#define SIXTH (1.0 / 6.0)
+#define SOUND_SPEED_FLOOR 1.0e-12
+
+int repro_native_abi(void) { return 1; }
+const char *repro_native_compiler(void) { return __VERSION__; }
+
+/* np.maximum / np.minimum: a NaN in either operand is the result. */
+INLINE double nmax(double a, double b)
+{
+    double m = a > b ? a : b; /* b where either is a NaN */
+    return a != a ? a : m;
+}
+INLINE double nmin(double a, double b)
+{
+    double m = a < b ? a : b;
+    return a != a ? a : m;
+}
+
+/* ---- WENO5: physics.weno._weno5_tables / _weno5_side ------------------ */
+
+/* Table entries of the cell with neighbours lo and hi. */
+INLINE double smooth_minus(double lo, double mid, double hi)
+{
+    double t = (lo - 2.0 * mid) + hi;
+    return C13 * (t * t);
+}
+INLINE double smooth_plus(double lo, double mid, double hi)
+{
+    double t = (hi - 2.0 * mid) + lo;
+    return C13 * (t * t);
+}
+INLINE double quarter_sq(double lo, double hi)
+{
+    double t = lo - hi;
+    return 0.25 * (t * t);
+}
+
+/* One biased reconstruction; sb, sc, sd are the S entries of cells b, c, d
+ * and qc the Q entry of cell c. */
+INLINE double weno5_side(double a, double b, double c, double d, double e,
+                         double sb, double sc, double sd, double qc)
+{
+    double t0, t1, t2, w0, w1, w2;
+    t0 = (a - 4.0 * b) + 3.0 * c;
+    t0 = 0.25 * (t0 * t0);
+    w0 = sb + t0;
+    w1 = sc + qc;
+    t0 = (3.0 * c - 4.0 * d) + e;
+    t0 = 0.25 * (t0 * t0);
+    w2 = sd + t0;
+
+    w0 = WENO_EPS + w0; w0 = w0 * w0; w0 = D0 / w0;
+    w1 = WENO_EPS + w1; w1 = w1 * w1; w1 = D1 / w1;
+    w2 = WENO_EPS + w2; w2 = w2 * w2; w2 = D2 / w2;
+
+    t0 = (w0 + w1) + w2;
+    t0 = 1.0 / t0;
+
+    t1 = ((2.0 * a - 7.0 * b) + 11.0 * c) * SIXTH;
+    t1 = w0 * t1;
+    t2 = ((5.0 * c - b) + 2.0 * d) * SIXTH;
+    t2 = w1 * t2;
+    t1 = t1 + t2;
+    t2 = ((2.0 * c + 5.0 * d) - e) * SIXTH;
+    t2 = w2 * t2;
+    t1 = t1 + t2;
+    return t1 * t0;
+}
+
+/* Both face states of n lanes; lane i reads its six cells at
+ * v[i + k * tap], k = 0..5. */
+INLINE void weno5_row(const double *restrict v, ptrdiff_t tap, int n,
+                      double *restrict minus, double *restrict plus)
+{
+    for (int i = 0; i < n; i++) {
+        double v0 = v[i], v1 = v[i + tap], v2 = v[i + 2 * tap],
+               v3 = v[i + 3 * tap], v4 = v[i + 4 * tap], v5 = v[i + 5 * tap];
+        minus[i] = weno5_side(v0, v1, v2, v3, v4,
+                              smooth_minus(v0, v1, v2),
+                              smooth_minus(v1, v2, v3),
+                              smooth_minus(v2, v3, v4), quarter_sq(v1, v3));
+        /* The right-biased stencil is the mirror image. */
+        plus[i] = weno5_side(v5, v4, v3, v2, v1,
+                             smooth_plus(v3, v4, v5),
+                             smooth_plus(v2, v3, v4),
+                             smooth_plus(v1, v2, v3), quarter_sq(v2, v4));
+    }
+}
+
+/* ---- HLLE: physics.riemann.hlle_flux --------------------------------- */
+
+INLINE double sound_speed(double rho, double p, double G, double P)
+{
+    double o = G + 1.0;
+    o = o * p;
+    o = o + P;
+    o = o / (G * rho);
+    return sqrt(nmax(o, SOUND_SPEED_FLOOR));
+}
+
+INLINE double total_energy(double rho, double u, double v, double w, double p,
+                           double G, double P)
+{
+    double work = (u * u + v * v) + w * w;
+    work = (0.5 * rho) * work;
+    return (G * p + P) + work;
+}
+
+/* _hlle_combine, the degenerate-span fallback decided per face: a span
+ * that is not positive (both speeds zero, or NaN) takes the average. */
+INLINE double combine(double s_r_p, double s_l_m, double prod, double span,
+                      double F_l, double F_r, double dU)
+{
+    double t0 = s_r_p * F_l - s_l_m * F_r;
+    t0 = (t0 + prod * dU) / (span > 0.0 ? span : 1.0);
+    double average = 0.5 * (F_l + F_r);
+    return span > 0.0 ? t0 : average;
+}
+
+/* Fluxes F[0..6] and interface velocity F[USTAR] of n faces from their
+ * face states; mom_n is the momentum row normal to the faces. */
+INLINE void hlle_row(const double (*restrict L)[LANES],
+                     const double (*restrict R)[LANES], int n, int mom_n,
+                     double (*restrict F)[LANES])
+{
+    for (int i = 0; i < n; i++) {
+        double rho_l = L[RHO][i], p_l = L[ENERGY][i], G_l = L[GAMMA][i],
+               P_l = L[PI][i], un_l = L[mom_n][i];
+        double rho_r = R[RHO][i], p_r = R[ENERGY][i], G_r = R[GAMMA][i],
+               P_r = R[PI][i], un_r = R[mom_n][i];
+
+        double c_l = sound_speed(rho_l, p_l, G_l, P_l);
+        double c_r = sound_speed(rho_r, p_r, G_r, P_r);
+        double s_l = nmin(un_l - c_l, un_r - c_r);
+        double s_r = nmax(un_l + c_l, un_r + c_r);
+        double s_l_m = nmin(s_l, 0.0);
+        double s_r_p = nmax(s_r, 0.0);
+        double span = s_r_p - s_l_m;
+        double prod = s_l_m * s_r_p;
+#define COMBINE(F_l, F_r, dU) \
+    combine(s_r_p, s_l_m, prod, span, F_l, F_r, dU)
+
+        double a_l = rho_l * un_l, a_r = rho_r * un_r;
+        F[RHO][i] = COMBINE(a_l, a_r, rho_r - rho_l);
+
+        for (int comp = RHOU; comp <= RHOW; comp++) {
+            double F_l = a_l * L[comp][i], F_r = a_r * R[comp][i], dU;
+            if (comp == mom_n) {
+                F_l = F_l + p_l;
+                F_r = F_r + p_r;
+                dU = a_r - a_l;
+            } else {
+                dU = rho_r * R[comp][i] - rho_l * L[comp][i];
+            }
+            F[comp][i] = COMBINE(F_l, F_r, dU);
+        }
+
+        double E_l = total_energy(rho_l, L[RHOU][i], L[RHOV][i], L[RHOW][i],
+                                  p_l, G_l, P_l);
+        double E_r = total_energy(rho_r, R[RHOU][i], R[RHOV][i], R[RHOW][i],
+                                  p_r, G_r, P_r);
+        F[ENERGY][i] = COMBINE((E_l + p_l) * un_l, (E_r + p_r) * un_r,
+                               E_r - E_l);
+        F[GAMMA][i] = COMBINE(G_l * un_l, G_r * un_r, G_r - G_l);
+        F[PI][i] = COMBINE(P_l * un_l, P_r * un_r, P_r - P_l);
+        F[USTAR][i] = COMBINE(un_l, un_r, 0.0);
+#undef COMBINE
+    }
+}
+
+/* WENO5 -> HLLE of n faces: quantity q of lane i has its stencil at
+ * W[q * qstride + i + k * tap].  Not inlined: the one body that is most of
+ * this file is compiled once per clone, not once per sweep (a third of
+ * the compiler's time and half of its memory). */
+static CLONES __attribute__((noinline)) void
+face_fluxes(const double *restrict W, ptrdiff_t qstride, ptrdiff_t tap,
+            int n, int mom_n, double (*restrict F)[LANES])
+{
+    double minus[NQ][LANES], plus[NQ][LANES];
+    for (int q = 0; q < NQ; q++)
+        weno5_row(W + q * qstride, tap, n, minus[q], plus[q]);
+    hlle_row(minus, plus, n, mom_n, F);
+}
+
+/* Difference and SUM stage of n cells between the flux rows lo and hi
+ * (row stride LANES): div = (hi - lo) * inv_h, phi * du on the advected
+ * rows, `0.0 - div` / `corr - div` stored (z sweep) or added (y, x). */
+INLINE void sum_row(const double *restrict lo, const double *restrict hi,
+                    const double *restrict centre, ptrdiff_t wstride,
+                    double *restrict out, ptrdiff_t rstride, int n,
+                    double inv_h, int store)
+{
+    for (int q = 0; q < NQ; q++) {
+        const double *flo = lo + q * LANES, *fhi = hi + q * LANES;
+        const double *ulo = lo + USTAR * LANES, *uhi = hi + USTAR * LANES;
+        const double *phi = centre + q * wstride;
+        double *dst = out + q * rstride;
+        for (int i = 0; i < n; i++) {
+            double div = (fhi[i] - flo[i]) * inv_h;
+            double term;
+            if (q < GAMMA) {
+                term = 0.0 - div;
+            } else {
+                double du = (uhi[i] - ulo[i]) * inv_h;
+                term = phi[i] * du - div;
+            }
+            dst[i] = store ? term : dst[i] + term;
+        }
+    }
+}
+
+/* One z or y sweep of a block: rows of lanes along x, faces walked along
+ * the sweep axis with a ring of two flux rows. */
+INLINE void sweep_rows(const double *restrict Wb, ptrdiff_t wstride,
+                       double *restrict Rb, ptrdiff_t rstride,
+                       long nouter, long nsweep, long nx,
+                       ptrdiff_t w_outer, ptrdiff_t w_sweep, ptrdiff_t w_origin,
+                       ptrdiff_t r_outer, ptrdiff_t r_sweep,
+                       int mom_n, double inv_h, int store)
+{
+    double ring[2][NQ + 1][LANES];
+    for (long o = 0; o < nouter; o++) {
+        for (long x0 = 0; x0 < nx; x0 += LANES) {
+            int n = (int)(nx - x0 < LANES ? nx - x0 : LANES);
+            /* lane 0 of face 0: the first of its six cells */
+            const double *w = Wb + w_origin + o * w_outer + x0;
+            double *r = Rb + o * r_outer + x0;
+            for (long j = 0; j <= nsweep; j++) {
+                face_fluxes(w + j * w_sweep, wstride, w_sweep, n, mom_n,
+                            ring[j & 1]);
+                if (j > 0)
+                    sum_row(&ring[(j - 1) & 1][0][0], &ring[j & 1][0][0],
+                            w + (j + 2) * w_sweep, wstride,
+                            r + (j - 1) * r_sweep, rstride, n, inv_h, store);
+            }
+        }
+    }
+}
+
+/* All three directional sweeps of a primitive SoA batch
+ * W (NQ, B, nz+6, ny+6, nx+6) into rhs (NQ, B, nz, ny, nx):
+ * physics.equations.compute_rhs after its CONV stage. */
+CLONES void repro_rhs_sweeps(const double *restrict W, long B, long nz,
+                             long ny, long nx, double inv_h,
+                             double *restrict rhs)
+{
+    const long my = ny + 6, mx = nx + 6;
+    const ptrdiff_t wplane = (ptrdiff_t)my * mx;
+    const ptrdiff_t wblock = (ptrdiff_t)(nz + 6) * wplane;
+    const ptrdiff_t rplane = (ptrdiff_t)ny * nx;
+    const ptrdiff_t rblock = (ptrdiff_t)nz * rplane;
+    const ptrdiff_t wstride = B * wblock, rstride = B * rblock;
+
+    for (long b = 0; b < B; b++) {
+        const double *Wb = W + b * wblock;
+        double *Rb = rhs + b * rblock;
+
+        /* z: rows (y), faces along z, normal velocity w */
+        sweep_rows(Wb, wstride, Rb, rstride, ny, nz, nx,
+                   mx, wplane, 3 * mx + 3, nx, rplane, RHOW, inv_h, 1);
+        /* y: rows (z), faces along y, normal velocity v */
+        sweep_rows(Wb, wstride, Rb, rstride, nz, ny, nx,
+                   wplane, mx, 3 * wplane + 3, rplane, nx, RHOV, inv_h, 0);
+        /* x: the faces of a row are the lanes, normal velocity u */
+        for (long zy = 0; zy < nz * ny; zy++) {
+            long z = zy / ny, y = zy % ny;
+            const double *w = Wb + (z + 3) * wplane + (y + 3) * mx;
+            double *r = Rb + z * rplane + y * nx;
+            for (long x0 = 0; x0 < nx; x0 += LANES - 1) {
+                int n = (int)(nx - x0 < LANES - 1 ? nx - x0 : LANES - 1);
+                double F[NQ + 1][LANES];
+                face_fluxes(w + x0, wstride, 1, n + 1, RHOU, F);
+                sum_row(&F[0][0], &F[0][1], w + x0 + 3, wstride, r + x0,
+                        rstride, n, inv_h, 0);
+            }
+        }
+    }
+}
+
+/* ---- staging around the sweeps: core.kernels.rhs_kernel -------------- */
+
+/* physics.eos.pressure_into */
+INLINE double pressure(double rho, double ru, double rv, double rw, double E,
+                       double G, double P)
+{
+    double o = (ru * ru + rv * rv) + rw * rw;
+    o = (0.5 * o) / rho;
+    return ((E - o) - P) / G;
+}
+
+/* cells AoS storage-precision conserved states -> SoA chunk of LANES */
+INLINE void gather_chunk(const float *restrict aos, int n,
+                         double (*restrict U)[LANES])
+{
+    for (int i = 0; i < n; i++)
+        for (int q = 0; q < NQ; q++)
+            U[q][i] = (double)aos[i * NQ + q];
+}
+
+/* float32 AoS pads (cells, NQ) -> float64 primitive SoA (NQ, cells): the
+ * staging copy and physics.eos.conserved_to_primitive in one pass. */
+CLONES void repro_conv_aos_to_soa(const float *restrict aos, long cells,
+                                  double *restrict W)
+{
+    for (long c0 = 0; c0 < cells; c0 += LANES) {
+        int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
+        double U[NQ][LANES];
+        gather_chunk(aos + c0 * NQ, n, U);
+        for (int i = 0; i < n; i++) {
+            double rho = U[RHO][i], inv = 1.0 / rho;
+            double p = pressure(rho, U[RHOU][i], U[RHOV][i], U[RHOW][i],
+                                U[ENERGY][i], U[GAMMA][i], U[PI][i]);
+            U[RHOU][i] = U[RHOU][i] * inv;
+            U[RHOV][i] = U[RHOV][i] * inv;
+            U[RHOW][i] = U[RHOW][i] * inv;
+            U[ENERGY][i] = p;
+        }
+        for (int q = 0; q < NQ; q++)
+            for (int i = 0; i < n; i++)
+                W[q * cells + c0 + i] = U[q][i];
+    }
+}
+
+/* rhs SoA (NQ, B, cells) -> one AoS array (cells, NQ) per block. */
+void repro_soa_to_aos(const double *restrict rhs, long B, long cells,
+                      double *const *restrict out)
+{
+    for (long b = 0; b < B; b++) {
+        double *restrict dst = out[b];
+        for (int q = 0; q < NQ; q++) {
+            const double *src = rhs + (q * B + b) * cells;
+            for (long c = 0; c < cells; c++)
+                dst[c * NQ + q] = src[c];
+        }
+    }
+}
+
+/* ---- UP: core.kernels._update_chunk ---------------------------------- */
+
+CLONES void repro_update_stage(float *restrict u, float *restrict res,
+                               const double *restrict rhs, long n, double a,
+                               double b, double dt)
+{
+    for (long i = 0; i < n; i++) {
+        double s = (double)res[i] * a + dt * rhs[i];
+        res[i] = (float)s;
+        u[i] = (float)((double)u[i] + b * s);
+    }
+}
+
+/* ---- SOS: physics.eos.max_velocity_of_conserved ---------------------- */
+
+/* max(|u_i| + c) over the cells of AoS blocks of storage precision; NaN if
+ * any cell's velocity is. */
+CLONES double repro_max_sos(const float *const *restrict blocks, long nblocks,
+                            long cells)
+{
+    /* per lane: the largest speed, and a NaN once one was seen */
+    double peak[LANES], poison[LANES];
+    for (int i = 0; i < LANES; i++) {
+        peak[i] = -INFINITY;
+        poison[i] = 0.0;
+    }
+    for (long b = 0; b < nblocks; b++) {
+        const float *aos = blocks[b];
+        for (long c0 = 0; c0 < cells; c0 += LANES) {
+            int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
+            double U[NQ][LANES];
+            gather_chunk(aos + c0 * NQ, n, U);
+            for (int i = 0; i < n; i++) {
+                double rho = U[RHO][i], G = U[GAMMA][i], P = U[PI][i];
+                double p = pressure(rho, U[RHOU][i], U[RHOV][i], U[RHOW][i],
+                                    U[ENERGY][i], G, P);
+                double inv = 1.0 / rho;
+                double au = fabs(U[RHOU][i] * inv);
+                double av = fabs(U[RHOV][i] * inv);
+                double aw = fabs(U[RHOW][i] * inv);
+                double speed = nmax(au, nmax(av, aw))
+                               + sound_speed(rho, p, G, P);
+                poison[i] = speed != speed ? speed : poison[i];
+                peak[i] = speed > peak[i] ? speed : peak[i];
+            }
+        }
+    }
+    double best = -INFINITY;
+    for (int i = 0; i < LANES; i++)
+        best = nmax(poison[i], nmax(best, peak[i]));
+    return best;
+}

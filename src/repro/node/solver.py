@@ -7,13 +7,13 @@ halo/interior block split used by the cluster layer to overlap
 communication with computation.
 
 Everything a step needs is held: the pads, the sweep scratch and the
-UP/SOS scratch per thread, one RHS buffer per block per solver.  After
+UP/SOS scratch per worker, one RHS buffer per block per solver.  After
 its first step a rank's step allocates no array.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,6 +49,33 @@ def check_scheme(order: int, solver: str, fused: bool,
             "use_slices runs WENO5 + HLLE only: it cannot be combined with "
             f"order={order}, solver={solver!r}, fused={fused}"
         )
+
+
+class _WorkArea:
+    """What one worker's kernels keep across calls (paper Section 6, the
+    per-thread dedicated buffers): the padded blocks of the longest run,
+    the scratch of the RHS sweeps and the scratch UP and SOS stream block
+    data through.  The pads are made by the first RHS; the stream scratch
+    at once, so that whichever area UP or SOS is handed has one (memory
+    no kernel has touched is not resident)."""
+
+    def __init__(self):
+        self.pads: np.ndarray | None = None
+        self.sweep = SweepWorkspace()
+        self.stream = stream_scratch()
+
+    def pad_buffer(self, block_size: int, run_blocks: int) -> np.ndarray:
+        """One pad per block of the longest run,
+        ``(run, n+6, n+6, n+6, NQ)``."""
+        if self.pads is None:
+            single = padded_aos(block_size)
+            self.pads = np.repeat(single[np.newaxis], run_blocks, axis=0)
+        return self.pads
+
+    @property
+    def nbytes(self) -> int:
+        pads = 0 if self.pads is None else self.pads.nbytes
+        return pads + self.sweep.nbytes + self.stream.nbytes
 
 
 class NodeSolver:
@@ -107,7 +134,14 @@ class NodeSolver:
         self.order = order
         self.solver = solver
         self.tracer = tracer
-        self._tls = threading.local()
+        #: Every work area made, and the ones no kernel is using.  A
+        #: kernel call takes a free one (the last returned first, so one
+        #: thread keeps meeting the same) or makes one: there are as many
+        #: as calls ever overlapped -- one under the ``instrumented``
+        #: dispatcher, one per worker under ``threads``, whose threads
+        #: last one round each -- and they live as long as the solver.
+        self._areas: list[_WorkArea] = []
+        self._free: list[_WorkArea] = []
         #: Blocks of the longest run.
         self._run_blocks = blocks_per_tile((grid.block_size,) * 3)
         #: The RHS of every block, ``(blocks, n, n, n, NQ)`` in compute
@@ -118,52 +152,39 @@ class NodeSolver:
         self._rhs_slot = {idx: k for k, idx in enumerate(grid.blocks)}
         self.last_schedule: ScheduleStats | None = None
 
-    # -- per-thread work area ------------------------------------------
+    # -- work areas ------------------------------------------------------
 
-    def _pad_buffer(self) -> np.ndarray:
-        """The per-thread dedicated padded buffers (paper Section 6): one
-        per block of the longest run, ``(run, n+6, n+6, n+6, NQ)``."""
-        pads = getattr(self._tls, "pads", None)
-        if pads is None:
-            single = padded_aos(self.grid.block_size)
-            pads = self._tls.pads = np.repeat(
-                single[np.newaxis], self._run_blocks, axis=0
-            )
-        return pads
+    @contextmanager
+    def _work_area(self):
+        """A work area no other call is using, for the ``with`` block."""
+        try:
+            area = self._free.pop()
+        except IndexError:
+            area = _WorkArea()
+            self._areas.append(area)
+        try:
+            yield area
+        finally:
+            self._free.append(area)
 
-    def _sweep_workspace(self) -> SweepWorkspace:
-        """The per-thread scratch of the RHS sweeps, next to the pad buffers.
-
-        Thread-local like the pads: ``sim`` ranks and the ``threads``
-        dispatcher run solvers on several threads of one process.
-        """
-        sweep = getattr(self._tls, "sweep", None)
-        if sweep is None:
-            sweep = self._tls.sweep = SweepWorkspace()
-        return sweep
-
-    def _stream_scratch(self) -> np.ndarray:
-        """The per-thread scratch UP and SOS stream block data through."""
-        scratch = getattr(self._tls, "stream", None)
-        if scratch is None:
-            scratch = self._tls.stream = stream_scratch()
-        return scratch
-
-    def _rhs_buffers(self, run: list[Block]) -> list[np.ndarray]:
-        """The held RHS arrays ``(n, n, n, NQ)`` of the blocks of ``run``."""
+    def _hold_rhs(self) -> None:
+        """Make the RHS buffers on their first use -- before the runs are
+        dispatched, not by whichever worker thread is first."""
         if self._rhs is None:
             n = self.grid.block_size
             self._rhs = np.empty((len(self._rhs_slot), n, n, n, NQ),
                                  dtype=COMPUTE_DTYPE)
+
+    def _rhs_buffers(self, run: list[Block]) -> list[np.ndarray]:
+        """The held RHS arrays ``(n, n, n, NQ)`` of the blocks of ``run``."""
         return [self._rhs[self._rhs_slot[b.index]] for b in run]
 
     @property
     def work_area_nbytes(self) -> int:
-        """Bytes held for the calling thread's kernels: pads, sweep
-        scratch and UP/SOS scratch of this thread, plus the RHS buffers."""
-        held = [getattr(self._tls, name, None)
-                for name in ("pads", "sweep", "stream")] + [self._rhs]
-        return sum(part.nbytes for part in held if part is not None)
+        """Bytes held for the kernels: pads, sweep scratch and UP/SOS
+        scratch of every work area, plus the RHS buffers."""
+        rhs = 0 if self._rhs is None else self._rhs.nbytes
+        return rhs + sum(area.nbytes for area in self._areas)
 
     # -- kernels ----------------------------------------------------------
 
@@ -188,22 +209,25 @@ class NodeSolver:
         the buffers held for those blocks.
         """
         g = GHOSTS
-        pads = self._pad_buffer()[:len(run)]
-        for pad, block in zip(pads, run):
-            pad[g:-g, g:-g, g:-g, :] = block.data
-            fill_block_ghosts(pad, self.grid, block, self.boundary,
-                              remote_provider)
         out = self._rhs_buffers(run)
-        if self.use_slices:
-            return [rhs_kernel_slices(pad, self.grid.h, out=rhs)
-                    for pad, rhs in zip(pads, out)]
-        return rhs_kernel(pads, self.grid.h, fused=self.fused,
-                          order=self.order, solver=self.solver,
-                          workspace=self._sweep_workspace(), out=out)
+        with self._work_area() as area:
+            pads = area.pad_buffer(self.grid.block_size,
+                                   self._run_blocks)[:len(run)]
+            for pad, block in zip(pads, run):
+                pad[g:-g, g:-g, g:-g, :] = block.data
+                fill_block_ghosts(pad, self.grid, block, self.boundary,
+                                  remote_provider)
+            if self.use_slices:
+                return [rhs_kernel_slices(pad, self.grid.h, out=rhs)
+                        for pad, rhs in zip(pads, out)]
+            return rhs_kernel(pads, self.grid.h, fused=self.fused,
+                              order=self.order, solver=self.solver,
+                              workspace=area.sweep, out=out)
 
     def rhs_for_block(self, block: Block, remote_provider=None) -> np.ndarray:
         """Evaluate the RHS of one block (ghost load + core kernel): a run
         of one.  The result is the solver's, see :meth:`evaluate_rhs`."""
+        self._hold_rhs()
         return self._rhs_for_run([block], remote_provider)[0]
 
     def evaluate_rhs(
@@ -233,6 +257,7 @@ class NodeSolver:
         """
         block_list = list(blocks) if blocks is not None else list(self.grid.sfc_blocks())
         runs = self._block_runs(block_list)
+        self._hold_rhs()
         per_run, stats = self.dispatcher.run(
             runs, lambda run: self._rhs_for_run(run, remote_provider)
         )
@@ -263,11 +288,13 @@ class NodeSolver:
         :class:`repro.analysis.sanitizer.NumericsSanitizer`) is forwarded
         to the UP kernel so every post-stage block write is checked.
         """
-        scratch = self._stream_scratch()
-        for idx, rhs in rhs_map.items():
-            block = self.grid.blocks[idx]
-            update_stage(block.data, self.grid.residual(idx), rhs, a, b, dt,
-                         sanitizer=sanitizer, block=idx, scratch=scratch)
+        with self._work_area() as area:
+            scratch = area.stream
+            for idx, rhs in rhs_map.items():
+                block = self.grid.blocks[idx]
+                update_stage(block.data, self.grid.residual(idx), rhs, a, b,
+                             dt, sanitizer=sanitizer, block=idx,
+                             scratch=scratch)
         if self.tracer is not None:
             self.tracer.count(
                 "up_cell_updates", len(rhs_map) * self.grid.block_size ** 3
@@ -303,16 +330,17 @@ class NodeSolver:
                 "dt_cell_evals",
                 len(self.grid.blocks) * self.grid.block_size ** 3,
             )
-        scratch = self._stream_scratch()
-        if sanitizer is None:
-            return sos_kernel(
-                [b.data for b in self.grid.blocks.values()], scratch)
-        where = f"SOS ({sanitizer.context})"
-        peak = -np.inf
-        for idx, block in self.grid.blocks.items():
-            s = sos_kernel(block.data, scratch)
-            sanitizer.check_finite(
-                np.asarray(s), where=where, block=idx, field="sos"
-            )
-            peak = nan_max(peak, s)
-        return peak
+        with self._work_area() as area:
+            scratch = area.stream
+            if sanitizer is None:
+                return sos_kernel(
+                    [b.data for b in self.grid.blocks.values()], scratch)
+            where = f"SOS ({sanitizer.context})"
+            peak = -np.inf
+            for idx, block in self.grid.blocks.items():
+                s = sos_kernel(block.data, scratch)
+                sanitizer.check_finite(
+                    np.asarray(s), where=where, block=idx, field="sos"
+                )
+                peak = nan_max(peak, s)
+            return peak

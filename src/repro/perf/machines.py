@@ -1,11 +1,15 @@
-"""Machine specifications of every platform in the paper (Tables 1-2).
+"""Machine specifications of every platform in the paper (Tables 1-2),
+and of the host this reproduction is built and measured on.
 
 The paper's headline results are hardware results; we reproduce their
 *structure* with machine models.  :class:`MachineSpec` describes one
 compute node (chip), :class:`ClusterSpec` an installation.
 
-All numbers below are from the paper (Section 4) or the cited BGQ
-documentation.
+The paper's numbers are from its Section 4 or the cited BGQ
+documentation; :data:`BUILD_HOST` is the benchmark ladder's measured
+calibration promoted to data, so that a kernel's measured rate can be
+divided by what this host allows at the kernel's intensity (our column of
+Tables 5-7).
 """
 
 from __future__ import annotations
@@ -120,6 +124,28 @@ PIZ_DAINT_NODE = MachineSpec(
     dram_bw_gbs=80.0,
     explicit_peak_gflops=670.0,
     used_simd_width=2,  # SSE port; AVX would be needed for nominal peak
+)
+
+
+#: The build host: a 2-vCPU microVM on an Intel Xeon at 2.1 GHz with
+#: AVX-512 (8 doubles a vector) and FMA, one FMA issue a cycle counted.
+#: The bandwidth is the benchmark ladder's measured triad -- 16.1 GB/s from
+#: one core over three 64 MiB arrays (``benchmarks/ladder/results/
+#: baseline.json``, ``host.triad_gbs``) -- which that host's 260 MiB
+#: last-level cache makes a cache-resident streaming rate, not a DRAM
+#: bandwidth; it is the only bandwidth measured here, so it stands for
+#: both the node and the single core.  The compiled kernels are built
+#: without contraction into FMAs (bit-identity), so half of this peak is
+#: what they can reach.
+BUILD_HOST = MachineSpec(
+    name="build host (2 vCPU Xeon 2.1 GHz, AVX-512)",
+    cores=2,
+    threads_per_core=1,
+    freq_ghz=2.1,
+    simd_width=8,
+    fma=True,
+    dram_bw_gbs=16.1,
+    core_stream_bw_gbs=16.1,
 )
 
 

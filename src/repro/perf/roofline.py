@@ -41,6 +41,16 @@ def attainable(machine: MachineSpec, oi: float) -> float:
     return min(machine.peak_gflops, oi * machine.dram_bw_gbs)
 
 
+def attainable_single_core(machine: MachineSpec, oi: float) -> float:
+    """Maximum GFLOP/s one core attains at operational intensity ``oi``:
+    its share of the peak, or what the bandwidth it can draw alone
+    feeds.  The bound a single-threaded kernel is measured against."""
+    if oi < 0:
+        raise ValueError("operational intensity must be non-negative")
+    return min(machine.peak_per_core_gflops,
+               oi * machine.single_core_stream_bw)
+
+
 def roofline_curve(
     machine: MachineSpec, oi_min: float = 0.05, oi_max: float = 100.0, points: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:

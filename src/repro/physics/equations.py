@@ -30,9 +30,10 @@ import math
 
 import numpy as np
 
+from .. import native
 from .eos import conserved_to_primitive
 from .riemann import HlleWorkspace, hllc_flux, hlle_flux
-from .state import GAMMA, NQ, PI
+from .state import COMPUTE_DTYPE, GAMMA, NQ, PI
 from .weno import Weno5Workspace, weno3, weno5, weno5_fused
 
 #: Ghost cells required per side by the WENO5 stencil.
@@ -364,9 +365,7 @@ def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
     buffers, valid (and writable) until the next tile is requested.
     """
     check_scheme(order, solver)
-    # Explicit branch (not the RIEMANN_SOLVERS table): dict-of-functions
-    # dispatch does not lower to compiled backends (perfcheck CP004).
-    flux_fn = hlle_flux if solver == "hlle" else hllc_flux
+    flux_fn = RIEMANN_SOLVERS[solver]
     g = STENCIL_WIDTH
     Wd = _sweep_first(Wpad, axis)[:, :, :, g:-g, g:-g]
     normal = 2 - axis  # z, y, x sweeps see w, v, u as the normal velocity
@@ -452,6 +451,19 @@ def directional_rhs(
     return div, phi_corr
 
 
+def native_sweeps(order: int, solver: str, fused: bool):
+    """The door to the compiled sweeps for a scheme.
+
+    Returns the loaded library (:data:`repro.native.lib`; reading it is
+    what builds it on first use) if it implements the scheme -- WENO5 +
+    HLLE, not ``fused`` -- and ``None`` otherwise, or where there is no
+    library.
+    """
+    if order == 5 and solver == "hlle" and not fused:
+        return native.lib
+    return None
+
+
 def compute_rhs(
     Upad: np.ndarray,
     h: float,
@@ -489,6 +501,11 @@ def compute_rhs(
     -------
     Time derivative ``dU/dt`` of shape ``(NQ, nz, ny, nx)``, or
     ``(NQ, B, nz, ny, nx)`` for a batch.
+
+    WENO5 + HLLE in compute precision into a C-contiguous result runs the
+    three sweeps in the compiled library where there is one
+    (:mod:`repro.native`); everything else, and every host without a
+    compiler, runs the tiled NumPy sweeps.  Same bytes either way.
     """
     if Upad.shape[0] != NQ:
         raise ValueError(f"expected leading axis {NQ}, got {Upad.shape}")
@@ -503,6 +520,15 @@ def compute_rhs(
     if out is None:
         out = np.empty(Upad.shape[:-3] + interior, dtype=Upad.dtype)
     rhs = _as_batch(out)
+    lib = native_sweeps(order, solver, fused)
+    if (lib is not None and native.addressable(Wpad, COMPUTE_DTYPE)
+            and native.addressable(rhs, COMPUTE_DTYPE, writeable=True)
+            and rhs.shape == (NQ, nblocks) + interior):
+        # WENO5 -> HLLE -> difference -> SUM of all three directions,
+        # once through registers; the bytes of the tiled sweeps below.
+        lib.repro_rhs_sweeps(Wpad.ctypes.data, nblocks, *interior, 1.0 / h,
+                             rhs.ctypes.data)
+        return out
     for axis in range(3):
         rows = _sweep_first(rhs, axis)
         for b0, b1, j0, j1, div, corr, spare in _sweep_tiles(

@@ -32,6 +32,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
+from .. import native
 from ..resilience.inject import FaultInjector
 from ..resilience.plan import FaultPlan
 from ..telemetry.log import get_logger
@@ -256,6 +257,9 @@ class JobEngine:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "JobEngine":
+        # The compiled kernels are built here, once, not by every worker
+        # process starting cold.
+        native.ensure_loaded()
         self.pool.start()
         self._supervisor.start()
         self.state = "running"

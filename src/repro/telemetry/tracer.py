@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import native
 from .clock import now
 
 #: Valid telemetry modes (the ``SimulationConfig.telemetry`` policy).
@@ -176,6 +177,7 @@ class Tracer(PhaseTimers):
     def snapshot(self, wall_seconds: float = 0.0) -> "MetricsSnapshot":
         """Returns this rank's :class:`MetricsSnapshot` (deep-copied dicts)."""
         return MetricsSnapshot(
+            kernels=native.status(),
             mode=self.mode,
             rank=self.rank,
             ranks=1,
@@ -207,6 +209,9 @@ class MetricsSnapshot:
     counters: dict[str, float] = field(default_factory=dict)
     events_recorded: int = 0
     events_dropped: int = 0
+    #: Which kernels produced the numbers (:func:`repro.native.status`
+    #: when the snapshot was taken); of a merged snapshot, rank 0's.
+    kernels: dict | None = None
 
     def to_dict(self) -> dict:
         """Returns a ``json.dumps``-ready dict of every field."""
@@ -220,6 +225,7 @@ class MetricsSnapshot:
             "counters": dict(self.counters),
             "events_recorded": self.events_recorded,
             "events_dropped": self.events_dropped,
+            "kernels": dict(self.kernels) if self.kernels else None,
         }
 
     def modeled_flops(self) -> float:
@@ -282,6 +288,7 @@ class MetricsSnapshot:
             counters=counters,
             events_recorded=sum(s.events_recorded for s in snapshots),
             events_dropped=sum(s.events_dropped for s in snapshots),
+            kernels=snapshots[0].kernels,
         )
 
 

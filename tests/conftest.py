@@ -42,6 +42,23 @@ def rng():
     return make_rng()
 
 
+@pytest.fixture(params=["c", "numpy"])
+def kernel_path(request, monkeypatch):
+    """Runs a test once per kernel path: the compiled library
+    (skipped, with the loader's reason, where there is none) and the
+    NumPy fallback (``repro.native.lib`` set to ``None``)."""
+    from repro import native
+
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "lib", None)
+        # ... and in spawned ranks and workers, which import afresh: no
+        # compiler on their PATH, the fallback the loader takes by itself
+        monkeypatch.setenv("PATH", "/nonexistent")
+    elif native.lib is None:
+        pytest.skip(f"no compiled kernels: {native.status()['reason']}")
+    return request.param
+
+
 @pytest.fixture
 def resource_ledger():
     """Leak sanitizer around one test: segments/processes/threads.

@@ -90,9 +90,19 @@ from repro.physics.weno import (
     weno5_fused,
 )
 
+from repro import native
 from repro.sim import SimulationConfig, cloud_collapse, generate_cloud
 
 from .conftest import bytes_equal, make_rng, make_smooth_aos
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Pins a test to the NumPy kernels.  The classes below that hold the
+    tiled sweeps and the streamed UP / SOS to their expression forms are
+    about *those* kernels; ``TestNativeBitIdentity`` then holds the
+    compiled ones to them."""
+    monkeypatch.setattr(native, "lib", None)
 
 
 def _face_states(rng, shape=(4, 9), dtype=np.float64):
@@ -309,6 +319,7 @@ def _ref_compute_rhs(Upad, h, order=5, solver="hlle"):
     return rhs
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 class TestWholeRhsBitIdentity:
     """``compute_rhs`` against the untiled expression-form reference."""
 
@@ -406,6 +417,7 @@ def _batch_sizes(n, production):
     return sorted(sizes)
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 class TestBatchedRhsBitIdentity:
     """Every block of a batch gets the bytes of its single-block call,
     whatever the batch size, order, tile split and WENO chunk."""
@@ -584,6 +596,7 @@ class _CountingSanitizer:
         self.calls.append(("state", block, data.shape))
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 class TestStreamedUpdateBitIdentity:
     """The streamed UP kernel against the expression form it replaced:
     chunking, layout and a held scratch never show in the bytes."""
@@ -725,6 +738,7 @@ def _sos_grid(num_blocks, n, seed):
     return grid
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 class TestStreamedSosBitIdentity:
     """``max_sos`` streams the cells of all blocks through one chunk; the
     result is the maximum of the per-block expression form, and NaN
@@ -886,7 +900,7 @@ class TestRecordedRunDigests:
                              [(1, "sim"), (2, "sim"), (2, "procs")])
     @pytest.mark.parametrize("family", sorted(RUN_FAMILIES))
     def test_final_field_of_a_three_step_run(self, family, ranks, backend,
-                                             resource_ledger):
+                                             resource_ledger, kernel_path):
         cells, block, periodic, centre = RUN_FAMILIES[family]
         config = SimulationConfig(
             cells=cells, block_size=block, periodic=periodic, max_steps=3,
@@ -899,8 +913,248 @@ class TestRecordedRunDigests:
         result = Simulation(
             config, cloud_collapse(cloud, smoothing=config.h)).run()
         assert len(result.records) == 3
+        # ... on the path asked for, in every rank (spawned ones too)
+        assert [rr.kernels["backend"] for rr in result.rank_results] == (
+            [kernel_path] * ranks)
         digest = hashlib.sha256(result.final_field.tobytes()).hexdigest()
         assert digest == RUN_DIGESTS[family]
+
+
+def _specials(Upad, seed, values):
+    """Plant ``values`` at random cells of random quantities of a padded
+    state (any leading batch axes), in place."""
+    rng = make_rng(seed)
+    flat = Upad.reshape(-1)
+    at = rng.choice(flat.size, size=4 * len(values), replace=False)
+    flat[at] = np.tile(values, 4)
+    return Upad
+
+
+def _as_pads(Upad):
+    """Storage-precision AoS pads ``(B, m, m, m, NQ)`` of an SoA batch."""
+    return np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
+
+
+class _CountingLibrary:
+    """Stands in for the loaded library and counts what is asked of it."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __getattr__(self, name):
+        self.asked.append(name)
+        raise AssertionError(f"ineligible call entered the library: {name}")
+
+
+@pytest.mark.skipif(
+    native.lib is None,
+    reason=f"no compiled kernels: {native.status()['reason']}")
+class TestNativeBitIdentity:
+    """The compiled kernels against the NumPy kernels they stand in for:
+    same calls, once with ``native.lib`` loaded and once with it ``None``,
+    ``tobytes()``-equal."""
+
+    @staticmethod
+    def _both(monkeypatch, call):
+        """``(compiled, numpy)`` results of ``call()``."""
+        assert native.lib is not None
+        with np.errstate(all="ignore"):
+            compiled = call()
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "lib", None)
+                fallback = call()
+        return compiled, fallback
+
+    def _check_rhs(self, monkeypatch, Upad, h=0.02, **kw):
+        got, want = self._both(
+            monkeypatch, lambda: compute_rhs(Upad, h, **kw))
+        assert bytes_equal(got, want)
+        pads = _as_pads(Upad)
+        got, want = self._both(
+            monkeypatch, lambda: rhs_kernel(pads, h, **kw))
+        assert got.dtype == np.float64
+        assert bytes_equal(got, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_batch_matrix(self, monkeypatch, n, count):
+        self._check_rhs(monkeypatch, _batch_state(n, count, seed=n + count))
+
+    @pytest.mark.parametrize("interior", [
+        (3, 22, 14), (14, 3, 22), (22, 14, 3), (1, 1, 1), (2, 70, 65),
+    ])
+    def test_anisotropic_interiors_put_every_normal_on_every_axis(
+            self, monkeypatch, interior):
+        # Also rows longer than one chunk of lanes (70, 65 > 64).
+        Upad = np.stack([_padded_state(interior, seed=k + sum(interior))
+                         for k in range(3)], axis=1)
+        self._check_rhs(monkeypatch, Upad)
+        self._check_rhs(monkeypatch, Upad[:, 1])  # 4-D: the batch of one
+
+    def test_shuffled_batch(self, monkeypatch):
+        Upad = _batch_state(8, 7, seed=70)
+        order = make_rng(7).permutation(7)
+        shuffled = np.ascontiguousarray(Upad[:, order])
+        rhs = compute_rhs(Upad, 0.02)
+        self._check_rhs(monkeypatch, shuffled)
+        for slot, k in enumerate(order):
+            assert bytes_equal(compute_rhs(shuffled, 0.02)[:, slot],
+                               rhs[:, k])
+
+    @pytest.mark.parametrize("values", [
+        (0.0, -0.0), (np.inf, -np.inf), (np.nan,), (5e-324, -1e-310, 1e-40),
+        (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 3e38),
+    ], ids=["zeros", "inf", "nan", "subnormal", "all"])
+    @pytest.mark.parametrize("n, count", [(8, 5), (16, 1)])
+    def test_signed_zeros_infinities_nans_and_subnormals(
+            self, monkeypatch, n, count, values):
+        Upad = _specials(_batch_state(n, count, seed=n), n, values)
+        self._check_rhs(monkeypatch, Upad)
+
+    def test_identically_zero_region(self, monkeypatch):
+        # Conserved zeros: 0 / 0 in CONV, every face of the region NaN.
+        Upad = _batch_state(8, 2, seed=21)
+        Upad[:, 1, 4:9, 3:12, 5:8] = 0.0
+        self._check_rhs(monkeypatch, Upad)
+        # Primitive zeros: a span that is not positive between finite
+        # (zero) fluxes -- the per-face fallback to the average.
+        monkeypatch.setattr(equations, "conserved_to_primitive",
+                            lambda U, out: np.copyto(out, U))
+        Wpad = conserved_to_primitive(_batch_state(8, 2, seed=22))
+        Wpad[:, 0, 2:11, 6:9, :] = 0.0
+        got, want = self._both(monkeypatch, lambda: compute_rhs(Wpad, 0.02))
+        assert bytes_equal(got, want)
+        assert np.isfinite(got[:, 0, :, 4, :]).any()
+
+    def test_uniform_state_is_positive_zero_everywhere(self, monkeypatch):
+        Upad = _padded_state((8, 16, 8), seed=0, kind="uniform")
+        assert bytes_equal(compute_rhs(Upad, 0.01), np.zeros((NQ, 8, 16, 8)))
+        self._check_rhs(monkeypatch, Upad, h=0.01)
+
+    def test_supersonic(self, monkeypatch):
+        self._check_rhs(
+            monkeypatch, _padded_state((8, 8, 16), seed=5, kind="supersonic"))
+
+    def test_held_workspace_across_shapes(self, monkeypatch):
+        ws = SweepWorkspace()
+        for interior, count in (((8, 8, 8), 5), ((6, 6, 300), 1),
+                                ((24, 24, 24), 2), ((8, 8, 8), 3)):
+            Upad = np.stack([_padded_state(interior, seed=k + count)
+                             for k in range(count)], axis=1)
+            self._check_rhs(monkeypatch, Upad, workspace=ws)
+
+    def test_out_arrays_of_either_kind(self, monkeypatch):
+        Upad = _batch_state(8, 3, seed=33)
+        pads = _as_pads(Upad)
+        want = rhs_kernel(pads, 0.1)
+        # one array, a list of arrays that are not neighbours, a strided
+        # destination (staged by NumPy, swept by the library)
+        whole = np.empty((3, 8, 8, 8, NQ))
+        assert rhs_kernel(pads, 0.1, out=whole) is whole
+        parts = [np.empty((8, 8, 8, NQ)) for _ in range(3)]
+        rhs_kernel(pads, 0.1, out=parts)
+        strided = np.empty((3, 8, 8, 8, 2 * NQ))[..., ::2]
+        rhs_kernel(pads, 0.1, out=strided)
+        for got in (whole, np.stack(parts), strided):
+            assert bytes_equal(got, want)
+        soa = np.empty((2, NQ, 3, 8, 8, 8))[1]
+        assert bytes_equal(compute_rhs(Upad, 0.1, out=soa),
+                           compute_rhs(Upad, 0.1))
+
+    # -- UP ---------------------------------------------------------------
+
+    STAGES = [(st.a, st.b) for st in LowStorageRK3.stages]
+
+    @staticmethod
+    def _check_update(u, res, rhs, a, b, dt):
+        want_u, want_res = u.copy(), res.copy()
+        with np.errstate(all="ignore"):
+            _ref_update_stage(want_u, want_res, rhs, a, b, dt)
+            update_stage(u, res, rhs, a, b, dt)
+        assert bytes_equal(u, want_u)
+        assert bytes_equal(res, want_res)
+
+    @pytest.mark.parametrize("stage", range(3))
+    @pytest.mark.parametrize("shape", [
+        (8, 8, 8, NQ), (32, 32, 32, NQ), (5, 9, 6, NQ), (5, 8, 8, 8, NQ),
+    ])
+    def test_update_stage_against_the_expression_form(self, shape, stage):
+        a, b = self.STAGES[stage]
+        assert self.STAGES[0][0] == 0.0  # a = 0 still multiplies
+        for specials in (False, True):
+            u, res, rhs = _up_operands(shape, seed=stage, specials=specials)
+            self._check_update(u, res, rhs, a, b, 0.25)
+
+    def test_strided_operands_take_the_numpy_path(self, monkeypatch):
+        field, _, big_rhs = _up_operands((12, 12, 12, NQ), seed=2)
+        _, res, _ = _up_operands((7, 8, 8, NQ), seed=3)
+        inner = (slice(1, 8), slice(2, 10), slice(4, 12))
+        want = field.copy()
+        monkeypatch.setattr(native, "lib", _CountingLibrary())
+        a, b = self.STAGES[1]
+        self._check_update(field[inner], res, big_rhs[::-1][inner], a, b,
+                           1e-2)
+        assert native.lib.asked == []
+        outside = np.ones(field.shape, dtype=bool)
+        outside[inner] = False
+        assert bytes_equal(field[outside], want[outside])
+        assert not bytes_equal(field[inner], want[inner])
+
+    # -- SOS --------------------------------------------------------------
+
+    @pytest.mark.parametrize("num_blocks, n", TestStreamedSosBitIdentity.GRIDS)
+    def test_max_sos_with_a_nan_in_every_position(self, monkeypatch,
+                                                  num_blocks, n):
+        grid = _sos_grid(num_blocks, n, seed=n)
+        blocks = list(grid.blocks.values())
+        solver = NodeSolver(grid)
+        data = [b.data for b in blocks]
+        got, want = self._both(monkeypatch, solver.max_sos)
+        assert got == want == max(_ref_sos(d) for d in data)
+        assert sos_kernel(data) == sos_kernel(data[0:1] + data[1:]) == want
+        for k in sorted({0, len(blocks) - 1, *range(1, len(blocks), 7)}):
+            for cell in ((0, 0, 0), (n - 1, k % n, (3 * k) % n),
+                         (n - 1, n - 1, n - 1)):
+                for q in (RHO, RHOV, ENERGY, PI):
+                    saved = data[k][cell].copy()
+                    data[k][cell][q] = np.nan
+                    assert np.isnan(solver.max_sos()), (k, cell, q)
+                    data[k][cell] = saved
+        assert solver.max_sos() == want
+
+    # -- what never enters the library ------------------------------------
+
+    @pytest.mark.parametrize("scheme", [
+        dict(order=3), dict(solver="hllc"), dict(fused=True),
+    ])
+    def test_ablation_schemes_never_enter_the_library(self, monkeypatch,
+                                                      scheme):
+        Upad = _batch_state(8, 2, seed=1)
+        pads = _as_pads(Upad)
+        want = compute_rhs(Upad, 0.02, **scheme)
+        monkeypatch.setattr(native, "lib", _CountingLibrary())
+        assert bytes_equal(compute_rhs(Upad, 0.02, **scheme), want)
+        rhs_kernel(pads, 0.02, **scheme)
+        rhs_kernel(pads, 0.02, out=[np.empty((8, 8, 8, NQ))] * 2, **scheme)
+        assert native.lib.asked == []
+
+    def test_other_dtypes_and_layouts_never_enter_the_library(
+            self, monkeypatch):
+        Upad = _batch_state(8, 2, seed=2)
+        monkeypatch.setattr(native, "lib", _CountingLibrary())
+        assert compute_rhs(Upad.astype(np.float32), 0.02).dtype == np.float32
+        compute_rhs(Upad, 0.02, out=np.empty((NQ, 2, 8, 8, 16))[..., ::2])
+        # float64 pads and a strided destination: NumPy staging both ways
+        # (the sweeps of such a call are compute_rhs's business, above)
+        u, res, rhs = _up_operands((8, 8, 8, NQ), seed=8)
+        update_stage(u, res, rhs.astype(np.float32), -0.4, 0.7, 1e-3)
+        update_stage(u[::2], res[::2], rhs[::2], -0.4, 0.7, 1e-3)
+        grid = _sos_grid((1, 1, 2), 8, seed=4)
+        data = grid.blocks[(0, 0, 1)].data
+        sos_kernel(data[::2, :, 1:])
+        sos_kernel(data.astype(np.float64))
+        sos_kernel([data, data[:4]])
+        assert native.lib.asked == []
 
 
 def _oracle_fwt3d(block, levels):

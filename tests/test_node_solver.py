@@ -163,16 +163,18 @@ class TestBlockRuns:
         for block in g.sfc_blocks():
             assert bytes_equal(rhs[block.index], solver.rhs_for_block(block))
 
-    def test_work_area_is_sized_by_the_first_call(self, rng):
+    def test_work_area_is_sized_by_the_first_call(self, rng, kernel_path):
+        """Sized once, for the longest run, on either kernel path (the
+        compiled one never touches the tile scratch, and holds none)."""
         g = smooth_grid((4, 4, 4), 8, rng)
         solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
         blocks = list(g.sfc_blocks())
         sizes = []
-        for count in (1, 3, 10, 11, 64):
+        for count in (1, 3, 8, 10, 11, 64):
             rhs = solver.evaluate_rhs(blocks[:count])
             assert len(rhs) == count
-            sizes.append((solver._sweep_workspace().nbytes,
-                          solver._pad_buffer().nbytes))
+            (area,) = solver._areas
+            sizes.append((area.sweep.nbytes, area.pads.nbytes))
         assert len(set(sizes)) == 1, sizes
         # Bounded by the tile, not by the grid: far less than one pad
         # and one primitive field per block.
@@ -255,7 +257,8 @@ class TestSolverOwnedResults:
         solver.max_sos()
         g.to_array()
         assert solver._rhs is None
-        assert solver.work_area_nbytes == solver._stream_scratch().nbytes
+        (area,) = solver._areas
+        assert solver.work_area_nbytes == area.stream.nbytes > 0
         solver.evaluate_rhs(list(g.sfc_blocks())[:1])
         assert solver._rhs.nbytes == 8 * 8 ** 3 * NQ * 8
 
@@ -291,17 +294,23 @@ def traced_peak(fn) -> int:
 class TestSteadyStateAllocation:
     """After its first stage a rank's stage allocates no array: the pads,
     the sweep scratch (WENO, HLLE, tile buffers), the UP/SOS scratch and
-    the RHS buffers are all held."""
+    the RHS buffers are all held -- per work area of the solver, so also
+    under the ``threads`` dispatcher, whose threads last one round."""
 
     #: Peak of traced memory over a stage, above its start.  One HLLE
     #: temporary at 16^3 is 35 KB and one RHS result 229 KB; what remains
     #: are python objects (views, the result dicts, the schedule arrays).
     CEILING = 32 * 1024
 
+    @pytest.mark.parametrize("workers, mode", [
+        (1, "instrumented"), (2, "threads"),
+    ])
     @pytest.mark.parametrize("sanitize", ["off", "warn"])
-    def test_a_warm_stage_allocates_no_array(self, rng, sanitize):
+    def test_a_warm_stage_allocates_no_array(self, rng, sanitize, workers,
+                                             mode, kernel_path):
         g = smooth_grid((2, 2, 2), 16, rng)
-        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=1))
+        solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=workers,
+                                                     mode=mode))
         sanitizer = make_sanitizer(sanitize)
         blocks = list(g.sfc_blocks())
         interior, halo = blocks[:5], blocks[5:]
@@ -315,6 +324,13 @@ class TestSteadyStateAllocation:
                           sanitizer=sanitizer)
 
         one_stage()  # warm: everything held is allocated here
+        for _ in range(20):
+            # ... once every worker has had a run (the first round's
+            # second thread may find the queue already empty)
+            if len(solver._areas) == workers:
+                break
+            one_stage()
+        assert len(solver._areas) == workers
         held = solver.work_area_nbytes
         ceiling = self.CEILING
         if sanitizer is not None:

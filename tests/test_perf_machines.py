@@ -4,6 +4,7 @@ import pytest
 
 from repro.perf.machines import (
     BGQ_NODE,
+    BUILD_HOST,
     JUQUEEN,
     MONTE_ROSA_NODE,
     PIZ_DAINT_NODE,
@@ -34,6 +35,29 @@ class TestBqcNode:
     def test_bandwidths(self):
         assert BGQ_NODE.dram_bw_gbs == 28.0
         assert BGQ_NODE.l2_bw_gbs == 185.0
+
+
+class TestBuildHost:
+    """This host as data: the ladder's calibration, promoted."""
+
+    def test_peak_and_bandwidth(self):
+        # 2 vCPU x 2.1 GHz x 8 doubles (AVX-512) x 2 (FMA).
+        assert BUILD_HOST.peak_gflops == pytest.approx(67.2)
+        assert BUILD_HOST.peak_per_core_gflops == pytest.approx(33.6)
+        assert BUILD_HOST.single_core_stream_bw == BUILD_HOST.dram_bw_gbs
+
+    def test_single_core_roofline(self):
+        from repro.perf.roofline import attainable_single_core
+        from repro.perf.traffic import table3
+
+        oi = {e.kernel: e.reordered_oi for e in table3()}
+        # RHS sits under the core's peak, UP under its bandwidth.
+        assert attainable_single_core(BUILD_HOST, oi["RHS"]) == (
+            pytest.approx(33.6))
+        assert attainable_single_core(BUILD_HOST, oi["UP"]) == (
+            pytest.approx(oi["UP"] * 16.1))
+        with pytest.raises(ValueError):
+            attainable_single_core(BUILD_HOST, -1.0)
 
 
 class TestInstallations:

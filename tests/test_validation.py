@@ -249,9 +249,17 @@ class TestPerturbedFlux:
     ):
         """Scaling the Einfeldt wave-speed estimates by 1% changes the
         numerical dissipation enough to breach the regression
-        tolerances, and the scorecard names the breached metrics."""
-        import repro.physics.riemann as riemann
+        tolerances, and the scorecard names the breached metrics.
 
+        Pinned to the NumPy kernels: the mutant is planted in
+        ``riemann.einfeldt_wave_speeds``, which the compiled sweeps never
+        call.  They are covered transitively -- the NumPy path kills the
+        mutant here, and ``TestNativeBitIdentity`` holds the compiled
+        path byte-equal to the NumPy path."""
+        import repro.physics.riemann as riemann
+        from repro import native
+
+        monkeypatch.setattr(native, "lib", None)
         case = get_case("acoustic_convergence")
         run_case(case, mode="record", baseline_dir=str(tmp_path))
 
