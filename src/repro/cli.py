@@ -330,23 +330,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with open(args.jobs) as f:
         lines = [json.loads(line) for line in f if line.strip()]
+    # Every line decoded before a worker is spawned: a bad request (a
+    # mistyped boundary kind, say) fails here, with its field named.
+    jobs = []
+    for doc in lines:
+        plan = doc.get("fault_plan")
+        if plan is not None:
+            from .resilience import FaultPlan
+
+            plan = FaultPlan.from_dict(plan)
+        jobs.append((JobRequest.from_payload(doc["request"]),
+                     int(doc.get("priority", 0)), plan))
     engine = JobEngine(svc).start()
     worst = EXIT_OK
     rows = []
     try:
-        handles = []
-        for i, doc in enumerate(lines):
-            request = JobRequest.from_payload(doc["request"])
-            plan = doc.get("fault_plan")
-            if plan is not None:
-                from .resilience import FaultPlan
-
-                plan = FaultPlan.from_dict(plan)
-            handles.append(engine.submit(
-                request,
-                priority=int(doc.get("priority", 0)),
-                fault_plan=plan,
-            ))
+        handles = [
+            engine.submit(request, priority=priority, fault_plan=plan)
+            for request, priority, plan in jobs
+        ]
         engine.drain(timeout=args.drain_timeout)
         for i, h in enumerate(handles):
             row = {"job": i, "key": h.key[:16], "status": h.status,

@@ -42,24 +42,16 @@ def extract_face_slab(grid: BlockGrid, axis: int, side: int, width: int = GHOSTS
     The slab spans the full subdomain face; shape is the subdomain cell
     extent with ``axis`` replaced by ``width`` (plus the quantity axis).
     """
-    nz, ny, nx = grid.cells
-    shape = [nz, ny, nx, NQ]
-    shape[axis] = width
-    out = np.empty(shape, dtype=STORAGE_DTYPE)
     n = grid.block_size
-    b_edge = 0 if side == -1 else grid.num_blocks[axis] - 1
-    for idx, block in grid.blocks.items():
-        if idx[axis] != b_edge:
-            continue
-        slab = block.face_slab(axis, side, width)
-        sel: list[slice] = []
-        for d in range(3):
-            if d == axis:
-                sel.append(slice(0, width))
-            else:
-                sel.append(slice(idx[d] * n, (idx[d] + 1) * n))
-        out[tuple(sel)] = slab
-    return out
+    # The edge layer of blocks and the edge layers of their cells, cut
+    # from the rank array, in the axis order of the slab: one copy.
+    cut = [slice(None)] * 6
+    cut[axis], cut[3 + axis] = (
+        (slice(0, 1), slice(0, width)) if side == -1 else
+        (slice(grid.num_blocks[axis] - 1, None), slice(n - width, n)))
+    shape = list(grid.cells) + [NQ]
+    shape[axis] = width
+    return grid.by_cell(grid.state, tuple(cut)).copy().reshape(shape)
 
 
 class RemoteGhostProvider:

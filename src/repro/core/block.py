@@ -46,19 +46,37 @@ class Block:
         The block's integer coordinates ``(bz, by, bx)`` within its rank's
         block grid (used by the node layer for ghost lookup and SFC
         ordering).
+    data:
+        The block's storage, ``(n, n, n, NQ)`` in storage precision: a
+        grid passes the block's slot of its rank array, so that the block
+        is a view of it.  A block made alone owns a zeroed array.
     """
 
-    __slots__ = ("n", "index", "data")
+    __slots__ = ("n", "index", "_data")
 
-    def __init__(self, n: int = DEFAULT_BLOCK_SIZE, index: tuple[int, int, int] = (0, 0, 0)):
+    def __init__(self, n: int = DEFAULT_BLOCK_SIZE, index: tuple[int, int, int] = (0, 0, 0),
+                 data: np.ndarray | None = None):
         if n < 2 * GHOSTS:
             raise ValueError(f"block size {n} smaller than twice the ghost width")
         self.n = n
         self.index = tuple(index)
-        #: AoS storage, shape (n, n, n, NQ), axes (z, y, x, quantity).
-        self.data = np.zeros((n, n, n, NQ), dtype=STORAGE_DTYPE)
+        if data is None:
+            data = np.zeros((n, n, n, NQ), dtype=STORAGE_DTYPE)
+        elif data.shape != (n, n, n, NQ) or data.dtype != STORAGE_DTYPE:
+            raise ValueError(
+                f"block data must be {(n, n, n, NQ)} {np.dtype(STORAGE_DTYPE)}, "
+                f"got {data.shape} {data.dtype}"
+            )
+        self._data = data
 
     # -- data access ----------------------------------------------------
+
+    @property
+    def data(self) -> np.ndarray:
+        """AoS storage, shape (n, n, n, NQ), axes (z, y, x, quantity).
+        Written through, never rebound: the node layer's gather plans and
+        a grid's rank array point at this memory."""
+        return self._data
 
     def soa(self, dtype=COMPUTE_DTYPE) -> np.ndarray:
         """Double-precision SoA copy ``(NQ, n, n, n)`` (kernel input)."""
@@ -108,18 +126,20 @@ class Block:
         return f"Block(n={self.n}, index={self.index})"
 
 
-def padded_aos(n: int, dtype=STORAGE_DTYPE) -> np.ndarray:
+def padded_aos(n, dtype=STORAGE_DTYPE) -> np.ndarray:
     """Allocate the per-thread padded work area for a block's RHS.
 
     Shape ``(n+6, n+6, n+6, NQ)`` -- block data plus the WENO ghosts
-    (the gray area of Fig. 2, right).  The array is prefilled with a
+    (the gray area of Fig. 2, right) -- or, for ``n`` the cells ``(nz, ny,
+    nx)`` of a box of blocks, ``(nz+6, ny+6, nx+6, NQ)``.  The array is
+    prefilled with a
     benign unit state: the directional RHS sweeps never read the edge and
     corner ghost regions (only the six face slabs are filled by the ghost
     reconstruction), but the CONV stage converts the whole padded array
     and must not divide by a zero density there.
     """
-    m = n + 2 * GHOSTS
-    pad = np.zeros((m, m, m, NQ), dtype=dtype)
+    cells = (n,) * 3 if np.ndim(n) == 0 else tuple(n)
+    pad = np.zeros(tuple(c + 2 * GHOSTS for c in cells) + (NQ,), dtype=dtype)
     pad[..., RHO] = 1.0
     pad[..., ENERGY] = 1.0
     pad[..., GAMMA] = 1.0

@@ -44,20 +44,101 @@ from .ringbuffer import RING_DEPTH, SliceRing
 _STORAGE = np.dtype(STORAGE_DTYPE)
 
 
+def plan_table(shape, rows, dtype=STORAGE_DTYPE) -> np.ndarray:
+    """The table :func:`gather_conv` or :func:`scatter_aos` executes.
+
+    ``rows`` are ``(at, aos, flip)``: the cell ``at = (z, y, x)`` of an
+    SoA field of ``shape`` cells where the AoS view ``aos`` ``(ez, ey, ex,
+    NQ)`` of ``dtype`` begins -- any steps along its cell axes (0 from a
+    broadcast, negative from a flip), the ``NQ`` values of a cell adjacent
+    -- and the momentum row negated on the way in, or -1.  Returns
+    ``(len(rows), 9)`` 64-bit integers ``(cell, ez, ey, ex, address, sz,
+    sy, sx, flip)``, steps in values; ``ValueError`` for a row that leaves
+    the field or is of another layout or dtype -- the library checks
+    nothing.  A row holds the address of ``aos``: valid while the caller
+    keeps that memory alive; a caller that points a row at other cells
+    assigns it the row of a table made for those.
+    """
+    table = []
+    for at, aos, flip in rows:
+        if (aos.ndim != 4 or aos.shape[-1] != NQ or aos.dtype != dtype
+                or aos.strides[-1] != aos.itemsize or any(
+                    a < 0 or a + e > m
+                    for a, e, m in zip(at, aos.shape, shape))):
+            raise ValueError(
+                f"{aos.dtype} cells {aos.shape}, strides {aos.strides}, at "
+                f"{tuple(at)} are not (ez, ey, ex, {NQ}) {np.dtype(dtype)} "
+                f"cells of adjacent values in a field of {tuple(shape)}")
+        table.append(((at[0] * shape[1] + at[1]) * shape[2] + at[2],
+                      *aos.shape[:-1], aos.ctypes.data,
+                      *[step // aos.itemsize for step in aos.strides[:-1]],
+                      flip))
+    return np.array(table, dtype=np.int64).reshape(-1, 9)
+
+
+def _plan_whole(aos: np.ndarray) -> np.ndarray:
+    """The plan of one row: every cell of ``aos``, a C-contiguous AoS array
+    of the dtype its executor takes (the caller's to check), and the SoA
+    field of as many cells, in order."""
+    cells = aos.size // NQ
+    return np.array([[0, 1, 1, cells, aos.ctypes.data, cells * NQ,
+                      cells * NQ, NQ, -1]], dtype=np.int64)
+
+
+def _check_plan(table: np.ndarray, field: np.ndarray) -> None:
+    """``ValueError`` unless ``table`` and the SoA ``field`` can be handed
+    to the library by address (row bounds were :func:`plan_table`'s)."""
+    if not (native.addressable(table, np.int64) and table.ndim == 2
+            and table.shape[1] == 9 and len(field) == NQ
+            and native.addressable(field, COMPUTE_DTYPE, writeable=True)):
+        raise ValueError(
+            f"need a C-contiguous (rows, 9) int64 table and ({NQ}, ...) "
+            f"float64 field, got {table.dtype} {table.shape} and "
+            f"{field.dtype} {field.shape}")
+
+
+def gather_conv(lib, table: np.ndarray, W: np.ndarray) -> None:
+    """Compiled gather: the storage-precision AoS cells the rows of
+    ``table`` name -- a :func:`plan_table` for the cells ``W.shape[-3:]``
+    -- into the primitive SoA field ``W`` ``(NQ, ..., mz, my, mx)`` in
+    compute precision, each through the staging copy and the CONV stage
+    in one pass.  Cells of ``W`` no row names keep what they held."""
+    _check_plan(table, W)
+    lib.repro_gather_conv(table.ctypes.data, len(table), *W.shape[-2:],
+                          W[0].size, W.ctypes.data)
+
+
+def scatter_aos(lib, R: np.ndarray, table: np.ndarray) -> None:
+    """Compiled scatter: the cells of the SoA result ``R`` ``(NQ, ...,
+    nz, ny, nx)`` into the compute-precision AoS arrays the rows of
+    ``table`` name (a :func:`plan_table` for the cells ``R.shape[-3:]``)."""
+    _check_plan(table, R)
+    lib.repro_scatter_aos(R.ctypes.data, *R.shape[-2:], R[0].size,
+                          table.ctypes.data, len(table))
+
+
+def _check_out(out: np.ndarray, result: np.ndarray) -> None:
+    """``ValueError`` unless the AoS ``result`` reshapes to ``out``: as
+    many cells, the quantities last."""
+    if out.size != result.size or out.shape[-1] != NQ:
+        raise ValueError(
+            f"out has shape {out.shape}, the result {result.shape}")
+
+
 def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
                order: int = 5, solver: str = "hlle",
                workspace: SweepWorkspace | None = None,
-               out=None):
+               out: np.ndarray | None = None) -> np.ndarray:
     """Whole-block RHS: pencil-tile directional sweeps over a batch of blocks.
 
     Parameters
     ----------
     pad_aos:
-        Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)``, or a
+        Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)`` -- any
+        three extents: the node layer passes a box of blocks --, or a
         batch of ``B`` blocks ``(B, n+6, n+6, n+6, NQ)``: converted to
-        double-precision SoA once and swept as one array, which is what
-        lets small blocks share the per-call cost of every pass.  Each
-        block of a batch gets the bytes it gets alone.
+        double-precision SoA once and swept as one array.  Each block of a
+        batch gets the bytes it gets alone.
     h:
         Grid spacing.
     fused:
@@ -67,10 +148,9 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
         caller keeps across calls (one per thread); it also holds the
         SoA fields of the batch.
     out:
-        Optional destination in compute precision: an array of the
-        result's shape, or for a batch any sequence of ``B`` arrays
-        ``(n, n, n, NQ)`` (the node layer passes the buffers it holds per
-        block, which are not neighbours in memory).
+        Optional destination in compute precision: an array the result
+        reshapes to without a copy (the node layer passes the cells of a
+        box as they lie in its RHS array, split by block).
 
     Returns
     -------
@@ -92,11 +172,10 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     if (lib is not None and native.addressable(batch, _STORAGE)
             and batch.shape[-1] == NQ):
         # Storage pads -> primitive SoA in one pass (the staging copy and
-        # the CONV stage), then the three sweeps: the bytes of the path
-        # below, and no tile scratch.
+        # the CONV stage: a plan of one row), then the three sweeps: the
+        # bytes of the path below, and no tile scratch.
         Wpad, rhs_soa = workspace.fields(nblocks, interior, COMPUTE_DTYPE)
-        lib.repro_conv_aos_to_soa(batch.ctypes.data, Wpad[0].size,
-                                  Wpad.ctypes.data)
+        gather_conv(lib, _plan_whole(batch), Wpad)
         lib.repro_rhs_sweeps(Wpad.ctypes.data, nblocks, *interior, 1.0 / h,
                              rhs_soa.ctypes.data)
     else:
@@ -110,18 +189,12 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
         rhs_aos = rhs_aos[0]
     if out is None:
         out = np.empty(rhs_aos.shape, dtype=rhs_aos.dtype)
-    per_block = (out,) if pad_aos.ndim == 4 else out
-    if lib is not None and len(per_block) == nblocks and all(
-        native.addressable(dst, COMPUTE_DTYPE, writeable=True)
-        and dst.shape == interior + (NQ,) for dst in per_block
-    ):
-        lib.repro_soa_to_aos(rhs_soa.ctypes.data, nblocks,
-                             rhs_soa[0, 0].size, native.addresses(per_block))
-    elif isinstance(out, np.ndarray):
-        np.copyto(out, rhs_aos)
+    _check_out(out, rhs_aos)
+    if lib is not None and native.addressable(out, COMPUTE_DTYPE,
+                                              writeable=True):
+        scatter_aos(lib, rhs_soa, _plan_whole(out))
     else:
-        for dst, src in zip(out, rhs_aos):
-            np.copyto(dst, src)
+        np.copyto(out, rhs_aos.reshape(out.shape))
     return out
 
 
@@ -313,9 +386,9 @@ def sos_kernel(blocks, scratch: np.ndarray | None = None) -> float:
     -- NaN if any cell's velocity is NaN -- which the cluster layer
     reduces globally and the DT kernel converts into the CFL-limited step.
 
-    Contiguous storage-precision blocks of one size are reduced in one
-    pass by the compiled library where there is one (:mod:`repro.native`);
-    the value is the same.
+    Contiguous storage-precision blocks are reduced in one pass each by
+    the compiled library where there is one (:mod:`repro.native`); the
+    value is the same.
     """
     blocks = (blocks,) if isinstance(blocks, np.ndarray) else tuple(blocks)
     if scratch is not None and scratch.size < _SOS_ROWS:
@@ -325,13 +398,14 @@ def sos_kernel(blocks, scratch: np.ndarray | None = None) -> float:
         )
     lib = native.lib
     if lib is not None and blocks and all(
-        native.addressable(b, _STORAGE) and b.size == blocks[0].size
-        for b in blocks
-    ):
+            native.addressable(b, _STORAGE) for b in blocks):
         # One pass over the cells, a NaN carried: the value of the chunked
         # passes below.
-        return lib.repro_max_sos(native.addresses(blocks), len(blocks),
-                                 blocks[0].size // NQ)
+        peak = float("-inf")
+        for data in blocks:
+            peak = nan_max(peak, lib.repro_max_sos(data.ctypes.data,
+                                                   data.size // NQ))
+        return peak
     if scratch is None:
         scratch = _own_scratch(
             _SOS_ROWS * (sum(b.size for b in blocks) // NQ))

@@ -60,7 +60,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno",
          "ggc-min-heapsize=4096", "-shared", "-fPIC")
 
 #: What ``repro_native_abi()`` of a library this module can drive returns.
-ABI = 1
+ABI = 2
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120.0
@@ -71,15 +71,16 @@ _SIGNATURES = {
     "repro_rhs_sweeps": (None, [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         ctypes.c_long, ctypes.c_double, ctypes.c_void_p]),
-    "repro_conv_aos_to_soa": (None, [
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]),
-    "repro_soa_to_aos": (None, [
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]),
+    "repro_gather_conv": (None, [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ctypes.c_long, ctypes.c_void_p]),
+    "repro_scatter_aos": (None, [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_long]),
     "repro_update_stage": (None, [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
         ctypes.c_double, ctypes.c_double, ctypes.c_double]),
-    "repro_max_sos": (ctypes.c_double, [
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long]),
+    "repro_max_sos": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
     "repro_native_abi": (ctypes.c_int, []),
     "repro_native_compiler": (ctypes.c_char_p, []),
 }
@@ -271,14 +272,6 @@ def addressable(array, dtype, writeable: bool = False) -> bool:
     Shapes are the caller's to check."""
     return (array.dtype == dtype and array.flags.c_contiguous
             and (array.flags.writeable or not writeable))
-
-
-def addresses(arrays):
-    """A C array of the addresses of ``arrays`` (``void *[]``), for the
-    entry points that take blocks which are not neighbours in memory.
-    Valid while the caller holds the arrays."""
-    return (ctypes.c_void_p * len(arrays))(
-        *[array.ctypes.data for array in arrays])
 
 
 _lock = threading.Lock()

@@ -42,7 +42,7 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 #define SIXTH (1.0 / 6.0)
 #define SOUND_SPEED_FLOOR 1.0e-12
 
-int repro_native_abi(void) { return 1; }
+int repro_native_abi(void) { return 2; }
 const char *repro_native_compiler(void) { return __VERSION__; }
 
 /* np.maximum / np.minimum: a NaN in either operand is the result. */
@@ -329,49 +329,92 @@ INLINE double pressure(double rho, double ru, double rv, double rw, double E,
     return ((E - o) - P) / G;
 }
 
-/* cells AoS storage-precision conserved states -> SoA chunk of LANES */
-INLINE void gather_chunk(const float *restrict aos, int n,
+/* n AoS storage-precision conserved states, `step` values apart ->
+ * SoA chunk of LANES */
+INLINE void gather_chunk(const float *restrict aos, ptrdiff_t step, int n,
                          double (*restrict U)[LANES])
 {
     for (int i = 0; i < n; i++)
         for (int q = 0; q < NQ; q++)
-            U[q][i] = (double)aos[i * NQ + q];
+            U[q][i] = (double)aos[i * step + q];
 }
 
-/* float32 AoS pads (cells, NQ) -> float64 primitive SoA (NQ, cells): the
- * staging copy and physics.eos.conserved_to_primitive in one pass. */
-CLONES void repro_conv_aos_to_soa(const float *restrict aos, long cells,
-                                  double *restrict W)
+/* One row of a gather or scatter plan (core.kernels.plan_row): the
+ * ez * ey * ex cells from `cell` on of an SoA field, x rows contiguous,
+ * and the AoS cells (NQ values each) they are read from or written to --
+ * their address and their steps along z, y and x in values (0 repeats a
+ * layer, a negative one mirrors).  flip: the momentum row negated on the
+ * way in, or -1. */
+typedef struct {
+    long long cell, ez, ey, ex, aos, sz, sy, sx, flip;
+} plan_row;
+
+static const volatile double MINUS_ONE = -1.0;
+
+/* Storage-precision AoS cells -> float64 primitive SoA field W (NQ, cells)
+ * whose rows are mx cells and planes my rows apart: the rows of the plan
+ * one after another, each cell through the staging copy and
+ * physics.eos.conserved_to_primitive in one pass.  Cells of W that no row
+ * names are not written. */
+CLONES void repro_gather_conv(const plan_row *restrict plan, long rows,
+                              long my, long mx, long cells,
+                              double *restrict W)
 {
-    for (long c0 = 0; c0 < cells; c0 += LANES) {
-        int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
-        double U[NQ][LANES];
-        gather_chunk(aos + c0 * NQ, n, U);
-        for (int i = 0; i < n; i++) {
-            double rho = U[RHO][i], inv = 1.0 / rho;
-            double p = pressure(rho, U[RHOU][i], U[RHOV][i], U[RHOW][i],
-                                U[ENERGY][i], U[GAMMA][i], U[PI][i]);
-            U[RHOU][i] = U[RHOU][i] * inv;
-            U[RHOV][i] = U[RHOV][i] * inv;
-            U[RHOW][i] = U[RHOW][i] * inv;
-            U[ENERGY][i] = p;
+    for (const plan_row *p = plan; p < plan + rows; p++) {
+        const float *aos = (const float *)(size_t)p->aos;
+        for (long zy = 0, z = 0, y = 0; zy < p->ez * p->ey; zy++) {
+            const float *src = aos + z * p->sz + y * p->sy;
+            double *dst = W + p->cell + (z * my + y) * mx;
+            if (++y == p->ey)
+                y = 0, z++;
+            for (long x0 = 0; x0 < p->ex; x0 += LANES) {
+                int n = (int)(p->ex - x0 < LANES ? p->ex - x0 : LANES);
+                double U[NQ][LANES];
+                gather_chunk(src + x0 * p->sx, p->sx, n, U);
+                if (p->flip >= 0) {
+                    /* `*= -1.0` as NumPy multiplies: a NaN keeps its sign
+                     * (a literal factor is folded into a negation, which
+                     * flips it) */
+                    double factor = MINUS_ONE;
+                    for (int i = 0; i < n; i++)
+                        U[p->flip][i] = U[p->flip][i] * factor;
+                }
+                for (int i = 0; i < n; i++) {
+                    double rho = U[RHO][i], inv = 1.0 / rho;
+                    double pr = pressure(rho, U[RHOU][i], U[RHOV][i],
+                                         U[RHOW][i], U[ENERGY][i],
+                                         U[GAMMA][i], U[PI][i]);
+                    U[RHOU][i] = U[RHOU][i] * inv;
+                    U[RHOV][i] = U[RHOV][i] * inv;
+                    U[RHOW][i] = U[RHOW][i] * inv;
+                    U[ENERGY][i] = pr;
+                }
+                for (int q = 0; q < NQ; q++)
+                    for (int i = 0; i < n; i++)
+                        dst[q * cells + x0 + i] = U[q][i];
+            }
         }
-        for (int q = 0; q < NQ; q++)
-            for (int i = 0; i < n; i++)
-                W[q * cells + c0 + i] = U[q][i];
     }
 }
 
-/* rhs SoA (NQ, B, cells) -> one AoS array (cells, NQ) per block. */
-void repro_soa_to_aos(const double *restrict rhs, long B, long cells,
-                      double *const *restrict out)
+/* The way back: rows of the SoA result R (NQ, cells), rx cells long and
+ * planes ry rows apart, -> the float64 AoS cells the plan names. */
+void repro_scatter_aos(const double *restrict R, long ry, long rx,
+                       long cells, const plan_row *restrict plan, long rows)
 {
-    for (long b = 0; b < B; b++) {
-        double *restrict dst = out[b];
-        for (int q = 0; q < NQ; q++) {
-            const double *src = rhs + (q * B + b) * cells;
-            for (long c = 0; c < cells; c++)
-                dst[c * NQ + q] = src[c];
+    for (const plan_row *p = plan; p < plan + rows; p++) {
+        double *aos = (double *)(size_t)p->aos;
+        for (long zy = 0, z = 0, y = 0; zy < p->ez * p->ey; zy++) {
+            const double *src = R + p->cell + (z * ry + y) * rx;
+            double *dst = aos + z * p->sz + y * p->sy;
+            if (++y == p->ey)
+                y = 0, z++;
+            for (long x0 = 0; x0 < p->ex; x0 += LANES) {
+                long n = p->ex - x0 < LANES ? p->ex - x0 : LANES;
+                for (int q = 0; q < NQ; q++)
+                    for (long x = x0; x < x0 + n; x++)
+                        dst[x * p->sx + q] = src[q * cells + x];
+            }
         }
     }
 }
@@ -391,10 +434,9 @@ CLONES void repro_update_stage(float *restrict u, float *restrict res,
 
 /* ---- SOS: physics.eos.max_velocity_of_conserved ---------------------- */
 
-/* max(|u_i| + c) over the cells of AoS blocks of storage precision; NaN if
- * any cell's velocity is. */
-CLONES double repro_max_sos(const float *const *restrict blocks, long nblocks,
-                            long cells)
+/* max(|u_i| + c) over AoS cells of storage precision; NaN if any cell's
+ * velocity is. */
+CLONES double repro_max_sos(const float *restrict aos, long cells)
 {
     /* per lane: the largest speed, and a NaN once one was seen */
     double peak[LANES], poison[LANES];
@@ -402,25 +444,22 @@ CLONES double repro_max_sos(const float *const *restrict blocks, long nblocks,
         peak[i] = -INFINITY;
         poison[i] = 0.0;
     }
-    for (long b = 0; b < nblocks; b++) {
-        const float *aos = blocks[b];
-        for (long c0 = 0; c0 < cells; c0 += LANES) {
-            int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
-            double U[NQ][LANES];
-            gather_chunk(aos + c0 * NQ, n, U);
-            for (int i = 0; i < n; i++) {
-                double rho = U[RHO][i], G = U[GAMMA][i], P = U[PI][i];
-                double p = pressure(rho, U[RHOU][i], U[RHOV][i], U[RHOW][i],
-                                    U[ENERGY][i], G, P);
-                double inv = 1.0 / rho;
-                double au = fabs(U[RHOU][i] * inv);
-                double av = fabs(U[RHOV][i] * inv);
-                double aw = fabs(U[RHOW][i] * inv);
-                double speed = nmax(au, nmax(av, aw))
-                               + sound_speed(rho, p, G, P);
-                poison[i] = speed != speed ? speed : poison[i];
-                peak[i] = speed > peak[i] ? speed : peak[i];
-            }
+    for (long c0 = 0; c0 < cells; c0 += LANES) {
+        int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
+        double U[NQ][LANES];
+        gather_chunk(aos + c0 * NQ, NQ, n, U);
+        for (int i = 0; i < n; i++) {
+            double rho = U[RHO][i], G = U[GAMMA][i], P = U[PI][i];
+            double p = pressure(rho, U[RHOU][i], U[RHOV][i], U[RHOW][i],
+                                U[ENERGY][i], G, P);
+            double inv = 1.0 / rho;
+            double au = fabs(U[RHOU][i] * inv);
+            double av = fabs(U[RHOV][i] * inv);
+            double aw = fabs(U[RHOW][i] * inv);
+            double speed = nmax(au, nmax(av, aw))
+                           + sound_speed(rho, p, G, P);
+            poison[i] = speed != speed ? speed : poison[i];
+            peak[i] = speed > peak[i] ? speed : peak[i];
         }
     }
     double best = -INFINITY;

@@ -21,10 +21,10 @@ supports two modes:
 Both modes return :class:`ScheduleStats`.
 
 A work item is whatever the caller hands out.  :class:`NodeSolver` hands
-out *runs* of consecutive blocks -- one block where a block fills a sweep
-tile (the paper's 32^3), several where blocks are small (five at 8^3) --
-so ``item_durations`` and the flight record's ``schedule.items`` count
-runs, and equal the block count only in the first case.
+out *boxes* of neighbouring blocks -- one block at the paper's 32^3,
+sixteen at 8^3 (``solver.BOX_CELLS``) -- so ``item_durations`` and the
+flight record's ``schedule.items`` count boxes, and equal the block count
+only in the first case.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ScheduleStats:
 
     busy: np.ndarray  #: seconds of work per worker
     makespan: float  #: simulated/observed parallel completion time
-    item_durations: np.ndarray  #: seconds per work item (a run of blocks)
+    item_durations: np.ndarray  #: seconds per work item (a box of blocks)
 
     @property
     def imbalance(self) -> float:
@@ -104,7 +104,7 @@ class Dispatcher:
     """Dynamic work dispatcher with per-worker accounting.
 
     Items are opaque: one item is one call of ``fn``, timed as a whole
-    (the node layer's items are runs of blocks, see the module docstring).
+    (the node layer's items are boxes of blocks, see the module docstring).
     """
 
     def __init__(self, num_workers: int = 4, mode: str = "instrumented"):

@@ -47,11 +47,28 @@ class BoundarySpec:
     default: str = "extrapolate"
     faces: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """``ValueError`` naming the face for a key of ``faces`` that is
+        no face and for a kind (of a face, or the default) that is none of
+        :data:`BOUNDARY_KINDS` -- here, not inside the first RHS."""
+        for face, kind in [("default", self.default), *self.faces.items()]:
+            if face != "default" and not (
+                isinstance(face, tuple) and len(face) == 2
+                and face[0] in (0, 1, 2) and face[1] in (-1, 1)
+            ):
+                raise ValueError(
+                    f"boundary face {face!r} is not (axis, side) with axis "
+                    "0, 1 or 2 (z, y, x) and side -1 or +1"
+                )
+            if kind not in BOUNDARY_KINDS:
+                where = "the default" if face == "default" else f"face {face}"
+                raise ValueError(
+                    f"boundary kind {kind!r} of {where} is not one of "
+                    f"{BOUNDARY_KINDS}"
+                )
+
     def kind(self, axis: int, side: int) -> str:
-        k = self.faces.get((axis, side), self.default)
-        if k not in BOUNDARY_KINDS:
-            raise ValueError(f"unknown boundary kind {k!r}")
-        return k
+        return self.faces.get((axis, side), self.default)
 
     @staticmethod
     def all_extrapolate() -> "BoundarySpec":
@@ -75,24 +92,50 @@ def _ghost_region(pad: np.ndarray, axis: int, side: int) -> np.ndarray:
     return pad[tuple(sel)]
 
 
-def _apply_boundary(pad: np.ndarray, block: Block, axis: int, side: int,
-                    kind: str) -> None:
-    """Fill one face-slab ghost region from the block's own edge layers.
+def ghost_source(grid: BlockGrid, block: Block, axis: int, side: int,
+                 boundary: BoundarySpec, remote_provider=None):
+    """Where the ghosts of one face of ``block`` come from.
 
-    They are read from ``block.data`` (which the interior of ``pad``
-    holds a copy of): assigned from ``pad`` itself, NumPy cannot rule out
-    an overlap with the ghost region and copies the source first.
+    Resolution order: sibling block in the rank's grid, then the
+    cluster-layer ``remote_provider`` (``provider(index, axis, side) ->
+    slab or None``), then the physical boundary condition.  Returns
+    ``(source, flip)``: ``source`` is assigned to the ghost region
+    (``GHOSTS`` layers along ``axis``) as it is -- a view of block data
+    (zero-gradient: the one edge layer, to broadcast; a wall: the edge
+    layers mirrored, step -1) or the provider's slab --, and ``flip`` is
+    the momentum row to negate after that, or -1.  The one place that
+    order lives: :func:`fill_block_ghosts` executes it for a block, the
+    node solver's gather plan for a box.
     """
     g = GHOSTS
-    ghost = _ghost_region(pad, axis, side)
-    if kind == "extrapolate":
-        # Repeat the first interior layer (zero-gradient).
-        ghost[...] = block.face_view(axis, side, 1)
-    elif kind == "reflect":
-        ghost[...] = np.flip(block.face_view(axis, side, g), axis=axis)
-        ghost[..., RHOU + (2 - axis)] *= -1.0  # negate normal momentum
-    else:  # pragma: no cover - periodic handled by the caller via wrap
-        raise ValueError(f"boundary kind {kind!r} must be resolved by caller")
+    neigh = grid.neighbor(block.index, axis, side)
+    if neigh is None and remote_provider is not None:
+        slab = remote_provider(block.index, axis, side)
+        if slab is not None:
+            return slab, -1
+    if neigh is None:
+        kind = boundary.kind(axis, side)
+        if kind == "extrapolate":
+            # Repeat the first interior layer (zero-gradient).
+            return block.face_view(axis, side, 1), -1
+        if kind == "reflect":
+            # Solid wall: mirrored state, normal momentum negated.
+            mirror = (slice(None),) * axis + (slice(None, None, -1),)
+            return block.face_view(axis, side, g)[mirror], RHOU + (2 - axis)
+        # periodic: wrap around the rank's own grid
+        wrap = list(block.index)
+        wrap[axis] = grid.num_blocks[axis] - 1 if side == -1 else 0
+        neigh = grid.blocks[tuple(wrap)]
+    return neigh.face_view(axis, -side, g), -1
+
+
+def copy_source(region: np.ndarray, source: np.ndarray, flip: int) -> None:
+    """Assign what :func:`ghost_source` returned to the AoS cells
+    ``region`` it is for: the copy, then momentum row ``flip`` negated (by
+    a multiplication: a NaN keeps its sign), if any."""
+    region[...] = source
+    if flip >= 0:
+        region[..., flip] *= -1.0
 
 
 def fill_block_ghosts(
@@ -102,31 +145,15 @@ def fill_block_ghosts(
     boundary: BoundarySpec | None = None,
     remote_provider=None,
 ) -> None:
-    """Fill the six face-slab ghost regions of ``pad`` for ``block``.
-
-    Resolution order per face: sibling block in the rank's grid, then the
-    cluster-layer ``remote_provider`` (``provider(index, axis, side) ->
-    slab or None``), then the physical boundary condition.  The interior
-    of ``pad`` must already contain the block data.
+    """Fill the six face-slab ghost regions of ``pad`` for ``block``, each
+    from its :func:`ghost_source`.  The interior of ``pad`` must already
+    contain the block data (boundary ghosts are read from ``block.data``,
+    which it holds a copy of: assigned from ``pad`` itself, NumPy cannot
+    rule out an overlap with the ghost region and copies the source
+    first).
     """
     boundary = boundary or BoundarySpec.all_extrapolate()
-    g = GHOSTS
     for axis in range(3):
         for side in (-1, 1):
-            neigh = grid.neighbor(block.index, axis, side)
-            if neigh is not None:
-                _ghost_region(pad, axis, side)[...] = neigh.face_view(axis, -side, g)
-                continue
-            if remote_provider is not None:
-                slab = remote_provider(block.index, axis, side)
-                if slab is not None:
-                    _ghost_region(pad, axis, side)[...] = slab
-                    continue
-            kind = boundary.kind(axis, side)
-            if kind == "periodic":
-                wrap = list(block.index)
-                wrap[axis] = grid.num_blocks[axis] - 1 if side == -1 else 0
-                neigh = grid.blocks[tuple(wrap)]
-                _ghost_region(pad, axis, side)[...] = neigh.face_view(axis, -side, g)
-            else:
-                _apply_boundary(pad, block, axis, side, kind)
+            copy_source(_ghost_region(pad, axis, side), *ghost_source(
+                grid, block, axis, side, boundary, remote_provider))

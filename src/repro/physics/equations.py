@@ -27,6 +27,7 @@ bit-identical to whole-block expressions, block by block.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -110,19 +111,22 @@ def _tile_extent(ncells: int, nrows: int, width: int) -> tuple[int, int]:
     return max(1, TILE_ELEMENTS // per_block), nrows
 
 
-def blocks_per_tile(interior: tuple[int, int, int]) -> int:
-    """Whole blocks of ``interior`` cells ``(nz, ny, nx)`` one tile holds
-    in every sweep direction.
-
-    The node layer hands out runs of at most this many blocks, so that
-    8^3 blocks share their per-call cost and a 32^3 block stays one work
-    item.  Returns a python int, 1 for a block that is tiled by rows.
-    """
+def _full_tiles(interior):
+    """Shape ``(NQ, cells, blocks, rows, width)`` of the full tile of the
+    z, y and x sweep over blocks of ``interior`` cells ``(nz, ny, nx)``."""
     nz, ny, nx = interior
     g2 = 2 * STENCIL_WIDTH
-    return min(_tile_extent(nz + g2, ny, nx)[0],
-               _tile_extent(ny + g2, nz, nx)[0],
-               _tile_extent(nx + g2, nz, ny)[0])
+    for ncells, nrows, width in ((nz + g2, ny, nx), (ny + g2, nz, nx),
+                                 (nx + g2, nz, ny)):
+        blocks, rows = _tile_extent(ncells, nrows, width)
+        yield NQ, ncells, blocks, rows, width
+
+
+def blocks_per_tile(interior: tuple[int, int, int]) -> int:
+    """Whole blocks of ``interior`` cells ``(nz, ny, nx)`` one tile holds
+    in every sweep direction.  Returns a python int, 1 for a block that
+    is tiled by rows."""
+    return min(full[2] for full in _full_tiles(interior))
 
 
 def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -172,6 +176,12 @@ def _tile_buffers(shape, chunk: int):
             cells[1:])
 
 
+def _tile_elements(full) -> int:
+    """Entries of the flat scratch a sweep with full tile ``full`` needs."""
+    return sum(math.prod(b) for b in _tile_buffers(
+        full, _chunk_quantities(full, full)))
+
+
 #: Tile shapes a :class:`SweepWorkspace` keeps views for.  A sweep of
 #: 32^3 blocks alternates between two (full tile, remainder tile); carving
 #: them anew at every change was 290 us, 144 times a step (4 % of it).
@@ -208,6 +218,28 @@ class _TileViews:
             ))
 
 
+def _mapped_empty(size: int, dtype: np.dtype) -> np.ndarray:
+    """``size`` entries of ``dtype`` (zeros no one has touched) in an
+    anonymous mapping of their own, which is what the scratch arrays of a
+    :class:`SweepWorkspace` are, for two reasons NumPy's allocator leaves
+    to chance.  *Alignment*: it promises 16 bytes, and which multiple of
+    16 an array gets follows from every allocation the process made
+    before; ``compute_rhs`` of one 32^3 block through the NumPy sweeps
+    with the tile scratch 0 | 16 | 32 bytes past a cache line (the widest
+    SIMD operand), interleaved rounds: 40.1 | 47.1 | 45.7 ms (the HLLE
+    scratch alone 16 off: 41.3) -- the ladder's ``cloud64_b32`` read that
+    as 8 % between two orders of the same allocations.  A mapping starts
+    at a page.  *Release*: glibc's mmap and trim thresholds follow the
+    largest chunk a process has freed, so the scratch of a second solver
+    came from the heap and stayed resident when it was freed -- the
+    ladder's ``halo2_b8`` (one solver after another, two rank threads)
+    read 59 MB for the parent's 51 on the NumPy path; a mapping goes back
+    to the system with its array (53 MB)."""
+    buf = mmap.mmap(-1, max(1, size * dtype.itemsize),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=dtype, count=size)
+
+
 def _padded(nblocks: int, interior) -> tuple[int, ...]:
     """Shape of a ghost-padded SoA batch of ``interior``-cell blocks."""
     return (NQ, nblocks) + tuple(n + 2 * STENCIL_WIDTH for n in interior)
@@ -220,17 +252,13 @@ class SweepWorkspace:
     (at most :data:`TILE_ELEMENTS` per buffer, plus one WENO chunk) and
     viewed per tile shape, a second one for the HLLE stage of that tile,
     plus the primitive and result SoA fields of the batch, reserved for a
-    tile-full of blocks.  The HLLE buffers are an allocation of their own
-    because glibc's mmap and trim thresholds follow the largest chunk a
-    process has freed: carved from the flat scratch they made it 2.30 MB
-    for 1.84 at 8^3, and the ladder's ``halo2_b8`` (which runs, and tears
-    down, one solver after another) read 12.7 % more peak RSS for 0.5 MB
-    more held -- as a chunk of their own, none.  A caller that keeps the
-    workspace across calls -- the node layer keeps one per worker thread
-    -- sweeps WENO5 + HLLE without allocating an array, whatever mix of
-    batch sizes and remainder tiles it passes through; :attr:`nbytes`
-    stays what the first call made it unless a later block shape or batch
-    needs more.
+    tile-full of blocks -- each a mapping of its own
+    (:func:`_mapped_empty`: page aligned, back with the system when the
+    workspace goes).  A caller that keeps the workspace across calls --
+    the node layer keeps one per worker thread -- sweeps WENO5 + HLLE
+    without allocating an array, whatever mix of batch sizes and remainder
+    tiles it passes through; :attr:`nbytes` stays what the first call made
+    it unless a later block shape or batch needs more.
     """
 
     def __init__(self):
@@ -253,7 +281,7 @@ class SweepWorkspace:
         ``dtype``; views of the one it replaces are dropped."""
         flat = getattr(self, name)
         if flat is None or flat.dtype != dtype or flat.size < needed:
-            flat = np.empty(needed, dtype=dtype)
+            flat = _mapped_empty(needed, dtype)
             setattr(self, name, flat)
             self._views.clear()
         return flat
@@ -270,10 +298,7 @@ class SweepWorkspace:
         key = (shape, full, dtype)
         views = self._views.get(key)
         if views is None:
-            needed = sum(math.prod(b) for b in _tile_buffers(
-                full, _chunk_quantities(full, full)
-            ))
-            flat = self._reserve(needed, dtype)
+            flat = self._reserve(_tile_elements(full), dtype)
             hlle = self._reserve(
                 HlleWorkspace.elements(_face_shape(full), dtype), dtype,
                 "_hlle")
@@ -283,6 +308,19 @@ class SweepWorkspace:
                 shape, _chunk_quantities(shape, full), flat, hlle
             )
         return views
+
+    def reserve(self, interiors, dtype) -> None:
+        """Size the scratch for the NumPy sweeps of one block of any of
+        ``interiors`` (cells ``(nz, ny, nx)``), staging included: a caller
+        that sweeps blocks of several shapes -- the node layer's boxes --
+        holds after this what it will hold after any of them."""
+        dtype = np.dtype(dtype)
+        fulls = [full for cells in interiors for full in _full_tiles(cells)]
+        self._reserve(max(
+            [_tile_elements(full) for full in fulls]
+            + [math.prod(_padded(1, cells)) for cells in interiors]), dtype)
+        self._reserve(max(HlleWorkspace.elements(_face_shape(full), dtype)
+                          for full in fulls), dtype, "_hlle")
 
     def staging(self, nblocks: int, interior, dtype) -> np.ndarray:
         """A conserved SoA batch ``(NQ, nblocks, nz+6, ny+6, nx+6)`` to
@@ -310,7 +348,7 @@ class SweepWorkspace:
         ):
             reserve = max(nblocks, blocks_per_tile(interior))
             held = self._fields = tuple(
-                np.empty(math.prod(shape) // nblocks * reserve, dtype=dtype)
+                _mapped_empty(math.prod(shape) // nblocks * reserve, dtype)
                 for shape in shapes
             )
         return tuple(

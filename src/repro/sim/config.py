@@ -134,6 +134,20 @@ class SimulationConfig:
             raise ValueError("ranks must be >= 1")
         if self.erosion is not None and self.wall is None:
             raise ValueError("erosion accumulation requires a wall")
+        # A mistyped boundary fails here, with its field named -- not
+        # from inside the first RHS of some rank.
+        if isinstance(self.wall, list):  # a decoded request
+            self.wall = tuple(self.wall)
+        for name, spec in (
+            ("boundary_default", {"default": self.boundary_default}),
+            ("wall", {"faces": {} if self.wall is None
+                      else {self.wall: "reflect"}}),
+        ):
+            try:
+                BoundarySpec(**spec)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r}: {exc}") from None
         from ..analysis.sanitizer import POLICIES
 
         if self.sanitize not in POLICIES:

@@ -131,6 +131,26 @@ class TestServiceCLI:
         assert rc == 64
         assert "error[invalid]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("boundary_default", "reflct", "boundary_default='reflct'"),
+        ("wall", [3, 0], r"wall=(3, 0)"),
+    ])
+    def test_a_mistyped_boundary_in_a_job_line_exits_64_with_the_field_named(
+            self, tmp_path, capsys, field, value, named):
+        """... before a worker is spawned, not from inside the first RHS
+        of a rank."""
+        jobs = tmp_path / "jobs.jsonl"
+        main(["submit", "--cells", "16", "--steps", "1", "--out", str(jobs)])
+        doc = json.loads(jobs.read_text())
+        doc["request"]["semantic"]["config"][field] = value
+        jobs.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        rc = main(["serve", str(jobs), "--workdir", str(tmp_path / "work")])
+        err = capsys.readouterr().err
+        assert rc == 64 and "error[invalid]" in err and named in err
+        assert "extrapolate" in err or "(axis, side)" in err
+        assert not (tmp_path / "work").exists()
+
     def test_missing_jobs_file_exits_failure(self, capsys):
         rc = main(["serve", "definitely-not-here.jsonl"])
         assert rc == 1

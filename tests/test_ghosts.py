@@ -42,10 +42,46 @@ class TestSpec:
         assert spec.kind(0, -1) == "reflect"
         assert spec.kind(0, 1) == "extrapolate"
 
-    def test_unknown_kind(self):
-        spec = BoundarySpec(default="bogus")
-        with pytest.raises(ValueError):
-            spec.kind(0, -1)
+    def test_unknown_kind_fails_at_construction(self):
+        """... with the face and the allowed kinds named, not from
+        ``kind()`` inside the first RHS (a worker thread, in ``threads``
+        mode)."""
+        with pytest.raises(ValueError, match="'reflct' of the default.*"
+                                             "extrapolate.*reflect.*periodic"):
+            BoundarySpec(default="reflct")
+        with pytest.raises(ValueError, match=r"'wall' of face \(0, -1\)"):
+            BoundarySpec(faces={(0, -1): "wall"})
+
+    @pytest.mark.parametrize("face", [(3, 0), (0, 2), (0, 0), (-1, 1),
+                                      "z-", (0,), (0, -1, 1)])
+    def test_a_face_that_is_none_is_rejected(self, face):
+        """A ``faces`` key no face has was silently never looked up."""
+        with pytest.raises(ValueError, match="is not \\(axis, side\\)"):
+            BoundarySpec(faces={face: "reflect"})
+
+
+    def test_the_config_names_its_field(self):
+        """``SimulationConfig`` -- and so a decoded service request --
+        rejects what its ``boundary_spec()`` would, field first."""
+        from repro.service import JobRequest
+        from repro.sim import SimulationConfig
+
+        with pytest.raises(ValueError, match="^boundary_default='reflct': "
+                                             ".*of the default"):
+            SimulationConfig(cells=16, block_size=8,
+                             boundary_default="reflct")
+        for wall in ((0, 2), (3, -1), 5, "z-"):
+            with pytest.raises(ValueError, match="^wall="):
+                SimulationConfig(cells=16, block_size=8, wall=wall)
+        payload = {"semantic": {"config": {"cells": [16, 16, 16],
+                                           "block_size": 8,
+                                           "wall": [0, 0]}, "ic": {}}}
+        with pytest.raises(ValueError, match=r"^wall=\(0, 0\): .*side"):
+            JobRequest.from_payload(payload)
+        config = SimulationConfig(cells=16, block_size=8, wall=[2, 1],
+                                  boundary_default="periodic")
+        assert config.boundary_spec() == BoundarySpec(
+            default="periodic", faces={(2, 1): "reflect"})
 
 
 class TestSiblingGhosts:

@@ -129,6 +129,40 @@ class TestExchange:
 
         assert world.run(main) == [True]
 
+    def test_a_periodic_face_with_a_live_neighbour_is_the_topologys(self):
+        """A node-layer ``periodic`` boundary wraps around the rank's own
+        grid only where no message fills the face: with two ranks along a
+        periodic z, both z faces of a rank are its neighbour's cells."""
+        from repro.node import BoundarySpec, Dispatcher, NodeSolver
+
+        from .conftest import bytes_equal, make_rng, make_smooth_aos
+
+        field = make_smooth_aos((32, 16, 16), make_rng()).astype(np.float32)
+        periodic = BoundarySpec.all_periodic()
+
+        def rank_rhs(grid, provider=None):
+            solver = NodeSolver(grid, boundary=periodic,
+                                dispatcher=Dispatcher(num_workers=1))
+            return {idx: rhs.copy() for idx, rhs in
+                    solver.evaluate_rhs(None, provider).items()}
+
+        whole = BlockGrid((4, 2, 2), 8, h=0.1)
+        whole.from_array(field)
+        want = rank_rhs(whole)  # one rank: the wrap is the domain's
+
+        def main(comm):
+            topo = CartTopology((2, 1, 1), periodic=(True, True, True))
+            g = BlockGrid((2, 2, 2), 8, h=0.1)
+            g.from_array(field[comm.rank * 16:(comm.rank + 1) * 16])
+            halo = HaloExchange(comm, topo, g)
+            assert len(halo.halo_split()[1]) == 8
+            return rank_rhs(g, halo.exchange()), rank_rhs(g)
+
+        for rank, (got, wrapped) in enumerate(SimWorld(2).run(main)):
+            for (bz, by, bx), rhs in got.items():
+                assert bytes_equal(rhs, want[bz + 2 * rank, by, bx])
+                assert not bytes_equal(rhs, wrapped[bz, by, bx])
+
     def test_message_sizes(self):
         world = SimWorld(2)
 

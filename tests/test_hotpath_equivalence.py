@@ -29,6 +29,7 @@ against a pipeline assembled block by block from that oracle.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import zlib
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.compression.wavelet import (
     max_levels,
 )
 from repro.cluster import Simulation
+from repro.core.block import GHOSTS, padded_aos
 from repro.core.kernels import (
     rhs_kernel,
     sos_kernel,
@@ -60,6 +62,9 @@ from repro.core.kernels import (
     update_stage,
 )
 from repro.core.timestepper import LowStorageRK3
+from repro.node import solver as node_solver
+from repro.node.dispatcher import Dispatcher
+from repro.node.ghosts import BoundarySpec, fill_block_ghosts
 from repro.node.grid import BlockGrid
 from repro.node.sfc import morton_order
 from repro.node.solver import NodeSolver
@@ -1047,16 +1052,21 @@ class TestNativeBitIdentity:
         Upad = _batch_state(8, 3, seed=33)
         pads = _as_pads(Upad)
         want = rhs_kernel(pads, 0.1)
-        # one array, a list of arrays that are not neighbours, a strided
-        # destination (staged by NumPy, swept by the library)
+        # one array, an array the result reshapes to (as the node layer's:
+        # the cells of a box where they lie in its RHS array, split by
+        # block), a strided destination (both staged by NumPy, swept by
+        # the library)
         whole = np.empty((3, 8, 8, 8, NQ))
         assert rhs_kernel(pads, 0.1, out=whole) is whole
-        parts = [np.empty((8, 8, 8, NQ)) for _ in range(3)]
-        rhs_kernel(pads, 0.1, out=parts)
+        slots = np.empty((2, 2, 3, 4, 4, 8, NQ))
+        split = slots.transpose(2, 0, 3, 1, 4, 5, 6)
+        assert rhs_kernel(pads, 0.1, out=split) is split
         strided = np.empty((3, 8, 8, 8, 2 * NQ))[..., ::2]
         rhs_kernel(pads, 0.1, out=strided)
-        for got in (whole, np.stack(parts), strided):
+        for got in (whole, split.reshape(whole.shape), strided):
             assert bytes_equal(got, want)
+        with pytest.raises(ValueError):
+            rhs_kernel(pads, 0.1, out=np.empty((3, 8, 8, 4, NQ)))
         soa = np.empty((2, NQ, 3, 8, 8, 8))[1]
         assert bytes_equal(compute_rhs(Upad, 0.1, out=soa),
                            compute_rhs(Upad, 0.1))
@@ -1135,7 +1145,7 @@ class TestNativeBitIdentity:
         monkeypatch.setattr(native, "lib", _CountingLibrary())
         assert bytes_equal(compute_rhs(Upad, 0.02, **scheme), want)
         rhs_kernel(pads, 0.02, **scheme)
-        rhs_kernel(pads, 0.02, out=[np.empty((8, 8, 8, NQ))] * 2, **scheme)
+        rhs_kernel(pads, 0.02, out=np.empty((2, 8, 8, 8, NQ)), **scheme)
         assert native.lib.asked == []
 
     def test_other_dtypes_and_layouts_never_enter_the_library(
@@ -1153,8 +1163,187 @@ class TestNativeBitIdentity:
         data = grid.blocks[(0, 0, 1)].data
         sos_kernel(data[::2, :, 1:])
         sos_kernel(data.astype(np.float64))
-        sos_kernel([data, data[:4]])
+        sos_kernel([data, data[:4, ::2]])
         assert native.lib.asked == []
+
+
+def _box_grid(num_blocks, n, seed):
+    """A rank of rough two-material cells (``_padded_state``'s cloud)."""
+    grid = BlockGrid(num_blocks, n, h=0.05)
+    U = _padded_state(tuple(c - 6 for c in grid.cells), seed)
+    grid.from_array(np.moveaxis(U, 0, -1).astype(np.float32))
+    return grid
+
+
+def _face_provider(grid, faces, seed):
+    """A ghost provider as the cluster layer's: one received buffer per
+    face in ``faces``, a view of it per block face, ``None`` elsewhere."""
+    n = grid.block_size
+    buffers = {}
+    for k, (axis, side) in enumerate(faces):
+        U = _padded_state(tuple(c - 6 for c in grid.cells), seed + k)
+        cut = [slice(None)] * 3
+        cut[axis] = slice(0, 3)
+        buffers[axis, side] = np.ascontiguousarray(
+            np.moveaxis(U, 0, -1)[tuple(cut)], dtype=np.float32)
+
+    def provider(index, axis, side):
+        if (axis, side) not in buffers:
+            return None
+        cut = [slice(b * n, (b + 1) * n) for b in index]
+        cut[axis] = slice(None)
+        return buffers[axis, side][tuple(cut)]
+
+    return provider
+
+
+def _block_lists(grid):
+    """What ``evaluate_rhs`` is handed: every block, the interior and the
+    halo shell of the cluster layer's split, a shuffled subset, a list
+    with holes."""
+    blocks = list(grid.sfc_blocks())
+    interior = [b for b in blocks if all(
+        0 < i < m - 1 for i, m in zip(b.index, grid.num_blocks))]
+    order = make_rng(len(blocks)).permutation(len(blocks))
+    lists = {
+        "all": None, "interior": interior,
+        "shell": [b for b in blocks if b not in interior],
+        "shuffled": [blocks[k] for k in order[:2 * len(blocks) // 3]],
+        "holes": blocks[::2],
+    }
+    return {name: lst for name, lst in lists.items() if lst != []}
+
+
+_FACES = [(axis, side) for axis in range(3) for side in (-1, 1)]
+_BOUNDARIES = {
+    "extrapolate": BoundarySpec.all_extrapolate(),
+    "periodic": BoundarySpec.all_periodic(),
+    **{f"wall{axis}{side:+d}": BoundarySpec.wall_at(axis, side)
+       for axis, side in _FACES},
+}
+
+
+class TestBoxBitIdentity:
+    """``evaluate_rhs`` gathers boxes of neighbouring blocks, sweeps each
+    as one block and scatters: whatever the box cap, whichever executor
+    runs the plan (``native.lib`` loaded, where there is one, and
+    ``None``), every block gets the bytes of the per-block oracle --
+    ``padded_aos`` + interior + ``fill_block_ghosts`` on the six face
+    slabs + ``rhs_kernel``.  The cap is monkeypatched (for both executors
+    at once; "shipped" is each one's own): a test seam, not an option."""
+
+    @staticmethod
+    def _oracle(grid, boundary, provider):
+        g, want = GHOSTS, {}
+        for idx, block in grid.blocks.items():
+            pad = padded_aos(grid.block_size)
+            pad[g:-g, g:-g, g:-g] = block.data
+            fill_block_ghosts(pad, grid, block, boundary, provider)
+            want[idx] = rhs_kernel(pad, grid.h)
+        return want
+
+    def _check(self, monkeypatch, grid, boundary, provider=None, caps=None,
+               lists=None, libs=None):
+        n = grid.block_size
+        caps = caps or {"block": (n,) * 3, "16": (16,) * 3,
+                        "shipped": None, "rank": grid.cells}
+        lists = lists or _block_lists(grid)
+        libs = libs or sorted({None, native.lib}, key=id)
+        with np.errstate(all="ignore"):
+            want = self._oracle(grid, boundary, provider)
+            for (name, cap), lib in itertools.product(caps.items(), libs):
+                with monkeypatch.context() as patch:
+                    if cap is not None:  # else what each executor ships
+                        patch.setattr(node_solver, "BOX_CELLS", cap)
+                        patch.setattr(node_solver, "NUMPY_BOX_CELLS", cap)
+                    patch.setattr(native, "lib", lib)
+                    solver = NodeSolver(grid, boundary=boundary,
+                                        dispatcher=Dispatcher(num_workers=1))
+                    for which, blocks in lists.items():
+                        got = solver.evaluate_rhs(blocks, provider)
+                        assert list(got) == [b.index for b in (
+                            blocks or grid.sfc_blocks())]
+                        for idx, rhs in got.items():
+                            assert bytes_equal(rhs, want[idx]), (
+                                name, lib is None, which, idx)
+
+    @pytest.mark.parametrize("num_blocks, n, boundaries", [
+        ((4, 4, 4), 8, ("extrapolate", "periodic", "wall0-1")),
+        ((4, 2, 2), 8, tuple(_BOUNDARIES)),
+        ((3, 3, 3), 8, ("extrapolate", "periodic", "wall1+1", "wall2-1")),
+        ((1, 1, 5), 8, ("extrapolate", "periodic", "wall2+1")),
+        ((2, 2, 2), 16, ("extrapolate", "periodic", "wall0+1")),
+    ])
+    def test_every_cap_on_both_executors(self, monkeypatch, num_blocks, n,
+                                         boundaries):
+        grid = _box_grid(num_blocks, n, seed=n + sum(num_blocks))
+        for name in boundaries:
+            self._check(monkeypatch, grid, _BOUNDARIES[name])
+
+    def test_paper_blocks_are_boxes_of_one(self, monkeypatch):
+        """... until the cap is the rank (NumPy on the shipped cap only:
+        a second of sweeps a box)."""
+        grid = _box_grid((2, 2, 2), 32, seed=32)
+        lists = {"all": None, "holes": list(grid.sfc_blocks())[::2]}
+        self._check(monkeypatch, grid, _BOUNDARIES["wall0-1"], lists=lists,
+                    libs=[native.lib], caps={
+                        "shipped": None, "rank": grid.cells})
+        self._check(monkeypatch, grid, _BOUNDARIES["periodic"], libs=[None],
+                    lists={"all": None},
+                    caps={"shipped": None})
+
+    @pytest.mark.parametrize("mask", range(1, 64, 3))
+    def test_a_remote_provider_on_a_subset_of_faces(self, monkeypatch, mask):
+        """Every face subset between this case and the next two (the
+        remaining faces take the boundary condition, whatever it is)."""
+        grid = _box_grid((4, 2, 2), 8, seed=4)
+        for m in range(mask, min(mask + 3, 64)):
+            faces = [face for k, face in enumerate(_FACES) if m >> k & 1]
+            boundary = list(_BOUNDARIES.values())[m % 3]
+            self._check(
+                monkeypatch, grid, boundary,
+                provider=_face_provider(grid, faces, seed=m),
+                caps={"shipped": None, "rank": grid.cells},
+                lists={k: v for k, v in _block_lists(grid).items()
+                       if k in ("all", "shell", "holes")})
+
+    def test_a_provider_of_another_layout_is_staged(self, monkeypatch):
+        """float64 slabs, slabs to broadcast, strided values: copied into
+        storage precision on the way into the plan."""
+        grid = _box_grid((2, 2, 2), 8, seed=5)
+        inner = _face_provider(grid, _FACES, seed=6)
+
+        def provider(index, axis, side):
+            slab = inner(index, axis, side)
+            if axis == 0:
+                return slab.astype(np.float64).astype(np.float32, order="F")
+            if axis == 1:
+                return np.repeat(slab, 2, axis=-1)[..., ::2]
+            return slab[:1, :1, :1]
+
+        self._check(monkeypatch, grid, _BOUNDARIES["extrapolate"], provider)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.0, 1e-42],
+                             ids=["nan", "inf", "-0", "subnormal"])
+    @pytest.mark.parametrize("cell", [
+        (5, 5, 5),      # interior of block (0, 0, 0)
+        (16, 3, 4),     # first layer of the second shipped box: the
+                        # first one's ghost
+        (3, 7, 4),      # at a block seam inside a box
+        (0, 2, 15),     # read by the boundary condition too
+    ], ids=["interior", "box-face", "seam", "rank-face"])
+    def test_specials_in_a_cell(self, monkeypatch, cell, value):
+        grid = _box_grid((4, 2, 2), 8, seed=9)
+        field = grid.to_array()
+        for q, name in ((RHO, "wall0-1"), (RHOW, "periodic"),
+                        (ENERGY, "wall0-1")):
+            planted = field.copy()
+            planted[cell + (q,)] = value
+            grid.from_array(planted)
+            self._check(monkeypatch, grid, _BOUNDARIES[name],
+                        lists={"all": None}, caps={
+                            "shipped": None,
+                            "rank": grid.cells})
 
 
 def _oracle_fwt3d(block, levels):

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.kernels import (
     dt_from_sos,
+    gather_conv,
+    plan_table,
     rhs_kernel,
     rhs_kernel_slices,
+    scatter_aos,
     sos_kernel,
     stream_scratch,
     update_stage,
 )
-from repro.physics.eos import LIQUID, sound_speed
+from repro.physics.eos import LIQUID, conserved_to_primitive, sound_speed
 from repro.physics.state import NQ
 
 from .conftest import (
@@ -53,6 +57,71 @@ class TestRhsEquivalence:
         r1 = rhs_kernel(pad, 0.1, fused=True)
         scale = np.abs(r0).max()
         np.testing.assert_allclose(r1, r0, atol=1e-10 * max(scale, 1.0))
+
+
+class TestPlanTable:
+    """The table the compiled gather and scatter execute: what the library
+    cannot check is refused where the table is built or handed over."""
+
+    def test_rows_are_cell_extents_address_steps_and_flip(self, rng):
+        cells = make_smooth_aos((4, 5, 6), rng).astype(np.float32)
+        wall = np.flip(cells[:, :3], axis=1)
+        far = np.broadcast_to(cells[:1], (3, 5, 6, NQ))
+        table = plan_table((10, 8, 9), [((3, 3, 3), cells, -1),
+                                        ((3, 0, 3), wall, 2),
+                                        ((0, 3, 3), far, -1)])
+        assert table.dtype == np.int64 and table.shape == (3, 9)
+        assert table[0].tolist() == [
+            (3 * 8 + 3) * 9 + 3, 4, 5, 6, cells.ctypes.data,
+            5 * 6 * NQ, 6 * NQ, NQ, -1]
+        assert table[1, 1:4].tolist() == [4, 3, 6]
+        assert table[1, 4] == cells[:, 2].ctypes.data
+        assert table[1, 5:].tolist() == [5 * 6 * NQ, -6 * NQ, NQ, 2]
+        assert table[2, 5:].tolist() == [0, 6 * NQ, NQ, -1]
+
+    @pytest.mark.parametrize("at, aos", [
+        ((7, 0, 0), np.zeros((4, 5, 6, NQ), np.float32)),   # leaves in z
+        ((0, 0, -1), np.zeros((4, 5, 6, NQ), np.float32)),  # ... and in x
+        ((0, 0, 0), np.zeros((4, 5, 6, NQ), np.float64)),   # another dtype
+        ((0, 0, 0), np.zeros((4, 5, 6, 2 * NQ), np.float32)[..., ::2]),
+        ((0, 0, 0), np.zeros((5, 6, NQ), np.float32)),      # not 3-D cells
+        ((0, 0, 0), np.zeros((4, 5, 6, NQ - 1), np.float32)),
+    ])
+    def test_a_row_the_library_would_trust_blindly(self, at, aos):
+        with pytest.raises(ValueError, match="cells"):
+            plan_table((10, 8, 9), [(at, aos, -1)])
+
+    @pytest.mark.skipif(native.lib is None, reason="no compiled kernels")
+    def test_gather_and_scatter_what_the_rows_say(self, rng):
+        cells = make_smooth_aos((4, 5, 6), rng).astype(np.float32)
+        rows = [((3, 3, 2), cells, -1),
+                ((3, 0, 2), np.flip(cells[:, :3], axis=1), 2),
+                ((0, 3, 2), np.broadcast_to(cells[:1], (3, 5, 6, NQ)), -1)]
+        pad = np.ones((10, 8, 9, NQ), dtype=np.float32)
+        for (z, y, x), aos, flip in rows:
+            pad[z:z + aos.shape[0], y:y + aos.shape[1], x:x + 6] = aos
+        pad[3:7, 0:3, 2:8, 2] *= -1.0
+        want = conserved_to_primitive(
+            np.moveaxis(pad, -1, 0).astype(np.float64))
+        W = np.full((NQ, 1, 10, 8, 9), -7.0)
+        gather_conv(native.lib, plan_table((10, 8, 9), rows), W)
+        named = np.zeros((10, 8, 9), dtype=bool)
+        named[3:7, 0:8, 2:8] = named[0:3, 3:8, 2:8] = True
+        assert bytes_equal(W[:, 0][:, named], want[:, named])
+        assert (W[:, 0][:, ~named] == -7.0).all()
+        # ... and back: the interior of the result into two arrays
+        R = rng.normal(size=(NQ, 1, 4, 5, 6))
+        low, high = np.empty((2, 5, 6, NQ)), np.empty((2, 5, 6, NQ))
+        scatter_aos(native.lib, R, plan_table(
+            (4, 5, 6), [((0, 0, 0), low, -1), ((2, 0, 0), high, -1)],
+            np.float64))
+        assert bytes_equal(np.concatenate([low, high]),
+                           np.moveaxis(R[:, 0], 0, -1))
+        for bad in (W.astype(np.float32), W[..., ::2], W[:3]):
+            with pytest.raises(ValueError, match="float64 field"):
+                gather_conv(native.lib, plan_table((1, 1, 1), []), bad)
+        with pytest.raises(ValueError, match="int64 table"):
+            gather_conv(native.lib, np.zeros((2, 8), dtype=np.int64), W)
 
 
 class TestSosKernel:

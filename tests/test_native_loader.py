@@ -38,8 +38,8 @@ STUB = """
 int repro_native_abi(void) { return %d; }
 const char *repro_native_compiler(void) { return "stub"; }
 void repro_rhs_sweeps(void) {}
-void repro_conv_aos_to_soa(void) {}
-void repro_soa_to_aos(void) {}
+void repro_gather_conv(void) {}
+void repro_scatter_aos(void) {}
 void repro_update_stage(void) {}
 double repro_max_sos(void) { return 0.0; }
 """

@@ -415,7 +415,7 @@ def test_committed_manifest_matches_regenerated():
 
 
 def test_manifest_names_the_kernels_with_a_native_door():
-    """Read off the source, not restated: the four kernels whose closure
+    """Read off the source, not restated: the six kernels whose closure
     calls into the compiled library, and entry points that exist."""
     from repro import native
     from repro.analysis.perfcheck import analyze_paths
@@ -425,12 +425,15 @@ def test_manifest_names_the_kernels_with_a_native_door():
     assert len(payload["kernels"]) == len(HOT_KERNELS)
     doors = {k["name"]: k["native_entry_points"]
              for k in payload["kernels"] if k["native_entry_points"]}
-    # (plus whatever reaches one of the four through its closure)
+    # (plus whatever reaches one of the six through its closure)
     assert {name: doors[name] for name in (
-        "compute_rhs", "rhs_kernel", "sos_kernel", "update_stage")} == {
+        "compute_rhs", "gather_conv", "scatter_aos", "rhs_kernel",
+        "sos_kernel", "update_stage")} == {
         "compute_rhs": ["repro_rhs_sweeps"],
-        "rhs_kernel": ["repro_conv_aos_to_soa", "repro_rhs_sweeps",
-                       "repro_soa_to_aos"],
+        "gather_conv": ["repro_gather_conv"],
+        "scatter_aos": ["repro_scatter_aos"],
+        "rhs_kernel": ["repro_gather_conv", "repro_rhs_sweeps",
+                       "repro_scatter_aos"],
         "sos_kernel": ["repro_max_sos"],
         "update_stage": ["repro_update_stage"],
     }

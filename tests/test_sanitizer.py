@@ -262,18 +262,18 @@ class TestKernelPathLocalization:
         return err.value.violations[0]
 
     def test_rhs_nan_localized_to_block_and_field(self, monkeypatch):
-        from repro.core.kernels import rhs_kernel as orig
+        from repro.node.solver import NodeSolver
 
-        def bad_rhs(pad, h, **kw):
-            out = orig(pad, h, **kw)
-            # The node layer passes a batch of pads and one buffer per
-            # block to write into: poison every block.
-            for rhs in out:
-                rhs[0, 0, 0, RHO] = np.nan
-            return out
+        orig = NodeSolver._rhs_for_box
+
+        def bad_rhs(self, plan, remote_provider=None):
+            orig(self, plan, remote_provider)
+            # The node layer sweeps a box of blocks into their slots of
+            # its RHS array: poison every block of the box.
+            plan.rhs[:, 0, :, 0, :, 0, RHO] = np.nan
 
         v = self._run_expecting_violation(
-            monkeypatch, "repro.node.solver.rhs_kernel", bad_rhs
+            monkeypatch, "repro.node.solver.NodeSolver._rhs_for_box", bad_rhs
         )
         assert v.check == "non_finite"
         assert "RHS" in v.where
