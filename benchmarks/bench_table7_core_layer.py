@@ -6,7 +6,10 @@ compiled tile bodies of ``repro.native`` -- in GFLOP/s under the model's
 per-cell FLOP counts, and divides each by what the build host allows one
 core at the kernel's operational intensity (``perf.machines.BUILD_HOST``,
 ``perf.roofline.attainable_single_core``): our "% of this host" column
-next to the paper's 65 / 15 / 2 / 10 % of the BQC's peak.
+next to the paper's 65 / 15 / 2 / 10 % of the BQC's peak.  FWT gets both
+rates and their ratio but no "% host": ``perf.traffic.table3`` has no
+traffic model of it to take an operational intensity from (ROADMAP
+item 2).
 """
 
 import time
@@ -119,7 +122,7 @@ def test_table7_measured_python(benchmark, block_state, monkeypatch):
         bound = (attainable_single_core(BUILD_HOST, oi[k])
                  if k in oi else None)
         row = {"kernel": k, "NumPy [GF/s]": numpy_rate}
-        compiled = measured["c"] is not None and k != "FWT"  # FWT: NumPy only
+        compiled = measured["c"] is not None
         if compiled:
             row["C [GF/s]"] = measured["c"][k]
             row["C / NumPy"] = measured["c"][k] / numpy_rate

@@ -128,12 +128,12 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("fill_block_ghosts", "node/ghosts.py",
                "STORAGE_DTYPE (float32) AoS in place"),
     # compression -- FWT is one of the paper's four core kernels; the
-    # axis-first lifting works through strided views and held scratch,
-    # numpy-only by design.
-    KernelSpec("fwt3d", "compression/wavelet.py", _WAVELET),
-    KernelSpec("iwt3d", "compression/wavelet.py", _WAVELET),
+    # axis-first lifting through strided views and held scratch is the
+    # form without a compiler (repro_lift, repro_decimate otherwise).
+    KernelSpec("fwt3d", "compression/wavelet.py", _WAVELET + _NATIVE),
+    KernelSpec("iwt3d", "compression/wavelet.py", _WAVELET + _NATIVE),
     KernelSpec("decimate", "compression/decimation.py",
-               "dtype-preserving, in place"),
+               "dtype-preserving, in place" + _NATIVE),
 )
 
 #: Module path suffixes the ``--perf`` CLI analyzes by default.

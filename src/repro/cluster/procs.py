@@ -477,8 +477,12 @@ class ProcsComm:
 
     def publish_step(self, step: int) -> None:
         """Heartbeat hook: expose the driver's current step to the
-        parent supervisor (step-addressed SIGKILL injection)."""
+        parent supervisor (step-addressed SIGKILL injection).  Raises
+        :class:`WorldAbortError` in an aborted world: a rank holding at a
+        fault point for a kill that went to a peer is released here."""
         self._board.set_step(self.rank, step)
+        if self._aborted():
+            raise WorldAbortError(f"world aborted at step {step}")
 
     def _aborted(self) -> bool:
         return self._board.aborted()

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .. import native
 from .wavelet import detail_mask, iwt3d_abs
 
 
@@ -45,7 +46,8 @@ def exact_amplification(shape: tuple[int, int, int], levels: int) -> float:
 
 
 def guaranteed_threshold(eps: float, shape: tuple[int, int, int], levels: int) -> float:
-    """Per-coefficient threshold that guarantees ``|error|_inf <= eps``."""
+    """Per-coefficient threshold that guarantees ``|error|_inf <= eps``
+    (to the rounding of the threshold itself: see :func:`decimate_batch`)."""
     if levels == 0:
         return 0.0
     return eps / exact_amplification(tuple(shape), levels)
@@ -92,18 +94,35 @@ def decimate_batch(
         higher compression, error typically a small multiple of ``eps``
         and strictly bounded by ``eps * exact_amplification(...)``).
 
-    Returns one :class:`DecimationStats` per block.
+    The comparison ``|c| < t`` runs in the data's precision: against
+    float32 coefficients the threshold is first rounded to the nearest
+    float32, so a coefficient in ``[t, float32(t))`` is zeroed too and the
+    "strict" bound holds to a relative 6e-8 (half a float32 ulp of
+    ``t``), not exactly; a float64 batch is compared in double.  (The
+    rounding is part of the dump format: changing it changes bytes.)
+
+    Contiguous float32 / float64 batches are decimated by the compiled
+    library where there is one (:mod:`repro.native`): same bytes, same
+    counts.  Returns one :class:`DecimationStats` per block.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     shape = coeffs.shape[1:]
     t = guaranteed_threshold(eps, shape, levels) if guaranteed else eps
-    small = np.abs(coeffs) < t
     # Everything but the coarse corner is detail.
     corner = tuple(n >> levels for n in shape)
-    small[:, : corner[0], : corner[1], : corner[2]] = False
-    np.putmask(coeffs, small, 0.0)
-    zeroed = np.count_nonzero(small.reshape(len(small), -1), axis=1)
+    lib = native.lib
+    if (lib is not None and coeffs.ndim == 4
+            and coeffs.dtype in (np.float32, np.float64)
+            and native.addressable(coeffs, coeffs.dtype, writeable=True)):
+        zeroed = np.empty(len(coeffs), dtype=np.int64)
+        lib.repro_decimate(coeffs.ctypes.data, *coeffs.shape, levels,
+                           coeffs.itemsize, t, zeroed.ctypes.data)
+    else:
+        small = np.abs(coeffs) < t
+        small[:, : corner[0], : corner[1], : corner[2]] = False
+        np.putmask(coeffs, small, 0.0)
+        zeroed = np.count_nonzero(small.reshape(len(small), -1), axis=1)
     total = math.prod(shape) - math.prod(corner)
     return [
         DecimationStats(total_details=total, zeroed=int(z), threshold=float(t))

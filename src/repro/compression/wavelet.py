@@ -20,7 +20,10 @@ transpositions, repeated per multiresolution level on the coarse corner
 the stencil axis *first*, so that every even/odd operand, every shifted
 tap and every boundary slot of the filter is a contiguous slab, and the
 filter runs over a batch of blocks in cache-sized runs
-(:func:`lift_batch`, :data:`RUN_ELEMENTS`).
+(:func:`lift_batch`, :data:`RUN_ELEMENTS`).  Where :mod:`repro.native`
+has a compiled library a contiguous batch takes the same step in C
+(row slabs for y and z, a transposing stage for x); this NumPy form is
+then the fallback and the oracle, byte for byte.
 
 Layout: one in-place-style level maps a length-``N`` axis to
 ``[N/2 scaling | N/2 details]``; level ``l+1`` recurses on the leading
@@ -35,6 +38,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .. import native
 
 #: Centered Deslauriers-Dubuc 4-point prediction weights.
 _W_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
@@ -259,6 +264,24 @@ def _level_runs(blocks: np.ndarray, levels: int, inverse: bool):
             yield blocks[start : start + step, :nz, :ny, :nx]
 
 
+def _lift_compiled(blocks: np.ndarray, levels: int, inverse: bool,
+                   stencils) -> bool:
+    """:func:`lift_batch` of a validated batch by the compiled library, if
+    there is one and the batch is C-contiguous: the same tree per sample
+    on one row slab of scratch (this call's own -- rank threads compress
+    concurrently), the bytes of :func:`_lift`.  False: not taken."""
+    lib = native.lib
+    taken = lib is not None and native.addressable(blocks, blocks.dtype,
+                                                   writeable=True)
+    if taken:
+        weights = np.array(stencils, dtype=np.float64)
+        slab = np.empty(max(blocks.shape[1:3]) * blocks.shape[3])
+        lib.repro_lift(blocks.ctypes.data, *blocks.shape, levels, inverse,
+                       blocks.itemsize, weights.ctypes.data,
+                       slab.ctypes.data)
+    return taken
+
+
 def lift_batch(
     blocks: np.ndarray,
     levels: int | None = None,
@@ -271,7 +294,10 @@ def lift_batch(
     Forward: per level, filter along x, then y, then z on the coarse
     corner; the inverse undoes the levels coarse to fine, z first.  A
     single block is the batch of one; blocks never see each other, so any
-    batch gives each block the bytes it gets alone.
+    batch gives each block the bytes it gets alone.  A C-contiguous batch
+    goes through the compiled library where there is one
+    (:mod:`repro.native`), anything else through :func:`_lift`: the same
+    bytes either way.
     """
     if blocks.ndim == 3:
         blocks = blocks[np.newaxis]
@@ -286,6 +312,8 @@ def lift_batch(
         raise ValueError(
             f"cannot apply {levels} levels to shape {blocks.shape[1:]}"
         )
+    if _lift_compiled(blocks, levels, inverse, stencils):
+        return
     # Half a run in each of: evens, prediction, one term, rounded copy.
     largest = max(RUN_ELEMENTS, math.prod(blocks.shape[1:]))
     flat = np.empty(2 * min(largest, blocks.size), dtype=np.float64)

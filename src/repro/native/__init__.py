@@ -1,7 +1,8 @@
 """The door to the compiled kernels: build on first use, load, or fall back.
 
-``kernels.c`` holds the tile bodies of RHS, UP and SOS, byte-identical to
-the NumPy kernels they stand in for.  This module compiles it with the
+``kernels.c`` holds the tile bodies of RHS, UP and SOS and the lifting and
+decimation of the compression layer, byte-identical to the NumPy kernels
+they stand in for.  This module compiles it with the
 host's ``gcc`` the first time a kernel is *used*, keeps the result as
 ``kernels-<key>-<digest>.so`` and hands the loaded library out as the
 module attribute :data:`lib` -- ``None`` where there is no compiler, the
@@ -60,7 +61,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno",
          "ggc-min-heapsize=4096", "-shared", "-fPIC")
 
 #: What ``repro_native_abi()`` of a library this module can drive returns.
-ABI = 2
+ABI = 3
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120.0
@@ -81,6 +82,10 @@ _SIGNATURES = {
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
         ctypes.c_double, ctypes.c_double, ctypes.c_double]),
     "repro_max_sos": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
+    "repro_lift": (None, [ctypes.c_void_p] + [ctypes.c_long] * 7
+                   + [ctypes.c_void_p, ctypes.c_void_p]),
+    "repro_decimate": (None, [ctypes.c_void_p] + [ctypes.c_long] * 6
+                       + [ctypes.c_double, ctypes.c_void_p]),
     "repro_native_abi": (ctypes.c_int, []),
     "repro_native_compiler": (ctypes.c_char_p, []),
 }
@@ -216,7 +221,8 @@ def build_or_load(source: Path = SOURCE, cache_dirs=None, compiler=None,
     or a file that does not load: those are the fallback.
     """
     state = {"backend": "numpy", "reason": "", "path": None,
-             "compiler": compiler, "flags": list(flags)}
+             "compiler": compiler, "flags": list(flags), "abi": ABI,
+             "entry_points": sorted(_SIGNATURES)}
     if compiler is None:
         compiler = state["compiler"] = find_compiler()
     if compiler is None:
@@ -302,14 +308,17 @@ def __getattr__(name: str):
 def status() -> dict:
     """Which path kernels take in this process, and why.
 
-    ``{"backend": "c" | "numpy", "reason", "path", "compiler", "flags"}``.
+    ``{"backend": "c" | "numpy", "reason", "path", "compiler", "flags",
+    "abi", "entry_points"}`` -- the last two what this module drives, on
+    either backend.
     Does not load or build: before the first kernel use it reports
     ``numpy`` with the reason that nothing has asked yet.  ``backend``
     follows the current value of :data:`lib`.
     """
     if "lib" not in globals() or _state is None:
         return {"backend": "numpy", "reason": "not loaded: no kernel has run",
-                "path": None, "compiler": None, "flags": list(FLAGS)}
+                "path": None, "compiler": None, "flags": list(FLAGS),
+                "abi": ABI, "entry_points": sorted(_SIGNATURES)}
     out = dict(_state)
     if globals()["lib"] is None and out["backend"] == "c":
         out.update(backend="numpy", reason="lib was set to None")

@@ -1,4 +1,5 @@
-/* Compiled tile bodies of the core-layer kernels: RHS, UP, SOS.
+/* Compiled tile bodies of the core-layer kernels -- RHS, UP, SOS -- and of
+ * the compression layer's: FWT / IWT, DEC.
  *
  * Every function here is the per-element arithmetic of a NumPy kernel in
  * repro.physics / repro.core, statement for statement: the same IEEE
@@ -29,8 +30,10 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define CLONES_AVX2 __attribute__((target_clones("avx2", "default")))
 #else
 #define CLONES
+#define CLONES_AVX2
 #endif
 #define INLINE static inline __attribute__((always_inline))
 
@@ -42,7 +45,7 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 #define SIXTH (1.0 / 6.0)
 #define SOUND_SPEED_FLOOR 1.0e-12
 
-int repro_native_abi(void) { return 2; }
+int repro_native_abi(void) { return 3; }
 const char *repro_native_compiler(void) { return __VERSION__; }
 
 /* np.maximum / np.minimum: a NaN in either operand is the result. */
@@ -466,4 +469,127 @@ CLONES double repro_max_sos(const float *restrict aos, long cells)
     for (int i = 0; i < LANES; i++)
         best = nmax(poison[i], nmax(best, peak[i]));
     return best;
+}
+
+/* ---- FWT / IWT: compression.wavelet._lift ---------------------------- */
+
+/* Slot k of m is predicted from four evens `s` apart, the first of them
+ * FIRST_TAP, by stencil STENCIL of w (centre, left, right inner, right
+ * outer, 4 weights each): ((e0*w0 + e1*w1) + e2*w2) + e3*w3 in float64,
+ * rounded once to the data's type before it meets the fine sample. */
+#define FIRST_TAP(k, m) ((k) == 0 ? 0 : (k) >= (m) - 2 ? (m) - 4 : (k) - 1)
+#define STENCIL(k, m) \
+    ((k) == 0 ? 1 : (k) == (m) - 2 ? 2 : (k) == (m) - 1 ? 3 : 0)
+#define PREDICT(e, s, wk) \
+    ((((e)[0] * (wk)[0] + (e)[s] * (wk)[1]) + (e)[2 * (s)] * (wk)[2]) \
+     + (e)[3 * (s)] * (wk)[3])
+
+/* STEP: one lifting step in place, [even, odd, ...] <-> [coarse | detail],
+ * along n samples `ks` apart in each of len lanes `ls` apart.  The samples
+ * are staged lane-contiguous in `even` (n * len doubles: the coarse half
+ * converted once, the other half as it is) -- for the x step, whose lanes
+ * are the rows of a plane, that is the paper's transposition -- and
+ * filtered from there, a vector of lanes at a time (converting and
+ * streaming: no faster on 512-bit lanes, so no such clone to compile).
+ * BATCH: every level of every block: x and y plane by plane, then z, on
+ * the coarse corner, fine to coarse -- or all of it backwards. */
+#define LIFT(T, STEP, BATCH)                                                  \
+static CLONES_AVX2 __attribute__((noinline)) void                             \
+STEP(T *restrict a, ptrdiff_t ks, ptrdiff_t ls, long n, long len,             \
+     int inverse, const double *restrict w, double *restrict even)            \
+{                                                                             \
+    const long m = n / 2;                                                     \
+    T *restrict fine = (T *)(even + m * len);                                 \
+    for (long k = 0; k < m; k++) {                                            \
+        const T *c = a + (inverse ? k : 2 * k) * ks;                          \
+        const T *f = c + (inverse ? m : 1) * ks;                              \
+        for (long i = 0; i < len; i++) {                                      \
+            even[k * len + i] = (double)c[i * ls];                            \
+            fine[k * len + i] = f[i * ls];                                    \
+        }                                                                     \
+    }                                                                         \
+    for (long k = 0; k < m; k++) {                                            \
+        const double *e = even + FIRST_TAP(k, m) * len;                       \
+        const double *wk = w + 4 * STENCIL(k, m);                             \
+        T *c = a + (inverse ? 2 * k : k) * ks;                                \
+        T *f = c + (inverse ? 1 : m) * ks;                                    \
+        for (long i = 0; i < len; i++) {                                      \
+            T p = (T)PREDICT(e + i, len, wk), d = fine[k * len + i];          \
+            c[i * ls] = (T)even[k * len + i];                                 \
+            f[i * ls] = inverse ? d + p : d - p;                              \
+        }                                                                     \
+    }                                                                         \
+}                                                                             \
+static void BATCH(T *blocks, long B, long Nz, long Ny, long Nx, long levels,  \
+                  int inverse, const double *w, double *scratch)              \
+{                                                                             \
+    const ptrdiff_t plane = (ptrdiff_t)Ny * Nx;                               \
+    for (T *a = blocks; a < blocks + B * Nz * plane; a += Nz * plane)         \
+        for (long l = 0; l < levels; l++) {                                   \
+            long lvl = inverse ? levels - 1 - l : l;                          \
+            long nz = Nz >> lvl, ny = Ny >> lvl, nx = Nx >> lvl;              \
+            for (long y = 0; inverse && y < ny; y++)                          \
+                STEP(a + y * Nx, plane, 1, nz, nx, inverse, w, scratch);      \
+            for (long z = 0; z < nz; z++) {                                   \
+                if (inverse)                                                  \
+                    STEP(a + z * plane, Nx, 1, ny, nx, inverse, w, scratch);  \
+                STEP(a + z * plane, 1, Nx, nx, ny, inverse, w, scratch);      \
+                if (!inverse)                                                 \
+                    STEP(a + z * plane, Nx, 1, ny, nx, inverse, w, scratch);  \
+            }                                                                 \
+            for (long y = 0; !inverse && y < ny; y++)                         \
+                STEP(a + y * Nx, plane, 1, nz, nx, inverse, w, scratch);      \
+        }                                                                     \
+}
+LIFT(float, lift_step_f32, lift_batch_f32)
+LIFT(double, lift_step_f64, lift_batch_f64)
+
+/* compression.wavelet.lift_batch of a C-contiguous (B, nz, ny, nx) batch of
+ * float32 (itemsize 4) or float64; w: the 16 weights; scratch: max(nz, ny)
+ * * nx doubles of the caller's (ranks compress concurrently: no statics). */
+void repro_lift(void *blocks, long B, long nz, long ny, long nx,
+                       long levels, long inverse, long itemsize,
+                       const double *w, double *scratch)
+{
+    if (itemsize == 4)
+        lift_batch_f32(blocks, B, nz, ny, nx, levels, inverse != 0, w,
+                       scratch);
+    else
+        lift_batch_f64(blocks, B, nz, ny, nx, levels, inverse != 0, w,
+                       scratch);
+}
+
+/* ---- DEC: compression.decimation.decimate_batch ---------------------- */
+
+/* +0.0 into every coefficient outside the coarse corner with |c| < t in the
+ * data's precision (a NaN stays); zeroed[b]: how many of block b. */
+#define DECIMATE(T, NAME, ABS)                                                \
+INLINE void NAME(T *restrict c, long B, long nz, long ny, long nx,            \
+                 long levels, T t, long long *restrict zeroed)                \
+{                                                                             \
+    const long cz = nz >> levels, cy = ny >> levels, cx = nx >> levels;       \
+    for (long b = 0; b < B; b++) {                                            \
+        long long count = 0;                                                  \
+        for (long zy = 0; zy < nz * ny; zy++, c += nx) {                      \
+            long x = zy / ny < cz && zy % ny < cy ? cx : 0;                   \
+            for (; x < nx; x++) {                                             \
+                int small = ABS(c[x]) < t;                                    \
+                count += small;                                               \
+                c[x] = small ? (T)0.0 : c[x];                                 \
+            }                                                                 \
+        }                                                                     \
+        zeroed[b] = count;                                                    \
+    }                                                                         \
+}
+DECIMATE(float, decimate_f32, fabsf)
+DECIMATE(double, decimate_f64, fabs)
+
+CLONES_AVX2 void repro_decimate(void *blocks, long B, long nz, long ny,
+                                long nx, long levels, long itemsize,
+                                double t, long long *zeroed)
+{
+    if (itemsize == 4) /* NumPy rounds the threshold to the data's type */
+        decimate_f32(blocks, B, nz, ny, nx, levels, (float)t, zeroed);
+    else
+        decimate_f64(blocks, B, nz, ny, nx, levels, t, zeroed);
 }

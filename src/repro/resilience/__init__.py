@@ -34,6 +34,7 @@ from .inject import (
     InjectedFault,
     InjectedIOError,
     InjectedRankCrash,
+    KillNotDeliveredError,
     TransientCommError,
 )
 from .plan import KINDS, FaultPlan, FaultSpec
@@ -72,6 +73,7 @@ __all__ = [
     "InjectedFault",
     "InjectedIOError",
     "InjectedRankCrash",
+    "KillNotDeliveredError",
     "RecoveryEvent",
     "ResilienceExhaustedError",
     "ResilientRunResult",

@@ -54,6 +54,18 @@ class InjectedIOError(InjectedFault, OSError):
     """An injected storage write failure."""
 
 
+class KillNotDeliveredError(InjectedFault):
+    """A rank held at the step of a parent-delivered ``rank_crash`` and
+    the ``SIGKILL`` never came (:data:`KILL_WAIT`)."""
+
+
+#: Seconds a rank holds at a step for the ``SIGKILL`` its parent owes it,
+#: and the pause between two looks at the clock.  A supervisor polls every
+#: 2 - 10 ms; the bound is for one that is gone.
+KILL_WAIT = 5.0
+_KILL_POLL = 0.001
+
+
 class FaultInjector:
     """Arms a :class:`FaultPlan`; consulted at the injection sites.
 
@@ -197,6 +209,13 @@ class FaultInjector:
 
     # -- core firing logic ------------------------------------------------
 
+    def _armed(self, i: int, kind: str, rank: int, step: int | None) -> bool:
+        """Whether spec ``i`` is of ``kind``, names ``(rank, step)`` and
+        has hits left (bool; call with the lock held)."""
+        spec = self.plan.faults[i]
+        return (spec.kind == kind and spec.matches(rank, step)
+                and not (spec.max_hits and self._hits[i] >= spec.max_hits))
+
     def _fires(self, kind: str, rank: int, step: int | None,
                target: str | None = None) -> FaultSpec | None:
         """The first armed spec firing at this site, or None (FaultSpec).
@@ -208,13 +227,9 @@ class FaultInjector:
             return None
         with self._lock:
             for i, spec in enumerate(self.plan.faults):
-                if spec.kind != kind:
+                if not self._armed(i, kind, rank, step):
                     continue
                 if target is not None and spec.target != target:
-                    continue
-                if not spec.matches(rank, step):
-                    continue
-                if spec.max_hits and self._hits[i] >= spec.max_hits:
                     continue
                 if spec.probability < 1.0 and \
                         self._rngs[i].random() >= spec.probability:
@@ -233,6 +248,18 @@ class FaultInjector:
         Raises :class:`InjectedRankCrash` for an armed ``rank_crash``;
         sleeps for an armed ``straggler`` (absorbed faults count as
         detected and recovered immediately).
+
+        Where a parent owns the kill (``rank_crash`` in
+        :attr:`disabled_kinds`: the parent watches the published steps
+        and sends a real ``SIGKILL``), the rank keeps the appointment: a
+        spec that names this ``(rank, step)``, has hits left and fires
+        with certainty holds the rank here, the step published, until the
+        signal arrives -- however short a step is against the parent's
+        polling interval.  A retried attempt is cloned with the hit
+        consumed and does not hold.  Bounded: :class:`KillNotDeliveredError`
+        after :data:`KILL_WAIT`.  A spec with ``probability < 1`` cannot
+        be foreseen from this side (the parent draws) and stays a matter
+        of polling: it is missed by a step shorter than the interval.
         """
         self.begin_step(rank, step)
         spec = self._fires("straggler", rank, step)
@@ -240,10 +267,36 @@ class FaultInjector:
             time.sleep(spec.delay)
             self.detected("straggler")
             self.recovered("straggler")
-        if self._fires("rank_crash", rank, step) is not None:
+        if "rank_crash" in self.disabled_kinds:
+            self._hold_for_kill(rank, step)
+        elif self._fires("rank_crash", rank, step) is not None:
             raise InjectedRankCrash(
                 f"injected crash of rank {rank} at step {step}"
             )
+
+    def _hold_for_kill(self, rank: int, step: int) -> None:
+        """Wait for the parent's ``SIGKILL`` if a sure ``rank_crash``
+        with hits left names ``(rank, step)``; consumes nothing (the
+        parent does).  The step is published again at every look: a
+        listener that raises (the procs backend's, once the world has
+        aborted over another rank's kill) ends the wait."""
+        with self._lock:
+            due = next((
+                spec for i, spec in enumerate(self.plan.faults)
+                if spec.probability == 1.0
+                and self._armed(i, "rank_crash", rank, step)
+            ), None)
+        if due is None:
+            return
+        deadline = time.monotonic() + KILL_WAIT
+        while time.monotonic() < deadline:
+            time.sleep(_KILL_POLL)
+            if self.step_listener is not None:
+                self.step_listener(rank, step)
+        raise KillNotDeliveredError(
+            f"rank {rank} held {KILL_WAIT:g} s at step {step} for a "
+            f"SIGKILL its parent never delivered: {due}"
+        )
 
     def on_send(self, rank: int, dest: int, payload):
         """Communicator hook on every point-to-point send.

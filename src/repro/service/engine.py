@@ -610,13 +610,14 @@ class JobEngine:
             # Parent-side kill delivery: replay observed step progress
             # through the job's plan, exactly like the procs backend's
             # supervisor, so an armed rank_crash is a *real* SIGKILL.
-            if job.supervise and on_job and hb_step > worker.replayed_step:
-                for s in range(worker.replayed_step + 1, hb_step + 1):
+            replayed = worker.replayed_step.get(hb_rank, 0)
+            if job.supervise and on_job and hb_step > replayed:
+                for s in range(replayed + 1, hb_step + 1):
                     if job.injector.fire("rank_crash", hb_rank, s):
                         self.counters["kills_delivered"] += 1
                         self.pool.kill(worker, "rank_crash")
                         break
-                worker.replayed_step = hb_step
+                worker.replayed_step[hb_rank] = hb_step
                 if worker.kill_reason is not None:
                     continue
             # Wall-clock timeout.

@@ -212,8 +212,9 @@ class WorkerHandle:
     deadline: float | None = None
     #: why the parent killed it ("timeout" | "rank_crash" | ...), if it did
     kill_reason: str | None = None
-    #: kill-replay watermark: last heartbeat step fed through the plan
-    replayed_step: int = 0
+    #: kill-replay watermarks: rank -> last heartbeat step fed through
+    #: the plan (rank threads share the one heartbeat slot)
+    replayed_step: dict = field(default_factory=dict)
     jobs_done: int = 0
     death_seen: float | None = None
 
@@ -282,7 +283,7 @@ class WorkerPool:
         worker.dispatched_at = time.monotonic()
         worker.deadline = deadline
         worker.kill_reason = None
-        worker.replayed_step = 0
+        worker.replayed_step = {}
         worker.death_seen = None
         worker.task_q.put(task)
 

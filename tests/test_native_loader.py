@@ -42,6 +42,8 @@ void repro_gather_conv(void) {}
 void repro_scatter_aos(void) {}
 void repro_update_stage(void) {}
 double repro_max_sos(void) { return 0.0; }
+void repro_lift(void) {}
+void repro_decimate(void) {}
 """
 
 #: SHA-256 of the final field of the 2-step run in ``_RUN``, recorded at
@@ -122,11 +124,13 @@ class TestFallback:
         lib, state = native.build_or_load(source, [tmp_path / "cache"])
         assert lib is None and "repro_" in state["reason"]
 
-    def test_a_library_of_another_abi(self, tmp_path):
+    @pytest.mark.parametrize("abi", [native.ABI - 1, native.ABI + 1])
+    def test_a_library_of_another_abi(self, tmp_path, abi):
         source = tmp_path / "old.c"
-        source.write_text(STUB % (native.ABI + 1))
+        source.write_text(STUB % abi)
         lib, state = native.build_or_load(source, [tmp_path / "cache"])
-        assert lib is None and "ABI" in state["reason"]
+        assert (lib is None
+                and f"ABI {abi}, not {native.ABI}" in state["reason"])
 
     def test_a_missing_compiler_binary(self, stub, tmp_path):
         lib, state = native.build_or_load(
@@ -278,6 +282,26 @@ class TestKey:
                  or "from ctypes" in path.read_text()]
         assert users == ["native/__init__.py"]
 
+    def test_a_cached_library_of_the_previous_source_is_not_loaded(
+            self, tmp_path):
+        """The cache is keyed by the source's bytes: the ABI 2 library of
+        a checkout before the wavelet kernels is left where it is and the
+        new source built beside it, never handed to this loader."""
+        old, new = tmp_path / "old" / "kernels.c", tmp_path / "kernels.c"
+        old.parent.mkdir()
+        old.write_text((STUB % 2).replace("void repro_lift(void) {}", "")
+                       .replace("void repro_decimate(void) {}", ""))
+        new.write_text(STUB % native.ABI)
+        cache = tmp_path / "cache"
+        stale, state = native.build_or_load(old, [cache])
+        assert stale is None and "repro_lift" in state["reason"]
+        (stale_path,) = cache.iterdir()
+        lib, state = native.build_or_load(new, [cache])
+        assert lib is not None and lib.repro_native_abi() == 3
+        assert state["path"] != str(stale_path)
+        assert sorted(cache.iterdir()) == sorted(
+            [stale_path, Path(state["path"])])
+
     def test_real_source_is_package_data(self):
         assert native.SOURCE.is_file()
         assert native.SOURCE.parent == Path(native.__file__).parent
@@ -318,4 +342,6 @@ class TestStatus:
             capture_output=True, text=True, timeout=BOUND, check=False)
         report = json.loads(proc.stdout)
         assert report["backend"] == ("numpy" if hidden else "c")
+        assert report["abi"] == native.ABI == 3
+        assert {"repro_lift", "repro_decimate"} <= set(report["entry_points"])
         assert proc.returncode == (1 if hidden else 0)

@@ -118,6 +118,54 @@ class TestFaultInjector:
         with pytest.raises(Exception, match="step 3"):
             inj.at_step(0, 3)
 
+    def test_a_parent_owned_kill_is_waited_for_at_its_step(self, monkeypatch):
+        """Where the parent delivers ``rank_crash`` as a SIGKILL, the rank
+        holds at the step the spec names, the step published -- bounded,
+        and only for a spec it can foresee."""
+        import time
+
+        from repro.resilience import inject
+
+        monkeypatch.setattr(inject, "KILL_WAIT", 0.2)
+        parent = FaultInjector(FaultPlan(faults=[
+            FaultSpec(kind="rank_crash", rank=1, step=3, max_hits=1),
+            FaultSpec(kind="rank_crash", step=5, probability=0.99),
+        ]))
+        child = parent.child_clone(disable_kinds=("rank_crash",))
+        seen = []
+        child.step_listener = lambda rank, step: seen.append((rank, step))
+        t0 = time.monotonic()
+        child.at_step(1, 2)     # another step
+        child.at_step(0, 3)     # another rank
+        child.at_step(1, 5)     # the parent draws: not foreseeable
+        assert time.monotonic() - t0 < 0.1 and len(seen) == 3
+        with pytest.raises(inject.KillNotDeliveredError,
+                           match=r"rank 1 .* step 3 .*max_hits=1"):
+            child.at_step(1, 3)
+        assert time.monotonic() - t0 >= 0.2
+        assert seen.count((1, 3)) > 2       # published while it waited
+        assert child.hit_state() == [0, 0]  # the parent's to consume
+        # the parent fires, the retry's clone starts from the spent hit
+        assert parent.fire("rank_crash", 1, 3)
+        retry = parent.child_clone(disable_kinds=("rank_crash",))
+        t0 = time.monotonic()
+        retry.at_step(1, 3)
+        assert time.monotonic() - t0 < 0.1
+        # a listener that raises (procs: the world aborted over a peer's
+        # kill) ends the wait with its error
+        monkeypatch.setattr(inject, "KILL_WAIT", 30.0)
+
+        del seen[:]
+
+        def aborted(rank, step):
+            seen.append((rank, step))
+            if len(seen) > 3:   # (the first call is begin_step's)
+                raise WorldAbortError("world aborted")
+        child.step_listener = aborted
+        with pytest.raises(WorldAbortError):
+            child.at_step(1, 3)
+        assert len(seen) == 4
+
     def test_probability_stream_is_seeded(self):
         def run(seed):
             inj = FaultInjector(FaultPlan(seed=seed, faults=[
