@@ -117,11 +117,6 @@ STATE_RUNNING = 0
 STATE_DONE = 1
 STATE_FAILED = 2
 
-#: Grace period (seconds) between observing a child's death and
-#: declaring the rank lost -- a finished child's result may still be in
-#: flight on the result queue.
-_DEATH_GRACE = 1.0
-
 
 class RingCorruptionError(CorruptionError):
     """A shared-memory frame failed its wire CRC32 (or its framing)."""
@@ -721,11 +716,11 @@ class ProcsComm:
             self._board = None
 
 
-def _child_entry(rank: int, spec: WorldSpec, main, args, result_q) -> None:
+def _child_entry(rank: int, spec: WorldSpec, main, args, result_w) -> None:
     """The per-rank child process body (spawn target).
 
-    Runs ``main(comm, *args)`` and reports ``(rank, status, payload,
-    counters, hits)`` on the result queue; any failure sets the world
+    Runs ``main(comm, *args)`` and reports ``(status, payload, counters,
+    hits)`` on the rank's result pipe; any failure sets the world
     abort flag so blocked peers wake immediately (MPI_Abort
     semantics).  Injector counters and consumed fault hits ride along
     so the parent can merge them into the campaign ledger.
@@ -751,7 +746,7 @@ def _child_entry(rank: int, spec: WorldSpec, main, args, result_q) -> None:
         result = main(comm, *args)
         _snapshot()
         comm._board.set_state(rank, STATE_DONE)
-        result_q.put((rank, "ok", result, counters, hits))
+        result_w.send(("ok", result, counters, hits))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent  # lint: disable=CL005
         _snapshot()
         comm._board.set_state(rank, STATE_FAILED)
@@ -762,7 +757,7 @@ def _child_entry(rank: int, spec: WorldSpec, main, args, result_q) -> None:
             payload = exc
         except Exception:  # noqa: BLE001 - unpicklable exception  # lint: disable=CL005
             payload = RuntimeError(f"rank {rank} failed: {exc!r}")
-        result_q.put((rank, "err", payload, counters, hits))
+        result_w.send(("err", payload, counters, hits))
     finally:
         comm.close()
 
@@ -888,14 +883,15 @@ class ProcsWorld:
     # -- the run loop ------------------------------------------------------
 
     def run(self, main: Callable[..., Any], *args: Any) -> list[Any]:
-        import queue as queue_mod
         from multiprocessing import get_context
+        from multiprocessing.connection import wait
 
         ctx = get_context("spawn")
         token = f"{os.getpid():x}{os.urandom(4).hex()}"
-        result_q = ctx.Queue()
         stop = threading.Event()
         procs: list = []
+        #: result pipe -> rank, of the ranks not heard from yet
+        pending: dict = {}
         segments: list = []
         killer: threading.Thread | None = None
         results: dict[int, Any] = {}
@@ -918,51 +914,47 @@ class ProcsWorld:
                              ring_bytes=self.ring_bytes, locks=locks)
             child_args = self._child_args(args)
             for rank in range(self.size):
+                result_r, result_w = ctx.Pipe(duplex=False)
+                pending[result_r] = rank
                 p = ctx.Process(
                     target=_child_entry,
-                    args=(rank, spec, main, child_args, result_q),
+                    args=(rank, spec, main, child_args, result_w),
                     name=f"procs-rank-{rank}",
                 )
-                p.start()
+                try:
+                    p.start()
+                finally:
+                    # The write end lives in the child only, so EOF here
+                    # is the rank's death, after every byte it sent.
+                    result_w.close()
                 procs.append(p)
             killer = self._start_killer(board, procs, stop)
 
-            death_seen: dict[int, float] = {}
-            while len(results) + len(failures) < self.size:
-                try:
-                    rank, status, payload, counters, hits = result_q.get(
-                        timeout=0.05
-                    )
-                except queue_mod.Empty:
-                    pass
-                else:
+            while pending:
+                for conn in wait(list(pending)):
+                    rank = pending.pop(conn)
+                    with conn:
+                        try:
+                            message = conn.recv()
+                        except (EOFError, OSError):
+                            message = None
+                    if message is None:
+                        # Real process loss (e.g. SIGKILL): no result.
+                        procs[rank].join(timeout=1.0)
+                        failures[rank] = RankLostError(
+                            f"rank {rank} process died without a result "
+                            f"(exitcode {procs[rank].exitcode})"
+                            + killed_note.get(rank, "")
+                        )
+                        board.set_abort()
+                        continue
+                    status, payload, counters, hits = message
                     if self.injector is not None:
                         self.injector.merge_child(counters, hits)
                     if status == "ok":
                         results[rank] = payload
                     else:
                         failures[rank] = payload
-                    continue
-                # No result in flight: look for ranks that died without
-                # reporting (real process loss, e.g. SIGKILL).
-                for r, proc in enumerate(procs):
-                    if r in results or r in failures or r in death_seen:
-                        continue
-                    if proc.exitcode is not None:
-                        death_seen[r] = time.monotonic()
-                for r, t0 in list(death_seen.items()):
-                    if r in results or r in failures:
-                        del death_seen[r]
-                        continue
-                    if time.monotonic() - t0 >= _DEATH_GRACE:
-                        code = procs[r].exitcode
-                        failures[r] = RankLostError(
-                            f"rank {r} process died without a result "
-                            f"(exitcode {code})"
-                            + killed_note.get(r, "")
-                        )
-                        del death_seen[r]
-                        board.set_abort()
         finally:
             stop.set()
             if killer is not None:
@@ -975,8 +967,8 @@ class ProcsWorld:
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=5.0)
-            result_q.close()
-            result_q.join_thread()
+            for conn in pending:
+                conn.close()
             for seg in segments:
                 seg.close()
                 try:

@@ -60,8 +60,8 @@ class KillNotDeliveredError(InjectedFault):
 
 
 #: Seconds a rank holds at a step for the ``SIGKILL`` its parent owes it,
-#: and the pause between two looks at the clock.  A supervisor polls every
-#: 2 - 10 ms; the bound is for one that is gone.
+#: and the pause between two looks at the clock.  A supervisor watches the
+#: published step every 2 ms; the bound is for one that is gone.
 KILL_WAIT = 5.0
 _KILL_POLL = 0.001
 

@@ -20,17 +20,19 @@ same gauntlet:
    budget is spent or the breaker opens.
 
 The supervisor is one thread owning all scheduling state; workers are
-real processes (see :mod:`repro.service.workers`).
+real processes (see :mod:`repro.service.workers`).  It waits on handles
+(a wake pipe, the workers' result pipes), not on a clock; the timeout is
+the nearest real deadline, and none when idle.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 from .. import native
 from ..resilience.inject import FaultInjector
@@ -57,9 +59,17 @@ CANCELLED = "cancelled"
 TERMINAL = frozenset({DONE_COMPUTED, DONE_CACHED, FAILED, SHED,
                       POISONED, CANCELLED})
 
-#: Grace between noticing a worker died and declaring the attempt lost
-#: (its buffered result may still be in flight on the result queue).
-_DEATH_GRACE = 0.5
+#: Seconds between two looks at the heartbeat (a shared array has no
+#: handle to wait on) of a worker whose job has a ``rank_crash`` the
+#: engine must deliver; no other job is ever polled.
+_KILL_WATCH = 0.002
+
+#: A worker that dies idle is replaced no sooner than this long after it
+#: was spawned: a worker that cannot start is not a spawn storm.
+_RESPAWN_GAP = 0.5
+
+#: The stages of a computed request, in order (:attr:`JobResult.stages`).
+STAGES = ("queued", "dispatch", "run", "return", "persist")
 
 
 class ServiceClosedError(RuntimeError):
@@ -99,8 +109,12 @@ class JobResult:
 
     key: str
     payload: dict
-    cached: bool  #: True when served from the result cache / dedup
+    cached: bool  #: True when served from the result cache
     attempts: int
+    #: ms per :data:`STAGES` entry of a computed result, submit -> done
+    #: (docs/service.md); None for a cached result and for a handle that
+    #: joined another's job.  Off the payload: never cached, never keyed.
+    stages: dict | None = None
 
     @property
     def final_field(self):
@@ -140,7 +154,6 @@ class ServiceConfig:
     #: ``ckpt_bitflip`` specs addressed at rank -1); per-job faults
     #: travel with ``submit(..., fault_plan=...)`` instead.
     fault_plan: FaultPlan | None = None
-    poll_interval: float = 0.01
     start_method: str = "spawn"
     seed: int = 2013
 
@@ -168,6 +181,7 @@ class _Job:
     supervise: bool
     checkpoint_dir: str
     delays: object  #: backoff delay stream
+    submitted_at: float = 0.0
     status: str = QUEUED
     attempts: int = 0
     not_before: float = 0.0
@@ -181,9 +195,11 @@ class _Job:
 class JobHandle:
     """Caller-facing future of one submission."""
 
-    def __init__(self, engine: "JobEngine", job: _Job):
+    def __init__(self, engine: "JobEngine", job: _Job,
+                 joined: bool = False):
         self._engine = engine
         self._job = job
+        self._joined = joined
 
     @property
     def key(self) -> str:
@@ -210,9 +226,10 @@ class JobHandle:
             raise TimeoutError(
                 f"job {self._job.key[:16]} not done within {timeout}s"
             )
-        if self._job.result is not None:
-            return self._job.result
-        raise self._job.error
+        result = self._job.result
+        if result is None:
+            raise self._job.error
+        return replace(result, stages=None) if self._joined else result
 
 
 class JobEngine:
@@ -234,7 +251,9 @@ class JobEngine:
         self._log = get_logger("service.engine")
         self._lock = threading.Lock()
         self._done_cond = threading.Condition(self._lock)
-        self._jobs: dict[int, _Job] = {}
+        self._jobs: dict[int, _Job] = {}  #: open (non-terminal) jobs
+        self._ended: dict[str, int] = {}  #: terminal status -> job count
+        self._stage_log: deque = deque(maxlen=256)  #: last jobs' stages
         self._active_by_key: dict[str, _Job] = {}
         self._waiting: list[_Job] = []  #: retry_wait jobs
         self._open_jobs = 0  #: non-terminal job count (drain target)
@@ -249,7 +268,10 @@ class JobEngine:
         }
         self.failures_by_kind: dict[str, int] = {}
         self._stop = threading.Event()
-        self._wake = threading.Event()
+        # Non-blocking both ends: a full pipe is a wake already pending.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._supervisor = threading.Thread(
             target=self._supervise, name="service-supervisor", daemon=True
         )
@@ -308,11 +330,21 @@ class JobEngine:
                         self._fail_locked(job, JobCancelledError(),
                                           CANCELLED)
         self._stop.set()
-        self._wake.set()
-        self._supervisor.join(timeout=10.0)
+        self._wake()
+        if self._supervisor.is_alive():
+            self._supervisor.join(timeout=10.0)
         self.pool.stop(graceful=drain)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         self.state = "stopped"
         self._log.info("service_stopped", drained=drain)
+
+    def _wake(self) -> None:
+        """Make the supervisor look again (never blocks, never raises)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # pipe full: a wake is already pending
 
     # -- submission -------------------------------------------------------
 
@@ -326,7 +358,7 @@ class JobEngine:
         ``fault_plan`` arms per-job chaos; ``timeout``/``max_attempts``
         override the service defaults for this job.
         """
-        cfg = self.config
+        submitted_at = time.monotonic()
         # Request hashing and the cache probe do real IO (a restart
         # checkpoint is CRC'd into the key; the cache reads payload
         # files from disk) -- do all of it before taking the engine
@@ -357,9 +389,10 @@ class JobEngine:
             active = self._active_by_key.get(key)
             if active is not None and not active.done.is_set():
                 self.counters["dedup_joined"] += 1
-                return JobHandle(self, active)
+                return JobHandle(self, active, joined=True)
             job = self._new_job_locked(request, key, payload, priority,
-                                       fault_plan, timeout, max_attempts)
+                                       fault_plan, timeout, max_attempts,
+                                       submitted_at)
             decision, displaced = self.queue.offer(priority, job.seq, job)
             if displaced is not None:
                 self.counters["shed"] += 1
@@ -376,17 +409,23 @@ class JobEngine:
                                   already_closed=True)
             else:
                 job.status = QUEUED if decision == "queued" else PARKED
-        self._wake.set()
+            # Under the lock: shutdown closes the pipe only after taking
+            # it, so an admitted submit never writes to a closed fd.
+            self._wake()
         return JobHandle(self, job)
 
     def _new_job_locked(self, request, key, payload, priority, fault_plan,
-                        timeout, max_attempts) -> _Job:
+                        timeout, max_attempts, submitted_at) -> _Job:
         cfg = self.config
         seq = self._next_seq
         self._next_seq += 1
+        injector = FaultInjector(fault_plan)
         supervise = cfg.supervise_kills
         if supervise is None:
             supervise = request.config.cluster_backend == "sim"
+        # Nothing to deliver, nothing to watch the heartbeat for.
+        supervise = supervise and any(
+            spec.kind == "rank_crash" for spec in injector.plan.faults)
         job = _Job(
             seq=seq,
             key=key,
@@ -396,12 +435,13 @@ class JobEngine:
             timeout=cfg.job_timeout if timeout is None else timeout,
             max_attempts=(cfg.backoff.max_attempts
                           if max_attempts is None else max_attempts),
-            injector=FaultInjector(fault_plan),
+            injector=injector,
             supervise=bool(supervise),
             checkpoint_dir=os.path.join(
                 cfg.workdir, f"job-{seq:04d}-{key[:12]}"
             ),
             delays=cfg.backoff.delays(f"{cfg.seed}:{key[:16]}:{seq}"),
+            submitted_at=submitted_at,
         )
         self._jobs[seq] = job
         self._active_by_key[key] = job
@@ -422,7 +462,7 @@ class JobEngine:
         if result_payload is not None:
             job.result = JobResult(key=key, payload=result_payload,
                                    cached=True, attempts=attempts)
-        self._jobs[seq] = job
+        self._ended[status] = self._ended.get(status, 0) + 1
         job.done.set()
         return job
 
@@ -431,9 +471,7 @@ class JobEngine:
     def _fail_locked(self, job: _Job, error: BaseException, status: str,
                      already_closed: bool = False) -> None:
         job.error = error
-        job.status = status
-        if self._active_by_key.get(job.key) is job:
-            del self._active_by_key[job.key]
+        self._end_locked(job, status)
         if not already_closed:
             self._open_jobs -= 1
         job.done.set()
@@ -443,84 +481,121 @@ class JobEngine:
                        status=status, attempts=job.attempts,
                        err=str(error)[:200])
 
-    def _complete_locked(self, job: _Job, payload: dict,
-                         cached: bool) -> None:
-        job.result = JobResult(key=job.key, payload=payload,
-                               cached=cached, attempts=job.attempts)
-        job.status = DONE_CACHED if cached else DONE_COMPUTED
+    def _end_locked(self, job: _Job, status: str) -> None:
+        """The engine lets go of a job: from here it is its handles'."""
+        job.status = status
+        self._jobs.pop(job.seq, None)
+        self._ended[status] = self._ended.get(status, 0) + 1
         if self._active_by_key.get(job.key) is job:
             del self._active_by_key[job.key]
+
+    def _complete_locked(self, job: _Job, payload: dict,
+                         stages: dict) -> None:
+        job.result = JobResult(key=job.key, payload=payload, cached=False,
+                               attempts=job.attempts, stages=stages)
+        self._stage_log.append(stages)
+        self._end_locked(job, DONE_COMPUTED)
         self._open_jobs -= 1
         job.done.set()
         self._done_cond.notify_all()
         self._log.info("job_done", seq=job.seq, key=job.key[:16],
-                       attempts=job.attempts, cached=cached)
+                       attempts=job.attempts, cached=False)
 
     # -- supervisor loop --------------------------------------------------
 
     def _supervise(self) -> None:
+        # Imported with the pool, not with the package: every importer
+        # of repro.service would otherwise load multiprocessing.
+        from multiprocessing.connection import wait
+
+        timeout = 0.0
         while not self._stop.is_set():
             try:
-                self._drain_results()
-                self._check_workers()
-                self._promote_retries()
+                pipes = self.pool.pipes()
+                ready = wait([self._wake_r, *pipes], timeout)
+                self._receive(pipes, ready)
+                now = time.monotonic()
+                due = self._promote_retries(now)
                 self._dispatch()
-                self.pool.reap()
+                due += self._check_workers(now)
+                timeout = max(0.0, min(due) - now) if due else None
             except Exception:  # pragma: no cover -- supervisor must live
                 self._log.error("supervisor_error",
                                 err=traceback.format_exc(limit=5))
-            self._wake.wait(self.config.poll_interval)
-            self._wake.clear()
-        # Final sweep so results racing shutdown still resolve.
+                self._stop.wait(0.1)
+                timeout = 0.0
+        # Final look so results racing shutdown still resolve.
         try:
-            self._drain_results()
+            pipes = self.pool.pipes()
+            self._receive(pipes, wait(list(pipes), 0))
         except Exception:
             self._log.warn("final_drain_error",
                            err=traceback.format_exc(limit=3))
 
-    def _drain_results(self) -> None:
-        while True:
+    def _receive(self, pipes: dict, ready: list) -> None:
+        """Drain the wake pipe; take one message, or the EOF, off every
+        ready result pipe."""
+        for conn in ready:
+            worker = pipes.get(conn)
+            if worker is None:  # the wake pipe
+                try:
+                    while len(os.read(conn, 65536)) == 65536:
+                        pass
+                except BlockingIOError:
+                    pass
+                continue
             try:
-                msg = self.pool.result_q.get_nowait()
-            except queue_mod.Empty:
-                return
-            wid, seq, status, body, counters, hits = msg
-            write_back = None
-            with self._lock:
-                job = self._jobs.get(seq)
-                worker = self.pool.workers.get(wid)
-                if job is not None:
-                    job.injector.merge_child(counters, hits)
-                if worker is not None and worker.busy_seq == seq:
-                    self.pool.finish(worker)
-                if job is None or job.done.is_set():
-                    continue  # late result of a job already resolved
-                if status == "ok":
-                    job.attempts = max(job.attempts, 1)
-                    self.breaker.record_success(job.key)
-                    self.counters["computed"] += 1
-                    write_back = job
+                msg = conn.recv()
+            except (EOFError, OSError):
+                # EOF follows every byte the worker ever sent: it is
+                # gone and nothing of its is still in flight.
+                if worker.id in self.pool.workers:
+                    worker.eof = True  # _check_workers classifies it
                 else:
-                    # Graceful failure: retire the worker so any retry
-                    # lands on a fresh process.
-                    if (worker is not None
-                            and self.config.retire_failed_workers
-                            and worker.alive):
-                        self.pool.retire(worker)
-                    self._attempt_failed_locked(
-                        job, wid, body["kind"], body["retryable"],
-                        body.get("cause", ""),
-                    )
-            if write_back is not None:
-                # Cache persistence is disk IO (tmp + fsync + replace):
-                # it runs with the engine lock dropped, but *before*
-                # the job is marked done -- a waiter that resubmits on
-                # wake must find the entry already durable.
-                self._write_cache(write_back, body)
-                with self._lock:
-                    if not write_back.done.is_set():
-                        self._complete_locked(write_back, body,
-                                              cached=False)
+                    self.pool.reap(worker)
+                continue
+            self._on_result(worker, msg, time.monotonic())
+
+    def _on_result(self, worker, msg, received: float) -> None:
+        seq, status, body, counters, hits, (taken, ran) = msg
+        retire = False
+        with self._lock:
+            job = self._jobs.get(seq)
+            if job is not None:
+                job.injector.merge_child(counters, hits)
+            dispatched = worker.dispatched_at
+            if worker.busy_seq == seq:
+                self.pool.finish(worker)
+            if job is None:
+                return  # late result of a job already resolved
+            if status == "ok":
+                job.attempts = max(job.attempts, 1)
+                self.breaker.record_success(job.key)
+                self.counters["computed"] += 1
+            else:
+                # Graceful failure: retire the worker so any retry
+                # lands on a fresh process.
+                retire = (self.config.retire_failed_workers
+                          and worker.id in self.pool.workers)
+                self._attempt_failed_locked(
+                    job, worker.id, body["kind"], body["retryable"],
+                    body.get("cause", ""),
+                )
+        if retire:
+            self.pool.retire(worker)
+        if status == "ok":
+            # Cache persistence is disk IO (tmp + fsync + replace):
+            # it runs with the engine lock dropped, but *before*
+            # the job is marked done -- a waiter that resubmits on
+            # wake must find the entry already durable.
+            self._write_cache(job, body)
+            marks = (job.submitted_at, dispatched, taken, ran, received,
+                     time.monotonic())
+            stages = {name: (t1 - t0) * 1e3
+                      for name, t0, t1 in zip(STAGES, marks, marks[1:])}
+            with self._lock:
+                if not job.done.is_set():
+                    self._complete_locked(job, body, stages)
 
     def _write_cache(self, job: _Job, payload: dict) -> None:
         meta = {
@@ -572,41 +647,37 @@ class JobEngine:
         self._log.info("retry_scheduled", seq=job.seq, key=job.key[:16],
                        attempt=job.attempts, delay=round(delay, 3))
 
-    def _check_workers(self) -> None:
-        now = time.monotonic()
+    def _check_workers(self, now: float) -> list[float]:
+        """Replace lost workers and fail their attempts, deliver kills,
+        enforce deadlines; returns when to look next (list of times)."""
+        due: list[float] = []
         for worker in list(self.pool.workers.values()):
             if worker.busy_seq is None:
                 # An idle worker that died (e.g. spawn import failure)
-                # still starves the pool: replace it.
-                if not worker.alive:
-                    if worker.death_seen is None:
-                        worker.death_seen = now
-                    elif now - worker.death_seen >= _DEATH_GRACE:
+                # still starves the pool: replace it, and dispatch again.
+                if worker.eof:
+                    respawn = worker.spawned_at + _RESPAWN_GAP
+                    if now >= respawn:
                         self.pool.replace(worker)
+                    due.append(max(now, respawn))
                 continue
             with self._lock:
                 job = self._jobs.get(worker.busy_seq)
-            if job is None:
-                continue
-            if not worker.alive:
-                if worker.death_seen is None:
-                    worker.death_seen = now
-                    continue
-                if now - worker.death_seen < _DEATH_GRACE:
-                    continue
+            if worker.eof:
                 kind = worker.kill_reason or "worker_lost"
                 self.pool.replace(worker)
+                due.append(now)  # a retry to schedule, a worker to use
                 with self._lock:
-                    if not job.done.is_set():
+                    if job is not None and not job.done.is_set():
                         self._attempt_failed_locked(
                             job, worker.id, kind, True,
                             f"worker {worker.id} died ({kind})",
                         )
                 continue
+            if job is None or worker.kill_reason is not None:
+                continue  # cancelled, or SIGKILL sent: EOF comes next
             hb_seq, hb_rank, hb_step, hb_beat, hb_busy = worker.heartbeat()
             on_job = hb_seq == job.seq and hb_busy
-            if worker.kill_reason is not None:
-                continue  # SIGKILL already sent; wait for the death path
             # Parent-side kill delivery: replay observed step progress
             # through the job's plan, exactly like the procs backend's
             # supervisor, so an armed rank_crash is a *real* SIGKILL.
@@ -637,22 +708,29 @@ class JobEngine:
                 continue
             # Heartbeat liveness (hung worker, not just slow job).
             hb_limit = self.config.heartbeat_timeout
-            if hb_limit is not None:
-                baseline = hb_beat if on_job else worker.dispatched_at
-                if baseline > 0 and now - baseline > hb_limit:
+            baseline = hb_beat if on_job else worker.dispatched_at
+            if hb_limit is not None and baseline > 0:
+                if now - baseline > hb_limit:
                     self.pool.kill(worker, "worker_hung")
+                    continue
+                due.append(baseline + hb_limit)
+            if worker.deadline is not None:
+                due.append(worker.deadline)
+            if job.supervise:
+                due.append(now + _KILL_WATCH)
+        return due
 
-    def _promote_retries(self) -> None:
-        now = time.monotonic()
+    def _promote_retries(self, now: float) -> list[float]:
+        """Requeue the retries whose backoff has run out; returns when
+        the others' will."""
         with self._lock:
             due = [j for j in self._waiting if j.not_before <= now]
-            if not due:
-                return
             self._waiting = [j for j in self._waiting
                              if j.not_before > now]
             for job in due:
                 job.status = QUEUED
                 self.queue.requeue(job.priority, job.seq, job)
+            return [j.not_before for j in self._waiting]
 
     def _dispatch(self) -> None:
         while True:

@@ -9,18 +9,23 @@ shed counts, breaker state, per-worker throughput.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..perf.report import format_table
+from .engine import STAGES
 
 SCHEMA = "repro.service_health/v1"
 
 
 def health_snapshot(engine) -> dict:
     """One self-describing health snapshot of a :class:`JobEngine` (dict)."""
-    jobs_by_status: dict[str, int] = {}
     with engine._lock:
+        # Ended jobs are a tally (the engine keeps open jobs only).
+        jobs_by_status = dict(engine._ended)
         for job in engine._jobs.values():
             jobs_by_status[job.status] = \
                 jobs_by_status.get(job.status, 0) + 1
+        stage_log = list(engine._stage_log)
         waiting_retry = len(engine._waiting)
         open_jobs = engine._open_jobs
     running = sum(1 for w in engine.pool.workers.values()
@@ -41,6 +46,10 @@ def health_snapshot(engine) -> dict:
             "shed_total": engine.queue.shed_total,
         },
         "jobs": {"by_status": jobs_by_status},
+        # Where a computed request's time went: ms per stage over the
+        # last ``jobs`` (<= 256) of them; see ``JobResult.stages``.
+        "latency": {"jobs": len(stage_log),
+                    **_stage_percentiles(stage_log)},
         "counters": counters,
         "failures_by_kind": dict(engine.failures_by_kind),
         "breaker": {
@@ -54,6 +63,17 @@ def health_snapshot(engine) -> dict:
         },
         "faults": dict(engine.injector.counters),
     }
+
+
+def _stage_percentiles(stage_log: list) -> dict:
+    """``{stage: {"p50", "p90"}}`` in ms; empty without a computed job."""
+    if not stage_log:
+        return {}
+    out = {}
+    for name in STAGES:
+        p50, p90 = np.percentile([s[name] for s in stage_log], [50, 90])
+        out[name] = {"p50": float(p50), "p90": float(p90)}
+    return out
 
 
 def format_service_scorecard(snapshot: dict) -> str:
@@ -81,6 +101,14 @@ def format_service_scorecard(snapshot: dict) -> str:
             [{"status": k, "jobs": v}
              for k, v in sorted(by_status.items())],
             title="jobs by status",
+        ))
+    latency = snapshot.get("latency") or {}
+    if latency.get("jobs"):
+        lines.append(format_table(
+            [{"jobs": latency["jobs"],
+              **{name: "{p50:.2f} | {p90:.2f}".format(**latency[name])
+                 for name in STAGES}}],
+            title="computed request, ms per stage (p50 | p90)",
         ))
     by_kind = snapshot.get("failures_by_kind") or {}
     if by_kind:

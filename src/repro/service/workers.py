@@ -1,14 +1,16 @@
 """Supervised worker pool: real processes computing simulation jobs.
 
 Each worker is one OS process (``multiprocessing`` spawn, the procs
-cluster backend's discipline) looping over a private task queue and
-reporting on a shared result queue.  While a job runs the worker
-publishes a heartbeat -- ``(job seq, rank, step, beat time)`` in a
-shared array -- through two channels:
+cluster backend's discipline) reading tasks from a one-way pipe and
+writing results to another; the parent holds the far ends only, so EOF
+on a worker's result pipe *is* its death and arrives after every byte
+it ever sent.  While a job runs the worker publishes a heartbeat --
+``(job seq, rank, step, beat time)`` in a shared array -- through two
+channels:
 
-* a *ticker* thread beating every 100 ms (process liveness, covering
-  jobs whose rank progress happens in grandchild processes under the
-  procs backend);
+* one *ticker* thread per process, beating every 100 ms while a job
+  runs and parked otherwise (process liveness, covering jobs whose rank
+  progress happens in grandchild processes under the procs backend);
 * the fault injector's ``step_listener`` (rank/step progress, which the
   engine's parent-side killer replays against ``rank_crash`` specs to
   deliver *real* ``SIGKILL``\\ s at addressed steps -- the same idiom as
@@ -132,46 +134,52 @@ def _run_task(task: dict, injector) -> dict:
     return result_payload(sim.run())
 
 
-def worker_main(worker_id: int, task_q, result_q, hb) -> None:
+def worker_main(worker_id: int, task_r, result_w, hb) -> None:
     """Process entry point: loop over tasks until the stop sentinel.
 
-    Each result tuple is ``(worker_id, job_seq, status, body,
-    counter_deltas, hit_state)`` -- the fault ledger rides along so the
-    engine can merge consumed hits even for failed attempts (a retry
-    must not refire a consumed transient fault).
+    Each result tuple is ``(job_seq, status, body, counter_deltas,
+    hit_state, (received, run_done))`` -- the fault ledger rides along
+    so the engine can merge consumed hits even for failed attempts (a
+    retry must not refire a consumed transient fault); the two stamps
+    are ``time.monotonic()``, host-wide on Linux, for the engine's
+    stage record.
     """
     from ..resilience.inject import FaultInjector
 
+    busy = threading.Event()
+
+    def tick() -> None:
+        while True:
+            busy.wait()
+            time.sleep(0.1)
+            with hb.get_lock():
+                if hb[HB_BUSY]:
+                    hb[HB_BEAT] = time.monotonic()
+
+    threading.Thread(target=tick, name=f"hb-{worker_id}",
+                     daemon=True).start()
+
+    def on_step(rank: int, step: int) -> None:
+        with hb.get_lock():
+            hb[HB_RANK] = float(rank)
+            hb[HB_STEP] = float(step)
+            hb[HB_BEAT] = time.monotonic()
+
     while True:
-        task = task_q.get()
+        task = task_r.recv()
         if task is None:
             break
+        received = time.monotonic()
         seq = task["seq"]
         injector = task.get("injector") or FaultInjector()
         with hb.get_lock():
             hb[HB_SEQ] = float(seq)
             hb[HB_RANK] = 0.0
             hb[HB_STEP] = 0.0
-            hb[HB_BEAT] = time.monotonic()
+            hb[HB_BEAT] = received
             hb[HB_BUSY] = 1.0
-
-        def on_step(rank: int, step: int) -> None:
-            with hb.get_lock():
-                hb[HB_RANK] = float(rank)
-                hb[HB_STEP] = float(step)
-                hb[HB_BEAT] = time.monotonic()
-
+        busy.set()
         injector.step_listener = on_step
-        stop_tick = threading.Event()
-
-        def tick() -> None:
-            while not stop_tick.wait(0.1):
-                with hb.get_lock():
-                    hb[HB_BEAT] = time.monotonic()
-
-        ticker = threading.Thread(target=tick, name=f"hb-{worker_id}",
-                                  daemon=True)
-        ticker.start()
         try:
             payload = _run_task(task, injector)
             status, body = "ok", payload
@@ -181,21 +189,11 @@ def worker_main(worker_id: int, task_q, result_q, hb) -> None:
             body = {"kind": kind, "retryable": retryable,
                     "cause": repr(exc)[:2000]}
         finally:
-            stop_tick.set()
-            ticker.join(timeout=1.0)
+            busy.clear()
             with hb.get_lock():
                 hb[HB_BUSY] = 0.0
-        result_q.put((worker_id, seq, status, body,
-                      dict(injector.counters), injector.hit_state()))
-
-
-def _close_queue(q) -> None:
-    """Close an mp.Queue and stop its feeder thread (idempotent)."""
-    try:
-        q.close()
-        q.join_thread()
-    except (OSError, ValueError):
-        pass
+        result_w.send((seq, status, body, dict(injector.counters),
+                       injector.hit_state(), (received, time.monotonic())))
 
 
 @dataclass
@@ -204,8 +202,10 @@ class WorkerHandle:
 
     id: int
     process: object
-    task_q: object
+    task_w: object    #: write end of the worker's task pipe
+    result_r: object  #: read end of its result pipe
     hb: object
+    spawned_at: float
     #: seq of the job this worker is computing (None = idle)
     busy_seq: int | None = None
     dispatched_at: float = 0.0
@@ -216,7 +216,8 @@ class WorkerHandle:
     #: the plan (rank threads share the one heartbeat slot)
     replayed_step: dict = field(default_factory=dict)
     jobs_done: int = 0
-    death_seen: float | None = None
+    #: the result pipe hit EOF: the process is gone
+    eof: bool = False
 
     def heartbeat(self) -> tuple[int, int, int, float, bool]:
         """Snapshot ``(seq, rank, step, beat, busy)`` of the shared slot."""
@@ -229,14 +230,20 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self.process.is_alive()
 
+    def close(self) -> None:
+        """Close the parent's pipe ends (idempotent)."""
+        self.task_w.close()
+        self.result_r.close()
+
 
 class WorkerPool:
     """Fixed-size pool of worker processes with replace-on-death.
 
     The pool owns process lifecycle only; scheduling decisions live in
-    the engine.  ``retire`` replaces a worker gracefully (stop sentinel,
-    deferred join), ``kill`` delivers a real ``SIGKILL`` -- the caller
-    is then responsible for calling ``replace``.
+    the engine.  ``retire`` replaces a worker gracefully (stop sentinel;
+    :meth:`reap` joins it when its result pipe reaches EOF), ``kill``
+    delivers a real ``SIGKILL`` -- the caller is then responsible for
+    calling ``replace`` once the pipe says the process is gone.
     """
 
     def __init__(self, size: int, start_method: str = "spawn"):
@@ -246,7 +253,6 @@ class WorkerPool:
 
         self.size = size
         self._ctx = get_context(start_method)
-        self.result_q = self._ctx.Queue()
         self.workers: dict[int, WorkerHandle] = {}
         self._retiring: list[WorkerHandle] = []
         self._next_id = 0
@@ -259,23 +265,43 @@ class WorkerPool:
     def _spawn(self) -> WorkerHandle:
         wid = self._next_id
         self._next_id += 1
-        task_q = self._ctx.Queue()
         hb = self._ctx.Array("d", HB_SLOTS)
-        p = self._ctx.Process(
-            target=worker_main, args=(wid, task_q, self.result_q, hb),
-            name=f"service-worker-{wid}", daemon=False,
+        task_r, task_w = self._ctx.Pipe(duplex=False)
+        result_r, result_w = self._ctx.Pipe(duplex=False)
+        handle = WorkerHandle(
+            id=wid, task_w=task_w, result_r=result_r, hb=hb,
+            spawned_at=time.monotonic(),
+            process=self._ctx.Process(
+                target=worker_main, args=(wid, task_r, result_w, hb),
+                name=f"service-worker-{wid}", daemon=False,
+            ),
         )
-        p.start()
-        handle = WorkerHandle(id=wid, process=p, task_q=task_q, hb=hb)
+        try:
+            handle.process.start()
+        except BaseException:
+            handle.close()
+            raise
+        finally:
+            # The child's ends live in the child only: a parent copy of
+            # ``result_w`` would keep EOF from ever arriving.
+            task_r.close()
+            result_w.close()
         self.workers[wid] = handle
         return handle
 
     # -- scheduling hooks -------------------------------------------------
 
     def idle(self) -> list[WorkerHandle]:
-        """Alive, unassigned workers (list, id order)."""
+        """Live, unassigned workers (list, id order)."""
         return [w for w in sorted(self.workers.values(), key=lambda w: w.id)
-                if w.busy_seq is None and w.alive]
+                if w.busy_seq is None and not w.eof]
+
+    def pipes(self) -> dict:
+        """``{result pipe: worker}`` of every worker and retiree whose
+        pipe has not reached EOF: the handles the supervisor waits on."""
+        return {w.result_r: w
+                for w in list(self.workers.values()) + self._retiring
+                if not w.eof}
 
     def dispatch(self, worker: WorkerHandle, task: dict,
                  deadline: float | None) -> None:
@@ -284,8 +310,10 @@ class WorkerPool:
         worker.deadline = deadline
         worker.kill_reason = None
         worker.replayed_step = {}
-        worker.death_seen = None
-        worker.task_q.put(task)
+        try:
+            worker.task_w.send(task)
+        except OSError:
+            pass  # died idle: EOF on its result pipe reports the loss
 
     def finish(self, worker: WorkerHandle) -> None:
         """Mark a worker idle after its result arrived."""
@@ -307,9 +335,11 @@ class WorkerPool:
                 pass
 
     def replace(self, worker: WorkerHandle) -> WorkerHandle:
-        """Swap a dead worker for a fresh one; returns the new handle."""
+        """Swap a dead worker (pipe at EOF) for a fresh one; returns the
+        new handle."""
         self.workers.pop(worker.id, None)
         self._retiring.append(worker)
+        self.reap(worker)
         self.restarts += 1
         return self._spawn()
 
@@ -317,43 +347,40 @@ class WorkerPool:
         """Gracefully replace an (idle) worker; returns the new handle.
 
         Used after a failed attempt so the retry lands on a *fresh*
-        worker: the old one gets the stop sentinel and is joined
-        opportunistically by :meth:`reap`.
+        worker: the old one gets the stop sentinel and is joined by
+        :meth:`reap` when its result pipe reaches EOF.
         """
         self.workers.pop(worker.id, None)
         try:
-            worker.task_q.put(None)
-        except (OSError, ValueError):
+            worker.task_w.send(None)
+        except OSError:
             pass
         self._retiring.append(worker)
         self.restarts += 1
         return self._spawn()
 
-    def reap(self) -> None:
-        """Join exited retirees without blocking the supervisor."""
-        still = []
-        for w in self._retiring:
-            w.process.join(timeout=0)
-            if w.process.is_alive():
-                still.append(w)
-            else:
-                # The retiree is gone: release its private task queue
-                # (feeder thread + pipe fds) now rather than at GC time.
-                _close_queue(w.task_q)
-        self._retiring = still
+    def reap(self, worker: WorkerHandle) -> None:
+        """Release a retiree whose result pipe reached EOF: close the
+        pipes, join the process (exiting: EOF is its last fd closing)."""
+        worker.eof = True
+        worker.close()
+        worker.process.join(timeout=1.0)
+        if not worker.process.is_alive():
+            self._retiring.remove(worker)
 
     def stop(self, graceful: bool = True, timeout: float = 10.0) -> None:
         """Stop every worker (sentinel first, then escalate)."""
-        for w in self.workers.values():
-            if graceful:
-                try:
-                    w.task_q.put(None)
-                except (OSError, ValueError):
-                    pass
-            else:
+        everyone = list(self.workers.values()) + self._retiring
+        for w in everyone:
+            if not graceful:
                 self.kill(w, "shutdown")
+            elif not w.eof and w.id in self.workers:
+                try:
+                    w.task_w.send(None)
+                except OSError:
+                    pass
         deadline = time.monotonic() + timeout
-        for w in list(self.workers.values()) + self._retiring:
+        for w in everyone:
             w.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if w.process.is_alive():
                 w.process.terminate()
@@ -363,10 +390,9 @@ class WorkerPool:
                 # the supervisor must not return with live children.
                 self.kill(w, "shutdown")
                 w.process.join(timeout=2.0)
-            _close_queue(w.task_q)
+            w.close()
         self.workers.clear()
         self._retiring.clear()
-        _close_queue(self.result_q)
 
     def snapshot(self) -> list[dict]:
         """Health view of the pool (list of JSON-able dicts)."""

@@ -13,11 +13,15 @@ spawn context can pickle it into the rank processes.
 """
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import Simulation
+from repro.cluster.mpi_sim import WorldError
+from repro.cluster.procs import ProcsWorld, RankLostError
 from repro.sim.cloud import Bubble
 from repro.sim.config import SimulationConfig
 from repro.sim.ic import cloud_collapse
@@ -152,3 +156,42 @@ def test_procs_rejects_runtime_race_tracker():
 def test_config_validates_backend_name():
     with pytest.raises(ValueError, match="cluster_backend"):
         SimulationConfig(**BASE, cluster_backend="mpi")
+
+
+# -- the procs supervisor waits on result pipes, not on a clock -----------
+
+
+def _report_and_exit(comm):
+    return comm.rank
+
+
+def _stamp_then_die(comm, stamp_path):
+    """Rank 1 records the host-wide clock and SIGKILLs itself; its peer
+    waits in a barrier the world abort must wake."""
+    if comm.rank == 1:
+        with open(stamp_path, "w") as f:
+            f.write(repr(time.monotonic()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    comm.barrier()
+    return comm.rank
+
+
+class TestProcsSupervisor:
+    def test_killed_rank_is_lost_at_eof_not_after_a_grace(self, tmp_path):
+        stamp = tmp_path / "killed_at"
+        with pytest.raises(WorldError) as err:
+            ProcsWorld(2, timeout=60.0).run(_stamp_then_die, str(stamp))
+        surfaced = time.monotonic()
+        lost = err.value.failures[1]
+        assert isinstance(lost, RankLostError)
+        assert f"exitcode {-signal.SIGKILL}" in str(lost)
+        assert surfaced - float(stamp.read_text()) < 0.3
+
+    @pytest.mark.parametrize(
+        "worlds", [2, pytest.param(13, marks=pytest.mark.slow)])
+    def test_rank_that_reports_and_exits_is_never_lost(self, worlds):
+        # EOF follows every byte a rank sent: a result is never overtaken
+        # by its sender's death (13 worlds of 4: 52 such exits).
+        for _ in range(worlds):
+            assert ProcsWorld(4, timeout=60.0).run(_report_and_exit) \
+                == [0, 1, 2, 3]

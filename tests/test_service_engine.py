@@ -6,6 +6,10 @@ are tiny (16^3 cells, a handful of steps) and engines are scoped tightly.
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -22,8 +26,10 @@ from repro.service import (
     PoisonedConfigError,
     ServiceClosedError,
     ServiceConfig,
+    format_service_scorecard,
     health_snapshot,
 )
+from repro.service import engine as engine_mod
 from repro.sim import SimulationConfig
 
 pytestmark = pytest.mark.tier2
@@ -193,3 +199,239 @@ class TestEngineChaos:
                 h2.result(timeout=5)
             assert h2.attempts == 0
             assert engine.counters["poisoned"] == 2
+
+
+def wait_until(predicate, timeout=30.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+def busy_worker(engine):
+    """The worker whose heartbeat says it is inside a job's steps."""
+    for w in engine.pool.workers.values():
+        if w.busy_seq is not None and w.heartbeat()[2] >= 1:
+            return w
+    return None
+
+
+def in_supervisor() -> bool:
+    """``Process.join`` waits through ``connection.wait`` too: a patched
+    ``wait`` must tell the engine's supervisor thread from the rest."""
+    return threading.current_thread().name == "service-supervisor"
+
+
+def _exit_at_once(worker_id, task_r, result_w, hb):
+    """A ``worker_main`` that cannot start (module level: fork target)."""
+
+
+class TestEventDriven:
+    """The supervisor waits on handles (wake pipe, result pipes / EOF,
+    real deadlines), never on a tick."""
+
+    def test_completion_needs_no_tick(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_KILL_WATCH", 5.0)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        returns = []
+        with JobEngine(svc) as engine:
+            for i in range(20):
+                req = JobRequest(
+                    config=SimulationConfig(cells=16, block_size=8,
+                                            max_steps=1),
+                    ic=ICSpec("uniform", {"rho": 1000.0, "p": 100.0 + i}))
+                t0 = time.monotonic()
+                result = engine.submit(req).result(timeout=180)
+                latency_ms = (time.monotonic() - t0) * 1e3
+                assert tuple(result.stages) == engine_mod.STAGES
+                assert all(ms >= 0.0 for ms in result.stages.values())
+                # submit -> done, so never more than the client saw
+                assert sum(result.stages.values()) <= latency_ms
+                returns.append(result.stages["return"])
+            latency = health_snapshot(engine)["latency"]
+        assert sorted(returns)[17] < 5.0, returns  # p90 of 20
+        assert latency["jobs"] == 20
+        assert set(latency) == {"jobs", *engine_mod.STAGES}
+        assert latency["return"]["p50"] <= latency["return"]["p90"] < 5.0
+
+    def test_stages_stay_off_the_payload_and_the_cache(self, tmp_path):
+        req = make_request(max_steps=2)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        with JobEngine(svc) as engine:
+            first, joined = engine.submit(req), engine.submit(req)
+            computed = first.result(timeout=180)
+            assert computed.stages is not None and not computed.cached
+            assert joined.result(timeout=180).stages is None
+            assert joined.result().payload is computed.payload
+            hit = engine.submit(req).result(timeout=10)
+            assert hit.cached and hit.stages is None
+            meta, payload = engine.cache.get(req.key())
+            scorecard = format_service_scorecard(health_snapshot(engine))
+        assert set(meta) == {"schema", "key", "attempts", "wall_seconds",
+                             "runtime"}
+        assert set(payload) == set(computed.payload) == {
+            "schema", "final_field", "steps", "times", "dts",
+            "first_recorded_step", "series", "wall_seconds"}
+        assert "ms per stage" in scorecard and "persist" in scorecard
+
+    def test_engine_keeps_open_jobs_only(self, tmp_path):
+        svc = ServiceConfig(workers=2, workdir=str(tmp_path / "w"),
+                            max_pending=64)
+        reqs = [JobRequest(
+            config=SimulationConfig(cells=16, block_size=8, max_steps=1),
+            ic=ICSpec("uniform", {"rho": 1000.0, "p": 50.0 + i}))
+            for i in range(50)]
+        with JobEngine(svc) as engine:
+            handles = [engine.submit(r) for r in reqs]
+            assert len(engine._jobs) == 50
+            assert engine.drain(timeout=180)
+            for _ in range(10):
+                for r in reqs:
+                    assert engine.submit(r).result(timeout=10).cached
+            assert len(engine._jobs) == 0 and not engine._active_by_key
+            snap = health_snapshot(engine)
+            assert snap["jobs"]["by_status"] == {"done_computed": 50,
+                                                 "done_cached": 500}
+            # A late result of a popped seq is dropped, not resurrected.
+            worker = next(iter(engine.pool.workers.values()))
+            body = handles[0].result().payload
+            engine._on_result(worker, (handles[0]._job.seq, "ok", body, {},
+                                       [], (0.0, 0.0)), time.monotonic())
+            assert engine.counters["computed"] == 50
+            assert len(engine._jobs) == 0
+
+    def test_idle_worker_killed_is_replaced(self, tmp_path):
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        with JobEngine(svc) as engine:
+            (first,) = engine.pool.workers.values()
+            os.kill(first.process.pid, signal.SIGKILL)
+            wait_until(lambda: list(engine.pool.workers) == [1], 10.0,
+                       "the replacement")
+            # ... no sooner than the spawn-storm guard allows
+            (second,) = engine.pool.workers.values()
+            assert second.spawned_at - first.spawned_at \
+                >= engine_mod._RESPAWN_GAP
+            result = engine.submit(make_request(max_steps=1)).result(180)
+            assert result.attempts == 1
+
+    def test_busy_worker_killed_retries_at_once(self, tmp_path):
+        req = make_request(max_steps=150)
+        svc = ServiceConfig(
+            workers=1, workdir=str(tmp_path / "w"),
+            backoff=BackoffPolicy(max_attempts=3, base_delay=0.01,
+                                  max_delay=0.02))
+        with JobEngine(svc) as engine:
+            handle = engine.submit(req)  # no fault plan: nothing watched
+            wait_until(lambda: busy_worker(engine) is not None, 60.0,
+                       "the job to be stepping")
+            victim = busy_worker(engine)
+            killed_at = time.monotonic()
+            os.kill(victim.process.pid, signal.SIGKILL)
+            wait_until(lambda: handle.attempts == 2, 10.0, "the retry")
+            (fresh,) = engine.pool.workers.values()
+            wait_until(lambda: fresh.busy_seq is not None, 10.0,
+                       "the dispatch")
+            assert fresh.id != victim.id
+            assert fresh.dispatched_at - killed_at < 0.3
+            result = handle.result(timeout=180)
+            assert result.attempts == 2
+            assert engine.failures_by_kind == {"worker_lost": 1}
+        np.testing.assert_array_equal(result.final_field,
+                                      reference_field(req))
+
+    def test_worker_that_cannot_start_is_no_spawn_storm(self, tmp_path,
+                                                        monkeypatch):
+        from repro.service import workers as workers_mod
+
+        monkeypatch.setattr(workers_mod, "worker_main", _exit_at_once)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"),
+                            start_method="fork")
+        engine = JobEngine(svc).start()
+        try:
+            time.sleep(1.2)
+            assert 1 <= engine.pool.restarts <= 3
+        finally:
+            engine.shutdown(drain=False)
+
+    def test_full_wake_pipe_and_idle_supervisor(self, tmp_path,
+                                                monkeypatch):
+        waits = []
+
+        def counted_wait(objs, timeout=None):
+            if in_supervisor():
+                waits.append(timeout)
+            return real_wait(objs, timeout)
+
+        real_wait = multiprocessing.connection.wait
+        monkeypatch.setattr(multiprocessing.connection, "wait", counted_wait)
+        engine = JobEngine(ServiceConfig(workers=1,
+                                         workdir=str(tmp_path / "w")))
+        for _ in range(100_000):
+            engine._wake()  # fills the pipe; neither blocks nor raises
+        with engine:
+            wait_until(lambda: len(waits) >= 2 and waits[-1] is None,
+                       10.0, "the supervisor to go idle")
+            # One pass drained the lot ...
+            with pytest.raises(BlockingIOError):
+                os.read(engine._wake_r, 1)
+            # ... and an idle supervisor makes no iterations at all.
+            seen = len(waits)
+            assert seen == 2
+            time.sleep(2.0)
+            assert len(waits) == seen
+            engine.submit(make_request(max_steps=1)).result(timeout=180)
+            assert len(waits) > seen
+
+    def test_shutdown_with_a_result_unread_in_the_pipe(self, tmp_path,
+                                                       monkeypatch):
+        gate = threading.Event()
+        gate.set()
+        real_wait = multiprocessing.connection.wait
+
+        def gated_wait(objs, timeout=None):
+            ready = real_wait(objs, timeout)
+            if in_supervisor():
+                gate.wait(30.0)  # held off its pipes
+            return ready
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", gated_wait)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        engine = JobEngine(svc).start()
+        handle = engine.submit(make_request(max_steps=30))
+        wait_until(lambda: handle.status == "running", 60.0, "dispatch")
+        gate.clear()
+        (worker,) = engine.pool.workers.values()
+        wait_until(lambda: handle.done() or worker.result_r.poll(0), 60.0,
+                   "the result to reach the pipe")
+        stopper = threading.Thread(target=engine.shutdown,
+                                   kwargs={"drain": False})
+        t0 = time.monotonic()
+        stopper.start()
+        wait_until(handle.done, 10.0, "the cancellation")
+        gate.set()
+        stopper.join(timeout=15.0)
+        assert not stopper.is_alive()
+        assert time.monotonic() - t0 < 15.0
+        assert engine.state == "stopped"
+        assert handle.status in ("cancelled", "done_computed")
+
+    def test_no_fd_or_process_left_behind(self, tmp_path, monkeypatch,
+                                          resource_ledger):
+        monkeypatch.setattr(engine_mod, "_RESPAWN_GAP", 0.0)
+
+        def cycle(i):
+            svc = ServiceConfig(workers=1,
+                                workdir=str(tmp_path / f"w{i}"))
+            engine = JobEngine(svc).start()
+            (worker,) = engine.pool.workers.values()
+            os.kill(worker.process.pid, signal.SIGKILL)
+            wait_until(lambda: list(engine.pool.workers) == [1], 10.0,
+                       "the replacement")
+            engine.pool.retire(engine.pool.workers[1])
+            engine.shutdown(drain=False)
+
+        cycle(0)  # multiprocessing's own lazily opened fds
+        fds = len(os.listdir("/proc/self/fd"))
+        for i in range(1, 11):
+            cycle(i)
+        assert len(os.listdir("/proc/self/fd")) == fds
