@@ -7,10 +7,21 @@ messages to its adjacent neighbors ...  While waiting for the messages,
 the rank dispatches the interior blocks to the node layer." (paper
 Section 6)
 
-:class:`HaloExchange` implements exactly that protocol on the simulated
-communicator: :meth:`start` packs the six face slabs and posts the
-non-blocking sends/receives, :meth:`finish` waits and returns a ghost
+:class:`HaloExchange` implements that protocol on the simulated
+communicator: :meth:`start` packs the face slabs and posts the
+non-blocking sends/receives, :meth:`finish` waits and returns the ghost
 provider the node layer consults for rank-boundary blocks.
+
+Only a face whose neighbour is another rank is a message.  A face a rank
+shares with itself -- a periodic axis the rank spans alone -- is read from
+its own grid: the provider serves the wrapped block faces as views of the
+rank's state, the cells a message to itself would carry, read at the same
+point of the stage, so the bytes are the same.  A received face lands in
+the receive buffer of its face, allocated once; the exchange owns one
+provider, whose view of a block face is made once, so the node layer's
+box plans are pointed at their sources in the first stage and stay so.
+That provider is valid until the next :meth:`~HaloExchange.finish`, which
+overwrites its buffers.
 
 Every slab travels as a checksummed :class:`~repro.resilience.detect.HaloFrame`
 (CRC32 computed before transport), so an in-transit bit flip is caught on
@@ -36,54 +47,80 @@ def _face_tag(axis: int, side: int) -> int:
     return axis * 2 + (0 if side == -1 else 1)
 
 
+def _slab_shape(grid: BlockGrid, axis: int, width: int) -> list[int]:
+    """Shape of a slab spanning one face of the rank subdomain."""
+    shape = list(grid.cells) + [NQ]
+    shape[axis] = width
+    return shape
+
+
+def _face_cells(grid: BlockGrid, axis: int, side: int, width: int) -> np.ndarray:
+    """The ``width`` cell layers at one face of the rank subdomain: the
+    edge layer of blocks and the edge layers of their cells, a view of
+    the rank array in :meth:`~repro.node.grid.BlockGrid.by_cell` order."""
+    n = grid.block_size
+    cut = [slice(None)] * 6
+    cut[axis], cut[3 + axis] = (
+        (slice(0, 1), slice(0, width)) if side == -1 else
+        (slice(grid.num_blocks[axis] - 1, None), slice(n - width, n)))
+    return grid.by_cell(grid.state, tuple(cut))
+
+
 def extract_face_slab(grid: BlockGrid, axis: int, side: int, width: int = GHOSTS) -> np.ndarray:
     """Assemble the ``width``-cell slab at one face of the rank subdomain.
 
     The slab spans the full subdomain face; shape is the subdomain cell
     extent with ``axis`` replaced by ``width`` (plus the quantity axis).
     """
-    n = grid.block_size
-    # The edge layer of blocks and the edge layers of their cells, cut
-    # from the rank array, in the axis order of the slab: one copy.
-    cut = [slice(None)] * 6
-    cut[axis], cut[3 + axis] = (
-        (slice(0, 1), slice(0, width)) if side == -1 else
-        (slice(grid.num_blocks[axis] - 1, None), slice(n - width, n)))
-    shape = list(grid.cells) + [NQ]
-    shape[axis] = width
-    return grid.by_cell(grid.state, tuple(cut)).copy().reshape(shape)
+    return _face_cells(grid, axis, side, width).copy().reshape(
+        _slab_shape(grid, axis, width))
 
 
 class RemoteGhostProvider:
-    """Serves per-block ghost slabs out of the received face buffers.
+    """Serves per-block ghost slabs out of the face buffers.
 
     Implements the node layer's ghost-provider protocol:
     ``provider(block_index, axis, side) -> slab or None``.  ``None`` means
     the face is a physical domain boundary and the node layer should apply
     the boundary condition.
+
+    ``face_buffers`` holds, per face ``(axis, side)``, the cells beyond
+    it: a slab shaped like the subdomain face (a received one), or the
+    same cells in :meth:`~repro.node.grid.BlockGrid.by_cell` axis order
+    (a view of the rank's own state, for a face it shares with itself).
+    The slab of a block face is a view of its buffer, made by the first
+    call and the same object on every later one: it always shows what
+    the buffer holds now.
     """
 
     def __init__(self, grid: BlockGrid, face_buffers: dict[tuple[int, int], np.ndarray]):
-        self._grid = grid
-        self._buffers = face_buffers
+        n = grid.block_size
+        self._buffers = {}
+        for (axis, side), buf in face_buffers.items():
+            if buf.ndim == 4:  # a slab: split the blocks off every axis
+                shape = []
+                for d, cells in enumerate(buf.shape[:3]):
+                    shape += (1, cells) if d == axis else (grid.num_blocks[d], n)
+                buf = buf.reshape(shape + [NQ])
+            self._buffers[(axis, side)] = buf
+        self._views: dict[tuple, np.ndarray] = {}
 
     def __call__(self, block_index: tuple[int, int, int], axis: int, side: int):
-        buf = self._buffers.get((axis, side))
-        if buf is None:
-            return None
-        n = self._grid.block_size
-        sel: list[slice] = []
-        for d in range(3):
-            if d == axis:
-                sel.append(slice(None))
-            else:
-                b = block_index[d]
-                sel.append(slice(b * n, (b + 1) * n))
-        return buf[tuple(sel)]
+        key = (block_index, axis, side)
+        view = self._views.get(key)
+        if view is None:
+            buf = self._buffers.get((axis, side))
+            if buf is None:
+                return None
+            bz, by, bx = (0 if d == axis else b for d, b in enumerate(block_index))
+            view = self._views[key] = buf[bz, :, by, :, bx]
+        return view
 
 
 class HaloExchange:
-    """Non-blocking six-message halo exchange for one rank.
+    """Non-blocking halo exchange for one rank: one message per face whose
+    neighbour is another rank (six in the paper's runs), none for a face
+    the rank shares with itself (see the module docstring).
 
     ``tracer`` is an optional :class:`repro.telemetry.Tracer`; when set,
     :meth:`start` counts the posted messages and ghost bytes
@@ -108,14 +145,25 @@ class HaloExchange:
         # Desynchronize backoff jitter across ranks via the seed.
         self.retry = retry or RetryPolicy(seed=2013 + comm.rank)
         self._neighbors = topo.neighbors(comm.rank)
+        #: The receive buffer of every face whose neighbour is another
+        #: rank, rewritten by every :meth:`finish`; a face the rank shares
+        #: with itself is the rank's own opposite face, read in place.
+        self._received = {
+            (axis, side): np.empty(_slab_shape(grid, axis, GHOSTS), STORAGE_DTYPE)
+            for (axis, side), nbr in self._neighbors.items()
+            if nbr not in (None, comm.rank)}
+        wrapped = {(axis, side): _face_cells(grid, axis, -side, GHOSTS)
+                   for (axis, side), nbr in self._neighbors.items()
+                   if nbr == comm.rank}
+        self._provider = RemoteGhostProvider(grid, {**self._received, **wrapped})
 
     def halo_split(self) -> tuple[list, list]:
         """Split the rank's blocks into (interior, halo) lists.
 
         A block is *halo* if any of its faces touches a rank face with a
-        live neighbor (its ghosts depend on a message); all other blocks
-        are interior and can be computed while messages are in flight.
-        Both lists preserve SFC dispatch order.
+        live neighbor (another rank, or the rank itself across a periodic
+        axis); all other blocks are interior and can be computed while
+        messages are in flight.  Both lists preserve SFC dispatch order.
         """
         interior, halo = [], []
         B = self.grid.num_blocks
@@ -144,13 +192,14 @@ class HaloExchange:
                         self.retry, on_retry=on_retry)
 
     def start(self) -> dict[tuple[int, int], Request]:
-        """Pack and post the sends/receives; returns pending receives."""
+        """Pack and post the sends/receives of the faces whose neighbour
+        is another rank; returns pending receives."""
         pending: dict[tuple[int, int], Request] = {}
         for axis in range(3):
             for side in (-1, 1):
-                nbr = self._neighbors[(axis, side)]
-                if nbr is None:
+                if (axis, side) not in self._received:
                     continue
+                nbr = self._neighbors[(axis, side)]
                 slab = extract_face_slab(self.grid, axis, side)
                 # Checksum before transport so receive-side verification
                 # catches any in-transit corruption.
@@ -167,7 +216,13 @@ class HaloExchange:
         return pending
 
     def finish(self, pending: dict[tuple[int, int], Request]) -> RemoteGhostProvider:
-        """Wait for all receives, verify CRCs, build the ghost provider.
+        """Wait for all receives, verify CRCs, return the ghost provider.
+
+        Every frame is verified before any of its bytes is used, then
+        copied into the receive buffer of its face.  The provider is the
+        exchange's one: it serves those buffers and, for a face the rank
+        shares with itself, the rank's own cells; it is valid until the
+        next ``finish``, which overwrites its buffers.
 
         Raises :class:`~repro.resilience.detect.HaloCorruptionError` when
         a received frame fails its checksum (counted as a
@@ -175,7 +230,6 @@ class HaloExchange:
         """
         from ..resilience.detect import HaloCorruptionError
 
-        buffers: dict[tuple[int, int], np.ndarray] = {}
         for (axis, side), req in pending.items():
             frame = req.wait()
             if isinstance(frame, HaloFrame):
@@ -186,23 +240,16 @@ class HaloExchange:
                     if self.injector is not None:
                         self.injector.detected("msg_corrupt")
                     raise
-                buffers[(axis, side)] = frame.payload
-            else:  # pre-framing peer (plain slab): accept unchecked
-                buffers[(axis, side)] = frame
-        return RemoteGhostProvider(self.grid, buffers)
+                frame = frame.payload
+            # (a pre-framing peer sends a plain slab: accepted unchecked)
+            self._received[(axis, side)][...] = frame
+        return self._provider
 
     def exchange(self) -> RemoteGhostProvider:
         """Blocking convenience: start + finish."""
         return self.finish(self.start())
 
     def message_bytes(self) -> dict[tuple[int, int], int]:
-        """Per-face message sizes (the paper quotes 3--30 MB per message)."""
-        sizes = {}
-        nz, ny, nx = self.grid.cells
-        extents = {0: ny * nx, 1: nz * nx, 2: nz * ny}
-        for (axis, side), nbr in self._neighbors.items():
-            if nbr is not None:
-                sizes[(axis, side)] = GHOSTS * extents[axis] * NQ * np.dtype(
-                    STORAGE_DTYPE
-                ).itemsize
-        return sizes
+        """Per-message sizes by sending face: the faces whose neighbour is
+        another rank (the paper quotes 3--30 MB per message)."""
+        return {face: buf.nbytes for face, buf in self._received.items()}

@@ -557,8 +557,8 @@ class ProcsComm:
         """Frame and ship one message (self-sends loop back locally)."""
         wire = encode_frame(self.rank, tag, kind, payload)
         if dest == self.rank:
-            # Periodic single-rank topologies exchange with themselves;
-            # loop the decoded frame straight into the pending store.
+            # A send to oneself: loop the decoded frame straight into
+            # the pending store.
             stream = bytearray(wire)
             self._pending.extend(parse_frames(stream, source_hint=dest))
             return

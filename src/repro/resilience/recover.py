@@ -67,11 +67,12 @@ def retry_transient(fn, policy: RetryPolicy, on_retry=None):
     Retries only :class:`TransientCommError` (anything else propagates
     immediately); re-raises the last transient error once the attempt
     bound is exhausted.  ``on_retry(attempt, exc)`` is called before
-    each backoff sleep.
+    each backoff sleep.  The jitter generator is seeded on the first
+    retry: a call that succeeds at once builds none.
     """
     import time
 
-    rng = random.Random(policy.seed)
+    rng = None
     delay = policy.base_delay
     for attempt in range(policy.max_attempts):
         try:
@@ -81,6 +82,8 @@ def retry_transient(fn, policy: RetryPolicy, on_retry=None):
                 raise
             if on_retry is not None:
                 on_retry(attempt, exc)
+            if rng is None:
+                rng = random.Random(policy.seed)
             time.sleep(min(policy.max_delay, delay) *
                        (1.0 + policy.jitter * rng.random()))
             delay *= policy.factor

@@ -218,8 +218,9 @@ class SimulationConfig:
 
         Periodicity is *not* expressed here: the cluster topology resolves
         periodic faces through the halo exchange (even on a single rank,
-        which then exchanges with itself), so the node layer only ever
-        applies physical boundary conditions at true domain faces.
+        whose provider serves the wrapped faces from its own grid), so the
+        node layer only ever applies physical boundary conditions at true
+        domain faces.
         """
         faces = {}
         if self.wall is not None:

@@ -116,8 +116,8 @@ def test_differential_restart_from_checkpoint(tmp_path):
 
 
 def test_periodic_self_exchange():
-    """Single-rank periodic topology: the rank halo-exchanges with
-    itself; the procs loopback path must match the sim mailbox."""
+    """Single-rank periodic topology: both backends serve the wrapped
+    faces from the rank's own grid, with the same bytes and no traffic."""
     res_sim = _run("sim", 1, periodic=(True, True, True))
     res_procs = _run("procs", 1, periodic=(True, True, True))
     _assert_equivalent(res_sim, res_procs)

@@ -429,8 +429,9 @@ class TestSteadyStateAllocation:
         blocks = list(g.sfc_blocks())
         interior, halo = blocks[:5], blocks[5:]
         stage = LowStorageRK3.stages[1]
-        # As the cluster layer's provider does: fresh face buffers every
-        # stage, a view of one per block face.
+        # Fresh face buffers every stage, a view of one per block face:
+        # every row at the rank face re-pointed (the cluster layer's
+        # provider keeps its buffers and views, and re-points none).
         face = make_smooth_aos((3, 32, 32), rng).astype(np.float32)
 
         def provider(index, axis, side):

@@ -232,6 +232,40 @@ class TestRetry:
             retry_transient(boom, RetryPolicy(max_attempts=5, base_delay=0.0))
         assert calls["n"] == 1
 
+    def test_jitter_sequence_is_the_seeded_one(self, monkeypatch):
+        """Two transients then success: the two backoff sleeps are the
+        draws of ``Random(2013)`` recorded when every call seeded one."""
+        import time
+
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            if calls["n"] < 3:
+                raise TransientCommError("flap")
+            return "ok"
+
+        assert retry_transient(flaky, RetryPolicy(seed=2013)) == "ok"
+        assert slept == [0.01212588719383985, 0.020519068379440633]
+
+    def test_success_builds_no_generator(self, monkeypatch):
+        import random
+
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        policy = RetryPolicy(seed=7)
+        for _ in range(1000):
+            assert retry_transient(lambda: 1, policy) == 1
+        assert built == []
+
     def test_in_halo_path(self, tmp_path):
         """A transient send is retried in place: no world failure."""
         plan = FaultPlan(faults=[
