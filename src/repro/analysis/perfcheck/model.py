@@ -26,13 +26,8 @@ from ...perf.kernels import KERNEL_ARITHMETIC, KernelArithmetic
 #: Dtype-contract shorthand strings used by the spec table.
 _COMPUTE = "dtype-preserving; production COMPUTE_DTYPE (float64) SoA"
 _AOS_IN = "STORAGE_DTYPE (float32) AoS in, COMPUTE_DTYPE (float64) out"
-#: The RHS entry points take one block or a batch of blocks.
-_COMPUTE_BATCH = (
-    _COMPUTE + ", one block (NQ, z, y, x) or a batch (NQ, B, z, y, x)"
-)
-_AOS_BATCH_IN = (
-    _AOS_IN + ", one block (z, y, x, NQ) or a batch (B, z, y, x, NQ)"
-)
+#: The RHS entry points take one box (a block or a box of blocks).
+_COMPUTE_BOX = _COMPUTE + ", one box (NQ, z, y, x)"
 _AOS_INPLACE = (
     "STORAGE_DTYPE (float32) AoS in place; COMPUTE_DTYPE (float64) "
     "arithmetic"
@@ -43,9 +38,9 @@ _HLLE_WORKSPACE = (
     _COMPUTE + "; flux, ustar and 12 face temporaries in an optional held "
     "HlleWorkspace (the sweeps hold one per thread)"
 )
-_AOS_BATCH_OUT = (
-    _AOS_BATCH_IN + "; optional out= (an array the result reshapes to "
-    "without a copy)"
+_AOS_BOX_OUT = (
+    _AOS_IN + ", one box (z, y, x, NQ); optional out= (an array the "
+    "result reshapes to without a copy)"
 )
 #: The two executors of a box plan in the compiled library (the NumPy
 #: executor is slice assignment around rhs_kernel).
@@ -60,14 +55,14 @@ _PLAN_SCATTER = (
     "rows of an int64 plan table name; compiled library only"
 )
 _AOS_STREAM_IN = (
-    "STORAGE_DTYPE (float32) AoS in, one array (a block, a rank's blocks) "
-    "or a sequence of them, "
+    "STORAGE_DTYPE (float32) AoS in, one array (a block, a rank's blocks), "
     "python float out; streamed through a COMPUTE_DTYPE (float64) "
     "(NQ + 2, cells) SoA chunk of an optional held flat scratch"
 )
 _AOS_STREAM_INPLACE = (
-    _AOS_INPLACE + ", any shape or strided view, streamed in chunks of "
-    "half of an optional held flat COMPUTE_DTYPE scratch"
+    _AOS_INPLACE + ", one C-contiguous array per operand (a block, a "
+    "rank's blocks), streamed in chunks of half of an optional held flat "
+    "COMPUTE_DTYPE scratch"
 )
 #: The kernels with a door to :mod:`repro.native` and a NumPy form.
 _NATIVE = (
@@ -111,14 +106,13 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("max_characteristic_velocity", "physics/eos.py", _COMPUTE,
                "sos"),
     # physics.equations -- RHS assembly (directional sweeps).
-    KernelSpec("directional_rhs", "physics/equations.py", _COMPUTE_BATCH),
     KernelSpec("compute_rhs", "physics/equations.py",
-               _COMPUTE_BATCH + _NATIVE),
+               _COMPUTE_BOX + _NATIVE),
     # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
     # buffers) and the UP stage.
     KernelSpec("gather_conv", "core/kernels.py", _PLAN_GATHER),
     KernelSpec("scatter_aos", "core/kernels.py", _PLAN_SCATTER),
-    KernelSpec("rhs_kernel", "core/kernels.py", _AOS_BATCH_OUT + _NATIVE),
+    KernelSpec("rhs_kernel", "core/kernels.py", _AOS_BOX_OUT + _NATIVE),
     KernelSpec("rhs_kernel_slices", "core/kernels.py", _AOS_IN),
     KernelSpec("sos_kernel", "core/kernels.py", _AOS_STREAM_IN + _NATIVE),
     KernelSpec("update_stage", "core/kernels.py",

@@ -896,7 +896,6 @@ class ProcsWorld:
         killer: threading.Thread | None = None
         results: dict[int, Any] = {}
         failures: dict[int, BaseException] = {}
-        killed_note: dict[int, str] = {}
         try:
             # Segments are created inside the try so a failure anywhere
             # below (lock allocation, spawn, the wait loop) still
@@ -944,7 +943,6 @@ class ProcsWorld:
                         failures[rank] = RankLostError(
                             f"rank {rank} process died without a result "
                             f"(exitcode {procs[rank].exitcode})"
-                            + killed_note.get(rank, "")
                         )
                         board.set_abort()
                         continue

@@ -4,7 +4,7 @@ These are the paper's performance-critical kernels (Fig. 1):
 
 * **RHS** -- evaluation of the right-hand side of the governing equations
   for every cell average of a block.  Two functionally identical
-  implementations are provided: :func:`rhs_kernel` (whole-block
+  implementations are provided: :func:`rhs_kernel` (whole-box
   vectorized) and :func:`rhs_kernel_slices` (the paper's streaming z-sweep
   over 2D slices through ring buffers).  The test suite asserts they agree
   to round-off; benchmarks compare their cost.
@@ -129,16 +129,14 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
                order: int = 5, solver: str = "hlle",
                workspace: SweepWorkspace | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Whole-block RHS: pencil-tile directional sweeps over a batch of blocks.
+    """Whole-box RHS: pencil-tile directional sweeps over one padded box.
 
     Parameters
     ----------
     pad_aos:
-        Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)`` -- any
-        three extents: the node layer passes a box of blocks --, or a
-        batch of ``B`` blocks ``(B, n+6, n+6, n+6, NQ)``: converted to
-        double-precision SoA once and swept as one array.  Each block of a
-        batch gets the bytes it gets alone.
+        Ghost-padded AoS data of one box, shape ``(nz+6, ny+6, nx+6, NQ)``
+        -- a block, or the node layer's box of blocks: converted to
+        double-precision SoA once and swept as one array.
     h:
         Grid spacing.
     fused:
@@ -146,7 +144,7 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     workspace:
         Optional :class:`~repro.physics.equations.SweepWorkspace` the
         caller keeps across calls (one per thread); it also holds the
-        SoA fields of the batch.
+        SoA fields of the box.
     out:
         Optional destination in compute precision: an array the result
         reshapes to without a copy (the node layer passes the cells of a
@@ -154,39 +152,33 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
 
     Returns
     -------
-    AoS time derivative of the conserved state, shape ``(n, n, n, NQ)`` or
-    ``(B, n, n, n, NQ)``, in compute precision: ``out`` if given, else a
-    fresh array the caller owns.
+    AoS time derivative of the conserved state, shape ``(nz, ny, nx,
+    NQ)``, in compute precision: ``out`` if given, else a fresh array the
+    caller owns.
     """
-    if pad_aos.ndim not in (4, 5):
+    if pad_aos.ndim != 4:
         raise ValueError(
-            "expected (n+6, n+6, n+6, NQ) or (B, n+6, n+6, n+6, NQ), got "
-            f"{pad_aos.shape}"
-        )
-    batch = pad_aos if pad_aos.ndim == 5 else pad_aos[np.newaxis]
+            f"expected (nz+6, ny+6, nx+6, NQ), got {pad_aos.shape}")
     if workspace is None:
         workspace = SweepWorkspace()
-    nblocks = batch.shape[0]
-    interior = tuple(m - 2 * GHOSTS for m in batch.shape[1:4])
+    interior = tuple(m - 2 * GHOSTS for m in pad_aos.shape[:-1])
     lib = native_sweeps(order, solver, fused)
-    if (lib is not None and native.addressable(batch, _STORAGE)
-            and batch.shape[-1] == NQ):
-        # Storage pads -> primitive SoA in one pass (the staging copy and
+    if (lib is not None and native.addressable(pad_aos, _STORAGE)
+            and pad_aos.shape[-1] == NQ):
+        # Storage pad -> primitive SoA in one pass (the staging copy and
         # the CONV stage: a plan of one row), then the three sweeps: the
         # bytes of the path below, and no tile scratch.
-        Wpad, rhs_soa = workspace.fields(nblocks, interior, COMPUTE_DTYPE)
-        gather_conv(lib, _plan_whole(batch), Wpad)
-        lib.repro_rhs_sweeps(Wpad.ctypes.data, nblocks, *interior, 1.0 / h,
+        Wpad, rhs_soa = workspace.fields(interior, COMPUTE_DTYPE)
+        gather_conv(lib, _plan_whole(pad_aos), Wpad)
+        lib.repro_rhs_sweeps(Wpad.ctypes.data, 1, *interior, 1.0 / h,
                              rhs_soa.ctypes.data)
     else:
-        Upad = workspace.staging(nblocks, interior, COMPUTE_DTYPE)
-        _, rhs_soa = workspace.fields(nblocks, interior, COMPUTE_DTYPE)
-        np.copyto(Upad, np.moveaxis(batch, -1, 0))
+        Upad = workspace.staging(interior, COMPUTE_DTYPE)
+        _, rhs_soa = workspace.fields(interior, COMPUTE_DTYPE)
+        np.copyto(Upad, np.moveaxis(pad_aos, -1, 0))
         compute_rhs(Upad, h, fused=fused, order=order, solver=solver,
                     workspace=workspace, out=rhs_soa)
     rhs_aos = np.moveaxis(rhs_soa, 0, -1)
-    if pad_aos.ndim == 4:
-        rhs_aos = rhs_aos[0]
     if out is None:
         out = np.empty(rhs_aos.shape, dtype=rhs_aos.dtype)
     _check_out(out, rhs_aos)
@@ -374,62 +366,47 @@ def _own_scratch(needed: int) -> np.ndarray:
     return stream_scratch(max(_SOS_ROWS, min(STREAM_ELEMENTS, needed)))
 
 
-def sos_kernel(blocks, scratch: np.ndarray | None = None) -> float:
+def sos_kernel(data: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """SOS kernel: maximum characteristic velocity ``max(|u_i| + c)``.
 
-    ``blocks`` is un-padded AoS block data ``(..., NQ)`` or a sequence of
-    such arrays (the blocks of a rank).  Their cells are streamed, in
-    order and across block boundaries, through one SoA chunk
-    ``(NQ + 2, cells)`` viewed on ``scratch`` (:func:`stream_scratch`; a
-    fresh one by default): several small blocks share a set of passes,
-    a large block takes several.  Returns the maximum as a python float
-    -- NaN if any cell's velocity is NaN -- which the cluster layer
-    reduces globally and the DT kernel converts into the CFL-limited step.
+    ``data`` is one array of un-padded AoS block data ``(..., NQ)``: a
+    block, or the blocks of a rank.  Its cells are streamed, in order and
+    across block boundaries, through one SoA chunk ``(NQ + 2, cells)``
+    viewed on ``scratch`` (:func:`stream_scratch`; a fresh one by
+    default): several small blocks share a set of passes, a large block
+    takes several.  Returns the maximum as a python float -- NaN if any
+    cell's velocity is NaN -- which the cluster layer reduces globally and
+    the DT kernel converts into the CFL-limited step.
 
-    Contiguous storage-precision blocks are reduced in one pass each by
-    the compiled library where there is one (:mod:`repro.native`); the
-    value is the same.
+    Contiguous storage-precision data is reduced in one pass by the
+    compiled library where there is one (:mod:`repro.native`); the value
+    is the same.  Raises ``TypeError`` for anything but an array.
     """
-    blocks = (blocks,) if isinstance(blocks, np.ndarray) else tuple(blocks)
+    if not isinstance(data, np.ndarray):
+        raise TypeError(
+            f"sos_kernel takes one array, got {type(data).__name__}")
     if scratch is not None and scratch.size < _SOS_ROWS:
         raise ValueError(
             f"scratch must hold at least {_SOS_ROWS} entries, got "
             f"{scratch.size}"
         )
     lib = native.lib
-    if lib is not None and blocks and all(
-            native.addressable(b, _STORAGE) for b in blocks):
+    if lib is not None and native.addressable(data, _STORAGE):
         # One pass over the cells, a NaN carried: the value of the chunked
         # passes below.
-        peak = float("-inf")
-        for data in blocks:
-            peak = nan_max(peak, lib.repro_max_sos(data.ctypes.data,
-                                                   data.size // NQ))
-        return peak
+        return float(lib.repro_max_sos(data.ctypes.data, data.size // NQ))
+    cells = data.reshape(-1, NQ)
     if scratch is None:
-        scratch = _own_scratch(
-            _SOS_ROWS * (sum(b.size for b in blocks) // NQ))
+        scratch = _own_scratch(_SOS_ROWS * len(cells))
     chunk = scratch[:scratch.size - scratch.size % _SOS_ROWS].reshape(
         _SOS_ROWS, -1)
     capacity = chunk.shape[1]
     peak = float("-inf")
-    filled = 0
-    for data in blocks:
-        cells = data.reshape(-1, NQ)
-        start = 0
-        while start < len(cells):
-            take = min(capacity - filled, len(cells) - start)
-            np.copyto(chunk[:NQ, filled:filled + take],
-                      cells[start:start + take].T)
-            start += take
-            filled += take
-            if filled == capacity:
-                peak = nan_max(peak, max_velocity_of_conserved(
-                    chunk[:NQ], chunk[NQ:]))
-                filled = 0
-    if filled:
+    for start in range(0, len(cells), capacity):
+        take = min(capacity, len(cells) - start)
+        np.copyto(chunk[:NQ, :take], cells[start:start + take].T)
         peak = nan_max(peak, max_velocity_of_conserved(
-            chunk[:NQ, :filled], chunk[NQ:, :filled]))
+            chunk[:NQ, :take], chunk[NQ:, :take]))
     return peak
 
 
@@ -460,7 +437,8 @@ def _update_chunk(u, res, rhs, s, t, a, b, dt):
 
 def _check_update_operands(u_aos, residual_aos, rhs_aos) -> None:
     """``ValueError`` naming the operand of :func:`update_stage` whose
-    shape is not the state's or whose dtype is not the storage one."""
+    shape is not the state's, whose dtype is not the storage one, or that
+    is not C-contiguous."""
     shape = u_aos.shape
     if residual_aos.shape != shape or rhs_aos.shape != shape:
         name, other = (("residual_aos", residual_aos)
@@ -473,22 +451,11 @@ def _check_update_operands(u_aos, residual_aos, rhs_aos) -> None:
         name, other = (("u_aos", u_aos) if u_aos.dtype != _STORAGE else
                        ("residual_aos", residual_aos))
         raise ValueError(f"{name} must be {_STORAGE}, got {other.dtype}")
-
-
-def _slab_chunks(u_aos, scratch):
-    """``(step, s_all, t_all)`` to walk operands that have no flat view
-    in chunks of ``step`` leading-axis slabs: as many as fit half of
-    ``scratch`` -- at least one, on a scratch of its own if need be --
-    with the two halves viewed in the shape of such a chunk."""
-    half = scratch.size // 2
-    slab = u_aos.size // len(u_aos)  # not contiguous, hence not empty
-    step = max(1, half // slab)
-    used = step * slab
-    if used > half:
-        scratch, half = stream_scratch(2 * used), used
-    chunk_shape = (step,) + u_aos.shape[1:]
-    return (step, scratch[:used].reshape(chunk_shape),
-            scratch[half:half + used].reshape(chunk_shape))
+    for name, operand in (("u_aos", u_aos), ("residual_aos", residual_aos),
+                          ("rhs_aos", rhs_aos)):
+        if not operand.flags.c_contiguous:
+            raise ValueError(
+                f"{name} must be C-contiguous, got strides {operand.strides}")
 
 
 def update_stage(
@@ -509,18 +476,18 @@ def update_stage(
         S <- a * S + dt * RHS(U)
         U <- U + b * S
 
-    on AoS block data of any shape -- one block, a batch of blocks, a
-    strided view.  ``u_aos`` and ``residual_aos`` are storage precision
-    and updated in place; ``rhs_aos`` has their shape.  The arithmetic
-    runs in compute precision (mixed-precision scheme): the operands are
-    walked in chunks of half of ``scratch`` (:func:`stream_scratch`; a
-    fresh one by default), each converted once into it, pushed through
-    the two expressions above as same-type passes and rounded once into
-    place -- ``U`` from the unrounded ``S`` -- so that a block far larger
-    than the cache is updated out of it.  The chunking changes no bit of
-    the result, and neither does the compiled library
-    (:mod:`repro.native`), which takes contiguous operands with a
-    compute-precision RHS in one pass where it is there.
+    on one C-contiguous AoS array per operand, of any shape -- a block, or
+    the blocks of a rank.  ``u_aos`` and ``residual_aos`` are storage
+    precision and updated in place; ``rhs_aos`` has their shape.  The
+    arithmetic runs in compute precision (mixed-precision scheme): the
+    operands are walked in flat chunks of half of ``scratch``
+    (:func:`stream_scratch`; a fresh one by default), each converted once
+    into it, pushed through the two expressions above as same-type passes
+    and rounded once into place -- ``U`` from the unrounded ``S`` -- so
+    that a block far larger than the cache is updated out of it.  The
+    chunking changes no bit of the result, and neither does the compiled
+    library (:mod:`repro.native`), which takes a compute-precision RHS in
+    one pass where it is there.
 
     ``sanitizer`` is an optional
     :class:`repro.analysis.sanitizer.NumericsSanitizer`; when given, the
@@ -529,21 +496,19 @@ def update_stage(
     the findings with the block index).  ``None`` -- the production
     default -- adds no checking work to this memory-bound kernel.
 
-    Raises ``ValueError`` naming the operand for a residual or RHS whose
-    shape is not the state's (an RHS of shape ``(NQ,)`` would broadcast
-    into every cell) and for a state or residual that is not
-    ``STORAGE_DTYPE``.
+    Raises ``ValueError``, before any write, naming the operand for a
+    residual or RHS whose shape is not the state's (an RHS of shape
+    ``(NQ,)`` would broadcast into every cell), for a state or residual
+    that is not ``STORAGE_DTYPE`` and for an operand that is not
+    C-contiguous.
     """
     _check_update_operands(u_aos, residual_aos, rhs_aos)
     if scratch is not None and scratch.size < 2:
         raise ValueError(
             f"scratch must hold at least 2 entries, got {scratch.size}"
         )
-    flat = (u_aos.flags.c_contiguous and residual_aos.flags.c_contiguous
-            and rhs_aos.flags.c_contiguous)
     lib = native.lib
-    if (lib is not None and flat
-            and native.addressable(rhs_aos, COMPUTE_DTYPE)
+    if (lib is not None and native.addressable(rhs_aos, COMPUTE_DTYPE)
             and u_aos.flags.writeable and residual_aos.flags.writeable):
         # One pass, one rounding store each: the bytes of the chunked
         # passes below.
@@ -553,15 +518,10 @@ def update_stage(
     else:
         if scratch is None:
             scratch = _own_scratch(2 * u_aos.size)
-        if flat:
-            # Flat views: a chunk is a run of half the scratch.
-            u, res, rhs = (u_aos.ravel(), residual_aos.ravel(),
-                           rhs_aos.ravel())
-            step = scratch.size // 2
-            s_all, t_all = scratch, scratch[step:]
-        else:
-            u, res, rhs = u_aos, residual_aos, rhs_aos
-            step, s_all, t_all = _slab_chunks(u_aos, scratch)
+        # A chunk is a run of half the scratch.
+        u, res, rhs = u_aos.ravel(), residual_aos.ravel(), rhs_aos.ravel()
+        step = scratch.size // 2
+        s_all, t_all = scratch, scratch[step:]
         count = len(u)
         if count <= step:
             # One chunk: the operands as they are, no loop.

@@ -231,10 +231,10 @@ class _WorkArea:
 
     def fields(self, interior, shapes):
         """``(W, R)``: the padded primitive SoA field and the SoA result
-        of a box of ``interior`` cells (the batch of one block)."""
+        of a box of ``interior`` cells."""
         if self.sweep.nbytes == 0:
-            self.sweep.fields(1, shapes[0], COMPUTE_DTYPE)
-        return self.sweep.fields(1, interior, COMPUTE_DTYPE)
+            self.sweep.fields(shapes[0], COMPUTE_DTYPE)
+        return self.sweep.fields(interior, COMPUTE_DTYPE)
 
     def aos_pad(self, interior, shapes) -> np.ndarray:
         """The AoS pad ``(nz+6, ny+6, nx+6, NQ)`` of a box of ``interior``
@@ -278,10 +278,14 @@ class NodeSolver:
     fused:
         Use the re-associated WENO variant (equal to round-off only).
     use_slices:
-        Use the ring-buffer streaming RHS instead of the whole-block
+        Use the ring-buffer streaming RHS instead of the whole-box
         vectorized one (identical numerics, different memory behaviour),
         block by block: every box is one block.  WENO5 + HLLE only: any
         other ``order``, ``solver`` or ``fused`` raises ``ValueError``.
+        It stays, though the compiled sweep's ring of flux rows is the
+        ring that runs, as the readable form of the paper's six-slice
+        ring (Fig. 2) and because the benchmark ladder's step loop passes
+        it.
     tracer:
         Optional :class:`repro.telemetry.Tracer`; when set, the solver
         counts kernel work (``rhs_cell_updates``, ``up_cell_updates``,

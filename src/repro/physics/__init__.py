@@ -29,12 +29,7 @@ from .eos import (
     sound_speed,
     total_energy,
 )
-from .equations import (
-    STENCIL_WIDTH,
-    SweepWorkspace,
-    compute_rhs,
-    directional_rhs,
-)
+from .equations import STENCIL_WIDTH, SweepWorkspace, compute_rhs
 from .exact_riemann import RiemannSide, RiemannSolution, sample, solve
 from .rayleigh import (
     Gilmore,
@@ -93,7 +88,6 @@ __all__ = [
     "aos_to_soa",
     "compute_rhs",
     "conserved_to_primitive",
-    "directional_rhs",
     "einfeldt_wave_speeds",
     "hllc_flux",
     "hlle_flux",

@@ -5,23 +5,23 @@ data:
 
     CONV -> WENO -> HLLE -> SUM
 
-``compute_rhs`` performs the three directional sweeps over a ghost-padded
-primitive field and returns the time derivative of the conserved state.
-The core layer wraps this with block storage, AoS/SoA conversion and ring
-buffers; this module is pure array mathematics and is what integration and
-property tests validate directly.
+``compute_rhs`` performs the three directional sweeps over one ghost-padded
+box of cells -- a block, or the node layer's box of neighbouring blocks --
+and returns the time derivative of the conserved state.  The core layer
+wraps this with block storage, AoS/SoA conversion and ring buffers; this
+module is pure array mathematics and is what integration and property
+tests validate directly.
 
 Each direction is one **pencil-tile sweep** (the paper's data reordering
 for directional sweeps, Table 3, over cache-resident slices, Fig. 2): the
-primitives of a batch of blocks are viewed with the sweep axis right
-after the quantity axis, ``(NQ, cells, blocks, rows, width)``, so that
-every shifted stencil operand is a long contiguous run, and walked in
-tiles shaped by the cache alone: some rows of pencils of one large block,
-or all rows of several small blocks.  A tile is copied into a contiguous
-buffer, reconstructed, passed through the Riemann solver, differenced and
-added into the result while it is still in cache.  The arithmetic per
-element does not depend on layout, batch or tiling: results are
-bit-identical to whole-block expressions, block by block.
+primitives of the box are viewed with the sweep axis right after the
+quantity axis, ``(NQ, cells, rows, width)``, so that every shifted stencil
+operand is a long contiguous run, and walked in tiles of as many rows of
+pencils as the cache holds.  A tile is copied into a contiguous buffer,
+reconstructed, passed through the Riemann solver, differenced and added
+into the result while it is still in cache.  The arithmetic per element
+does not depend on layout or tiling: results are bit-identical to
+whole-box expressions.
 """
 
 from __future__ import annotations
@@ -86,47 +86,21 @@ WENO_CHUNK_ELEMENTS = 12288
 _EULER = slice(0, GAMMA)
 _ADVECTED = slice(GAMMA, NQ)
 
-#: A tile of whole blocks fills one part in this many of
-#: :data:`TILE_ELEMENTS`: every block of a batch also keeps its pad, its
-#: padded primitives and its result resident (0.5 MB a block at 8^3),
-#: which one more row of a large block does not.  ``evaluate_rhs`` over 64
-#: blocks of 8^3, same measurement, time relative to five blocks a tile:
-#: one 1.45, two 1.26, three 1.13, five 1.00, seven 0.96, ten 0.85, twenty
-#: 0.83 -- and the ladder's ``halo2_b8`` peak RSS (two rank threads, every
-#: block a halo block) against the per-block parent's 186 MB: five 193 MB
-#: (+3.8 %), ten 200 MB (+7.7 %, of a 10 % bound).
-_BLOCK_TILE_DIVISOR = 2
 
-
-def _tile_extent(ncells: int, nrows: int, width: int) -> tuple[int, int]:
-    """``(blocks, rows)`` one tile of a ``(NQ, ncells, blocks, nrows,
-    width)`` sweep holds: as many rows of one block as fit
-    :data:`TILE_ELEMENTS`, or, when all do, as many whole blocks as fit
-    its share for blocks (at least one)."""
-    per_row = NQ * ncells * width
-    rows = min(nrows, max(1, TILE_ELEMENTS // per_row))
-    if rows < nrows:
-        return 1, rows
-    per_block = _BLOCK_TILE_DIVISOR * per_row * nrows
-    return max(1, TILE_ELEMENTS // per_block), nrows
+def _tile_rows(ncells: int, nrows: int, width: int) -> int:
+    """Rows one tile of a ``(NQ, ncells, nrows, width)`` sweep holds: as
+    many as fit :data:`TILE_ELEMENTS`, at least one."""
+    return min(nrows, max(1, TILE_ELEMENTS // (NQ * ncells * width)))
 
 
 def _full_tiles(interior):
-    """Shape ``(NQ, cells, blocks, rows, width)`` of the full tile of the
-    z, y and x sweep over blocks of ``interior`` cells ``(nz, ny, nx)``."""
+    """Shape ``(NQ, cells, rows, width)`` of the full tile of the z, y and
+    x sweep over a box of ``interior`` cells ``(nz, ny, nx)``."""
     nz, ny, nx = interior
     g2 = 2 * STENCIL_WIDTH
     for ncells, nrows, width in ((nz + g2, ny, nx), (ny + g2, nz, nx),
                                  (nx + g2, nz, ny)):
-        blocks, rows = _tile_extent(ncells, nrows, width)
-        yield NQ, ncells, blocks, rows, width
-
-
-def blocks_per_tile(interior: tuple[int, int, int]) -> int:
-    """Whole blocks of ``interior`` cells ``(nz, ny, nx)`` one tile holds
-    in every sweep direction.  Returns a python int, 1 for a block that
-    is tiled by rows."""
-    return min(full[2] for full in _full_tiles(interior))
+        yield NQ, ncells, _tile_rows(ncells, nrows, width), width
 
 
 def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -240,9 +214,9 @@ def _mapped_empty(size: int, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=size)
 
 
-def _padded(nblocks: int, interior) -> tuple[int, ...]:
-    """Shape of a ghost-padded SoA batch of ``interior``-cell blocks."""
-    return (NQ, nblocks) + tuple(n + 2 * STENCIL_WIDTH for n in interior)
+def _padded(interior) -> tuple[int, ...]:
+    """Shape of the ghost-padded SoA field of a box of ``interior`` cells."""
+    return (NQ,) + tuple(n + 2 * STENCIL_WIDTH for n in interior)
 
 
 class SweepWorkspace:
@@ -251,27 +225,26 @@ class SweepWorkspace:
     One flat array, sized once for the full tile of the sweep at hand
     (at most :data:`TILE_ELEMENTS` per buffer, plus one WENO chunk) and
     viewed per tile shape, a second one for the HLLE stage of that tile,
-    plus the primitive and result SoA fields of the batch, reserved for a
-    tile-full of blocks -- each a mapping of its own
-    (:func:`_mapped_empty`: page aligned, back with the system when the
-    workspace goes).  A caller that keeps the workspace across calls --
-    the node layer keeps one per worker thread -- sweeps WENO5 + HLLE
-    without allocating an array, whatever mix of batch sizes and remainder
-    tiles it passes through; :attr:`nbytes` stays what the first call made
-    it unless a later block shape or batch needs more.
+    plus the primitive and result SoA fields of a box -- each a mapping of
+    its own (:func:`_mapped_empty`: page aligned, back with the system
+    when the workspace goes).  A caller that keeps the workspace across
+    calls -- the node layer keeps one per worker thread -- sweeps WENO5 +
+    HLLE without allocating an array, whatever mix of box shapes and
+    remainder tiles it passes through; :attr:`nbytes` stays what the first
+    call made it unless a later box needs more.
     """
 
     def __init__(self):
         self._flat: np.ndarray | None = None
         self._hlle: np.ndarray | None = None
         #: ``_TileViews`` per tile shape met (a few: the full tile and the
-        #: remainder of each batch size); views only, no memory of their own.
+        #: remainder of each box shape); views only, no memory of their own.
         self._views: dict[tuple, _TileViews] = {}
         self._fields: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the two flat scratches and the batch fields."""
+        """Bytes held: the two flat scratches and the box fields."""
         held = (self._flat, self._hlle) + (self._fields or ())
         return sum(part.nbytes for part in held if part is not None)
 
@@ -287,12 +260,11 @@ class SweepWorkspace:
         return flat
 
     def tile(self, shape, dtype, full) -> _TileViews:
-        """The buffers of a ``(NQ, cells, blocks, rows, width)`` tile.
+        """The buffers of a ``(NQ, cells, rows, width)`` tile.
 
         ``full`` is the shape of a full tile of the sweep this one belongs
         to: it sets the WENO chunk, and the scratch is sized for it, so
-        that a short first batch or a remainder tile does not make a later
-        full one reallocate.
+        that a remainder tile does not make a later full one reallocate.
         """
         dtype = np.dtype(dtype)
         key = (shape, full, dtype)
@@ -310,183 +282,103 @@ class SweepWorkspace:
         return views
 
     def reserve(self, interiors, dtype) -> None:
-        """Size the scratch for the NumPy sweeps of one block of any of
+        """Size the scratch for the NumPy sweeps of a box of any of
         ``interiors`` (cells ``(nz, ny, nx)``), staging included: a caller
-        that sweeps blocks of several shapes -- the node layer's boxes --
-        holds after this what it will hold after any of them."""
+        that sweeps boxes of several shapes -- the node layer -- holds
+        after this what it will hold after any of them."""
         dtype = np.dtype(dtype)
         fulls = [full for cells in interiors for full in _full_tiles(cells)]
         self._reserve(max(
             [_tile_elements(full) for full in fulls]
-            + [math.prod(_padded(1, cells)) for cells in interiors]), dtype)
+            + [math.prod(_padded(cells)) for cells in interiors]), dtype)
         self._reserve(max(HlleWorkspace.elements(_face_shape(full), dtype)
                           for full in fulls), dtype, "_hlle")
 
-    def staging(self, nblocks: int, interior, dtype) -> np.ndarray:
-        """A conserved SoA batch ``(NQ, nblocks, nz+6, ny+6, nx+6)`` to
-        convert storage data into and hand to :func:`compute_rhs`.
+    def staging(self, interior, dtype) -> np.ndarray:
+        """A conserved SoA field ``(NQ, nz+6, ny+6, nx+6)`` to convert
+        storage data into and hand to :func:`compute_rhs`.
 
         It is the memory of the tile scratch: the conserved state is dead
         once the CONV stage has run, which is before the first tile, so
         its contents are valid only until :func:`compute_rhs` is entered
         with this workspace.
         """
-        shape = _padded(nblocks, interior)
+        shape = _padded(interior)
         size = math.prod(shape)
         return self._reserve(size, np.dtype(dtype))[:size].reshape(shape)
 
-    def fields(self, nblocks: int, interior, dtype):
-        """``(Wpad, rhs)`` of a batch: the primitive SoA field
-        ``(NQ, nblocks, nz+6, ny+6, nx+6)`` and the result
-        ``(NQ, nblocks, nz, ny, nx)``, views of held memory."""
+    def fields(self, interior, dtype):
+        """``(Wpad, rhs)`` of a box: the primitive SoA field
+        ``(NQ, nz+6, ny+6, nx+6)`` and the result ``(NQ, nz, ny, nx)``,
+        views of held memory."""
         dtype = np.dtype(dtype)
-        shapes = (_padded(nblocks, interior), (NQ, nblocks) + tuple(interior))
+        shapes = (_padded(interior), (NQ,) + tuple(interior))
         held = self._fields
         if held is None or any(
             flat.dtype != dtype or flat.size < math.prod(shape)
             for flat, shape in zip(held, shapes)
         ):
-            reserve = max(nblocks, blocks_per_tile(interior))
             held = self._fields = tuple(
-                _mapped_empty(math.prod(shape) // nblocks * reserve, dtype)
-                for shape in shapes
-            )
+                _mapped_empty(math.prod(shape), dtype) for shape in shapes)
         return tuple(
             flat[:math.prod(shape)].reshape(shape)
             for flat, shape in zip(held, shapes)
         )
 
 
-def _as_batch(field: np.ndarray) -> np.ndarray:
-    """``(NQ, B, z, y, x)`` view of a field given with or without ``B``."""
-    if field.ndim == 5:
-        return field
-    if field.ndim == 4:
-        return field[:, np.newaxis]
-    raise ValueError(
-        f"expected (NQ, nz, ny, nx) or (NQ, B, nz, ny, nx), got {field.shape}"
-    )
-
-
-#: Axis orders of the sweep-axis-first view of a ``(NQ, B, z, y, x)``
-#: batch, per sweep axis, and the orders that undo them.
-_SWEEP_FIRST = ((0, 2, 1, 3, 4), (0, 3, 1, 2, 4), (0, 4, 1, 2, 3))
-_NATURAL = ((0, 2, 1, 3, 4), (0, 2, 3, 1, 4), (0, 2, 3, 4, 1))
-
-
-def _sweep_first(field: np.ndarray, axis: int) -> np.ndarray:
-    """View of a ``(NQ, B, z, y, x)`` batch with the sweep direction at
-    axis 1: ``(NQ, cells, B, rows, width)``.
-
-    The z sweep moves whole blocks, y swaps whole x rows, x becomes
-    ``(NQ, x, B, z, y)`` -- a gather, done tile by tile.
-    """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    return field.transpose(_SWEEP_FIRST[axis])
+#: Axis orders of the sweep-axis-first view ``(NQ, cells, rows, width)``
+#: of a ``(NQ, z, y, x)`` field, per sweep axis, and the orders that undo
+#: them: z keeps the layout, y swaps whole x rows, x becomes ``(NQ, x, z,
+#: y)`` -- a gather, done tile by tile.
+_SWEEP_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+_NATURAL = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1))
 
 
 def _sweep_tiles(Wpad, axis, h, fused, workspace, order, solver):
     """Pencil-tile sweep of one direction: WENO -> Riemann flux -> difference.
 
-    Walks the sweep-axis-first view of a batch of primitives
-    ``(NQ, B, nz+6, ny+6, nx+6)`` in tiles small enough that the buffers a
-    tile passes through stay cache resident (:data:`TILE_ELEMENTS`) --
-    rows of one block or whole blocks, see :func:`_tile_extent` -- with
-    WENO5 issued per chunk of whole quantities
-    (:data:`WENO_CHUNK_ELEMENTS`), and yields ``(b0, b1, j0, j1, div,
-    corr, spare)`` per tile: blocks ``b0:b1`` and rows ``j0:j1`` (axes 2
-    and 3) of the sweep-axis-first result, ``div`` the flux divergence of
-    all quantities, ``corr`` the ``phi * div(u)`` correction of the
-    ``Gamma`` and ``Pi`` rows, and ``spare`` a flat buffer longer than
-    ``div`` whose contents are dead.  The yielded arrays are workspace
-    buffers, valid (and writable) until the next tile is requested.
+    Walks the sweep-axis-first view of the primitives of a box
+    ``(NQ, nz+6, ny+6, nx+6)`` in tiles of as many rows as keep the
+    buffers a tile passes through cache resident (:data:`TILE_ELEMENTS`),
+    with WENO5 issued per chunk of whole quantities
+    (:data:`WENO_CHUNK_ELEMENTS`), and yields ``(j0, j1, div, corr,
+    spare)`` per tile: rows ``j0:j1`` (axis 2) of the sweep-axis-first
+    result, ``div`` the flux divergence of all quantities, ``corr`` the
+    ``phi * div(u)`` correction of the ``Gamma`` and ``Pi`` rows, and
+    ``spare`` a flat buffer longer than ``div`` whose contents are dead.
+    The yielded arrays are workspace buffers, valid (and writable) until
+    the next tile is requested.
     """
     check_scheme(order, solver)
     flux_fn = RIEMANN_SOLVERS[solver]
     g = STENCIL_WIDTH
-    Wd = _sweep_first(Wpad, axis)[:, :, :, g:-g, g:-g]
+    Wd = Wpad.transpose(_SWEEP_FIRST[axis])[:, :, g:-g, g:-g]
     normal = 2 - axis  # z, y, x sweeps see w, v, u as the normal velocity
     inv_h = 1.0 / h
-    nq, ncells, nblocks, nrows, width = Wd.shape
-    tile_blocks, tile_rows = _tile_extent(ncells, nrows, width)
-    full = (nq, ncells, tile_blocks, tile_rows, width)
-    for b0 in range(0, nblocks, tile_blocks):
-        b1 = min(b0 + tile_blocks, nblocks)
-        for j0 in range(0, nrows, tile_rows):
-            j1 = min(j0 + tile_rows, nrows)
-            t = workspace.tile(
-                (nq, ncells, b1 - b0, j1 - j0, width), Wd.dtype, full
-            )
-            np.copyto(t.W, Wd[:, :, b0:b1, j0:j1])
-            if order == 3:
-                W_minus, W_plus = weno3(t.W, axis=1)
-            else:
-                W_minus, W_plus = t.W_minus, t.W_plus
-                for W, weno, chunk_minus, chunk_plus in t.chunks:
-                    if fused:
-                        weno5_fused(W, weno, chunk_minus, chunk_plus, 1)
-                    else:
-                        weno5(W, weno, chunk_minus, chunk_plus, 1)
-            flux, ustar = flux_fn(W_minus, W_plus, normal, t.hlle)
+    nq, ncells, nrows, width = Wd.shape
+    tile_rows = _tile_rows(ncells, nrows, width)
+    full = (nq, ncells, tile_rows, width)
+    for j0 in range(0, nrows, tile_rows):
+        j1 = min(j0 + tile_rows, nrows)
+        t = workspace.tile((nq, ncells, j1 - j0, width), Wd.dtype, full)
+        np.copyto(t.W, Wd[:, :, j0:j1])
+        if order == 3:
+            W_minus, W_plus = weno3(t.W, axis=1)
+        else:
+            W_minus, W_plus = t.W_minus, t.W_plus
+            for W, weno, chunk_minus, chunk_plus in t.chunks:
+                if fused:
+                    weno5_fused(W, weno, chunk_minus, chunk_plus, 1)
+                else:
+                    weno5(W, weno, chunk_minus, chunk_plus, 1)
+        flux, ustar = flux_fn(W_minus, W_plus, normal, t.hlle)
 
-            np.subtract(flux[:, 1:], flux[:, :-1], out=t.div)
-            np.multiply(t.div, inv_h, out=t.div)
-            np.subtract(ustar[1:], ustar[:-1], out=t.du)
-            np.multiply(t.du, inv_h, out=t.du)
-            np.multiply(t.advected, t.du, out=t.corr)
-            yield b0, b1, j0, j1, t.div, t.corr, t.W_minus.reshape(-1)
-
-
-def directional_rhs(
-    Wpad: np.ndarray,
-    axis: int,
-    h: float,
-    fused: bool = False,
-    workspace: SweepWorkspace | None = None,
-    order: int = 5,
-    solver: str = "hlle",
-):
-    """Flux divergence contribution of one directional sweep.
-
-    Parameters
-    ----------
-    Wpad:
-        Primitive SoA field ``(NQ, nz+6, ny+6, nx+6)`` (ghost-padded in all
-        directions), or a batch of blocks ``(NQ, B, nz+6, ny+6, nx+6)``.
-    axis:
-        Sweep direction: 0 = z, 1 = y, 2 = x (the last three array axes).
-        The *normal velocity* passed to HLLE is ``w``, ``v``, ``u``
-        respectively.
-    h:
-        Grid spacing.
-    workspace:
-        Optional :class:`SweepWorkspace` kept across calls.
-
-    Returns
-    -------
-    (div, phi_corr):
-        ``div`` -- shape ``(NQ, [B,] nz, ny, nx)`` flux divergence (to be
-        subtracted from the state's time derivative); ``phi_corr`` -- the
-        non-conservative correction ``phi * div(u)`` for the ``Gamma`` and
-        ``Pi`` rows (zero elsewhere), to be *added*.
-    """
-    if workspace is None:
-        workspace = SweepWorkspace()
-    batch = _as_batch(Wpad)
-    g = STENCIL_WIDTH
-    div = np.empty_like(batch[:, :, g:-g, g:-g, g:-g])
-    phi_corr = np.zeros_like(div)
-    div_rows = _sweep_first(div, axis)
-    corr_rows = _sweep_first(phi_corr[_ADVECTED], axis)
-    for b0, b1, j0, j1, tile_div, tile_corr, _ in _sweep_tiles(
-        batch, axis, h, fused, workspace, order, solver
-    ):
-        div_rows[:, :, b0:b1, j0:j1] = tile_div
-        corr_rows[:, :, b0:b1, j0:j1] = tile_corr
-    if Wpad.ndim == 4:
-        return div[:, 0], phi_corr[:, 0]
-    return div, phi_corr
+        np.subtract(flux[:, 1:], flux[:, :-1], out=t.div)
+        np.multiply(t.div, inv_h, out=t.div)
+        np.subtract(ustar[1:], ustar[:-1], out=t.du)
+        np.multiply(t.du, inv_h, out=t.du)
+        np.multiply(t.advected, t.du, out=t.corr)
+        yield j0, j1, t.div, t.corr, t.W_minus.reshape(-1)
 
 
 def native_sweeps(order: int, solver: str, fused: bool):
@@ -516,10 +408,8 @@ def compute_rhs(
     Parameters
     ----------
     Upad:
-        Conserved SoA field ``(NQ, n+6, n+6, n+6)`` (or anisotropic interior
-        extents), ghost cells filled by the node/cluster layers -- or a
-        batch of ``B`` such blocks, ``(NQ, B, n+6, n+6, n+6)``.  The blocks
-        of a batch are independent: each gets the bytes it gets alone.
+        Conserved SoA field of one box ``(NQ, nz+6, ny+6, nx+6)``, ghost
+        cells filled by the node/cluster layers.
     h:
         Uniform grid spacing.
     fused:
@@ -537,39 +427,35 @@ def compute_rhs(
 
     Returns
     -------
-    Time derivative ``dU/dt`` of shape ``(NQ, nz, ny, nx)``, or
-    ``(NQ, B, nz, ny, nx)`` for a batch.
+    Time derivative ``dU/dt`` of shape ``(NQ, nz, ny, nx)``.
 
     WENO5 + HLLE in compute precision into a C-contiguous result runs the
     three sweeps in the compiled library where there is one
     (:mod:`repro.native`); everything else, and every host without a
     compiler, runs the tiled NumPy sweeps.  Same bytes either way.
     """
-    if Upad.shape[0] != NQ:
-        raise ValueError(f"expected leading axis {NQ}, got {Upad.shape}")
-    batch = _as_batch(Upad)
+    if Upad.ndim != 4 or Upad.shape[0] != NQ:
+        raise ValueError(
+            f"expected ({NQ}, nz+6, ny+6, nx+6), got {Upad.shape}")
     if workspace is None:
         workspace = SweepWorkspace()
-    g2 = 2 * STENCIL_WIDTH
-    _, nblocks, mz, my, mx = batch.shape
-    interior = (mz - g2, my - g2, mx - g2)
-    Wpad, _ = workspace.fields(nblocks, interior, batch.dtype)
-    conserved_to_primitive(batch, out=Wpad)  # CONV stage
+    interior = tuple(m - 2 * STENCIL_WIDTH for m in Upad.shape[1:])
+    Wpad, _ = workspace.fields(interior, Upad.dtype)
+    conserved_to_primitive(Upad, out=Wpad)  # CONV stage
     if out is None:
-        out = np.empty(Upad.shape[:-3] + interior, dtype=Upad.dtype)
-    rhs = _as_batch(out)
+        out = np.empty((NQ,) + interior, dtype=Upad.dtype)
     lib = native_sweeps(order, solver, fused)
     if (lib is not None and native.addressable(Wpad, COMPUTE_DTYPE)
-            and native.addressable(rhs, COMPUTE_DTYPE, writeable=True)
-            and rhs.shape == (NQ, nblocks) + interior):
+            and native.addressable(out, COMPUTE_DTYPE, writeable=True)
+            and out.shape == (NQ,) + interior):
         # WENO5 -> HLLE -> difference -> SUM of all three directions,
         # once through registers; the bytes of the tiled sweeps below.
-        lib.repro_rhs_sweeps(Wpad.ctypes.data, nblocks, *interior, 1.0 / h,
-                             rhs.ctypes.data)
+        lib.repro_rhs_sweeps(Wpad.ctypes.data, 1, *interior, 1.0 / h,
+                             out.ctypes.data)
         return out
     for axis in range(3):
-        rows = _sweep_first(rhs, axis)
-        for b0, b1, j0, j1, div, corr, spare in _sweep_tiles(
+        rows = out.transpose(_SWEEP_FIRST[axis])
+        for j0, j1, div, corr, spare in _sweep_tiles(
             Wpad, axis, h, fused, workspace, order, solver
         ):
             # SUM stage: rhs = (corr_z - div_z) + (corr_y - div_y) + ...
@@ -577,7 +463,7 @@ def compute_rhs(
             # ``-div`` where ``div`` is a zero.
             np.subtract(0.0, div[_EULER], out=div[_EULER])
             np.subtract(corr, div[_ADVECTED], out=div[_ADVECTED])
-            part = rows[:, :, b0:b1, j0:j1]
+            part = rows[:, :, j0:j1]
             if axis == 0:
                 part[...] = div
             else:

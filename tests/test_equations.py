@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.physics.equations import compute_rhs, directional_rhs
+from repro.physics.equations import compute_rhs
 from repro.physics.eos import LIQUID, conserved_to_primitive
 from repro.physics.state import (
     ENERGY,
@@ -73,27 +73,10 @@ class TestDirectionalSymmetry:
         np.testing.assert_allclose(rhs_t, expect, rtol=1e-10, atol=1e-8)
 
 
-class TestDirectionalRhs:
-    def test_invalid_axis(self, rng):
-        pad = make_smooth_aos((10, 10, 10), rng)
-        with pytest.raises(ValueError, match="axis"):
-            directional_rhs(soa(pad), 3, 0.1)
-
+class TestInput:
     def test_wrong_leading_axis(self):
         with pytest.raises(ValueError):
             compute_rhs(np.zeros((NQ + 1, 10, 10, 10)), 0.1)
-
-    def test_sweeps_sum_to_total(self, rng):
-        pad = make_smooth_aos((12, 12, 12), rng)
-        U = soa(pad)
-        W = conserved_to_primitive(U)
-        total = compute_rhs(U, 0.03)
-        acc = None
-        for axis in range(3):
-            div, corr = directional_rhs(W, axis, 0.03)
-            c = corr - div
-            acc = c if acc is None else acc + c
-        np.testing.assert_allclose(acc, total, rtol=1e-12, atol=1e-10)
 
 
 class TestConservation:

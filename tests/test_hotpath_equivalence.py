@@ -81,7 +81,7 @@ from repro.physics.eos import (
     sound_speed,
     total_energy,
 )
-from repro.physics.equations import SweepWorkspace, compute_rhs, directional_rhs
+from repro.physics.equations import SweepWorkspace, compute_rhs
 from repro.physics.riemann import (
     HlleWorkspace,
     einfeldt_wave_speeds,
@@ -326,26 +326,53 @@ def _ref_compute_rhs(Upad, h, order=5, solver="hlle"):
     return rhs
 
 
+#: The schemes of the sweeps: production, and the three ablations.
+SCHEMES = [dict(), dict(order=3), dict(solver="hllc"), dict(fused=True)]
+SCHEME_IDS = ["weno5-hlle", "weno3", "hllc", "fused"]
+
+#: Boxes the sweeps are given.
+BOXES = [
+    (16, 16, 32),  # the compiled executor's box of 8^3 blocks
+    (8, 16, 16),   # a box of four 8^3 blocks
+    (10, 12, 14),  # no two extents alike
+    (32, 32, 32),  # a paper block: 32 rows in tiles of 7, remainder 4
+]
+
+#: (TILE_ELEMENTS, WENO_CHUNK_ELEMENTS): from one row a tile and one
+#: quantity a WENO chunk up to the whole box at once.
+SPLITS = {
+    "row-quantity": (1, 1),
+    "row-box": (1, 1 << 30),
+    "3rows-7000": (3 * NQ * 38 * 32, 7000),
+    "box-quantity": (1 << 30, 1),
+    "box-box": (1 << 30, 1 << 30),
+}
+
+
 @pytest.mark.usefixtures("numpy_kernels")
 class TestWholeRhsBitIdentity:
     """``compute_rhs`` against the untiled expression-form reference."""
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("solver", ["hlle", "hllc"])
-    @pytest.mark.parametrize(
-        "interior", [(8, 8, 8), (16, 16, 16), (8, 16, 32), (10, 12, 14)]
-    )
+    @pytest.mark.parametrize("interior", [(8, 8, 8), (16, 16, 16), *BOXES])
     def test_every_order_and_solver(self, interior, solver, order):
         Upad = _padded_state(interior, seed=sum(interior) + order)
         rhs = compute_rhs(Upad, 0.01, order=order, solver=solver)
         assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01, order, solver))
 
-    def test_paper_block_has_a_remainder_tile(self):
-        # 32 rows of pencils in tiles of 7: four full tiles and one of 4.
-        Upad = _padded_state((32, 32, 32), seed=32)
-        per_row = NQ * 38 * 32
-        assert 32 % (equations.TILE_ELEMENTS // per_row) != 0
-        assert bytes_equal(compute_rhs(Upad, 0.02), _ref_compute_rhs(Upad, 0.02))
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+    @pytest.mark.parametrize("interior", BOXES)
+    def test_every_box_scheme_and_split(self, monkeypatch, interior, scheme,
+                                        split):
+        # The split never shows in the bytes.
+        Upad = _padded_state(interior, seed=sum(interior))
+        want = compute_rhs(Upad, 0.02, **scheme)
+        tile, chunk = SPLITS[split]
+        monkeypatch.setattr(equations, "TILE_ELEMENTS", tile)
+        monkeypatch.setattr(equations, "WENO_CHUNK_ELEMENTS", chunk)
+        assert bytes_equal(compute_rhs(Upad, 0.02, **scheme), want)
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_pencil_count_not_a_multiple_of_the_tile(self, monkeypatch, rows):
@@ -386,14 +413,6 @@ class TestWholeRhsBitIdentity:
             rhs = compute_rhs(Upad, 0.01, workspace=ws)
             assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01))
 
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_directional_rhs(self, axis):
-        Wpad = conserved_to_primitive(_padded_state((8, 12, 16), seed=axis))
-        div, phi_corr = directional_rhs(Wpad, axis, 0.05)
-        ref_div, ref_corr = _ref_directional(Wpad, axis, 0.05, 5, "hlle")
-        assert bytes_equal(div, ref_div)
-        assert bytes_equal(phi_corr, ref_corr)
-
     def test_rhs_kernel_aos(self):
         Upad = _padded_state((8, 8, 8), seed=7)
         pad = np.moveaxis(Upad, 0, -1).astype(np.float32)
@@ -404,77 +423,7 @@ class TestWholeRhsBitIdentity:
             rhs = rhs_kernel(pad, 0.1, workspace=workspace)
             assert bytes_equal(rhs, np.moveaxis(ref, 0, -1))
 
-
-def _batch_state(n, count, seed, dtype=np.float64):
-    """``count`` unrelated padded ``n``^3 states, ``(NQ, count, n+6, ...)``."""
-    return np.stack(
-        [_padded_state((n,) * 3, seed=seed + k, dtype=dtype)
-         for k in range(count)],
-        axis=1,
-    )
-
-
-def _batch_sizes(n, production):
-    """1, 2, a full tile of blocks and one more (a batch that spans two
-    tiles); 7 too, except for the slow 32^3 ablation schemes."""
-    full = equations.blocks_per_tile((n,) * 3)
-    sizes = {1, 2, full, full + 1}
-    if production or n < 32:
-        sizes.add(7)
-    return sorted(sizes)
-
-
-@pytest.mark.usefixtures("numpy_kernels")
-class TestBatchedRhsBitIdentity:
-    """Every block of a batch gets the bytes of its single-block call,
-    whatever the batch size, order, tile split and WENO chunk."""
-
-    @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("order", [3, 5])
-    @pytest.mark.parametrize("solver", ["hlle", "hllc"])
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_compute_rhs_any_batch_size(self, n, solver, order, fused):
-        scheme = dict(solver=solver, order=order, fused=fused)
-        sizes = _batch_sizes(n, production=scheme == dict(
-            solver="hlle", order=5, fused=False))
-        Upad = _batch_state(n, sizes[-1], seed=n)
-        alone = [compute_rhs(Upad[:, k], 0.02, **scheme)
-                 for k in range(sizes[-1])]
-        ws = SweepWorkspace()  # held across sizes: dirty buffers
-        for size in sizes:
-            rhs = compute_rhs(Upad[:, :size], 0.02, workspace=ws, **scheme)
-            assert rhs.shape == (NQ, size, n, n, n)
-            for k in range(size):
-                assert bytes_equal(rhs[:, k], alone[k]), (size, k)
-
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_shuffled_batch_gives_each_block_the_same_bytes(self, n):
-        count = equations.blocks_per_tile((n,) * 3) + 3
-        Upad = _batch_state(n, count, seed=5 * n)
-        rhs = compute_rhs(Upad, 0.02)
-        order = make_rng(n).permutation(count)
-        shuffled = compute_rhs(np.ascontiguousarray(Upad[:, order]), 0.02)
-        for slot, k in enumerate(order):
-            assert bytes_equal(shuffled[:, slot], rhs[:, k]), (slot, k)
-
-    @pytest.mark.parametrize("scheme", [
-        dict(), dict(solver="hllc"), dict(order=3), dict(fused=True),
-    ])
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_rhs_kernel_any_batch_size(self, n, scheme):
-        sizes = _batch_sizes(n, production=True)
-        Upad = _batch_state(n, sizes[-1], seed=7 * n)
-        pads = np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
-        alone = [rhs_kernel(pads[k], 0.1, **scheme) for k in range(sizes[-1])]
-        ws = SweepWorkspace()
-        for size in sizes:
-            rhs = rhs_kernel(pads[:size], 0.1, workspace=ws, **scheme)
-            assert rhs.shape == (size, n, n, n, NQ)
-            assert rhs.dtype == np.float64
-            for k in range(size):
-                assert bytes_equal(rhs[k], alone[k]), (size, k)
-
-    def test_rhs_kernel_held_workspace_across_block_shapes(self):
+    def test_rhs_kernel_held_workspace_across_box_shapes(self):
         # The second shape has fewer padded cells than the first but more
         # interior ones: each held field is checked for its own size.
         ws = SweepWorkspace()
@@ -485,49 +434,6 @@ class TestBatchedRhsBitIdentity:
             assert bytes_equal(rhs_kernel(pad, 0.1, workspace=ws),
                                rhs_kernel(pad, 0.1))
 
-    def test_rhs_kernel_batch_matches_the_reference_sweep(self):
-        Upad = _batch_state(8, 3, seed=40)
-        pads = np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
-        rhs = rhs_kernel(pads, 0.1)
-        for k in range(3):
-            ref = _ref_compute_rhs(
-                np.ascontiguousarray(np.moveaxis(pads[k], -1, 0),
-                                     dtype=np.float64), 0.1)
-            assert bytes_equal(rhs[k], np.moveaxis(ref, 0, -1))
-
-    def test_float32_batch(self):
-        Upad = _batch_state(8, 3, seed=9, dtype=np.float32)
-        rhs = compute_rhs(Upad, 0.01)
-        assert rhs.dtype == np.float32
-        for k in range(3):
-            assert bytes_equal(rhs[:, k], _ref_compute_rhs(Upad[:, k], 0.01))
-
-    @pytest.mark.parametrize("tile", [6272, 3 * 6272, 40000, 1 << 20])
-    @pytest.mark.parametrize("chunk", [1, 2000, 7000, 1 << 20])
-    def test_any_tile_split_and_chunk_size(self, monkeypatch, tile, chunk):
-        # From one block a tile and one quantity a chunk to everything at
-        # once: the split never shows in the bytes.
-        Upad = _batch_state(8, 7, seed=77)
-        expected = compute_rhs(Upad, 0.02)
-        monkeypatch.setattr(equations, "TILE_ELEMENTS", tile)
-        monkeypatch.setattr(equations, "WENO_CHUNK_ELEMENTS", chunk)
-        assert bytes_equal(compute_rhs(Upad, 0.02), expected)
-        assert bytes_equal(expected[:, 3], _ref_compute_rhs(Upad[:, 3], 0.02))
-
-    def test_directional_rhs_batch(self):
-        Wpad = conserved_to_primitive(_batch_state(8, 6, seed=3))
-        div, phi_corr = directional_rhs(Wpad, 1, 0.05)
-        for k in range(6):
-            ref_div, ref_corr = _ref_directional(Wpad[:, k], 1, 0.05, 5, "hlle")
-            assert bytes_equal(div[:, k], ref_div)
-            assert bytes_equal(phi_corr[:, k], ref_corr)
-
-    def test_bad_rank_is_rejected(self):
-        with pytest.raises(ValueError, match="expected"):
-            compute_rhs(np.ones((NQ, 14, 14)), 0.1)
-        with pytest.raises(ValueError, match="expected"):
-            rhs_kernel(np.ones((2, 2, 14, 14, 14, NQ)), 0.1)
-
 
 class TestChunkedWenoBitIdentity:
     """WENO5 per chunk of whole quantities out of one carved workspace
@@ -536,10 +442,10 @@ class TestChunkedWenoBitIdentity:
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunks_equal_whole_tile_and_raw(self, per_chunk, dtype):
-        # A tile as the sweep holds it: (NQ, cells, blocks, rows, width).
-        v = (make_rng(per_chunk).normal(size=(NQ, 14, 3, 4, 8)) * 9.0).astype(dtype)
+        # A tile as the sweep holds it: (NQ, cells, rows, width).
+        v = (make_rng(per_chunk).normal(size=(NQ, 14, 12, 8)) * 9.0).astype(dtype)
         whole_minus, whole_plus = weno5(v, axis=1)
-        faces = (per_chunk, 9, 3, 4, 8)
+        faces = (per_chunk, 9, 12, 8)
         buffer = np.empty(Weno5Workspace.elements(faces, axis=1), dtype=dtype)
         minus, plus = np.empty_like(whole_minus), np.empty_like(whole_plus)
         for q0 in range(0, NQ, per_chunk):
@@ -644,25 +550,8 @@ class TestStreamedUpdateBitIdentity:
                                        specials=True)
             self._check(u, res, rhs, a, b, 0.25, stream_scratch(2 * chunk))
 
-    @pytest.mark.parametrize("chunk", [1, 50, 7 * 8 * NQ, 4000, 10 ** 5])
-    def test_strided_operands(self, chunk):
-        # Sub-blocks of larger fields (rows of 8 cells out of 12), a
-        # residual that is contiguous and an RHS strided another way.
-        scratch = stream_scratch(2 * chunk)
-        field, _, big_rhs = _up_operands((12, 12, 12, NQ), seed=chunk)
-        _, res, _ = _up_operands((7, 8, 8, NQ), seed=chunk + 1)
-        inner = (slice(1, 8), slice(2, 10), slice(4, 12))
-        a, b = self.STAGES[1]
-        want = field.copy()
-        self._check(field[inner], res, big_rhs[::-1][inner], a, b, 1e-2,
-                    scratch)
-        outside = np.ones(field.shape, dtype=bool)
-        outside[inner] = False
-        assert bytes_equal(field[outside], want[outside])
-        assert not bytes_equal(field[inner], want[inner])
-
     @pytest.mark.parametrize("chunk", [1000, None])
-    def test_batch_of_blocks_equals_block_by_block(self, chunk):
+    def test_blocks_of_a_rank_equal_block_by_block(self, chunk):
         scratch = None if chunk is None else stream_scratch(2 * chunk)
         u, res, rhs = _up_operands((5, 8, 8, 8, NQ), seed=3, specials=True)
         a, b = self.STAGES[2]
@@ -747,9 +636,9 @@ def _sos_grid(num_blocks, n, seed):
 
 @pytest.mark.usefixtures("numpy_kernels")
 class TestStreamedSosBitIdentity:
-    """``max_sos`` streams the cells of all blocks through one chunk; the
-    result is the maximum of the per-block expression form, and NaN
-    wherever that sees one."""
+    """``max_sos`` streams the cells of all blocks of a rank -- one array
+    -- through one chunk; the result is the maximum of the per-block
+    expression form, and NaN wherever that sees one."""
 
     GRIDS = [((1, 1, 1), 8), ((1, 1, 3), 8), ((4, 4, 4), 8), ((2, 2, 2), 32)]
 
@@ -759,7 +648,7 @@ class TestStreamedSosBitIdentity:
         blocks = [b.data for b in grid.blocks.values()]
         want = max(_ref_sos(b) for b in blocks)
         assert NodeSolver(grid).max_sos() == want
-        assert sos_kernel(blocks) == want
+        assert sos_kernel(grid.state) == want
         cells = n ** 3
         # One cell a chunk (8^3 only), chunks that end inside a block, at
         # its end, one cell into the next, several blocks a chunk.
@@ -767,7 +656,7 @@ class TestStreamedSosBitIdentity:
         chunks += [1, 77] if n == 8 and len(blocks) <= 3 else [1531]
         for chunk in chunks:
             scratch = stream_scratch((NQ + 2) * chunk)
-            assert sos_kernel(blocks, scratch) == want, chunk
+            assert sos_kernel(grid.state, scratch) == want, chunk
 
     def test_one_block_is_the_run_of_one(self):
         grid = _sos_grid((1, 1, 2), 8, seed=4)
@@ -791,7 +680,7 @@ class TestStreamedSosBitIdentity:
             assert np.isnan(solver.max_sos()), k
             for size in chunks:
                 scratch = None if size is None else stream_scratch(size)
-                got = sos_kernel([b.data for b in blocks], scratch)
+                got = sos_kernel(grid.state, scratch)
                 assert np.isnan(got), (k, size)
             blocks[k].data[cell] = saved
         assert solver.max_sos() == max(_ref_sos(b.data) for b in blocks)
@@ -808,11 +697,11 @@ class TestHlleWorkspaceBitIdentity:
     """HLLE on a held workspace (the sweeps hold one per thread) against
     the allocating expression form."""
 
-    #: Face tiles of the sweeps: five 8^3 blocks, one 8^3 and one 16^3
-    #: block, a full and a remainder tile of a 32^3 block, a plane of the
-    #: ring-buffer kernel, a line.
-    SHAPES = [(9, 5, 8, 8), (9, 1, 8, 8), (17, 1, 16, 16), (33, 1, 7, 32),
-              (33, 1, 4, 32), (8, 9), (11,)]
+    #: Face tiles of the sweeps: an 8^3 and a 16^3 box, a full and a
+    #: remainder tile of a 32^3 block, a plane of the ring-buffer kernel, a
+    #: line.
+    SHAPES = [(9, 8, 8), (17, 16, 16), (33, 7, 32), (33, 4, 32), (8, 9),
+              (11,)]
 
     @pytest.mark.parametrize("normal", [0, 1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -929,7 +818,7 @@ class TestRecordedRunDigests:
 
 def _specials(Upad, seed, values):
     """Plant ``values`` at random cells of random quantities of a padded
-    state (any leading batch axes), in place."""
+    state, in place."""
     rng = make_rng(seed)
     flat = Upad.reshape(-1)
     at = rng.choice(flat.size, size=4 * len(values), replace=False)
@@ -938,7 +827,7 @@ def _specials(Upad, seed, values):
 
 
 def _as_pads(Upad):
-    """Storage-precision AoS pads ``(B, m, m, m, NQ)`` of an SoA batch."""
+    """The storage-precision AoS pad ``(mz, my, mx, NQ)`` of an SoA box."""
     return np.ascontiguousarray(np.moveaxis(Upad, 0, -1), dtype=np.float32)
 
 
@@ -982,10 +871,13 @@ class TestNativeBitIdentity:
         assert got.dtype == np.float64
         assert bytes_equal(got, want)
 
-    @pytest.mark.parametrize("count", [1, 2, 5, 11])
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_batch_matrix(self, monkeypatch, n, count):
-        self._check_rhs(monkeypatch, _batch_state(n, count, seed=n + count))
+    @pytest.mark.parametrize("interior", [
+        (8, 8, 8), (8, 16, 16), (16, 16, 16), (16, 16, 32), (32, 32, 32),
+        (24, 8, 40),
+    ])
+    def test_box_matrix(self, monkeypatch, interior):
+        self._check_rhs(monkeypatch,
+                        _padded_state(interior, seed=sum(interior)))
 
     @pytest.mark.parametrize("interior", [
         (3, 22, 14), (14, 3, 22), (22, 14, 3), (1, 1, 1), (2, 70, 65),
@@ -993,45 +885,34 @@ class TestNativeBitIdentity:
     def test_anisotropic_interiors_put_every_normal_on_every_axis(
             self, monkeypatch, interior):
         # Also rows longer than one chunk of lanes (70, 65 > 64).
-        Upad = np.stack([_padded_state(interior, seed=k + sum(interior))
-                         for k in range(3)], axis=1)
-        self._check_rhs(monkeypatch, Upad)
-        self._check_rhs(monkeypatch, Upad[:, 1])  # 4-D: the batch of one
-
-    def test_shuffled_batch(self, monkeypatch):
-        Upad = _batch_state(8, 7, seed=70)
-        order = make_rng(7).permutation(7)
-        shuffled = np.ascontiguousarray(Upad[:, order])
-        rhs = compute_rhs(Upad, 0.02)
-        self._check_rhs(monkeypatch, shuffled)
-        for slot, k in enumerate(order):
-            assert bytes_equal(compute_rhs(shuffled, 0.02)[:, slot],
-                               rhs[:, k])
+        self._check_rhs(monkeypatch,
+                        _padded_state(interior, seed=sum(interior)))
 
     @pytest.mark.parametrize("values", [
         (0.0, -0.0), (np.inf, -np.inf), (np.nan,), (5e-324, -1e-310, 1e-40),
         (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 3e38),
     ], ids=["zeros", "inf", "nan", "subnormal", "all"])
-    @pytest.mark.parametrize("n, count", [(8, 5), (16, 1)])
+    @pytest.mark.parametrize("interior", [(8, 16, 24), (16, 16, 16)])
     def test_signed_zeros_infinities_nans_and_subnormals(
-            self, monkeypatch, n, count, values):
-        Upad = _specials(_batch_state(n, count, seed=n), n, values)
+            self, monkeypatch, interior, values):
+        Upad = _specials(_padded_state(interior, seed=interior[1]),
+                         interior[0], values)
         self._check_rhs(monkeypatch, Upad)
 
     def test_identically_zero_region(self, monkeypatch):
         # Conserved zeros: 0 / 0 in CONV, every face of the region NaN.
-        Upad = _batch_state(8, 2, seed=21)
-        Upad[:, 1, 4:9, 3:12, 5:8] = 0.0
+        Upad = _padded_state((8, 8, 16), seed=21)
+        Upad[:, 4:9, 3:12, 13:16] = 0.0
         self._check_rhs(monkeypatch, Upad)
         # Primitive zeros: a span that is not positive between finite
         # (zero) fluxes -- the per-face fallback to the average.
         monkeypatch.setattr(equations, "conserved_to_primitive",
                             lambda U, out: np.copyto(out, U))
-        Wpad = conserved_to_primitive(_batch_state(8, 2, seed=22))
-        Wpad[:, 0, 2:11, 6:9, :] = 0.0
+        Wpad = conserved_to_primitive(_padded_state((8, 8, 16), seed=22))
+        Wpad[:, 2:11, 6:9, :] = 0.0
         got, want = self._both(monkeypatch, lambda: compute_rhs(Wpad, 0.02))
         assert bytes_equal(got, want)
-        assert np.isfinite(got[:, 0, :, 4, :]).any()
+        assert np.isfinite(got[:, :, 4, :]).any()
 
     def test_uniform_state_is_positive_zero_everywhere(self, monkeypatch):
         Upad = _padded_state((8, 16, 8), seed=0, kind="uniform")
@@ -1044,32 +925,30 @@ class TestNativeBitIdentity:
 
     def test_held_workspace_across_shapes(self, monkeypatch):
         ws = SweepWorkspace()
-        for interior, count in (((8, 8, 8), 5), ((6, 6, 300), 1),
-                                ((24, 24, 24), 2), ((8, 8, 8), 3)):
-            Upad = np.stack([_padded_state(interior, seed=k + count)
-                             for k in range(count)], axis=1)
-            self._check_rhs(monkeypatch, Upad, workspace=ws)
+        for interior in ((8, 16, 24), (6, 6, 300), (24, 24, 24), (8, 8, 8)):
+            self._check_rhs(monkeypatch, _padded_state(interior, seed=7),
+                            workspace=ws)
 
     def test_out_arrays_of_either_kind(self, monkeypatch):
-        Upad = _batch_state(8, 3, seed=33)
+        Upad = _padded_state((8, 16, 24), seed=33)
         pads = _as_pads(Upad)
         want = rhs_kernel(pads, 0.1)
         # one array, an array the result reshapes to (as the node layer's:
-        # the cells of a box where they lie in its RHS array, split by
-        # block), a strided destination (both staged by NumPy, swept by
-        # the library)
-        whole = np.empty((3, 8, 8, 8, NQ))
+        # the cells of a box of 1 x 2 x 3 blocks where they lie in its RHS
+        # array, split by block), a strided destination (both staged by
+        # NumPy, swept by the library)
+        whole = np.empty((8, 16, 24, NQ))
         assert rhs_kernel(pads, 0.1, out=whole) is whole
-        slots = np.empty((2, 2, 3, 4, 4, 8, NQ))
-        split = slots.transpose(2, 0, 3, 1, 4, 5, 6)
+        slots = np.empty((1, 2, 3, 8, 8, 8, NQ))
+        split = slots.transpose(0, 3, 1, 4, 2, 5, 6)
         assert rhs_kernel(pads, 0.1, out=split) is split
-        strided = np.empty((3, 8, 8, 8, 2 * NQ))[..., ::2]
+        strided = np.empty((8, 16, 24, 2 * NQ))[..., ::2]
         rhs_kernel(pads, 0.1, out=strided)
         for got in (whole, split.reshape(whole.shape), strided):
             assert bytes_equal(got, want)
         with pytest.raises(ValueError):
-            rhs_kernel(pads, 0.1, out=np.empty((3, 8, 8, 4, NQ)))
-        soa = np.empty((2, NQ, 3, 8, 8, 8))[1]
+            rhs_kernel(pads, 0.1, out=np.empty((8, 16, 12, NQ)))
+        soa = np.empty((2, NQ, 8, 16, 24))[1]
         assert bytes_equal(compute_rhs(Upad, 0.1, out=soa),
                            compute_rhs(Upad, 0.1))
 
@@ -1097,21 +976,6 @@ class TestNativeBitIdentity:
             u, res, rhs = _up_operands(shape, seed=stage, specials=specials)
             self._check_update(u, res, rhs, a, b, 0.25)
 
-    def test_strided_operands_take_the_numpy_path(self, monkeypatch):
-        field, _, big_rhs = _up_operands((12, 12, 12, NQ), seed=2)
-        _, res, _ = _up_operands((7, 8, 8, NQ), seed=3)
-        inner = (slice(1, 8), slice(2, 10), slice(4, 12))
-        want = field.copy()
-        monkeypatch.setattr(native, "lib", _CountingLibrary())
-        a, b = self.STAGES[1]
-        self._check_update(field[inner], res, big_rhs[::-1][inner], a, b,
-                           1e-2)
-        assert native.lib.asked == []
-        outside = np.ones(field.shape, dtype=bool)
-        outside[inner] = False
-        assert bytes_equal(field[outside], want[outside])
-        assert not bytes_equal(field[inner], want[inner])
-
     # -- SOS --------------------------------------------------------------
 
     @pytest.mark.parametrize("num_blocks, n", TestStreamedSosBitIdentity.GRIDS)
@@ -1123,7 +987,7 @@ class TestNativeBitIdentity:
         data = [b.data for b in blocks]
         got, want = self._both(monkeypatch, solver.max_sos)
         assert got == want == max(_ref_sos(d) for d in data)
-        assert sos_kernel(data) == sos_kernel(data[0:1] + data[1:]) == want
+        assert sos_kernel(grid.state) == want
         for k in sorted({0, len(blocks) - 1, *range(1, len(blocks), 7)}):
             for cell in ((0, 0, 0), (n - 1, k % n, (3 * k) % n),
                          (n - 1, n - 1, n - 1)):
@@ -1318,31 +1182,28 @@ class TestNativeBitIdentity:
     ])
     def test_ablation_schemes_never_enter_the_library(self, monkeypatch,
                                                       scheme):
-        Upad = _batch_state(8, 2, seed=1)
+        Upad = _padded_state((8, 8, 16), seed=1)
         pads = _as_pads(Upad)
         want = compute_rhs(Upad, 0.02, **scheme)
         monkeypatch.setattr(native, "lib", _CountingLibrary())
         assert bytes_equal(compute_rhs(Upad, 0.02, **scheme), want)
         rhs_kernel(pads, 0.02, **scheme)
-        rhs_kernel(pads, 0.02, out=np.empty((2, 8, 8, 8, NQ)), **scheme)
+        rhs_kernel(pads, 0.02, out=np.empty((8, 8, 16, NQ)), **scheme)
         assert native.lib.asked == []
 
     def test_other_dtypes_and_layouts_never_enter_the_library(
             self, monkeypatch):
-        Upad = _batch_state(8, 2, seed=2)
+        Upad = _padded_state((8, 8, 16), seed=2)
         monkeypatch.setattr(native, "lib", _CountingLibrary())
         assert compute_rhs(Upad.astype(np.float32), 0.02).dtype == np.float32
-        compute_rhs(Upad, 0.02, out=np.empty((NQ, 2, 8, 8, 16))[..., ::2])
-        # float64 pads and a strided destination: NumPy staging both ways
-        # (the sweeps of such a call are compute_rhs's business, above)
+        compute_rhs(Upad, 0.02, out=np.empty((NQ, 8, 8, 32))[..., ::2])
+        # a float32 RHS; a strided block and float64 data for SOS
         u, res, rhs = _up_operands((8, 8, 8, NQ), seed=8)
         update_stage(u, res, rhs.astype(np.float32), -0.4, 0.7, 1e-3)
-        update_stage(u[::2], res[::2], rhs[::2], -0.4, 0.7, 1e-3)
         grid = _sos_grid((1, 1, 2), 8, seed=4)
         data = grid.blocks[(0, 0, 1)].data
         sos_kernel(data[::2, :, 1:])
         sos_kernel(data.astype(np.float64))
-        sos_kernel([data, data[:4, ::2]])
         assert native.lib.asked == []
 
 

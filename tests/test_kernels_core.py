@@ -15,6 +15,7 @@ from repro.core.kernels import (
     stream_scratch,
     update_stage,
 )
+from repro.physics.equations import compute_rhs
 from repro.physics.eos import LIQUID, conserved_to_primitive, sound_speed
 from repro.physics.state import NQ
 
@@ -143,11 +144,11 @@ class TestSosKernel:
         assert sos_kernel(aos) == pytest.approx(c + 50.0, rel=1e-5)
 
 
-    def test_sequence_of_blocks_and_scratch_that_cannot_hold_a_cell(self):
+    def test_blocks_of_a_rank_and_scratch_that_cannot_hold_a_cell(self):
         slow = make_uniform_aos((8, 8, 8)).astype(np.float32)
         fast = make_uniform_aos((8, 8, 8), u=(0.0, 0.0, 10.0)).astype(
             np.float32)
-        assert sos_kernel([slow, fast, slow]) == sos_kernel(fast)
+        assert sos_kernel(np.stack([slow, fast, slow])) == sos_kernel(fast)
         with pytest.raises(ValueError, match="scratch must hold"):
             sos_kernel(slow, stream_scratch(NQ + 1))
 
@@ -192,25 +193,6 @@ class TestUpdateStage:
         update_stage(u, res, rhs, 0.0, 1.0, 0.1)
         assert id(u) == u_id and id(res) == res_id
 
-    def test_strided_views_are_updated_in_place(self, rng):
-        """A sub-block of a larger field has no flat view; the kernel must
-        still write through to it, whatever the scratch it is given."""
-        field = rng.normal(size=(10, 10, 10, NQ)).astype(np.float32)
-        registers = rng.normal(size=field.shape).astype(np.float32)
-        rhs = rng.normal(size=(6, 6, 6, NQ))
-        inner = (slice(2, 8),) * 3
-        want_u = field.copy()
-        want_s = registers.copy()
-        s64 = -0.5 * want_s[inner].astype(np.float64) + 0.1 * rhs
-        want_u[inner] = want_u[inner].astype(np.float64) + 0.9 * s64
-        want_s[inner] = s64
-        for scratch in (None, stream_scratch(2 * 100)):
-            u, s = field.copy(), registers.copy()
-            update_stage(u[inner], s[inner], rhs, -0.5, 0.9, 0.1,
-                         scratch=scratch)
-            assert bytes_equal(u, want_u)
-            assert bytes_equal(s, want_s)
-
     def test_scratch_without_two_entries_is_rejected(self, rng):
         u = rng.normal(size=(2, 2, 2, NQ)).astype(np.float32)
         with pytest.raises(ValueError, match="scratch must hold"):
@@ -241,3 +223,42 @@ class TestUpdateStage:
         with pytest.raises(ValueError, match="residual_aos"):
             update_stage(u, np.zeros(u.shape), np.zeros(u.shape),
                          0.0, 1.0, 0.1)
+
+
+@pytest.mark.usefixtures("kernel_path")
+class TestOneBoxOneArray:
+    """The entry points take one box (RHS) or one array per operand (UP,
+    SOS): anything else fails typed on either kernel path, before a
+    write."""
+
+    @pytest.mark.parametrize("name", ["u_aos", "residual_aos", "rhs_aos"])
+    def test_update_stage_rejects_an_operand_that_is_not_contiguous(
+            self, rng, name):
+        shape = (6, 8, 8, NQ)
+        operands = {"u_aos": rng.normal(size=shape).astype(np.float32),
+                    "residual_aos": rng.normal(size=shape).astype(np.float32),
+                    "rhs_aos": rng.normal(size=shape)}
+        # the same values, every other entry of a wider array
+        strided = np.repeat(operands[name], 2, axis=2)[:, :, ::2]
+        assert bytes_equal(strided, operands[name])
+        operands[name] = strided
+        before = {key: a.copy() for key, a in operands.items()}
+        with pytest.raises(ValueError, match=f"^{name} must be C-contiguous"):
+            update_stage(*operands.values(), -0.5, 0.9, 0.1)
+        for key in ("u_aos", "residual_aos"):
+            assert bytes_equal(operands[key], before[key])
+
+    def test_sos_kernel_takes_one_array(self):
+        block = make_uniform_aos((8, 8, 8)).astype(np.float32)
+        for blocks in ([block, block], (block,)):
+            with pytest.raises(TypeError, match="one array"):
+                sos_kernel(blocks)
+
+    def test_rhs_entry_points_take_one_box(self):
+        batch = np.ones((2, 14, 14, 14, NQ), dtype=np.float32)
+        with pytest.raises(ValueError, match="expected"):
+            rhs_kernel(batch, 0.1)
+        with pytest.raises(ValueError, match="expected"):
+            compute_rhs(np.moveaxis(batch, -1, 0).astype(np.float64), 0.1)
+        with pytest.raises(ValueError, match="expected"):
+            compute_rhs(np.ones((NQ, 14, 14)), 0.1)

@@ -262,9 +262,8 @@ class TestBlockRuns:
         scratch, and no remainder tile is swept), which the compiled
         executor's larger box is not."""
         def one_tile(cells):
-            nz, ny, nx = cells
-            return [full[2:4] for full in _full_tiles(cells)] == [
-                (1, ny), (1, nz), (1, nz)]
+            nz, ny, _ = cells
+            return [full[2] for full in _full_tiles(cells)] == [ny, nz, nz]
 
         assert one_tile(NUMPY_BOX_CELLS) and not one_tile(BOX_CELLS)
         assert all(c <= b for c, b in zip(NUMPY_BOX_CELLS, BOX_CELLS))
