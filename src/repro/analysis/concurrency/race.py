@@ -2,20 +2,19 @@
 
 :mod:`repro.cluster.mpi_sim` runs every rank of the SPMD program on a
 thread of one process, so the runtime itself has shared state --
-mailboxes, the abort event, the collective rendezvous scratch, the
-failure table -- and a bug there is an *actual* data race, not a
-simulated one.  :class:`RaceTracker` checks the accesses the runtime
+mailboxes, the abort event, the failure table -- and a bug there is an
+*actual* data race, not a simulated one.  :class:`RaceTracker` checks the accesses the runtime
 reports against a **vector-clock happens-before order**:
 
 * each rank thread carries a vector clock, ticked on every tracked
   access;
-* a point-to-point message piggybacks the sender's clock
+* every frame piggybacks the sender's clock
   (:meth:`RaceTracker.on_send`) and the receiver joins it on delivery
-  (:meth:`RaceTracker.on_deliver`);
-* a collective joins the clocks of *all* participants
-  (:meth:`RaceTracker.on_collective_enter` /
-  :meth:`RaceTracker.on_collective_exit`), giving barriers their full
-  synchronizing strength.
+  (:meth:`RaceTracker.on_deliver`).  Collectives need no edge of their
+  own: they run as rounds of such frames (a dissemination exchange), so
+  after the last round whatever any rank did before the collective
+  happens before what every rank does after it -- barriers keep their
+  full synchronizing strength.
 
 Two accesses to the same location, at least one a write, from different
 ranks, neither ordered before the other by those edges, are a race --
@@ -144,25 +143,6 @@ class RaceTracker:
             return
         with self._lock:
             merge_clocks(self._clock(rank), clock)
-            self._tick(rank)
-
-    def on_collective_enter(self, rank: int) -> dict[int, int]:
-        """Record collective entry; returns the clock to contribute."""
-        return self.on_send(rank)
-
-    def on_collective_exit(self, rank: int, clocks) -> None:
-        """Join every participant's contributed clock into ``rank``.
-
-        ``clocks`` is the iterable of clock snapshots gathered by the
-        rendezvous -- after the join, everything any rank did before the
-        collective happens-before everything after it (the barrier HB
-        semantics CC003 statically assumes).
-        """
-        with self._lock:
-            mine = self._clock(rank)
-            for c in clocks:
-                if c is not None:
-                    merge_clocks(mine, c)
             self._tick(rank)
 
     # -- tracked accesses -----------------------------------------------

@@ -3,13 +3,16 @@
 "The cluster layer is responsible for the domain decomposition and the
 inter-rank information exchange." (paper Section 6)
 
-Two interchangeable communicator backends share one API surface and the
-paper's control flow (non-blocking halo exchange overlapped with
+One communicator protocol (:class:`~repro.cluster.mpi_sim.Communicator`:
+point-to-point API, collectives, deadlock watchdog, fault hook) carries
+the paper's control flow (non-blocking halo exchange overlapped with
 interior-block computation, max-allreduce for the time step, and an
-exclusive prefix sum ahead of collective compressed writes):
+exclusive prefix sum ahead of collective compressed writes) over two
+interchangeable transports:
 
-* :mod:`repro.cluster.mpi_sim` -- ranks as threads of one interpreter
-  (deterministic, debuggable, race-trackable); the default.
+* :mod:`repro.cluster.mpi_sim` -- ranks as threads of one interpreter,
+  frames in mailboxes (deterministic, debuggable, race-trackable); the
+  default.
 * :mod:`repro.cluster.procs` -- ranks as real OS processes exchanging
   CRC-framed messages through shared-memory rings (real multi-core
   scaling; bit-identical results).
@@ -32,6 +35,7 @@ from .mpi_sim import (
     ANY_SOURCE,
     ANY_TAG,
     CommTimeoutError,
+    Communicator,
     Request,
     SimComm,
     SimWorld,
@@ -46,6 +50,7 @@ __all__ = [
     "ANY_TAG",
     "CartTopology",
     "CommTimeoutError",
+    "Communicator",
     "HaloExchange",
     "ProcsComm",
     "ProcsWorld",

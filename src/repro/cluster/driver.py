@@ -65,7 +65,7 @@ from ..telemetry import (
 )
 from ..telemetry.clock import now
 from .halo import HaloExchange
-from .mpi_sim import SimComm, SimWorld, WorldError
+from .mpi_sim import Communicator, SimWorld, WorldError
 from .topology import CartTopology, balanced_dims
 
 
@@ -185,7 +185,7 @@ class RunResult:
         )
 
 
-def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
+def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
               restart_from: str | None = None,
               injector=None) -> RankResult:
     """The SPMD program executed by every rank.
@@ -236,14 +236,7 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
         solver=config.riemann_solver,
         tracer=tracer,
     )
-    from ..resilience.recover import RetryPolicy
-
-    halo = HaloExchange(
-        comm, topo, grid, tracer=tracer, injector=injector,
-        retry=RetryPolicy(max_attempts=config.comm_retry_attempts,
-                          base_delay=config.comm_retry_base,
-                          seed=2013 + comm.rank),
-    )
+    halo = HaloExchange(comm, topo, grid, tracer=tracer, injector=injector)
     interior, halo_blocks = halo.halo_split()
     stepper = make_stepper(config.stepper)
 
@@ -480,7 +473,7 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
 
 
 def _dump(
-    comm: SimComm,
+    comm: Communicator,
     config: SimulationConfig,
     grid: BlockGrid,
     origin_cells: tuple[int, int, int],
@@ -645,7 +638,6 @@ class Simulation:
                 timeout=timeout,
                 injector=self.injector,
                 tracker=tracker,
-                ring_bytes=self.config.procs_ring_bytes,
             )
         else:
             world = SimWorld(

@@ -38,7 +38,7 @@ from ..core.block import GHOSTS
 from ..node.grid import BlockGrid
 from ..physics.state import NQ, STORAGE_DTYPE
 from ..resilience.detect import HaloFrame, crc32_array
-from .mpi_sim import Request, SimComm
+from .mpi_sim import Communicator, Request
 from .topology import CartTopology
 
 
@@ -128,13 +128,13 @@ class HaloExchange:
 
     ``injector`` is an optional
     :class:`~repro.resilience.inject.FaultInjector` used as the
-    resilience monitor (CRC detections, comm retries); ``retry`` is the
-    :class:`~repro.resilience.recover.RetryPolicy` bounding the
-    transient-send backoff (a default policy when omitted).
+    resilience monitor (CRC detections, comm retries).  Transient send
+    failures back off under the default
+    :class:`~repro.resilience.recover.RetryPolicy`, seeded per rank.
     """
 
-    def __init__(self, comm: SimComm, topo: CartTopology, grid: BlockGrid,
-                 tracer=None, injector=None, retry=None):
+    def __init__(self, comm: Communicator, topo: CartTopology, grid: BlockGrid,
+                 tracer=None, injector=None):
         from ..resilience.recover import RetryPolicy
 
         self.comm = comm
@@ -143,7 +143,7 @@ class HaloExchange:
         self.tracer = tracer
         self.injector = injector
         # Desynchronize backoff jitter across ranks via the seed.
-        self.retry = retry or RetryPolicy(seed=2013 + comm.rank)
+        self.retry = RetryPolicy(seed=2013 + comm.rank)
         self._neighbors = topo.neighbors(comm.rank)
         #: The receive buffer of every face whose neighbour is another
         #: rank, rewritten by every :meth:`finish`; a face the rank shares

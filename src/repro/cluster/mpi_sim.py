@@ -1,14 +1,23 @@
-"""In-process SPMD communicator: the cluster layer's MPI substitute.
+"""The SPMD communicator protocol and its in-process (thread) transport.
 
 The paper parallelizes across ranks with MPI (non-blocking point-to-point
 halo exchange, global reductions for DT, an exclusive prefix sum for
-parallel I/O offsets).  This module provides the same API surface executed
-by *threads inside one process* -- each rank runs the same SPMD program in
-its own thread, point-to-point messages travel through selective-receive
-mailboxes and collectives synchronize through generation-counted
-rendezvous.  NumPy releases the GIL inside kernels, so rank threads
-genuinely overlap, and the control flow (Isend/Irecv + overlap of interior
-computation with communication) is exercised exactly as on a real cluster.
+parallel I/O offsets).  This module writes that API once, as the
+*protocol* :class:`Communicator`, and provides its first *transport*:
+:class:`SimWorld` runs each rank of the SPMD program as a thread of one
+process and :class:`SimComm` moves frames through selective-receive
+mailboxes.  NumPy releases the GIL inside kernels, so rank threads
+genuinely overlap, and the control flow (Isend/Irecv + overlap of
+interior computation with communication) is exercised exactly as on a
+real cluster.  :mod:`repro.cluster.procs` is the second transport (rank
+processes, shared-memory rings) under the same protocol.
+
+The protocol owns the API, the traffic counters, the fault hook, the
+deadlock watchdog and the collectives.  Every collective is one
+dissemination exchange -- ``ceil(log2 P)`` rounds of *collective* frames,
+which an application receive never matches -- then a rank-ordered left
+fold over the complete contribution set: the same code, hence the same
+bits, on both transports.
 
 The API follows mpi4py conventions: lowercase methods communicate Python
 objects, capitalized methods communicate NumPy arrays.
@@ -17,17 +26,15 @@ Deadlock safety: every blocking wait carries a timeout
 (:data:`DEFAULT_TIMEOUT` seconds) and, instead of hanging the test
 suite, raises :class:`DeadlockError` -- a :class:`CommTimeoutError`
 carrying the deadlock watchdog's localized dump: every rank's pending
-operation plus the unmatched edge set (messages sent but never
-received).
+operation plus the transport's view of the unmatched messages.
 
 Concurrency checking: a :class:`repro.analysis.concurrency.RaceTracker`
 attached to the world (``SimWorld(..., tracker=...)``) receives
-happens-before edges from the runtime -- message sends piggyback the
-sender's vector clock on :class:`_Message`, collectives join the clocks
-of all participants -- and annotated accesses to the runtime's shared
-structures (mailboxes, rendezvous scratch, abort event, failure table).
-With no tracker attached (the default), every hook is one ``is None``
-test.
+happens-before edges from the runtime -- every frame, collective rounds
+included, piggybacks the sender's vector clock on :class:`_Message` --
+and annotated accesses to the runtime's shared structures (mailboxes,
+abort event, failure table).  With no tracker attached (the default),
+every hook is one ``is None`` test.
 
 Fault tolerance: when any rank thread dies, the world is *aborted* --
 ``MPI_Abort`` semantics -- so peers blocked in receives or collectives
@@ -42,7 +49,9 @@ corruption, transient failures).
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -62,11 +71,11 @@ class CommTimeoutError(RuntimeError):
 class DeadlockError(CommTimeoutError):
     """A blocking wait timed out; carries the watchdog's localized dump.
 
-    ``report`` holds :meth:`SimWorld.deadlock_report`: each rank's
-    pending operation and the unmatched edge set at the moment of the
-    timeout.  Subclassing :class:`CommTimeoutError` keeps existing
-    failure classification (resilience rollback treats it as a
-    communication fault) working unchanged.
+    ``report`` holds each rank's pending operation and the transport's
+    unmatched messages at the moment of the timeout.  Subclassing
+    :class:`CommTimeoutError` keeps existing failure classification
+    (resilience rollback treats it as a communication fault) working
+    unchanged.
     """
 
     def __init__(self, message: str, report: str):
@@ -102,145 +111,18 @@ class WorldError(RuntimeError):
         }
 
 
-@dataclass
-class _Message:
-    source: int
-    tag: int
-    payload: Any
-    #: sender's vector clock at send time (happens-before piggyback;
-    #: None when no tracker is attached)
-    clock: dict[int, int] | None = None
+def pop_match(frames: list, source: int, tag: int, collective: bool):
+    """Remove and return the first frame matching ``(source, tag)``, or None.
 
-
-class _Mailbox:
-    """Per-rank selective-receive message store.
-
-    ``abort`` is the world's abort event: waiting receivers re-check it
-    after every wakeup and raise :class:`WorldAbortError` so a dead
-    rank's peers fail fast instead of timing out.
+    The protocol's one matching rule: wildcards match any application
+    frame, and collective frames only ever match a collective wait.
     """
-
-    def __init__(self, abort: threading.Event | None = None):
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._messages: list[_Message] = []
-        self._abort = abort or threading.Event()
-
-    def wake_for_abort(self) -> None:
-        """Wake every waiting receiver (the abort event is already set)."""
-        with self._cv:
-            self._cv.notify_all()
-
-    def put(self, msg: _Message) -> None:
-        with self._cv:
-            self._messages.append(msg)
-            self._cv.notify_all()
-
-    def _match(self, source: int, tag: int) -> _Message | None:
-        for i, msg in enumerate(self._messages):
-            if source not in (ANY_SOURCE, msg.source):
-                continue
-            if tag not in (ANY_TAG, msg.tag):
-                continue
-            return self._messages.pop(i)
-        return None
-
-    def get(self, source: int, tag: int, timeout: float) -> _Message:
-        import time
-
-        deadline = None
-        with self._cv:
-            while True:
-                msg = self._match(source, tag)
-                if msg is not None:
-                    return msg
-                if self._abort.is_set():
-                    raise WorldAbortError(
-                        f"world aborted while waiting for Recv(source="
-                        f"{source}, tag={tag})"
-                    )
-                if deadline is None:
-                    deadline = time.monotonic() + timeout
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommTimeoutError(
-                        f"Recv(source={source}, tag={tag}) timed out"
-                    )
-                self._cv.wait(remaining)
-
-    def poll(self, source: int, tag: int) -> _Message | None:
-        with self._cv:
-            return self._match(source, tag)
-
-    def undelivered(self) -> list[tuple[int, int]]:
-        """``(source, tag)`` of every buffered-but-unreceived message."""
-        with self._cv:
-            return [(m.source, m.tag) for m in self._messages]
-
-
-class _Rendezvous:
-    """Generation-counted collective rendezvous.
-
-    Each rank calls :meth:`contribute` with its sequence number (ranks of
-    an SPMD program execute collectives in identical order, so sequence
-    numbers line up).  The last contributor applies the combiner and wakes
-    everybody; results are reference-counted away afterwards.
-    """
-
-    def __init__(self, size: int, abort: threading.Event | None = None):
-        self.size = size
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._contrib: dict[int, dict[int, Any]] = {}
-        self._results: dict[int, Any] = {}
-        self._reads: dict[int, int] = {}
-        self._abort = abort or threading.Event()
-
-    def wake_for_abort(self) -> None:
-        """Wake every waiting contributor (the abort event is already set)."""
-        with self._cv:
-            self._cv.notify_all()
-
-    def contribute(
-        self,
-        gen: int,
-        rank: int,
-        value: Any,
-        combiner: Callable[[dict[int, Any]], Any],
-        timeout: float,
-    ) -> Any:
-        import time
-
-        with self._cv:
-            slot = self._contrib.setdefault(gen, {})
-            if rank in slot:
-                raise RuntimeError(f"rank {rank} contributed twice to gen {gen}")
-            slot[rank] = value
-            if len(slot) == self.size:
-                self._results[gen] = combiner(slot)
-                self._reads[gen] = 0
-                self._cv.notify_all()
-            deadline = time.monotonic() + timeout
-            while gen not in self._results:
-                if self._abort.is_set():
-                    raise WorldAbortError(
-                        f"world aborted while waiting in collective gen {gen}"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = self.size - len(self._contrib.get(gen, {}))
-                    raise CommTimeoutError(
-                        f"collective gen {gen} timed out waiting for "
-                        f"{missing} rank(s)"
-                    )
-                self._cv.wait(remaining)
-            result = self._results[gen]
-            self._reads[gen] += 1
-            if self._reads[gen] == self.size:
-                del self._results[gen]
-                del self._reads[gen]
-                del self._contrib[gen]
-        return result
+    for i, frame in enumerate(frames):
+        if (frame.collective == collective
+                and source in (ANY_SOURCE, frame.source)
+                and tag in (ANY_TAG, frame.tag)):
+            return frames.pop(i)
+    return None
 
 
 class Request:
@@ -273,84 +155,94 @@ OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-class SimComm:
-    """Communicator bound to one rank of a :class:`SimWorld`."""
+class Communicator:
+    """The communicator protocol: one rank's view of an SPMD world.
+
+    A transport subclass supplies five primitives and nothing else:
+
+    * ``_deliver(dest, tag, payload, collective, op)`` -- hand one frame
+      to ``dest`` (``op`` names it, should the transport have to wait);
+    * ``_take(source, tag, collective, timeout)`` -- the payload of the
+      first frame :func:`pop_match` accepts; raises
+      :class:`CommTimeoutError` after ``timeout`` seconds and
+      :class:`WorldAbortError` once the world is aborted;
+    * ``_set_op(op)`` / ``_clear_op()`` -- publish / clear this rank's
+      pending operation for the watchdog;
+    * ``_report_lines()`` -- the transport's lines of the deadlock report.
+    """
 
     #: Ranks share one address space here; the procs backend sets True.
     process_parallel = False
 
-    def __init__(self, world: "SimWorld", rank: int):
-        self._world = world
+    def __init__(self, rank: int, size: int, timeout: float,
+                 injector: Any = None, tracker: Any = None):
         self.rank = rank
-        self.size = world.size
-        self._gen = 0  #: collective sequence number (per rank)
-        #: Bytes moved through point-to-point sends (traffic accounting).
+        self.size = size
+        self.timeout = timeout
+        self.injector = injector
+        #: optional :class:`repro.analysis.concurrency.RaceTracker`
+        self.tracker = tracker
+        #: Point-to-point traffic; collective frames are not counted.
         self.bytes_sent = 0
         self.messages_sent = 0
+        self._gen = 0  #: collective sequence number (per rank)
+
+    # -- the deadlock watchdog ---------------------------------------------
+
+    def _watch(self, op: str, wait: Callable[..., Any], *args: Any,
+               timeout: float | None = None) -> Any:
+        """Run the blocking transport call ``wait(*args, timeout)``.
+
+        ``op`` is this rank's pending operation meanwhile; a timeout
+        becomes a :class:`DeadlockError` carrying the watchdog's report,
+        a :class:`WorldAbortError` passes as it is.
+        """
+        self._set_op(op)
+        try:
+            return wait(*args, self.timeout if timeout is None else timeout)
+        except CommTimeoutError as exc:
+            report = "\n".join(["deadlock watchdog: pending operation per rank:",
+                                *self._report_lines()])
+            if self.tracker is not None:
+                self.tracker.on_deadlock(
+                    f"deadlock: rank {self.rank} timed out in {op} "
+                    "(see DeadlockError report for the per-rank dump)",
+                    site=f"runtime:rank{self.rank}",
+                )
+            raise DeadlockError(f"rank {self.rank}: {op} timed out",
+                                report) from exc
+        finally:
+            self._clear_op()
 
     # -- point to point ---------------------------------------------------
 
-    def _payload_bytes(self, obj: Any) -> int:
-        # ndarray payloads and checksummed frames both expose ``nbytes``.
-        return int(getattr(obj, "nbytes", 0))
-
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking-API send (delivery is buffered, so it never blocks).
+        """Buffered send: it never waits for the matching receive.
 
-        With a fault injector attached to the world, the payload passes
-        through its transport hook first: it may be dropped, delayed,
-        corrupted in transit, or fail with a (retryable)
-        ``TransientCommError``.
+        With a fault injector attached, the payload passes through its
+        transport hook first: it may be dropped, delayed, corrupted in
+        transit, or fail with a (retryable) ``TransientCommError``.
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"invalid destination rank {dest}")
-        payload = obj.copy() if isinstance(obj, np.ndarray) else obj
-        injector = self._world.injector
-        if injector is not None:
+        payload = obj
+        if self.injector is not None:
             from ..resilience.inject import DROPPED
 
-            payload = injector.on_send(self.rank, dest, payload)
+            payload = self.injector.on_send(self.rank, dest, payload)
             if payload is DROPPED:
                 return
-        self.bytes_sent += self._payload_bytes(payload)
+        # ndarray payloads and checksummed frames both expose ``nbytes``.
+        self.bytes_sent += int(getattr(payload, "nbytes", 0))
         self.messages_sent += 1
-        tracker = self._world.tracker
-        clock = None
-        if tracker is not None:
-            tracker.write(f"mailbox[{dest}]", self.rank,
-                          locks=(f"mailbox[{dest}].cv",),
-                          site="repro.cluster.mpi_sim:_Mailbox.put")
-            clock = tracker.on_send(self.rank)
-        self._world._mailboxes[dest].put(_Message(self.rank, tag, payload, clock))
+        self._deliver(dest, tag, payload, False, f"send(dest={dest}, tag={tag})")
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              timeout: float | None = None) -> Any:
-        """Blocking receive; ``timeout=None`` uses the world timeout.
-
-        A plain timeout is upgraded by the deadlock watchdog into a
-        :class:`DeadlockError` carrying every rank's pending operation
-        and the unmatched edge set.
-        """
-        world = self._world
-        if timeout is None:
-            timeout = world.timeout
-        op = f"recv(source={source}, tag={tag})"
-        world._set_pending(self.rank, op)
-        try:
-            msg = world._mailboxes[self.rank].get(source, tag, timeout)
-        except DeadlockError:
-            raise
-        except CommTimeoutError as exc:
-            raise world._deadlock_error(self.rank, op) from exc
-        finally:
-            world._clear_pending(self.rank)
-        tracker = world.tracker
-        if tracker is not None:
-            tracker.write(f"mailbox[{self.rank}]", self.rank,
-                          locks=(f"mailbox[{self.rank}].cv",),
-                          site="repro.cluster.mpi_sim:_Mailbox.get")
-            tracker.on_deliver(self.rank, msg.clock)
-        return msg.payload
+        """Blocking selective receive; ``timeout=None`` uses the world
+        timeout, after which the watchdog raises :class:`DeadlockError`."""
+        return self._watch(f"recv(source={source}, tag={tag})", self._take,
+                           source, tag, False, timeout=timeout)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         self.send(obj, dest, tag)  # buffered: completes immediately
@@ -367,73 +259,49 @@ class SimComm:
 
     # -- collectives --------------------------------------------------------
 
-    def _collective(self, value: Any, combiner, label: str = "collective") -> Any:
+    def _gossip(self, value: Any, label: str) -> list[Any]:
+        """Dissemination allgather: every rank's contribution, rank order.
+
+        In round ``k`` rank ``r`` sends all it knows to ``r + 2**k`` and
+        merges what ``r - 2**k`` knows, so after ``ceil(log2 P)`` rounds
+        every rank knows every contribution -- and, through the frames'
+        vector clocks, whatever any rank did before the collective
+        happens before what every rank does after it.  Round frames are
+        matched exactly by ``(source, gen, round)``: each pair's frames
+        arrive in order and every rank runs collectives in program order.
+        """
         gen = self._gen
         self._gen += 1
-        world = self._world
-        tracker = world.tracker
-        use_combiner = combiner
-        if tracker is not None:
-            tracker.write("rendezvous.scratch", self.rank,
-                          locks=("rendezvous.cv",),
-                          site="repro.cluster.mpi_sim:_Rendezvous.contribute")
-            value = (value, tracker.on_collective_enter(self.rank))
-
-            def wrapped(slot: dict[int, Any]) -> Any:
-                inner = {r: vc[0] for r, vc in slot.items()}
-                return combiner(inner), [vc[1] for vc in slot.values()]
-
-            use_combiner = wrapped
-        op = f"{label} (gen {gen})"
-        world._set_pending(self.rank, op)
-        try:
-            result = world._rendezvous.contribute(
-                gen, self.rank, value, use_combiner, world.timeout
-            )
-        except DeadlockError:
-            raise
-        except CommTimeoutError as exc:
-            raise world._deadlock_error(self.rank, op) from exc
-        finally:
-            world._clear_pending(self.rank)
-        if tracker is not None:
-            result, clocks = result
-            tracker.on_collective_exit(self.rank, clocks)
-        return result
+        known = {self.rank: value}
+        for k in range((self.size - 1).bit_length()):
+            dest = (self.rank + (1 << k)) % self.size
+            src = (self.rank - (1 << k)) % self.size
+            tag = (gen << 8) | k
+            op = f"{label} (gen {gen}, round {k})"
+            self._deliver(dest, tag, known, True, op)
+            known.update(self._watch(op, self._take, src, tag, True))
+        return [known[r] for r in range(self.size)]
 
     def barrier(self) -> None:
-        self._collective(None, lambda slot: True, label="barrier")
+        self._gossip(None, "barrier")
 
     def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """Reduce scalars/arrays with ``op`` in ('sum', 'max', 'min')."""
-        fn = OPS[op]
+        """Reduce scalars/arrays with ``op`` in ('sum', 'max', 'min').
 
-        def combiner(slot: dict[int, Any]) -> Any:
-            acc = None
-            for r in sorted(slot):
-                acc = slot[r] if acc is None else fn(acc, slot[r])
-            return acc
-
-        return self._collective(value, combiner, label=f"allreduce({op})")
+        A left fold in rank order, so a float reduction is the same bits
+        on every rank and on both transports.
+        """
+        return reduce(OPS[op], self._gossip(value, f"allreduce({op})"))
 
     def bcast(self, value: Any, root: int = 0) -> Any:
-        return self._collective(
-            value if self.rank == root else None,
-            lambda slot: slot[root],
-            label="bcast",
-        )
+        return self._gossip(value if self.rank == root else None, "bcast")[root]
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        result = self._collective(
-            value, lambda slot: [slot[r] for r in sorted(slot)], label="gather"
-        )
-        return result if self.rank == root else None
+        values = self._gossip(value, "gather")
+        return values if self.rank == root else None
 
     def allgather(self, value: Any) -> list[Any]:
-        return self._collective(
-            value, lambda slot: [slot[r] for r in sorted(slot)],
-            label="allgather",
-        )
+        return self._gossip(value, "allgather")
 
     def exscan(self, value: Any, op: str = "sum") -> Any:
         """Exclusive prefix reduction (rank 0 receives the identity).
@@ -443,23 +311,141 @@ class SimComm:
         at which its buffer starts.
         """
         fn = OPS[op]
+        values = self._gossip(value, f"exscan({op})")
+        if self.rank:
+            return reduce(fn, values[:self.rank])
+        # Identity element: 0 for scalars, zeros for arrays.
+        if isinstance(value, np.ndarray):
+            return np.zeros_like(value)
+        return type(value)(0)
 
-        def combiner(slot: dict[int, Any]) -> list[Any]:
-            out: list[Any] = []
-            acc = None
-            for r in sorted(slot):
-                out.append(acc)
-                acc = slot[r] if acc is None else fn(acc, slot[r])
-            return out
 
-        per_rank = self._collective(value, combiner, label=f"exscan({op})")
-        result = per_rank[self.rank]
-        if result is None:
-            # Identity element: 0 for scalars, zeros for arrays.
-            if isinstance(value, np.ndarray):
-                return np.zeros_like(value)
-            return type(value)(0)
-        return result
+@dataclass
+class _Message:
+    source: int
+    tag: int
+    payload: Any
+    collective: bool = False
+    #: sender's vector clock at send time (happens-before piggyback;
+    #: None when no tracker is attached)
+    clock: dict[int, int] | None = None
+
+
+class _Mailbox:
+    """Per-rank selective-receive message store.
+
+    ``abort`` is the world's abort event: waiting receivers re-check it
+    after every wakeup and raise :class:`WorldAbortError` so a dead
+    rank's peers fail fast instead of timing out.
+    """
+
+    def __init__(self, abort: threading.Event):
+        self._cv = threading.Condition(threading.Lock())
+        self._messages: list[_Message] = []
+        self._abort = abort
+
+    def wake_for_abort(self) -> None:
+        """Wake every waiting receiver (the abort event is already set)."""
+        with self._cv:
+            self._cv.notify_all()
+
+    def put(self, msg: _Message) -> None:
+        with self._cv:
+            self._messages.append(msg)
+            self._cv.notify_all()
+
+    def get(self, source: int, tag: int, collective: bool,
+            timeout: float) -> _Message:
+        deadline = None
+        with self._cv:
+            while True:
+                msg = pop_match(self._messages, source, tag, collective)
+                if msg is not None:
+                    return msg
+                if self._abort.is_set():
+                    raise WorldAbortError(
+                        f"world aborted while waiting for Recv(source="
+                        f"{source}, tag={tag})"
+                    )
+                if deadline is None:
+                    deadline = time.monotonic() + timeout
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise CommTimeoutError(
+                        f"Recv(source={source}, tag={tag}) timed out"
+                    )
+                self._cv.wait(remaining)
+
+    def undelivered(self) -> list[tuple[int, int]]:
+        """``(source, tag)`` of every buffered-but-unreceived application
+        message."""
+        with self._cv:
+            return [(m.source, m.tag) for m in self._messages
+                    if not m.collective]
+
+
+class SimComm(Communicator):
+    """The thread transport: one rank of a :class:`SimWorld`."""
+
+    def __init__(self, world: "SimWorld", rank: int):
+        super().__init__(rank, world.size, world.timeout, world.injector,
+                         world.tracker)
+        self._world = world
+
+    def _deliver(self, dest: int, tag: int, payload: Any, collective: bool,
+                 op: str) -> None:
+        # The receiver must not see the sender's later writes: an array
+        # is copied, a contribution set (its owner merges into it in
+        # later rounds) snapshotted.
+        if isinstance(payload, np.ndarray):
+            payload = payload.copy()
+        elif collective:
+            payload = dict(payload)
+        clock = None
+        if self.tracker is not None:
+            self.tracker.write(f"mailbox[{dest}]", self.rank,
+                               locks=(f"mailbox[{dest}].cv",),
+                               site="repro.cluster.mpi_sim:_Mailbox.put")
+            clock = self.tracker.on_send(self.rank)
+        self._world._mailboxes[dest].put(
+            _Message(self.rank, tag, payload, collective, clock))
+
+    def _take(self, source: int, tag: int, collective: bool,
+              timeout: float) -> Any:
+        msg = self._world._mailboxes[self.rank].get(source, tag, collective,
+                                                    timeout)
+        if self.tracker is not None:
+            self.tracker.write(f"mailbox[{self.rank}]", self.rank,
+                               locks=(f"mailbox[{self.rank}].cv",),
+                               site="repro.cluster.mpi_sim:_Mailbox.get")
+            self.tracker.on_deliver(self.rank, msg.clock)
+        return msg.payload
+
+    def _set_op(self, op: str) -> None:
+        with self._world._pending_lock:
+            self._world._pending[self.rank] = op
+
+    def _clear_op(self) -> None:
+        with self._world._pending_lock:
+            self._world._pending.pop(self.rank, None)
+
+    def _report_lines(self) -> list[str]:
+        """Every rank's pending operation and the unmatched edge set --
+        messages buffered in any mailbox that no receive has consumed.
+        An empty edge set under a stuck receive means the matching send
+        was never posted (or was dropped)."""
+        world = self._world
+        with world._pending_lock:
+            pending = dict(world._pending)
+        lines = [f"  rank {r}: {pending.get(r, 'not blocked in comm')}"
+                 for r in range(self.size)]
+        lines.append("unmatched edges (sent but never received):")
+        edges = [
+            f"  (source={src}, tag={tag}) -> rank {r} buffered, unconsumed"
+            for r, box in enumerate(world._mailboxes)
+            for src, tag in box.undelivered()
+        ]
+        return lines + (edges or ["  none (the matching send was never posted)"])
 
 
 class SimWorld:
@@ -486,7 +472,6 @@ class SimWorld:
         self.tracker = tracker
         self._abort = threading.Event()
         self._mailboxes = [_Mailbox(self._abort) for _ in range(size)]
-        self._rendezvous = _Rendezvous(size, self._abort)
         # Deadlock watchdog state: the blocking operation each rank is
         # currently parked in (always maintained; two locked dict ops
         # per blocking call).
@@ -495,47 +480,6 @@ class SimWorld:
 
     def comm(self, rank: int) -> SimComm:
         return SimComm(self, rank)
-
-    def _set_pending(self, rank: int, op: str) -> None:
-        with self._pending_lock:
-            self._pending[rank] = op
-
-    def _clear_pending(self, rank: int) -> None:
-        with self._pending_lock:
-            self._pending.pop(rank, None)
-
-    def deadlock_report(self) -> str:
-        """Localized watchdog dump of the current wait state (str).
-
-        Lists the blocking operation each rank is parked in and the
-        unmatched edge set -- messages buffered in a mailbox that no
-        receive has consumed.  An empty edge set under a stuck receive
-        means the matching send was never posted (or was dropped).
-        """
-        with self._pending_lock:
-            pending = dict(self._pending)
-        lines = ["deadlock watchdog: pending operation per rank:"]
-        for r in range(self.size):
-            lines.append(f"  rank {r}: {pending.get(r, 'not blocked in comm')}")
-        lines.append("unmatched edges (sent but never received):")
-        edges = [
-            f"  (source={src}, tag={tag}) -> rank {r} buffered, unconsumed"
-            for r, box in enumerate(self._mailboxes)
-            for src, tag in box.undelivered()
-        ]
-        lines.extend(edges or ["  none (the matching send was never posted)"])
-        return "\n".join(lines)
-
-    def _deadlock_error(self, rank: int, op: str) -> DeadlockError:
-        """Build the watchdog's :class:`DeadlockError` for a timed-out op."""
-        report = self.deadlock_report()
-        if self.tracker is not None:
-            self.tracker.on_deadlock(
-                f"deadlock: rank {rank} timed out in {op} "
-                "(see DeadlockError report for the per-rank dump)",
-                site=f"runtime:rank{rank}",
-            )
-        return DeadlockError(f"rank {rank}: {op} timed out", report)
 
     def _signal_abort(self, rank: int | None = None) -> None:
         """MPI_Abort analogue: wake every blocked rank with WorldAbortError.
@@ -550,7 +494,6 @@ class SimWorld:
         self._abort.set()
         for box in self._mailboxes:
             box.wake_for_abort()
-        self._rendezvous.wake_for_abort()
 
     def run(self, main: Callable[..., Any], *args: Any) -> list[Any]:
         results: list[Any] = [None] * self.size

@@ -1,19 +1,21 @@
-"""Process-parallel SPMD communicator: ranks as real OS processes.
+"""Process-parallel SPMD transport: ranks as real OS processes.
 
-:mod:`repro.cluster.mpi_sim` executes every rank as a *thread* of one
-interpreter -- faithful control flow, zero real node scaling (the GIL
-serializes everything outside NumPy kernels).  This module provides the
-second backend behind the same Communicator API: each rank is a real
-process (``multiprocessing`` spawn context) and messages move through
+:mod:`repro.cluster.mpi_sim` writes the communicator protocol once
+(:class:`~repro.cluster.mpi_sim.Communicator`: point-to-point API,
+collectives, deadlock watchdog, fault hook) and runs it over threads of
+one interpreter -- faithful control flow, zero real node scaling (the
+GIL serializes everything outside NumPy kernels).  This module is the
+second transport under the same protocol: each rank is a real process
+(``multiprocessing`` spawn context) and frames move through
 **shared-memory ring buffers** (:class:`multiprocessing.shared_memory`),
-so a multi-core host finally measures the paper's actual quantity --
-wall-clock speedup from real parallel ranks (Fig. 9's strong scaling,
-with measured rather than modeled numbers).
+so a multi-core host measures the paper's actual quantity -- wall-clock
+speedup from real parallel ranks (Fig. 9's strong scaling, with
+measured rather than modeled numbers).
 
 Design
 ------
 
-* **Transport** -- one single-producer/single-consumer byte ring per
+* **Rings** -- one single-producer/single-consumer byte ring per
   ordered rank pair ``(src, dst)``.  A ring is one shared-memory
   segment: a 16-byte header (monotonic ``head``/``tail`` cursors,
   guarded by a ``multiprocessing.Lock``) plus a power-of-two data
@@ -29,21 +31,12 @@ Design
   instead of silently entering the stencil.  Halo payloads additionally
   keep their resilience-layer :class:`~repro.resilience.detect.HaloFrame`
   CRC end-to-end (``app_crc``), preserving the exact detection
-  semantics of the thread backend.
-* **Collectives** -- allreduce/bcast/gather/allgather/exscan/barrier
-  run a dissemination (recursive-doubling gossip) exchange over the
-  same rings: ``ceil(log2(P))`` rounds, rank ``r`` sending its known
-  contribution set to ``r + 2^k`` and merging the set received from
-  ``r - 2^k``.  The final reduction is applied as a *rank-ordered left
-  fold over the complete contribution set* -- bit-identical to the
-  thread backend's rendezvous combiner, which is what makes the
-  cross-backend differential tests exact.
-* **Watchdog** -- a status board (one more shared segment) holds each
-  rank's current blocking operation and step heartbeat plus the world
-  abort flag.  A timed-out wait raises
-  :class:`~repro.cluster.mpi_sim.DeadlockError` carrying the same
-  per-rank pending-operation dump as the thread backend; a failing rank
-  sets the abort flag so peers wake with
+  semantics of the thread backend.  The protocol's collective rounds
+  are frames of their own kind (``KIND_COLL``).
+* **Status board** -- one more shared segment holds each rank's current
+  blocking operation and step heartbeat plus the world abort flag: the
+  watchdog's per-rank report reads it, and a failing rank sets the
+  abort flag so peers wake with
   :class:`~repro.cluster.mpi_sim.WorldAbortError` (MPI_Abort
   semantics) instead of running out their timeouts.
 * **Chaos** -- ``rank_crash`` specs of a
@@ -75,15 +68,12 @@ import numpy as np
 from ..resilience.detect import CorruptionError, HaloFrame, crc32_bytes
 
 from .mpi_sim import (
-    ANY_SOURCE,
-    ANY_TAG,
     DEFAULT_TIMEOUT,
-    OPS,
     CommTimeoutError,
-    DeadlockError,
-    Request,
+    Communicator,
     WorldAbortError,
     WorldError,
+    pop_match,
 )
 
 #: Payload kinds on the wire.
@@ -97,11 +87,11 @@ KIND_COLL = 3     #: collective-round contribution set (pickled dict)
 _HEADER = struct.Struct("<IBiqIIIQ")
 _MAGIC = 0x52505246  # "RPRF"
 
-#: Ring segment layout: head u64 | tail u64 | data[ring_bytes].
+#: Ring segment layout: head u64 | tail u64 | data[DEFAULT_RING_BYTES].
 _RING_CTRL = struct.Struct("<QQ")
 _RING_CTRL_BYTES = 16
 
-#: Default per-pair ring capacity (bytes of in-flight messages).
+#: Per-pair ring capacity (bytes of in-flight messages).
 DEFAULT_RING_BYTES = 1 << 22
 
 #: Status board layout: abort u8 at offset 0, then 16-byte alignment,
@@ -163,6 +153,14 @@ def encode_frame(source: int, tag: int, kind: int, payload: Any) -> bytes:
     return header + meta + body
 
 
+def _frame_kind(obj: Any) -> int:
+    if isinstance(obj, HaloFrame):
+        return KIND_HALO
+    if isinstance(obj, np.ndarray):
+        return KIND_ARRAY
+    return KIND_PICKLE
+
+
 @dataclass
 class _Frame:
     """One decoded in-flight message."""
@@ -171,6 +169,10 @@ class _Frame:
     tag: int
     kind: int
     payload: Any
+
+    @property
+    def collective(self) -> bool:
+        return self.kind == KIND_COLL
 
 
 def _decode_body(kind: int, app_crc: int, meta: bytes, body: bytes) -> Any:
@@ -385,9 +387,9 @@ class _StatusBoard:
                                   base + _SLOT_HEAD.size + oplen])
         return state, step, raw.decode("utf-8", errors="replace")
 
-    def deadlock_report(self) -> str:
-        """The watchdog dump: every rank's pending operation (str)."""
-        lines = ["deadlock watchdog: pending operation per rank:"]
+    def op_lines(self) -> list[str]:
+        """The watchdog's lines: every rank's pending operation."""
+        lines = []
         for r in range(self.size):
             state, step, op = self.read(r)
             label = op or "not blocked in comm"
@@ -396,7 +398,7 @@ class _StatusBoard:
             elif state == STATE_FAILED:
                 label = f"failed ({op or 'no pending op'})"
             lines.append(f"  rank {r}: {label} [step {step}]")
-        return "\n".join(lines)
+        return lines
 
 
 def _ring_name(token: str, src: int, dst: int) -> str:
@@ -419,15 +421,14 @@ class WorldSpec:
     token: str
     size: int
     timeout: float
-    ring_bytes: int
     locks: dict
 
 
-class ProcsComm:
-    """Communicator bound to one rank of a :class:`ProcsWorld`.
+class ProcsComm(Communicator):
+    """The shared-memory transport: one rank of a :class:`ProcsWorld`.
 
-    Mirrors the :class:`~repro.cluster.mpi_sim.SimComm` API surface the
-    driver, halo exchange and checkpoint writer consume.
+    Frames travel CRC-framed through the rank-pair rings; the rank's
+    :class:`_StatusBoard` slot carries its pending operation.
     """
 
     #: Ranks are OS processes; process-aware consumers (the flight
@@ -435,17 +436,13 @@ class ProcsComm:
     process_parallel = True
 
     def __init__(self, spec: WorldSpec, rank: int, injector: Any = None):
-        self.rank = rank
-        self.size = spec.size
-        self.timeout = spec.timeout
-        self.injector = injector
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self._gen = 0  #: collective sequence number (per rank)
+        super().__init__(rank, spec.size, spec.timeout, injector)
         self._board: _StatusBoard | None = None
         self._out: dict[int, Ring] = {}
         self._in: dict[int, Ring] = {}
         self._streams: dict[int, bytearray] = {}
+        #: decoded frames not yet taken by a receive
+        self._frames: list[_Frame] = []
         try:
             self._board = _StatusBoard(_attach(_board_name(spec.token)),
                                        spec.size)
@@ -454,11 +451,11 @@ class ProcsComm:
                     continue
                 self._out[peer] = Ring(
                     _attach(_ring_name(spec.token, rank, peer)),
-                    spec.locks[(rank, peer)], spec.ring_bytes,
+                    spec.locks[(rank, peer)], DEFAULT_RING_BYTES,
                 )
                 self._in[peer] = Ring(
                     _attach(_ring_name(spec.token, peer, rank)),
-                    spec.locks[(peer, rank)], spec.ring_bytes,
+                    spec.locks[(peer, rank)], DEFAULT_RING_BYTES,
                 )
                 self._streams[peer] = bytearray()
         except BaseException:
@@ -466,9 +463,6 @@ class ProcsComm:
             # the world down) must detach whatever was mapped so far.
             self.close()
             raise
-        self._pending: list[_Frame] = []
-
-    # -- plumbing ---------------------------------------------------------
 
     def publish_step(self, step: int) -> None:
         """Heartbeat hook: expose the driver's current step to the
@@ -476,11 +470,24 @@ class ProcsComm:
         :class:`WorldAbortError` in an aborted world: a rank holding at a
         fault point for a kill that went to a peer is released here."""
         self._board.set_step(self.rank, step)
-        if self._aborted():
+        if self._board.aborted():
             raise WorldAbortError(f"world aborted at step {step}")
 
-    def _aborted(self) -> bool:
-        return self._board.aborted()
+    # -- transport primitives ----------------------------------------------
+
+    def _deliver(self, dest: int, tag: int, payload: Any, collective: bool,
+                 op: str) -> None:
+        kind = KIND_COLL if collective else _frame_kind(payload)
+        wire = encode_frame(self.rank, tag, kind, payload)
+        if dest == self.rank:
+            # A send to oneself loops the decoded frame straight back.
+            self._frames.extend(parse_frames(bytearray(wire), source_hint=dest))
+        else:
+            self._watch(op, self._write, dest, wire)
+
+    def _write(self, dest: int, wire: bytes, timeout: float) -> None:
+        self._out[dest].write(wire, deadline=time.monotonic() + timeout,
+                              abort_check=self._board.aborted)
 
     def _drain_all(self) -> None:
         """Pull every complete frame out of the incoming rings."""
@@ -489,215 +496,42 @@ class ProcsComm:
             if chunk:
                 stream = self._streams[src]
                 stream.extend(chunk)
-                self._pending.extend(parse_frames(stream, source_hint=src))
+                self._frames.extend(parse_frames(stream, source_hint=src))
 
-    def _match(self, source: int, tag: int, kind_coll: bool) -> _Frame | None:
-        for i, frame in enumerate(self._pending):
-            if (frame.kind == KIND_COLL) != kind_coll:
-                continue
-            if source not in (ANY_SOURCE, frame.source):
-                continue
-            if tag not in (ANY_TAG, frame.tag):
-                continue
-            return self._pending.pop(i)
-        return None
-
-    def _deadlock_error(self, op: str) -> DeadlockError:
-        report = self._board.deadlock_report()
-        unread = [
-            (f.source, f.tag) for f in self._pending
-            if f.kind != KIND_COLL
-        ]
-        report += "\nlocally buffered unmatched frames: " + (
-            ", ".join(f"(source={s}, tag={t})" for s, t in unread)
-            or "none (the matching send was never posted)"
-        )
-        return DeadlockError(f"rank {self.rank}: {op} timed out", report)
-
-    def _wait_frame(self, source: int, tag: int, kind_coll: bool,
-                    op: str, timeout: float | None) -> _Frame:
-        deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
-        self._board.set_op(self.rank, op)
+    def _take(self, source: int, tag: int, collective: bool,
+              timeout: float) -> Any:
+        deadline = time.monotonic() + timeout
         polls = 0
-        try:
-            while True:
-                frame = self._match(source, tag, kind_coll)
-                if frame is not None:
-                    return frame
+        while True:
+            frame = pop_match(self._frames, source, tag, collective)
+            if frame is None:
                 self._drain_all()
-                frame = self._match(source, tag, kind_coll)
-                if frame is not None:
-                    return frame
-                if self._aborted():
-                    raise WorldAbortError(
-                        f"world aborted while waiting for {op}"
-                    )
-                if time.monotonic() > deadline:
-                    raise self._deadlock_error(op)
-                _poll_sleep(polls)
-                polls += 1
-        finally:
-            self._board.clear_op(self.rank)
+                frame = pop_match(self._frames, source, tag, collective)
+            if frame is not None:
+                return frame.payload
+            if self._board.aborted():
+                raise WorldAbortError(f"world aborted while waiting for "
+                                      f"Recv(source={source}, tag={tag})")
+            if time.monotonic() > deadline:
+                raise CommTimeoutError(
+                    f"Recv(source={source}, tag={tag}) timed out")
+            _poll_sleep(polls)
+            polls += 1
 
-    # -- point to point ---------------------------------------------------
-
-    def _payload_bytes(self, obj: Any) -> int:
-        # ndarray payloads and checksummed frames both expose ``nbytes``.
-        return int(getattr(obj, "nbytes", 0))
-
-    def _frame_kind(self, obj: Any) -> int:
-        if isinstance(obj, HaloFrame):
-            return KIND_HALO
-        if isinstance(obj, np.ndarray):
-            return KIND_ARRAY
-        return KIND_PICKLE
-
-    def _push(self, dest: int, tag: int, kind: int, payload: Any,
-              op: str) -> None:
-        """Frame and ship one message (self-sends loop back locally)."""
-        wire = encode_frame(self.rank, tag, kind, payload)
-        if dest == self.rank:
-            # A send to oneself: loop the decoded frame straight into
-            # the pending store.
-            stream = bytearray(wire)
-            self._pending.extend(parse_frames(stream, source_hint=dest))
-            return
+    def _set_op(self, op: str) -> None:
         self._board.set_op(self.rank, op)
-        try:
-            self._out[dest].write(wire, deadline=time.monotonic() + self.timeout,
-                                  abort_check=self._aborted)
-        except DeadlockError:
-            raise
-        except CommTimeoutError:
-            raise self._deadlock_error(op) from None
-        finally:
-            self._board.clear_op(self.rank)
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered send through the shared-memory ring to ``dest``.
+    def _clear_op(self) -> None:
+        self._board.clear_op(self.rank)
 
-        With a fault injector attached, the payload passes through its
-        transport hook first (drop / delay / corrupt / transient
-        failure), exactly as on the thread backend.
-        """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        payload = obj
-        if self.injector is not None:
-            from ..resilience.inject import DROPPED
-
-            payload = self.injector.on_send(self.rank, dest, payload)
-            if payload is DROPPED:
-                return
-        self.bytes_sent += self._payload_bytes(payload)
-        self.messages_sent += 1
-        self._push(dest, tag, self._frame_kind(payload), payload,
-                   op=f"send(dest={dest}, tag={tag})")
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             timeout: float | None = None) -> Any:
-        """Blocking selective receive; ``timeout=None`` uses the world
-        timeout.  A timeout raises the watchdog's
-        :class:`~repro.cluster.mpi_sim.DeadlockError` with the
-        cross-rank pending-operation dump."""
-        frame = self._wait_frame(
-            source, tag, kind_coll=False,
-            op=f"recv(source={source}, tag={tag})", timeout=timeout,
-        )
-        return frame.payload
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)  # buffered: completes on ring write
-        return Request(lambda _t: None)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        return Request(lambda t: self.recv(source, tag, timeout=t))
-
-    # Uppercase aliases for NumPy arrays (mpi4py convention).
-    Send = send
-    Recv = recv
-    Isend = isend
-    Irecv = irecv
-
-    # -- collectives -------------------------------------------------------
-
-    def _gossip(self, value: Any, label: str) -> dict[int, Any]:
-        """Dissemination allgather: the full contribution set (dict).
-
-        ``ceil(log2(P))`` rounds of doubling gossip; after round ``k``
-        every rank knows at least ``2**(k+1)`` contributions, so the
-        set is complete when the rounds run out.  Round frames are
-        matched exactly by ``(source, gen, round)`` -- rings are FIFO
-        per pair and every rank executes collectives in program order.
-        """
-        gen = self._gen
-        self._gen += 1
-        known: dict[int, Any] = {self.rank: value}
-        rounds = max(0, self.size - 1).bit_length()
-        for k in range(rounds):
-            dest = (self.rank + (1 << k)) % self.size
-            src = (self.rank - (1 << k)) % self.size
-            round_tag = (gen << 8) | k
-            op = f"{label} (gen {gen}, round {k})"
-            self._push(dest, round_tag, KIND_COLL, known, op=op)
-            frame = self._wait_frame(src, round_tag, kind_coll=True,
-                                     op=op, timeout=None)
-            known.update(frame.payload)
-        if len(known) != self.size:
-            raise RuntimeError(
-                f"{label}: dissemination exchange ended with "
-                f"{len(known)}/{self.size} contributions"
-            )
-        return known
-
-    def barrier(self) -> None:
-        self._gossip(None, label="barrier")
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """Reduce scalars/arrays with ``op`` in ('sum', 'max', 'min').
-
-        The fold is applied over the gathered contributions in rank
-        order -- the identical association order as the thread
-        backend's rendezvous combiner, so float reductions agree
-        bit-for-bit across backends.
-        """
-        fn = OPS[op]
-        slot = self._gossip(value, label=f"allreduce({op})")
-        acc = None
-        for r in sorted(slot):
-            acc = slot[r] if acc is None else fn(acc, slot[r])
-        return acc
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        slot = self._gossip(value if self.rank == root else None,
-                            label="bcast")
-        return slot[root]
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        slot = self._gossip(value, label="gather")
-        if self.rank != root:
-            return None
-        return [slot[r] for r in sorted(slot)]
-
-    def allgather(self, value: Any) -> list[Any]:
-        slot = self._gossip(value, label="allgather")
-        return [slot[r] for r in sorted(slot)]
-
-    def exscan(self, value: Any, op: str = "sum") -> Any:
-        """Exclusive prefix reduction (rank 0 receives the identity)."""
-        fn = OPS[op]
-        slot = self._gossip(value, label=f"exscan({op})")
-        acc = None
-        for r in sorted(slot):
-            if r == self.rank:
-                break
-            acc = slot[r] if acc is None else fn(acc, slot[r])
-        if acc is None:
-            # Identity element: 0 for scalars, zeros for arrays.
-            if isinstance(value, np.ndarray):
-                return np.zeros_like(value)
-            return type(value)(0)
-        return acc
+    def _report_lines(self) -> list[str]:
+        """Every rank's status-board slot and this rank's buffered,
+        unmatched application frames."""
+        unread = ", ".join(f"(source={f.source}, tag={f.tag})"
+                           for f in self._frames if not f.collective)
+        return self._board.op_lines() + [
+            "locally buffered unmatched frames: "
+            + (unread or "none (the matching send was never posted)")]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -787,8 +621,7 @@ class ProcsWorld:
     """
 
     def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT,
-                 injector: Any | None = None, tracker: Any | None = None,
-                 ring_bytes: int = DEFAULT_RING_BYTES):
+                 injector: Any | None = None, tracker: Any | None = None):
         if size < 1:
             raise ValueError("world size must be >= 1")
         if tracker is not None:
@@ -797,12 +630,9 @@ class ProcsWorld:
                 "share no address space); run concurrency_check on the "
                 "sim backend"
             )
-        if ring_bytes < 1 << 16:
-            raise ValueError("ring_bytes must be >= 65536")
         self.size = size
         self.timeout = timeout
         self.injector = injector
-        self.ring_bytes = ring_bytes
 
     # -- segment lifecycle ------------------------------------------------
 
@@ -824,7 +654,7 @@ class ProcsWorld:
                         continue
                     seg = shared_memory.SharedMemory(
                         name=_ring_name(token, src, dst), create=True,
-                        size=_RING_CTRL_BYTES + self.ring_bytes,
+                        size=_RING_CTRL_BYTES + DEFAULT_RING_BYTES,
                     )
                     _RING_CTRL.pack_into(seg.buf, 0, 0, 0)
                     segments.append(seg)
@@ -909,8 +739,7 @@ class ProcsWorld:
                 if src != dst
             }
             spec = WorldSpec(token=token, size=self.size,
-                             timeout=self.timeout,
-                             ring_bytes=self.ring_bytes, locks=locks)
+                             timeout=self.timeout, locks=locks)
             child_args = self._child_args(args)
             for rank in range(self.size):
                 result_r, result_w = ctx.Pipe(duplex=False)

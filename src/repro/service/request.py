@@ -57,10 +57,7 @@ RUNTIME_FIELDS = (
     "ranks",
     "num_workers",
     "cluster_backend",
-    "procs_ring_bytes",
     "comm_timeout",
-    "comm_retry_attempts",
-    "comm_retry_base",
 )
 
 
@@ -249,6 +246,10 @@ class JobRequest:
             if isinstance(sem.get(name), list):
                 sem[name] = tuple(sem[name])
         runtime = dict(payload.get("runtime", {}))
+        unknown = sorted(set(runtime) - set(RUNTIME_FIELDS))
+        if unknown:
+            raise RequestError(f"unknown runtime field(s) {unknown}; "
+                               f"a request may carry {list(RUNTIME_FIELDS)}")
         cfg = SimulationConfig(**sem, **runtime)
         return cls(
             config=cfg,

@@ -69,8 +69,6 @@ class SimulationConfig:
     #: shared-memory rings -- real multi-core scaling).  Both backends
     #: are bit-identical on the same config; see docs/cluster.md.
     cluster_backend: str = "sim"
-    #: per-pair shared-memory ring capacity in bytes (procs backend)
-    procs_ring_bytes: int = 1 << 22
 
     # -- boundaries ----------------------------------------------------------
     wall: tuple[int, int] | None = None  #: (axis, side) of a solid wall
@@ -101,8 +99,6 @@ class SimulationConfig:
     #: (None = the communicator default; lower it for chaos tests so a
     #: dropped message is diagnosed quickly)
     comm_timeout: float | None = None
-    comm_retry_attempts: int = 3  #: bounded retries of transient sends
-    comm_retry_base: float = 0.02  #: base backoff delay in seconds
     #: declarative chaos spec: a :class:`repro.resilience.FaultPlan`,
     #: a dict/JSON-compatible mapping, or None (no injection)
     fault_plan: object | None = None
@@ -178,8 +174,6 @@ class SimulationConfig:
                 f"cluster_backend={self.cluster_backend!r} not in "
                 f"('sim', 'procs')"
             )
-        if self.procs_ring_bytes < 1 << 16:
-            raise ValueError("procs_ring_bytes must be >= 65536")
         if self.cluster_backend == "procs" and self.concurrency_check != "off":
             raise ValueError(
                 "concurrency_check requires the thread-based 'sim' "
@@ -190,8 +184,6 @@ class SimulationConfig:
             raise ValueError("checkpoint_keep must be >= 0")
         if self.comm_timeout is not None and self.comm_timeout <= 0:
             raise ValueError("comm_timeout must be positive")
-        if self.comm_retry_attempts < 1:
-            raise ValueError("comm_retry_attempts must be >= 1")
         if self.max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
         if self.fault_plan is not None:

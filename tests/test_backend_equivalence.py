@@ -5,8 +5,9 @@ admissible if it is *indistinguishable* from the thread-based reference
 backend on the same seeded configuration: identical final fields,
 identical dt sequence, identical diagnostics series, identical
 conservation sums.  Bit-identity is achievable (and therefore required)
-because the procs collectives fold contributions in the same rank order
-as the sim rendezvous combiner -- any difference is a bug, not noise.
+because both backends run the protocol's one collective code (the same
+dissemination exchange, the same rank-ordered fold) -- any difference is
+a bug, not noise.
 
 Every SPMD ingredient here is module-level / a plain dataclass so the
 spawn context can pickle it into the rank processes.

@@ -77,13 +77,24 @@ class TestHappensBefore:
         assert tr.report.violations == []
 
     def test_collective_edge_orders_accesses(self):
+        """A collective is rounds of clock-carrying frames: a write before
+        it happens before a read after it, on any pair of ranks."""
         tr = RaceTracker(policy="raise")
-        tr.write("shared.counter", 0)
-        clocks = [tr.on_collective_enter(r) for r in (0, 1)]
-        for r in (0, 1):
-            tr.on_collective_exit(r, clocks)
-        tr.write("shared.counter", 1)
+
+        def main(comm):
+            for label, collective in (
+                ("before.barrier", comm.barrier),
+                ("before.allreduce", lambda: comm.allreduce(comm.rank)),
+            ):
+                if comm.rank == 0:
+                    tr.write(label, 0)
+                collective()
+                if comm.rank == 2:
+                    tr.read(label, 2)
+
+        SimWorld(3, tracker=tr).run(main)
         assert tr.report.violations == []
+        assert tr.report.checks_run > 4
 
     def test_read_write_race_detected(self):
         tr = RaceTracker(policy="warn")

@@ -74,6 +74,12 @@ class TestCanonicalization:
         assert clone.config.ranks == 2
         assert clone.config.periodic == (True, True, True)
 
+    def test_unknown_runtime_field_is_a_request_error(self):
+        payload = make_request().to_payload()
+        payload["runtime"]["procs_ring_bytes"] = 1 << 22
+        with pytest.raises(RequestError, match="procs_ring_bytes"):
+            JobRequest.from_payload(payload)
+
     def test_restart_content_enters_the_key(self, tmp_path):
         f1 = tmp_path / "a.rck"
         f2 = tmp_path / "b.rck"
