@@ -9,28 +9,28 @@ models that regenerate the paper's evaluation tables (:mod:`repro.perf`).
 
 Quick start::
 
-    from repro.sim import SimulationConfig, build_simulation
+    from repro.cluster import Simulation
+    from repro.sim import SimulationConfig, cloud_collapse, generate_cloud
 
-    config = SimulationConfig(cells=64, extent=1.0)
-    sim = build_simulation(config)
-    for step in sim.run(num_steps=100):
-        print(step.time, step.diagnostics.max_pressure)
+    config = SimulationConfig(cells=32, block_size=16, max_steps=20)
+    bubbles = generate_cloud(4, (0.5, 0.5, 0.5), 0.3, rng=7,
+                             r_min=0.06, r_max=0.1)
+    result = Simulation(config, cloud_collapse(bubbles,
+                                               smoothing=config.h)).run()
+    for t, p in zip(result.times, result.series("max_pressure")):
+        print(t, p)
 
 See ``examples/`` for complete scenarios and ``DESIGN.md`` for the system
-inventory.
+inventory.  Importing a package imports none of its submodules
+(:mod:`repro._exports`): a process loads only what it uses.
 """
+
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-from . import cluster, compression, core, node, perf, physics, sim  # noqa: F401
-
-__all__ = [
-    "cluster",
-    "compression",
-    "core",
-    "node",
-    "perf",
-    "physics",
-    "sim",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    sub: (sub,) for sub in ("cluster", "compression", "core", "node",
+                            "perf", "physics", "sim")
+})
+__all__.append("__version__")

@@ -42,98 +42,60 @@ Three parts:
 ``python -m repro.analysis --all`` runs all four static families in one
 pass and emits a single merged report with a worst-of exit code.
 
+The names below resolve on first use: the runtime imports the sanitizer
+and the race tracker, never the static analysers beside them.
+
 See ``docs/analysis.md`` for the full rule catalogue and usage.
 """
 
-from __future__ import annotations
+from .._exports import lazy_exports
 
-from .concurrency import (
-    ConcurrencyReport,
-    ConcurrencyViolationError,
-    ConcurrencyWarning,
-    RaceTracker,
-    check_paths,
-    check_sources,
-    make_tracker,
-    registered_program_rules,
-)
-from .lint import (
-    LintConfig,
-    Rule,
-    SourceFile,
-    Violation,
-    format_violations,
-    lint_paths,
-    lint_source,
-    registered_rules,
-)
-from .perfcheck import (
-    HOT_KERNELS,
-    KernelSpec,
-    PerfReport,
-    build_kernel_manifest,
-    registered_perf_rules,
-    write_kernel_manifest,
-)
-from .perfcheck import check_paths as perf_check_paths
-from .perfcheck import check_sources as perf_check_sources
-from .syscheck import (
-    LeakError,
-    ResourceLedger,
-    SysReport,
-    registered_sys_rules,
-)
-from .syscheck import check_paths as sys_check_paths
-from .syscheck import check_sources as sys_check_sources
-from .sanitizer import (
-    POLICIES,
-    NumericsSanitizer,
-    NumericsViolation,
-    NumericsViolationError,
-    NumericsWarning,
-    ViolationReport,
-    make_sanitizer,
-)
-
-# Importing the rule catalogue populates the registry as a side effect.
-from . import rules as _rules  # noqa: F401  (registry population)
-
-__all__ = [
-    "ConcurrencyReport",
-    "ConcurrencyViolationError",
-    "ConcurrencyWarning",
-    "RaceTracker",
-    "check_paths",
-    "check_sources",
-    "make_tracker",
-    "registered_program_rules",
-    "HOT_KERNELS",
-    "KernelSpec",
-    "PerfReport",
-    "build_kernel_manifest",
-    "perf_check_paths",
-    "perf_check_sources",
-    "registered_perf_rules",
-    "write_kernel_manifest",
-    "LeakError",
-    "ResourceLedger",
-    "SysReport",
-    "registered_sys_rules",
-    "sys_check_paths",
-    "sys_check_sources",
-    "LintConfig",
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "format_violations",
-    "lint_paths",
-    "lint_source",
-    "registered_rules",
-    "POLICIES",
-    "NumericsSanitizer",
-    "NumericsViolation",
-    "NumericsViolationError",
-    "NumericsWarning",
-    "ViolationReport",
-    "make_sanitizer",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "concurrency": (
+        "ConcurrencyReport",
+        "ConcurrencyViolationError",
+        "ConcurrencyWarning",
+        "RaceTracker",
+        "check_paths",
+        "check_sources",
+        "make_tracker",
+        "registered_program_rules",
+    ),
+    "perfcheck": (
+        "HOT_KERNELS",
+        "KernelSpec",
+        "PerfReport",
+        "build_kernel_manifest",
+        "check_paths as perf_check_paths",
+        "check_sources as perf_check_sources",
+        "registered_perf_rules",
+        "write_kernel_manifest",
+    ),
+    "syscheck": (
+        "LeakError",
+        "ResourceLedger",
+        "SysReport",
+        "registered_sys_rules",
+        "check_paths as sys_check_paths",
+        "check_sources as sys_check_sources",
+    ),
+    "lint": (
+        "LintConfig",
+        "Rule",
+        "SourceFile",
+        "Violation",
+        "format_violations",
+        "lint_paths",
+        "lint_source",
+        "registered_rules",
+    ),
+    "sanitizer": (
+        "POLICIES",
+        "NumericsSanitizer",
+        "NumericsViolation",
+        "NumericsViolationError",
+        "NumericsWarning",
+        "ViolationReport",
+        "make_sanitizer",
+    ),
+})

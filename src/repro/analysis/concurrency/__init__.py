@@ -16,44 +16,28 @@ Both report plain :class:`~repro.analysis.lint.Violation` records in one
 ``python -m repro.analysis --concurrency`` and on the run scorecard.
 """
 
-from .commcheck import (
-    CommProgram,
-    CommSite,
-    ProgramRule,
-    build_program,
-    check_paths,
-    check_program,
-    check_sources,
-    register_program_rule,
-    registered_program_rules,
-)
-from .race import (
-    DEADLOCK_RULE,
-    POLICIES,
-    RACE_RULE,
-    ConcurrencyViolationError,
-    ConcurrencyWarning,
-    RaceTracker,
-    make_tracker,
-)
-from .report import ConcurrencyReport
+from ..._exports import lazy_exports
 
-__all__ = [
-    "CommProgram",
-    "CommSite",
-    "ConcurrencyReport",
-    "ConcurrencyViolationError",
-    "ConcurrencyWarning",
-    "DEADLOCK_RULE",
-    "POLICIES",
-    "ProgramRule",
-    "RACE_RULE",
-    "RaceTracker",
-    "build_program",
-    "check_paths",
-    "check_program",
-    "check_sources",
-    "make_tracker",
-    "register_program_rule",
-    "registered_program_rules",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "commcheck": (
+        "CommProgram",
+        "CommSite",
+        "ProgramRule",
+        "build_program",
+        "check_paths",
+        "check_program",
+        "check_sources",
+        "register_program_rule",
+        "registered_program_rules",
+    ),
+    "race": (
+        "DEADLOCK_RULE",
+        "POLICIES",
+        "RACE_RULE",
+        "ConcurrencyViolationError",
+        "ConcurrencyWarning",
+        "RaceTracker",
+        "make_tracker",
+    ),
+    "report": ("ConcurrencyReport",),
+})

@@ -23,9 +23,10 @@ common lock token are considered protected even when the clocks say
 "concurrent" (the runtime's mailboxes synchronize with condition
 variables, not messages).
 
-Findings are :class:`~repro.analysis.lint.Violation` records under the
-dynamic CC-series ids (``CC101`` shared-state race, ``CC102`` deadlock)
-in the shared :class:`~repro.analysis.concurrency.report.ConcurrencyReport`.
+Findings are :class:`~repro.analysis.concurrency.report.Violation`
+records under the dynamic CC-series ids (``CC101`` shared-state race,
+``CC102`` deadlock) in the shared
+:class:`~repro.analysis.concurrency.report.ConcurrencyReport`.
 The policy knob mirrors the numerics sanitizer: ``off`` builds no
 tracker at all (:func:`make_tracker` returns ``None``; the runtime's
 hook sites guard with one ``is None`` test), ``warn`` records findings
@@ -39,8 +40,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-from ..lint import Violation
-from .report import ConcurrencyReport
+from .report import ConcurrencyReport, Violation
 
 #: Valid concurrency-check policies (mirrors the sanitizer's knob).
 POLICIES = ("off", "warn", "raise")

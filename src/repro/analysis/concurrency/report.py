@@ -1,8 +1,14 @@
-"""Shared report format of the two concurrency passes.
+"""The finding record of every analysis family, and the concurrency report.
+
+:class:`Violation` is the one finding type: the lint engine
+(:mod:`repro.analysis.lint`, which re-exports it), kernel-check and
+sys-check build it statically, the runtime race detector at run time.
+It lives here, with no ``ast`` / ``tokenize`` behind it, so the runtime
+side imports it without loading a static analyser.
 
 Both the static comm-check (:mod:`repro.analysis.concurrency.commcheck`)
 and the dynamic race detector (:mod:`repro.analysis.concurrency.race`)
-emit :class:`repro.analysis.lint.Violation` records under CC-series rule
+emit :class:`Violation` records under CC-series rule
 ids and accumulate them in a :class:`ConcurrencyReport` -- the same
 ``file:line:col: RULE message`` lines on the CLI, the same JSON payload
 in the CI artifact, and one ``summary()`` string on the run scorecard,
@@ -16,7 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..lint import Violation
+
+@dataclass(frozen=True, order=True)
+class Violation:
+    """One rule finding, sortable into report order."""
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+
+    def format(self) -> str:
+        """Returns the canonical ``file:line:col: RULE message`` string."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclass

@@ -38,23 +38,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .concurrency.report import Violation
+
 #: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL002``.
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-
-@dataclass(frozen=True, order=True)
-class Violation:
-    """One rule finding, sortable into report order."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        """Returns the canonical ``file:line:col: RULE message`` string."""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 class SourceFile:
@@ -201,7 +188,13 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 
 
 def registered_rules() -> list[type[Rule]]:
-    """Returns the registered rule classes in id order."""
+    """Returns the registered rule classes in id order.
+
+    The built-in catalogue registers itself on import; importing it here
+    makes the answer the same whichever module the caller loaded first.
+    """
+    from . import rules  # noqa: F401  (registry population)
+
     return [REGISTRY[k] for k in sorted(REGISTRY)]
 
 

@@ -10,69 +10,25 @@ plus a machine-readable ``kernel_manifest.json``.  Run with
 ``python -m repro.analysis --perf``; see ``docs/analysis.md``.
 """
 
-from .dtypes import DtypeInference, Promotion, StrongScalar, infer
-from .manifest import (
-    MANIFEST_SCHEMA,
-    build_kernel_manifest,
-    native_entry_points,
-    write_kernel_manifest,
-)
-from .model import (
-    HOT_KERNELS,
-    HOT_MODULES,
-    KernelSpec,
-    modeled_arithmetic,
-)
-from .program import (
-    FunctionEntry,
-    KernelInfo,
-    PerfProgram,
-    build_program,
-    count_flops,
-    count_operand_bytes,
-)
-from .report import PerfReport
-from .rules import (
-    ALLOC_THRESHOLD,
-    INTENSITY_TOLERANCE,
-    PERF_REGISTRY,
-    PerfRule,
-    analyze_paths,
-    check_paths,
-    check_program,
-    check_sources,
-    register_perf_rule,
-    registered_perf_rules,
-)
+from ..._exports import lazy_exports
 
-__all__ = [
-    "ALLOC_THRESHOLD",
-    "DtypeInference",
-    "FunctionEntry",
-    "HOT_KERNELS",
-    "HOT_MODULES",
-    "INTENSITY_TOLERANCE",
-    "KernelInfo",
-    "KernelSpec",
-    "MANIFEST_SCHEMA",
-    "PERF_REGISTRY",
-    "PerfProgram",
-    "PerfReport",
-    "PerfRule",
-    "Promotion",
-    "StrongScalar",
-    "analyze_paths",
-    "build_kernel_manifest",
-    "build_program",
-    "check_paths",
-    "check_program",
-    "check_sources",
-    "count_flops",
-    "count_operand_bytes",
-    "infer",
-    "modeled_arithmetic",
-    "native_entry_points",
-    "register_perf_rule",
-    "registered_perf_rules",
-    "write_kernel_manifest",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "dtypes": ("DtypeInference", "Promotion", "StrongScalar", "infer"),
+    "manifest": (
+        "MANIFEST_SCHEMA", "build_kernel_manifest", "native_entry_points",
+        "write_kernel_manifest",
+    ),
+    "model": (
+        "HOT_KERNELS", "HOT_MODULES", "KernelSpec", "modeled_arithmetic",
+    ),
+    "program": (
+        "FunctionEntry", "KernelInfo", "PerfProgram", "build_program",
+        "count_flops", "count_operand_bytes",
+    ),
+    "report": ("PerfReport",),
+    "rules": (
+        "ALLOC_THRESHOLD", "INTENSITY_TOLERANCE", "PERF_REGISTRY", "PerfRule",
+        "analyze_paths", "check_paths", "check_program", "check_sources",
+        "register_perf_rule", "registered_perf_rules",
+    ),
+})

@@ -13,37 +13,18 @@ Entry points mirror comm-check: ``check_paths`` / ``check_sources``
 for the static pass, ``python -m repro.analysis --sys`` on the CLI.
 """
 
-from .ledger import DEFAULT_KINDS, LeakError, ResourceLedger
-from .model import DURABLE_WRITER_PATHS, RELEASERS, RESOURCE_CTORS, SYS_SCOPE
-from .program import SysProgram
-from .report import SysReport
-from .rules import (
-    SYS_REGISTRY,
-    build_program,
-    SysRule,
-    check_paths,
-    check_program,
-    check_sources,
-    register_sys_rule,
-    registered_sys_rules,
-)
+from ..._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_KINDS",
-    "DURABLE_WRITER_PATHS",
-    "LeakError",
-    "RELEASERS",
-    "RESOURCE_CTORS",
-    "ResourceLedger",
-    "SYS_REGISTRY",
-    "SYS_SCOPE",
-    "SysProgram",
-    "SysReport",
-    "SysRule",
-    "build_program",
-    "check_paths",
-    "check_program",
-    "check_sources",
-    "register_sys_rule",
-    "registered_sys_rules",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "ledger": ("DEFAULT_KINDS", "LeakError", "ResourceLedger"),
+    "model": (
+        "DURABLE_WRITER_PATHS", "RELEASERS", "RESOURCE_CTORS", "SYS_SCOPE",
+    ),
+    "program": ("SysProgram",),
+    "report": ("SysReport",),
+    "rules": (
+        "SYS_REGISTRY", "build_program", "SysRule", "check_paths",
+        "check_program", "check_sources", "register_sys_rule",
+        "registered_sys_rules",
+    ),
+})

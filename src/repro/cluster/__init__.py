@@ -21,59 +21,23 @@ Select per run with ``SimulationConfig.cluster_backend``; see
 ``docs/cluster.md`` for the backend matrix.
 """
 
-from .checkpoint import (
-    checkpoint_path,
-    list_checkpoints,
-    prune_checkpoints,
-    read_checkpoint_field,
-    read_checkpoint_meta,
-    write_checkpoint,
-)
-from .driver import RankResult, RunResult, Simulation, StepRecord, rank_main
-from .halo import HaloExchange, RemoteGhostProvider, extract_face_slab
-from .mpi_sim import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommTimeoutError,
-    Communicator,
-    Request,
-    SimComm,
-    SimWorld,
-    WorldAbortError,
-    WorldError,
-)
-from .procs import ProcsComm, ProcsWorld, RankLostError, RingCorruptionError
-from .topology import CartTopology, balanced_dims, feasible_rank_counts
+from .._exports import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "CartTopology",
-    "CommTimeoutError",
-    "Communicator",
-    "HaloExchange",
-    "ProcsComm",
-    "ProcsWorld",
-    "RankLostError",
-    "RankResult",
-    "RemoteGhostProvider",
-    "Request",
-    "RingCorruptionError",
-    "RunResult",
-    "SimComm",
-    "SimWorld",
-    "Simulation",
-    "StepRecord",
-    "WorldAbortError",
-    "WorldError",
-    "balanced_dims",
-    "checkpoint_path",
-    "extract_face_slab",
-    "feasible_rank_counts",
-    "list_checkpoints",
-    "prune_checkpoints",
-    "rank_main",
-    "read_checkpoint_field",
-    "read_checkpoint_meta",
-    "write_checkpoint",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "checkpoint": (
+        "checkpoint_path", "list_checkpoints", "prune_checkpoints",
+        "read_checkpoint_field", "read_checkpoint_meta", "write_checkpoint",
+    ),
+    "driver": (
+        "RankResult", "RunResult", "Simulation", "StepRecord", "rank_main",
+    ),
+    "halo": ("HaloExchange", "RemoteGhostProvider", "extract_face_slab"),
+    "mpi_sim": (
+        "ANY_SOURCE", "ANY_TAG", "CommTimeoutError", "Communicator", "Request",
+        "SimComm", "SimWorld", "WorldAbortError", "WorldError",
+    ),
+    "procs": (
+        "ProcsComm", "ProcsWorld", "RankLostError", "RingCorruptionError",
+    ),
+    "topology": ("CartTopology", "balanced_dims", "feasible_rank_counts"),
+})

@@ -29,24 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import native
-from ..analysis.concurrency import (
-    ConcurrencyReport,
-    ConcurrencyViolationError,
-    make_tracker,
-)
+from ..analysis.concurrency.race import ConcurrencyViolationError, make_tracker
+from ..analysis.concurrency.report import ConcurrencyReport
 from ..analysis.sanitizer import (
     NumericsViolationError,
     ViolationReport,
     make_sanitizer,
 )
-from ..compression.io import write_compressed_parallel
-from ..compression.scheme import WaveletCompressor
 from ..core.kernels import dt_from_sos
 from ..core.timestepper import make_stepper
 from ..node.dispatcher import Dispatcher
 from ..node.grid import BlockGrid
 from ..node.solver import NodeSolver
 from ..physics.state import ENERGY, GAMMA, NQ, RHO, STORAGE_DTYPE
+from ..resilience.detect import CheckpointWriteError, screen_restored_state
 from ..sim.config import SimulationConfig
 from ..sim.diagnostics import (
     Diagnostics,
@@ -54,17 +50,21 @@ from ..sim.diagnostics import (
     rank_diagnostics,
     reduce_diagnostics,
 )
-from ..telemetry import (
-    FlightRecorder,
+from ..telemetry.clock import now
+from ..telemetry.scorecard import safe_rate
+from ..telemetry.tracer import (
     MetricsSnapshot,
     PhaseTimers,
-    ProgressReporter,
     SpanEvent,
     make_tracer,
-    safe_rate,
 )
-from ..telemetry.clock import now
-from .halo import HaloExchange
+from .checkpoint import (
+    checkpoint_path,
+    prune_checkpoints,
+    read_checkpoint_field,
+    write_checkpoint,
+)
+from .halo import HaloExchange, extract_face_slab
 from .mpi_sim import Communicator, SimWorld, WorldError
 from .topology import CartTopology, balanced_dims
 
@@ -213,9 +213,6 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     if restart_from is None:
         grid.fill(ic_fn)
     else:
-        from ..resilience.detect import screen_restored_state
-        from .checkpoint import read_checkpoint_field
-
         global_field, t, step = read_checkpoint_field(restart_from)
         # SDC screen before any cell enters the stencil: a corruption
         # that slipped past the block CRCs must not restart silently.
@@ -272,12 +269,18 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     ncells = int(np.prod(grid.cells))
     records: list[StepRecord] = []
     compression_stats: list[dict] = []
+    if config.dump_interval:
+        # The wavelet / I/O stack _dump runs loads here, before step 1; a
+        # run that does not dump never loads it.
+        from ..compression import io  # noqa: F401
 
     # -- flight recorder / live progress (opt-in observability) ----------
     flight = None
     flight_state: dict = {"timers": {}, "sanitizer": 0, "resilience": 0}
     conservation0 = (0.0, 0.0)
     if config.flight_out:
+        from ..telemetry.flight import FlightRecorder
+
         conservation0 = _conservation_sums(grid)
         flight = FlightRecorder(
             config.flight_out,
@@ -297,6 +300,8 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
         )
     progress = None
     if config.progress_interval and comm.rank == 0:
+        from ..telemetry.log import ProgressReporter
+
         progress = ProgressReporter(
             total_steps=config.max_steps,
             cells=int(np.prod(config.cells)),
@@ -354,9 +359,6 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
             # -- erosion accumulation on the wall layer ----------------------
             if damage is not None:
                 with timers.span("EROSION"):
-                    from ..sim.diagnostics import pressure_field
-                    from .halo import extract_face_slab
-
                     layer = extract_face_slab(grid, wall[0], wall[1], width=1)
                     p_wall = pressure_field(np.squeeze(layer, axis=wall[0]))
                     damage.update(p_wall, dt)
@@ -390,13 +392,6 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
 
             # -- lossless checkpoints (atomic, rotated generations) ----------
             if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                from ..resilience.detect import CheckpointWriteError
-                from .checkpoint import (
-                    checkpoint_path,
-                    prune_checkpoints,
-                    write_checkpoint,
-                )
-
                 with timers.span("CHECKPOINT"):
                     ck_path = checkpoint_path(config.checkpoint_dir, step)
                     try:
@@ -489,6 +484,10 @@ def _dump(
     input fields for NaN/Inf before they reach the wavelet transform,
     labelling findings with the dumped quantity name.
     """
+    # Loaded by rank_main's set-up: only a run that dumps pays for them.
+    from ..compression.io import write_compressed_parallel
+    from ..compression.scheme import WaveletCompressor
+
     fld = grid.to_array()
     quantities = {
         "p": (pressure_field(fld).astype(STORAGE_DTYPE), config.eps_pressure),
@@ -680,7 +679,7 @@ class Simulation:
             # prefix must stay readable).
             if (self.config.cluster_backend == "procs"
                     and self.config.flight_out):
-                from ..telemetry import merge_flight_parts
+                from ..telemetry.flight import merge_flight_parts
 
                 merge_flight_parts(self.config.flight_out)
 

@@ -7,66 +7,23 @@ L-infinity bound, lossless per-thread zlib streams, and collective file
 writes offset by an exclusive prefix sum.
 """
 
-from .decimation import (
-    DecimationStats,
-    decimate,
-    decimate_batch,
-    exact_amplification,
-    guaranteed_threshold,
-)
-from .encoder import EncodeStats, StreamEncoder
-from .io import (
-    HEADER_SIZE,
-    WriteStats,
-    file_size,
-    read_compressed,
-    read_field,
-    read_header,
-    write_compressed_parallel,
-)
-from .amr_analysis import AmrProfile, amr_profitability
-from .scheme import CompressedField, CompressionStats, WaveletCompressor
-from . import zerotree
-from .wavelet import (
-    PREDICT_GAIN,
-    detail_mask,
-    fwt1d_level,
-    fwt3d,
-    iwt1d_level,
-    iwt3d,
-    level_of_coefficient,
-    lift_batch,
-    max_levels,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AmrProfile",
-    "CompressedField",
-    "CompressionStats",
-    "DecimationStats",
-    "EncodeStats",
-    "HEADER_SIZE",
-    "PREDICT_GAIN",
-    "StreamEncoder",
-    "WaveletCompressor",
-    "WriteStats",
-    "amr_profitability",
-    "decimate",
-    "decimate_batch",
-    "detail_mask",
-    "exact_amplification",
-    "file_size",
-    "fwt1d_level",
-    "fwt3d",
-    "guaranteed_threshold",
-    "iwt1d_level",
-    "iwt3d",
-    "level_of_coefficient",
-    "lift_batch",
-    "max_levels",
-    "read_compressed",
-    "read_field",
-    "read_header",
-    "write_compressed_parallel",
-    "zerotree",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "decimation": (
+        "DecimationStats", "decimate", "decimate_batch", "exact_amplification",
+        "guaranteed_threshold",
+    ),
+    "encoder": ("EncodeStats", "StreamEncoder"),
+    "io": (
+        "HEADER_SIZE", "WriteStats", "file_size", "read_compressed",
+        "read_field", "read_header", "write_compressed_parallel",
+    ),
+    "amr_analysis": ("AmrProfile", "amr_profitability"),
+    "scheme": ("CompressedField", "CompressionStats", "WaveletCompressor"),
+    "zerotree": ("zerotree",),
+    "wavelet": (
+        "PREDICT_GAIN", "detail_mask", "fwt1d_level", "fwt3d", "iwt1d_level",
+        "iwt3d", "level_of_coefficient", "lift_batch", "max_levels",
+    ),
+})

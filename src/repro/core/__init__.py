@@ -6,45 +6,19 @@ namely RHS, UP, SOS and FWT" and is the most performance-critical layer.
 of the wavelet pipeline.)
 """
 
-from .block import (
-    DEFAULT_BLOCK_SIZE,
-    GHOSTS,
-    Block,
-    fill_interior,
-    padded_aos,
-)
-from .kernels import (
-    dt_from_sos,
-    rhs_kernel,
-    rhs_kernel_slices,
-    sos_kernel,
-    update_stage,
-)
-from .ringbuffer import RING_DEPTH, SliceRing
-from .timestepper import (
-    ForwardEuler,
-    LowStorageRK3,
-    RKStage,
-    TimeStepper,
-    make_stepper,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Block",
-    "DEFAULT_BLOCK_SIZE",
-    "ForwardEuler",
-    "GHOSTS",
-    "LowStorageRK3",
-    "RING_DEPTH",
-    "RKStage",
-    "SliceRing",
-    "TimeStepper",
-    "dt_from_sos",
-    "fill_interior",
-    "make_stepper",
-    "padded_aos",
-    "rhs_kernel",
-    "rhs_kernel_slices",
-    "sos_kernel",
-    "update_stage",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "block": (
+        "DEFAULT_BLOCK_SIZE", "GHOSTS", "Block", "fill_interior", "padded_aos",
+    ),
+    "kernels": (
+        "dt_from_sos", "rhs_kernel", "rhs_kernel_slices", "sos_kernel",
+        "update_stage",
+    ),
+    "ringbuffer": ("RING_DEPTH", "SliceRing"),
+    "timestepper": (
+        "ForwardEuler", "LowStorageRK3", "RKStage", "TimeStepper",
+        "make_stepper",
+    ),
+})

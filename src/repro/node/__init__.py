@@ -5,23 +5,14 @@ ranks.  The work associated to each block is exclusively assigned to one
 thread." (paper Section 6)
 """
 
-from .dispatcher import Dispatcher, ScheduleStats, simulate_dynamic_schedule
-from .ghosts import BOUNDARY_KINDS, BoundarySpec, fill_block_ghosts
-from .grid import BlockGrid
-from .sfc import locality_score, morton_decode, morton_encode, morton_order
-from .solver import NodeSolver
+from .._exports import lazy_exports
 
-__all__ = [
-    "BOUNDARY_KINDS",
-    "BlockGrid",
-    "BoundarySpec",
-    "Dispatcher",
-    "NodeSolver",
-    "ScheduleStats",
-    "fill_block_ghosts",
-    "locality_score",
-    "morton_decode",
-    "morton_encode",
-    "morton_order",
-    "simulate_dynamic_schedule",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "dispatcher": ("Dispatcher", "ScheduleStats", "simulate_dynamic_schedule"),
+    "ghosts": ("BOUNDARY_KINDS", "BoundarySpec", "fill_block_ghosts"),
+    "grid": ("BlockGrid",),
+    "sfc": (
+        "locality_score", "morton_decode", "morton_encode", "morton_order",
+    ),
+    "solver": ("NodeSolver",),
+})

@@ -9,140 +9,43 @@ Fig. 9, the Section 7 throughput claims) -- as executable models that the
 benchmark harness prints next to the paper's measured values.
 """
 
-from .issue import IssueBound, rhs_issue_bound_fraction, rhs_issue_bounds, stage_bound
-from .kernels import (
-    CELL_BYTES,
-    DT,
-    FWT,
-    KERNELS,
-    LINE_BYTES,
-    RHS,
-    RHS_ISSUE_DENSITY,
-    RHS_STAGES,
-    UP,
-    KernelModel,
-    StageMix,
-    flops_per_cell_step,
-)
-from .network import (
-    CommComputeOverlap,
-    DumpModel,
-    TorusNetwork,
-    dump_analysis,
-    halo_message_bytes,
-    overlap_analysis,
-)
-from .machines import (
-    BGQ_INSTALLATIONS,
-    BGQ_NODE,
-    BUILD_HOST,
-    JUQUEEN,
-    MONTE_ROSA,
-    MONTE_ROSA_NODE,
-    PIZ_DAINT,
-    PIZ_DAINT_NODE,
-    SEQUOIA,
-    ZRL,
-    ClusterSpec,
-    MachineSpec,
-    bqc_table,
-    machines_table,
-)
-from .report import compare_row, format_table
-from .scorecard import (
-    ScorecardRow,
-    format_scorecard,
-    reproduction_scorecard,
-    scorecard_ok,
-)
-from .roofline import (
-    RooflinePoint,
-    attainable,
-    attainable_single_core,
-    roofline_curve,
-)
-from .scaling import (
-    KernelPerf,
-    cluster_perf,
-    core_perf,
-    fig9_weak_scaling,
-    node_perf,
-    overall_perf,
-    step_time_per_cell,
-    table5,
-    table6,
-    table7,
-    table9,
-    table10,
-    throughput_cells_per_second,
-    time_per_step,
-)
-from .traffic import TrafficEstimate, dt_traffic, rhs_traffic, table3, up_traffic
+from .._exports import lazy_exports
 
-__all__ = [
-    "BGQ_INSTALLATIONS",
-    "BGQ_NODE",
-    "BUILD_HOST",
-    "CELL_BYTES",
-    "ClusterSpec",
-    "DT",
-    "FWT",
-    "IssueBound",
-    "JUQUEEN",
-    "KERNELS",
-    "KernelModel",
-    "KernelPerf",
-    "LINE_BYTES",
-    "MONTE_ROSA",
-    "MONTE_ROSA_NODE",
-    "MachineSpec",
-    "PIZ_DAINT",
-    "PIZ_DAINT_NODE",
-    "RHS",
-    "RHS_ISSUE_DENSITY",
-    "RHS_STAGES",
-    "RooflinePoint",
-    "ScorecardRow",
-    "SEQUOIA",
-    "StageMix",
-    "TrafficEstimate",
-    "UP",
-    "ZRL",
-    "CommComputeOverlap",
-    "DumpModel",
-    "TorusNetwork",
-    "attainable",
-    "attainable_single_core",
-    "bqc_table",
-    "cluster_perf",
-    "compare_row",
-    "core_perf",
-    "dt_traffic",
-    "dump_analysis",
-    "halo_message_bytes",
-    "overlap_analysis",
-    "fig9_weak_scaling",
-    "flops_per_cell_step",
-    "format_scorecard",
-    "format_table",
-    "machines_table",
-    "node_perf",
-    "overall_perf",
-    "reproduction_scorecard",
-    "rhs_issue_bound_fraction",
-    "rhs_issue_bounds",
-    "rhs_traffic",
-    "roofline_curve",
-    "scorecard_ok",
-    "stage_bound",
-    "step_time_per_cell",
-    "table10",
-    "table3",
-    "table5",
-    "table6",
-    "table7",
-    "table9",
-    "throughput_cells_per_second",
-    "time_per_step",
-    "up_traffic",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "issue": (
+        "IssueBound", "rhs_issue_bound_fraction", "rhs_issue_bounds",
+        "stage_bound",
+    ),
+    "kernels": (
+        "CELL_BYTES", "DT", "FWT", "KERNELS", "LINE_BYTES", "RHS",
+        "RHS_ISSUE_DENSITY", "RHS_STAGES", "UP", "KernelModel", "StageMix",
+        "flops_per_cell_step",
+    ),
+    "network": (
+        "CommComputeOverlap", "DumpModel", "TorusNetwork", "dump_analysis",
+        "halo_message_bytes", "overlap_analysis",
+    ),
+    "machines": (
+        "BGQ_INSTALLATIONS", "BGQ_NODE", "BUILD_HOST", "JUQUEEN", "MONTE_ROSA",
+        "MONTE_ROSA_NODE", "PIZ_DAINT", "PIZ_DAINT_NODE", "SEQUOIA", "ZRL",
+        "ClusterSpec", "MachineSpec", "bqc_table", "machines_table",
+    ),
+    "report": ("compare_row", "format_table"),
+    "scorecard": (
+        "ScorecardRow", "format_scorecard", "reproduction_scorecard",
+        "scorecard_ok",
+    ),
+    "roofline": (
+        "RooflinePoint", "attainable", "attainable_single_core",
+        "roofline_curve",
+    ),
+    "scaling": (
+        "KernelPerf", "cluster_perf", "core_perf", "fig9_weak_scaling",
+        "node_perf", "overall_perf", "step_time_per_cell", "table5", "table6",
+        "table7", "table9", "table10", "throughput_cells_per_second",
+        "time_per_step",
+    ),
+    "traffic": (
+        "TrafficEstimate", "dt_traffic", "rhs_traffic", "table3", "up_traffic",
+    ),
+})

@@ -14,9 +14,9 @@ Plesset's collapse/rebound studies.  These models are the *baselines* the
 
 All integrators use ``scipy.integrate.solve_ivp`` with stiff-safe settings
 and report trajectories ``(t, R, Rdot)`` plus detected collapse events.
-SciPy is imported where an integration starts, not with the module:
-``import repro`` -- every spawned rank and service worker -- would
-otherwise spend half its import time on an integrator it never calls.
+SciPy is imported where an integration starts, not with the module: the
+study and validation code that needs only the analytic collapse time
+does not load an ODE stack.
 """
 
 from __future__ import annotations

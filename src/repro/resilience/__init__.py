@@ -18,78 +18,28 @@ The durability layer of the reproduction (see ``docs/resilience.md``):
   write amplification).
 """
 
-from .detect import (
-    CheckpointCorruptError,
-    CheckpointWriteError,
-    CorruptionError,
-    HaloCorruptionError,
-    HaloFrame,
-    crc32_array,
-    crc32_bytes,
-    screen_restored_state,
-)
-from .inject import (
-    DROPPED,
-    FaultInjector,
-    InjectedFault,
-    InjectedIOError,
-    InjectedRankCrash,
-    KillNotDeliveredError,
-    TransientCommError,
-)
-from .plan import KINDS, FaultPlan, FaultSpec
-from .recover import (
-    RecoveryEvent,
-    ResilienceExhaustedError,
-    ResilientRunResult,
-    ResilientSimulation,
-    RetryPolicy,
-    find_latest_verified_checkpoint,
-    prune_stale_tmp,
-    retry_transient,
-    verify_checkpoint,
-)
-from .report import (
-    MAX_RECOVERY_OVERHEAD,
-    all_faults_recovered,
-    checkpoint_write_amplification,
-    fault_accounting,
-    format_resilience_scorecard,
-    resilience_scorecard_rows,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DROPPED",
-    "KINDS",
-    "MAX_RECOVERY_OVERHEAD",
-    "CheckpointCorruptError",
-    "CheckpointWriteError",
-    "CorruptionError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "HaloCorruptionError",
-    "HaloFrame",
-    "InjectedFault",
-    "InjectedIOError",
-    "InjectedRankCrash",
-    "KillNotDeliveredError",
-    "RecoveryEvent",
-    "ResilienceExhaustedError",
-    "ResilientRunResult",
-    "ResilientSimulation",
-    "RetryPolicy",
-    "TransientCommError",
-    "all_faults_recovered",
-    "checkpoint_write_amplification",
-    "crc32_array",
-    "crc32_bytes",
-    "fault_accounting",
-    "find_latest_verified_checkpoint",
-    "format_resilience_scorecard",
-    "prune_stale_tmp",
-    "resilience_scorecard_rows",
-    "retry_transient",
-    "screen_restored_state",
-    "verify_checkpoint",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "detect": (
+        "CheckpointCorruptError", "CheckpointWriteError", "CorruptionError",
+        "HaloCorruptionError", "HaloFrame", "crc32_array", "crc32_bytes",
+        "screen_restored_state",
+    ),
+    "inject": (
+        "DROPPED", "FaultInjector", "InjectedFault", "InjectedIOError",
+        "InjectedRankCrash", "KillNotDeliveredError", "TransientCommError",
+    ),
+    "plan": ("KINDS", "FaultPlan", "FaultSpec"),
+    "recover": (
+        "RecoveryEvent", "ResilienceExhaustedError", "ResilientRunResult",
+        "ResilientSimulation", "RetryPolicy",
+        "find_latest_verified_checkpoint", "prune_stale_tmp",
+        "retry_transient", "verify_checkpoint",
+    ),
+    "report": (
+        "MAX_RECOVERY_OVERHEAD", "all_faults_recovered",
+        "checkpoint_write_amplification", "fault_accounting",
+        "format_resilience_scorecard", "resilience_scorecard_rows",
+    ),
+})

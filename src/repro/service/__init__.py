@@ -7,41 +7,16 @@ circuit breaker for poison configs, and admission control that degrades
 gracefully under overload.  See ``docs/service.md``.
 """
 
-from .cache import CacheCorruptError, ResultCache
-from .engine import (
-    JobCancelledError,
-    JobEngine,
-    JobFailedError,
-    JobHandle,
-    JobResult,
-    JobShedError,
-    ServiceClosedError,
-    ServiceConfig,
-)
-from .health import format_service_scorecard, health_snapshot
-from .queue import AdmissionQueue
-from .request import ICSpec, JobRequest, RequestError, canonical_key
-from .retry import BackoffPolicy, CircuitBreaker, PoisonedConfigError
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "BackoffPolicy",
-    "CacheCorruptError",
-    "CircuitBreaker",
-    "ICSpec",
-    "JobCancelledError",
-    "JobEngine",
-    "JobFailedError",
-    "JobHandle",
-    "JobRequest",
-    "JobResult",
-    "JobShedError",
-    "PoisonedConfigError",
-    "RequestError",
-    "ResultCache",
-    "ServiceClosedError",
-    "ServiceConfig",
-    "canonical_key",
-    "format_service_scorecard",
-    "health_snapshot",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cache": ("CacheCorruptError", "ResultCache"),
+    "engine": (
+        "JobCancelledError", "JobEngine", "JobFailedError", "JobHandle",
+        "JobResult", "JobShedError", "ServiceClosedError", "ServiceConfig",
+    ),
+    "health": ("format_service_scorecard", "health_snapshot"),
+    "queue": ("AdmissionQueue",),
+    "request": ("ICSpec", "JobRequest", "RequestError", "canonical_key"),
+    "retry": ("BackoffPolicy", "CircuitBreaker", "PoisonedConfigError"),
+})

@@ -144,6 +144,10 @@ def worker_main(worker_id: int, task_r, result_w, hb) -> None:
     are ``time.monotonic()``, host-wide on Linux, for the engine's
     stage record.
     """
+    # Everything a task runs is imported here, at spawn, not in the
+    # first task (and nothing the worker does not run: see
+    # docs/ARCHITECTURE.md, "What a process imports").
+    from ..cluster import driver  # noqa: F401
     from ..resilience.inject import FaultInjector
 
     busy = threading.Event()

@@ -6,77 +6,31 @@ paper monitors (Fig. 5): maximum flow/wall pressure, kinetic energy,
 vapor volume and equivalent cloud radius.
 """
 
-from .campaign import Campaign, CampaignResult, SegmentRecord
-from .cloud import (
-    Bubble,
-    tiled_cloud,
-    cloud_interaction_parameter,
-    cloud_vapor_volume,
-    equivalent_radius,
-    generate_cloud,
-    sample_radii,
-)
-from .config import SimulationConfig
-from .diagnostics import (
-    Diagnostics,
-    kinetic_energy,
-    max_pressure,
-    pressure_field,
-    rank_diagnostics,
-    reduce_diagnostics,
-    vapor_fraction_field,
-    vapor_volume,
-    wall_max_pressure,
-)
-from .erosion import STEEL_LIKE, ErosionModel, WallDamageAccumulator
-from .ic import cloud_collapse, shock_bubble, shock_tube, smoothed_indicator, uniform
-from .study import SweepPoint, SweepResult, cloud_fraction_sweep, run_sweep
-from .visualization import (
-    BubbleShape,
-    ascii_render,
-    field_slice,
-    interface_statistics,
-    load_pgm,
-    save_pgm,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Bubble",
-    "Campaign",
-    "CampaignResult",
-    "SegmentRecord",
-    "BubbleShape",
-    "ErosionModel",
-    "STEEL_LIKE",
-    "WallDamageAccumulator",
-    "ascii_render",
-    "field_slice",
-    "interface_statistics",
-    "load_pgm",
-    "save_pgm",
-    "SweepPoint",
-    "SweepResult",
-    "cloud_fraction_sweep",
-    "run_sweep",
-    "Diagnostics",
-    "SimulationConfig",
-    "cloud_collapse",
-    "cloud_interaction_parameter",
-    "cloud_vapor_volume",
-    "equivalent_radius",
-    "generate_cloud",
-    "kinetic_energy",
-    "max_pressure",
-    "pressure_field",
-    "rank_diagnostics",
-    "reduce_diagnostics",
-    "sample_radii",
-    "shock_bubble",
-    "shock_tube",
-    "smoothed_indicator",
-    "tiled_cloud",
-    "uniform",
-    "vapor_fraction_field",
-    "vapor_volume",
-    "wall_max_pressure",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "campaign": ("Campaign", "CampaignResult", "SegmentRecord"),
+    "cloud": (
+        "Bubble", "tiled_cloud", "cloud_interaction_parameter",
+        "cloud_vapor_volume", "equivalent_radius", "generate_cloud",
+        "sample_radii",
+    ),
+    "config": ("SimulationConfig",),
+    "diagnostics": (
+        "Diagnostics", "kinetic_energy", "max_pressure", "pressure_field",
+        "rank_diagnostics", "reduce_diagnostics", "vapor_fraction_field",
+        "vapor_volume", "wall_max_pressure",
+    ),
+    "erosion": ("STEEL_LIKE", "ErosionModel", "WallDamageAccumulator"),
+    "ic": (
+        "cloud_collapse", "shock_bubble", "shock_tube", "smoothed_indicator",
+        "uniform",
+    ),
+    "study": (
+        "SweepPoint", "SweepResult", "cloud_fraction_sweep", "run_sweep",
+    ),
+    "visualization": (
+        "BubbleShape", "ascii_render", "field_slice", "interface_statistics",
+        "load_pgm", "save_pgm",
+    ),
+})

@@ -24,87 +24,30 @@ The observability backbone of the reproduction (see ``docs/telemetry.md``):
   by lint rule ``CL009``.
 """
 
-from .analytics import (
-    FlightAnalysis,
-    analyze_flight,
-    critical_path,
-    format_flight_report,
-    run_imbalance,
-    step_imbalance,
-    straggler_summary,
-)
-from .clock import now, wall_now
-from .export import (
-    chrome_trace_events,
-    metrics_json,
-    run_trace_events,
-    write_chrome_trace,
-)
-from .flight import (
-    FLIGHT_SCHEMA,
-    FlightRecorder,
-    iter_flight,
-    merge_flight_parts,
-    read_flight,
-)
-from .log import (
-    ProgressReporter,
-    StructuredLogger,
-    configure,
-    get_logger,
-)
-from .scorecard import (
-    DEGENERATE_COUNTS,
-    PAPER_IO_FRACTION,
-    format_run_scorecard,
-    io_fraction,
-    run_scorecard_rows,
-    safe_rate,
-)
-from .tracer import (
-    DEFAULT_MAX_EVENTS,
-    MODES,
-    MetricsSnapshot,
-    PhaseTimers,
-    SpanEvent,
-    Tracer,
-    make_tracer,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_EVENTS",
-    "DEGENERATE_COUNTS",
-    "FLIGHT_SCHEMA",
-    "FlightAnalysis",
-    "FlightRecorder",
-    "MODES",
-    "MetricsSnapshot",
-    "PAPER_IO_FRACTION",
-    "PhaseTimers",
-    "ProgressReporter",
-    "SpanEvent",
-    "StructuredLogger",
-    "Tracer",
-    "analyze_flight",
-    "chrome_trace_events",
-    "configure",
-    "critical_path",
-    "format_flight_report",
-    "format_run_scorecard",
-    "get_logger",
-    "io_fraction",
-    "iter_flight",
-    "merge_flight_parts",
-    "make_tracer",
-    "metrics_json",
-    "now",
-    "read_flight",
-    "run_imbalance",
-    "run_scorecard_rows",
-    "run_trace_events",
-    "safe_rate",
-    "step_imbalance",
-    "straggler_summary",
-    "wall_now",
-    "write_chrome_trace",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "analytics": (
+        "FlightAnalysis", "analyze_flight", "critical_path",
+        "format_flight_report", "run_imbalance", "step_imbalance",
+        "straggler_summary",
+    ),
+    "clock": ("now", "wall_now"),
+    "export": (
+        "chrome_trace_events", "metrics_json", "run_trace_events",
+        "write_chrome_trace",
+    ),
+    "flight": (
+        "FLIGHT_SCHEMA", "FlightRecorder", "iter_flight", "merge_flight_parts",
+        "read_flight",
+    ),
+    "log": ("ProgressReporter", "StructuredLogger", "configure", "get_logger"),
+    "scorecard": (
+        "DEGENERATE_COUNTS", "PAPER_IO_FRACTION", "format_run_scorecard",
+        "io_fraction", "run_scorecard_rows", "safe_rate",
+    ),
+    "tracer": (
+        "DEFAULT_MAX_EVENTS", "MODES", "MetricsSnapshot", "PhaseTimers",
+        "SpanEvent", "Tracer", "make_tracer",
+    ),
+})

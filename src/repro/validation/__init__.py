@@ -19,48 +19,18 @@ Driver-backed cases run with the numerics sanitizer and telemetry
 enabled, so a validation run doubles as integration coverage of both.
 """
 
-from .baselines import (
-    DEFAULT_BASELINE_DIR,
-    CaseBaseline,
-    MetricDiff,
-    MetricSpec,
-    baseline_path,
-    compare,
-    environment_stamp,
-    load_baseline,
-    save_baseline,
-)
-from .cases import CASES, SUITES, ValidationCase, get_case, suite_cases
-from .cli import main
-from .runner import (
-    CaseRun,
-    format_scorecard,
-    run_case,
-    run_suite,
-    scorecard_rows,
-    suite_passed,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CASES",
-    "CaseBaseline",
-    "CaseRun",
-    "DEFAULT_BASELINE_DIR",
-    "MetricDiff",
-    "MetricSpec",
-    "SUITES",
-    "ValidationCase",
-    "baseline_path",
-    "compare",
-    "environment_stamp",
-    "format_scorecard",
-    "get_case",
-    "load_baseline",
-    "main",
-    "run_case",
-    "run_suite",
-    "save_baseline",
-    "scorecard_rows",
-    "suite_cases",
-    "suite_passed",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "baselines": (
+        "DEFAULT_BASELINE_DIR", "CaseBaseline", "MetricDiff", "MetricSpec",
+        "baseline_path", "compare", "environment_stamp", "load_baseline",
+        "save_baseline",
+    ),
+    "cases": ("CASES", "SUITES", "ValidationCase", "get_case", "suite_cases"),
+    "cli": ("main",),
+    "runner": (
+        "CaseRun", "format_scorecard", "run_case", "run_suite",
+        "scorecard_rows", "suite_passed",
+    ),
+})

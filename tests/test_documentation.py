@@ -7,8 +7,10 @@ each other coherently.
 
 import importlib
 import inspect
+import itertools
 import os
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -48,6 +50,19 @@ class TestDocstrings:
         assert not undocumented, (
             f"{modname}: undocumented public objects {undocumented}"
         )
+
+
+class TestQuickStart:
+    def test_root_docstring_snippet_runs(self, capsys):
+        """The quick start of ``repro.__doc__`` runs, at a tiny size."""
+        after = repro.__doc__.split("Quick start::\n\n", 1)[1].splitlines()
+        block = itertools.takewhile(
+            lambda line: not line or line.startswith("    "), after)
+        code = textwrap.dedent("\n".join(block))
+        size = "cells=32, block_size=16, max_steps=20"
+        assert size in code
+        exec(code.replace(size, "cells=16, block_size=8, max_steps=2"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestTopLevelDocs:

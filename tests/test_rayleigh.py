@@ -1,13 +1,8 @@
 """Tests for the classical bubble-collapse baselines (repro.physics.rayleigh)."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import repro
 from repro.physics.rayleigh import (
     Gilmore,
     KellerMiksis,
@@ -110,23 +105,3 @@ class TestGilmore:
         )
         assert abs(gl.Rdot[-1]) <= abs(rp.Rdot[-1]) * 1.05
 
-
-class TestProcessStart:
-    def test_import_repro_leaves_scipy_out(self):
-        """Every rank, worker and CLI process imports ``repro``; only an
-        integration pays for SciPy's ODE stack."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        code = (
-            "import sys, repro, repro.cli, repro.sim, repro.service\n"
-            "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not leaked, leaked[:5]\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
