@@ -64,6 +64,11 @@ _AOS_STREAM_INPLACE = (
     "rank's blocks), streamed in chunks of half of an optional held flat "
     "COMPUTE_DTYPE scratch"
 )
+_AOS_CELLS = (
+    "AoS in (any dtype, any layout), COMPUTE_DTYPE (float64) p and "
+    "optional ke out, shaped like the cells; the NumPy form walks slabs "
+    "of whole planes through one cache-sized scratch"
+)
 #: The kernels with a door to :mod:`repro.native` and a NumPy form.
 _NATIVE = (
     "; the contiguous production case runs in the compiled library where "
@@ -115,6 +120,7 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("rhs_kernel", "core/kernels.py", _AOS_BOX_OUT + _NATIVE),
     KernelSpec("rhs_kernel_slices", "core/kernels.py", _AOS_IN),
     KernelSpec("sos_kernel", "core/kernels.py", _AOS_STREAM_IN + _NATIVE),
+    KernelSpec("cell_pressure", "core/kernels.py", _AOS_CELLS + _NATIVE),
     KernelSpec("update_stage", "core/kernels.py",
                _AOS_STREAM_INPLACE + _NATIVE, "up"),
     # core.timestepper / node layer -- orchestration around the kernels.

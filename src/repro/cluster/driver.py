@@ -479,7 +479,9 @@ def _dump(
 ) -> list[dict]:
     """Compress and collectively write p and Gamma (one file each).
 
-    ``sanitizer`` (an optional
+    Spans nested in the caller's ``IO_WAVELET``: ``IO_COLLECT`` (the
+    field, p, the Gamma cast, the screen), then per quantity ``IO_FWT``
+    and ``IO_WRITE``.  ``sanitizer`` (an optional
     :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks the FWT
     input fields for NaN/Inf before they reach the wavelet transform,
     labelling findings with the dumped quantity name.
@@ -488,16 +490,18 @@ def _dump(
     from ..compression.io import write_compressed_parallel
     from ..compression.scheme import WaveletCompressor
 
-    fld = grid.to_array()
-    quantities = {
-        "p": (pressure_field(fld).astype(STORAGE_DTYPE), config.eps_pressure),
-        "Gamma": (fld[..., GAMMA].astype(STORAGE_DTYPE), config.eps_gamma),
-    }
-    if sanitizer is not None:
-        for name, (data, _) in quantities.items():
-            sanitizer.check_finite(
-                data, where=f"FWT ({sanitizer.context})", field=name
-            )
+    with timers.span("IO_COLLECT"):
+        fld = grid.to_array()
+        quantities = {
+            "p": (pressure_field(fld).astype(STORAGE_DTYPE),
+                  config.eps_pressure),
+            "Gamma": (fld[..., GAMMA].astype(STORAGE_DTYPE), config.eps_gamma),
+        }
+        if sanitizer is not None:
+            for name, (data, _) in quantities.items():
+                sanitizer.check_finite(
+                    data, where=f"FWT ({sanitizer.context})", field=name
+                )
     out = []
     for name, (data, eps) in quantities.items():
         compressor = WaveletCompressor(

@@ -15,6 +15,9 @@ These are the paper's performance-critical kernels (Fig. 1):
   characteristic velocity of a block (:func:`sos_kernel`); the cluster
   layer allreduces it.
 
+Next to them, :func:`cell_pressure`: the pressure and kinetic energy of
+every cell, the collect of a dump and of a step's diagnostics.
+
 All kernels take AoS block data (the storage layout) and convert to
 double precision internally (the paper's AoS/SoA conversion and mixed
 precision).  UP and SOS are *streamed*: whatever the size of their
@@ -23,17 +26,23 @@ operands, they are walked in cache-sized chunks through one small scratch
 node layer does per thread -- then neither allocates an array.
 
 Where :mod:`repro.native` has a compiled library, the production cases of
-all three (WENO5 + HLLE on storage pads, contiguous operands) run in it:
+all four (WENO5 + HLLE on storage pads, contiguous operands) run in it:
 one pass over memory each, byte for byte what the NumPy passes here
 compute.  Those stay as the fallback, the oracle and the ablations.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import native
-from ..physics.eos import conserved_to_primitive, max_velocity_of_conserved
+from ..physics.eos import (
+    conserved_to_primitive,
+    max_velocity_of_conserved,
+    pressure_into,
+)
 from ..physics.equations import SweepWorkspace, compute_rhs, native_sweeps
 from ..physics.riemann import hlle_flux
 from ..physics.state import COMPUTE_DTYPE, GAMMA, NQ, PI, STORAGE_DTYPE
@@ -408,6 +417,57 @@ def sos_kernel(data: np.ndarray, scratch: np.ndarray | None = None) -> float:
         peak = nan_max(peak, max_velocity_of_conserved(
             chunk[:NQ, :take], chunk[NQ:, :take]))
     return peak
+
+
+#: Rows of a :func:`cell_pressure` slab: the seven quantities, a work row.
+_SLAB_ROWS = NQ + 1
+
+
+def cell_pressure(field: np.ndarray, kinetic: bool = False):
+    """Pressure -- and the kinetic energy density -- of every cell.
+
+    ``field`` is AoS data ``(..., NQ)`` of any dtype and layout.  Returns
+    ``(p, ke)``: compute-precision arrays of shape ``field.shape[:-1]``,
+    each cell's :func:`repro.physics.eos.pressure` and its kinetic term
+    ``0.5 * |rho u|^2 / rho`` of the quantities converted to float64;
+    ``ke`` is None unless ``kinetic``.
+
+    C-contiguous storage-precision data is one pass of the compiled
+    library where there is one (:mod:`repro.native`); anything else takes
+    :func:`_pressure_slabs` -- the same bytes.
+    """
+    if field.ndim == 0 or field.shape[-1] != NQ:
+        raise ValueError(f"expected AoS data (..., {NQ}), got {field.shape}")
+    p = np.empty(field.shape[:-1], dtype=COMPUTE_DTYPE)
+    ke = np.empty_like(p) if kinetic else None
+    lib = native.lib
+    if lib is not None and native.addressable(field, _STORAGE):
+        lib.repro_cell_pressure(field.ctypes.data, p.size, p.ctypes.data,
+                                None if ke is None else ke.ctypes.data)
+    else:
+        _pressure_slabs(field if field.ndim > 1 else field[np.newaxis], p, ke)
+    return p, ke
+
+
+def _pressure_slabs(field: np.ndarray, p: np.ndarray, ke) -> None:
+    """The NumPy form of :func:`cell_pressure`: ``field`` (at least one
+    axis before the quantities) into ``p`` and ``ke`` (or None) in slabs of
+    whole planes along the first axis, about :data:`STREAM_ELEMENTS`
+    entries of scratch -- each slab's quantities converted once, then
+    :func:`repro.physics.eos.pressure_into` into its part of the result."""
+    shape = field.shape[:-1]
+    p, ke = p.reshape(shape), None if ke is None else ke.reshape(shape)
+    plane = max(math.prod(shape[1:]), 1)
+    rows = max(1, STREAM_ELEMENTS // _SLAB_ROWS // plane)
+    scratch = np.empty((_SLAB_ROWS, min(rows, len(field))) + shape[1:],
+                       dtype=COMPUTE_DTYPE)
+    for start in range(0, len(field), rows):
+        slab = slice(start, start + rows)
+        taken = len(p[slab])
+        scratch[:NQ, :taken] = np.moveaxis(field[slab], -1, 0)
+        U = scratch[:, :taken]
+        pressure_into(*U[:NQ], p[slab], U[NQ],
+                      ke=None if ke is None else ke[slab])
 
 
 def dt_from_sos(sos_max: float, h: float, cfl: float) -> float:

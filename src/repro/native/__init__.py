@@ -1,7 +1,8 @@
 """The door to the compiled kernels: build on first use, load, or fall back.
 
-``kernels.c`` holds the tile bodies of RHS, UP and SOS and the lifting and
-decimation of the compression layer, byte-identical to the NumPy kernels
+``kernels.c`` holds the tile bodies of RHS, UP and SOS, the per-cell
+pressure of a dump or a diagnostic, and the lifting and decimation of the
+compression layer, byte-identical to the NumPy kernels
 they stand in for.  This module compiles it with the
 host's ``gcc`` the first time a kernel is *used*, keeps the result as
 ``kernels-<key>-<digest>.so`` and hands the loaded library out as the
@@ -61,7 +62,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno",
          "ggc-min-heapsize=4096", "-shared", "-fPIC")
 
 #: What ``repro_native_abi()`` of a library this module can drive returns.
-ABI = 3
+ABI = 4
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120.0
@@ -82,6 +83,8 @@ _SIGNATURES = {
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
         ctypes.c_double, ctypes.c_double, ctypes.c_double]),
     "repro_max_sos": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
+    "repro_cell_pressure": (None, [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]),
     "repro_lift": (None, [ctypes.c_void_p] + [ctypes.c_long] * 7
                    + [ctypes.c_void_p, ctypes.c_void_p]),
     "repro_decimate": (None, [ctypes.c_void_p] + [ctypes.c_long] * 6

@@ -1,5 +1,6 @@
-/* Compiled tile bodies of the core-layer kernels -- RHS, UP, SOS -- and of
- * the compression layer's: FWT / IWT, DEC.
+/* Compiled tile bodies of the core-layer kernels -- RHS, UP, SOS, the
+ * per-cell pressure of a dump or a diagnostic -- and of the compression
+ * layer's: FWT / IWT, DEC.
  *
  * Every function here is the per-element arithmetic of a NumPy kernel in
  * repro.physics / repro.core, statement for statement: the same IEEE
@@ -45,7 +46,7 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 #define SIXTH (1.0 / 6.0)
 #define SOUND_SPEED_FLOOR 1.0e-12
 
-int repro_native_abi(void) { return 3; }
+int repro_native_abi(void) { return 4; }
 const char *repro_native_compiler(void) { return __VERSION__; }
 
 /* np.maximum / np.minimum: a NaN in either operand is the result. */
@@ -323,13 +324,17 @@ CLONES void repro_rhs_sweeps(const double *restrict W, long B, long nz,
 
 /* ---- staging around the sweeps: core.kernels.rhs_kernel -------------- */
 
-/* physics.eos.pressure_into */
+/* physics.eos.pressure_into: its kinetic energy term, then the pressure */
+INLINE double kinetic(double rho, double ru, double rv, double rw)
+{
+    double o = (ru * ru + rv * rv) + rw * rw;
+    return (0.5 * o) / rho;
+}
+
 INLINE double pressure(double rho, double ru, double rv, double rw, double E,
                        double G, double P)
 {
-    double o = (ru * ru + rv * rv) + rw * rw;
-    o = (0.5 * o) / rho;
-    return ((E - o) - P) / G;
+    return ((E - kinetic(rho, ru, rv, rw)) - P) / G;
 }
 
 /* n AoS storage-precision conserved states, `step` values apart ->
@@ -469,6 +474,28 @@ CLONES double repro_max_sos(const float *restrict aos, long cells)
     for (int i = 0; i < LANES; i++)
         best = nmax(poison[i], nmax(best, peak[i]));
     return best;
+}
+
+/* ---- p and ke per cell: core.kernels.cell_pressure ------------------- */
+
+/* Pressure (and, where ke is not NULL, the kinetic energy density) of
+ * AoS cells of storage precision, one float64 each, in cell order. */
+CLONES void repro_cell_pressure(const float *restrict aos, long cells,
+                                double *restrict p, double *restrict ke)
+{
+    for (long c0 = 0; c0 < cells; c0 += LANES) {
+        int n = (int)(cells - c0 < LANES ? cells - c0 : LANES);
+        double U[NQ][LANES];
+        gather_chunk(aos + c0 * NQ, NQ, n, U);
+        for (int i = 0; i < n; i++)
+            p[c0 + i] = pressure(U[RHO][i], U[RHOU][i], U[RHOV][i],
+                                 U[RHOW][i], U[ENERGY][i], U[GAMMA][i],
+                                 U[PI][i]);
+        if (ke)
+            for (int i = 0; i < n; i++)
+                ke[c0 + i] = kinetic(U[RHO][i], U[RHOU][i], U[RHOV][i],
+                                     U[RHOW][i]);
+    }
 }
 
 /* ---- FWT / IWT: compression.wavelet._lift ---------------------------- */

@@ -127,20 +127,23 @@ def sound_speed(rho, p, G, P):
 
 
 def pressure_into(rho, ru, rv, rw, E, G, P, out: np.ndarray,
-                  work: np.ndarray) -> np.ndarray:
+                  work: np.ndarray,
+                  ke: np.ndarray | None = None) -> np.ndarray:
     """:func:`pressure` as ``out=`` passes, bit for bit.
 
     ``out`` and ``work`` are arrays shaped like the operands and none of
-    them; the result is in ``out``.
+    them; the result is in ``out``.  ``ke``, another such array, keeps the
+    kinetic energy term ``0.5 * |rho u|^2 / rho`` on the way.
     """
-    np.multiply(ru, ru, out=out)
+    k = out if ke is None else ke
+    np.multiply(ru, ru, out=k)
     np.multiply(rv, rv, out=work)
-    np.add(out, work, out=out)
+    np.add(k, work, out=k)
     np.multiply(rw, rw, out=work)
-    np.add(out, work, out=out)
-    np.multiply(0.5, out, out=out)
-    np.divide(out, rho, out=out)
-    np.subtract(E, out, out=out)
+    np.add(k, work, out=k)
+    np.multiply(0.5, k, out=k)
+    np.divide(k, rho, out=k)
+    np.subtract(E, k, out=out)
     np.subtract(out, P, out=out)
     return np.divide(out, G, out=out)
 

@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..physics.eos import LIQUID, VAPOR, pressure
-from ..physics.state import ENERGY, GAMMA, PI, RHO, RHOU, RHOV, RHOW
-
-
-def _columns(field: np.ndarray, *quantities: int) -> list[np.ndarray]:
-    """Quantities of an AoS field ``(..., NQ)`` as float64 arrays, one
-    conversion per quantity read (converting the field first would write
-    all ``NQ`` columns to read a few 56-byte-strided ones)."""
-    return [field[..., q].astype(np.float64) for q in quantities]
+from ..core.kernels import cell_pressure
+from ..physics.eos import LIQUID, VAPOR
+from ..physics.state import GAMMA
 
 
 def pressure_field(field: np.ndarray) -> np.ndarray:
-    """Pointwise pressure of an AoS field ``(..., NQ)``."""
-    return pressure(*_columns(field, RHO, RHOU, RHOV, RHOW, ENERGY, GAMMA, PI))
+    """Pointwise pressure of an AoS field ``(..., NQ)``, float64."""
+    return cell_pressure(field)[0]
 
 
 def max_pressure(field: np.ndarray) -> float:
@@ -35,18 +29,21 @@ def max_pressure(field: np.ndarray) -> float:
     return float(pressure_field(field).max())
 
 
-def wall_max_pressure(field: np.ndarray, axis: int = 0, side: int = -1) -> float:
-    """Maximum pressure on the cell layer adjacent to a solid wall."""
+def _wall_layer(axis: int, side: int) -> tuple[slice, ...]:
+    """Index of the cell layer adjacent to the wall ``(axis, side)``."""
     sel = [slice(None)] * 3
     sel[axis] = slice(0, 1) if side == -1 else slice(-1, None)
-    return float(pressure_field(field[tuple(sel)]).max())
+    return tuple(sel)
+
+
+def wall_max_pressure(field: np.ndarray, axis: int = 0, side: int = -1) -> float:
+    """Maximum pressure on the cell layer adjacent to a solid wall."""
+    return float(pressure_field(field[_wall_layer(axis, side)]).max())
 
 
 def kinetic_energy(field: np.ndarray, h: float) -> float:
     """Total kinetic energy ``sum(|rho u|^2 / (2 rho)) * h^3``."""
-    rho, ru, rv, rw = _columns(field, RHO, RHOU, RHOV, RHOW)
-    ke = 0.5 * (ru ** 2 + rv ** 2 + rw ** 2) / rho
-    return float(ke.sum() * h**3)
+    return float(cell_pressure(field, kinetic=True)[1].sum() * h**3)
 
 
 def vapor_fraction_field(field: np.ndarray) -> np.ndarray:
@@ -87,12 +84,16 @@ def rank_diagnostics(field: np.ndarray, h: float, wall: tuple[int, int] | None) 
     ``wall`` is ``(axis, side)`` of the solid wall, or ``None`` when the
     rank subdomain does not touch it.
     """
+    # One pass for p and ke; the wall layer's maximum is taken over a
+    # C-order copy, the array wall_max_pressure reduces.
+    p, ke = cell_pressure(field, kinetic=True)
     return {
-        "max_pressure": max_pressure(field),
+        "max_pressure": float(p.max()),
         "wall_max_pressure": (
-            wall_max_pressure(field, *wall) if wall is not None else -np.inf
+            float(np.ascontiguousarray(p[_wall_layer(*wall)]).max())
+            if wall is not None else -np.inf
         ),
-        "kinetic_energy": kinetic_energy(field, h),
+        "kinetic_energy": float(ke.sum() * h**3),
         "vapor_volume": vapor_volume(field, h),
     }
 

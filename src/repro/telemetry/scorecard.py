@@ -26,7 +26,7 @@ PAPER_IO_FRACTION = 0.01
 #: Phases timed *inside* an enclosing phase span; their seconds are
 #: already contained in the parent's, so share-of-wall rows mark them
 #: nested and totals skip them.
-NESTED_PHASES = frozenset({"IO_FWT", "IO_WRITE"})
+NESTED_PHASES = frozenset({"IO_COLLECT", "IO_FWT", "IO_WRITE"})
 
 #: Wall-clock denominators below this are degenerate measurements
 #: (sub-nanosecond "runs" from mocked clocks or empty smoke cases);

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -58,6 +60,8 @@ from repro.compression.wavelet import (
 from repro.cluster import Simulation
 from repro.core.block import GHOSTS, padded_aos
 from repro.core.kernels import (
+    STREAM_ELEMENTS,
+    cell_pressure,
     rhs_kernel,
     sos_kernel,
     stream_scratch,
@@ -99,6 +103,14 @@ from repro.physics.weno import (
 
 from repro import native
 from repro.sim import SimulationConfig, cloud_collapse, generate_cloud
+from repro.sim.diagnostics import (
+    kinetic_energy,
+    max_pressure,
+    pressure_field,
+    rank_diagnostics,
+    vapor_volume,
+    wall_max_pressure,
+)
 
 from .conftest import bytes_equal, make_rng, make_smooth_aos
 
@@ -816,6 +828,153 @@ class TestRecordedRunDigests:
         assert digest == RUN_DIGESTS[family]
 
 
+def _diagnostics_and_dumps(ranks, backend, dump_dir):
+    """SHA-256 digests of a 3-step 32^3 cloud run that records diagnostics
+    and dumps p and Gamma at every step: ``{"diagnostics": <the four
+    Diagnostics floats of every record, struct-packed>, <dump file name>:
+    <its bytes>}``, and the kernels of each rank."""
+    config = SimulationConfig(
+        cells=32, block_size=8, max_steps=3, ranks=ranks,
+        cluster_backend=backend, num_workers=1, wall=(2, -1),
+        diag_interval=1, dump_interval=1, dump_dir=str(dump_dir),
+    )
+    cloud = generate_cloud(8, (0.5, 0.5, 0.5), 0.38,
+                           rng=np.random.default_rng(30), r_min=0.07,
+                           r_max=0.11)
+    result = Simulation(config, cloud_collapse(cloud, smoothing=config.h)).run()
+    assert len(result.records) == 3
+    packed = b"".join(
+        struct.pack("<4d", d.max_pressure, d.wall_max_pressure,
+                    d.kinetic_energy, d.vapor_volume)
+        for d in (rec.diagnostics for rec in result.records))
+    digests = {"diagnostics": hashlib.sha256(packed).hexdigest()}
+    for path in sorted(dump_dir.glob("*.rwz")):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests, [rr.kernels["backend"] for rr in result.rank_results]
+
+
+#: (ranks, backend) -> the digests of ``_diagnostics_and_dumps``, recorded
+#: before p and the kinetic energy were computed by the compiled cell pass.
+DIAG_DUMP_DIGESTS = {
+    (1, "sim"): {
+        "diagnostics":
+            "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
+        "dump_step000001_Gamma.rwz":
+            "e466ad340b0eb7cfbc9174a8ae53c67544fbc267a066111d2af1537a88ede023",
+        "dump_step000001_p.rwz":
+            "29432a35d17869a556c68a15df9b0e8c382f5ad3715d95475cd72744f015d0c7",
+        "dump_step000002_Gamma.rwz":
+            "1d2f654b413ef1a33463df7419ce71c32b1171016e43956bf54ee554e2197806",
+        "dump_step000002_p.rwz":
+            "5f07fd23c48d1c7a1ac29b92e21724f72f3a977e790c802b439be15ee91b67de",
+        "dump_step000003_Gamma.rwz":
+            "9741e5e10f08effdae2478585cbc2b3b1b959487341e04291494a6a8a0d284b6",
+        "dump_step000003_p.rwz":
+            "440eb9615987a04c8805391cfd72a31e7ad9d5d366d98163d9a15a8c9edeb0c4",
+    },
+    (2, "procs"): {
+        "diagnostics":
+            "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
+        "dump_step000001_Gamma.rwz":
+            "47a2b770dd87b314f7f45f7ece9b753c6561b799605c19e9750c62ee1635a39d",
+        "dump_step000001_p.rwz":
+            "6cac5faf93bb3be6009847dc69c32b4fe043e368cb2a49e78f095f470d3d7b04",
+        "dump_step000002_Gamma.rwz":
+            "25230470d5373a5167d9ce2a85da4467992bf9bfe1fc5be59108d7012cd42387",
+        "dump_step000002_p.rwz":
+            "304fcdcae48fbd45b53b155326f4937ca1acc1e4679dd62f75c2743810756fe5",
+        "dump_step000003_Gamma.rwz":
+            "c755881dec96032445b97d56d1539cc41ceee8b06b6a2d6258b2732ac4088de9",
+        "dump_step000003_p.rwz":
+            "c4097c9fbbe23cc90c155958f0e7d0d060493376584f98ef99e458c0bbe1a6fe",
+    },
+}
+
+
+class TestRecordedDiagnosticDumpDigests:
+    """Every step's diagnostics and both dump files of a whole run end in
+    the bytes they had when the collect was NumPy column passes -- on either
+    kernel path, in every rank."""
+
+    @pytest.mark.parametrize("ranks, backend", [(1, "sim"), (2, "procs")])
+    def test_three_step_run_that_records_and_dumps_every_step(
+            self, ranks, backend, tmp_path, resource_ledger, kernel_path):
+        digests, kernels = _diagnostics_and_dumps(ranks, backend, tmp_path)
+        assert kernels == [kernel_path] * ranks
+        assert digests == DIAG_DUMP_DIGESTS[(ranks, backend)]
+
+
+def _ref_cell_pressure(field):
+    """p and ke of every cell as the column passes computed them: each
+    quantity converted to float64 whole, then the expression forms."""
+    rho, ru, rv, rw, E, G, P = (field[..., q].astype(np.float64)
+                                for q in range(NQ))
+    with np.errstate(all="ignore"):
+        return (pressure(rho, ru, rv, rw, E, G, P),
+                0.5 * (ru ** 2 + rv ** 2 + rw ** 2) / rho)
+
+
+def _equal_nan_by_position(a, b):
+    """``bytes_equal`` where NaNs count by position only: two kernels need
+    not keep the same one of two NaN operands."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and bytes_equal(np.where(nan, 0.0, a), np.where(nan, 0.0, b)))
+
+
+class TestCellPressureRouting:
+    """p and ke per cell on either kernel path, whatever the dtype and
+    layout -- only contiguous storage-precision data can enter the
+    library: the bytes of the column passes they replaced, in no more
+    memory than the result and one slab."""
+
+    @staticmethod
+    def _field():
+        # planes of 16 x 17 cells: slabs of 30, 10 on the NumPy path
+        return make_smooth_aos((40, 16, 17), make_rng(12), dtype=np.float32)
+
+    LAYOUTS = {
+        "contiguous": lambda f: f,
+        "float64": lambda f: f.astype(np.float64),
+        "wall_axis0": lambda f: f[:1],
+        "wall_axis2": lambda f: f[:, :, -1:],
+        "strided": lambda f: f[::2, :, 1:],
+        "cells": lambda f: f.reshape(-1, NQ),
+        "one_cell": lambda f: f[3, 4, 5],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_every_layout_gives_the_column_passes_bytes(self, layout,
+                                                        kernel_path):
+        field = self.LAYOUTS[layout](self._field())
+        # results of other values, freed just before: a cell left
+        # unwritten would show their bytes
+        cell_pressure(2 * field, kinetic=True)
+        p, ke = cell_pressure(field, kinetic=True)
+        want_p, want_ke = _ref_cell_pressure(field)
+        assert bytes_equal(p, want_p) and bytes_equal(ke, want_ke)
+        assert bytes_equal(pressure_field(field), want_p)
+        assert cell_pressure(field)[1] is None
+
+    def test_what_is_not_an_aos_field(self):
+        for bad in (np.zeros((4, 5), np.float32), np.zeros((), np.float32)):
+            with pytest.raises(ValueError, match="AoS"):
+                cell_pressure(bad)
+
+    def test_peak_memory_is_the_result_and_one_slab(self, kernel_path):
+        field = make_smooth_aos((64, 64, 64), make_rng(64), dtype=np.float32)
+        pressure_field(field[:1])  # the library loaded, if there is one
+        tracemalloc.start()
+        try:
+            p = pressure_field(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.nbytes == 8 * 64 ** 3
+        assert peak <= 1.25 * p.nbytes + 8 * STREAM_ELEMENTS, peak
+
+
 def _specials(Upad, seed, values):
     """Plant ``values`` at random cells of random quantities of a padded
     state, in place."""
@@ -1177,6 +1336,56 @@ class TestNativeBitIdentity:
         assert half.dtype == np.float16 and (half == 0).sum() > 0
         assert native.lib.asked == []
 
+    # -- p and ke per cell: the collect of a dump and of diagnostics -----
+
+    @staticmethod
+    def _cell_fields(shape, seed):
+        """A smooth storage-precision field and copies with 0, -0, +-inf
+        and NaN in rho, E and Gamma: each value alone, then all at once."""
+        rng = make_rng(seed)
+        base = make_smooth_aos(shape, rng, dtype=np.float32)
+        values = (0.0, -0.0, np.inf, -np.inf, np.nan)
+        fields = [base]
+        for q in (RHO, ENERGY, GAMMA):
+            for value in values:
+                field = base.copy()
+                field.reshape(-1, NQ)[rng.integers(base.size // NQ, size=3),
+                                      q] = value
+                fields.append(field)
+        mixed = base.copy()
+        for q in (RHO, ENERGY, GAMMA):
+            at = rng.integers(base.size // NQ, size=len(values))
+            mixed.reshape(-1, NQ)[at, q] = values
+        return fields + [mixed]
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1), (8, 8, 8), (5, 17, 33), (64, 64, 8),
+    ])
+    def test_cell_pressure_with_zeros_infinities_and_nans(self, monkeypatch,
+                                                          shape):
+        for field in self._cell_fields(shape, seed=sum(shape)):
+            got, want = self._both(
+                monkeypatch, lambda: cell_pressure(field, kinetic=True))
+            for compiled, fallback, ref in zip(got, want,
+                                               _ref_cell_pressure(field)):
+                assert _equal_nan_by_position(compiled, fallback)
+                assert _equal_nan_by_position(compiled, ref)
+            p, ke = cell_pressure(field)
+            assert ke is None and bytes_equal(p, got[0])
+
+    @pytest.mark.parametrize("wall", [None, (0, -1), (2, 1)])
+    def test_rank_diagnostics_on_either_path(self, monkeypatch, wall):
+        field = make_smooth_aos((16, 12, 20), make_rng(3), dtype=np.float32)
+        got, want = self._both(
+            monkeypatch, lambda: rank_diagnostics(field, 0.01, wall))
+        assert got == want == {
+            "max_pressure": max_pressure(field),
+            "wall_max_pressure": (-np.inf if wall is None
+                                  else wall_max_pressure(field, *wall)),
+            "kinetic_energy": kinetic_energy(field, 0.01),
+            "vapor_volume": vapor_volume(field, 0.01),
+        }
+
     @pytest.mark.parametrize("scheme", [
         dict(order=3), dict(solver="hllc"), dict(fused=True),
     ])
@@ -1204,6 +1413,10 @@ class TestNativeBitIdentity:
         data = grid.blocks[(0, 0, 1)].data
         sos_kernel(data[::2, :, 1:])
         sos_kernel(data.astype(np.float64))
+        # float64 and strided fields, a wall layer off the first axis
+        field = make_smooth_aos((4, 6, 8), make_rng(5), dtype=np.float32)
+        for other in (field.astype(np.float64), field[::2], field[:, :, :1]):
+            cell_pressure(other, kinetic=True)
         assert native.lib.asked == []
 
 

@@ -42,6 +42,7 @@ void repro_gather_conv(void) {}
 void repro_scatter_aos(void) {}
 void repro_update_stage(void) {}
 double repro_max_sos(void) { return 0.0; }
+void repro_cell_pressure(void) {}
 void repro_lift(void) {}
 void repro_decimate(void) {}
 """
@@ -297,7 +298,7 @@ class TestKey:
         assert stale is None and "repro_lift" in state["reason"]
         (stale_path,) = cache.iterdir()
         lib, state = native.build_or_load(new, [cache])
-        assert lib is not None and lib.repro_native_abi() == 3
+        assert lib is not None and lib.repro_native_abi() == 4
         assert state["path"] != str(stale_path)
         assert sorted(cache.iterdir()) == sorted(
             [stale_path, Path(state["path"])])
@@ -342,6 +343,7 @@ class TestStatus:
             capture_output=True, text=True, timeout=BOUND, check=False)
         report = json.loads(proc.stdout)
         assert report["backend"] == ("numpy" if hidden else "c")
-        assert report["abi"] == native.ABI == 3
-        assert {"repro_lift", "repro_decimate"} <= set(report["entry_points"])
+        assert report["abi"] == native.ABI == 4
+        assert {"repro_lift", "repro_decimate", "repro_cell_pressure"} <= set(
+            report["entry_points"])
         assert proc.returncode == (1 if hidden else 0)

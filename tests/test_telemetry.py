@@ -300,6 +300,7 @@ def test_compression_time_accounted_in_scorecard(tmp_path):
     assert result.timers.get("IO_WAVELET", 0.0) > 0.0
     assert result.timers.get("IO_FWT", 0.0) > 0.0
     assert result.timers.get("IO_WRITE", 0.0) > 0.0
+    assert result.timers.get("IO_COLLECT", 0.0) > 0.0
     frac = io_fraction(result)
     assert 0.0 < frac <= 1.0
     snap = result.telemetry
@@ -312,6 +313,7 @@ def test_compression_time_accounted_in_scorecard(tmp_path):
     assert rows["dump compression"]["rate"] > 1.0
     # nested phases are labeled as contained in IO_WAVELET
     assert "IO_FWT (in IO_WAVELET)" in rows
+    assert "IO_COLLECT (in IO_WAVELET)" in rows
     card = format_run_scorecard(result)
     assert "I/O fraction" in card
 
