@@ -25,17 +25,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import native
-from ..analysis.concurrency.race import ConcurrencyViolationError, make_tracker
-from ..analysis.concurrency.report import ConcurrencyReport
-from ..analysis.sanitizer import (
-    NumericsViolationError,
-    ViolationReport,
-    make_sanitizer,
-)
 from ..core.kernels import dt_from_sos
 from ..core.timestepper import make_stepper
 from ..node.dispatcher import Dispatcher
@@ -51,22 +45,22 @@ from ..sim.diagnostics import (
     reduce_diagnostics,
 )
 from ..telemetry.clock import now
-from ..telemetry.scorecard import safe_rate
 from ..telemetry.tracer import (
     MetricsSnapshot,
     PhaseTimers,
     SpanEvent,
     make_tracer,
 )
-from .checkpoint import (
-    checkpoint_path,
-    prune_checkpoints,
-    read_checkpoint_field,
-    write_checkpoint,
-)
 from .halo import HaloExchange, extract_face_slab
 from .mpi_sim import Communicator, SimWorld, WorldError
 from .topology import CartTopology, balanced_dims
+
+# A plain run -- no sanitizer, race tracker, checkpoint or flight
+# recording -- imports none of these: each is imported in the set-up of
+# the runs that use it (docs/ARCHITECTURE.md, "What a process imports").
+if TYPE_CHECKING:
+    from ..analysis.concurrency.report import ConcurrencyReport
+    from ..analysis.sanitizer import ViolationReport
 
 
 @dataclass
@@ -144,6 +138,8 @@ class RunResult:
         a degenerate (zero/near-zero) wall clock report 0.0 -- never
         inf/NaN -- and bump ``telemetry.DEGENERATE_COUNTS``.
         """
+        from ..telemetry.scorecard import safe_rate
+
         cells = 1
         for c in self.config.cells:
             cells *= c
@@ -213,6 +209,8 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     if restart_from is None:
         grid.fill(ic_fn)
     else:
+        from .checkpoint import read_checkpoint_field
+
         global_field, t, step = read_checkpoint_field(restart_from)
         # SDC screen before any cell enters the stencil: a corruption
         # that slipped past the block CRCs must not restart silently.
@@ -237,8 +235,12 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     interior, halo_blocks = halo.halo_split()
     stepper = make_stepper(config.stepper)
 
-    sanitizer = make_sanitizer(config.sanitize, p_min=config.sanitize_p_min)
-    if sanitizer is not None:
+    sanitizer = None
+    if config.sanitize != "off":
+        from ..analysis.sanitizer import make_sanitizer
+
+        sanitizer = make_sanitizer(config.sanitize,
+                                   p_min=config.sanitize_p_min)
         sanitizer.set_context("initial condition")
         for idx, block in grid.blocks.items():
             sanitizer.check_state(block.data, block=idx)
@@ -273,12 +275,19 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
         # The wavelet / I/O stack _dump runs loads here, before step 1; a
         # run that does not dump never loads it.
         from ..compression import io  # noqa: F401
+    if config.checkpoint_interval:
+        from .checkpoint import (
+            checkpoint_path,
+            prune_checkpoints,
+            write_checkpoint,
+        )
 
     # -- flight recorder / live progress (opt-in observability) ----------
     flight = None
     flight_state: dict = {"timers": {}, "sanitizer": 0, "resilience": 0}
     conservation0 = (0.0, 0.0)
     if config.flight_out:
+        from ..telemetry import scorecard  # noqa: F401 -- _flight_step's
         from ..telemetry.flight import FlightRecorder
 
         conservation0 = _conservation_sums(grid)
@@ -565,6 +574,8 @@ def _flight_step(flight, step, t, dt, step_wall, cum_timers, state, grid,
     conservation drift vs the initial state and the node-level schedule
     summary.
     """
+    from ..telemetry.scorecard import safe_rate
+
     phases = {}
     prev = state["timers"]
     for name, total in cum_timers.items():
@@ -627,7 +638,11 @@ class Simulation:
     def run(self) -> RunResult:
         from .mpi_sim import DEFAULT_TIMEOUT
 
-        tracker = make_tracker(self.config.concurrency_check)
+        tracker = None
+        if self.config.concurrency_check != "off":
+            from ..analysis.concurrency.race import make_tracker
+
+            tracker = make_tracker(self.config.concurrency_check)
         timeout = (self.config.comm_timeout
                    if self.config.comm_timeout is not None
                    else DEFAULT_TIMEOUT)
@@ -655,6 +670,9 @@ class Simulation:
                 self.injector
             )
         except WorldError as we:
+            from ..analysis.concurrency.race import ConcurrencyViolationError
+            from ..analysis.sanitizer import NumericsViolationError
+
             # Unwrap sanitizer/concurrency aborts: when every failed rank
             # raised the same violation-carrying error, re-raise one
             # merged error so callers see the findings directly instead
@@ -710,15 +728,18 @@ class Simulation:
         snapshots = [
             rr.telemetry for rr in rank_results if rr.telemetry is not None
         ]
+        sanitizer_report = None
+        if reports:
+            from ..analysis.sanitizer import ViolationReport
+
+            sanitizer_report = ViolationReport.merged(reports)
         return RunResult(
             records=rank_results[0].records,
             final_field=final,
             timers=timers,
             rank_results=rank_results,
             config=self.config,
-            sanitizer_report=(
-                ViolationReport.merged(reports) if reports else None
-            ),
+            sanitizer_report=sanitizer_report,
             wall_seconds=max(rr.wall_seconds for rr in rank_results),
             telemetry=(
                 MetricsSnapshot.merged(snapshots) if snapshots else None

@@ -128,22 +128,27 @@ class HaloExchange:
 
     ``injector`` is an optional
     :class:`~repro.resilience.inject.FaultInjector` used as the
-    resilience monitor (CRC detections, comm retries).  Transient send
-    failures back off under the default
-    :class:`~repro.resilience.recover.RetryPolicy`, seeded per rank.
+    resilience monitor (CRC detections, comm retries).  Only its
+    ``comm_transient`` specs raise transient send failures: with one
+    armed, sends back off under the default
+    :class:`~repro.resilience.recover.RetryPolicy`, seeded per rank;
+    otherwise a send is posted once.
     """
 
     def __init__(self, comm: Communicator, topo: CartTopology, grid: BlockGrid,
                  tracer=None, injector=None):
-        from ..resilience.recover import RetryPolicy
-
         self.comm = comm
         self.topo = topo
         self.grid = grid
         self.tracer = tracer
         self.injector = injector
-        # Desynchronize backoff jitter across ranks via the seed.
-        self.retry = RetryPolicy(seed=2013 + comm.rank)
+        self.retry = None
+        if injector is not None and any(
+                spec.kind == "comm_transient" for spec in injector.plan.faults):
+            from ..resilience.recover import RetryPolicy
+
+            # Desynchronize backoff jitter across ranks via the seed.
+            self.retry = RetryPolicy(seed=2013 + comm.rank)
         self._neighbors = topo.neighbors(comm.rank)
         #: The receive buffer of every face whose neighbour is another
         #: rank, rewritten by every :meth:`finish`; a face the rank shares
@@ -179,14 +184,15 @@ class HaloExchange:
 
     def _send_frame(self, frame: HaloFrame, nbr: int, tag: int) -> None:
         """Post one checksummed face send, retrying transient failures."""
-        from ..resilience.inject import TransientCommError
+        if self.retry is None:
+            self.comm.isend(frame, nbr, tag=tag)
+            return
         from ..resilience.recover import retry_transient
 
-        def on_retry(attempt: int, exc: TransientCommError) -> None:
-            if self.injector is not None:
-                self.injector.count("comm_retries")
-                self.injector.detected("comm_transient")
-                self.injector.recovered("comm_transient")
+        def on_retry(attempt: int, exc: Exception) -> None:
+            self.injector.count("comm_retries")
+            self.injector.detected("comm_transient")
+            self.injector.recovered("comm_transient")
 
         retry_transient(lambda: self.comm.isend(frame, nbr, tag=tag),
                         self.retry, on_retry=on_retry)

@@ -713,8 +713,9 @@ class ProcsWorld:
     # -- the run loop ------------------------------------------------------
 
     def run(self, main: Callable[..., Any], *args: Any) -> list[Any]:
-        from multiprocessing import get_context
         from multiprocessing.connection import wait
+
+        from .._child import get_context
 
         ctx = get_context("spawn")
         token = f"{os.getpid():x}{os.urandom(4).hex()}"

@@ -48,7 +48,6 @@ from ..physics.riemann import hlle_flux
 from ..physics.state import COMPUTE_DTYPE, GAMMA, NQ, PI, STORAGE_DTYPE
 from ..physics.weno import Weno5Workspace, weno5
 from .block import GHOSTS
-from .ringbuffer import RING_DEPTH, SliceRing
 
 _STORAGE = np.dtype(STORAGE_DTYPE)
 
@@ -258,6 +257,10 @@ def rhs_kernel_slices(pad_aos: np.ndarray, h: float,
     precision (dtype ``COMPUTE_DTYPE``): ``out`` if given, else a fresh
     array.
     """
+    # Only this ablation uses the ring: a solver that runs it imports the
+    # module in its set-up (NodeSolver), everyone else never.
+    from .ringbuffer import RING_DEPTH, SliceRing
+
     m = pad_aos.shape[0]
     n = m - 2 * GHOSTS
     g = GHOSTS

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +111,9 @@ class Dispatcher:
             raise ValueError(f"unknown dispatch mode {mode!r}")
         self.num_workers = int(num_workers)
         self.mode = mode
+        if mode == "threads":
+            # _run_threads' pool, loaded here rather than in a step.
+            import concurrent.futures  # noqa: F401
 
     def run(self, items, fn):
         """Apply ``fn`` to every item; returns ``(results, ScheduleStats)``.
@@ -131,6 +133,8 @@ class Dispatcher:
         return self._run_threads(items, fn)
 
     def _run_threads(self, items, fn):
+        from concurrent.futures import ThreadPoolExecutor
+
         work: queue.SimpleQueue = queue.SimpleQueue()
         for i, item in enumerate(items):
             work.put((i, item))

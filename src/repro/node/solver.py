@@ -305,6 +305,9 @@ class NodeSolver:
         tracer=None,
     ):
         check_scheme(order, solver, fused, use_slices)
+        if use_slices:
+            # rhs_kernel_slices' ring, loaded here rather than in a step.
+            from ..core import ringbuffer  # noqa: F401
         self.grid = grid
         self.boundary = boundary or BoundarySpec.all_extrapolate()
         self.dispatcher = dispatcher or Dispatcher(num_workers=4)

@@ -253,7 +253,7 @@ class WorkerPool:
     def __init__(self, size: int, start_method: str = "spawn"):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        from multiprocessing import get_context
+        from .._child import get_context
 
         self.size = size
         self._ctx = get_context(start_method)

@@ -144,12 +144,13 @@ class SimulationConfig:
             except ValueError as exc:
                 raise ValueError(
                     f"{name}={getattr(self, name)!r}: {exc}") from None
-        from ..analysis.sanitizer import POLICIES
+        if self.sanitize != "off":
+            from ..analysis.sanitizer import POLICIES
 
-        if self.sanitize not in POLICIES:
-            raise ValueError(
-                f"sanitize={self.sanitize!r} not in {POLICIES}"
-            )
+            if self.sanitize not in POLICIES:
+                raise ValueError(
+                    f"sanitize={self.sanitize!r} not in {POLICIES}"
+                )
         from ..telemetry import MODES
 
         if self.telemetry not in MODES:
@@ -162,13 +163,14 @@ class SimulationConfig:
             raise ValueError("flight_flush_every must be >= 1")
         if self.progress_interval < 0:
             raise ValueError("progress_interval must be >= 0")
-        from ..analysis.concurrency import POLICIES as CONCURRENCY_POLICIES
+        if self.concurrency_check != "off":
+            from ..analysis.concurrency import POLICIES as CONCURRENCY_POLICIES
 
-        if self.concurrency_check not in CONCURRENCY_POLICIES:
-            raise ValueError(
-                f"concurrency_check={self.concurrency_check!r} not in "
-                f"{CONCURRENCY_POLICIES}"
-            )
+            if self.concurrency_check not in CONCURRENCY_POLICIES:
+                raise ValueError(
+                    f"concurrency_check={self.concurrency_check!r} not in "
+                    f"{CONCURRENCY_POLICIES}"
+                )
         if self.cluster_backend not in ("sim", "procs"):
             raise ValueError(
                 f"cluster_backend={self.cluster_backend!r} not in "

@@ -5,6 +5,7 @@ perf-trajectory regression gate (see :mod:`repro.telemetry.trend` and
 ``docs/telemetry.md``)::
 
     python -m repro.telemetry trend --check
+    python -m repro.telemetry trend --check --record BENCH_kernels.json
     python -m repro.telemetry trend --append --record BENCH_kernels.json
 """
 
@@ -22,7 +23,7 @@ def main(argv: list[str] | None = None) -> int:
         wants_help = bool(argv)
         print("usage: python -m repro.telemetry trend [options]\n\n"
               "subcommands:\n"
-              "  trend    perf-trajectory provenance and regression gate",
+              "  trend    the performance record: validate, print, gate",
               file=sys.stdout if wants_help else sys.stderr)
         return 0 if wants_help else 2
     if argv[0] == "trend":

@@ -6,9 +6,12 @@ so every module their first import pulls in is start-up they pay before
 any work (``docs/ARCHITECTURE.md``, "What a process imports").  None of
 them may load the static analysers, the Blue Gene/Q models, the
 zerotree / AMR half of the dump stack, the campaign tooling, the
-reference solutions or SciPy.  Once set-up is done a step imports
-nothing: a module first loaded in step 1 would move its import from the
-set-up time into the step time the benchmarks measure.
+reference solutions or SciPy.  A plain run -- no sanitizer, race tracker,
+checkpoint, flight recording or slice ring -- loads none of the modules
+only those run (``MOVED``); a run that uses one loads it in set-up.
+Once set-up is done a step imports nothing: a module first loaded in
+step 1 would move its import from the set-up time into the step time
+the benchmarks measure.
 
 Every case runs a fresh interpreter: this process's ``sys.modules``
 holds whatever earlier tests imported.
@@ -45,6 +48,26 @@ DENIED = (
 )
 #: The part of ``repro.perf`` the runtime calls: telemetry's tables.
 PERF_USED = ("repro.perf", "repro.perf.report")
+#: Modules only a run with a sanitizer, race tracker, checkpoint, fault
+#: injector, flight recording or the slice ring executes: a plain rank
+#: or worker loads none of them.
+MOVED = (
+    "repro.analysis.sanitizer",
+    "repro.analysis.concurrency.race",
+    "repro.analysis.concurrency.report",
+    "repro.cluster.checkpoint",
+    "repro.resilience.recover",
+    "repro.resilience.inject",
+    "repro.resilience.plan",
+    "repro.telemetry.scorecard",
+    "repro.perf.report",
+    "repro.core.ringbuffer",
+)
+#: What a worker runs of those: every task carries its job's fault
+#: injector, the channel of the worker's step heartbeat.
+WORKER_RUNS = ("repro.resilience.inject", "repro.resilience.plan")
+#: ``PATH`` with no compiler on it: ranks take the NumPy executor.
+NO_COMPILER = {"PATH": "/nonexistent"}
 
 #: name -> the modules its process imports first.
 ENTRY_POINTS = {
@@ -67,7 +90,7 @@ def probe(comm, *args):
     return sorted(sys.modules)
 
 
-def run(steps, ranks, backend, dump_dir):
+def run(steps, ranks, backend, dump_dir, extra):
     from repro.cluster.driver import Simulation
     from repro.sim.config import SimulationConfig
     from repro.sim.ic import uniform
@@ -75,7 +98,7 @@ def run(steps, ranks, backend, dump_dir):
     config = SimulationConfig(cells=16, block_size=8, max_steps=steps,
                               ranks=ranks, cluster_backend=backend,
                               num_workers=1, dump_interval=int(bool(dump_dir)),
-                              dump_dir=dump_dir or ".")
+                              dump_dir=dump_dir or ".", **extra)
     ic = uniform(velocity=(1.0, 0.5, 0.25))
     if backend == "procs":
         from repro.cluster.procs import ProcsWorld
@@ -87,8 +110,9 @@ def run(steps, ranks, backend, dump_dir):
 
 if __name__ == "__main__":
     ranks, backend, dump_dir = int(sys.argv[1]), sys.argv[2], sys.argv[3]
-    zero, _ = run(0, ranks, backend, dump_dir)
-    two, field = run(2, ranks, backend, dump_dir)
+    extra = json.loads(sys.argv[4]) if len(sys.argv) > 4 else {}
+    zero, _ = run(0, ranks, backend, dump_dir, extra)
+    two, field = run(2, ranks, backend, dump_dir, extra)
     restored = None
     if dump_dir:
         from repro.compression.io import read_field
@@ -100,10 +124,43 @@ if __name__ == "__main__":
 '''
 
 
-def fresh(args, timeout=120):
+#: A worker loop run in this process: one plain 2-step job, then the
+#: stop sentinel; prints the modules the worker ended up with (the task
+#: is built from modules a worker loads anyway).
+WORKER = '''
+import json
+import sys
+import threading
+from multiprocessing import Array, Pipe
+
+from repro.resilience.inject import FaultInjector
+from repro.service.request import ICSpec, JobRequest
+from repro.service.workers import HB_SLOTS, worker_main
+from repro.sim.config import SimulationConfig
+
+if __name__ == "__main__":
+
+    request = JobRequest(SimulationConfig(cells=16, block_size=8,
+                                          max_steps=2), ICSpec("uniform"))
+    task_r, task_w = Pipe(duplex=False)
+    result_r, result_w = Pipe(duplex=False)
+    task_w.send({"seq": 1, "request": request.to_payload(),
+                 "injector": FaultInjector().child_clone()})
+    task_w.send(None)
+    results = []
+    reader = threading.Thread(target=lambda: results.append(result_r.recv()))
+    reader.start()
+    worker_main(0, task_r, result_w, Array("d", HB_SLOTS))
+    reader.join()
+    assert results[0][1] == "ok", results[0]
+    print(json.dumps(sorted(sys.modules)))
+'''
+
+
+def fresh(args, timeout=120, env_overrides=None):
     """Runs ``python *args`` in a fresh interpreter on this checkout;
     returns its last stdout line parsed as JSON."""
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_overrides or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, *args], env=env,
@@ -118,6 +175,12 @@ def denied(modules) -> list[str]:
         m for m in modules
         if any(m == d or m.startswith(d + ".") for d in DENIED)
         or (m.startswith("repro.perf.") and m not in PERF_USED))
+
+
+def moved(modules, runs=()) -> list[str]:
+    """The modules of ``modules`` only a run that uses them loads,
+    other than ``runs`` (sorted)."""
+    return sorted(m for m in modules if m in MOVED and m not in runs)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -135,16 +198,52 @@ def test_root_package_imports_no_subpackage():
         "repro", "repro._exports"]
 
 
+@pytest.mark.parametrize("compiler", ["found", "hidden"])
 @pytest.mark.parametrize("ranks,backend", [(1, "sim"), (2, "sim"),
                                            (2, "procs")])
-def test_a_step_imports_nothing(tmp_path, ranks, backend):
+def test_a_step_imports_nothing(tmp_path, ranks, backend, compiler):
+    """... and a plain run loads none of the ``MOVED`` modules, on the
+    compiled executor and on the NumPy one."""
     script = tmp_path / "steps.py"
     script.write_text(SCRIPT)
-    out = fresh([str(script), str(ranks), backend, ""])
+    out = fresh([str(script), str(ranks), backend, ""],
+                env_overrides=NO_COMPILER if compiler == "hidden" else None)
     assert len(out["two"]) == (ranks if backend == "procs" else 1)
     for zero, two in zip(out["zero"], out["two"]):
         assert sorted(set(two) ^ set(zero)) == []
         assert not denied(two)
+        assert not moved(two)
+
+
+def test_a_plain_worker_loads_none_of_the_moved_modules(tmp_path):
+    script = tmp_path / "worker.py"
+    script.write_text(WORKER)
+    loaded = fresh([str(script)])
+    assert "repro.cluster.driver" in loaded
+    assert not moved(loaded, runs=WORKER_RUNS)
+    assert not denied(loaded)
+
+
+@pytest.mark.parametrize("extra,runs", [
+    ({"sanitize": "warn"}, ["repro.analysis.sanitizer"]),
+    ({"checkpoint_interval": 1}, ["repro.cluster.checkpoint"]),
+    ({"flight_out": "flight.jsonl"},
+     ["repro.perf.report", "repro.telemetry.scorecard"]),
+    ({"use_slices": True}, ["repro.core.ringbuffer"]),
+    ({"telemetry": "trace"}, []),
+], ids=["sanitize", "checkpoint", "flight", "slices", "trace"])
+def test_a_run_loads_what_it_uses_in_setup(tmp_path, extra, runs):
+    script = tmp_path / "steps.py"
+    script.write_text(SCRIPT)
+    extra = dict(extra)
+    if "checkpoint_interval" in extra:
+        extra["checkpoint_dir"] = str(tmp_path / "ckpt")
+    if "flight_out" in extra:
+        extra["flight_out"] = str(tmp_path / extra["flight_out"])
+    out = fresh([str(script), "1", "sim", "", json.dumps(extra)])
+    (zero,), (two,) = out["zero"], out["two"]
+    assert sorted(set(two) ^ set(zero)) == []
+    assert moved(two) == runs
 
 
 def test_a_dumping_run_loads_its_dump_stack_in_setup(tmp_path):
