@@ -87,6 +87,8 @@ class NumericsViolation:
 class NumericsViolationError(RuntimeError):
     """Raised by the ``raise`` policy; carries the block-level findings."""
 
+    kind = "numerics"
+
     def __init__(self, violations: list[NumericsViolation]):
         self.violations = list(violations)
         super().__init__(

@@ -299,7 +299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run a batch of job lines through the job service."""
     import json
 
-    from .exitcodes import EXIT_OK, classify_exit
+    from .exitcodes import EXIT_OK, KIND_EXIT, NAMES, classify
     from .perf import format_table
     from .service import (
         BackoffPolicy,
@@ -357,8 +357,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 result = h.result(timeout=0)
                 row["cached"] = result.cached
             except BaseException as exc:  # lint: disable=CL005 -- reported per-job
-                code, name = classify_exit(exc)
-                row["error"] = name
+                code = KIND_EXIT[classify(exc)[0]]
+                row["error"] = NAMES[code]
                 worst = max(worst, code)
             rows.append(row)
         snapshot = health_snapshot(engine)
@@ -552,10 +552,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # Map failures onto the documented exit-code taxonomy so
         # supervisors can classify without parsing tracebacks.
-        from .exitcodes import classify_exit
+        from .exitcodes import KIND_EXIT, NAMES, classify
 
-        code, name = classify_exit(exc)
-        print(f"error[{name}] {exc}", file=sys.stderr)
+        code = KIND_EXIT[classify(exc)[0]]
+        print(f"error[{NAMES[code]}] {exc}", file=sys.stderr)
         return code
 
 

@@ -39,5 +39,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "procs": (
         "ProcsComm", "ProcsWorld", "RankLostError", "RingCorruptionError",
     ),
-    "topology": ("CartTopology", "balanced_dims", "feasible_rank_counts"),
+    "topology": ("CartTopology", "balanced_dims"),
 })

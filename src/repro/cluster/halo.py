@@ -32,6 +32,9 @@ real) are retried in place with bounded jittered backoff.
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 
 from ..core.block import GHOSTS
@@ -130,9 +133,9 @@ class HaloExchange:
     :class:`~repro.resilience.inject.FaultInjector` used as the
     resilience monitor (CRC detections, comm retries).  Only its
     ``comm_transient`` specs raise transient send failures: with one
-    armed, sends back off under the default
-    :class:`~repro.resilience.recover.RetryPolicy`, seeded per rank;
-    otherwise a send is posted once.
+    armed, a send is retried in place under a
+    :class:`~repro.service.retry.BackoffPolicy` (3 attempts, 0.01-0.5 s),
+    its delays seeded per rank; otherwise a send is posted once.
     """
 
     def __init__(self, comm: Communicator, topo: CartTopology, grid: BlockGrid,
@@ -145,10 +148,10 @@ class HaloExchange:
         self.retry = None
         if injector is not None and any(
                 spec.kind == "comm_transient" for spec in injector.plan.faults):
-            from ..resilience.recover import RetryPolicy
+            from ..service.retry import BackoffPolicy
 
-            # Desynchronize backoff jitter across ranks via the seed.
-            self.retry = RetryPolicy(seed=2013 + comm.rank)
+            self.retry = BackoffPolicy(max_attempts=3, base_delay=0.01,
+                                       max_delay=0.5)
         self._neighbors = topo.neighbors(comm.rank)
         #: The receive buffer of every face whose neighbour is another
         #: rank, rewritten by every :meth:`finish`; a face the rank shares
@@ -187,15 +190,23 @@ class HaloExchange:
         if self.retry is None:
             self.comm.isend(frame, nbr, tag=tag)
             return
-        from ..resilience.recover import retry_transient
+        from ..resilience.inject import TransientCommError
 
-        def on_retry(attempt: int, exc: Exception) -> None:
-            self.injector.count("comm_retries")
-            self.injector.detected("comm_transient")
-            self.injector.recovered("comm_transient")
-
-        retry_transient(lambda: self.comm.isend(frame, nbr, tag=tag),
-                        self.retry, on_retry=on_retry)
+        delays = None
+        for attempt in itertools.count(1):
+            try:
+                self.comm.isend(frame, nbr, tag=tag)
+                return
+            except TransientCommError:
+                # Desynchronize backoff jitter across ranks via the seed.
+                delays = delays or self.retry.delays(2013 + self.comm.rank)
+                delay = self.retry.decide(attempt, True, delays)
+                if delay is None:
+                    raise
+                self.injector.count("comm_retries")
+                self.injector.detected("comm_transient")
+                self.injector.recovered("comm_transient")
+                time.sleep(delay)
 
     def start(self) -> dict[tuple[int, int], Request]:
         """Pack and post the sends/receives of the faces whose neighbour

@@ -67,16 +67,17 @@ ANY_TAG = -1
 class CommTimeoutError(RuntimeError):
     """A blocking communication did not complete within the timeout."""
 
+    kind = "comm_timeout"
+
 
 class DeadlockError(CommTimeoutError):
     """A blocking wait timed out; carries the watchdog's localized dump.
 
     ``report`` holds each rank's pending operation and the transport's
-    unmatched messages at the moment of the timeout.  Subclassing
-    :class:`CommTimeoutError` keeps existing failure classification
-    (resilience rollback treats it as a communication fault) working
-    unchanged.
+    unmatched messages at the moment of the timeout.
     """
+
+    kind = "deadlock"
 
     def __init__(self, message: str, report: str):
         self.report = report

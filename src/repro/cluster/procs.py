@@ -111,9 +111,13 @@ STATE_FAILED = 2
 class RingCorruptionError(CorruptionError):
     """A shared-memory frame failed its wire CRC32 (or its framing)."""
 
+    kind = "msg_corrupt"
+
 
 class RankLostError(RuntimeError):
     """A rank process died without reporting a result (real rank loss)."""
+
+    kind = "rank_crash"
 
 
 def _poll_sleep(polls: int) -> None:

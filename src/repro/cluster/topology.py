@@ -39,25 +39,6 @@ def balanced_dims(size: int) -> tuple[int, int, int]:
     return tuple(sorted(dims, reverse=True))
 
 
-def feasible_rank_counts(
-    global_blocks: tuple[int, int, int], max_ranks: int
-) -> list[int]:
-    """Rank counts in ``[1, max_ranks]`` that decompose ``global_blocks``.
-
-    A count is feasible when :func:`balanced_dims` divides the global
-    block grid evenly on every axis (the constant-subdomain-size
-    constraint).  Ascending order; used by the recovery supervisor to
-    shrink a world after a rank loss while keeping the decomposition
-    valid.
-    """
-    feasible = []
-    for n in range(1, max_ranks + 1):
-        dims = balanced_dims(n)
-        if all(global_blocks[d] % dims[d] == 0 for d in range(3)):
-            feasible.append(n)
-    return feasible
-
-
 @dataclass(frozen=True)
 class CartTopology:
     """A 3D process grid over ``Pz * Py * Px`` ranks.

@@ -1,10 +1,14 @@
-"""Documented process exit-code taxonomy for the repro CLI.
+"""The failure taxonomy: one classifier, one table, documented exit codes.
 
-Supervisors -- the job service, CI jobs, shell scripts, batch schedulers
--- need to classify a failed ``repro`` invocation without parsing a
-traceback.  Every CLI entry point maps its failure to one of these
-codes; the service's per-job failure *kinds* map onto the same table so
-``repro serve`` exits with the code of its most severe job failure.
+Every recovering caller -- the in-process supervised run, campaigns, the
+job service -- and every supervisor of a ``repro`` process (CI jobs,
+shell scripts, batch schedulers) classifies a failure the same way:
+:func:`classify` maps an exception to a *kind* of :data:`TAXONOMY`,
+whose row says whether another attempt may succeed, which exit code the
+CLI returns, and which injected fault kind a recovery from it credits.
+A failure type names its kind in a ``kind`` class attribute (a
+:class:`~repro.service.engine.JobFailedError` carries it per instance);
+any other ``ValueError`` is ``invalid``, anything else ``error``.
 
 =====  ==================  ==========================================
 code   name                meaning
@@ -13,7 +17,8 @@ code   name                meaning
 1      failure             generic / unclassified failure
 2      usage               command-line usage error (argparse)
 64     invalid             invalid configuration or request
-65     data-corrupt        checkpoint / cache entry failed verification
+65     data-corrupt        data failed verification (checkpoint,
+                           cache entry, message in flight)
 66     deadlock            communication deadlock (watchdog report)
 67     rank-lost           a rank process/thread died mid-run
 68     exhausted           recovery / retry attempts exhausted
@@ -27,6 +32,8 @@ stable: scripts may hard-code them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -55,68 +62,65 @@ NAMES = {
     EXIT_OVERLOAD: "overload",
 }
 
-#: service failure kind -> exit code (see repro.service.workers).
-KIND_EXIT = {
-    "invalid": EXIT_INVALID,
-    "ckpt_corrupt": EXIT_DATA_CORRUPT,
-    "cache_corrupt": EXIT_DATA_CORRUPT,
-    "deadlock": EXIT_DEADLOCK,
-    "rank_crash": EXIT_RANK_LOST,
-    "worker_lost": EXIT_RANK_LOST,
-    "exhausted": EXIT_EXHAUSTED,
-    "poisoned": EXIT_POISONED,
-    "numerics": EXIT_NUMERICS,
-    "shed": EXIT_OVERLOAD,
+
+class Kind(NamedTuple):
+    """One row of the taxonomy."""
+
+    exit: int
+    #: another attempt of the same run may succeed
+    retryable: bool
+    #: the injected fault kind (``repro.resilience.plan.KINDS``) a
+    #: recovery from this failure credits in the fault ledger
+    credits: str | None = None
+
+
+#: kind -> row.  Row order is specificity: a failed SPMD world is
+#: classified by its most specific primary failure.
+TAXONOMY = {
+    "rank_crash": Kind(EXIT_RANK_LOST, True, "rank_crash"),
+    "worker_lost": Kind(EXIT_RANK_LOST, True),
+    "msg_corrupt": Kind(EXIT_DATA_CORRUPT, True, "msg_corrupt"),
+    "ckpt_corrupt": Kind(EXIT_DATA_CORRUPT, True, "ckpt_bitflip"),
+    "cache_corrupt": Kind(EXIT_DATA_CORRUPT, True),
+    "numerics": Kind(EXIT_NUMERICS, False),
+    "invalid": Kind(EXIT_INVALID, False),
+    "deadlock": Kind(EXIT_DEADLOCK, True, "msg_drop"),
+    "comm_timeout": Kind(EXIT_FAILURE, True, "msg_drop"),
+    #: the job service's wall-clock and heartbeat kills
+    "timeout": Kind(EXIT_FAILURE, True),
+    "worker_hung": Kind(EXIT_FAILURE, True),
+    "exhausted": Kind(EXIT_EXHAUSTED, False),
+    "poisoned": Kind(EXIT_POISONED, False),
+    "shed": Kind(EXIT_OVERLOAD, True),
+    "cancelled": Kind(EXIT_FAILURE, False),
+    "error": Kind(EXIT_FAILURE, True),
 }
 
+#: kind -> exit code.
+KIND_EXIT = {kind: row.exit for kind, row in TAXONOMY.items()}
 
-def classify_exit(exc: BaseException) -> tuple[int, str]:
-    """Map an exception to ``(exit_code, name)``.
+_ORDER = {kind: i for i, kind in enumerate(TAXONOMY)}
 
-    SPMD :class:`~repro.cluster.mpi_sim.WorldError` wrappers are
-    unwrapped to their most specific primary cause; unknown exceptions
-    classify as the generic failure code 1.
+
+def _kind(exc: BaseException) -> str:
+    kind = getattr(exc, "kind", None)
+    if kind in TAXONOMY:
+        return kind
+    return "invalid" if isinstance(exc, ValueError) else "error"
+
+
+def classify(exc: BaseException) -> tuple[str, bool]:
+    """Map an exception to ``(kind, retryable)``.
+
+    A :class:`~repro.cluster.mpi_sim.WorldError` is unwrapped once, to
+    its most specific primary failure.
     """
-    # Imports are deferred and guarded: classification must never be
-    # the thing that crashes a failing CLI.
-    from .analysis.sanitizer import NumericsViolationError
-    from .cluster.mpi_sim import DeadlockError, WorldError
-    from .cluster.procs import RankLostError
-    from .resilience.detect import CheckpointCorruptError
-    from .resilience.inject import InjectedRankCrash
-    from .resilience.recover import ResilienceExhaustedError
+    from .cluster.mpi_sim import WorldError
 
-    if isinstance(exc, ResilienceExhaustedError):
-        return EXIT_EXHAUSTED, NAMES[EXIT_EXHAUSTED]
     if isinstance(exc, WorldError):
-        ranked = sorted(
-            (classify_exit(e) for e in
-             (exc.primary_failures or exc.failures).values()),
-            key=lambda ce: ce[0] == EXIT_FAILURE,  # specific codes first
-        )
-        if ranked:
-            return ranked[0]
-        return EXIT_FAILURE, NAMES[EXIT_FAILURE]
-
-    from .service.cache import CacheCorruptError
-    from .service.engine import JobFailedError, JobShedError
-    from .service.retry import PoisonedConfigError
-
-    checks: list[tuple[type, int]] = [
-        (PoisonedConfigError, EXIT_POISONED),
-        (JobShedError, EXIT_OVERLOAD),
-        (DeadlockError, EXIT_DEADLOCK),
-        (RankLostError, EXIT_RANK_LOST),
-        (InjectedRankCrash, EXIT_RANK_LOST),
-        (CheckpointCorruptError, EXIT_DATA_CORRUPT),
-        (CacheCorruptError, EXIT_DATA_CORRUPT),
-        (NumericsViolationError, EXIT_NUMERICS),
-        (JobFailedError, None),  # placeholder; resolved below
-        (ValueError, EXIT_INVALID),
-    ]
-    for typ, code in checks:
-        if isinstance(exc, typ):
-            if typ is JobFailedError:
-                code = KIND_EXIT.get(exc.kind, EXIT_FAILURE)
-            return code, NAMES[code]
-    return EXIT_FAILURE, NAMES[EXIT_FAILURE]
+        failures = (exc.primary_failures or exc.failures).values()
+        kind = min(map(_kind, failures), key=_ORDER.__getitem__,
+                   default="error")
+    else:
+        kind = _kind(exc)
+    return kind, TAXONOMY[kind].retryable

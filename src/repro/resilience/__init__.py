@@ -9,10 +9,9 @@ The durability layer of the reproduction (see ``docs/resilience.md``):
   sites and doubles as the thread-safe resilience monitor;
 * :mod:`repro.resilience.detect` -- CRC32 halo framing, checkpoint
   validation errors and the SDC screen on restored state;
-* :class:`ResilientSimulation` -- the supervised driver loop: retry
-  with bounded jittered backoff, degrade failed writes to counted
-  skips, roll back to the newest verified checkpoint generation and
-  relaunch (optionally on a shrunk rank count);
+* :class:`ResilientSimulation` -- the attempt loop run in-process:
+  classify a failure, decide on another attempt, resume it from the
+  newest verified checkpoint generation the run wrote;
 * :func:`format_resilience_scorecard` -- the chaos-run scorecard
   (faults injected/detected/recovered, recovery overhead, checkpoint
   write amplification).
@@ -33,9 +32,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "plan": ("KINDS", "FaultPlan", "FaultSpec"),
     "recover": (
         "RecoveryEvent", "ResilienceExhaustedError", "ResilientRunResult",
-        "ResilientSimulation", "RetryPolicy",
-        "find_latest_verified_checkpoint", "prune_stale_tmp",
-        "retry_transient", "verify_checkpoint",
+        "ResilientSimulation", "checkpoint_generations",
+        "find_latest_verified_checkpoint", "prune_stale_tmp", "resume",
     ),
     "report": (
         "MAX_RECOVERY_OVERHEAD", "all_faults_recovered",

@@ -43,9 +43,13 @@ class CorruptionError(ValueError):
 class HaloCorruptionError(CorruptionError):
     """A received halo payload failed its CRC32 check."""
 
+    kind = "msg_corrupt"
+
 
 class CheckpointCorruptError(CorruptionError):
     """A checkpoint failed magic/CRC/coverage/shape/SDC validation."""
+
+    kind = "ckpt_corrupt"
 
 
 class CheckpointWriteError(RuntimeError):

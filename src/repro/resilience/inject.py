@@ -1,10 +1,12 @@
 """Runtime fault injection: the chaos engine arming a :class:`FaultPlan`.
 
 One :class:`FaultInjector` is shared by every rank thread of a
-:class:`~repro.cluster.mpi_sim.SimWorld` *and* by every relaunch attempt
-of a supervised campaign -- that persistence is what makes recovery
-testable: a ``max_hits``-bounded crash consumed on attempt 1 does not
-fire again after the rollback, exactly like a real node loss.
+:class:`~repro.cluster.mpi_sim.SimWorld`, and one is the ledger of a
+supervised run's whole lineage of attempts: each attempt runs a clone
+of it (:func:`repro.resilience.recover.resume`) whose consumed hits and
+counters fold back.  That persistence is what makes recovery testable: a
+``max_hits``-bounded crash consumed on attempt 1 does not fire again
+after the rollback, exactly like a real node loss.
 
 The injector doubles as the campaign's resilience monitor: thread-safe
 ``counters`` accumulate injected/detected/recovered totals per fault
@@ -45,6 +47,8 @@ class InjectedFault(RuntimeError):
 class InjectedRankCrash(InjectedFault):
     """An injected rank loss (the thread dies at a step boundary)."""
 
+    kind = "rank_crash"
+
 
 class TransientCommError(InjectedFault):
     """A transient point-to-point failure; retry with backoff."""
@@ -64,6 +68,12 @@ class KillNotDeliveredError(InjectedFault):
 #: published step every 2 ms; the bound is for one that is gone.
 KILL_WAIT = 5.0
 _KILL_POLL = 0.001
+
+
+#: Counters that hold a level, not a count: a merge takes the child's
+#: value instead of adding it.
+GAUGES = frozenset({"ckpt_generation_bytes", "ckpt_generations_kept",
+                    "last_rejected_step", "recovery_attempts"})
 
 
 class FaultInjector:
@@ -125,13 +135,16 @@ class FaultInjector:
     def merge_child(self, counters: dict, hits: list) -> None:
         """Fold a child injector's ledger back into this one.
 
-        Counter values add (they are deltas); consumed-hit counts take
-        the elementwise max (the child saw a superset of the parent's
-        state for the specs it armed).
+        Counter values add (they are deltas), :data:`GAUGES` take the
+        child's value; consumed-hit counts take the elementwise max (the
+        child saw a superset of the parent's state for the specs it
+        armed).
         """
         with self._lock:
             for name, value in counters.items():
-                self.counters[name] = self.counters.get(name, 0) + value
+                if name not in GAUGES:
+                    value += self.counters.get(name, 0)
+                self.counters[name] = value
             for i, h in enumerate(hits[:len(self._hits)]):
                 if h > self._hits[i]:
                     self._hits[i] = h

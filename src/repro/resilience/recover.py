@@ -1,36 +1,40 @@
-"""Recovery: bounded retries, checkpoint rollback, supervised relaunch.
+"""Recovery: one attempt loop -- run, classify, decide, resume.
 
-Three recovery tiers, matched to the fault taxonomy:
+Every caller that fails and comes back does it the same way:
 
-1. **Retry with backoff** (:func:`retry_transient`): transient
-   point-to-point failures are retried in place with bounded, jittered
-   exponential backoff -- the cheapest tier, invisible above the halo
-   exchange.
-2. **Degrade** (driver-level): a failed collective dump or checkpoint
-   write becomes a counted skip; the campaign keeps computing.
-3. **Rollback and relaunch** (:class:`ResilientSimulation`): anything
-   that kills the SPMD world -- rank loss, corrupted halo payload, recv
-   timeout -- rolls the campaign back to the newest *verified*
-   checkpoint generation and relaunches, optionally on a shrunk rank
-   count (graceful degradation).  Verified means: magic ok, every
-   rank-block CRC ok, blocks tile the global box exactly, SDC screen
-   clean -- a generation failing any check falls back to the previous
-   one.
+1. **Classify** (:func:`repro.exitcodes.classify`): the failure becomes
+   a kind of the one taxonomy, which says whether it is retryable.
+2. **Decide** (:class:`repro.service.retry.BackoffPolicy`): another
+   attempt if the kind is retryable and the attempt budget allows, after
+   the policy's delay.
+3. **Resume** (:func:`resume`): the next attempt restarts from the
+   newest *verified* checkpoint generation its own lineage wrote -- else
+   from the run's own ``restart_from``, else from scratch -- under a
+   clone of the lineage's fault injector, re-seeded from attempt 2 on.
+   Verified means: magic ok, every rank-block CRC ok, blocks tile the
+   global box exactly, SDC screen clean -- a generation failing any
+   check falls back to the previous one.
 
-Because the solver is deterministic, a rollback recovery is *bit-exact*:
-the recovered campaign ends in the identical field an unfaulted run
-produces (asserted by the chaos tests).
+:class:`ResilientSimulation` is that loop run in-process; an inline
+:class:`~repro.sim.campaign.Campaign` runs each segment through it, and
+the job service's supervisor calls the same decide and resume steps per
+job.  Because the solver is deterministic, a recovered run is
+*bit-exact*: it ends in the identical field an unfaulted run produces
+(asserted by the chaos tests).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-import random
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field
 
+from ..exitcodes import TAXONOMY, classify
+from ..service.retry import BackoffPolicy
 from ..telemetry.clock import wall_now
 from .detect import CheckpointCorruptError
-from .inject import FaultInjector, InjectedRankCrash, TransientCommError
+from .inject import FaultInjector
 from .plan import FaultPlan
 
 # NOTE: repro.cluster imports happen inside functions: the cluster layer
@@ -38,122 +42,107 @@ from .plan import FaultPlan
 # import here would be circular during package initialization.
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, jittered exponential backoff for transient comm faults.
-
-    ``max_attempts`` bounds total tries (the final failure re-raises);
-    sleep before retry ``k`` is ``base_delay * factor**k``, capped at
-    ``max_delay``, times a seeded jitter in ``[1, 1 + jitter]`` --
-    deterministic per policy instance, desynchronized across sites via
-    ``seed``.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.01
-    factor: float = 2.0
-    max_delay: float = 0.5
-    jitter: float = 0.5
-    seed: int = 2013
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+def _generation(path: str) -> tuple:
+    """A generation's identity: its path, and the inode and mtime of the
+    file there -- one rewritten under the same name is a new one."""
+    st = os.stat(path)
+    return path, st.st_ino, st.st_mtime_ns
 
 
-def retry_transient(fn, policy: RetryPolicy, on_retry=None):
-    """Call ``fn`` under ``policy``; returns its result.
+def checkpoint_generations(ckpt_dir: str | None) -> frozenset:
+    """The generations in ``ckpt_dir`` now (frozenset; empty for None)."""
+    if ckpt_dir is None:
+        return frozenset()
+    from ..cluster.checkpoint import list_checkpoints
 
-    Retries only :class:`TransientCommError` (anything else propagates
-    immediately); re-raises the last transient error once the attempt
-    bound is exhausted.  ``on_retry(attempt, exc)`` is called before
-    each backoff sleep.  The jitter generator is seeded on the first
-    retry: a call that succeeds at once builds none.
-    """
-    import time
-
-    rng = None
-    delay = policy.base_delay
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn()
-        except TransientCommError as exc:
-            if attempt == policy.max_attempts - 1:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            if rng is None:
-                rng = random.Random(policy.seed)
-            time.sleep(min(policy.max_delay, delay) *
-                       (1.0 + policy.jitter * rng.random()))
-            delay *= policy.factor
-
-
-def verify_checkpoint(path: str):
-    """Fully validate one checkpoint generation.
-
-    Returns ``(field, t, step)`` -- the stitched global field -- after
-    magic/CRC/coverage/shape validation (the reader's checks) plus the
-    SDC screen on the restored state.  Raises
-    :class:`~repro.resilience.detect.CheckpointCorruptError` (or
-    ``OSError`` for unreadable files) otherwise.
-    """
-    from ..cluster.checkpoint import read_checkpoint_field
-    from .detect import screen_restored_state
-
-    field_, t, step = read_checkpoint_field(path)
-    screen_restored_state(field_, where=path)
-    return field_, t, step
+    found = set()
+    for _, path in list_checkpoints(ckpt_dir):
+        with contextlib.suppress(OSError):
+            found.add(_generation(path))
+    return frozenset(found)
 
 
 def find_latest_verified_checkpoint(
-    ckpt_dir: str, injector: FaultInjector | None = None
+    ckpt_dir: str, injector: FaultInjector, before: frozenset = frozenset(),
 ) -> tuple[int, str] | None:
-    """Newest generation in ``ckpt_dir`` that passes full verification.
+    """Newest generation in ``ckpt_dir`` that passes full verification
+    and is not one of ``before`` (:func:`checkpoint_generations`).
 
-    Returns ``(step, path)`` or ``None`` when no generation survives.
-    Rejected generations are counted on the injector
-    (``detected_ckpt_bitflip`` / ``checkpoints_rejected``) -- corrupted
-    generations *fall back* to the previous one rather than aborting.
+    Verification is the reader's magic/CRC/coverage/shape checks plus
+    the SDC screen on the restored state.  Returns ``(step, path)`` or
+    ``None`` when no generation survives.  Rejected generations are
+    counted on the injector (``detected_ckpt_bitflip`` /
+    ``checkpoints_rejected``) -- corrupted generations *fall back* to
+    the previous one rather than aborting.
     """
-    from ..cluster.checkpoint import list_checkpoints
+    from ..cluster.checkpoint import list_checkpoints, read_checkpoint_field
+    from .detect import screen_restored_state
 
     for step, path in reversed(list_checkpoints(ckpt_dir)):
         try:
-            verify_checkpoint(path)
-        except (CheckpointCorruptError, OSError, EOFError) as exc:
-            if injector is not None:
-                # Falling back to the previous generation IS the
-                # recovery from a corrupt checkpoint.
-                injector.detected("ckpt_bitflip")
-                injector.recovered("ckpt_bitflip")
-                injector.count("checkpoints_rejected")
-                injector.set_counter("last_rejected_step", step)
-            else:
-                import warnings
-
-                warnings.warn(f"skipping corrupt checkpoint {path}: {exc}",
-                              stacklevel=2)
+            if _generation(path) in before:
+                continue
+            screen_restored_state(read_checkpoint_field(path)[0], where=path)
+        except (CheckpointCorruptError, OSError, EOFError):
+            # Falling back to the previous generation IS the recovery
+            # from a corrupt checkpoint.
+            injector.detected("ckpt_bitflip")
+            injector.recovered("ckpt_bitflip")
+            injector.count("checkpoints_rejected")
+            injector.set_counter("last_rejected_step", step)
             continue
         return step, path
     return None
 
 
+def resume(injector: FaultInjector, attempt: int,
+           restart_from: str | None = None, ckpt_dir: str | None = None,
+           before: frozenset = frozenset(), disable_kinds: tuple = ()
+           ) -> tuple[str | None, int | None, FaultInjector]:
+    """Where attempt ``attempt`` (1-based) of a lineage starts, and the
+    fault injector it runs under.
+
+    The restart point of a retry is the newest verified generation the
+    lineage wrote into ``ckpt_dir`` (None: it writes none) -- never one
+    of ``before``, the generations there before its first attempt --
+    else ``restart_from``, else scratch (None).  The injector is a clone
+    of the lineage's (consumed hits stay consumed), re-seeded from
+    attempt 2 on so a probabilistic fault consumed by luck does not
+    refire by the same luck.  Returns ``(restart path, its step or None,
+    injector)``.
+    """
+    clone = injector.child_clone(disable_kinds)
+    if attempt > 1:
+        clone.reseed(attempt)
+        if ckpt_dir is not None:
+            found = find_latest_verified_checkpoint(ckpt_dir, injector,
+                                                    before)
+            if found is not None:
+                return found[1], found[0], clone
+    return restart_from, None, clone
+
+
 @dataclass
 class RecoveryEvent:
-    """One supervised recovery action (rollback / shrink / restart)."""
+    """One supervised recovery: a failed attempt and where the next
+    one resumed."""
 
     attempt: int              #: 1-based failed attempt number
-    kind: str                 #: classified fault kind (taxonomy or "unknown")
-    cause: str                #: repr of the primary failure
-    action: str               #: "rollback" | "restart_scratch"
-    checkpoint_step: int | None  #: generation resumed from (None = scratch)
-    ranks: int                #: rank count of the relaunch
+    kind: str                 #: taxonomy kind (repro.exitcodes.TAXONOMY)
+    cause: str                #: repr of the failure
+    checkpoint_step: int | None  #: generation resumed from (None = start)
     wall_seconds_lost: float  #: wall time of the failed attempt
+
+    @property
+    def action(self) -> str:
+        """``"rollback"`` to a generation, or ``"restart"``."""
+        return "restart" if self.checkpoint_step is None else "rollback"
 
 
 class ResilienceExhaustedError(RuntimeError):
     """The supervised driver ran out of recovery attempts."""
+
+    kind = "exhausted"
 
     def __init__(self, events: list[RecoveryEvent], last: BaseException):
         self.events = events
@@ -189,55 +178,19 @@ class ResilientRunResult:
         return dict(self.injector.counters) if self.injector else {}
 
 
-def _classify_failure(exc: BaseException, plan: FaultPlan) -> tuple[str, BaseException]:
-    """Map a world failure to a taxonomy kind; returns (kind, primary)."""
-    from ..cluster.mpi_sim import CommTimeoutError, WorldError
-
-    primary = exc
-    if isinstance(exc, WorldError):
-        prim = exc.primary_failures or exc.failures
-        primary = next(iter(prim.values()))
-        for e in prim.values():  # the most specific cause wins
-            if isinstance(e, InjectedRankCrash):
-                return "rank_crash", e
-        # Real process loss on the procs backend (e.g. an injected
-        # SIGKILL): the rank is gone, same recovery path as a crash.
-        from ..cluster.procs import RankLostError
-
-        for e in prim.values():
-            if isinstance(e, RankLostError):
-                return "rank_crash", e
-        from .detect import HaloCorruptionError
-
-        for e in prim.values():
-            if isinstance(e, HaloCorruptionError):
-                return "msg_corrupt", e
-        for e in prim.values():
-            if isinstance(e, CommTimeoutError):
-                kind = "msg_drop" if "msg_drop" in plan.kinds() else "timeout"
-                return kind, e
-    if isinstance(primary, CheckpointCorruptError):
-        return "ckpt_bitflip", primary
-    return "unknown", primary
-
-
 class ResilientSimulation:
-    """Supervised driver loop: run, and on world failure roll back.
+    """The attempt loop, run in-process over
+    :class:`repro.cluster.driver.Simulation`.
 
-    Wraps :class:`repro.cluster.driver.Simulation`.  On a
-    :class:`~repro.cluster.mpi_sim.WorldError` the supervisor
-
-    1. classifies and counts the failure (``detected_<kind>``),
-    2. locates the newest *verified* checkpoint generation in
-       ``config.checkpoint_dir`` (corrupt generations fall back),
-    3. relaunches from it -- optionally on a shrunk, still-feasible rank
-       count when ``config.recovery_shrink`` is set and the failure was
-       a rank loss,
-    4. gives up with :class:`ResilienceExhaustedError` after
-       ``config.max_recoveries`` recoveries.
-
-    Numerics violations (a deterministic divergence would simply recur)
-    propagate immediately.
+    A failed attempt is classified and credited in the fault ledger
+    (``detected_<fault>`` / ``recovered_<fault>`` for the fault kind its
+    taxonomy row credits).  A retryable one is retried, resumed as
+    :func:`resume` says, until ``config.max_recoveries`` recoveries are
+    spent (:class:`ResilienceExhaustedError`); any other failure -- a
+    numerics violation, an invalid configuration -- would simply recur
+    and propagates at once.  An in-process relaunch has no pool of
+    workers to spread its retries over: it waits for nothing.
+    ``attempts`` counts the attempts made so far.
     """
 
     def __init__(self, config, ic_fn, restart_from: str | None = None,
@@ -248,81 +201,64 @@ class ResilientSimulation:
         plan = config.fault_plan if isinstance(config.fault_plan, FaultPlan) \
             else None
         self.injector = injector or FaultInjector(plan)
-
-    def _shrunk_ranks(self, current: int) -> int:
-        """Largest feasible rank count below ``current`` (int >= 1)."""
-        from ..cluster.topology import feasible_rank_counts
-
-        feasible = [
-            n for n in feasible_rank_counts(self.config.global_blocks, current)
-            if n < current
-        ]
-        return feasible[-1] if feasible else current
+        self.attempts = 0
 
     def run(self) -> ResilientRunResult:
-        """Execute the campaign to completion; returns the ledger.
+        """Execute the run to completion; returns the ledger.
 
         Returns a :class:`ResilientRunResult` whose ``result`` is the
         final successful ``RunResult``.
         """
         from ..cluster.driver import Simulation
-        from ..cluster.mpi_sim import WorldError
 
-        inj = self.injector
+        cfg, lineage = self.config, self.injector
+        policy = BackoffPolicy(max_attempts=cfg.max_recoveries + 1,
+                               base_delay=0.0, max_delay=0.0)
+        delays = policy.delays(lineage.plan.seed)
+        ckpt_dir = cfg.checkpoint_dir if cfg.checkpoint_interval > 0 else None
+        before = checkpoint_generations(ckpt_dir)
         events: list[RecoveryEvent] = []
-        restart = self.restart_from
-        ranks = self.config.ranks
-        attempt = 0
-        t_campaign = wall_now()
+        failed = None  #: (kind, cause, seconds lost) of the last attempt
+        self.attempts = 0
+        t_run = wall_now()
         while True:
-            attempt += 1
-            cfg = replace(self.config, ranks=ranks) \
-                if ranks != self.config.ranks else self.config
-            sim = Simulation(cfg, self.ic_fn, restart_from=restart,
-                             injector=inj)
+            self.attempts += 1
+            restart, step, inj = resume(lineage, self.attempts,
+                                        self.restart_from, ckpt_dir, before)
+            if failed is not None:
+                kind, cause, lost = failed
+                events.append(RecoveryEvent(self.attempts - 1, kind, cause,
+                                            step, lost))
+                if TAXONOMY[kind].credits:
+                    lineage.recovered(TAXONOMY[kind].credits)
+                lineage.count("rollbacks")
             t_attempt = wall_now()
             try:
-                result = sim.run()
-                total = wall_now() - t_campaign
-                final = wall_now() - t_attempt
-                inj.set_counter("recovery_attempts", attempt - 1)
-                return ResilientRunResult(
-                    result=result,
-                    attempts=attempt,
-                    events=events,
-                    injector=inj,
-                    total_wall_seconds=total,
-                    final_wall_seconds=final,
-                )
-            except WorldError as we:
-                lost = wall_now() - t_attempt
-                kind, primary = _classify_failure(we, inj.plan)
-                inj.detected(kind)
-                if len(events) >= self.config.max_recoveries:
-                    raise ResilienceExhaustedError(events, we) from we
-
-                found = find_latest_verified_checkpoint(
-                    cfg.checkpoint_dir, injector=inj
-                )
-                if found is None:
-                    restart, ckpt_step, action = None, None, "restart_scratch"
-                else:
-                    ckpt_step, restart = found
-                    action = "rollback"
-                if (self.config.recovery_shrink and kind == "rank_crash"
-                        and ranks > 1):
-                    ranks = self._shrunk_ranks(ranks)
-                events.append(RecoveryEvent(
-                    attempt=attempt,
-                    kind=kind,
-                    cause=repr(primary),
-                    action=action,
-                    checkpoint_step=ckpt_step,
-                    ranks=ranks,
-                    wall_seconds_lost=lost,
-                ))
-                inj.recovered(kind)
-                inj.count("rollbacks")
+                result = Simulation(cfg, self.ic_fn, restart_from=restart,
+                                    injector=inj).run()
+            except Exception as exc:
+                kind, retryable = classify(exc)
+                if TAXONOMY[kind].credits:
+                    lineage.detected(TAXONOMY[kind].credits)
+                delay = policy.decide(self.attempts, retryable, delays)
+                if delay is None:
+                    if retryable:
+                        raise ResilienceExhaustedError(events, exc) from exc
+                    raise
+                failed = (kind, repr(exc), wall_now() - t_attempt)
+                time.sleep(delay)
+                continue
+            finally:
+                lineage.merge_child(inj.counters, inj.hit_state())
+            lineage.set_counter("recovery_attempts", self.attempts - 1)
+            return ResilientRunResult(
+                result=result,
+                attempts=self.attempts,
+                events=events,
+                injector=lineage,
+                total_wall_seconds=wall_now() - t_run,
+                final_wall_seconds=wall_now() - t_attempt,
+            )
 
 
 def prune_stale_tmp(ckpt_dir: str) -> int:

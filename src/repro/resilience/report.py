@@ -123,11 +123,9 @@ def format_resilience_scorecard(rres: ResilientRunResult) -> str:
         lines = [body, "", "recovery ledger:"]
         for ev in rres.events:
             where = (f"rolled back to step {ev.checkpoint_step}"
-                     if ev.action == "rollback" else "restarted from scratch")
-            lines.append(
-                f"  attempt {ev.attempt}: {ev.kind} -> {where} on "
-                f"{ev.ranks} rank(s) ({ev.wall_seconds_lost:.2f} s lost)"
-            )
+                     if ev.action == "rollback" else "restarted")
+            lines.append(f"  attempt {ev.attempt}: {ev.kind} -> {where} "
+                         f"({ev.wall_seconds_lost:.2f} s lost)")
         return "\n".join(lines)
     return body
 

@@ -36,6 +36,8 @@ _HEADER = struct.Struct("<4sIQII")  #: magic, meta_len, payload_len, crcs
 class CacheCorruptError(RuntimeError):
     """A cache entry failed verification (reported after quarantine)."""
 
+    kind = "cache_corrupt"
+
 
 def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF

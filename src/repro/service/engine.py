@@ -14,10 +14,13 @@ same gauntlet:
 5. **supervised execution** -- a worker-pool process computes the job
    under heartbeat liveness, per-job wall-clock timeout, and (for
    chaos plans) parent-side SIGKILL delivery;
-6. **bounded retry** -- failed attempts retry on a *fresh* worker with
-   exponential backoff + decorrelated jitter, resuming from the newest
-   verified checkpoint when checkpointing is on, until the attempt
-   budget is spent or the breaker opens.
+6. **bounded retry** -- a failed attempt is classified by the one
+   taxonomy (:mod:`repro.exitcodes`); a retryable one retries on a
+   *fresh* worker under the decide and resume steps every recovering
+   caller shares (:mod:`repro.resilience.recover`): the
+   :class:`BackoffPolicy` budget and delays, the newest verified
+   checkpoint this job wrote when checkpointing is on, until the budget
+   is spent or the breaker opens.
 
 The supervisor is one thread owning all scheduling state; workers are
 real processes (see :mod:`repro.service.workers`).  It waits on handles
@@ -35,8 +38,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .. import native
+from ..exitcodes import TAXONOMY
 from ..resilience.inject import FaultInjector
 from ..resilience.plan import FaultPlan
+from ..resilience.recover import checkpoint_generations, resume
 from ..telemetry.log import get_logger
 from .cache import ResultCache
 from .queue import AdmissionQueue
@@ -143,13 +148,6 @@ class ServiceConfig:
     #: Steps between retry-resume checkpoints; 0 = retry from scratch
     #: (full diagnostics series -- see docs/service.md for the tradeoff).
     checkpoint_interval: int = 0
-    #: Replace a worker after a failed attempt so the retry lands on a
-    #: fresh process (also what makes breaker streaks distinct-worker).
-    retire_failed_workers: bool = True
-    #: Whether the engine delivers plan ``rank_crash`` SIGKILLs itself;
-    #: None = auto (yes for the sim backend, no for procs whose own
-    #: parent supervisor delivers them inside the worker).
-    supervise_kills: bool | None = None
     #: Service-level chaos plan (cache-write corruption via
     #: ``ckpt_bitflip`` specs addressed at rank -1); per-job faults
     #: travel with ``submit(..., fault_plan=...)`` instead.
@@ -176,17 +174,17 @@ class _Job:
     payload: dict  #: request.to_payload(), built once
     priority: int
     timeout: float | None
-    max_attempts: int
+    policy: BackoffPolicy
     injector: FaultInjector
     supervise: bool
     checkpoint_dir: str
     delays: object  #: backoff delay stream
+    #: checkpoint generations present before the first attempt
+    before: frozenset = frozenset()
     submitted_at: float = 0.0
     status: str = QUEUED
     attempts: int = 0
     not_before: float = 0.0
-    worker_ids: list = field(default_factory=list)
-    failure_kinds: list = field(default_factory=list)
     result: JobResult | None = None
     error: BaseException | None = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -366,6 +364,9 @@ class JobEngine:
         key = request.key()
         payload = request.to_payload()
         hit = self.cache.get(key)
+        policy = self.config.backoff
+        if max_attempts is not None:
+            policy = replace(policy, max_attempts=max_attempts)
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is draining or stopped")
@@ -391,7 +392,7 @@ class JobEngine:
                 self.counters["dedup_joined"] += 1
                 return JobHandle(self, active, joined=True)
             job = self._new_job_locked(request, key, payload, priority,
-                                       fault_plan, timeout, max_attempts,
+                                       fault_plan, timeout, policy,
                                        submitted_at)
             decision, displaced = self.queue.offer(priority, job.seq, job)
             if displaced is not None:
@@ -415,16 +416,15 @@ class JobEngine:
         return JobHandle(self, job)
 
     def _new_job_locked(self, request, key, payload, priority, fault_plan,
-                        timeout, max_attempts, submitted_at) -> _Job:
+                        timeout, policy, submitted_at) -> _Job:
         cfg = self.config
         seq = self._next_seq
         self._next_seq += 1
         injector = FaultInjector(fault_plan)
-        supervise = cfg.supervise_kills
-        if supervise is None:
-            supervise = request.config.cluster_backend == "sim"
-        # Nothing to deliver, nothing to watch the heartbeat for.
-        supervise = supervise and any(
+        # The engine delivers a sim job's plan ``rank_crash`` SIGKILLs; a
+        # procs job's own parent supervisor delivers them inside the
+        # worker.  Nothing to deliver, nothing to watch the heartbeat for.
+        supervise = request.config.cluster_backend == "sim" and any(
             spec.kind == "rank_crash" for spec in injector.plan.faults)
         job = _Job(
             seq=seq,
@@ -433,14 +433,13 @@ class JobEngine:
             payload=payload,
             priority=priority,
             timeout=cfg.job_timeout if timeout is None else timeout,
-            max_attempts=(cfg.backoff.max_attempts
-                          if max_attempts is None else max_attempts),
+            policy=policy,
             injector=injector,
-            supervise=bool(supervise),
+            supervise=supervise,
             checkpoint_dir=os.path.join(
                 cfg.workdir, f"job-{seq:04d}-{key[:12]}"
             ),
-            delays=cfg.backoff.delays(f"{cfg.seed}:{key[:16]}:{seq}"),
+            delays=policy.delays(f"{cfg.seed}:{key[:16]}:{seq}"),
             submitted_at=submitted_at,
         )
         self._jobs[seq] = job
@@ -455,7 +454,8 @@ class JobEngine:
         self._next_seq += 1
         job = _Job(
             seq=seq, key=key, request=request, payload={}, priority=0,
-            timeout=None, max_attempts=0, injector=FaultInjector(),
+            timeout=None, policy=self.config.backoff,
+            injector=FaultInjector(),
             supervise=False, checkpoint_dir="", delays=iter(()),
             status=status, attempts=attempts, error=error,
         )
@@ -476,7 +476,6 @@ class JobEngine:
             self._open_jobs -= 1
         job.done.set()
         self._done_cond.notify_all()
-        self.failures_by_kind.setdefault(status, 0)
         self._log.warn("job_failed", seq=job.seq, key=job.key[:16],
                        status=status, attempts=job.attempts,
                        err=str(error)[:200])
@@ -574,13 +573,11 @@ class JobEngine:
                 self.counters["computed"] += 1
             else:
                 # Graceful failure: retire the worker so any retry
-                # lands on a fresh process.
-                retire = (self.config.retire_failed_workers
-                          and worker.id in self.pool.workers)
-                self._attempt_failed_locked(
-                    job, worker.id, body["kind"], body["retryable"],
-                    body.get("cause", ""),
-                )
+                # lands on a fresh process (which is also what makes
+                # breaker streaks distinct-worker).
+                retire = worker.id in self.pool.workers
+                self._attempt_failed_locked(job, worker.id, body["kind"],
+                                            body["cause"])
         if retire:
             self.pool.retire(worker)
         if status == "ok":
@@ -606,12 +603,9 @@ class JobEngine:
         self.cache.put(job.key, payload, meta)
 
     def _attempt_failed_locked(self, job: _Job, worker_id: int,
-                               kind: str, retryable: bool,
-                               cause: str) -> None:
+                               kind: str, cause: str) -> None:
         self.failures_by_kind[kind] = \
             self.failures_by_kind.get(kind, 0) + 1
-        job.worker_ids.append(worker_id)
-        job.failure_kinds.append(kind)
         opened = self.breaker.record_failure(job.key, worker_id, kind)
         self._log.warn("attempt_failed", seq=job.seq, key=job.key[:16],
                        attempt=job.attempts, kind=kind, worker=worker_id,
@@ -622,24 +616,17 @@ class JobEngine:
             self.counters["poisoned"] += 1
             self._fail_locked(job, self.breaker.error(job.key), POISONED)
             return
-        if not retryable:
+        retryable = TAXONOMY[kind].retryable
+        delay = job.policy.decide(job.attempts, retryable, job.delays)
+        if delay is None:
+            if retryable:
+                self.counters["exhausted"] += 1
+                kind, cause = ("exhausted", f"retry budget spent; last "
+                               f"failure [{kind}] {cause}")
             self._fail_locked(
                 job, JobFailedError(kind, cause, job.attempts), FAILED
             )
             return
-        if job.attempts >= job.max_attempts:
-            self.counters["exhausted"] += 1
-            self._fail_locked(
-                job,
-                JobFailedError(
-                    "exhausted",
-                    f"retry budget spent; last failure [{kind}] {cause}",
-                    job.attempts,
-                ),
-                FAILED,
-            )
-            return
-        delay = next(job.delays)
         job.not_before = time.monotonic() + delay
         job.status = RETRY_WAIT
         self._waiting.append(job)
@@ -670,7 +657,7 @@ class JobEngine:
                 with self._lock:
                     if job is not None and not job.done.is_set():
                         self._attempt_failed_locked(
-                            job, worker.id, kind, True,
+                            job, worker.id, kind,
                             f"worker {worker.id} died ({kind})",
                         )
                 continue
@@ -750,32 +737,17 @@ class JobEngine:
             job.attempts += 1
             attempt = job.attempts
             job.status = RUNNING
-        clone = job.injector.child_clone(
-            disable_kinds=("rank_crash",) if job.supervise else ()
-        )
-        if attempt > 1:
-            # Retry determinism: re-derive the chaos RNG streams so a
-            # probabilistic fault consumed by luck does not refire by
-            # the same luck; the physics seed lives in the request and
-            # is untouched.
-            clone.reseed(attempt)
-        restart = job.request.restart_from
-        if attempt > 1 and cfg.checkpoint_interval > 0:
-            found = None
-            try:
-                from ..resilience.recover import \
-                    find_latest_verified_checkpoint
-                found = find_latest_verified_checkpoint(
-                    job.checkpoint_dir, injector=job.injector
-                )
-            except OSError:
-                found = None
-            if found is not None:
-                restart = found[1]
-                self._log.info("retry_resume", seq=job.seq,
-                               step=found[0])
-        if cfg.checkpoint_interval > 0:
-            os.makedirs(job.checkpoint_dir, exist_ok=True)
+        ckpt_dir = job.checkpoint_dir if cfg.checkpoint_interval > 0 \
+            else None
+        if attempt == 1 and ckpt_dir is not None:
+            job.before = checkpoint_generations(ckpt_dir)
+            os.makedirs(ckpt_dir, exist_ok=True)
+        restart, step, clone = resume(
+            job.injector, attempt, job.request.restart_from, ckpt_dir,
+            job.before,
+            disable_kinds=("rank_crash",) if job.supervise else ())
+        if step is not None:
+            self._log.info("retry_resume", seq=job.seq, step=step)
         task = {
             "seq": job.seq,
             "request": job.payload,

@@ -1,14 +1,17 @@
-"""Retry scheduling and circuit breaking for the job service.
+"""Retry scheduling and circuit breaking.
 
 Two policies, both deterministic per seed so chaos acceptance tests
 replay exactly:
 
-* :class:`BackoffPolicy` -- bounded retry with exponential backoff and
-  *decorrelated jitter*: each delay is drawn uniformly from
-  ``[base, min(cap, 3 * previous)]``.  Decorrelated jitter spreads a
-  thundering herd of retries better than plain jittered exponential
-  (retries of jobs that failed together stop being synchronized after
-  the first draw) while keeping the exponential envelope.
+* :class:`BackoffPolicy` -- the *decide* step of every recovering
+  caller (docs/resilience.md): whether a failed attempt gets another,
+  and after how long.  It holds the attempt budget and draws delays by
+  exponential backoff with *decorrelated jitter*: each delay is drawn
+  uniformly from ``[base, min(cap, 3 * previous)]``.  Decorrelated
+  jitter spreads a thundering herd of retries better than plain
+  jittered exponential (retries of jobs that failed together stop being
+  synchronized after the first draw) while keeping the exponential
+  envelope.
 * :class:`CircuitBreaker` -- per-request-key quarantine of poison
   configs: a request whose attempts keep failing on *distinct* workers
   is the problem itself (not an unlucky worker) and gets its circuit
@@ -28,10 +31,10 @@ from dataclasses import dataclass, field
 class BackoffPolicy:
     """Bounded retry with exponential backoff + decorrelated jitter.
 
-    ``max_attempts`` bounds *total* attempts per job (first try
-    included); delays between them follow the decorrelated-jitter
-    recurrence seeded per job, so two runs of the same chaos plan
-    produce the same retry schedule.
+    ``max_attempts`` bounds *total* attempts (first try included);
+    delays between them follow the decorrelated-jitter recurrence of a
+    seeded stream, so two runs of the same chaos plan produce the same
+    retry schedule.  A zero ``base_delay`` retries at once.
     """
 
     max_attempts: int = 3
@@ -41,16 +44,26 @@ class BackoffPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay <= 0 or self.max_delay < self.base_delay:
-            raise ValueError("need 0 < base_delay <= max_delay")
+        if self.base_delay < 0 or self.max_delay < self.base_delay:
+            raise ValueError("need 0 <= base_delay <= max_delay")
 
     def delays(self, seed) -> "_DelayStream":
-        """The per-job delay stream (iterator of float seconds)."""
+        """The delay stream of one retrying caller (iterator of float
+        seconds)."""
         return _DelayStream(self, seed)
+
+    def decide(self, attempt: int, retryable: bool,
+               delays: "_DelayStream") -> float | None:
+        """After failed attempt ``attempt`` (1-based): seconds to wait
+        before the next one, or None when there is none (the failure is
+        not retryable, or the budget is spent)."""
+        if not retryable or attempt >= self.max_attempts:
+            return None
+        return next(delays)
 
 
 class _DelayStream:
-    """Stateful decorrelated-jitter sequence for one job."""
+    """Stateful decorrelated-jitter sequence of one retrying caller."""
 
     def __init__(self, policy: BackoffPolicy, seed):
         self._policy = policy
@@ -70,6 +83,8 @@ class _DelayStream:
 
 class PoisonedConfigError(RuntimeError):
     """The request's circuit is open: it failed on too many workers."""
+
+    kind = "poisoned"
 
     def __init__(self, key: str, workers: tuple, kinds: tuple):
         self.key = key

@@ -16,8 +16,8 @@ channels:
   deliver *real* ``SIGKILL``\\ s at addressed steps -- the same idiom as
   :class:`repro.cluster.procs.ProcsWorld`).
 
-A worker never decides retry policy: it classifies its failure into the
-service taxonomy (:func:`classify_failure`), ships the fault ledger
+A worker never decides retry policy: it classifies its failure by the
+one taxonomy (:func:`repro.exitcodes.classify`), ships the fault ledger
 (counter deltas + consumed-hit state) home, and lets the engine decide.
 """
 
@@ -34,49 +34,6 @@ import numpy as np
 #: Heartbeat array slots (doubles in a shared Array).
 HB_SEQ, HB_RANK, HB_STEP, HB_BEAT, HB_BUSY = range(5)
 HB_SLOTS = 5
-
-#: Failure kinds that must not be retried: the fault is deterministic
-#: in the request itself, so a retry would reproduce it exactly.
-NON_RETRYABLE = frozenset({"numerics", "invalid"})
-
-
-def classify_failure(exc: BaseException) -> tuple[str, bool]:
-    """Map a job exception to ``(kind, retryable)``.
-
-    SPMD wrappers are unwrapped to their most specific primary cause;
-    the kind vocabulary is shared with
-    :data:`repro.exitcodes.KIND_EXIT` so ``repro serve`` exits with the
-    matching taxonomy code.
-    """
-    from ..analysis.sanitizer import NumericsViolationError
-    from ..cluster.mpi_sim import CommTimeoutError, DeadlockError, WorldError
-    from ..cluster.procs import RankLostError
-    from ..resilience.detect import CheckpointCorruptError, HaloCorruptionError
-    from ..resilience.inject import InjectedRankCrash
-    from .request import RequestError
-
-    if isinstance(exc, WorldError):
-        prim = list((exc.primary_failures or exc.failures).values())
-        ranked = sorted((classify_failure(e) for e in prim),
-                        key=lambda kr: kr[0] == "error")
-        if ranked:
-            return ranked[0]
-        return "error", True
-    checks: tuple[tuple[type, str, bool], ...] = (
-        (InjectedRankCrash, "rank_crash", True),
-        (RankLostError, "rank_crash", True),
-        (DeadlockError, "deadlock", True),
-        (HaloCorruptionError, "msg_corrupt", True),
-        (CommTimeoutError, "comm_timeout", True),
-        (CheckpointCorruptError, "ckpt_corrupt", True),
-        (NumericsViolationError, "numerics", False),
-        (RequestError, "invalid", False),
-        (ValueError, "invalid", False),
-    )
-    for typ, kind, retryable in checks:
-        if isinstance(exc, typ):
-            return kind, retryable
-    return "error", True
 
 
 def result_payload(result) -> dict:
@@ -188,10 +145,10 @@ def worker_main(worker_id: int, task_r, result_w, hb) -> None:
             payload = _run_task(task, injector)
             status, body = "ok", payload
         except BaseException as exc:  # lint: disable=CL005 -- ships home as data
-            kind, retryable = classify_failure(exc)
+            from ..exitcodes import classify
+
             status = "fail"
-            body = {"kind": kind, "retryable": retryable,
-                    "cause": repr(exc)[:2000]}
+            body = {"kind": classify(exc)[0], "cause": repr(exc)[:2000]}
         finally:
             busy.clear()
             with hb.get_lock():

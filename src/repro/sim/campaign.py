@@ -9,14 +9,16 @@ segment from it -- optionally on a different rank count (re-balancing
 between allocations).  Segmented execution is bit-exact with respect to
 an uninterrupted run, which the tests assert.
 
-Campaigns are hardened against segment failures: a failed segment is
-retried from the last good boundary checkpoint (bounded by
-``max_segment_retries``), per-segment outcomes are recorded on
-:class:`SegmentRecord` (``ok`` / ``retried`` / ``failed``), and an
-exhausted campaign returns the *partial* result (``ok=False``) instead
-of losing the completed segments.  Segments can also fan out through
-the fault-tolerant job service (:class:`~repro.service.JobEngine`),
-which adds result caching and its own retry/backoff supervision.
+Each segment is one config submitted to the one attempt loop
+(docs/resilience.md): inline, to
+:class:`~repro.resilience.recover.ResilientSimulation`, whose budget is
+the config's ``max_recoveries``; or, with ``engine``, to the
+fault-tolerant job service (:class:`~repro.service.JobEngine`), whose
+supervisor retries it under its own policy and adds result caching.  A
+failed segment resumes from its boundary checkpoint.  Per-segment
+outcomes are recorded on :class:`SegmentRecord` (``ok`` / ``retried`` /
+``failed``), and a campaign whose segment fails returns the *partial*
+result (``ok=False``) instead of losing the completed segments.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class SegmentRecord:
     checkpoint: str | None
     ranks: int
     #: "ok" (first try), "retried" (succeeded after >= 1 retry) or
-    #: "failed" (retry budget exhausted; the campaign stopped here).
+    #: "failed" (the campaign stopped here).
     status: str = "ok"
     attempts: int = 1
 
@@ -56,8 +59,8 @@ class CampaignResult:
     records: list = field(default_factory=list)  #: all StepRecords, in order
     segments: list[SegmentRecord] = field(default_factory=list)
     final_field: np.ndarray | None = None
-    #: False when a segment exhausted its retries; the result then holds
-    #: every *completed* segment (partial results, not nothing).
+    #: False when a segment failed; the result then holds every
+    #: *completed* segment (partial results, not nothing).
     ok: bool = True
     error: str | None = None
 
@@ -84,21 +87,17 @@ class Campaign:
     config:
         Base configuration.  ``max_steps`` is ignored (the campaign's
         ``total_steps`` governs); checkpoint settings are managed by the
-        campaign.
+        campaign.  ``max_recoveries`` is each inline segment's budget.
     ic_fn:
         Initial condition for the first segment -- a driver callable, or
         an :class:`~repro.service.ICSpec` (required for ``engine`` runs,
         where the IC must cross a process boundary).
     workdir:
         Directory for the segment checkpoints.
-    max_segment_retries:
-        Retries per segment (beyond the first attempt) before the
-        campaign gives up and returns the partial result.
     fault_plan:
         Optional chaos plan armed across the whole campaign: consumed
-        hits persist across segment retries (a ``max_hits``-bounded
-        crash stays spent), and each retry re-seeds the probabilistic
-        streams so a by-chance fault does not refire deterministically.
+        hits persist across segments and their retries (a
+        ``max_hits``-bounded crash stays spent).
     engine:
         Optional running :class:`~repro.service.JobEngine`; segments are
         then submitted as service jobs (cached, supervised) instead of
@@ -106,14 +105,10 @@ class Campaign:
     """
 
     def __init__(self, config: SimulationConfig, ic_fn, workdir: str,
-                 max_segment_retries: int = 0, fault_plan=None,
-                 engine=None):
+                 fault_plan=None, engine=None):
         self.config = config
         self.ic_fn = ic_fn
         self.workdir = workdir
-        if max_segment_retries < 0:
-            raise ValueError("max_segment_retries must be >= 0")
-        self.max_segment_retries = max_segment_retries
         self.fault_plan = fault_plan
         self.engine = engine
         if engine is not None:
@@ -145,18 +140,16 @@ class Campaign:
 
         ``ranks_per_segment`` optionally reassigns the rank count per
         segment (default: the base config's ``ranks`` throughout).
-        Returns a partial result (``ok=False``) if a segment exhausts
-        its retry budget; completed segments are never lost.
+        Returns a partial result (``ok=False``) if a segment fails;
+        completed segments are never lost.
         """
         from ..cluster.checkpoint import write_checkpoint
         from ..cluster.mpi_sim import SimWorld
-        from ..telemetry.log import get_logger
 
         if total_steps < 1 or segment_steps < 1:
             raise ValueError("step counts must be positive")
         boundaries = list(range(segment_steps, total_steps, segment_steps))
         boundaries.append(total_steps)
-        log = get_logger("sim.campaign")
 
         injector = None
         if self.fault_plan is not None:
@@ -173,20 +166,10 @@ class Campaign:
                 else self.config.ranks
             )
             cfg = self._segment_config(last_step, ranks)
-            result = None
-            attempts = 0
-            last_error: BaseException | None = None
-            while result is None and attempts <= self.max_segment_retries:
-                attempts += 1
-                try:
-                    result = self._run_segment(cfg, restart, injector,
-                                               attempts)
-                except Exception as exc:
-                    last_error = exc
-                    log.warn("segment_failed", segment=i,
-                             attempt=attempts, err=repr(exc)[:200])
-            if result is None:
-                # Budget spent: record the failure, keep what we have.
+            result, attempts, error = self._run_segment(cfg, restart,
+                                                        injector)
+            if error is not None:
+                # Record the failure, keep what we have.
                 out.segments.append(SegmentRecord(
                     index=i, first_step=0, last_step=last_step,
                     checkpoint=None, ranks=ranks, status="failed",
@@ -194,7 +177,7 @@ class Campaign:
                 ))
                 out.ok = False
                 out.error = (f"segment {i} failed after {attempts} "
-                             f"attempt(s): {last_error!r}")
+                             f"attempt(s): {error!r}")
                 return out
             out.records.extend(result.records)
             out.final_field = result.final_field
@@ -230,64 +213,57 @@ class Campaign:
             )
         return out
 
-    # -- one segment attempt ----------------------------------------------
+    # -- one segment ------------------------------------------------------
 
     def _run_segment(self, cfg: SimulationConfig, restart: str | None,
-                     injector, attempt: int):
-        """One attempt at a segment; raises on failure."""
-        if self.engine is not None:
-            return self._run_segment_service(cfg, restart)
-        from ..cluster.driver import Simulation
+                     injector):
+        """One segment through the attempt loop; returns ``(result,
+        attempts, None)``, or ``(None, attempts, error)`` once it gave
+        up."""
+        from ..telemetry.log import get_logger
 
-        seg_injector = None
-        if injector is not None:
-            # Same campaign-level ledger across retries (consumed hits
-            # stay consumed), fresh probabilistic streams per attempt.
-            seg_injector = injector.child_clone()
-            if attempt > 1:
-                seg_injector.reseed(attempt)
-        sim = Simulation(cfg, self.ic_fn, restart_from=restart,
-                         injector=seg_injector)
+        if self.engine is None:
+            from ..resilience.recover import ResilientSimulation
+
+            loop = ResilientSimulation(cfg, self.ic_fn, restart_from=restart,
+                                       injector=injector)
+        else:
+            from ..service.request import JobRequest
+
+            loop = self.engine.submit(
+                JobRequest(config=cfg, ic=self.ic_fn, restart_from=restart),
+                fault_plan=self.fault_plan)
         try:
-            result = sim.run()
-        finally:
-            if injector is not None and seg_injector is not None:
-                injector.merge_child(seg_injector.counters,
-                                     seg_injector.hit_state())
-        return result
+            if self.engine is None:
+                result = loop.run().result
+            else:
+                result = _payload_result(cfg, loop.result().payload)
+        except Exception as exc:
+            get_logger("sim.campaign").warn(
+                "segment_failed", last_step=cfg.max_steps,
+                attempts=loop.attempts, err=repr(exc)[:200])
+            return None, loop.attempts, exc
+        return result, loop.attempts, None
 
-    def _run_segment_service(self, cfg: SimulationConfig,
-                             restart: str | None):
-        """One segment through the job service; returns a result shim."""
-        from ..cluster.driver import StepRecord
-        from ..service.request import JobRequest
-        from .diagnostics import Diagnostics
 
-        request = JobRequest(config=cfg, ic=self.ic_fn,
-                             restart_from=restart)
-        handle = self.engine.submit(request, fault_plan=self.fault_plan)
-        result = handle.result()
-        payload = result.payload
-        records = []
-        diag = {name: payload["series"][name]
-                for name in ("max_pressure", "wall_max_pressure",
-                             "kinetic_energy", "vapor_volume")}
-        di = 0
-        for j, step in enumerate(payload["steps"]):
-            d = None
-            if cfg.diag_interval and step % cfg.diag_interval == 0:
-                d = Diagnostics(**{k: float(v[di])
-                                   for k, v in diag.items()})
-                di += 1
-            records.append(StepRecord(
-                step=int(step), time=float(payload["times"][j]),
-                dt=float(payload["dts"][j]), diagnostics=d,
-            ))
+def _payload_result(cfg: SimulationConfig, payload: dict):
+    """The records and final field of a service job's result payload."""
+    from ..cluster.driver import StepRecord
+    from .diagnostics import Diagnostics
 
-        class _Shim:
-            pass
-
-        shim = _Shim()
-        shim.records = records
-        shim.final_field = payload["final_field"]
-        return shim
+    diag = {name: payload["series"][name]
+            for name in ("max_pressure", "wall_max_pressure",
+                         "kinetic_energy", "vapor_volume")}
+    records = []
+    di = 0
+    for j, step in enumerate(payload["steps"]):
+        d = None
+        if cfg.diag_interval and step % cfg.diag_interval == 0:
+            d = Diagnostics(**{k: float(v[di]) for k, v in diag.items()})
+            di += 1
+        records.append(StepRecord(
+            step=int(step), time=float(payload["times"][j]),
+            dt=float(payload["dts"][j]), diagnostics=d,
+        ))
+    return SimpleNamespace(records=records,
+                           final_field=payload["final_field"])

@@ -102,10 +102,9 @@ class SimulationConfig:
     #: declarative chaos spec: a :class:`repro.resilience.FaultPlan`,
     #: a dict/JSON-compatible mapping, or None (no injection)
     fault_plan: object | None = None
-    #: recovery attempts the supervised driver may spend before giving up
+    #: recoveries a supervised run (and each inline campaign segment)
+    #: may spend before giving up: its attempt budget less one
     max_recoveries: int = 3
-    #: after a rank loss, relaunch on a smaller feasible rank count
-    recovery_shrink: bool = False
 
     def __post_init__(self):
         if isinstance(self.cells, int):

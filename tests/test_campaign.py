@@ -90,8 +90,8 @@ class TestCampaignHardening:
         plan = FaultPlan(seed=21, faults=[
             FaultSpec(kind="rank_crash", step=4, max_hits=1),
         ])
-        campaign = Campaign(base_config(), IC, str(tmp_path),
-                            max_segment_retries=2, fault_plan=plan)
+        campaign = Campaign(base_config(max_recoveries=2), IC,
+                            str(tmp_path), fault_plan=plan)
         result = campaign.run(total_steps=6, segment_steps=2)
         assert result.ok
         assert [s.status for s in result.segments] == \
@@ -110,8 +110,8 @@ class TestCampaignHardening:
         plan = FaultPlan(seed=22, faults=[
             FaultSpec(kind="rank_crash", step=3, max_hits=0),
         ])
-        campaign = Campaign(base_config(), IC, str(tmp_path),
-                            max_segment_retries=1, fault_plan=plan)
+        campaign = Campaign(base_config(max_recoveries=1), IC,
+                            str(tmp_path), fault_plan=plan)
         result = campaign.run(total_steps=6, segment_steps=2)
         assert not result.ok
         assert "segment 1" in result.error
@@ -123,12 +123,23 @@ class TestCampaignHardening:
         ref = Simulation(base_config(max_steps=2), IC).run()
         np.testing.assert_array_equal(result.final_field, ref.final_field)
 
-    def test_no_retries_by_default(self, tmp_path):
+    def test_zero_recoveries_fails_at_once(self, tmp_path):
         plan = FaultPlan(seed=23, faults=[
             FaultSpec(kind="rank_crash", step=1, max_hits=1),
         ])
-        campaign = Campaign(base_config(), IC, str(tmp_path),
-                            fault_plan=plan)
+        campaign = Campaign(base_config(max_recoveries=0), IC,
+                            str(tmp_path), fault_plan=plan)
+        result = campaign.run(total_steps=2, segment_steps=2)
+        assert not result.ok
+        assert result.segments[0].attempts == 1
+
+    def test_non_retryable_segment_fails_at_once(self, tmp_path):
+        # A segment whose failure would recur spends no recovery.
+        # Negative ambient pressure: the sanitizer raises at the IC.
+        bad_ic = cloud_collapse([Bubble((0.5, 0.5, 0.5), 0.2)],
+                                p_liquid=-50.0)
+        campaign = Campaign(base_config(sanitize="raise"), bad_ic,
+                            str(tmp_path))
         result = campaign.run(total_steps=2, segment_steps=2)
         assert not result.ok
         assert result.segments[0].attempts == 1

@@ -22,7 +22,6 @@ from repro.cluster import (
     WorldAbortError,
     WorldError,
     checkpoint_path,
-    feasible_rank_counts,
     list_checkpoints,
     prune_checkpoints,
     read_checkpoint_field,
@@ -38,14 +37,11 @@ from repro.resilience import (
     HaloFrame,
     ResilienceExhaustedError,
     ResilientSimulation,
-    RetryPolicy,
-    TransientCommError,
     all_faults_recovered,
     crc32_array,
     find_latest_verified_checkpoint,
     format_resilience_scorecard,
     prune_stale_tmp,
-    retry_transient,
     screen_restored_state,
 )
 from repro.sim import SimulationConfig
@@ -200,72 +196,6 @@ class TestFaultInjector:
 
 
 class TestRetry:
-    def test_recovers_after_transients(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientCommError("flap")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
-        assert retry_transient(flaky, policy) == "ok"
-        assert calls["n"] == 3
-
-    def test_exhaustion_reraises(self):
-        def always():
-            raise TransientCommError("down")
-
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
-        with pytest.raises(TransientCommError):
-            retry_transient(always, policy)
-
-    def test_non_transient_propagates_immediately(self):
-        calls = {"n": 0}
-
-        def boom():
-            calls["n"] += 1
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            retry_transient(boom, RetryPolicy(max_attempts=5, base_delay=0.0))
-        assert calls["n"] == 1
-
-    def test_jitter_sequence_is_the_seeded_one(self, monkeypatch):
-        """Two transients then success: the two backoff sleeps are the
-        draws of ``Random(2013)`` recorded when every call seeded one."""
-        import time
-
-        slept = []
-        monkeypatch.setattr(time, "sleep", slept.append)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientCommError("flap")
-            return "ok"
-
-        assert retry_transient(flaky, RetryPolicy(seed=2013)) == "ok"
-        assert slept == [0.01212588719383985, 0.020519068379440633]
-
-    def test_success_builds_no_generator(self, monkeypatch):
-        import random
-
-        built = []
-
-        class Counting(random.Random):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(random, "Random", Counting)
-        policy = RetryPolicy(seed=7)
-        for _ in range(1000):
-            assert retry_transient(lambda: 1, policy) == 1
-        assert built == []
-
     def test_in_halo_path(self, tmp_path):
         """A transient send is retried in place: no world failure."""
         plan = FaultPlan(faults=[
@@ -282,6 +212,20 @@ class TestRetry:
         ).run()
         np.testing.assert_array_equal(result.final_field,
                                       reference.final_field)
+
+    def test_in_halo_path_budget(self):
+        """A send that keeps failing is tried three times, then the run
+        fails."""
+        plan = FaultPlan(faults=[
+            FaultSpec(kind="comm_transient", rank=0, step=2, max_hits=0),
+        ])
+        inj = FaultInjector(plan)
+        cfg = SimulationConfig(**BASE, max_steps=3, ranks=2, fault_plan=plan,
+                               comm_timeout=10.0)
+        with pytest.raises(WorldError):
+            Simulation(cfg, collapse_ic(), injector=inj).run()
+        assert inj.counters["injected_comm_transient"] == 3
+        assert inj.counters["comm_retries"] == 2
 
 
 # -- detection primitives -------------------------------------------------
@@ -531,26 +475,6 @@ class TestChaosRecovery:
         np.testing.assert_array_equal(rres.result.final_field,
                                       reference.final_field)
 
-    def test_recovery_on_shrunk_rank_count(self, tmp_path):
-        """After a rank loss the relaunch may run on fewer ranks; the
-        final field stays bit-exact (decomposition invariance)."""
-        plan = FaultPlan(faults=[
-            FaultSpec(kind="rank_crash", rank=1, step=3),
-        ])
-        cfg = SimulationConfig(
-            **BASE, max_steps=6, ranks=2,
-            checkpoint_interval=2, checkpoint_dir=str(tmp_path),
-            fault_plan=plan, recovery_shrink=True, comm_timeout=10.0,
-        )
-        rres = ResilientSimulation(cfg, collapse_ic()).run()
-        assert rres.attempts == 2
-        assert rres.events[0].ranks == 1
-        reference = Simulation(
-            SimulationConfig(**BASE, max_steps=6, ranks=2), collapse_ic()
-        ).run()
-        np.testing.assert_array_equal(rres.result.final_field,
-                                      reference.final_field)
-
     def test_corrupted_halo_triggers_rollback(self, tmp_path):
         plan = FaultPlan(faults=[
             FaultSpec(kind="msg_corrupt", rank=0, step=3),
@@ -581,7 +505,8 @@ class TestChaosRecovery:
         )
         rres = ResilientSimulation(cfg, collapse_ic()).run()
         assert rres.attempts == 2
-        assert rres.events[0].kind == "msg_drop"
+        assert rres.events[0].kind == "deadlock"
+        assert rres.counters["recovered_msg_drop"] == 1
         reference = Simulation(
             SimulationConfig(**BASE, max_steps=4, ranks=2), collapse_ic()
         ).run()
@@ -601,14 +526,64 @@ class TestChaosRecovery:
             ResilientSimulation(cfg, collapse_ic()).run()
         assert len(exc.value.events) == 2
 
+    def test_non_retryable_failure_is_not_retried(self):
+        """A failure that would recur (a numerics violation: negative
+        ambient pressure) propagates from the first attempt."""
+        from repro.analysis.sanitizer import NumericsViolationError
 
-# -- topology helper ------------------------------------------------------
+        cfg = SimulationConfig(**BASE, max_steps=2, sanitize="raise")
+        ic = cloud_collapse([Bubble((0.5, 0.5, 0.5), 0.2)], p_liquid=-50.0)
+        sup = ResilientSimulation(cfg, ic)
+        with pytest.raises(NumericsViolationError):
+            sup.run()
+        assert sup.attempts == 1
 
 
-def test_feasible_rank_counts():
-    assert feasible_rank_counts((2, 2, 2), 4) == [1, 2, 4]
-    assert feasible_rank_counts((2, 2, 2), 3) == [1, 2]
-    assert 3 not in feasible_rank_counts((4, 4, 4), 8)
+def other_run_ic():
+    return cloud_collapse([Bubble((0.4, 0.5, 0.5), 0.15)], p_liquid=500.0)
+
+
+def leave_foreign_checkpoints(ckpt_dir, steps):
+    """Another run's generations, left in ``ckpt_dir``."""
+    cfg = SimulationConfig(**BASE, max_steps=steps, checkpoint_interval=2,
+                           checkpoint_dir=str(ckpt_dir))
+    Simulation(cfg, other_run_ic()).run()
+    assert [s for s, _ in list_checkpoints(str(ckpt_dir))] == \
+        list(range(2, steps + 1, 2))
+
+
+class TestOwnLineageOnly:
+    """A supervised run resumes only from generations it wrote itself."""
+
+    def test_non_checkpointing_run_ignores_foreign_generations(self,
+                                                                tmp_path):
+        leave_foreign_checkpoints(tmp_path, 2)
+        plan = FaultPlan(faults=[FaultSpec(kind="rank_crash", step=3)])
+        cfg = SimulationConfig(**BASE, max_steps=4, checkpoint_interval=0,
+                               checkpoint_dir=str(tmp_path),
+                               fault_plan=plan)
+        rres = ResilientSimulation(cfg, collapse_ic()).run()
+        reference = Simulation(SimulationConfig(**BASE, max_steps=4),
+                               collapse_ic()).run()
+        np.testing.assert_array_equal(rres.result.final_field,
+                                      reference.final_field)
+        assert rres.attempts == 2
+        assert rres.events[0].action == "restart"
+
+    def test_newer_foreign_generation_is_skipped(self, tmp_path):
+        leave_foreign_checkpoints(tmp_path, 4)
+        plan = FaultPlan(faults=[FaultSpec(kind="rank_crash", step=3)])
+        cfg = SimulationConfig(**BASE, max_steps=6, checkpoint_interval=2,
+                               checkpoint_dir=str(tmp_path),
+                               fault_plan=plan)
+        rres = ResilientSimulation(cfg, collapse_ic()).run()
+        reference = Simulation(SimulationConfig(**BASE, max_steps=6),
+                               collapse_ic()).run()
+        np.testing.assert_array_equal(rres.result.final_field,
+                                      reference.final_field)
+        assert rres.attempts == 2
+        # Its own step-2 generation, not the other run's step 4.
+        assert rres.events[0].checkpoint_step == 2
 
 
 # -- CLI integration ------------------------------------------------------

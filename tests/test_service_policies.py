@@ -1,31 +1,13 @@
-"""Tests of service policies: backoff, circuit breaker, admission, exits."""
+"""Tests of service policies: backoff, circuit breaker, admission."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.mpi_sim import DeadlockError, WorldError
-from repro.cluster.procs import RankLostError
-from repro.exitcodes import (
-    EXIT_DATA_CORRUPT,
-    EXIT_DEADLOCK,
-    EXIT_EXHAUSTED,
-    EXIT_FAILURE,
-    EXIT_INVALID,
-    EXIT_NUMERICS,
-    EXIT_OVERLOAD,
-    EXIT_POISONED,
-    EXIT_RANK_LOST,
-    KIND_EXIT,
-    NAMES,
-    classify_exit,
-)
 from repro.service import (
     AdmissionQueue,
     BackoffPolicy,
     CircuitBreaker,
-    JobFailedError,
-    JobShedError,
     PoisonedConfigError,
 )
 
@@ -58,6 +40,22 @@ class TestBackoffPolicy:
             BackoffPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             BackoffPolicy(base_delay=0.5, max_delay=0.1)
+        with pytest.raises(ValueError):
+            BackoffPolicy(base_delay=-0.1)
+
+    def test_decide_spends_the_budget(self):
+        p = BackoffPolicy(max_attempts=3, base_delay=0.1, max_delay=1.0)
+        stream = p.delays("job")
+        assert 0.1 <= p.decide(1, True, stream) <= 0.3
+        assert p.decide(2, True, stream) is not None
+        assert p.decide(3, True, stream) is None   # budget spent
+        assert p.decide(1, False, stream) is None  # would recur
+
+    def test_zero_base_retries_at_once(self):
+        p = BackoffPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0)
+        stream = p.delays(0)
+        assert [p.decide(k, True, stream) for k in (1, 2, 3, 4)] == \
+            [0.0, 0.0, 0.0, None]
 
 
 class TestCircuitBreaker:
@@ -165,43 +163,3 @@ class TestAdmissionQueue:
             AdmissionQueue(max_pending=0)
         with pytest.raises(ValueError):
             AdmissionQueue(park_capacity=-1)
-
-
-class TestExitCodes:
-    def test_every_code_named(self):
-        for code in KIND_EXIT.values():
-            assert code in NAMES
-
-    def test_direct_classification(self):
-        cases = [
-            (PoisonedConfigError("k" * 64, (0, 1), ("rank_crash",) * 2),
-             EXIT_POISONED),
-            (JobShedError(), EXIT_OVERLOAD),
-            (DeadlockError("stuck", report=""), EXIT_DEADLOCK),
-            (RankLostError("gone"), EXIT_RANK_LOST),
-            (ValueError("bad config"), EXIT_INVALID),
-            (RuntimeError("???"), EXIT_FAILURE),
-        ]
-        for exc, expected in cases:
-            code, name = classify_exit(exc)
-            assert code == expected, exc
-            assert name == NAMES[expected]
-
-    def test_job_failed_maps_through_kind(self):
-        assert classify_exit(JobFailedError("deadlock"))[0] == EXIT_DEADLOCK
-        assert classify_exit(JobFailedError("rank_crash"))[0] == EXIT_RANK_LOST
-        assert classify_exit(JobFailedError("exhausted"))[0] == EXIT_EXHAUSTED
-        assert classify_exit(JobFailedError("numerics"))[0] == EXIT_NUMERICS
-        assert classify_exit(JobFailedError("ckpt_corrupt"))[0] == \
-            EXIT_DATA_CORRUPT
-        assert classify_exit(JobFailedError("mystery"))[0] == EXIT_FAILURE
-
-    def test_world_error_unwraps_to_primary(self):
-        werr = WorldError({0: RankLostError("rank 0 died"),
-                           1: RuntimeError("collateral")})
-        code, name = classify_exit(werr)
-        assert code == EXIT_RANK_LOST
-
-    def test_codes_avoid_signal_range(self):
-        for code in NAMES:
-            assert 0 <= code < 126
