@@ -6,7 +6,7 @@ by :func:`lazy_exports`::
 
     __getattr__, __all__ = lazy_exports(__name__, {
         "eos": ("LIQUID", "pressure"),
-        "perfcheck": ("check_paths as perf_check_paths",),
+        "perfcheck": ("check_sources as perf_check_sources",),
         "zerotree": ("zerotree",),  # the submodule itself
     })
 

@@ -13,21 +13,19 @@ machine instead of by convention:
   must never produce NaN/Inf, negative density or negative pressure
   mid-collapse.
 
-Three parts:
+Four static families, rule sets over one program model
+(:mod:`repro.analysis.program`: each file parsed once, one function
+table, one rule registry, one :class:`Report` type):
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` --
-  ``cubism-lint``, an AST-based checker with a pluggable rule registry
-  (rules CL001..CL011) and ``# lint: disable=RULE`` pragmas.  Run it as
+  ``cubism-lint``, per-file rules CL001..CL012 with
+  ``# lint: disable=RULE`` pragmas.  Run it as
   ``python -m repro.analysis src/repro`` (or the ``cubism-lint`` script).
-* :mod:`repro.analysis.sanitizer` -- :class:`NumericsSanitizer`, a
-  runtime checker with an off / warn / raise policy that hooks into the
-  core kernels, the time stepper and the cluster driver, accumulating a
-  per-run :class:`ViolationReport`.
-* :mod:`repro.analysis.concurrency` -- the cluster layer's concurrency
-  analysis: **comm-check**, a static whole-program MPI protocol verifier
-  (rules CC001..CC004, ``python -m repro.analysis --concurrency``), and
-  a dynamic vector-clock race detector + deadlock watchdog for the
-  thread-based runtime (CC101/CC102, ``--concurrency-check`` on runs).
+* :mod:`repro.analysis.concurrency` -- **comm-check**, a static
+  whole-program MPI protocol verifier (rules CC001..CC004,
+  ``python -m repro.analysis --concurrency``), beside a dynamic
+  vector-clock race detector + deadlock watchdog for the thread-based
+  runtime (CC101/CC102, ``--concurrency-check`` on runs).
 * :mod:`repro.analysis.perfcheck` -- **kernel-check**, a static hot-path
   performance analyzer (rules CP001..CP003 and CP006, ``python -m
   repro.analysis --perf``) that holds the declared hot-path kernels to
@@ -42,6 +40,11 @@ Three parts:
 ``python -m repro.analysis --all`` runs all four static families in one
 pass and emits a single merged report with a worst-of exit code.
 
+Beside them, :mod:`repro.analysis.sanitizer` --
+:class:`NumericsSanitizer`, a runtime checker with an off / warn / raise
+policy that hooks into the core kernels, the time stepper and the
+cluster driver, accumulating a per-run :class:`ViolationReport`.
+
 The names below resolve on first use: the runtime imports the sanitizer
 and the race tracker, never the static analysers beside them.
 
@@ -52,43 +55,38 @@ from .._exports import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "concurrency": (
-        "ConcurrencyReport",
         "ConcurrencyViolationError",
         "ConcurrencyWarning",
         "RaceTracker",
-        "check_paths",
         "check_sources",
         "make_tracker",
-        "registered_program_rules",
     ),
     "perfcheck": (
         "HOT_KERNELS",
         "KernelSpec",
-        "PerfReport",
         "build_kernel_manifest",
-        "check_paths as perf_check_paths",
         "check_sources as perf_check_sources",
-        "registered_perf_rules",
         "write_kernel_manifest",
     ),
     "syscheck": (
         "LeakError",
         "ResourceLedger",
-        "SysReport",
-        "registered_sys_rules",
-        "check_paths as sys_check_paths",
         "check_sources as sys_check_sources",
     ),
     "lint": (
         "LintConfig",
+        "format_violations",
+        "lint_source",
+    ),
+    "program": (
+        "Program",
         "Rule",
         "SourceFile",
-        "Violation",
-        "format_violations",
-        "lint_paths",
-        "lint_source",
+        "analyze",
+        "register_rule",
         "registered_rules",
     ),
+    "report": ("Report", "Violation"),
     "sanitizer": (
         "POLICIES",
         "NumericsSanitizer",

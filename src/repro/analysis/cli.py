@@ -27,18 +27,26 @@ import json
 import sys
 from pathlib import Path
 
-from .concurrency import registered_program_rules
-from .concurrency import check_paths as comm_check_paths
-from .lint import LintConfig, format_violations, lint_paths, registered_rules
-from .perfcheck import analyze_paths, registered_perf_rules, write_kernel_manifest
-from .syscheck import registered_sys_rules
-from .syscheck import check_paths as sys_check_paths
-
-# Importing the catalogue populates the registry.
-from . import rules as _rules  # noqa: F401  (registry population)
+from .lint import format_violations
+from .perfcheck.manifest import write_kernel_manifest
+from .program import FAMILIES, Program, analyze, registered_rules
 
 #: Schema identifier of the merged ``--all`` report.
 MERGED_SCHEMA = "repro.analysis_report/v1"
+
+#: Per family: the name its messages start with, the flag that selects
+#: it, and the scope ``--list-rules`` shows for a rule without paths.
+_TOOL = {"lint": "cubism-lint", "comm": "comm-check",
+         "perf": "kernel-check", "sys": "sys-check"}
+_FLAG = {"lint": None, "comm": "--concurrency", "perf": "--perf",
+         "sys": "--sys"}
+_UNSCOPED = {"lint": "all files", "comm": "whole program",
+             "perf": "hot-path kernels", "sys": ""}
+
+
+def _usage_error(message: str) -> int:
+    print(f"cubism-lint: {message}", file=sys.stderr)
+    return 2
 
 
 def _rule_set(spec: str | None) -> frozenset[str] | None:
@@ -108,98 +116,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_rules() -> str:
-    """Returns the formatted rule catalogues (lint + comm-check)."""
+    """Returns the formatted rule catalogues of the four families."""
     lines = []
-    for cls in registered_rules():
-        scope = ", ".join(cls.default_paths) if cls.default_paths else "all files"
-        lines.append(f"{cls.rule_id}  {cls.name}  [{scope}]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_program_rules():
-        lines.append(f"{cls.rule_id}  {cls.name}  [whole program, --concurrency]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_perf_rules():
-        lines.append(f"{cls.rule_id}  {cls.name}  [hot-path kernels, --perf]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_sys_rules():
-        scope = ", ".join(cls.paths)
-        lines.append(f"{cls.rule_id}  {cls.name}  [{scope}, --sys]")
-        lines.append(f"       {cls.description}")
+    for family in FAMILIES:
+        for cls in registered_rules(family):
+            scope = ", ".join(cls.paths) if cls.paths else _UNSCOPED[family]
+            if _FLAG[family]:
+                scope = f"{scope}, {_FLAG[family]}"
+            lines.append(f"{cls.rule_id}  {cls.name}  [{scope}]")
+            lines.append(f"       {cls.description}")
     return "\n".join(lines)
 
 
-def _known_rule_ids() -> set[str]:
-    """Every selectable rule id (CLxxx + CCxxx + CPxxx + RSxxx)."""
-    return (
-        {cls.rule_id for cls in registered_rules()}
-        | {cls.rule_id for cls in registered_program_rules()}
-        | {cls.rule_id for cls in registered_perf_rules()}
-        | {cls.rule_id for cls in registered_sys_rules()}
-    )
-
-
-def _filtered(violations, select, ignore):
-    return [
-        v for v in violations
-        if (select is None or v.rule in select) and v.rule not in ignore
-    ]
-
-
-def run_all(paths, select=None, ignore=frozenset(),
-            manifest_out=None) -> tuple[dict, list]:
-    """Run lint + comm + perf + sys over ``paths`` in one pass.
-
-    Returns ``(payload, violations)``: the merged
-    ``repro.analysis_report/v1`` JSON payload and the flat, sorted
-    violation list (the worst-of exit code is ``1`` iff non-empty).
-    Emits the kernel manifest exactly like a plain ``--perf`` run.
-    """
-    lint_violations = lint_paths(paths, LintConfig(select=select,
-                                                   ignore=ignore))
-    comm_report = comm_check_paths(paths)
-    comm_report.violations = _filtered(comm_report.violations,
-                                       select, ignore)
-    program, perf_report = analyze_paths(paths)
-    perf_report.violations = _filtered(perf_report.violations,
-                                       select, ignore)
-    write_kernel_manifest(program, perf_report,
-                          manifest_out or "kernel_manifest.json")
-    sys_report = sys_check_paths(paths)
-    sys_report.violations = _filtered(sys_report.violations,
-                                      select, ignore)
-
-    by_family = [
-        ("lint", lint_violations, {"findings": [
-            {"path": v.path, "line": v.line, "col": v.col,
-             "rule": v.rule, "message": v.message}
-            for v in lint_violations
-        ]}),
-        ("comm", comm_report.violations, comm_report.to_dict()),
-        ("perf", perf_report.violations, perf_report.to_dict()),
-        ("sys", sys_report.violations, sys_report.to_dict()),
-    ]
+def _merged(reports: dict) -> dict:
+    """The ``repro.analysis_report/v1`` payload of every family's report."""
     findings = [
         {"family": family, "path": v.path, "line": v.line, "col": v.col,
          "rule": v.rule, "message": v.message}
-        for family, violations, _ in by_family
-        for v in violations
+        for family, report in reports.items()
+        for v in report.violations
     ]
-    payload = {
+    return {
         "schema": MERGED_SCHEMA,
-        "families": {family: report for family, _, report in by_family},
+        "families": {family: r.to_dict() for family, r in reports.items()},
         "findings": sorted(
             findings, key=lambda f: (f["path"], f["line"], f["rule"])
         ),
         "totals": {
             "findings": len(findings),
-            "by_family": {
-                family: len(violations)
-                for family, violations, _ in by_family
-            },
+            "by_family": {family: len(r) for family, r in reports.items()},
         },
     }
-    merged = [v for _, violations, _ in by_family for v in violations]
-    merged.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return payload, merged
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,84 +158,52 @@ def main(argv: list[str] | None = None) -> int:
 
     select = _rule_set(args.select)
     ignore = _rule_set(args.ignore) or frozenset()
-    unknown = ((select or frozenset()) | ignore) - _known_rule_ids()
+    known = {cls.rule_id for cls in registered_rules()}
+    unknown = ((select or frozenset()) | ignore) - known
     if unknown:
-        print(
-            f"cubism-lint: unknown rule id(s): {', '.join(sorted(unknown))}",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error(
+            f"unknown rule id(s): {', '.join(sorted(unknown))}")
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
-        print(
-            f"cubism-lint: no such path(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error(f"no such path(s): {', '.join(missing)}")
 
+    if args.all_families:
+        families = list(FAMILIES)
+    elif args.syscheck:
+        families = ["sys"]
+    elif args.perf:
+        families = ["perf"]
+    else:
+        families = ["comm" if args.concurrency else "lint"]
+    reports = {}
+    manifest_out = args.manifest_out or "kernel_manifest.json"
     try:
-        if args.all_families:
-            payload, violations = run_all(
-                args.paths, select=select, ignore=ignore,
-                manifest_out=args.manifest_out,
-            )
-            totals = payload["totals"]["by_family"]
-            clean_msg = "analysis: all families clean ({})".format(
-                ", ".join(f"{fam}={n}" for fam, n in totals.items())
-            )
-        elif args.syscheck:
-            report = sys_check_paths(args.paths)
-            violations = _filtered(report.violations, select, ignore)
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"sys-check: {report.summary()}"
-        elif args.perf:
-            program, report = analyze_paths(args.paths)
-            violations = [
-                v for v in report.violations
-                if (select is None or v.rule in select)
-                and v.rule not in ignore
-            ]
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"kernel-check: {report.summary()}"
-            manifest_out = args.manifest_out or "kernel_manifest.json"
-            try:
-                write_kernel_manifest(program, report, manifest_out)
-            except OSError as exc:
-                print(f"cubism-lint: {exc}", file=sys.stderr)
-                return 2
-        elif args.concurrency:
-            report = comm_check_paths(args.paths)
-            violations = [
-                v for v in report.violations
-                if (select is None or v.rule in select)
-                and v.rule not in ignore
-            ]
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"comm-check: {report.summary()}"
-        else:
-            config = LintConfig(select=select, ignore=ignore)
-            violations = lint_paths(args.paths, config)
-            payload = {
-                "findings": [
-                    {"path": v.path, "line": v.line, "col": v.col,
-                     "rule": v.rule, "message": v.message}
-                    for v in violations
-                ],
-            }
-            clean_msg = "cubism-lint: clean"
+        program = Program.load(args.paths)
+        for family in families:
+            model, reports[family] = analyze(program, family, select, ignore)
+            if family == "perf":
+                write_kernel_manifest(model, reports[family], manifest_out)
     except OSError as exc:
-        print(f"cubism-lint: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
+    # The files that do not parse, once, in the first family's report.
+    first = reports[families[0]]
+    first.violations = sorted(program.errors + first.violations)
+    violations = sorted(v for r in reports.values() for v in r.violations)
+    if args.all_families:
+        payload = _merged(reports)
+        clean_msg = "analysis: all families clean ({})".format(", ".join(
+            f"{fam}={n}" for fam, n in payload["totals"]["by_family"].items()))
+    else:
+        (family, report), = reports.items()
+        payload = report.to_dict()
+        clean_msg = (f"{_TOOL[family]}: "
+                     + ("clean" if family == "lint" else report.summary()))
     if args.report_out:
         try:
             with open(args.report_out, "w", encoding="utf-8") as f:
                 json.dump(payload, f, indent=2)
         except OSError as exc:
-            print(f"cubism-lint: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(str(exc))
     if violations:
         print(format_violations(violations))
         if not args.quiet:

@@ -11,8 +11,8 @@ Two cooperating passes over the same failure domain:
   happens-before tracker plus lockset fallback (CC101), and records
   watchdog-diagnosed deadlocks (CC102).
 
-Both report plain :class:`~repro.analysis.lint.Violation` records in one
-:class:`~repro.analysis.concurrency.report.ConcurrencyReport`, shown by
+Both report plain :class:`~repro.analysis.report.Violation` records in
+one :class:`~repro.analysis.report.Report`, shown by
 ``python -m repro.analysis --concurrency`` and on the run scorecard.
 """
 
@@ -22,13 +22,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "commcheck": (
         "CommProgram",
         "CommSite",
-        "ProgramRule",
         "build_program",
-        "check_paths",
-        "check_program",
         "check_sources",
-        "register_program_rule",
-        "registered_program_rules",
     ),
     "race": (
         "DEADLOCK_RULE",
@@ -39,5 +34,4 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "RaceTracker",
         "make_tracker",
     ),
-    "report": ("ConcurrencyReport",),
 })

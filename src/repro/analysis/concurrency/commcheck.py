@@ -12,12 +12,15 @@ hold on *every* rank of the SPMD program (SC13 Section 6):
 3. **endpoint consistency** -- the two ends of a point-to-point edge
    agree on the message tag and payload dtype.
 
-comm-check proves these properties *statically*.  It parses the analyzed
-files into the lint engine's :class:`~repro.analysis.lint.SourceFile`
-representation, extracts a per-rank **communication skeleton** -- every
-``comm.send/isend/recv/irecv`` and collective call site, with symbolic
-peer, tag and payload-dtype arguments -- and then runs whole-program
-rules over the skeleton.
+comm-check proves these properties *statically*.  Over the parsed
+:class:`~repro.analysis.program.Program` it extracts a per-rank
+**communication skeleton** -- every ``comm.send/isend/recv/irecv`` and
+collective call site, with symbolic peer, tag and payload-dtype
+arguments -- and then runs whole-program rules over the skeleton.  A
+call by bare name may reach every def of that name: comm-check resolves
+``f(...)`` and ``obj.f(...)`` alike through the program's function
+table, so a method that performs a collective is found through any
+receiver.
 
 Because ranks execute the same program, symmetry is checked on the
 skeleton itself: the set of tags a rank can post must equal the set of
@@ -39,11 +42,10 @@ un-enumerable tag matches everything, so comm-check reports **zero
 findings on correct-but-dynamic protocols** and flags only provable
 asymmetries.
 
-Findings are ordinary :class:`~repro.analysis.lint.Violation` records
+Findings are ordinary :class:`~repro.analysis.report.Violation` records
 under CC-series rule ids (CC001..CC004), honor ``# lint: disable=CC...``
-pragmas, and accumulate in the shared
-:class:`~repro.analysis.concurrency.report.ConcurrencyReport`.  Run it
-with ``python -m repro.analysis --concurrency [paths]``.
+pragmas, and accumulate in a :class:`~repro.analysis.report.Report`.
+Run it with ``python -m repro.analysis --concurrency [paths]``.
 """
 
 from __future__ import annotations
@@ -52,11 +54,18 @@ import ast
 import copy
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..lint import SourceFile, Violation, iter_python_files
-from .report import ConcurrencyReport
+from ..program import (
+    Program,
+    Rule,
+    SourceFile,
+    call_name,
+    propagate,
+    register_rule,
+    registered_rules,
+)
+from ..report import Report, Violation
 
 #: Method names of the communicator API, by role (mpi4py conventions:
 #: lowercase = python objects, capitalized = NumPy arrays).
@@ -106,8 +115,8 @@ class CommSite:
     kind: str  #: "send" | "recv" | "collective"
     method: str  #: communicator method name at the site
     path: str
-    line: int
-    col: int
+    lineno: int
+    col_offset: int
     func: str  #: bare name of the enclosing function ("" = module level)
     peer: str  #: canonical dest/source text; :data:`ANY` for wildcards
     tag_text: str  #: canonical tag expression text; :data:`ANY` for wildcards
@@ -122,9 +131,8 @@ class LocalCall:
 
     callee: str
     path: str
-    line: int
-    col: int
-    caller: str
+    lineno: int
+    col_offset: int
     rank_conditions: tuple[str, ...]
 
 
@@ -132,7 +140,6 @@ class LocalCall:
 class CommProgram:
     """The whole-program communication skeleton comm-check rules consume."""
 
-    sources: dict[str, SourceFile] = field(default_factory=dict)
     sites: list[CommSite] = field(default_factory=list)
     local_calls: list[LocalCall] = field(default_factory=list)
     #: bare names of locally defined functions that (transitively)
@@ -286,29 +293,18 @@ def _substituted(expr: ast.expr, mapping: dict[str, ast.expr]) -> ast.expr:
 
 
 class _FileContext:
-    """Extraction context of one parsed file.
-
-    Collects the module-level constant environment, the inlineable pure
-    helper functions, a parent map, and the function table.
-    """
+    """Extraction context of one parsed file: its constant environment
+    and the inlineable pure helper functions."""
 
     def __init__(self, source: SourceFile):
         self.source = source
         self.parents = source.parents()
-        self.consts: dict[str, object] = {}
+        self.consts = source.consts
         self.pure_funcs: dict[str, tuple[list[str], ast.expr]] = {}
-        self.functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
-        for node in source.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                t = node.targets[0]
-                if isinstance(t, ast.Name) and isinstance(node.value, ast.Constant):
-                    self.consts[t.id] = node.value.value
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions.append(node)
-                pure = self._pure_return(node)
-                if pure is not None:
-                    self.pure_funcs[node.name] = pure
+        for fn in source.functions:
+            pure = self._pure_return(fn.node)
+            if pure is not None:
+                self.pure_funcs[fn.name] = pure
 
     @staticmethod
     def _pure_return(fn) -> tuple[list[str], ast.expr] | None:
@@ -323,15 +319,6 @@ class _FileContext:
             return None
         params = [a.arg for a in fn.args.args]
         return params, body[0].value
-
-    def enclosing_function(self, node: ast.AST):
-        """The nearest enclosing def (lambdas are transparent), or None."""
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self.parents.get(cur)
-        return None
 
     def context_of(self, node: ast.AST):
         """Ancestry-derived context of a call site.
@@ -484,8 +471,8 @@ def _arg_or_kw(call: ast.Call, index: int, name: str) -> ast.expr | None:
 
 def _raw_ops(ctx: _FileContext) -> Iterator[_RawOp]:
     """Yield every communicator call site of one file."""
-    for node in ast.walk(ctx.source.tree):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+    for node in ctx.source.nodes(ast.Call):
+        if not isinstance(node.func, ast.Attribute):
             continue
         method = node.func.attr
         if not _is_comm_receiver(node.func.value):
@@ -582,7 +569,7 @@ def _send_dtype(ctx: _FileContext, op: _RawOp) -> str | None:
     if direct is not None:
         return direct
     if isinstance(op.payload_ast, ast.Name):
-        fn = ctx.enclosing_function(op.call)
+        fn = ctx.source.enclosing_function(op.call)
         return _local_dtype_of(ctx, fn, op.payload_ast.id)
     return None
 
@@ -599,7 +586,7 @@ def _recv_dtype(ctx: _FileContext, op: _RawOp) -> str | None:
         return None
     target = parent.targets[0]
     if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-        fn = ctx.enclosing_function(op.call)
+        fn = ctx.source.enclosing_function(op.call)
         return _local_dtype_of(ctx, fn, target.value.id)
     return None
 
@@ -617,10 +604,9 @@ def _resolve_site(
     protocol from the analysis.  Returns one :class:`CommSite` per
     resolution (a wrapper called from N places yields up to N sites).
     """
-    fn = ctx.enclosing_function(op.call)
+    fn = ctx.source.enclosing_function(op.call)
     fn_name = fn.name if fn is not None else ""
     bindings, guards, rank_conds = ctx.context_of(op.call)
-    line, col = op.call.lineno, op.call.col_offset + 1
 
     def build(tag_ast, peer_ast, extra_ctx: _FileContext | None = None,
               extra_bindings=None, extra_guards=None, extra_conds=()):
@@ -644,7 +630,8 @@ def _resolve_site(
             peer = _canonical(peer_ast)
         return CommSite(
             kind=op.kind, method=op.method, path=ctx.source.path,
-            line=line, col=col, func=fn_name, peer=peer,
+            lineno=op.call.lineno, col_offset=op.call.col_offset,
+            func=fn_name, peer=peer,
             tag_text=tag_text, tags=tags,
             rank_conditions=tuple(rank_conds) + tuple(extra_conds),
             dtype=_send_dtype(ctx, op) if op.kind == "send" else (
@@ -682,19 +669,12 @@ def _substitute_through_callers(
     out: list[CommSite] = []
     seen = 0
     for cctx in contexts.values():
-        for node in ast.walk(cctx.source.tree):
-            if not isinstance(node, ast.Call):
+        for node in cctx.source.nodes(ast.Call):
+            if call_name(node) != fn.name:
                 continue
-            name = None
-            skip_self = False
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-                skip_self = params[:1] == ["self"]
-            if name != fn.name:
-                continue
-            caller_fn = cctx.enclosing_function(node)
+            skip_self = (isinstance(node.func, ast.Attribute)
+                         and params[:1] == ["self"])
+            caller_fn = cctx.source.enclosing_function(node)
             if caller_fn is fn:
                 continue  # recursion: do not substitute into itself
             seen += 1
@@ -720,79 +700,43 @@ def _substitute_through_callers(
     return out
 
 
-def build_program(sources: dict[str, str]) -> CommProgram:
-    """Build the communication skeleton of a set of source files.
+def build_program(sources: Program | dict[str, str]) -> CommProgram:
+    """Build the communication skeleton of a program.
 
-    ``sources`` maps display paths to source text.  Files that fail to
-    parse contribute nothing (the lint pass reports their CL000).
-    Returns the populated :class:`CommProgram`.
+    ``sources`` is a :class:`~repro.analysis.program.Program` or a
+    mapping of display paths to source text; files that fail to parse
+    contribute nothing (the loader reports their CL000).  Returns the
+    populated :class:`CommProgram`.
     """
+    if not isinstance(sources, Program):
+        sources = Program(sources)
     program = CommProgram()
-    contexts: dict[str, _FileContext] = {}
-    for path, text in sources.items():
-        try:
-            sf = SourceFile(path, text)
-        except SyntaxError:
-            continue
-        program.sources[path] = sf
-        contexts[path] = _FileContext(sf)
-
-    raw: list[tuple[_FileContext, _RawOp]] = []
-    for ctx in contexts.values():
-        for op in _raw_ops(ctx):
-            raw.append((ctx, op))
+    contexts = {path: _FileContext(sf) for path, sf in sources.sources.items()}
+    raw = [(ctx, op) for ctx in contexts.values() for op in _raw_ops(ctx)]
     for ctx, op in raw:
         program.sites.extend(_resolve_site(ctx, op, contexts))
 
-    # -- call graph over bare local function names ----------------------
-    local_names = {
-        fn.name for ctx in contexts.values() for fn in ctx.functions
-    }
-    callees: dict[str, set[str]] = {name: set() for name in local_names}
-    direct: set[str] = set()
-    for ctx in contexts.values():
-        for fn in ctx.functions:
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = None
-                if isinstance(node.func, ast.Name):
-                    name = node.func.id
-                elif isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                if name in local_names and name != fn.name:
-                    callees[fn.name].add(name)
-    for site in program.sites:
-        if site.kind == "collective" and site.func:
-            direct.add(site.func)
-
-    bearing = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for name, called in callees.items():
-            if name not in bearing and called & bearing:
-                bearing.add(name)
-                changed = True
-    program.collective_bearing = bearing
+    # A call by bare name may reach every def of that name.
+    defs = sources.functions
+    direct = {site.func for site in program.sites
+              if site.kind == "collective" and site.func}
+    bearing = propagate(
+        [fn for same in defs.values() for fn in same],
+        {fn: "" for name in direct for fn in defs.get(name, ())},
+        lambda fn: (callee for node in ast.walk(fn.node)
+                    if isinstance(node, ast.Call)
+                    for callee in defs.get(call_name(node), ())),
+    )
+    program.collective_bearing = {fn.name for fn in bearing}
 
     for ctx in contexts.values():
-        for node in ast.walk(ctx.source.tree):
-            if not isinstance(node, ast.Call):
+        for node in ctx.source.nodes(ast.Call):
+            if call_name(node) not in defs:
                 continue
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name not in local_names:
-                continue
-            caller = ctx.enclosing_function(node)
             _b, _g, conds = ctx.context_of(node)
             program.local_calls.append(LocalCall(
-                callee=name, path=ctx.source.path, line=node.lineno,
-                col=node.col_offset + 1,
-                caller=caller.name if caller is not None else "",
+                callee=call_name(node), path=ctx.source.path,
+                lineno=node.lineno, col_offset=node.col_offset,
                 rank_conditions=conds,
             ))
     return program
@@ -801,54 +745,38 @@ def build_program(sources: dict[str, str]) -> CommProgram:
 # -- program rules -------------------------------------------------------
 
 
-class ProgramRule:
-    """Base class of whole-program comm-check rules (CC-series).
-
-    Unlike per-file :class:`~repro.analysis.lint.Rule` subclasses, a
-    program rule consumes the whole :class:`CommProgram` skeleton; it
-    still reports plain :class:`~repro.analysis.lint.Violation` records.
-    """
-
-    rule_id: str = ""
-    name: str = ""
-    description: str = ""
-
-    def check(self, program: CommProgram) -> Iterable[Violation]:
-        """Yield the rule's findings over the program skeleton."""
-        raise NotImplementedError
-
-    def violation(self, site, message: str) -> Violation:
-        """Returns a :class:`Violation` anchored at a skeleton site."""
-        return Violation(path=site.path, line=site.line, col=site.col,
-                         rule=self.rule_id, message=message)
-
-
-#: The open program-rule registry, keyed by rule id.
-PROGRAM_REGISTRY: dict[str, type[ProgramRule]] = {}
-
-
-def register_program_rule(cls: type[ProgramRule]) -> type[ProgramRule]:
-    """Class decorator adding a program rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"program rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PROGRAM_REGISTRY and PROGRAM_REGISTRY[cls.rule_id] is not cls:
-        raise ValueError(f"duplicate program rule id {cls.rule_id}")
-    PROGRAM_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def registered_program_rules() -> list[type[ProgramRule]]:
-    """Returns the registered program-rule classes in id order."""
-    return [PROGRAM_REGISTRY[k] for k in sorted(PROGRAM_REGISTRY)]
-
-
 def _tag_label(tags: Iterable[int]) -> str:
     """Compact display of a tag set (str)."""
     return ", ".join(str(t) for t in sorted(tags))
 
 
-@register_program_rule
-class UnmatchedSend(ProgramRule):
+def _unmatched(rule: Rule, ends: list[CommSite], partners: list[CommSite],
+               peer: str, partner: str, missing_clause: str):
+    """Yield a finding for each of ``ends`` whose enumerated tags no
+    partner endpoint covers; partners with dynamic or wildcard tags
+    match everything."""
+    partner_any = any(p.tags is None for p in partners)
+    covered = {t for p in partners if p.tags is not None for t in p.tags}
+    for e in ends:
+        if not partners:
+            yield rule.violation(
+                e.path, e, f"{e.method}({peer}={e.peer}) has no {partner} "
+                           "anywhere in the analyzed program",
+            )
+            continue
+        if e.tags is None or partner_any:
+            continue
+        missing = set(e.tags) - covered
+        if missing:
+            yield rule.violation(
+                e.path, e,
+                f"{e.method}({peer}={e.peer}, tag={e.tag_text}) "
+                + missing_clause.format(_tag_label(missing)),
+            )
+
+
+@register_rule
+class UnmatchedSend(Rule):
     """CC001: every posted send must have a matching receive.
 
     Under SPMD symmetry the set of tags any rank can post must be
@@ -859,6 +787,7 @@ class UnmatchedSend(ProgramRule):
     tags match everything (conservative).
     """
 
+    family = "comm"
     rule_id = "CC001"
     name = "unmatched-send"
     description = (
@@ -867,34 +796,15 @@ class UnmatchedSend(ProgramRule):
     )
 
     def check(self, program: CommProgram) -> Iterable[Violation]:
-        recvs = program.recvs()
-        recv_any = any(r.tags is None for r in recvs)
-        covered: set[int] = set()
-        for r in recvs:
-            if r.tags is not None:
-                covered |= set(r.tags)
-        for s in program.sends():
-            if not recvs:
-                yield self.violation(
-                    s, f"{s.method}(dest={s.peer}) has no receive anywhere "
-                       "in the analyzed program",
-                )
-                continue
-            if s.tags is None or recv_any:
-                continue
-            missing = set(s.tags) - covered
-            if missing:
-                yield self.violation(
-                    s,
-                    f"{s.method}(dest={s.peer}, tag={s.tag_text}) posts "
-                    f"tag(s) {{{_tag_label(missing)}}} that no receive in "
-                    "the program matches (dropped or mis-tagged recv "
-                    "breaks halo send/recv symmetry)",
-                )
+        return _unmatched(
+            self, program.sends(), program.recvs(), "dest", "receive",
+            "posts tag(s) {{{}}} that no receive in the program matches "
+            "(dropped or mis-tagged recv breaks halo send/recv symmetry)",
+        )
 
 
-@register_program_rule
-class UnmatchedRecv(ProgramRule):
+@register_rule
+class UnmatchedRecv(Rule):
     """CC002: every posted receive must have a matching send.
 
     A receive whose enumerated tag no send can post blocks until the
@@ -903,6 +813,7 @@ class UnmatchedRecv(ProgramRule):
     dynamic tags match everything (conservative).
     """
 
+    family = "comm"
     rule_id = "CC002"
     name = "unmatched-recv"
     description = (
@@ -911,34 +822,15 @@ class UnmatchedRecv(ProgramRule):
     )
 
     def check(self, program: CommProgram) -> Iterable[Violation]:
-        sends = program.sends()
-        send_any = any(s.tags is None for s in sends)
-        posted: set[int] = set()
-        for s in sends:
-            if s.tags is not None:
-                posted |= set(s.tags)
-        for r in program.recvs():
-            if not sends:
-                yield self.violation(
-                    r, f"{r.method}(source={r.peer}) has no send anywhere "
-                       "in the analyzed program",
-                )
-                continue
-            if r.tags is None or send_any:
-                continue
-            missing = set(r.tags) - posted
-            if missing:
-                yield self.violation(
-                    r,
-                    f"{r.method}(source={r.peer}, tag={r.tag_text}) waits "
-                    f"for tag(s) {{{_tag_label(missing)}}} that no send in "
-                    "the program posts (unmatched edge: the wait can only "
-                    "end in a timeout)",
-                )
+        return _unmatched(
+            self, program.recvs(), program.sends(), "source", "send",
+            "waits for tag(s) {{{}}} that no send in the program posts "
+            "(unmatched edge: the wait can only end in a timeout)",
+        )
 
 
-@register_program_rule
-class RankDependentCollective(ProgramRule):
+@register_rule
+class RankDependentCollective(Rule):
     """CC003: collectives must execute identically on every rank.
 
     A collective (or a call into a function that transitively performs
@@ -948,6 +840,7 @@ class RankDependentCollective(ProgramRule):
     "performs-a-collective" through locally defined functions.
     """
 
+    family = "comm"
     rule_id = "CC003"
     name = "rank-dependent-collective"
     description = (
@@ -959,12 +852,12 @@ class RankDependentCollective(ProgramRule):
         seen: set[tuple[str, int, int]] = set()
         for site in program.collectives():
             if site.rank_conditions:
-                key = (site.path, site.line, site.col)
+                key = (site.path, site.lineno, site.col_offset)
                 if key in seen:
                     continue
                 seen.add(key)
                 yield self.violation(
-                    site,
+                    site.path, site,
                     f"collective {site.method}() under rank-dependent "
                     f"condition {site.rank_conditions[0]!r}; every rank "
                     "must issue the same collectives in the same order",
@@ -974,24 +867,21 @@ class RankDependentCollective(ProgramRule):
                 continue
             if call.callee not in program.collective_bearing:
                 continue
-            key = (call.path, call.line, call.col)
+            key = (call.path, call.lineno, call.col_offset)
             if key in seen:
                 continue
             seen.add(key)
-            yield Violation(
-                path=call.path, line=call.line, col=call.col,
-                rule=self.rule_id,
-                message=(
-                    f"call to {call.callee}() (which performs collectives) "
-                    f"under rank-dependent condition "
-                    f"{call.rank_conditions[0]!r}; the collective order "
-                    "diverges across ranks"
-                ),
+            yield self.violation(
+                call.path, call,
+                f"call to {call.callee}() (which performs collectives) "
+                f"under rank-dependent condition "
+                f"{call.rank_conditions[0]!r}; the collective order "
+                "diverges across ranks",
             )
 
 
-@register_program_rule
-class EndpointDtypeMismatch(ProgramRule):
+@register_rule
+class EndpointDtypeMismatch(Rule):
     """CC004: matched endpoints must agree on the payload dtype.
 
     When both ends of a tag-matched edge carry static dtype evidence --
@@ -1000,6 +890,7 @@ class EndpointDtypeMismatch(ProgramRule):
     reinterprets bytes across the storage/compute precision boundary.
     """
 
+    family = "comm"
     rule_id = "CC004"
     name = "endpoint-dtype-mismatch"
     description = (
@@ -1020,9 +911,9 @@ class EndpointDtypeMismatch(ProgramRule):
                     continue
                 if s.dtype != r.dtype:
                     yield self.violation(
-                        r,
+                        r.path, r,
                         f"receive buffer dtype {r.dtype} != sent payload "
-                        f"dtype {s.dtype} ({s.path}:{s.line}); endpoints "
+                        f"dtype {s.dtype} ({s.path}:{s.lineno}); endpoints "
                         "of one edge must agree on the payload dtype",
                     )
 
@@ -1030,34 +921,19 @@ class EndpointDtypeMismatch(ProgramRule):
 # -- entry points --------------------------------------------------------
 
 
-def check_program(program: CommProgram) -> ConcurrencyReport:
-    """Run every registered program rule; returns the report.
+def analyze(program: Program) -> tuple[CommProgram, Report]:
+    """comm-check ``program``; returns ``(skeleton, report)``.
 
-    Violations honor ``# lint: disable=CCxxx`` pragmas in the analyzed
-    sources; ``checks_run`` counts (site, rule) pairs examined.
+    ``checks_run`` counts (site, rule) pairs examined.
     """
-    report = ConcurrencyReport()
-    rules = [cls() for cls in registered_program_rules()]
-    report.checks_run = len(program.sites) * len(rules)
-    out: list[Violation] = []
-    for rule in rules:
-        for v in rule.check(program):
-            source = program.sources.get(v.path)
-            if source is not None and source.disabled(v.rule, v.line):
-                continue
-            out.append(v)
-    report.violations = sorted(set(out))
-    return report
+    comm = build_program(program)
+    rules = [cls() for cls in registered_rules("comm")]
+    # A wrapper's site resolves once per caller: the same finding twice.
+    found = set(program.unsuppressed(v for rule in rules
+                                     for v in rule.check(comm)))
+    return comm, Report("comm", sorted(found), len(comm.sites) * len(rules))
 
 
-def check_sources(sources: dict[str, str]) -> ConcurrencyReport:
+def check_sources(sources: dict[str, str]) -> Report:
     """comm-check a mapping of display path -> source text (report)."""
-    return check_program(build_program(sources))
-
-
-def check_paths(paths: Iterable[str | Path]) -> ConcurrencyReport:
-    """comm-check every python file under ``paths``; returns the report."""
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    return check_sources(sources)
+    return analyze(Program(sources))[1]

@@ -23,10 +23,10 @@ common lock token are considered protected even when the clocks say
 "concurrent" (the runtime's mailboxes synchronize with condition
 variables, not messages).
 
-Findings are :class:`~repro.analysis.concurrency.report.Violation`
+Findings are :class:`~repro.analysis.report.Violation`
 records under the dynamic CC-series ids (``CC101`` shared-state race,
 ``CC102`` deadlock) in the shared
-:class:`~repro.analysis.concurrency.report.ConcurrencyReport`.
+:class:`~repro.analysis.report.Report`.
 The policy knob mirrors the numerics sanitizer: ``off`` builds no
 tracker at all (:func:`make_tracker` returns ``None``; the runtime's
 hook sites guard with one ``is None`` test), ``warn`` records findings
@@ -40,7 +40,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-from .report import ConcurrencyReport, Violation
+from ..report import Report, Violation
 
 #: Valid concurrency-check policies (mirrors the sanitizer's knob).
 POLICIES = ("off", "warn", "raise")
@@ -109,7 +109,7 @@ class RaceTracker:
                 f"unknown concurrency policy {policy!r}; choose from {POLICIES}"
             )
         self.policy = policy
-        self.report = ConcurrencyReport()
+        self.report = Report("comm")
         self._lock = threading.Lock()
         self._clocks: dict[int, dict[int, int]] = {}
         self._locations: dict[str, _Location] = {}

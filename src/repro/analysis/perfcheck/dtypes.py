@@ -27,15 +27,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from ..program import call_name, keyword
+
 #: Dtype lattice labels.
 F32 = "float32"
 F64 = "float64"
 PYFLOAT = "pyfloat"  #: weak python float scalar (NEP 50)
 PYINT = "pyint"  #: weak python int scalar (NEP 50)
 UNKNOWN = "unknown"
-
-#: Array labels that carry promotion evidence.
-_ARRAY_LABELS = (F32, F64)
 
 #: Constructor calls whose ``dtype=`` keyword (or first-argument label,
 #: for the ``*_like`` family) decides the result dtype.
@@ -106,7 +105,7 @@ def dtype_label(node: ast.expr | None) -> str:
             return F64
     if (
         isinstance(node, ast.Call)
-        and _call_name(node) == "dtype"
+        and call_name(node) == "dtype"
         and node.args
     ):
         return dtype_label(node.args[0])
@@ -125,23 +124,6 @@ def join(a: str, b: str) -> str:
     if PYFLOAT in (a, b):
         return PYFLOAT
     return PYINT
-
-
-def _call_name(call: ast.Call) -> str | None:
-    """Bare name of a call target (``np.sqrt`` -> ``sqrt``), or None."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def _dtype_kwarg(call: ast.Call) -> ast.expr | None:
-    """The ``dtype=`` keyword value of a call, or None."""
-    for kw in call.keywords:
-        if kw.arg == "dtype":
-            return kw.value
-    return None
 
 
 class DtypeInference:
@@ -259,7 +241,7 @@ class DtypeInference:
         return UNKNOWN
 
     def _eval_call(self, call: ast.Call) -> str:
-        name = _call_name(call)
+        name = call_name(call)
         arg_labels = [self.eval(a) for a in call.args]
         for kw in call.keywords:
             if kw.arg != "dtype":
@@ -273,15 +255,15 @@ class DtypeInference:
             self._record_strong(call, name)
             return F64
         if name in _HELPER_DTYPES:
-            explicit = dtype_label(_dtype_kwarg(call))
+            explicit = dtype_label(keyword(call, "dtype"))
             return explicit if explicit != UNKNOWN else _HELPER_DTYPES[name]
         if name in _LIKE_CONSTRUCTORS:
-            explicit = dtype_label(_dtype_kwarg(call))
+            explicit = dtype_label(keyword(call, "dtype"))
             if explicit != UNKNOWN:
                 return explicit
             return arg_labels[0] if arg_labels else UNKNOWN
         if name in _CONSTRUCTORS:
-            explicit = dtype_label(_dtype_kwarg(call))
+            explicit = dtype_label(keyword(call, "dtype"))
             if explicit != UNKNOWN:
                 return explicit
             if name in ("array", "asarray") and arg_labels:

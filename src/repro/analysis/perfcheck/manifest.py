@@ -40,10 +40,9 @@ import json
 import os
 from pathlib import Path
 
-from ..lint import Violation
+from ..report import Report, Violation
 from .model import modeled_arithmetic
 from .program import KernelInfo, PerfProgram
-from .report import PerfReport
 
 #: Manifest schema identifier.
 MANIFEST_SCHEMA = "repro.kernel_manifest/v2"
@@ -77,16 +76,13 @@ def _signature(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str:
 
 
 def _closure_findings(
-    info: KernelInfo, program: PerfProgram, report: PerfReport
+    info: KernelInfo, program: PerfProgram, report: Report
 ) -> list[Violation]:
     """Report findings that land inside the kernel's call closure."""
-    spans: list[tuple[str, int, int]] = []
-    for name in info.closure:
-        entry = program.functions.get(name)
-        if entry is None:
-            continue
-        end = getattr(entry.fn, "end_lineno", entry.fn.lineno)
-        spans.append((entry.path, entry.fn.lineno, end or entry.fn.lineno))
+    spans = [
+        (fn.path, fn.node.lineno, fn.node.end_lineno or fn.node.lineno)
+        for fn in (program.functions[name] for name in info.closure)
+    ]
     out = []
     for v in report.violations:
         for path, lo, hi in spans:
@@ -99,21 +95,17 @@ def _closure_findings(
 def native_entry_points(info: KernelInfo, program: PerfProgram) -> list[str]:
     """Entry points of the compiled library the kernel's closure calls
     (``<anything>.repro_*(...)``), sorted; empty for a NumPy-only kernel."""
-    found: set[str] = set()
-    for name in info.closure:
-        entry = program.functions.get(name)
-        if entry is None:
-            continue
-        for node in ast.walk(entry.fn):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr.startswith(_NATIVE_PREFIX)):
-                found.add(node.func.attr)
-    return sorted(found)
+    return sorted({
+        node.func.attr
+        for name in info.closure
+        for node in ast.walk(program.functions[name].node)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith(_NATIVE_PREFIX)
+    })
 
 
 def build_kernel_manifest(
-    program: PerfProgram, report: PerfReport
+    program: PerfProgram, report: Report
 ) -> dict:
     """Build the manifest payload from an analyzed program + report."""
     kernels = []
@@ -123,7 +115,7 @@ def build_kernel_manifest(
         kernels.append({
             "name": info.spec.name,
             "module": info.spec.module,
-            "signature": _signature(info.entry.fn),
+            "signature": _signature(info.entry.node),
             "dtype_contract": info.spec.dtype_contract,
             "native_entry_points": native_entry_points(info, program),
             "closure": sorted(info.closure),
@@ -150,7 +142,7 @@ def build_kernel_manifest(
 
 
 def write_kernel_manifest(
-    program: PerfProgram, report: PerfReport, path: str | Path
+    program: PerfProgram, report: Report, path: str | Path
 ) -> dict:
     """Write ``kernel_manifest.json`` atomically; returns the payload.
 

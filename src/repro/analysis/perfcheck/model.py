@@ -136,10 +136,6 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
                "dtype-preserving, in place" + _NATIVE),
 )
 
-#: Module path suffixes the ``--perf`` CLI analyzes by default.
-HOT_MODULES: tuple[str, ...] = tuple(sorted({s.module for s in HOT_KERNELS}))
-
-
 def modeled_arithmetic(spec: KernelSpec) -> KernelArithmetic | None:
     """The shared roofline-table entry of a kernel spec, or None."""
     if spec.model_key is None:

@@ -1,18 +1,17 @@
 """Whole-program kernel extraction for the static performance analyzer.
 
-Mirrors the skeleton-building phase of
-:mod:`repro.analysis.concurrency.commcheck`: every analyzed file is
-parsed into the lint engine's :class:`~repro.analysis.lint.SourceFile`,
-a per-file context collects its function table and module-level
-constants, and the declared hot-path kernels
-(:data:`repro.analysis.perfcheck.model.HOT_KERNELS`) are resolved to
-their defining functions by ``(module-suffix, name)``.  Each resolved
-kernel carries
+Over the parsed :class:`~repro.analysis.program.Program`, the declared
+hot-path kernels (:data:`repro.analysis.perfcheck.model.HOT_KERNELS`)
+are resolved to their defining functions by ``(module-suffix, name)``.
+Each resolved kernel carries
 
 * its transitive **local helper closure** over the bare-name call graph
   (``weno5`` pulls in ``_weno5_minus_raw``; ``hlle_flux`` pulls in
   ``_hlle_combine``, ``einfeldt_wave_speeds``, ``sound_speed``, ...),
-  which is the scan scope of the CP rules, and
+  which is the scan scope of the CP rules.  Kernel-check resolves only
+  bare ``name(...)`` calls, each to the first def of that name in load
+  order: attribute calls are ``np.*`` ufuncs or methods of runtime
+  objects (sanitizers, ring buffers), not kernel arithmetic; and
 * a **static arithmetic estimate**: FLOPs per output point counted off
   the AST (each arithmetic node and elementwise ufunc call is one vector
   op per point; literal-iterable loops multiply; local calls inline
@@ -28,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..lint import SourceFile, path_matches
+from ..program import Function, Program, call_name, path_matches
 from .dtypes import ELEMENTWISE
 from .model import KernelSpec
 
@@ -56,21 +55,11 @@ _REDUCTIONS = frozenset({"max", "min", "sum", "prod", "amax", "amin",
 
 
 @dataclass
-class FunctionEntry:
-    """One locally defined function of the analyzed file set."""
-
-    name: str
-    path: str
-    fn: ast.FunctionDef | ast.AsyncFunctionDef
-    source: SourceFile
-
-
-@dataclass
 class KernelInfo:
     """A resolved hot-path kernel plus its analysis artifacts."""
 
     spec: KernelSpec
-    entry: FunctionEntry
+    entry: Function
     #: bare names of the transitive local helper closure (kernel included)
     closure: tuple[str, ...] = ()
     counted_flops: float = 0.0
@@ -86,66 +75,24 @@ class KernelInfo:
 
 @dataclass
 class PerfProgram:
-    """Everything the CP rules consume: sources, kernels, call graph."""
+    """Everything the CP rules consume: the kernels and the call graph."""
 
-    sources: dict[str, SourceFile] = field(default_factory=dict)
-    #: bare name -> defining entry (first definition wins on collision)
-    functions: dict[str, FunctionEntry] = field(default_factory=dict)
+    program: Program
+    #: bare name -> its first def in load order
+    functions: dict[str, Function] = field(default_factory=dict)
     kernels: list[KernelInfo] = field(default_factory=list)
-    #: module-level integer constants, per path (loop enumeration)
-    int_consts: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def scan_entries(self) -> list[tuple[KernelInfo, FunctionEntry]]:
-        """(kernel, function) pairs to scan: each kernel with every
-        member of its helper closure, deduplicated per kernel."""
-        out = []
-        for info in self.kernels:
-            for name in info.closure:
-                entry = self.functions.get(name)
-                if entry is not None:
-                    out.append((info, entry))
-        return out
 
 
-def _module_consts(tree: ast.Module) -> dict[str, int]:
-    """Module-level int constants by name."""
-    ints: dict[str, int] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            t = node.targets[0]
-            if (isinstance(t, ast.Name)
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, int)):
-                ints[t.id] = node.value.value
-    return ints
+def _callees(fn: ast.AST, functions: dict[str, Function]) -> set[str]:
+    """Bare names of locally defined functions called by name in ``fn``."""
+    return {
+        node.func.id for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in functions
+    }
 
 
-def _call_name(call: ast.Call) -> str | None:
-    """Bare target name of a call, or None."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def _callees(fn: ast.AST, functions: dict[str, FunctionEntry]) -> set[str]:
-    """Bare names of locally defined functions called inside ``fn``.
-
-    Only ``Name`` call targets resolve: kernel helpers are module-level
-    functions called by bare name, while attribute calls are either
-    ``np.*`` ufuncs or method calls on runtime objects (sanitizers,
-    ring buffers) that are not kernel arithmetic.
-    """
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in functions:
-                out.add(node.func.id)
-    return out
-
-
-def _closure(root: str, functions: dict[str, FunctionEntry]) -> tuple[str, ...]:
+def _closure(root: str, functions: dict[str, Function]) -> tuple[str, ...]:
     """Transitive bare-name call closure of ``root`` (root included)."""
     seen: list[str] = []
     stack = [root]
@@ -154,7 +101,7 @@ def _closure(root: str, functions: dict[str, FunctionEntry]) -> tuple[str, ...]:
         if name in seen or name not in functions:
             continue
         seen.append(name)
-        for callee in sorted(_callees(functions[name].fn, functions)):
+        for callee in sorted(_callees(functions[name].node, functions)):
             if callee not in seen:
                 stack.append(callee)
     return tuple(seen)
@@ -191,7 +138,7 @@ def _loop_multiplier(node: ast.For, int_consts: dict[str, int]) -> int:
 
 def count_flops(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    functions: dict[str, FunctionEntry],
+    functions: dict[str, Function],
     int_consts: dict[str, int],
     _depth: int = 0,
     _stack: frozenset[str] = frozenset(),
@@ -277,7 +224,7 @@ def count_flops(
         return total
 
     def _call_cost(call: ast.Call) -> float:
-        name = _call_name(call)
+        name = call_name(call)
         if name is None or name in _DATA_MOVEMENT:
             return 0.0
         is_bare = isinstance(call.func, ast.Name)
@@ -287,9 +234,8 @@ def count_flops(
             and name not in _stack
             and _depth < MAX_INLINE_DEPTH
         ):
-            entry = functions[name]
             return count_flops(
-                entry.fn, functions, int_consts,
+                functions[name].node, functions, int_consts,
                 _depth=_depth + 1, _stack=_stack | {name},
             )
         if name in ELEMENTWISE or name in _REDUCTIONS:
@@ -351,7 +297,7 @@ def count_operand_bytes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> float:
             for c in node.comparators:
                 _param_operands(c)
         elif isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             if name is not None and name not in _DATA_MOVEMENT:
                 for a in node.args:
                     _param_operands(a)
@@ -401,56 +347,34 @@ def count_operand_bytes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> float:
 
 
 def build_program(
-    sources: dict[str, str],
+    sources: Program | dict[str, str],
     specs: tuple[KernelSpec, ...],
 ) -> PerfProgram:
-    """Parse sources and resolve the declared kernels into a program.
+    """Resolve the declared kernels of a program.
 
-    ``sources`` maps display paths to source text; files that fail to
-    parse contribute nothing (the lint pass reports their CL000).
-    Kernels whose module/function cannot be found are skipped -- the
-    manifest reports what was actually resolved.
+    ``sources`` is a :class:`~repro.analysis.program.Program` or a
+    mapping of display paths to source text; files that fail to parse
+    contribute nothing (the loader reports their CL000).  Kernels whose
+    module/function cannot be found are skipped -- the manifest reports
+    what was actually resolved.
     """
-    program = PerfProgram()
-    for path, text in sources.items():
-        try:
-            sf = SourceFile(path, text)
-        except SyntaxError:
-            continue
-        program.sources[path] = sf
-        program.int_consts[path] = _module_consts(sf.tree)
-        for node in ast.walk(sf.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name not in program.functions:
-                    program.functions[node.name] = FunctionEntry(
-                        name=node.name, path=path, fn=node, source=sf
-                    )
-
+    if not isinstance(sources, Program):
+        sources = Program(sources)
+    program = PerfProgram(
+        sources, {name: same[0] for name, same in sources.functions.items()})
     for spec in specs:
-        entry = None
-        for path, sf in program.sources.items():
-            if not path_matches(path, spec.module):
-                continue
-            cand = program.functions.get(spec.name)
-            if cand is not None and cand.path == path:
-                entry = cand
-                break
-            # the first binding may live in another file; search this one
-            for node in ast.walk(sf.tree):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == spec.name
-                ):
-                    entry = FunctionEntry(spec.name, path, node, sf)
-                    break
-            if entry is not None:
-                break
+        entry = next((
+            fn for path, source in sources.sources.items()
+            if path_matches(path, spec.module)
+            for fn in source.functions if fn.name == spec.name
+        ), None)
         if entry is None:
             continue
         info = KernelInfo(spec=spec, entry=entry)
         info.closure = _closure(spec.name, program.functions)
-        ints = program.int_consts.get(entry.path, {})
-        info.counted_flops = count_flops(entry.fn, program.functions, ints)
-        info.counted_bytes = count_operand_bytes(entry.fn)
+        consts = sources.sources[entry.path].consts
+        ints = {k: v for k, v in consts.items() if isinstance(v, int)}
+        info.counted_flops = count_flops(entry.node, program.functions, ints)
+        info.counted_bytes = count_operand_bytes(entry.node)
         program.kernels.append(info)
     return program

@@ -22,29 +22,29 @@ a ``numba`` backend that was decided against; retired with it):
   kernel grew arithmetic the model does not know about, or the model is
   stale.
 
-All findings are :class:`~repro.analysis.lint.Violation` records, honor
+All findings are :class:`~repro.analysis.report.Violation` records, honor
 ``# lint: disable=CPxxx`` pragmas and accumulate in a
-:class:`~repro.analysis.perfcheck.report.PerfReport`.  Run with
+:class:`~repro.analysis.report.Report`.  Run with
 ``python -m repro.analysis --perf [paths]``.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..lint import Violation, iter_python_files
+from ..program import (
+    Function,
+    Program,
+    Rule,
+    call_name,
+    register_rule,
+    registered_rules,
+)
+from ..report import Report, Violation
 from .dtypes import ELEMENTWISE, infer
 from .model import HOT_KERNELS, KernelSpec, modeled_arithmetic
-from .program import (
-    _REDUCTIONS,
-    FunctionEntry,
-    PerfProgram,
-    _call_name,
-    build_program,
-)
-from .report import PerfReport
+from .program import _REDUCTIONS, PerfProgram, build_program
 
 #: CP003 fires at or above this many allocating array ops per function.
 ALLOC_THRESHOLD = 12
@@ -57,70 +57,20 @@ DISCIPLINE_RATIO = 4
 INTENSITY_TOLERANCE = 2.0
 
 
-class PerfRule:
-    """Base class of whole-program perfcheck rules (CP-series)."""
-
-    rule_id: str = ""
-    name: str = ""
-    description: str = ""
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        """Yield the rule's findings over the kernel program."""
-        raise NotImplementedError
-
-    def violation(self, path: str, node: ast.AST, message: str) -> Violation:
-        """Returns a :class:`Violation` anchored at an AST node."""
-        return Violation(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.rule_id,
-            message=message,
-        )
-
-
-#: The open perf-rule registry, keyed by rule id.
-PERF_REGISTRY: dict[str, type[PerfRule]] = {}
-
-
-def register_perf_rule(cls: type[PerfRule]) -> type[PerfRule]:
-    """Class decorator adding a perf rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"perf rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PERF_REGISTRY and PERF_REGISTRY[cls.rule_id] is not cls:
-        raise ValueError(f"duplicate perf rule id {cls.rule_id}")
-    PERF_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def registered_perf_rules() -> list[type[PerfRule]]:
-    """Returns the registered perf-rule classes in id order."""
-    return [PERF_REGISTRY[k] for k in sorted(PERF_REGISTRY)]
-
-
 # -- scan-scope helpers ---------------------------------------------------
 
 
-def _unique_functions(program: PerfProgram) -> Iterator[FunctionEntry]:
+def _unique_functions(program: PerfProgram) -> Iterator[Function]:
     """Each function in scope exactly once (kernels + helper closures)."""
-    seen: set[tuple[str, str]] = set()
-    for info in program.kernels:
-        for name in info.closure:
-            entry = program.functions.get(name)
-            if entry is None:
-                continue
-            key = (entry.path, entry.name)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield entry
+    names = dict.fromkeys(n for info in program.kernels for n in info.closure)
+    return (program.functions[name] for name in names)
 
 
 # -- CP001 / CP002: dtype propagation -------------------------------------
 
 
-@register_perf_rule
-class SilentPromotion(PerfRule):
+@register_rule
+class SilentPromotion(Rule):
     """CP001: provable float32/float64 mix inside one expression.
 
     Dtype labels propagate from explicit evidence only (``dtype=``
@@ -129,6 +79,7 @@ class SilentPromotion(PerfRule):
     promotion is certain, not merely possible.
     """
 
+    family = "perf"
     rule_id = "CP001"
     name = "silent-promotion"
     description = (
@@ -138,7 +89,7 @@ class SilentPromotion(PerfRule):
 
     def check(self, program: PerfProgram) -> Iterable[Violation]:
         for entry in _unique_functions(program):
-            for promo in infer(entry.fn).promotions:
+            for promo in infer(entry.node).promotions:
                 yield self.violation(
                     entry.path, promo.node,
                     f"silent {promo.left}/{promo.right} promotion in "
@@ -147,8 +98,8 @@ class SilentPromotion(PerfRule):
                 )
 
 
-@register_perf_rule
-class StrongScalarContamination(PerfRule):
+@register_rule
+class StrongScalarContamination(Rule):
     """CP002: dtype-less scalar-array construction in a kernel body.
 
     ``np.asarray(0.5)`` / ``np.float64(x)`` produce float64 scalar
@@ -157,6 +108,7 @@ class StrongScalarContamination(PerfRule):
     python scalars through unwrapped or pin an explicit ``dtype=``.
     """
 
+    family = "perf"
     rule_id = "CP002"
     name = "strong-scalar"
     description = (
@@ -167,7 +119,7 @@ class StrongScalarContamination(PerfRule):
 
     def check(self, program: PerfProgram) -> Iterable[Violation]:
         for entry in _unique_functions(program):
-            for ev in infer(entry.fn).strong_scalars:
+            for ev in infer(entry.node).strong_scalars:
                 yield self.violation(
                     entry.path, ev.node,
                     f"{ev.func}() wraps a python scalar into a strong "
@@ -206,7 +158,7 @@ def _alloc_discipline(fn: ast.AST) -> tuple[int, int]:
                 continue
             alloc += 1
         elif isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             has_out = any(kw.arg == "out" for kw in node.keywords)
             if name == "copyto":
                 disciplined += 1
@@ -226,8 +178,8 @@ def _alloc_discipline(fn: ast.AST) -> tuple[int, int]:
     return alloc, disciplined
 
 
-@register_perf_rule
-class HiddenTemporaries(PerfRule):
+@register_rule
+class HiddenTemporaries(Rule):
     """CP003: chained ufunc expressions allocating many intermediates.
 
     Every un-disciplined array binop/ufunc call in a NumPy kernel
@@ -238,6 +190,7 @@ class HiddenTemporaries(PerfRule):
     :data:`DISCIPLINE_RATIO` allocations is flagged.
     """
 
+    family = "perf"
     rule_id = "CP003"
     name = "hidden-temporaries"
     description = (
@@ -247,10 +200,10 @@ class HiddenTemporaries(PerfRule):
 
     def check(self, program: PerfProgram) -> Iterable[Violation]:
         for entry in _unique_functions(program):
-            alloc, disciplined = _alloc_discipline(entry.fn)
+            alloc, disciplined = _alloc_discipline(entry.node)
             if alloc >= ALLOC_THRESHOLD and disciplined * DISCIPLINE_RATIO < alloc:
                 yield self.violation(
-                    entry.path, entry.fn,
+                    entry.path, entry.node,
                     f"{entry.name}() allocates ~{alloc} intermediate "
                     f"arrays per call ({disciplined} disciplined ops); "
                     "thread out=/workspace buffers through the hot "
@@ -261,8 +214,8 @@ class HiddenTemporaries(PerfRule):
 # -- CP006: arithmetic-intensity cross-check ------------------------------
 
 
-@register_perf_rule
-class IntensityDivergence(PerfRule):
+@register_rule
+class IntensityDivergence(Rule):
     """CP006: counted vs modeled arithmetic intensity diverge > 2x.
 
     The AST-level FLOP/operand count of a kernel (same per-point
@@ -273,6 +226,7 @@ class IntensityDivergence(PerfRule):
     -- both invalidate the perf-trajectory projections.
     """
 
+    family = "perf"
     rule_id = "CP006"
     name = "intensity-divergence"
     description = (
@@ -292,7 +246,7 @@ class IntensityDivergence(PerfRule):
             ratio = max(counted, modeled) / min(counted, modeled)
             if ratio > INTENSITY_TOLERANCE:
                 yield self.violation(
-                    info.entry.path, info.entry.fn,
+                    info.entry.path, info.entry.node,
                     f"{info.spec.name}(): counted intensity "
                     f"{counted:.3f} FLOP/B vs modeled {modeled:.3f} "
                     f"(table key {info.spec.model_key!r}) -- "
@@ -305,58 +259,34 @@ class IntensityDivergence(PerfRule):
 # -- entry points ---------------------------------------------------------
 
 
-def check_program(program: PerfProgram) -> PerfReport:
-    """Run every registered perf rule; returns the report.
+def check_program(kernels: PerfProgram) -> Report:
+    """Run every perf rule over a kernel program; returns the report.
 
     Violations honor ``# lint: disable=CPxxx`` pragmas in the analyzed
     sources; ``checks_run`` counts (function, rule) scan pairs plus the
     per-kernel cross-checks.
     """
-    report = PerfReport()
-    rules = [cls() for cls in registered_perf_rules()]
-    scanned = len(list(_unique_functions(program)))
-    report.checks_run = scanned * len(rules) + len(program.kernels)
-    out: list[Violation] = []
-    for rule in rules:
-        for v in rule.check(program):
-            source = program.sources.get(v.path)
-            if source is not None and source.disabled(v.rule, v.line):
-                continue
-            out.append(v)
-    report.violations = sorted(set(out))
-    return report
+    rules = [cls() for cls in registered_rules("perf")]
+    scanned = len(list(_unique_functions(kernels)))
+    found = set(kernels.program.unsuppressed(v for rule in rules
+                                             for v in rule.check(kernels)))
+    return Report("perf", sorted(found),
+                  scanned * len(rules) + len(kernels.kernels))
+
+
+def analyze(
+    program: Program,
+    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
+) -> tuple[PerfProgram, Report]:
+    """kernel-check ``program``; returns ``(kernels, report)`` -- what the
+    CLI needs to emit both the findings and the kernel manifest."""
+    kernels = build_program(program, specs)
+    return kernels, check_program(kernels)
 
 
 def check_sources(
     sources: dict[str, str],
     specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> PerfReport:
+) -> Report:
     """perfcheck a mapping of display path -> source text (report)."""
-    return check_program(build_program(sources, specs))
-
-
-def check_paths(
-    paths: Iterable[str | Path],
-    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> PerfReport:
-    """perfcheck every python file under ``paths``; returns the report."""
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    return check_sources(sources, specs)
-
-
-def analyze_paths(
-    paths: Iterable[str | Path],
-    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> tuple[PerfProgram, PerfReport]:
-    """Build the program and run the rules in one step.
-
-    Returns ``(program, report)`` -- what the CLI needs to emit both the
-    findings and the kernel manifest from a single parse.
-    """
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    program = build_program(sources, specs)
-    return program, check_program(program)
+    return analyze(Program(sources), specs)[1]

@@ -13,17 +13,11 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from .lint import Rule, SourceFile, Violation, register_rule
-
-#: Quantity-dtype constants that code must reference instead of raw
-#: numpy dtypes (defined in :mod:`repro.physics.state`).
-DTYPE_CONSTANTS = ("STORAGE_DTYPE", "COMPUTE_DTYPE")
+from .program import Rule, SourceFile, call_name, register_rule
+from .report import Violation
 
 #: Attribute names of raw numpy float dtypes covered by CL001.
 _RAW_FLOAT_ATTRS = {"float32", "float64", "single", "double", "half", "float16"}
-
-#: Dtype spellings that indicate a downcast on a compute path (CL003).
-_LOWER_PRECISION = {"float32", "single", "half", "float16", "STORAGE_DTYPE"}
 
 #: Ghost-width literals that must be derived from GHOSTS (CL002).
 _GHOST_LITERALS = {3, 6}
@@ -66,13 +60,13 @@ class NoRawFloatDtypes(Rule):
         "use STORAGE_DTYPE/COMPUTE_DTYPE from repro.physics.state instead "
         "of raw np.float32/np.float64"
     )
-    default_paths = ("core/", "node/", "cluster/", "physics/", "repro/cli.py")
+    paths = ("core/", "node/", "cluster/", "physics/", "repro/cli.py")
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes(ast.Attribute):
             if _is_np_attr(node, _RAW_FLOAT_ATTRS):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw dtype np.{node.attr}; use "
                     "STORAGE_DTYPE/COMPUTE_DTYPE from repro.physics.state",
@@ -92,7 +86,7 @@ class NoHardcodedGhostWidth(Rule):
     rule_id = "CL002"
     name = "hardcoded-ghost-width"
     description = "stencil slice bounds must derive from GHOSTS, not 3/6"
-    default_paths = ("core/", "node/")
+    paths = ("core/", "node/")
 
     @staticmethod
     def _ghost_literal(bound: ast.expr | None) -> ast.Constant | None:
@@ -105,9 +99,7 @@ class NoHardcodedGhostWidth(Rule):
         return None
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Subscript):
-                continue
+        for node in source.nodes(ast.Subscript):
             slices = (
                 node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
             )
@@ -118,7 +110,7 @@ class NoHardcodedGhostWidth(Rule):
                     lit = self._ghost_literal(bound)
                     if lit is not None:
                         yield self.violation(
-                            source,
+                            source.path,
                             lit,
                             f"hard-coded ghost width {lit.value} in slice; "
                             "derive it from GHOSTS",
@@ -139,7 +131,7 @@ class NoComputePathDowncast(Rule):
     rule_id = "CL003"
     name = "compute-path-downcast"
     description = "kernels must not .astype() toward lower precision"
-    default_paths = ("core/kernels.py", "physics/")
+    paths = ("core/kernels.py", "physics/")
 
     @staticmethod
     def _is_lower_precision(arg: ast.expr) -> bool:
@@ -150,12 +142,9 @@ class NoComputePathDowncast(Rule):
         return _is_np_attr(arg, {"float32", "single", "half", "float16"})
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "astype"
-            ):
+        for node in source.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype"):
                 continue
             args = list(node.args) + [
                 kw.value for kw in node.keywords if kw.arg == "dtype"
@@ -163,7 +152,7 @@ class NoComputePathDowncast(Rule):
             for arg in args:
                 if self._is_lower_precision(arg):
                     yield self.violation(
-                        source,
+                        source.path,
                         node,
                         "downcast .astype() on a compute path; keep "
                         "COMPUTE_DTYPE and down-convert only at the block "
@@ -194,16 +183,14 @@ class NoMutableDefaults(Rule):
         )
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in source.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None
             ]
             for d in defaults:
                 if self._is_mutable(d):
                     yield self.violation(
-                        source,
+                        source.path,
                         d,
                         f"mutable default argument in {node.name}(); use "
                         "None and create inside the function",
@@ -239,21 +226,16 @@ class NoSilentBroadExcept(Rule):
         for node in ast.walk(handler):
             if isinstance(node, ast.Raise):
                 return True
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-                if name in _LOG_CALLS:
-                    return True
+            if isinstance(node, ast.Call) and call_name(node) in _LOG_CALLS:
+                return True
         return False
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in source.nodes(ast.ExceptHandler):
             if self._is_broad(node) and not self._handles_visibly(node):
                 kind = "bare except" if node.type is None else "broad except"
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"{kind} without re-raise or logging hides numerics "
                     "failures; narrow it or handle visibly",
@@ -277,7 +259,7 @@ class ReturnContractDocumented(Rule):
     description = (
         "public physics/core functions must document return shape/dtype"
     )
-    default_paths = ("physics/", "core/")
+    paths = ("physics/", "core/")
 
     @staticmethod
     def _returns_value(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -307,7 +289,7 @@ class ReturnContractDocumented(Rule):
             doc = ast.get_docstring(node)
             if doc is None or not _RETURN_DOC_RE.search(doc):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"public function {node.name}() returns a value but its "
                     "docstring documents no return shape/dtype contract",
@@ -376,27 +358,23 @@ class NoUninitializedRead(Rule):
                 return None
             # Subscript load: reading uninitialized elements.
             return self.violation(
-                source, first,
+                source.path, first,
                 f"'{name}' (np.empty) is read before any element is assigned",
             )
         if isinstance(parent, (ast.keyword, ast.Call)):
             return None
         if isinstance(parent, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.Return, ast.Attribute)):
             return self.violation(
-                source, first,
+                source.path, first,
                 f"'{name}' (np.empty) is read before any element is assigned",
             )
         return None
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        scopes: list[tuple[ast.AST, list[ast.stmt]]] = [
-            (source.tree, source.tree.body)
-        ]
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node, node.body))
-        for scope, body in scopes:
-            for name, assign in self._empty_assigns(body):
+        scopes = [source.tree] + source.nodes(ast.FunctionDef,
+                                              ast.AsyncFunctionDef)
+        for scope in scopes:
+            for name, assign in self._empty_assigns(scope.body):
                 v = self._first_use_violation(source, scope, name, assign)
                 if v is not None:
                     yield v
@@ -428,7 +406,7 @@ class NoRawTimingCalls(Rule):
         "raw time.perf_counter()/time.time() outside repro/telemetry; use "
         "Tracer spans or repro.telemetry.clock helpers"
     )
-    default_paths = ("cluster/", "node/", "core/", "compression/")
+    paths = ("cluster/", "node/", "core/", "compression/")
 
     @staticmethod
     def _timing_names(tree: ast.AST) -> tuple[set[str], set[str]]:
@@ -450,9 +428,7 @@ class NoRawTimingCalls(Rule):
         aliases, from_names = self._timing_names(source.tree)
         if not aliases and not from_names:
             return
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in source.nodes(ast.Call):
             fn = node.func
             if (
                 isinstance(fn, ast.Attribute)
@@ -461,7 +437,7 @@ class NoRawTimingCalls(Rule):
                 and fn.value.id in aliases
             ):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw {fn.value.id}.{fn.attr}() timing; route it "
                     "through repro.telemetry (Tracer.span or clock.now/"
@@ -469,7 +445,7 @@ class NoRawTimingCalls(Rule):
                 )
             elif isinstance(fn, ast.Name) and fn.id in from_names:
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw time-module call {fn.id}(); route it through "
                     "repro.telemetry (Tracer.span or clock.now/wall_now)",
@@ -491,12 +467,8 @@ class RingDepthNotLiteral(Rule):
     description = "SliceRing depth must be RING_DEPTH-derived, not a literal"
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-            if name != "SliceRing":
+        for node in source.nodes(ast.Call):
+            if call_name(node) != "SliceRing":
                 continue
             depth_args = [kw.value for kw in node.keywords if kw.arg == "depth"]
             if len(node.args) >= 2:
@@ -504,7 +476,7 @@ class RingDepthNotLiteral(Rule):
             for arg in depth_args:
                 if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
                     yield self.violation(
-                        source,
+                        source.path,
                         arg,
                         f"literal ring depth {arg.value}; use RING_DEPTH "
                         "from repro.core.ringbuffer",
@@ -528,7 +500,7 @@ class BoundedRecoveryLoops(Rule):
     rule_id = "CL010"
     name = "unbounded-recovery"
     description = "bare except / unbounded while-True in resilience paths"
-    default_paths = ("cluster/", "resilience/")
+    paths = ("cluster/", "resilience/")
 
     #: Identifiers that signal a bound on the loop (deadline arithmetic,
     #: attempt counters, timeout plumbing).
@@ -551,10 +523,10 @@ class BoundedRecoveryLoops(Rule):
         return False
 
     def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes(ast.ExceptHandler, ast.While):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "bare except in a resilience-critical path; name the "
                     "exceptions you recover from",
@@ -566,7 +538,7 @@ class BoundedRecoveryLoops(Rule):
                 and not self._is_bounded(node)
             ):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "unbounded 'while True' retry/wait loop; raise on "
                     "exhaustion or check a deadline/attempt bound",
@@ -594,7 +566,7 @@ class UnsynchronizedSharedMutation(Rule):
         "module-level or enclosing-scope mutable state mutated from "
         "cluster/ code without holding a lock"
     )
-    default_paths = ("cluster/",)
+    paths = ("cluster/",)
 
     #: Method names that mutate their receiver in place.
     _MUTATORS = frozenset({
@@ -683,16 +655,6 @@ class UnsynchronizedSharedMutation(Rule):
                     out.add(node.optional_vars.id)
         return out
 
-    def _enclosing_functions(self, node: ast.AST, parents) -> list[ast.AST]:
-        """Function defs containing ``node``, innermost first (list)."""
-        out = []
-        cur = parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append(cur)
-            cur = parents.get(cur)
-        return out
-
     def _under_lock(self, node: ast.AST, parents) -> bool:
         cur = parents.get(node)
         while cur is not None:
@@ -711,7 +673,7 @@ class UnsynchronizedSharedMutation(Rule):
             name = self._root_name(base)
             if name is None or name == "self":
                 continue
-            fns = self._enclosing_functions(anchor, parents)
+            fns = source.enclosing_functions(anchor)
             if not fns:
                 continue  # import-time construction, single-threaded
             inner_bound = bound_cache.setdefault(
@@ -732,7 +694,7 @@ class UnsynchronizedSharedMutation(Rule):
             if self._under_lock(anchor, parents):
                 continue
             yield self.violation(
-                source,
+                source.path,
                 anchor,
                 f"unsynchronized {verb} on {shared} state "
                 f"{ast.unparse(base)!r}; hold a lock or justify with a "
@@ -770,14 +732,10 @@ class NoBarePrintInLibrary(Rule):
         basename = source.path.replace("\\", "/").rsplit("/", 1)[-1]
         if basename in self._CLI_BASENAMES:
             return
-        for node in ast.walk(source.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
+        for node in source.nodes(ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "print":
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "bare print() in library code; use "
                     "repro.telemetry.log.get_logger(...) (or justify "

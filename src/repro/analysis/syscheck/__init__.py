@@ -9,8 +9,8 @@ atomic durable writes and SIGKILL-window hygiene.  Dynamic side:
 :class:`ResourceLedger`, the leak sanitizer the test suite wraps
 around every cluster/service/chaos test.
 
-Entry points mirror comm-check: ``check_paths`` / ``check_sources``
-for the static pass, ``python -m repro.analysis --sys`` on the CLI.
+Entry points mirror comm-check: ``analyze`` / ``check_sources`` for
+the static pass, ``python -m repro.analysis --sys`` on the CLI.
 """
 
 from ..._exports import lazy_exports
@@ -21,10 +21,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "DURABLE_WRITER_PATHS", "RELEASERS", "RESOURCE_CTORS", "SYS_SCOPE",
     ),
     "program": ("SysProgram",),
-    "report": ("SysReport",),
-    "rules": (
-        "SYS_REGISTRY", "build_program", "SysRule", "check_paths",
-        "check_program", "check_sources", "register_sys_rule",
-        "registered_sys_rules",
-    ),
+    "rules": ("analyze", "check_sources"),
 })

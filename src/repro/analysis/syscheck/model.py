@@ -82,7 +82,7 @@ GENERIC_NAMES = frozenset({
     "key", "snapshot",
 })
 
-#: Path patterns (``repro.analysis.lint.path_matches`` syntax) the RS
+#: Path patterns (``repro.analysis.program.path_matches`` syntax) the RS
 #: rules apply to by default: the multi-process layers.  Files outside
 #: the scope still feed the whole-program call graph (cross-file
 #: blocking-bearing resolution) but never produce findings.

@@ -1,9 +1,7 @@
 """Whole-program resource/process facts for the RS rules.
 
-Mirrors the comm-check extraction strategy
-(:mod:`repro.analysis.concurrency.commcheck`): parse every source into
-the shared :class:`~repro.analysis.lint.SourceFile`, build a
-program-wide function table, then compute per-function *facts* --
+Over the parsed :class:`~repro.analysis.program.Program` and its
+function table, compute per-function *facts* --
 resource acquisitions with their release/escape structure, lockset
 regions with the calls they cover, blocking-call sites, spawn targets
 and durable-write sites.  The rules in
@@ -24,7 +22,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..lint import SourceFile
+from ..program import (
+    Function,
+    Program,
+    call_name,
+    keyword,
+    propagate,
+    walk_own,
+)
 from .model import (
     BLOCKING_ATTRS,
     BLOCKING_CALLS,
@@ -56,25 +61,8 @@ def _dotted(node: ast.AST) -> str:
     return ""
 
 
-def _callee_bare(call: ast.Call) -> str:
-    """Last path component of the called expression ('' if exotic)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def _ctor_kind(call: ast.Call) -> str | None:
-    return RESOURCE_CTORS.get(_callee_bare(call))
-
-
-def _kw(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
+    return RESOURCE_CTORS.get(call_name(call))
 
 
 def _is_true(node: ast.expr | None) -> bool:
@@ -83,7 +71,7 @@ def _is_true(node: ast.expr | None) -> bool:
 
 def _locklike(expr: ast.expr) -> str | None:
     """Source text of a lock-acquiring ``with`` item, else ``None``."""
-    if isinstance(expr, ast.Call) and _callee_bare(expr) == "get_lock":
+    if isinstance(expr, ast.Call) and call_name(expr) == "get_lock":
         return _dotted(expr.func.value) + ".get_lock()"
     text = _dotted(expr)
     low = text.lower()
@@ -99,7 +87,7 @@ def _blocking_reason(call: ast.Call, held: frozenset = frozenset()) -> str | Non
     itself (``with cv: cv.wait()``) releases it and is exempt.
     """
     dotted = _dotted(call.func)
-    bare = _callee_bare(call)
+    bare = call_name(call)
     if dotted in BLOCKING_CALLS or (not isinstance(call.func, ast.Attribute)
                                     and bare in ("open", "sleep")):
         return f"{dotted or bare}() is blocking IO"
@@ -167,6 +155,20 @@ def _branch_arms(node: ast.AST, stop: ast.AST,
     return frozenset(arms)
 
 
+def _call_statements(fn: ast.AST):
+    """``(statement, call, targets)`` of each call ``fn`` binds with an
+    assignment (``targets`` its targets) or drops as an expression
+    statement (``targets`` None)."""
+    for node in walk_own(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            yield node, node.value, node.targets
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.value, ast.Call)):
+            yield node, node.value, [node.target]
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            yield node, node.value, None
+
+
 def _enclosing_stmt(node: ast.AST, parents: dict) -> ast.stmt | None:
     cur = node
     while cur is not None and not isinstance(cur, ast.stmt):
@@ -208,15 +210,10 @@ class LockedCall:
     held: frozenset  # lock texts
 
 
-@dataclass
-class FuncInfo:
-    path: str
-    name: str
-    qualname: str
-    class_name: str | None
-    node: ast.AST
-    module_level: bool
-    # -- facts (filled by the analysis passes) --
+@dataclass(eq=False)
+class FuncInfo(Function):
+    """A function with the facts the analysis passes fill in."""
+
     acquisitions: list[Acquisition] = field(default_factory=list)
     locked_calls: list[LockedCall] = field(default_factory=list)
     blocking_direct: list[tuple] = field(default_factory=list)
@@ -234,36 +231,44 @@ class FuncInfo:
 class SysProgram:
     """Parsed sources plus the program-wide fact tables."""
 
-    def __init__(self, sources: dict[str, SourceFile]):
-        self.sources = sources
-        #: bare name -> [FuncInfo] across every file
-        self.functions: dict[str, list[FuncInfo]] = {}
+    def __init__(self, program: Program):
+        self.program = program
+        self.sources = program.sources
+        #: the facts of each function of the program, by path
+        self._info: dict[Function, FuncInfo] = {}
         #: path -> module-level names bound to mutable literals
         self.module_mutables: dict[str, set] = {}
         #: path -> SharedMemory facts for RS002
         self.shm_creates: dict[str, list[ast.Call]] = {}
         self.shm_attaches: dict[str, list[ast.Call]] = {}
         self.shm_unlinks: dict[str, list[ast.AST]] = {}
-        self._infos: list[FuncInfo] = []
-        self._parents: dict[str, dict] = {}
-        for path in sorted(sources):
-            self._extract(path, sources[path])
+        for path in sorted(self.sources):
+            self._extract(path, self.sources[path])
+        infos = self.infos()
         # Pass 1: direct facts (needed before helper substitution can
         # resolve resource-returning callees in any order).
-        for info in self._infos:
+        for info in infos:
             self._analyze_direct(info)
             self._returned_resources(info)
         # Pass 2: one-level helper substitution + lockset regions.
-        for info in self._infos:
+        for info in infos:
             self._analyze_helpers(info)
             self._find_locked_calls(info)
-        self._bearing = self._compute_bearing()
+        callees = {info: [t for node in walk_own(info.node)
+                          if isinstance(node, ast.Call)
+                          and (t := self.resolve(node, info)) is not None]
+                   for info in infos}
+        self._bearing = propagate(
+            infos,
+            {info: info.blocking_direct[0][1] for info in infos
+             if info.blocking_direct},
+            callees.__getitem__,
+            lambda target, reason: f"calls {target.qualname}() which {reason}",
+        )
 
     # -- extraction ---------------------------------------------------
 
-    def _extract(self, path: str, src: SourceFile) -> None:
-        parents = src.parents()
-        self._parents[path] = parents
+    def _extract(self, path: str, src) -> None:
         mutables = set()
         for stmt in src.tree.body:
             if isinstance(stmt, ast.Assign) and isinstance(
@@ -274,35 +279,18 @@ class SysProgram:
                         mutables.add(t.id)
         self.module_mutables[path] = mutables
         creates, attaches, unlinks = [], [], []
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call):
-                if _callee_bare(node) == "SharedMemory":
-                    if _is_true(_kw(node, "create")):
-                        creates.append(node)
-                    else:
-                        attaches.append(node)
-                elif (isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "unlink"
-                      and _dotted(node.func.value)):
-                    unlinks.append(node)
-            if isinstance(node, _FUNC_NODES):
-                cls = parents.get(node)
-                class_name = cls.name if isinstance(cls, ast.ClassDef) else None
-                enclosing = parents.get(node)
-                nested = False
-                while enclosing is not None:
-                    if isinstance(enclosing, _FUNC_NODES):
-                        nested = True
-                        break
-                    enclosing = parents.get(enclosing)
-                qual = f"{class_name}.{node.name}" if class_name else node.name
-                info = FuncInfo(
-                    path=path, name=node.name, qualname=qual,
-                    class_name=class_name, node=node,
-                    module_level=not nested,
-                )
-                self._infos.append(info)
-                self.functions.setdefault(node.name, []).append(info)
+        for node in src.nodes(ast.Call):
+            if call_name(node) == "SharedMemory":
+                if _is_true(keyword(node, "create")):
+                    creates.append(node)
+                else:
+                    attaches.append(node)
+            elif (isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "unlink"
+                  and _dotted(node.func.value)):
+                unlinks.append(node)
+        for fn in src.functions:
+            self._info[fn] = FuncInfo(**vars(fn))
         self.shm_creates[path] = creates
         self.shm_attaches[path] = attaches
         self.shm_unlinks[path] = unlinks
@@ -310,30 +298,31 @@ class SysProgram:
     # -- per-function facts --------------------------------------------
 
     def infos(self) -> list[FuncInfo]:
-        return list(self._infos)
+        """Every function, by path in sorted order."""
+        return list(self._info.values())
 
-    def parents_of(self, info: FuncInfo) -> dict:
-        return self._parents[info.path]
+    def spawn_target(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
+        """The one def of ``info``'s file a ``Process(target=...)`` names."""
+        target = keyword(call, "target")
+        if not isinstance(target, (ast.Name, ast.Attribute)):
+            return None
+        bare = _dotted(target).rsplit(".", 1)[-1]
+        cands = [c for c in self.named(bare) if c.path == info.path]
+        return cands[0] if len(cands) == 1 else None
 
-    def _own_nodes(self, fn: ast.AST):
-        """Walk ``fn`` skipping nested function/lambda bodies."""
-        stack = list(ast.iter_child_nodes(fn))
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(node, _FUNC_NODES + (ast.Lambda,)):
-                stack.extend(ast.iter_child_nodes(node))
+    def named(self, name: str) -> list[FuncInfo]:
+        """The functions defined under bare ``name``."""
+        return [self._info[fn] for fn in self.program.functions.get(name, ())]
 
     def _analyze_direct(self, info: FuncInfo) -> None:
-        parents = self._parents[info.path]
-        for node in self._own_nodes(info.node):
+        for node in walk_own(info.node):
             if not isinstance(node, ast.Call):
                 continue
             reason = _blocking_reason(node)
             if reason is not None:
                 info.blocking_direct.append((node, reason))
             dotted = _dotted(node.func)
-            bare = _callee_bare(node)
+            bare = call_name(node)
             if dotted == "os.fsync":
                 info.calls_fsync = True
             if dotted in ("os.replace", "os.rename"):
@@ -344,7 +333,7 @@ class SysProgram:
                 info.spawn_sites.append(node)
             if bare == "open":
                 mode = (node.args[1] if len(node.args) > 1
-                        else _kw(node, "mode"))
+                        else keyword(node, "mode"))
                 if (isinstance(mode, ast.Constant)
                         and isinstance(mode.value, str)
                         and mode.value.startswith(("w", "x"))):
@@ -352,94 +341,77 @@ class SysProgram:
             if bare in ("write_text", "write_bytes"):
                 info.path_writes.append(node)
         acqs: list[Acquisition] = []
-        for node in self._own_nodes(info.node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if not isinstance(value, ast.Call):
-                    continue
-                kind = _ctor_kind(value)
-                if kind is None:
-                    continue
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                    daemon_kw = _kw(value, "daemon")
-                    acqs.append(Acquisition(
-                        var=targets[0].id, kind=kind, call=value, stmt=node,
-                        create=_is_true(_kw(value, "create")),
-                        daemon=(True if _is_true(daemon_kw)
-                                else (False if daemon_kw is not None
-                                      else None)),
-                    ))
-            elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                call = node.value
-                kind = _ctor_kind(call)
+        for stmt, call, targets in _call_statements(info.node):
+            kind = _ctor_kind(call)
+            if kind is None:
+                continue
+            if targets is None:
                 if kind in EAGER_KINDS:
                     # `open(...)` / `SharedMemory(...)` never bound: the
                     # handle is unreachable the moment it is created.
                     acqs.append(Acquisition(
-                        var=None, kind=kind, call=call, stmt=node,
+                        var=None, kind=kind, call=call, stmt=stmt,
                         discarded=True,
-                        create=_is_true(_kw(call, "create")),
+                        create=_is_true(keyword(call, "create")),
                     ))
+            elif len(targets) == 1 and isinstance(targets[0], ast.Name):
+                daemon_kw = keyword(call, "daemon")
+                acqs.append(Acquisition(
+                    var=targets[0].id, kind=kind, call=call, stmt=stmt,
+                    create=_is_true(keyword(call, "create")),
+                    daemon=(True if _is_true(daemon_kw)
+                            else (False if daemon_kw is not None
+                                  else None)),
+                ))
+        self._trace(info, acqs)
+
+    def _analyze_helpers(self, info: FuncInfo) -> None:
+        """One-level substitution of resource-returning local helpers."""
+        extra: list[Acquisition] = []
+        for stmt, call, targets in _call_statements(info.node):
+            if _ctor_kind(call):
+                continue
+            helper = self._resource_helper(call, info)
+            if helper is None:
+                continue
+            if targets is None:
+                if (helper.returned_kinds & EAGER_KINDS
+                        or helper.returns_started_thread):
+                    kinds = ",".join(sorted(helper.returned_kinds))
+                    extra.append(Acquisition(
+                        var=None, kind=kinds or "thread", call=call,
+                        stmt=stmt, discarded=True,
+                        started=helper.returns_started_thread,
+                        from_helper=helper.qualname,
+                    ))
+                continue
+            names: list[str] = []
+            if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                names = [targets[0].id]
+            elif len(targets) == 1 and isinstance(targets[0], ast.Tuple):
+                names = [e.id for e in targets[0].elts
+                         if isinstance(e, ast.Name)]
+            for hk in sorted(helper.returned_kinds):
+                for name in names:
+                    extra.append(Acquisition(
+                        var=name, kind=hk, call=call, stmt=stmt,
+                        started=helper.returns_started_thread,
+                        from_helper=helper.qualname,
+                    ))
+        self._trace(info, extra)
+
+    def _trace(self, info: FuncInfo, acqs: list[Acquisition]) -> None:
+        """Finds the releases, escapes and loops of new acquisitions."""
+        parents = self.sources[info.path].parents()
         for acq in acqs:
             if acq.var is not None:
                 self._trace_var(info, acq, parents)
             self._classify_bulk(info, acq, parents)
-        info.acquisitions = acqs
-
-    def _analyze_helpers(self, info: FuncInfo) -> None:
-        """One-level substitution of resource-returning local helpers."""
-        parents = self._parents[info.path]
-        extra: list[Acquisition] = []
-        for node in self._own_nodes(info.node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if not isinstance(value, ast.Call) or _ctor_kind(value):
-                    continue
-                helper = self._resource_helper(value, info)
-                if helper is None:
-                    continue
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names: list[str] = []
-                if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                    names = [targets[0].id]
-                elif len(targets) == 1 and isinstance(targets[0], ast.Tuple):
-                    names = [e.id for e in targets[0].elts
-                             if isinstance(e, ast.Name)]
-                for hk in sorted(helper.returned_kinds):
-                    for name in names:
-                        extra.append(Acquisition(
-                            var=name, kind=hk, call=value, stmt=node,
-                            started=helper.returns_started_thread,
-                            from_helper=helper.qualname,
-                        ))
-            elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                call = node.value
-                if _ctor_kind(call):
-                    continue
-                helper = self._resource_helper(call, info)
-                if helper is not None and (
-                    helper.returned_kinds & EAGER_KINDS
-                    or helper.returns_started_thread
-                ):
-                    kinds = ",".join(sorted(helper.returned_kinds))
-                    extra.append(Acquisition(
-                        var=None, kind=kinds or "thread", call=call,
-                        stmt=node, discarded=True,
-                        started=helper.returns_started_thread,
-                        from_helper=helper.qualname,
-                    ))
-        for acq in extra:
-            if acq.var is not None:
-                self._trace_var(info, acq, parents)
-            self._classify_bulk(info, acq, parents)
-        info.acquisitions.extend(extra)
+        info.acquisitions.extend(acqs)
 
     def _resource_helper(self, call: ast.Call, info: FuncInfo):
         """The resource-returning local helper this call invokes, if any."""
-        target = self._resolve_callee(call, info)
+        target = self.resolve(call, info)
         if target is not None and (target.returned_kinds
                                    or target.returns_started_thread):
             return target
@@ -450,7 +422,7 @@ class SysProgram:
         fn = info.node
         var = acq.var
         releasers = RELEASERS.get(acq.kind, frozenset())
-        for node in self._own_nodes(fn):
+        for node in walk_own(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 recv = node.func.value
                 if isinstance(recv, ast.Name) and recv.id == var:
@@ -493,7 +465,7 @@ class SysProgram:
                 if self._escapes(node, parents):
                     acq.escaped = True
         if acq.kind in WITH_RELEASED_KINDS:
-            for node in self._own_nodes(fn):
+            for node in walk_own(fn):
                 if isinstance(node, ast.With):
                     for item in node.items:
                         if isinstance(item.context_expr, ast.Name) \
@@ -590,7 +562,7 @@ class SysProgram:
         process/thread handles, where ``h.start()`` raising means no OS
         state was created and there is nothing to leak.
         """
-        for node in self._own_nodes(info.node):
+        for node in walk_own(info.node):
             if not isinstance(node, (ast.Call, ast.Raise, ast.Assert)):
                 continue
             if not lo < getattr(node, "lineno", lo) < hi:
@@ -670,7 +642,7 @@ class SysProgram:
         kinds: set = set()
         started = False
         returned_names: set = set()
-        for node in self._own_nodes(info.node):
+        for node in walk_own(info.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 for sub in ast.walk(node.value):
                     if isinstance(sub, ast.Name):
@@ -686,7 +658,7 @@ class SysProgram:
             via_container = False
             if not direct:
                 # h appended to a local list that is itself returned
-                for node in self._own_nodes(info.node):
+                for node in walk_own(info.node):
                     if (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
                             and node.func.attr in ("append", "add")
@@ -713,11 +685,19 @@ class SysProgram:
             hints.append(cand.class_name.lower().lstrip("_"))
         return tuple(hints)
 
-    def _resolve_callee(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
-        bare = _callee_bare(call)
+    def resolve(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
+        """The def a call from ``info`` reaches, or None.
+
+        sys-check's resolution policy: a bare call resolves to the one
+        def of its name in the caller's file, else to the program's only
+        def of a non-generic name; ``self.m()`` to the caller's class; a
+        generic method name (``get``, ``put``, ...) only when the
+        receiver text names the defining module or class.
+        """
+        bare = call_name(call)
         if not bare:
             return None
-        cands = self.functions.get(bare, [])
+        cands = self.named(bare)
         if not cands:
             return None
         func = call.func
@@ -752,34 +732,5 @@ class SysProgram:
             return hinted[0]
         return None
 
-    def _compute_bearing(self) -> dict:
-        """``id(FuncInfo) -> reason`` for every blocking-bearing function."""
-        bearing: dict[int, str] = {}
-        for info in self._infos:
-            if info.blocking_direct:
-                _, reason = info.blocking_direct[0]
-                bearing[id(info)] = reason
-        changed = True
-        while changed:
-            changed = False
-            for info in self._infos:
-                if id(info) in bearing:
-                    continue
-                for node in self._own_nodes(info.node):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    target = self._resolve_callee(node, info)
-                    if target is not None and id(target) in bearing:
-                        bearing[id(info)] = (
-                            f"calls {target.qualname}() which "
-                            f"{bearing[id(target)]}"
-                        )
-                        changed = True
-                        break
-        return bearing
-
     def bearing_reason(self, target: FuncInfo) -> str | None:
-        return self._bearing.get(id(target))
-
-    def resolve(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
-        return self._resolve_callee(call, info)
+        return self._bearing.get(target)

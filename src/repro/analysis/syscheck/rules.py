@@ -1,74 +1,40 @@
 """RS-series rules: resource lifecycle and process safety.
 
 Each rule consumes the facts of a :class:`~repro.analysis.syscheck.
-program.SysProgram` and emits :class:`~repro.analysis.lint.Violation`
-records.  Findings honour the shared ``# lint: disable=RSxxx`` pragma
-system; the rule catalogue lives in ``docs/analysis.md``.
+program.SysProgram` and emits :class:`~repro.analysis.report.Violation`
+records with the ast's 0-based column.  Findings honour the shared
+``# lint: disable=RSxxx`` pragma system; the rule catalogue lives in
+``docs/analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..lint import SourceFile, Violation, iter_python_files, path_matches
-from .model import DURABLE_WRITER_PATHS, EAGER_KINDS, SYS_SCOPE
-from .program import (
-    FuncInfo,
-    SysProgram,
-    _blocking_reason,
-    _callee_bare,
-    _dotted,
-    _kw,
+from ..program import (
+    Program,
+    Rule,
+    call_name,
+    keyword,
+    register_rule,
+    registered_rules,
+    walk_own,
 )
-from .report import SysReport
-
-#: rule_id -> rule class
-SYS_REGISTRY: dict[str, type] = {}
-
-
-def register_sys_rule(cls):
-    """Class decorator adding an RS rule to the registry."""
-    SYS_REGISTRY[cls.rule_id] = cls
-    return cls
+from ..report import Report, Violation
+from .model import DURABLE_WRITER_PATHS, EAGER_KINDS, SYS_SCOPE
+from .program import FuncInfo, SysProgram, _blocking_reason, _dotted
 
 
-def registered_sys_rules() -> list:
-    """Instances of every registered RS rule, sorted by id."""
-    return [SYS_REGISTRY[k]() for k in sorted(SYS_REGISTRY)]
+def _scoped(rule: Rule, program: SysProgram) -> list[FuncInfo]:
+    """The functions of ``program`` in the rule's scope."""
+    return [i for i in program.infos() if rule.applies(i.path)]
 
 
-class SysRule:
-    """Base class of the RS-series whole-program rules."""
-
-    rule_id: str = "RS000"
-    name: str = ""
-    description: str = ""
-    #: path patterns findings are restricted to (lint.path_matches)
-    paths: tuple = SYS_SCOPE
-
-    def in_scope(self, path: str) -> bool:
-        return any(path_matches(path, p) for p in self.paths)
-
-    def scoped(self, program: SysProgram) -> list[FuncInfo]:
-        return [i for i in program.infos() if self.in_scope(i.path)]
-
-    def violation(self, info: FuncInfo, node: ast.AST, message: str) -> Violation:
-        return Violation(
-            path=info.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.rule_id,
-            message=message,
-        )
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        raise NotImplementedError
-
-
-@register_sys_rule
-class ReleaseOnAllPaths(SysRule):
+@register_rule
+class ReleaseOnAllPaths(Rule):
     """RS001: a resource handle must be released on every path."""
 
+    family = "sys"
     rule_id = "RS001"
     name = "release-on-all-paths"
     description = (
@@ -76,10 +42,12 @@ class ReleaseOnAllPaths(SysRule):
         "unlinked or joined on every control-flow path (with, "
         "try/finally, or unconditional straight-line release)."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in _scoped(self, program):
             for acq in info.acquisitions:
                 out.extend(self._check_acq(program, info, acq))
         return out
@@ -93,7 +61,7 @@ class ReleaseOnAllPaths(SysRule):
                       if acq.from_helper
                       else f"a {acq.kind} handle is created")
             out.append(self.violation(
-                info, acq.call,
+                info.path, acq.call,
                 f"{origin} and discarded at the call site: the handle "
                 f"can never be released -- bind it and release on every "
                 f"path",
@@ -101,7 +69,7 @@ class ReleaseOnAllPaths(SysRule):
             return out
         if acq.bulk and not acq.bulk_guarded:
             out.append(self.violation(
-                info, acq.call,
+                info.path, acq.call,
                 f"bulk {acq.kind} acquisition in a loop is not "
                 f"exception-safe: a mid-loop failure leaks every handle "
                 f"acquired so far -- wrap the loop in try/except and "
@@ -113,7 +81,7 @@ class ReleaseOnAllPaths(SysRule):
             return out  # no OS state before .start()
         if not acq.releases:
             out.append(self.violation(
-                info, acq.call,
+                info.path, acq.call,
                 f"{what} acquired here is never released in "
                 f"{info.qualname}() on any path",
             ))
@@ -129,7 +97,7 @@ class ReleaseOnAllPaths(SysRule):
             if program.risky_between(info, lo, fin.guard_try.lineno,
                                      exclude_receiver=excl):
                 out.append(self.violation(
-                    info, acq.call,
+                    info.path, acq.call,
                     f"{what} is acquired before the try/finally that "
                     f"releases it (line {fin.guard_try.lineno}): an "
                     f"exception in between leaks the handle -- acquire "
@@ -139,7 +107,7 @@ class ReleaseOnAllPaths(SysRule):
         unconditional = [r for r in acq.releases if not r.conditional]
         if not unconditional:
             out.append(self.violation(
-                info, acq.call,
+                info.path, acq.call,
                 f"{what} is released only on some paths (line(s) "
                 f"{', '.join(str(r.line) for r in acq.releases)}): "
                 f"branches that skip the release leak the handle",
@@ -150,7 +118,7 @@ class ReleaseOnAllPaths(SysRule):
         if program.risky_between(info, lo, first.line,
                                  exclude_receiver=excl):
             out.append(self.violation(
-                info, acq.call,
+                info.path, acq.call,
                 f"{what} is released at line {first.line} but a call "
                 f"in between can raise and leak the handle -- use "
                 f"try/finally or a with block",
@@ -158,54 +126,52 @@ class ReleaseOnAllPaths(SysRule):
         return out
 
 
-@register_sys_rule
-class SegmentOwnership(SysRule):
+@register_rule
+class SegmentOwnership(Rule):
     """RS002: shared_memory create/unlink ownership discipline."""
 
+    family = "sys"
     rule_id = "RS002"
     name = "segment-ownership"
     description = (
         "The side that creates a shared_memory segment (create=True) "
         "must also unlink it; attach-only sides must never unlink."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
         for path, src in program.sources.items():
-            if not self.in_scope(path):
+            if not self.applies(path):
                 continue
             creates = program.shm_creates.get(path, [])
             attaches = program.shm_attaches.get(path, [])
             unlinks = program.shm_unlinks.get(path, [])
             if creates and not unlinks:
                 for node in creates:
-                    out.append(Violation(
-                        path=path, line=node.lineno, col=node.col_offset,
-                        rule=self.rule_id,
-                        message=(
-                            "SharedMemory(create=True) without any "
-                            ".unlink() in this module: the segment "
-                            "outlives every process of the world"
-                        ),
+                    out.append(self.violation(
+                        path, node,
+                        "SharedMemory(create=True) without any "
+                        ".unlink() in this module: the segment "
+                        "outlives every process of the world",
                     ))
             if attaches and not creates and unlinks:
                 for node in unlinks:
-                    out.append(Violation(
-                        path=path, line=node.lineno, col=node.col_offset,
-                        rule=self.rule_id,
-                        message=(
-                            "attach-only module calls .unlink(): only "
-                            "the creating side owns segment removal "
-                            "(double-unlink races the owner)"
-                        ),
+                    out.append(self.violation(
+                        path, node,
+                        "attach-only module calls .unlink(): only "
+                        "the creating side owns segment removal "
+                        "(double-unlink races the owner)",
                     ))
         return out
 
 
-@register_sys_rule
-class LockAcrossBlocking(SysRule):
+@register_rule
+class LockAcrossBlocking(Rule):
     """RS003: no blocking call while holding a lock."""
 
+    family = "sys"
     rule_id = "RS003"
     name = "lock-across-blocking"
     description = (
@@ -214,16 +180,18 @@ class LockAcrossBlocking(SysRule):
         "(and deadlocks if the blocked peer needs the same lock). "
         "Waiting on the held condition itself is exempt."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in _scoped(self, program):
             for lc in info.locked_calls:
                 held = ", ".join(sorted(lc.held))
                 reason = _blocking_reason(lc.call, lc.held)
                 if reason is not None:
                     out.append(self.violation(
-                        info, lc.call,
+                        info.path, lc.call,
                         f"blocking call under lock ({held}): {reason} "
                         f"-- move it outside the locked region",
                     ))
@@ -234,7 +202,7 @@ class LockAcrossBlocking(SysRule):
                 bearing = program.bearing_reason(target)
                 if bearing is not None:
                     out.append(self.violation(
-                        info, lc.call,
+                        info.path, lc.call,
                         f"{target.qualname}() blocks while {held} is "
                         f"held: {bearing} -- move the call outside the "
                         f"locked region",
@@ -242,10 +210,11 @@ class LockAcrossBlocking(SysRule):
         return out
 
 
-@register_sys_rule
-class SpawnSafety(SysRule):
+@register_rule
+class SpawnSafety(Rule):
     """RS004: what crosses the spawn boundary must survive pickling."""
 
+    family = "sys"
     rule_id = "RS004"
     name = "spawn-safety"
     description = (
@@ -253,38 +222,38 @@ class SpawnSafety(SysRule):
         "module-level mutable state read in a spawn target is copied "
         "per child and silently diverges."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in _scoped(self, program):
             for call in info.spawn_sites:
                 out.extend(self._check_spawn(program, info, call))
         return out
 
     def _check_spawn(self, program, info, call) -> list[Violation]:
         out = []
-        target = _kw(call, "target")
+        target = keyword(call, "target")
         if isinstance(target, ast.Lambda):
             out.append(self.violation(
-                info, call,
+                info.path, call,
                 "lambda spawn target cannot cross the process boundary "
                 "(not picklable under the spawn start method)",
             ))
         elif isinstance(target, (ast.Name, ast.Attribute)):
             dotted = _dotted(target)
             bare = dotted.rsplit(".", 1)[-1]
-            cands = [c for c in program.functions.get(bare, [])
-                     if c.path == info.path]
-            tinfo = cands[0] if len(cands) == 1 else None
+            tinfo = program.spawn_target(call, info)
             if dotted.startswith("self."):
                 out.append(self.violation(
-                    info, call,
+                    info.path, call,
                     f"bound-method spawn target {dotted} pickles the "
                     f"whole owning object across the process boundary",
                 ))
             elif tinfo is not None and not tinfo.module_level:
                 out.append(self.violation(
-                    info, call,
+                    info.path, call,
                     f"nested function {bare}() is not picklable under "
                     f"the spawn start method -- hoist it to module level",
                 ))
@@ -297,28 +266,29 @@ class SpawnSafety(SysRule):
                 })
                 if read:
                     out.append(self.violation(
-                        info, call,
+                        info.path, call,
                         f"spawn target {bare}() reads module-level "
                         f"mutable state ({', '.join(read)}): each child "
                         f"gets a private copy that silently diverges "
                         f"from the parent",
                     ))
-        args = _kw(call, "args")
+        args = keyword(call, "args")
         if isinstance(args, (ast.Tuple, ast.List)) and any(
             isinstance(e, ast.Lambda) for e in args.elts
         ):
             out.append(self.violation(
-                info, call,
+                info.path, call,
                 "lambda in spawn args cannot cross the process boundary "
                 "(not picklable)",
             ))
         return out
 
 
-@register_sys_rule
-class ThreadJoinOnShutdown(SysRule):
+@register_rule
+class ThreadJoinOnShutdown(Rule):
     """RS005: non-daemon threads need a join on the shutdown path."""
 
+    family = "sys"
     rule_id = "RS005"
     name = "thread-join-on-shutdown"
     description = (
@@ -326,10 +296,12 @@ class ThreadJoinOnShutdown(SysRule):
         "alive past shutdown; a fire-and-forget thread can touch "
         "freed resources after the owner exits."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in _scoped(self, program):
             bound_ctors = {id(a.call) for a in info.acquisitions
                            if a.kind == "thread"}
             for acq in info.acquisitions:
@@ -339,23 +311,23 @@ class ThreadJoinOnShutdown(SysRule):
                     continue
                 if not any(r.method == "join" for r in acq.releases):
                     out.append(self.violation(
-                        info, acq.call,
+                        info.path, acq.call,
                         f"non-daemon thread {acq.var!r} is never joined "
                         f"in {info.qualname}(): it outlives every "
                         f"shutdown path -- join it (or mark daemon=True "
                         f"and join before releasing shared state)",
                     ))
-            for node in program._own_nodes(info.node):
+            for node in walk_own(info.node):
                 if (isinstance(node, ast.Call)
-                        and _callee_bare(node) == "Thread"
+                        and call_name(node) == "Thread"
                         and id(node) not in bound_ctors):
-                    daemon = _kw(node, "daemon")
+                    daemon = keyword(node, "daemon")
                     if (isinstance(daemon, ast.Constant)
                             and daemon.value is True):
                         continue
                     if not info.has_any_join:
                         out.append(self.violation(
-                            info, node,
+                            info.path, node,
                             f"fire-and-forget non-daemon thread in "
                             f"{info.qualname}() has no join on any "
                             f"shutdown path",
@@ -363,10 +335,11 @@ class ThreadJoinOnShutdown(SysRule):
         return out
 
 
-@register_sys_rule
-class AtomicDurableWrite(SysRule):
+@register_rule
+class AtomicDurableWrite(Rule):
     """RS006: checkpoint/cache/manifest writers must be atomic."""
 
+    family = "sys"
     rule_id = "RS006"
     name = "atomic-durable-write"
     description = (
@@ -375,14 +348,15 @@ class AtomicDurableWrite(SysRule):
         "crash mid-write can never leave a torn file behind."
     )
     paths = DURABLE_WRITER_PATHS
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in _scoped(self, program):
             for call in info.write_opens:
                 if not info.calls_replace:
                     out.append(self.violation(
-                        info, call,
+                        info.path, call,
                         f"non-atomic durable write in {info.qualname}(): "
                         f"open(..., 'w') without os.replace -- write a "
                         f"tmp file, fsync, then os.replace over the "
@@ -390,14 +364,14 @@ class AtomicDurableWrite(SysRule):
                     ))
                 elif not info.calls_fsync:
                     out.append(self.violation(
-                        info, call,
+                        info.path, call,
                         f"durable write in {info.qualname}() renames "
                         f"without os.fsync: the data can vanish on "
                         f"power loss after the rename is visible",
                     ))
             for call in info.path_writes:
                 out.append(self.violation(
-                    info, call,
+                    info.path, call,
                     f"Path.write_text/write_bytes in {info.qualname}() "
                     f"is non-atomic: a crash mid-write leaves a torn "
                     f"file -- write tmp + fsync + os.replace",
@@ -405,10 +379,11 @@ class AtomicDurableWrite(SysRule):
         return out
 
 
-@register_sys_rule
-class KillWindowHazard(SysRule):
+@register_rule
+class KillWindowHazard(Rule):
     """RS007: SIGKILL-exposed code must not own persistent state."""
 
+    family = "sys"
     rule_id = "RS007"
     name = "kill-window-hazard"
     description = (
@@ -417,35 +392,31 @@ class KillWindowHazard(SysRule):
         "the parent's kill watermark: OS-persistent resources it "
         "creates (named segments, non-atomic files) are orphaned."
     )
+    paths = SYS_SCOPE
+    col_base = 0
 
     def check(self, program: SysProgram) -> list[Violation]:
         exposed: dict[int, FuncInfo] = {}
         for info in program.infos():
             for call in info.spawn_sites:
-                target = _kw(call, "target")
-                if not isinstance(target, (ast.Name, ast.Attribute)):
+                tinfo = program.spawn_target(call, info)
+                if tinfo is None:
                     continue
-                bare = _dotted(target).rsplit(".", 1)[-1]
-                cands = [c for c in program.functions.get(bare, [])
-                         if c.path == info.path]
-                if len(cands) != 1:
-                    continue
-                tinfo = cands[0]
                 exposed[id(tinfo)] = tinfo
                 # one level of same-file callees
-                for node in program._own_nodes(tinfo.node):
+                for node in walk_own(tinfo.node):
                     if isinstance(node, ast.Call):
                         callee = program.resolve(node, tinfo)
                         if callee is not None and callee.path == tinfo.path:
                             exposed[id(callee)] = callee
         out: list[Violation] = []
         for info in exposed.values():
-            if not self.in_scope(info.path):
+            if not self.applies(info.path):
                 continue
             for acq in info.acquisitions:
                 if acq.kind == "segment" and acq.create:
                     out.append(self.violation(
-                        info, acq.call,
+                        info.path, acq.call,
                         f"{info.qualname}() runs in a kill-supervised "
                         f"child but creates a named segment: a SIGKILL "
                         f"between the heartbeat publish and the kill "
@@ -455,7 +426,7 @@ class KillWindowHazard(SysRule):
             if not info.calls_replace:
                 for call in info.write_opens:
                     out.append(self.violation(
-                        info, call,
+                        info.path, call,
                         f"{info.qualname}() runs in a kill-supervised "
                         f"child and writes a file non-atomically: a "
                         f"SIGKILL mid-write leaves a torn file -- use "
@@ -468,39 +439,21 @@ class KillWindowHazard(SysRule):
 # -- entry points -------------------------------------------------------
 
 
-def build_program(sources: dict[str, SourceFile]) -> SysProgram:
-    """Whole-program resource/blocking model over parsed sources."""
-    return SysProgram(sources)
+def analyze(program: Program) -> tuple[SysProgram, Report]:
+    """sys-check ``program``; returns ``(facts, report)``.
+
+    ``checks_run`` counts (function, rule) pairs over the functions any
+    rule's scope covers.
+    """
+    facts = SysProgram(program)
+    rules = [cls() for cls in registered_rules("sys")]
+    sites = [i for i in facts.infos()
+             if any(r.applies(i.path) for r in rules)]
+    found = program.unsuppressed(v for rule in rules
+                                 for v in rule.check(facts))
+    return facts, Report("sys", sorted(found), len(sites) * len(rules))
 
 
-def check_program(program: SysProgram,
-                  rules: list | None = None) -> SysReport:
-    """Run the RS rules over a built program (pragmas applied)."""
-    rules = registered_sys_rules() if rules is None else rules
-    report = SysReport()
-    sites = [i for i in program.infos()
-             if any(r.in_scope(i.path) for r in rules)]
-    report.checks_run = len(sites) * len(rules)
-    for rule in rules:
-        for v in rule.check(program):
-            src = program.sources.get(v.path)
-            if src is not None and src.disabled(v.rule, v.line):
-                continue
-            report.violations.append(v)
-    report.violations.sort()
-    return report
-
-
-def check_sources(sources: dict[str, str]) -> SysReport:
+def check_sources(sources: dict[str, str]) -> Report:
     """Analyze in-memory sources (``{path: text}``)."""
-    parsed = {p: SourceFile(p, t) for p, t in sources.items()}
-    return check_program(build_program(parsed))
-
-
-def check_paths(paths: list) -> SysReport:
-    """Analyze every python file under ``paths``."""
-    sources: dict[str, SourceFile] = {}
-    for path in iter_python_files(paths):
-        text = path.read_text(encoding="utf-8")
-        sources[str(path)] = SourceFile(str(path), text)
-    return check_program(build_program(sources))
+    return analyze(Program(sources))[1]

@@ -59,7 +59,7 @@ from .topology import CartTopology, balanced_dims
 # recording -- imports none of these: each is imported in the set-up of
 # the runs that use it (docs/ARCHITECTURE.md, "What a process imports").
 if TYPE_CHECKING:
-    from ..analysis.concurrency.report import ConcurrencyReport
+    from ..analysis.report import Report
     from ..analysis.sanitizer import ViolationReport
 
 
@@ -119,7 +119,7 @@ class RunResult:
     telemetry: MetricsSnapshot | None = None
     #: runtime concurrency findings -- races and watchdog-diagnosed
     #: deadlocks (None when concurrency_check="off")
-    concurrency_report: ConcurrencyReport | None = None
+    concurrency_report: Report | None = None
 
     @property
     def kernels(self) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,34 @@ def kernel_path(request, monkeypatch):
     elif native.lib is None:
         pytest.skip(f"no compiled kernels: {native.status()['reason']}")
     return request.param
+
+
+#: The solver tree every whole-tree analysis test analyses.
+SRC_REPRO = str(Path(__file__).resolve().parents[1] / "src" / "repro")
+
+
+@pytest.fixture(scope="session")
+def src_program():
+    """``src/repro`` read and parsed once, shared by every test that
+    analyses the whole tree (no analysis family modifies a program)."""
+    from repro.analysis.program import Program
+
+    return Program.load([SRC_REPRO])
+
+
+@pytest.fixture
+def cli_src_program(src_program, monkeypatch):
+    """Analysis CLI runs on ``src/repro`` reuse :func:`src_program`."""
+    from repro.analysis.program import Program
+
+    load = Program.load.__func__
+
+    def shared(cls, paths):
+        if [str(p) for p in paths] == [SRC_REPRO]:
+            return src_program
+        return load(cls, paths)
+
+    monkeypatch.setattr(Program, "load", classmethod(shared))
 
 
 @pytest.fixture

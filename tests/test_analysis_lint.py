@@ -7,8 +7,8 @@ from pathlib import Path
 
 from repro.analysis import (
     LintConfig,
+    analyze,
     format_violations,
-    lint_paths,
     lint_source,
     registered_rules,
 )
@@ -30,11 +30,11 @@ def rules_of(violations):
 
 
 def test_registry_has_the_twelve_rules():
-    ids = [cls.rule_id for cls in registered_rules()]
+    ids = [cls.rule_id for cls in registered_rules("lint")]
     assert ids == (
         [f"CL00{i}" for i in range(1, 10)] + ["CL010", "CL011", "CL012"]
     )
-    for cls in registered_rules():
+    for cls in registered_rules("lint"):
         assert cls.name and cls.description
 
 
@@ -744,12 +744,12 @@ def test_path_matches_semantics():
 # -- the tree itself is clean (the PR's acceptance criterion) -------------
 
 
-def test_self_lint_src_repro_is_clean():
-    violations = lint_paths([SRC])
+def test_self_lint_src_repro_is_clean(src_program):
+    violations = src_program.errors + analyze(src_program, "lint")[1].violations
     assert violations == [], "\n" + format_violations(violations)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, cli_src_program):
     assert lint_main([SRC]) == 0
     bad = tmp_path / "core" / "bad.py"
     bad.parent.mkdir()
@@ -772,7 +772,7 @@ def test_cli_exit_code_2_on_missing_path(capsys):
     assert "no such path" in err and "no/such/dir" in err
 
 
-def test_cli_concurrency_mode_clean_tree(capsys):
+def test_cli_concurrency_mode_clean_tree(capsys, cli_src_program):
     assert lint_main(["--concurrency", SRC]) == 0
     err = capsys.readouterr().err
     assert "comm-check" in err and "clean" in err
@@ -793,7 +793,7 @@ def test_cli_concurrency_mode_flags_defects(tmp_path, capsys):
     assert "CC001" in out
 
 
-def test_cli_report_out_writes_json_artifact(tmp_path):
+def test_cli_report_out_writes_json_artifact(tmp_path, cli_src_program):
     import json
 
     report = tmp_path / "comm-check.json"
@@ -812,7 +812,8 @@ def test_cli_report_out_writes_json_artifact(tmp_path):
     assert payload["findings"][0]["rule"] == "CL001"
 
 
-def test_cli_report_out_unwritable_is_exit_2(tmp_path, capsys):
+def test_cli_report_out_unwritable_is_exit_2(tmp_path, capsys,
+                                            cli_src_program):
     target = tmp_path / "missing-dir" / "report.json"
     assert lint_main(["--concurrency", SRC,
                       "--report-out", str(target)]) == 2

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import textwrap
-from pathlib import Path
 
+from repro.analysis import analyze
 from repro.analysis.concurrency import (
     build_program,
-    check_paths,
     check_sources,
 )
 from repro.analysis.concurrency.commcheck import ANY
-
-SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro")
 
 
 def check(text: str, path: str = "src/repro/cluster/fixture.py"):
@@ -280,8 +277,8 @@ def test_send_wrapper_resolved_through_call_sites():
 # -- whole-tree acceptance -------------------------------------------------
 
 
-def test_comm_check_clean_on_repo_tree():
-    report = check_paths([SRC])
+def test_comm_check_clean_on_repo_tree(src_program):
+    report = analyze(src_program, "comm")[1]
     assert report.violations == [], "\n" + "\n".join(
         v.format() for v in report.violations
     )

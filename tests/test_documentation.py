@@ -90,6 +90,16 @@ class TestTopLevelDocs:
         for fig in (1, 5, 7, 9):
             assert f"Fig. {fig}" in text, f"Fig. {fig} not recorded"
 
+    def test_analysis_catalogue_lists_every_registered_rule(self):
+        from repro.analysis import registered_rules
+
+        with open(os.path.join(REPO_ROOT, "docs", "analysis.md")) as f:
+            rows = {line.split("|")[1].strip() for line in f
+                    if line.startswith("| ")}
+        missing = [cls.rule_id for cls in registered_rules()
+                   if cls.rule_id not in rows]
+        assert not missing, f"docs/analysis.md lacks rows for {missing}"
+
     def test_every_bench_has_a_results_reference_possible(self):
         """Every bench module under benchmarks/ writes a results file
         (write_result call present)."""

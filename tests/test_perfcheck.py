@@ -6,6 +6,7 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.analysis import analyze, registered_rules
 from repro.analysis.cli import main as cli_main
 from repro.analysis.perfcheck import (
     HOT_KERNELS,
@@ -14,7 +15,6 @@ from repro.analysis.perfcheck import (
     build_program,
     check_program,
     check_sources,
-    registered_perf_rules,
     write_kernel_manifest,
 )
 
@@ -48,9 +48,9 @@ RULE_IDS = ["CP001", "CP002", "CP003", "CP006"]
 
 
 def test_registry_has_the_four_cp_rules():
-    ids = [cls.rule_id for cls in registered_perf_rules()]
+    ids = [cls.rule_id for cls in registered_rules("perf")]
     assert ids == RULE_IDS
-    for cls in registered_perf_rules():
+    for cls in registered_rules("perf"):
         assert cls.name and cls.description
 
 
@@ -398,29 +398,24 @@ def test_cli_missing_path_exit_two(tmp_path, capsys):
 # -- the real tree -------------------------------------------------------
 
 
-def test_perfcheck_src_repro_is_clean():
-    from repro.analysis import perf_check_paths
-
-    report = perf_check_paths([SRC])
+def test_perfcheck_src_repro_is_clean(src_program):
+    report = analyze(src_program, "perf")[1]
     assert report.violations == []
     assert report.checks_run > 0
 
 
-def test_committed_manifest_matches_regenerated():
-    from repro.analysis.perfcheck import analyze_paths
-
+def test_committed_manifest_matches_regenerated(src_program):
     committed = json.loads((REPO / "kernel_manifest.json").read_text())
-    program, report = analyze_paths([SRC])
+    program, report = analyze(src_program, "perf")
     assert build_kernel_manifest(program, report) == committed
 
 
-def test_manifest_names_the_kernels_with_a_native_door():
+def test_manifest_names_the_kernels_with_a_native_door(src_program):
     """Read off the source, not restated: the seven kernels whose closure
     calls into the compiled library, and entry points that exist."""
     from repro import native
-    from repro.analysis.perfcheck import analyze_paths
 
-    program, report = analyze_paths([SRC])
+    program, report = analyze(src_program, "perf")
     payload = build_kernel_manifest(program, report)
     assert len(payload["kernels"]) == len(HOT_KERNELS)
     doors = {k["name"]: k["native_entry_points"]

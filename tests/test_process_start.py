@@ -31,6 +31,7 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 #: Modules (and their submodules) no entry point may load.
 DENIED = (
     "repro.analysis.lint",
+    "repro.analysis.program",
     "repro.analysis.rules",
     "repro.analysis.perfcheck",
     "repro.analysis.syscheck",
@@ -54,7 +55,7 @@ PERF_USED = ("repro.perf", "repro.perf.report")
 MOVED = (
     "repro.analysis.sanitizer",
     "repro.analysis.concurrency.race",
-    "repro.analysis.concurrency.report",
+    "repro.analysis.report",
     "repro.cluster.checkpoint",
     "repro.resilience.recover",
     "repro.resilience.inject",
@@ -263,6 +264,8 @@ def test_a_dumping_run_loads_its_dump_stack_in_setup(tmp_path):
 FIRST_IMPORTS = (
     "repro.analysis",
     "repro.analysis.lint",
+    "repro.analysis.program",
+    "repro.analysis.report",
     "repro.analysis.cli",
     "repro.analysis.concurrency",
     "repro.analysis.perfcheck.rules",
@@ -272,15 +275,12 @@ FIRST_IMPORTS = (
 
 CATALOGUES = """
 import json, sys
-from repro.analysis.concurrency.commcheck import registered_program_rules
-from repro.analysis.lint import registered_rules
-from repro.analysis.perfcheck.rules import registered_perf_rules
-from repro.analysis.syscheck.rules import registered_sys_rules
+from repro.analysis.program import registered_rules
 print(json.dumps({
-    "CL": [r.rule_id for r in registered_rules()],
-    "CP": [r.rule_id for r in registered_perf_rules()],
-    "RS": [r.rule_id for r in registered_sys_rules()],
-    "CC": [r.rule_id for r in registered_program_rules()],
+    "CL": [r.rule_id for r in registered_rules("lint")],
+    "CP": [r.rule_id for r in registered_rules("perf")],
+    "RS": [r.rule_id for r in registered_rules("sys")],
+    "CC": [r.rule_id for r in registered_rules("comm")],
 }))
 """
 

@@ -16,14 +16,12 @@ import time
 
 import pytest
 
+from repro.analysis import analyze, registered_rules
 from repro.analysis.cli import main as cli_main
 from repro.analysis.syscheck import (
     LeakError,
     ResourceLedger,
-    SYS_REGISTRY,
-    check_paths,
     check_sources,
-    registered_sys_rules,
 )
 
 #: Synthetic in-scope paths (path_matches semantics: directory pattern
@@ -52,13 +50,14 @@ def rules_fired(report):
 
 class TestRegistry:
     def test_catalogue_is_exactly_rs001_to_rs007(self):
-        assert set(SYS_REGISTRY) == {
+        assert {cls.rule_id for cls in registered_rules("sys")} == {
             f"RS{i:03d}" for i in range(1, 8)
         }
 
     def test_registered_rules_sorted_and_described(self):
-        rules = registered_sys_rules()
-        assert [r.rule_id for r in rules] == sorted(SYS_REGISTRY)
+        rules = registered_rules("sys")
+        assert [r.rule_id for r in rules] == sorted(
+            cls.rule_id for cls in registered_rules("sys"))
         for r in rules:
             assert r.name and r.description
 
@@ -578,9 +577,9 @@ class TestPragmasAndReport:
             "path", "line", "col", "rule", "message"
         }
 
-    def test_real_tree_is_clean(self):
+    def test_real_tree_is_clean(self, src_program):
         # The acceptance bar: --sys exits 0 on src/repro.
-        report = check_paths(["src/repro"])
+        report = analyze(src_program, "sys")[1]
         assert not report.violations, report.summary()
         assert report.checks_run > 1000
 
