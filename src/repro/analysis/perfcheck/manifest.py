@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 from pathlib import Path
 
 from ..report import Report, Violation
@@ -147,15 +146,10 @@ def write_kernel_manifest(
     """Write ``kernel_manifest.json`` atomically; returns the payload.
 
     The manifest gates CI (drift check), so a crash mid-write must
-    never leave a torn file: write to a sibling tmp, fsync, then
-    ``os.replace`` into place.
+    never leave a torn file: :func:`repro.container.write_atomic`.
     """
+    from ...container import write_atomic
+
     payload = build_kernel_manifest(program, report)
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
+    write_atomic(str(path), (json.dumps(payload, indent=2) + "\n").encode())
     return payload

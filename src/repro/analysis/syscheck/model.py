@@ -96,6 +96,7 @@ SYS_SCOPE = (
 #: Modules that persist campaign state and must write atomically
 #: (tmp + fsync + ``os.replace``); the RS006 scope.
 DURABLE_WRITER_PATHS = (
+    "repro/container.py",
     "cluster/checkpoint.py",
     "service/cache.py",
     "perfcheck/manifest.py",

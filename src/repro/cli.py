@@ -131,6 +131,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"run: {len(result.records)} steps in "
           f"{result.wall_seconds:.2f} s wall, "
           f"{result.cells_per_second / 1e6:.3f} Mcells/s")
+    if result.skipped_writes:
+        print("skipped writes (failed, nothing written): "
+              + ", ".join(f"{what} of step {step}"
+                          for what, step in result.skipped_writes))
     if args.flight_out:
         print(f"flight recording written to {args.flight_out} "
               "(analyze with: python -m repro.cli analyze-flight "

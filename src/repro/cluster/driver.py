@@ -36,7 +36,7 @@ from ..node.dispatcher import Dispatcher
 from ..node.grid import BlockGrid
 from ..node.solver import NodeSolver
 from ..physics.state import ENERGY, GAMMA, NQ, RHO, STORAGE_DTYPE
-from ..resilience.detect import CheckpointWriteError, screen_restored_state
+from ..resilience.detect import WriteError, screen_restored_state
 from ..sim.config import SimulationConfig
 from ..sim.diagnostics import (
     Diagnostics,
@@ -100,6 +100,9 @@ class RankResult:
     #: which kernels ran in this rank's process when it finished
     #: (:func:`repro.native.status`)
     kernels: dict = field(default_factory=dict)
+    #: ``(what, step)`` of every dump or checkpoint write that failed and
+    #: was skipped (the same on every rank)
+    skipped_writes: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -127,6 +130,13 @@ class RunResult:
         :func:`repro.native.status` (``backend`` ``"c"`` or ``"numpy"``,
         and why) -- every rank runs the same checkout on the same host."""
         return self.rank_results[0].kernels
+
+    @property
+    def skipped_writes(self) -> list[tuple[str, int]]:
+        """``(what, step)`` of every dump or checkpoint write that failed
+        and was skipped -- the writer raises on every rank, so rank 0's
+        list is the run's."""
+        return self.rank_results[0].skipped_writes
 
     @property
     def cells_per_second(self) -> float:
@@ -271,6 +281,7 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     ncells = int(np.prod(grid.cells))
     records: list[StepRecord] = []
     compression_stats: list[dict] = []
+    skipped_writes: list[tuple[str, int]] = []
     if config.dump_interval:
         # The wavelet / I/O stack _dump runs loads here, before step 1; a
         # run that does not dump never loads it.
@@ -381,23 +392,14 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
 
             # -- compressed data dumps (p and Gamma only, as in the paper) ----
             if config.dump_interval and step % config.dump_interval == 0:
-                # Pre-flight the injected storage fault collectively so every
-                # rank takes the same branch: a failed dump degrades to a
-                # counted skip, never a diverged SPMD control flow.
-                io_bad = 1 if (injector is not None and
-                               injector.io_fails(comm.rank, "dump", step)) else 0
-                if injector is not None:
-                    io_bad = comm.allreduce(io_bad, op="max")
-                if io_bad:
-                    if comm.rank == 0:
-                        injector.detected("io_fail")
-                        injector.recovered("io_fail")
-                        injector.count("dumps_skipped")
-                else:
-                    with timers.span("IO_WAVELET"):
-                        stats = _dump(comm, config, grid, origin_cells, step,
-                                      timers, tracer, sanitizer=sanitizer)
-                        compression_stats.extend(stats)
+                with timers.span("IO_WAVELET"):
+                    try:
+                        compression_stats.extend(_dump(
+                            comm, config, grid, origin_cells, step, timers,
+                            tracer, sanitizer=sanitizer, injector=injector))
+                    except WriteError:
+                        _skip_write(comm, injector, skipped_writes, "dump",
+                                    step)
 
             # -- lossless checkpoints (atomic, rotated generations) ----------
             if config.checkpoint_interval and step % config.checkpoint_interval == 0:
@@ -408,12 +410,9 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
                             comm, ck_path, grid.to_array(), origin_cells, t,
                             step, injector=injector,
                         )
-                    except CheckpointWriteError:
-                        # Degrade: previous generations are intact, the
-                        # campaign keeps computing (failure already counted
-                        # by the writer on rank 0).
-                        if comm.rank == 0 and injector is not None:
-                            injector.recovered("io_fail")
+                    except WriteError:
+                        _skip_write(comm, injector, skipped_writes,
+                                    "checkpoint", step)
                     else:
                         if comm.rank == 0 and config.checkpoint_keep:
                             pruned = prune_checkpoints(
@@ -473,7 +472,26 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
             if tracer is not None and tracer.mode == "trace" else None
         ),
         kernels=native.status(),
+        skipped_writes=skipped_writes,
     )
+
+
+#: The resilience counter a skipped write of each kind bumps.
+_SKIP_COUNTERS = {"dump": "dumps_skipped", "checkpoint": "checkpoints_failed"}
+
+
+def _skip_write(comm: Communicator, injector, skipped: list, what: str,
+                step: int) -> None:
+    """Degrade a failed dump or checkpoint write to a recorded skip.
+
+    The writer raised on every rank and left no file behind (previous
+    checkpoint generations are intact), so every rank records the skip
+    and keeps computing; rank 0 credits the recovery.
+    """
+    skipped.append((what, step))
+    if comm.rank == 0 and injector is not None:
+        injector.recovered("io_fail")
+        injector.count(_SKIP_COUNTERS[what])
 
 
 def _dump(
@@ -485,6 +503,7 @@ def _dump(
     timers: PhaseTimers,
     tracer=None,
     sanitizer=None,
+    injector=None,
 ) -> list[dict]:
     """Compress and collectively write p and Gamma (one file each).
 
@@ -493,7 +512,9 @@ def _dump(
     and ``IO_WRITE``.  ``sanitizer`` (an optional
     :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks the FWT
     input fields for NaN/Inf before they reach the wavelet transform,
-    labelling findings with the dumped quantity name.
+    labelling findings with the dumped quantity name.  ``injector``'s
+    ``io_fail`` site fires in the writer; a failed write raises
+    :class:`~repro.resilience.detect.WriteError` on every rank.
     """
     # Loaded by rank_main's set-up: only a run that dumps pays for them.
     from ..compression.io import write_compressed_parallel
@@ -526,6 +547,7 @@ def _dump(
             ws = write_compressed_parallel(
                 comm, path, name, cf,
                 rank_meta={"origin_cells": list(origin_cells)},
+                injector=injector, step=step,
             )
         if tracer is not None:
             tracer.count("fwt_cells", data.size)

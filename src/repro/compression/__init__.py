@@ -16,8 +16,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ),
     "encoder": ("EncodeStats", "StreamEncoder"),
     "io": (
-        "HEADER_SIZE", "WriteStats", "file_size", "read_compressed",
-        "read_field", "read_header", "write_compressed_parallel",
+        "WriteStats", "file_size", "read_compressed", "read_field",
+        "read_header", "write_compressed_parallel",
     ),
     "amr_analysis": ("AmrProfile", "amr_profitability"),
     "scheme": ("CompressedField", "CompressionStats", "WaveletCompressor"),

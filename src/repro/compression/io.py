@@ -7,28 +7,23 @@ prefix sum.  After the scan, each rank acquires a destination offset and,
 starting from that offset, writes its compressed buffer in the file."
 (paper Section 6)
 
-File format: a fixed-size JSON header (rank offsets, sizes and
-per-rank compression metadata) followed by the concatenated rank payloads.
-Each rank opens the shared file and writes at its own offset -- the same
-collective-write algorithm as the paper's MPI-IO path, expressed with
-POSIX positioned writes.
+The file is one :mod:`repro.container` of kind ``dump``: the quantity
+in its metadata, one section per rank holding that rank's compressed
+payload, and the rank's compression metadata in the section's index
+entry.  The container's collective writer is the paper's MPI-IO path,
+expressed with POSIX positioned writes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..container import read, write_collective
 from ..telemetry.clock import now
 from .scheme import CompressedField, WaveletCompressor
-
-#: Fixed header size: JSON padded with spaces.  Large enough for hundreds
-#: of ranks; the writer fails loudly if the index outgrows it.
-HEADER_SIZE = 65536
-_MAGIC = "repro-wavelet-dump-v1"
 
 
 @dataclass
@@ -46,82 +41,43 @@ def write_compressed_parallel(
     quantity: str,
     cf: CompressedField,
     rank_meta: dict | None = None,
+    injector=None,
+    step: int | None = None,
 ) -> WriteStats:
     """Collectively write one compressed quantity to a shared file.
 
     Every rank passes its own :class:`CompressedField`; offsets come from
     an exclusive prefix sum over the payload sizes (the paper's exscan).
-    Rank 0 writes the header.  Returns this rank's :class:`WriteStats`.
+    ``injector`` and ``step`` address the ``io_fail`` chaos site; a failed
+    write raises :class:`~repro.resilience.detect.WriteError` on every
+    rank.  Returns this rank's :class:`WriteStats`.
     """
-    size = len(cf.payload)
-    offset = comm.exscan(size, op="sum") + HEADER_SIZE
-
-    # Rank 0 assembles the index (offsets, sizes, metadata of every rank).
-    metas = comm.gather({"offset": offset, "size": size, "meta": cf.metadata(),
-                         "extra": rank_meta or {}}, root=0)
-    if comm.rank == 0:
-        header = {
-            "magic": _MAGIC,
-            "quantity": quantity,
-            "ranks": metas,
-        }
-        blob = json.dumps(header).encode()
-        if len(blob) > HEADER_SIZE:
-            raise ValueError(
-                f"header of {len(blob)} bytes exceeds HEADER_SIZE={HEADER_SIZE}"
-            )
-        with open(path, "wb") as f:
-            f.write(blob.ljust(HEADER_SIZE))
-    comm.barrier()  # header exists before anyone writes payloads
-
     t0 = now()
-    with open(path, "r+b") as f:
-        f.seek(offset)
-        f.write(cf.payload)
-    elapsed = now() - t0
-    comm.barrier()  # file complete before anyone proceeds
-    return WriteStats(offset=offset, nbytes=size, seconds=elapsed)
+    offset = write_collective(
+        comm, path, "dump", {"quantity": quantity}, cf.payload,
+        {"meta": cf.metadata(), "extra": rank_meta or {}},
+        injector=injector, step=step)
+    return WriteStats(offset=offset, nbytes=len(cf.payload),
+                      seconds=now() - t0)
 
 
 def read_header(path: str) -> dict:
-    """Read and parse the fixed-size header of a dump file."""
-    with open(path, "rb") as f:
-        blob = f.read(HEADER_SIZE)
-    if len(blob) < HEADER_SIZE:
-        raise ValueError(
-            f"{path}: header cut short, {len(blob)} of {HEADER_SIZE} bytes"
-        )
-    try:
-        header = json.loads(blob.decode().rstrip())
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise ValueError(f"{path}: unreadable dump header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
-        raise ValueError(f"{path} is not a repro wavelet dump")
-    return header
+    """The index of a dump file: ``quantity`` and per-rank ``ranks``."""
+    c = read(path, "dump")
+    return {**c.meta, "ranks": c.sections}
 
 
 def _read_ranks(path: str):
     """``(index entry, CompressedField)`` of every rank in a dump file."""
-    header = read_header(path)
-    with open(path, "rb") as f:
-        for rank, entry in enumerate(header["ranks"]):
-            f.seek(entry["offset"])
-            payload = f.read(entry["size"])
-            if len(payload) != entry["size"]:
-                raise ValueError(
-                    f"{path}: payload of rank {rank} cut short at byte "
-                    f"{entry['offset'] + len(payload)}: {len(payload)} of "
-                    f"{entry['size']} bytes"
-                )
-            yield entry, CompressedField.from_metadata(payload, entry["meta"])
+    c = read(path, "dump")
+    for entry, payload in zip(c.sections, c.payloads):
+        yield entry, CompressedField.from_metadata(bytes(payload),
+                                                   entry["meta"])
 
 
 def read_compressed(path: str) -> list[CompressedField]:
-    """Read every rank's compressed field from a dump file.
-
-    A file that is cut short raises ``ValueError`` naming the rank and the
-    byte offset; so does decompressing a payload whose streams are.
-    """
+    """Read every rank's compressed field from a dump file (a damaged
+    file raises the container's located ``CorruptionError``)."""
     return [cf for _, cf in _read_ranks(path)]
 
 
@@ -155,5 +111,5 @@ def read_field(path: str, compressor: WaveletCompressor | None = None) -> np.nda
 
 
 def file_size(path: str) -> int:
-    """Size of a dump file in bytes (header + payloads)."""
+    """Size of a dump file in bytes (framing + payloads)."""
     return os.path.getsize(path)

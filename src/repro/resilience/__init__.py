@@ -21,9 +21,9 @@ from .._exports import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "detect": (
-        "CheckpointCorruptError", "CheckpointWriteError", "CorruptionError",
-        "HaloCorruptionError", "HaloFrame", "crc32_array", "crc32_bytes",
-        "screen_restored_state",
+        "CacheCorruptError", "CheckpointCorruptError", "CorruptionError",
+        "HaloCorruptionError", "HaloFrame", "WriteError", "crc32_array",
+        "crc32_bytes", "screen_restored_state",
     ),
     "inject": (
         "DROPPED", "FaultInjector", "InjectedFault", "InjectedIOError",

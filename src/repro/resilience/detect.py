@@ -6,12 +6,13 @@ into a *plausible but wrong* field.  This module holds the detection
 primitives the cluster layer applies at its trust boundaries:
 
 * :func:`crc32_bytes` / :func:`crc32_array` -- the checksums stamped on
-  halo messages and checkpoint rank-blocks;
+  halo messages, ring frames and container files;
 * :class:`HaloFrame` -- the checksummed wire format of the halo
   exchange, verified on receive;
-* :class:`CheckpointCorruptError` / :class:`HaloCorruptionError` --
-  localized corruption diagnoses (both :class:`ValueError` subclasses,
-  matching the pre-resilience reader's error contract);
+* :class:`CheckpointCorruptError` / :class:`CacheCorruptError` /
+  :class:`HaloCorruptionError` -- localized corruption diagnoses (all
+  :class:`ValueError` subclasses, matching the pre-resilience reader's
+  error contract);
 * :func:`screen_restored_state` -- the sanitizer-style SDC screen run
   over a restored checkpoint field before a rank resumes from it.
 """
@@ -37,7 +38,16 @@ def crc32_array(arr: np.ndarray) -> int:
 
 
 class CorruptionError(ValueError):
-    """Detected data corruption (checksum, header or physics screen)."""
+    """Detected data corruption (checksum, header or physics screen).
+
+    A damaged file says where: its ``path``, the ``section`` (the writing
+    rank's) and the byte ``offset`` -- each None where it does not apply.
+    """
+
+    def __init__(self, message: str = "", *, path: str | None = None,
+                 section: int | None = None, offset: int | None = None):
+        super().__init__(message)
+        self.path, self.section, self.offset = path, section, offset
 
 
 class HaloCorruptionError(CorruptionError):
@@ -52,12 +62,18 @@ class CheckpointCorruptError(CorruptionError):
     kind = "ckpt_corrupt"
 
 
-class CheckpointWriteError(RuntimeError):
-    """A collective checkpoint write failed on at least one rank.
+class CacheCorruptError(CorruptionError):
+    """A result-cache entry failed verification (reported after quarantine)."""
+
+    kind = "cache_corrupt"
+
+
+class WriteError(RuntimeError):
+    """A collective dump or checkpoint write failed on at least one rank.
 
     Raised on *every* rank (the failure flag is allreduced) so the SPMD
     program stays collectively consistent; the temporary file is removed
-    and the previous generations stay intact.
+    and nothing is left under the final name.
     """
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 
 from ..sim.config import SimulationConfig
@@ -217,8 +216,10 @@ class JobRequest:
             "ic": self.ic.to_dict(),
         }
         if self.restart_from is not None:
+            from ..resilience.detect import crc32_bytes
+
             with open(self.restart_from, "rb") as f:
-                doc["restart_crc32"] = zlib.crc32(f.read()) & 0xFFFFFFFF
+                doc["restart_crc32"] = crc32_bytes(f.read())
         return doc
 
     def runtime_dict(self) -> dict:

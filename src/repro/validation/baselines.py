@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..container import write_atomic
 from ..physics.state import COMPUTE_DTYPE, STORAGE_DTYPE
 
 #: Directory of the committed golden baselines.
@@ -150,17 +151,11 @@ def save_baseline(
 ) -> str:
     """Write a baseline file (creating the directory); returns its path.
 
-    Atomic (tmp + fsync + ``os.replace``): baselines gate the
+    Atomic (:func:`repro.container.write_atomic`): baselines gate the
     validation suite, so a half-written JSON must never be observable.
     """
     path = baseline_path(baseline.case, baseline_dir)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(baseline.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, baseline.to_json().encode())
     return path
 
 

@@ -1,11 +1,12 @@
 """Tests for collective compressed I/O (repro.compression.io)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cluster.mpi_sim import SimWorld
 from repro.compression.io import (
-    HEADER_SIZE,
     file_size,
     read_compressed,
     read_field,
@@ -13,6 +14,8 @@ from repro.compression.io import (
     write_compressed_parallel,
 )
 from repro.compression.scheme import WaveletCompressor
+from repro.container import _HEAD, PRELUDE_SIZE
+from repro.resilience.detect import CorruptionError
 
 
 def rank_field(rank, n=16):
@@ -33,7 +36,7 @@ class TestSingleRank:
             return write_compressed_parallel(comm, path, "p", cf)
 
         ws = world.run(main)[0]
-        assert ws.offset == HEADER_SIZE
+        assert ws.offset == PRELUDE_SIZE
         header = read_header(path)
         assert header["quantity"] == "p"
         assert len(header["ranks"]) == 1
@@ -50,7 +53,12 @@ class TestSingleRank:
             return len(cf.payload)
 
         nbytes = world.run(main)[0]
-        assert file_size(path) == HEADER_SIZE + nbytes
+        # prelude, the payload, then nothing but the index
+        with open(path, "rb") as f:
+            blob = f.read()
+        index = json.loads(blob[PRELUDE_SIZE + nbytes:])
+        assert index["sections"][0]["size"] == nbytes
+        assert file_size(path) == len(blob)
 
 
 class TestMultiRank:
@@ -68,8 +76,8 @@ class TestMultiRank:
 
         out = world.run(main)
         # Offsets are a prefix sum of the sizes after the header.
-        assert out[0][0] == HEADER_SIZE
-        assert out[1][0] == HEADER_SIZE + out[0][1]
+        assert out[0][0] == PRELUDE_SIZE
+        assert out[1][0] == PRELUDE_SIZE + out[0][1]
         assert out[2][0] == out[1][0] + out[1][1]
 
     def test_payloads_not_overlapping(self, tmp_path):
@@ -111,7 +119,7 @@ class TestMultiRank:
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.rwz"
-        path.write_bytes(b'{"magic": "nope"}'.ljust(HEADER_SIZE) + b"x")
+        path.write_bytes(b'{"magic": "nope"}'.ljust(65536) + b"x")
         with pytest.raises(ValueError):
             read_header(str(path))
 
@@ -138,32 +146,43 @@ class TestCorruptDump:
 
     def test_cut_in_header(self, tmp_path):
         path = self.dump(tmp_path)
-        self.rewrite(path, lambda blob: blob[:100])
+        self.rewrite(path, lambda blob: blob[:20])
         for reader in (read_header, read_compressed, read_field):
-            with pytest.raises(ValueError, match="header cut short, 100 of"):
+            with pytest.raises(CorruptionError,
+                               match="truncated: 20 bytes, no whole prelude"):
                 reader(path)
 
     def test_unreadable_header(self, tmp_path):
         path = self.dump(tmp_path)
-        self.rewrite(path, lambda blob: b"{" * HEADER_SIZE + blob[HEADER_SIZE:])
-        with pytest.raises(ValueError, match="unreadable dump header"):
+        with open(path, "rb") as f:
+            blob = f.read()
+        index_at = _HEAD.unpack_from(blob)[3]
+        self.rewrite(path, lambda blob: blob[:index_at] + b"{" * (len(blob) - index_at))
+        with pytest.raises(CorruptionError,
+                           match=rf"index failed CRC32 \(byte {index_at}\)"):
             read_field(path)
 
     def test_cut_in_payload(self, tmp_path):
         path = self.dump(tmp_path)
         self.rewrite(path, lambda blob: blob[:-7])
+        size = file_size(path)
         for reader in (read_compressed, read_field):
-            with pytest.raises(ValueError, match="payload of rank 0 cut short at byte"):
+            with pytest.raises(CorruptionError, match="truncated") as exc:
                 reader(path)
+            assert (exc.value.path, exc.value.offset) == (path, size)
 
     def test_flipped_payload_byte(self, tmp_path):
         path = self.dump(tmp_path)
 
         def flip(blob):
-            blob[HEADER_SIZE + 40] ^= 0xFF
+            blob[PRELUDE_SIZE + 40] ^= 0xFF
             return blob
 
         self.rewrite(path, flip)
-        assert len(read_compressed(path)) == 1  # framing intact
-        with pytest.raises(ValueError, match=rf"rank 0 \(payload at byte {HEADER_SIZE}\): stream 0: inflate failed"):
-            read_field(path)
+        for reader in (read_compressed, read_field):
+            with pytest.raises(
+                    CorruptionError,
+                    match=rf"section 0 of \d+ bytes failed CRC32 \(byte {PRELUDE_SIZE}\)"
+            ) as exc:
+                reader(path)
+            assert (exc.value.section, exc.value.offset) == (0, PRELUDE_SIZE)

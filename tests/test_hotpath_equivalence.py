@@ -46,7 +46,11 @@ from repro.compression.decimation import (
     guaranteed_threshold,
 )
 from repro.compression.encoder import StreamEncoder
-from repro.compression.io import read_field, write_compressed_parallel
+from repro.compression.io import (
+    read_compressed,
+    read_field,
+    write_compressed_parallel,
+)
 from repro.compression.scheme import WaveletCompressor
 from repro.compression.wavelet import (
     detail_mask,
@@ -853,40 +857,120 @@ def _diagnostics_and_dumps(ranks, backend, dump_dir):
     return digests, [rr.kernels["backend"] for rr in result.rank_results]
 
 
+def _dump_contents(dump_dir):
+    """SHA-256 of what the dumps of ``_diagnostics_and_dumps`` hold, apart
+    from their framing: ``{<dump file name>: [<each rank's payload>...,
+    <the field read_field restores>]}``."""
+    out = {}
+    for path in sorted(dump_dir.glob("*.rwz")):
+        out[path.name] = [
+            hashlib.sha256(cf.payload).hexdigest()
+            for cf in read_compressed(str(path))
+        ] + [hashlib.sha256(read_field(str(path)).tobytes()).hexdigest()]
+    return out
+
+
 #: (ranks, backend) -> the digests of ``_diagnostics_and_dumps``, recorded
-#: before p and the kinetic energy were computed by the compiled cell pass.
+#: before p and the kinetic energy were computed by the compiled cell pass;
+#: the dump files' re-recorded once for the container framing (what they
+#: hold is ``DUMP_CONTENT_DIGESTS``).
 DIAG_DUMP_DIGESTS = {
     (1, "sim"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "e466ad340b0eb7cfbc9174a8ae53c67544fbc267a066111d2af1537a88ede023",
+            "25de7b93ed6a3af93f0407ae4c01d09fefab6d166561be78503e23406d948974",
         "dump_step000001_p.rwz":
-            "29432a35d17869a556c68a15df9b0e8c382f5ad3715d95475cd72744f015d0c7",
+            "7e478c6d147d675c56a537a9a5f490686826188d787505285e9cb57f8301b53d",
         "dump_step000002_Gamma.rwz":
-            "1d2f654b413ef1a33463df7419ce71c32b1171016e43956bf54ee554e2197806",
+            "792292ae2f99c8e0be60a89d251afb80c7de2a49ebaa413fb80d9047e7bf90d7",
         "dump_step000002_p.rwz":
-            "5f07fd23c48d1c7a1ac29b92e21724f72f3a977e790c802b439be15ee91b67de",
+            "1686959ef95cc90344b0acdc576b7af3a95c459fd64720fe2a38c8615fc59c99",
         "dump_step000003_Gamma.rwz":
-            "9741e5e10f08effdae2478585cbc2b3b1b959487341e04291494a6a8a0d284b6",
+            "94484198eeeb5b467c96f6bcc864922490fd477fb5d0ccb7a3d0a0644bc03b9d",
         "dump_step000003_p.rwz":
-            "440eb9615987a04c8805391cfd72a31e7ad9d5d366d98163d9a15a8c9edeb0c4",
+            "15590bf3bcd6d7f49f41e7db7305834155a8f2d2a17d12118512aed91f93f2de",
     },
     (2, "procs"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "47a2b770dd87b314f7f45f7ece9b753c6561b799605c19e9750c62ee1635a39d",
+            "7072894bf7df6df4ddfeeb27f512d82d520b71d5fa2a622e8770d90607be4161",
         "dump_step000001_p.rwz":
-            "6cac5faf93bb3be6009847dc69c32b4fe043e368cb2a49e78f095f470d3d7b04",
+            "4526ade8597322a9138be832cba1dc31d08ed48c6429d279acd55b6a63d02d23",
         "dump_step000002_Gamma.rwz":
-            "25230470d5373a5167d9ce2a85da4467992bf9bfe1fc5be59108d7012cd42387",
+            "5037d816ad2e5cce5e6623694f5513689fe066e8bb86adb2ee6cc24feca6fd6e",
         "dump_step000002_p.rwz":
-            "304fcdcae48fbd45b53b155326f4937ca1acc1e4679dd62f75c2743810756fe5",
+            "a6835fd9d3645f5e0aabca3eb096e29dba4451ee0d1e4d1a53f5da64722f9d93",
         "dump_step000003_Gamma.rwz":
-            "c755881dec96032445b97d56d1539cc41ceee8b06b6a2d6258b2732ac4088de9",
+            "9c15623d4955dd7e57b3b92596d53b43349174ed1091e892e93915948fb659b9",
         "dump_step000003_p.rwz":
-            "c4097c9fbbe23cc90c155958f0e7d0d060493376584f98ef99e458c0bbe1a6fe",
+            "bfa9d5be93eeb818b52b5610b02799cf2fe7ee9ba875995e2e286214ae3914cf",
+    },
+}
+
+
+#: (ranks, backend) -> ``_dump_contents`` of that run: each rank's payload
+#: and the restored field of every dump, recorded with the 64 KiB JSON
+#: header framing (parent of the one on-disk container, 0df7b0d).
+DUMP_CONTENT_DIGESTS = {
+    (1, "sim"): {
+        "dump_step000001_Gamma.rwz": [
+            "1573249348edb179f65bccb8b71f231320f64a58b8fac8b54e275ca8f9aa0931",
+            "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
+        ],
+        "dump_step000001_p.rwz": [
+            "a4e06c018d61e7411b03eaf1f9cefcce66f40eedb5c00cb1bccb3637ab1bdf7a",
+            "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
+        ],
+        "dump_step000002_Gamma.rwz": [
+            "1aee5fe2fb8de33b601d36eeb71fc393a786d60c570cb2722a6e0d0467bbbb7e",
+            "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
+        ],
+        "dump_step000002_p.rwz": [
+            "a3b8e60854495f5013a2ef9abbe71256542fd0c846e3c54fb3dac1eaf5e1d25e",
+            "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
+        ],
+        "dump_step000003_Gamma.rwz": [
+            "61e91efd13c23926e5e511276e2dc990df3be44ea9d383a25dc668ce71bc6856",
+            "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
+        ],
+        "dump_step000003_p.rwz": [
+            "ed49590d33b47997a6ce033f08a6798829b42705738fa9c31337b6b82d14c1dd",
+            "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
+        ],
+    },
+    (2, "procs"): {
+        "dump_step000001_Gamma.rwz": [
+            "b639f80c0f7ce7982a9916f1a76a7d5ab882625c2ad14c82877ced1115946264",
+            "61bb98f13ae6f32c1512710188d2107a9646714b56a107594531f7908ca9546b",
+            "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
+        ],
+        "dump_step000001_p.rwz": [
+            "75114e42d32918012f0e840859d358208a6fc94aa14b0ac826560fad967ced1b",
+            "4e47f8787ad0a924ef36ef26da48ded037d867e946ceb2af108a7a46b54e5f8e",
+            "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
+        ],
+        "dump_step000002_Gamma.rwz": [
+            "9632370291d5fae79a1676d98f2c6ac9320e26ae259940cf07cbc50978f82705",
+            "d12949cd5e85402cadcc359aa1a0fd24f8cf5c4256fb1549c220f80d4a05b6e2",
+            "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
+        ],
+        "dump_step000002_p.rwz": [
+            "6196fc1f7dc90c2fc33cc0850f46f488848fe9f8b6de2b0e73c20bbc9a8927de",
+            "21706461256b32c8f4e34bd7cbde0c6f2dd1c31ba559b7ba15c575d7fd738133",
+            "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
+        ],
+        "dump_step000003_Gamma.rwz": [
+            "c38e045bc1110dae4462a3ba50fe174371863a6bfa980c969581db452dd7427b",
+            "a490172e0d0a12113f0f8ac09948bf80d76b6d9235840efde2fdd0177db8a6bd",
+            "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
+        ],
+        "dump_step000003_p.rwz": [
+            "d389bf4ff51b3f2bb58244f2ded524f2c82d0ae1b7cf8dc97ddf739d388339c5",
+            "de40bb5b838ee82ac334f20900816e2f15c6c05fa6d624f2692cddcda96fc461",
+            "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
+        ],
     },
 }
 
@@ -901,6 +985,7 @@ class TestRecordedDiagnosticDumpDigests:
             self, ranks, backend, tmp_path, resource_ledger, kernel_path):
         digests, kernels = _diagnostics_and_dumps(ranks, backend, tmp_path)
         assert kernels == [kernel_path] * ranks
+        assert _dump_contents(tmp_path) == DUMP_CONTENT_DIGESTS[(ranks, backend)]
         assert digests == DIAG_DUMP_DIGESTS[(ranks, backend)]
 
 
@@ -1798,9 +1883,10 @@ class TestBatchedWaveletBitIdentity:
         assert bytes_equal(comp.decompress(cf), restored)
 
     def test_seeded_dump_file_is_the_parent_commits(self, tmp_path):
-        """SHA-256 recorded at the parent of the batched kernel (d99d8a7).
-        The coefficient and field hashes hold anywhere; the file's only
-        where deflate is the zlib the hash was taken with."""
+        """SHA-256 recorded at the parent of the batched kernel (d99d8a7),
+        the whole file's re-recorded once for the container framing.  The
+        coefficient and field hashes hold anywhere; the payload's and the
+        file's only where deflate is the zlib the hash was taken with."""
         fld = _dump_field((32, 64, 32))
         comp = WaveletCompressor(eps=1e-2, block_size=16, num_threads=3,
                                  guaranteed=False)
@@ -1818,10 +1904,15 @@ class TestBatchedWaveletBitIdentity:
         assert sha(read_field(path, comp).tobytes()) == (
             "dd36e1e028feac0da0c40d755eced8e17d080e03e5e9bf319edd869401c11664")
         if zlib.ZLIB_RUNTIME_VERSION == "1.2.13":
+            # the payload as the file holds it: recorded with the 64 KiB
+            # JSON header framing (0df7b0d)
+            assert sha(read_compressed(path)[0].payload) == (
+                "a26750b076543f8db82ebddc735b8bf58eafc6546817df5250b4f2801ab3"
+                "ebc2")
             with open(path, "rb") as f:
                 assert sha(f.read()) == (
-                    "36405f4297ad5d324a00064e3f70a20f1cb9b9768ef9e73673bd3774"
-                    "829adf10")
+                    "10163a3d92256bdae791480fd1cd62e18bac84b109001e4846a8f569"
+                    "4ca8b44d")
             assert len(cf.payload) == 30351
 
 

@@ -57,6 +57,7 @@ MOVED = (
     "repro.analysis.concurrency.race",
     "repro.analysis.report",
     "repro.cluster.checkpoint",
+    "repro.container",
     "repro.resilience.recover",
     "repro.resilience.inject",
     "repro.resilience.plan",
@@ -227,7 +228,8 @@ def test_a_plain_worker_loads_none_of_the_moved_modules(tmp_path):
 
 @pytest.mark.parametrize("extra,runs", [
     ({"sanitize": "warn"}, ["repro.analysis.sanitizer"]),
-    ({"checkpoint_interval": 1}, ["repro.cluster.checkpoint"]),
+    ({"checkpoint_interval": 1},
+     ["repro.cluster.checkpoint", "repro.container"]),
     ({"flight_out": "flight.jsonl"},
      ["repro.perf.report", "repro.telemetry.scorecard"]),
     ({"use_slices": True}, ["repro.core.ringbuffer"]),

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
-import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
+from repro.container import _CRC, _HEAD, KINDS, MAGIC, PRELUDE_SIZE, VERSION
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec, crc32_bytes
 from repro.service import ICSpec, JobRequest, RequestError, ResultCache
-from repro.service.cache import _HEADER, MAGIC
 from repro.service.request import canonical_json, canonical_key
 from repro.sim import SimulationConfig
 
@@ -176,7 +176,7 @@ class TestResultCache:
         key = "m" * 64
         path = cache.put(key, self.payload())
         blob = bytearray(Path(path).read_bytes())
-        blob[_HEADER.size] ^= 0x01  # first meta byte
+        blob[blob.index(b'"schema"')] ^= 0x01  # first meta byte
         Path(path).write_bytes(bytes(blob))
         assert cache.get(key) is None
 
@@ -196,12 +196,13 @@ class TestResultCache:
         key = "s" * 64
         path = cache.put(key, self.payload())
         blob = Path(path).read_bytes()
-        magic, meta_len, payload_len, meta_crc, payload_crc = \
-            _HEADER.unpack_from(blob)
+        index = json.loads(blob[_HEAD.unpack_from(blob)[3]:])
         evil = pickle.dumps({"final_field": np.zeros(1)})
-        forged = (_HEADER.pack(MAGIC, meta_len, len(evil), meta_crc,
-                               payload_crc)
-                  + blob[_HEADER.size:_HEADER.size + meta_len] + evil)
+        index["sections"][0]["size"] = len(evil)  # the old CRC stays
+        index = json.dumps(index).encode()
+        head = _HEAD.pack(MAGIC, VERSION, KINDS.index("cache"),
+                          PRELUDE_SIZE + len(evil), len(index))
+        forged = head + _CRC.pack(crc32_bytes(head + index)) + evil + index
         Path(path).write_bytes(forged)
         assert cache.get(key) is None
         assert cache.counters["quarantined"] == 1
