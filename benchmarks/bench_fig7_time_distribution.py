@@ -3,10 +3,10 @@
 Left pie: the RHS dominates the step (~89 %) and compressed dumps cost
 only ~4 % of total time.  Right pie: inside a dump, parallel I/O takes
 92 %, encoding 6 %, the wavelet transform + decimation 2 % (on BGQ, where
-the FWT is QPX-vectorized and the file system is shared; here deflate
-outweighs the compiled transform and a write to a local disk, which the
-results file records honestly -- EXPERIMENTS.md has the FWT : ENC : write
-split of a 128^3 dump).  The right-hand table opens with the collect --
+the FWT is QPX-vectorized and the file system is shared; here the compiled
+transform and the encoder together outweigh a write to a local disk, which
+the results file records honestly -- EXPERIMENTS.md has the FWT : ENC :
+write split of a 128^3 dump).  The right-hand table opens with the collect --
 the field, p and the Gamma cast the transform starts from -- which the
 paper's split leaves out: its three rows add up to the dump.
 
@@ -71,7 +71,7 @@ def test_fig7_time_distribution(benchmark, dump_run):
     text += "\n\n" + format_table(
         rows2,
         "Fig 7 (right): within a dump (paper: IO 92 %, ENC 6 %, FWT 2 %;\n"
-        "here deflate outweighs the transform and a write to a local disk)",
+        "here transform + encoder outweigh a write to a local disk)",
     )
     write_result("fig7_time_distribution", text)
 

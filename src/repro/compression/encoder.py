@@ -12,6 +12,21 @@ assume similar ranges, leading to more efficient data compression."
 per-thread buffers in SFC order, each buffer is zlib-deflated as one
 stream, and the per-rank payload is the concatenation of the thread
 streams with a compact framing header.
+
+What a stream deflates is what decimation keeps: after it, most
+coefficients are +0.0, so a stream holds a significance map -- one bit
+per element in block order, set where the element's bit pattern is not
+zero (so -0.0, NaN payloads, +-inf and the coarse corner are kept
+exactly) -- followed by the significant elements as byte planes (plane
+``k`` is byte ``k`` of every significant element, in memory order).
+Both go through one run-length deflate (``Z_RLE``), which runs over the
+map's zero bytes and the planes' repeated exponent bytes without a
+match search::
+
+    payload = "RPSP" | u32 n_streams | u32 block_elems | u32 dtype code
+              | stream 0 | stream 1 | ...
+    stream  = u32 deflated size | u32 n_blocks
+              | deflate(packbits(map) | plane 0 | ... | plane itemsize-1)
 """
 
 from __future__ import annotations
@@ -26,9 +41,16 @@ import numpy as np
 from ..telemetry.clock import now
 
 #: Framing magic for an encoded multi-stream payload.
-_MAGIC = b"RPRW"
+_MAGIC = b"RPSP"
+#: The magic of the format this one replaced (each stream the raw
+#: coefficients, deflated at level 6): read as a typed format error.
+_OLD_MAGIC = b"RPRW"
 _HEADER = struct.Struct("<4sIII")  # magic, n_streams, block_elems, dtype code
 _STREAM_HEADER = struct.Struct("<II")  # compressed size, n_blocks
+#: Deflate's largest expansion on inflate: a stream of ``comp_size`` bytes
+#: inflates to at most this many times as many (a map of ``n`` elements is
+#: ``n / 8`` of them, which bounds a stream's ``n`` before it is allocated).
+_INFLATE_RATIO = 1032
 
 _DTYPES = {0: np.float32, 1: np.float64}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -41,29 +63,85 @@ class EncodeStats:
     raw_bytes: int
     compressed_bytes: int
     num_blocks: int
-    seconds: float = 0.0  #: wall time deflating this stream
+    seconds: float = 0.0  #: wall time encoding this stream
 
     @property
     def rate(self) -> float:
         return self.raw_bytes / self.compressed_bytes if self.compressed_bytes else 0.0
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The elements of a C-contiguous float array as one flat unsigned
+    integer array of the same width (a view)."""
+    return a.reshape(-1).view(f"u{a.dtype.itemsize}")
+
+
+def _encode_stream(part: np.ndarray) -> bytes:
+    """The deflated map and byte planes of one contiguous stream."""
+    bits = _bits(part)
+    significant = bits != 0
+    survivors = bits[significant]
+    planes = survivors.view(np.uint8).reshape(-1, bits.itemsize).T
+    coder = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    return (coder.compress(np.packbits(significant))
+            + coder.compress(np.ascontiguousarray(planes)) + coder.flush())
+
+
+def _decode_stream(data, n: int, itemsize: int, s: int,
+                   offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(significance mask, survivors)`` of the deflated stream ``s`` at
+    byte ``offset`` of its payload: ``n`` elements of ``itemsize`` bytes."""
+    where = f"stream {s} at byte {offset}"
+    map_size = -(-n // 8)
+    most = map_size + n * itemsize
+    inflater = zlib.decompressobj()
+    try:
+        # One byte past the most a stream of n elements holds: a longer
+        # one stops there instead of inflating whatever it claims.
+        raw = inflater.decompress(data, most + 1)
+    except zlib.error as exc:
+        raise ValueError(f"stream {s}: inflate failed in the {len(data)} "
+                         f"bytes at byte {offset}: {exc}") from exc
+    if len(raw) > most:
+        raise ValueError(f"{where}: inflates past the {most} bytes "
+                         f"{n} elements can hold")
+    if not inflater.eof:
+        raise ValueError(f"{where}: deflate stream cut short in its "
+                         f"{len(data)} bytes")
+    if inflater.unused_data:
+        raise ValueError(f"{where}: {len(inflater.unused_data)} bytes "
+                         f"after the end of its deflate stream")
+    if len(raw) < map_size:
+        raise ValueError(f"{where}: inflated to {len(raw)} bytes, the map "
+                         f"of {n} elements needs {map_size}")
+    packed = np.frombuffer(raw, np.uint8, map_size)
+    if n % 8 and packed[-1] & (0xFF >> (n % 8)):
+        raise ValueError(f"{where}: non-zero pad bits after the map's "
+                         f"{n} elements")
+    significant = np.unpackbits(packed, count=n).view(bool)
+    count = int(np.count_nonzero(significant))
+    if len(raw) != map_size + count * itemsize:
+        raise ValueError(
+            f"{where}: inflated to {len(raw)} bytes, a map of {n} elements "
+            f"with {count} significant needs {map_size + count * itemsize}")
+    planes = np.frombuffer(raw, np.uint8, offset=map_size).reshape(
+        itemsize, count)
+    return significant, np.ascontiguousarray(planes.T).view(
+        f"u{itemsize}").reshape(count)
+
+
 class StreamEncoder:
     """Encodes equally-shaped coefficient blocks into per-thread streams."""
-
-    def __init__(self, level: int = 6):
-        #: zlib compression level (paper uses the ZLIB default).
-        self.level = level
 
     def encode(
         self, blocks: list[np.ndarray] | np.ndarray, num_streams: int
     ) -> tuple[bytes, list[EncodeStats]]:
         """Concatenate blocks round-robin-contiguously into ``num_streams``
-        buffers and deflate each as a single stream.
+        buffers and encode each as a single stream.
 
         ``blocks`` is a list of blocks sharing shape and dtype, or the
         same as one C-contiguous ``(B, ...)`` array, whose slices are
-        deflated where they lie.  Returns the framed payload and
+        encoded where they lie.  Returns the framed payload and
         per-stream stats.  Block order is preserved (stream ``s`` holds the
         contiguous slice of blocks assigned to thread ``s``), so adjacent
         blocks -- which the SFC made spatial neighbors -- share a stream.
@@ -92,7 +170,7 @@ class StreamEncoder:
         for s in range(num_streams):
             part = batch[bounds[s] : bounds[s + 1]]
             t0 = now()
-            comp = zlib.compress(part, self.level)
+            comp = _encode_stream(part)
             elapsed = now() - t0
             chunks.append(_STREAM_HEADER.pack(len(comp), len(part)))
             chunks.append(comp)
@@ -113,7 +191,9 @@ class StreamEncoder:
         writable ``(B,) + block_shape`` array.
 
         A payload that is cut short or corrupt raises ``ValueError`` naming
-        the stream and the byte offset at which it stopped making sense.
+        the stream and the byte offset at which it stopped making sense; a
+        payload of the replaced format raises
+        :class:`~repro.container.FormatError`.
         """
         view = memoryview(payload)
         if len(view) < _HEADER.size:
@@ -121,8 +201,13 @@ class StreamEncoder:
                 f"payload header cut short: {len(view)} of {_HEADER.size} bytes"
             )
         magic, n_streams, block_elems, dtype_code = _HEADER.unpack_from(view, 0)
+        if magic == _OLD_MAGIC:
+            from ..container import FormatError
+
+            raise FormatError(f"unsupported format: payload magic {magic!r} "
+                              f"(raw deflated streams), not {_MAGIC!r}")
         if magic != _MAGIC:
-            raise ValueError("bad payload magic")
+            raise ValueError(f"bad payload magic {magic!r}")
         if dtype_code not in _DTYPES:
             raise ValueError(f"unknown payload dtype code {dtype_code}")
         dtype = np.dtype(_DTYPES[dtype_code])
@@ -132,7 +217,8 @@ class StreamEncoder:
                 f"element count {block_elems}"
             )
         # Walk the framing first: the block count sizes the one array all
-        # streams inflate into.
+        # streams are scattered into, and each stream's deflated size
+        # bounds the count it may claim.
         streams = []  # (offset, compressed size, blocks)
         offset = _HEADER.size
         for s in range(n_streams):
@@ -148,31 +234,30 @@ class StreamEncoder:
                     f"stream {s}: {comp_size} bytes expected at byte {offset}, "
                     f"{len(view) - offset} left"
                 )
+            if n_blocks * block_elems > 8 * _INFLATE_RATIO * comp_size:
+                raise ValueError(
+                    f"stream {s} at byte {offset}: {n_blocks} blocks of "
+                    f"{block_elems} elements cannot come from {comp_size} "
+                    f"deflated bytes"
+                )
             streams.append((offset, comp_size, n_blocks))
             offset += comp_size
-        block_shape = tuple(block_shape)
-        out = np.empty((sum(n for _, _, n in streams),) + block_shape,
+        if offset != len(view):
+            raise ValueError(
+                f"{len(view) - offset} bytes after the last of {n_streams} "
+                f"streams at byte {offset}"
+            )
+        out = np.zeros((sum(n for _, _, n in streams),) + tuple(block_shape),
                        dtype=dtype)
+        bits = _bits(out)
         first = 0
         for s, (offset, comp_size, n_blocks) in enumerate(streams):
-            expected = n_blocks * block_elems * dtype.itemsize
-            try:
-                raw = zlib.decompress(view[offset : offset + comp_size],
-                                      bufsize=max(1, expected))
-            except zlib.error as exc:
-                raise ValueError(
-                    f"stream {s}: inflate failed in the {comp_size} bytes at "
-                    f"byte {offset}: {exc}"
-                ) from exc
-            if len(raw) != expected:
-                raise ValueError(
-                    f"stream {s} at byte {offset}: inflated to {len(raw)} "
-                    f"bytes, {n_blocks} blocks need {expected}"
-                )
-            out[first : first + n_blocks] = np.frombuffer(
-                raw, dtype=dtype
-            ).reshape((n_blocks,) + block_shape)
-            first += n_blocks
+            n = n_blocks * block_elems
+            significant, survivors = _decode_stream(
+                view[offset : offset + comp_size], n, dtype.itemsize, s,
+                offset)
+            bits[first : first + n][significant] = survivors
+            first += n
         return out
 
     def decode(self, payload: bytes, block_shape: tuple[int, ...]) -> list[np.ndarray]:

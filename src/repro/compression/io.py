@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..container import read, write_collective
+from ..container import FormatError, read, write_collective
 from ..telemetry.clock import now
 from .scheme import CompressedField, WaveletCompressor
 
@@ -85,6 +85,10 @@ def read_field(path: str, compressor: WaveletCompressor | None = None) -> np.nda
     """Reassemble the global field of a dump written by ranks laid out
     along the z axis slab-wise (the reader of single-rank dumps and of
     driver dumps, which record each rank's subdomain origin in ``extra``).
+
+    A payload that does not decode raises ``ValueError`` -- a payload of
+    a replaced format :class:`~repro.container.FormatError` -- naming the
+    path, the rank and the payload's byte offset.
     """
     compressor = compressor or WaveletCompressor()
     pieces = []
@@ -93,7 +97,8 @@ def read_field(path: str, compressor: WaveletCompressor | None = None) -> np.nda
         try:
             pieces.append((origin, compressor.decompress(cf)))
         except ValueError as exc:
-            raise ValueError(
+            error = FormatError if isinstance(exc, FormatError) else ValueError
+            raise error(
                 f"{path}: rank {rank} (payload at byte {entry['offset']}): {exc}"
             ) from exc
     if len(pieces) == 1:

@@ -7,8 +7,11 @@ Design features reproduced from the paper:
   independently ("on the interval" wavelets make blocks independent
   datasets);
 * per-thread buffers: blocks are assigned to threads in SFC order and each
-  thread's detail coefficients are encoded as a single zlib stream;
-* in-place transform, decimation and encoding;
+  thread's detail coefficients are encoded as a single zlib stream -- the
+  significance map of its slice and the survivors' byte planes, deflated
+  together (:mod:`repro.compression.encoder`);
+* in-place transform and decimation, and an encoder that reads the
+  decimated buffer where it lies;
 * full instrumentation of the DEC / ENC stage times, from which the
   Table 4 work-imbalance statistics are computed.
 """
@@ -126,7 +129,6 @@ class WaveletCompressor:
         eps: float = 1e-3,
         block_size: int | None = None,
         num_threads: int = 4,
-        zlib_level: int = 6,
         guaranteed: bool = True,
         encoder_kind: str = "zlib",
     ):
@@ -135,7 +137,7 @@ class WaveletCompressor:
         self.eps = float(eps)
         self.block_size = block_size
         self.num_threads = int(num_threads)
-        self.encoder = StreamEncoder(level=zlib_level)
+        self.encoder = StreamEncoder()
         self.guaranteed = guaranteed
         self.encoder_kind = encoder_kind
 
@@ -173,7 +175,7 @@ class WaveletCompressor:
         levels = max_levels(bs)
 
         # One buffer from here to the file: blocks gathered in Morton order,
-        # transformed and decimated in place chunk by chunk, deflated where
+        # transformed and decimated in place chunk by chunk, encoded where
         # they lie.
         tiles, order = self._morton_tiles(fld, bs)
         coeffs = tiles[order]

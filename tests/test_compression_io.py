@@ -1,6 +1,9 @@
 """Tests for collective compressed I/O (repro.compression.io)."""
 
 import json
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from repro.compression.io import (
     read_header,
     write_compressed_parallel,
 )
-from repro.compression.scheme import WaveletCompressor
-from repro.container import _HEAD, PRELUDE_SIZE
+from repro.compression.scheme import CompressedField, WaveletCompressor
+from repro.container import _HEAD, PRELUDE_SIZE, FormatError
 from repro.resilience.detect import CorruptionError
 
 
@@ -186,3 +189,23 @@ class TestCorruptDump:
             ) as exc:
                 reader(path)
             assert (exc.value.section, exc.value.offset) == (0, PRELUDE_SIZE)
+
+    def test_payload_of_the_replaced_format(self, tmp_path):
+        """A rank whose payload is the raw deflated streams that the
+        significance-map streams replaced: a ``FormatError`` (not plain
+        ``ValueError``) naming the path and the rank."""
+        path = str(tmp_path / "old.rwz")
+        comp = WaveletCompressor(eps=1e-4, block_size=8)
+        cf = comp.compress(rank_field(0))
+        coeffs = comp.encoder.decode_batch(cf.payload, (8, 8, 8))
+        deflated = zlib.compress(coeffs, 6)
+        old = (struct.pack("<4sIII", b"RPRW", 1, 512, 0)
+               + struct.pack("<II", len(deflated), len(coeffs)) + deflated)
+        write_compressed_parallel(
+            SimWorld(1).comm(0), path, "p",
+            CompressedField.from_metadata(old, cf.metadata()))
+        with pytest.raises(FormatError, match=(
+                rf"{re.escape(path)}: rank 0 \(payload at byte "
+                rf"{PRELUDE_SIZE}\): unsupported format: payload magic "
+                rf"b'RPRW'")):
+            read_field(path)

@@ -857,6 +857,19 @@ def _diagnostics_and_dumps(ranks, backend, dump_dir):
     return digests, [rr.kernels["backend"] for rr in result.rank_results]
 
 
+def _dump_coefficients(dump_dir):
+    """SHA-256 of the decoded coefficients of every rank of the dumps of
+    ``_diagnostics_and_dumps``: ``{<dump file name>: [<rank 0>, ...]}``."""
+    return {
+        path.name: [
+            hashlib.sha256(StreamEncoder().decode_batch(
+                cf.payload, (cf.block_size,) * 3).tobytes()).hexdigest()
+            for cf in read_compressed(str(path))
+        ]
+        for path in sorted(dump_dir.glob("*.rwz"))
+    }
+
+
 def _dump_contents(dump_dir):
     """SHA-256 of what the dumps of ``_diagnostics_and_dumps`` hold, apart
     from their framing: ``{<dump file name>: [<each rank's payload>...,
@@ -872,104 +885,160 @@ def _dump_contents(dump_dir):
 
 #: (ranks, backend) -> the digests of ``_diagnostics_and_dumps``, recorded
 #: before p and the kinetic energy were computed by the compiled cell pass;
-#: the dump files' re-recorded once for the container framing (what they
-#: hold is ``DUMP_CONTENT_DIGESTS``).
+#: the dump files' re-recorded for the container framing, and again for
+#: the significance-map streams (what they hold is ``DUMP_CONTENT_DIGESTS``
+#: and ``DUMP_COEFFICIENT_DIGESTS``).
 DIAG_DUMP_DIGESTS = {
     (1, "sim"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "25de7b93ed6a3af93f0407ae4c01d09fefab6d166561be78503e23406d948974",
+            "cce7e43d7fa3fc61fe72d1b615f0588bab52f8944d5b43f5faf801e944f0ce7a",
         "dump_step000001_p.rwz":
-            "7e478c6d147d675c56a537a9a5f490686826188d787505285e9cb57f8301b53d",
+            "57ff01ce2c7b2750e16f498e3c2a85912fb5b9d857a51286577d3bcaf6b03434",
         "dump_step000002_Gamma.rwz":
-            "792292ae2f99c8e0be60a89d251afb80c7de2a49ebaa413fb80d9047e7bf90d7",
+            "deda2c139cc18272cfe2ad8c014f90ea1a368a1a2e79d4111558cbd6929bd9ca",
         "dump_step000002_p.rwz":
-            "1686959ef95cc90344b0acdc576b7af3a95c459fd64720fe2a38c8615fc59c99",
+            "a94504472baf86ccb90f030aede3f2fbe4e5d1bd820ca35268a57d0208242193",
         "dump_step000003_Gamma.rwz":
-            "94484198eeeb5b467c96f6bcc864922490fd477fb5d0ccb7a3d0a0644bc03b9d",
+            "ae77f2002253e2d85207f5642a706ffb5f82c222e6071cd61ac7d4f83b6d309f",
         "dump_step000003_p.rwz":
-            "15590bf3bcd6d7f49f41e7db7305834155a8f2d2a17d12118512aed91f93f2de",
+            "ff49cc064bc6022941d130ee5ca5b15cef211696ed1b8b0c72f115514a065223",
     },
     (2, "procs"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "7072894bf7df6df4ddfeeb27f512d82d520b71d5fa2a622e8770d90607be4161",
+            "f36b858591d8921a32f5f4c4da512940d11f1f38aa86a8939e3bbd0a5248aea2",
         "dump_step000001_p.rwz":
-            "4526ade8597322a9138be832cba1dc31d08ed48c6429d279acd55b6a63d02d23",
+            "7f532bcca14e188a906d284556f06991b710cad6f98b7e62649e460d1db25185",
         "dump_step000002_Gamma.rwz":
-            "5037d816ad2e5cce5e6623694f5513689fe066e8bb86adb2ee6cc24feca6fd6e",
+            "8474f2d229a5ed295291b1598ea74866dcfca9e652317ee702006fd49422f977",
         "dump_step000002_p.rwz":
-            "a6835fd9d3645f5e0aabca3eb096e29dba4451ee0d1e4d1a53f5da64722f9d93",
+            "17835e0a7acce27e1f6c06b1115c9bcc504cd53434924f71851a5b27e1f0d954",
         "dump_step000003_Gamma.rwz":
-            "9c15623d4955dd7e57b3b92596d53b43349174ed1091e892e93915948fb659b9",
+            "882afc1aa5b4441a7124d99a0a05cdb087ccf52b68c710465003b74dd342e2f3",
         "dump_step000003_p.rwz":
-            "bfa9d5be93eeb818b52b5610b02799cf2fe7ee9ba875995e2e286214ae3914cf",
+            "f42180ff8bf41409ee45c6d3cf5d2c1cd49940e1cd37e5975c39e1b558c1540d",
     },
 }
 
 
 #: (ranks, backend) -> ``_dump_contents`` of that run: each rank's payload
-#: and the restored field of every dump, recorded with the 64 KiB JSON
-#: header framing (parent of the one on-disk container, 0df7b0d).
+#: and the restored field of every dump.  The restored fields' recorded
+#: with the 64 KiB JSON header framing (parent of the one on-disk
+#: container, 0df7b0d); the payloads' re-recorded once for the
+#: significance-map streams.
 DUMP_CONTENT_DIGESTS = {
     (1, "sim"): {
         "dump_step000001_Gamma.rwz": [
-            "1573249348edb179f65bccb8b71f231320f64a58b8fac8b54e275ca8f9aa0931",
+            "cfffa33124ad72eccb168108f91f1dea46917c2141e296d0475552f1cb4c9652",
             "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
         ],
         "dump_step000001_p.rwz": [
-            "a4e06c018d61e7411b03eaf1f9cefcce66f40eedb5c00cb1bccb3637ab1bdf7a",
+            "0453d67b8adf1da19107e77f9f281eb430d48533908ca47b6aae4ee6f96e12ab",
             "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
         ],
         "dump_step000002_Gamma.rwz": [
-            "1aee5fe2fb8de33b601d36eeb71fc393a786d60c570cb2722a6e0d0467bbbb7e",
+            "4c282b45ff4f4ea655750e4e6fda0569fc28a889ed0878e221f3701870af8346",
             "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
         ],
         "dump_step000002_p.rwz": [
-            "a3b8e60854495f5013a2ef9abbe71256542fd0c846e3c54fb3dac1eaf5e1d25e",
+            "d71c61d95f9a4b706b897742eda3f5e3c78659e39fb091c48f862cdbf525ddfb",
             "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
         ],
         "dump_step000003_Gamma.rwz": [
-            "61e91efd13c23926e5e511276e2dc990df3be44ea9d383a25dc668ce71bc6856",
+            "7998568d679e6feebf24313f14cf45474d451005a90743f3cd010396dbee96b0",
             "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
         ],
         "dump_step000003_p.rwz": [
-            "ed49590d33b47997a6ce033f08a6798829b42705738fa9c31337b6b82d14c1dd",
+            "1db11887a43e0a556c7952761763a8381a29da9a05c91de28b262f2ecec03034",
             "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
         ],
     },
     (2, "procs"): {
         "dump_step000001_Gamma.rwz": [
-            "b639f80c0f7ce7982a9916f1a76a7d5ab882625c2ad14c82877ced1115946264",
-            "61bb98f13ae6f32c1512710188d2107a9646714b56a107594531f7908ca9546b",
+            "f6ba55719544127dc75f8ff3cd5c7675b0e90abce6119ec5ded714990abe6be2",
+            "cee91d9f6d121b9973e9db1534f1374996d3b70601e2193a46baefe7e0f1a3b2",
             "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
         ],
         "dump_step000001_p.rwz": [
-            "75114e42d32918012f0e840859d358208a6fc94aa14b0ac826560fad967ced1b",
-            "4e47f8787ad0a924ef36ef26da48ded037d867e946ceb2af108a7a46b54e5f8e",
+            "b5091cecb43c20fba8799451a1b7f021559e193ab176293643b9df2f0600536c",
+            "631618e1c2bab626163b737c3fb275e861784ec227ddb3a7da9c69058c79fd69",
             "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
         ],
         "dump_step000002_Gamma.rwz": [
-            "9632370291d5fae79a1676d98f2c6ac9320e26ae259940cf07cbc50978f82705",
-            "d12949cd5e85402cadcc359aa1a0fd24f8cf5c4256fb1549c220f80d4a05b6e2",
+            "d6f2c63e995a6dca9ddb919030530a0b8a769a6d11962e5511f037359bdebc07",
+            "ad3a5924987eeceb0ab3d8f098e5411e5c5be972a6e0228325a47aae87f18bcb",
             "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
         ],
         "dump_step000002_p.rwz": [
-            "6196fc1f7dc90c2fc33cc0850f46f488848fe9f8b6de2b0e73c20bbc9a8927de",
-            "21706461256b32c8f4e34bd7cbde0c6f2dd1c31ba559b7ba15c575d7fd738133",
+            "d327dde34dac9ea8583639792c7ab9493562d9d29e04d7cdfbc57db2cb637910",
+            "8b4a916c662d85badc58b61b25cd873fefa11b6768b45a47399637854684ee21",
             "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
         ],
         "dump_step000003_Gamma.rwz": [
-            "c38e045bc1110dae4462a3ba50fe174371863a6bfa980c969581db452dd7427b",
-            "a490172e0d0a12113f0f8ac09948bf80d76b6d9235840efde2fdd0177db8a6bd",
+            "9a5707cb9102ea311ca68f99655d6c9ed940da578e33fb45da9f47527c7130f9",
+            "f3e704bd03703f88af7868fc09d559df33c81482dd66ac9227c27b25bfe2241b",
             "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
         ],
         "dump_step000003_p.rwz": [
-            "d389bf4ff51b3f2bb58244f2ded524f2c82d0ae1b7cf8dc97ddf739d388339c5",
-            "de40bb5b838ee82ac334f20900816e2f15c6c05fa6d624f2692cddcda96fc461",
+            "72295b8a6608e59ede36145cc40395262c507e75a269faaf26242cf5c1eccdec",
+            "2c7bfeb8acd7e8cf1bbed5a7347c812fb03928a67d8a7b7181b920f6b293cb81",
             "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
+        ],
+    },
+}
+
+
+#: (ranks, backend) -> ``_dump_coefficients`` of that run: what each rank's
+#: payload decodes to, recorded from the raw deflated streams the
+#: significance-map streams replaced (79295c6).
+DUMP_COEFFICIENT_DIGESTS = {
+    (1, "sim"): {
+        "dump_step000001_Gamma.rwz": [
+            "ff61fea1e797b61a94ed9571375226a19111c344eaf5ad148ff36d0fe0a6fab3",
+        ],
+        "dump_step000001_p.rwz": [
+            "726c09c31556024d51ef32fcfc22307be5a4dc376ea6d1aa9d5949a06d64eba7",
+        ],
+        "dump_step000002_Gamma.rwz": [
+            "b913facc2a683fd09d9ba300e16a45539e8750de55c3a100cd1728a17ebf5a9d",
+        ],
+        "dump_step000002_p.rwz": [
+            "a39aecd215aaa4727717b9c027227f4b061b4049ade39af6c3c57f0048763362",
+        ],
+        "dump_step000003_Gamma.rwz": [
+            "071d5b8e0ad584045e84e17c1f2f03963df167222b162a68bcb4aee60ec559d8",
+        ],
+        "dump_step000003_p.rwz": [
+            "1dd94d9d2982e3f1d0aefd9f559e319106c927b65ef662223e14a7e98c7c5c8a",
+        ],
+    },
+    (2, "procs"): {
+        "dump_step000001_Gamma.rwz": [
+            "467ec80775c307da61d3fd14c0222c299432775cf04e1b2d88485291d64b14bf",
+            "451359a0d72690a7631e4ea2c0a97e31c6b514d9952e0230c666100814ab6ebb",
+        ],
+        "dump_step000001_p.rwz": [
+            "d93041a8d5ee02a1ffc56bf4cb8ccece9aa8b3c4b1d02aa3956395fc1211c453",
+            "bd9a13085a1a87994a41ecc3279f0368dd17d09b94aa9bb9f94d2d85fc7dff22",
+        ],
+        "dump_step000002_Gamma.rwz": [
+            "7cb0ef929ca9d78db1383f69d43d22f95f551e689e763481eacf41f723f26af0",
+            "7ee638c87aafb780f7d1d79f950eb072ac2d8ab0d50089102194665731df4c8f",
+        ],
+        "dump_step000002_p.rwz": [
+            "c47f8b4ad5a68815a6ab36ba0b4ae47dd76908071dc97e154623bacee7414b57",
+            "dcb92cda05b8645a2b266e7b6a88bf9646d80c5719b1e08e3ed27cbaf414ffed",
+        ],
+        "dump_step000003_Gamma.rwz": [
+            "53bfd4db941ca157ebf29ef6bccfdf018e5d7b1e68d6e026cba4a897b7e9ddb9",
+            "3c0bf0cf0650ff121d3fc9d45369022635fe8a9ef0fa5ac89b5e26db157c2cd6",
+        ],
+        "dump_step000003_p.rwz": [
+            "21d4d6ecf325978e41b3eb6a7ffdda91e01cf03653fe0d68329f2ecdaecda502",
+            "b541c011d3ecc3df66d7fc85bec707ffb5bc5856722fec077f5e147ec02486ca",
         ],
     },
 }
@@ -985,6 +1054,8 @@ class TestRecordedDiagnosticDumpDigests:
             self, ranks, backend, tmp_path, resource_ledger, kernel_path):
         digests, kernels = _diagnostics_and_dumps(ranks, backend, tmp_path)
         assert kernels == [kernel_path] * ranks
+        assert (_dump_coefficients(tmp_path)
+                == DUMP_COEFFICIENT_DIGESTS[(ranks, backend)])
         assert _dump_contents(tmp_path) == DUMP_CONTENT_DIGESTS[(ranks, backend)]
         assert digests == DIAG_DUMP_DIGESTS[(ranks, backend)]
 
@@ -1884,9 +1955,11 @@ class TestBatchedWaveletBitIdentity:
 
     def test_seeded_dump_file_is_the_parent_commits(self, tmp_path):
         """SHA-256 recorded at the parent of the batched kernel (d99d8a7),
-        the whole file's re-recorded once for the container framing.  The
-        coefficient and field hashes hold anywhere; the payload's and the
-        file's only where deflate is the zlib the hash was taken with."""
+        the whole file's re-recorded for the container framing, the
+        payload's and the file's (and the payload's length) once more for
+        the significance-map streams.  The coefficient and field hashes
+        hold anywhere; the payload's and the file's only where deflate is
+        the zlib the hash was taken with."""
         fld = _dump_field((32, 64, 32))
         comp = WaveletCompressor(eps=1e-2, block_size=16, num_threads=3,
                                  guaranteed=False)
@@ -1904,16 +1977,16 @@ class TestBatchedWaveletBitIdentity:
         assert sha(read_field(path, comp).tobytes()) == (
             "dd36e1e028feac0da0c40d755eced8e17d080e03e5e9bf319edd869401c11664")
         if zlib.ZLIB_RUNTIME_VERSION == "1.2.13":
-            # the payload as the file holds it: recorded with the 64 KiB
-            # JSON header framing (0df7b0d)
+            # the payload as the file holds it (30351 bytes of raw
+            # deflated streams before the significance-map streams)
             assert sha(read_compressed(path)[0].payload) == (
-                "a26750b076543f8db82ebddc735b8bf58eafc6546817df5250b4f2801ab3"
-                "ebc2")
+                "5c59f1dae2b39cdff1e69c70380fa9872192025a5e61750b574f1270405f"
+                "7f5b")
             with open(path, "rb") as f:
                 assert sha(f.read()) == (
-                    "10163a3d92256bdae791480fd1cd62e18bac84b109001e4846a8f569"
-                    "4ca8b44d")
-            assert len(cf.payload) == 30351
+                    "7339adc0572ef27118e1bb2a01ab204c1ce56bfad43980e2e0f330a6"
+                    "fd3f4176")
+            assert len(cf.payload) == 28274
 
 
 class TestDtypeContracts:
