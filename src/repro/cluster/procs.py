@@ -39,13 +39,13 @@ Design
   abort flag so peers wake with
   :class:`~repro.cluster.mpi_sim.WorldAbortError` (MPI_Abort
   semantics) instead of running out their timeouts.
-* **Chaos** -- ``rank_crash`` specs of a
-  :class:`~repro.resilience.plan.FaultPlan` are consumed by the
-  *parent*: a supervisor thread watches the step heartbeats and
-  delivers a real ``SIGKILL`` to the addressed child -- a genuine
-  process loss, not a simulated exception.  All other fault kinds are
-  injected child-side by a cloned injector whose counters and consumed
-  hits are merged back into the parent's ledger when the child exits.
+* **Chaos** -- each child runs a clone of the world's
+  :class:`~repro.resilience.inject.FaultInjector` and injects every
+  fault kind itself.  A ``rank_crash`` fires in the rank it names,
+  which sends its fault ledger home and ``SIGKILL``\\ s itself -- a
+  genuine process loss the parent learns of as EOF, like any other.
+  Counters and consumed hits of every child merge back into the
+  parent's ledger.
 
 Select the backend per run with ``SimulationConfig.cluster_backend`` /
 ``repro.cli run --cluster-backend={sim,procs}``; see ``docs/cluster.md``
@@ -469,13 +469,9 @@ class ProcsComm(Communicator):
             raise
 
     def publish_step(self, step: int) -> None:
-        """Heartbeat hook: expose the driver's current step to the
-        parent supervisor (step-addressed SIGKILL injection).  Raises
-        :class:`WorldAbortError` in an aborted world: a rank holding at a
-        fault point for a kill that went to a peer is released here."""
+        """Heartbeat hook: the driver's current step, for the watchdog's
+        per-rank report."""
         self._board.set_step(self.rank, step)
-        if self._board.aborted():
-            raise WorldAbortError(f"world aborted at step {step}")
 
     # -- transport primitives ----------------------------------------------
 
@@ -554,39 +550,39 @@ class ProcsComm(Communicator):
             self._board = None
 
 
-def _child_entry(rank: int, spec: WorldSpec, main, args, result_w) -> None:
+def _child_entry(rank: int, spec: WorldSpec, main, args, injector,
+                 result_w) -> None:
     """The per-rank child process body (spawn target).
 
     Runs ``main(comm, *args)`` and reports ``(status, payload, counters,
     hits)`` on the rank's result pipe; any failure sets the world
     abort flag so blocked peers wake immediately (MPI_Abort
-    semantics).  Injector counters and consumed fault hits ride along
-    so the parent can merge them into the campaign ledger.
+    semantics).  ``injector``'s counters and consumed fault hits ride
+    along so the parent can merge them into the campaign ledger.  An
+    injected ``rank_crash`` is a real loss: the rank sends its ledger
+    alone (status ``"lost"``) and ``SIGKILL``\\ s itself.
     """
-    injector = next(
-        (a for a in args if a is not None and hasattr(a, "on_send")
-         and hasattr(a, "counters")),
-        None,
-    )
     comm = ProcsComm(spec, rank, injector=injector)
     if injector is not None:
         injector.step_listener = lambda _rank, step: comm.publish_step(step)
-    counters: dict = {}
-    hits: list = []
 
-    def _snapshot() -> None:
-        # Single-threaded child process: no concurrent writers exist.
-        if injector is not None:
-            counters.update(injector.counters)  # lint: disable=CL011
-            hits.extend(injector.hit_state())  # lint: disable=CL011
+    def ledger() -> tuple[dict, list]:
+        if injector is None:
+            return {}, []
+        return dict(injector.counters), injector.hit_state()
 
     try:
         result = main(comm, *args)
-        _snapshot()
         comm._board.set_state(rank, STATE_DONE)
-        result_w.send(("ok", result, counters, hits))
+        result_w.send(("ok", result, *ledger()))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent  # lint: disable=CL005
-        _snapshot()
+        if getattr(exc, "kind", None) == "rank_crash":
+            # The injector's InjectedRankCrash (the only rank_crash a
+            # rank raises): the hit goes home spent, then the process
+            # dies as a lost node does -- the signal lands before kill()
+            # returns, and the parent sees EOF.
+            result_w.send(("lost", None, *ledger()))
+            os.kill(os.getpid(), signal.SIGKILL)
         comm._board.set_state(rank, STATE_FAILED)
         if not isinstance(exc, WorldAbortError):
             comm._board.set_abort()
@@ -595,7 +591,7 @@ def _child_entry(rank: int, spec: WorldSpec, main, args, result_w) -> None:
             payload = exc
         except Exception:  # noqa: BLE001 - unpicklable exception  # lint: disable=CL005
             payload = RuntimeError(f"rank {rank} failed: {exc!r}")
-        result_w.send(("err", payload, counters, hits))
+        result_w.send(("err", payload, *ledger()))
     finally:
         comm.close()
 
@@ -615,10 +611,9 @@ class ProcsWorld:
     process deaths (``SIGKILL``), reported as :class:`RankLostError`.
 
     ``injector`` (a :class:`~repro.resilience.inject.FaultInjector`)
-    keeps chaos semantics: ``rank_crash`` specs are consumed
-    parent-side and delivered as real ``SIGKILL``s at the addressed
-    step heartbeat; all other kinds inject child-side through a cloned
-    injector whose ledger merges back on exit.
+    keeps chaos semantics: every rank injects through a clone of it
+    whose ledger merges back, and an armed ``rank_crash`` is a real
+    ``SIGKILL`` of the rank it names.
 
     The runtime race tracker is thread-based and cannot observe
     separate address spaces; ``tracker`` must stay ``None``.
@@ -675,45 +670,6 @@ class ProcsWorld:
             raise
         return board_seg, segments
 
-    def _child_args(self, args: tuple) -> tuple:
-        """Substitute child-safe injector clones into the SPMD args.
-
-        ``rank_crash`` is disabled child-side: the parent delivers it
-        as a real ``SIGKILL`` instead of a simulated exception.
-        """
-        if self.injector is None:
-            return args
-        clone = self.injector.child_clone(disable_kinds=("rank_crash",))
-        return tuple(clone if a is self.injector else a for a in args)
-
-    def _start_killer(self, board: _StatusBoard, procs: list,
-                      stop: threading.Event) -> threading.Thread | None:
-        """Arm the parent-side SIGKILL supervisor for rank_crash specs."""
-        inj = self.injector
-        if inj is None or not any(
-            spec.kind == "rank_crash" for spec in inj.plan.faults
-        ):
-            return None
-
-        def watch() -> None:
-            last_seen = [0] * self.size
-            while not stop.is_set():
-                for r, proc in enumerate(procs):
-                    if proc.exitcode is not None:
-                        continue
-                    _, step, _ = board.read(r)
-                    for s in range(last_seen[r] + 1, step + 1):
-                        if inj.fire("rank_crash", r, s):
-                            board.set_abort()
-                            if proc.pid is not None:
-                                os.kill(proc.pid, signal.SIGKILL)
-                    last_seen[r] = max(last_seen[r], step)
-                stop.wait(0.002)
-
-        t = threading.Thread(target=watch, name="procs-killer", daemon=True)
-        t.start()
-        return t
-
     # -- the run loop ------------------------------------------------------
 
     def run(self, main: Callable[..., Any], *args: Any) -> list[Any]:
@@ -723,12 +679,10 @@ class ProcsWorld:
 
         ctx = get_context("spawn")
         token = f"{os.getpid():x}{os.urandom(4).hex()}"
-        stop = threading.Event()
         procs: list = []
-        #: result pipe -> rank, of the ranks not heard from yet
+        #: result pipe -> rank, until its result or its EOF is read
         pending: dict = {}
         segments: list = []
-        killer: threading.Thread | None = None
         results: dict[int, Any] = {}
         failures: dict[int, BaseException] = {}
         try:
@@ -745,13 +699,16 @@ class ProcsWorld:
             }
             spec = WorldSpec(token=token, size=self.size,
                              timeout=self.timeout, locks=locks)
-            child_args = self._child_args(args)
+            injector = (self.injector.child_clone()
+                        if self.injector is not None else None)
+            child_args = tuple(injector if a is self.injector else a
+                               for a in args)
             for rank in range(self.size):
                 result_r, result_w = ctx.Pipe(duplex=False)
                 pending[result_r] = rank
                 p = ctx.Process(
                     target=_child_entry,
-                    args=(rank, spec, main, child_args, result_w),
+                    args=(rank, spec, main, child_args, injector, result_w),
                     name=f"procs-rank-{rank}",
                 )
                 try:
@@ -761,16 +718,22 @@ class ProcsWorld:
                     # is the rank's death, after every byte it sent.
                     result_w.close()
                 procs.append(p)
-            killer = self._start_killer(board, procs, stop)
 
             while pending:
                 for conn in wait(list(pending)):
-                    rank = pending.pop(conn)
-                    with conn:
-                        try:
-                            message = conn.recv()
-                        except (EOFError, OSError):
-                            message = None
+                    rank = pending[conn]
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        message = None
+                    if message is not None:
+                        status, payload, counters, hits = message
+                        if self.injector is not None:
+                            self.injector.merge_child(counters, hits)
+                        if status == "lost":
+                            continue  # the ledger of a rank_crash: EOF next
+                    del pending[conn]
+                    conn.close()
                     if message is None:
                         # Real process loss (e.g. SIGKILL): no result.
                         procs[rank].join(timeout=1.0)
@@ -779,20 +742,11 @@ class ProcsWorld:
                             f"(exitcode {procs[rank].exitcode})"
                         )
                         board.set_abort()
-                        continue
-                    status, payload, counters, hits = message
-                    if self.injector is not None:
-                        self.injector.merge_child(counters, hits)
-                    if status == "ok":
+                    elif status == "ok":
                         results[rank] = payload
                     else:
                         failures[rank] = payload
         finally:
-            stop.set()
-            if killer is not None:
-                # The killer polls the status board; join it before the
-                # segments it reads are closed and unlinked below.
-                killer.join(timeout=1.0)
             for p in procs:
                 p.join(timeout=5.0)
             for p in procs:

@@ -7,8 +7,10 @@ shell scripts, batch schedulers) classifies a failure the same way:
 whose row says whether another attempt may succeed, which exit code the
 CLI returns, and which injected fault kind a recovery from it credits.
 A failure type names its kind in a ``kind`` class attribute (a
-:class:`~repro.service.engine.JobFailedError` carries it per instance);
-any other ``ValueError`` is ``invalid``, anything else ``error``.
+:class:`JobFailedError` carries it per instance); any other
+``ValueError`` is ``invalid``, anything else ``error``.  A recovering
+caller that spends its attempts raises one :class:`JobFailedError` of
+kind ``exhausted``.
 
 =====  ==================  ==========================================
 code   name                meaning
@@ -98,6 +100,29 @@ TAXONOMY = {
 
 #: kind -> exit code.
 KIND_EXIT = {kind: row.exit for kind, row in TAXONOMY.items()}
+
+
+class JobFailedError(RuntimeError):
+    """A job or run reached a terminal failure; ``kind`` names the
+    taxonomy row, ``attempts`` the attempts it made."""
+
+    def __init__(self, kind: str, cause: str = "", attempts: int = 0):
+        self.kind = kind
+        self.cause = cause
+        self.attempts = attempts
+        msg = f"job failed [{kind}] after {attempts} attempt(s)"
+        if cause:
+            msg += f": {cause}"
+        super().__init__(msg)
+
+    @classmethod
+    def exhausted(cls, kind: str, cause: str,
+                  attempts: int) -> "JobFailedError":
+        """The retry budget is spent; the last failure was of ``kind``."""
+        return cls("exhausted",
+                   f"retry budget spent; last failure [{kind}] {cause}",
+                   attempts)
+
 
 _ORDER = {kind: i for i, kind in enumerate(TAXONOMY)}
 

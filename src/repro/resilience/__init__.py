@@ -27,13 +27,13 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ),
     "inject": (
         "DROPPED", "FaultInjector", "InjectedFault", "InjectedIOError",
-        "InjectedRankCrash", "KillNotDeliveredError", "TransientCommError",
+        "InjectedRankCrash", "TransientCommError",
     ),
     "plan": ("KINDS", "FaultPlan", "FaultSpec"),
     "recover": (
-        "RecoveryEvent", "ResilienceExhaustedError", "ResilientRunResult",
-        "ResilientSimulation", "checkpoint_generations",
-        "find_latest_verified_checkpoint", "prune_stale_tmp", "resume",
+        "RecoveryEvent", "ResilientRunResult", "ResilientSimulation",
+        "checkpoint_generations", "find_latest_verified_checkpoint",
+        "prune_stale_tmp", "resume",
     ),
     "report": (
         "MAX_RECOVERY_OVERHEAD", "all_faults_recovered",

@@ -16,7 +16,8 @@ valid pure monitor.
 
 Injection sites (see ``docs/resilience.md`` for the taxonomy):
 
-* :meth:`at_step` -- driver step loop: ``rank_crash`` / ``straggler``;
+* :meth:`at_step` -- driver step loop: ``rank_crash`` / ``straggler``
+  (a crash is raised in the rank it names, whatever the backend);
 * :meth:`on_send` -- communicator point-to-point path:
   ``comm_transient`` / ``msg_drop`` / ``msg_delay`` / ``msg_corrupt``;
 * :meth:`io_fails` -- dump and checkpoint writers: ``io_fail``;
@@ -45,7 +46,8 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedRankCrash(InjectedFault):
-    """An injected rank loss (the thread dies at a step boundary)."""
+    """An injected rank loss at a step boundary (a thread rank dies of
+    it; a process rank turns it into a ``SIGKILL`` of itself)."""
 
     kind = "rank_crash"
 
@@ -56,18 +58,6 @@ class TransientCommError(InjectedFault):
 
 class InjectedIOError(InjectedFault, OSError):
     """An injected storage write failure."""
-
-
-class KillNotDeliveredError(InjectedFault):
-    """A rank held at the step of a parent-delivered ``rank_crash`` and
-    the ``SIGKILL`` never came (:data:`KILL_WAIT`)."""
-
-
-#: Seconds a rank holds at a step for the ``SIGKILL`` its parent owes it,
-#: and the pause between two looks at the clock.  A supervisor watches the
-#: published step every 2 ms; the bound is for one that is gone.
-KILL_WAIT = 5.0
-_KILL_POLL = 0.001
 
 
 #: Counters that hold a level, not a count: a merge takes the child's
@@ -96,12 +86,9 @@ class FaultInjector:
         self._flip_rng = random.Random(f"{self.plan.seed}:bitflip")
         self._steps: dict[int, int] = {}  #: rank -> current 1-based step
         self.counters: dict[str, float] = {}
-        #: Spec kinds this instance must never fire (the procs backend
-        #: disables ``rank_crash`` child-side: the parent supervisor
-        #: delivers it as a real SIGKILL instead).
-        self.disabled_kinds: frozenset[str] = frozenset()
         #: Optional ``fn(rank, step)`` called on :meth:`begin_step` --
-        #: the procs backend publishes step heartbeats through it.
+        #: the procs backend and the service workers publish step
+        #: heartbeats through it.
         self.step_listener = None
 
     # -- cross-process support (the procs cluster backend) ---------------
@@ -116,20 +103,22 @@ class FaultInjector:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def child_clone(self, disable_kinds: tuple[str, ...] = ()
-                    ) -> "FaultInjector":
-        """A child-process injector sharing this plan (FaultInjector).
+    def child_clone(self) -> "FaultInjector":
+        """A child injector sharing this plan (FaultInjector).
 
         The clone starts from the parent's *current* consumed-hit state
-        (so hits spent on earlier relaunch attempts stay spent) with
-        zeroed counters -- the child reports counter *deltas* the
-        parent folds back via :meth:`merge_child`.  ``disable_kinds``
-        are never fired by the clone.
+        (so hits spent on earlier relaunch attempts stay spent) and
+        probabilistic streams (so a process rank draws what a thread
+        rank sharing this injector would), with zeroed counters -- the
+        child reports counter *deltas* the parent folds back via
+        :meth:`merge_child`.
         """
         clone = FaultInjector(self.plan)
         with self._lock:
             clone._hits = list(self._hits)
-        clone.disabled_kinds = frozenset(disable_kinds)
+            for mine, theirs in zip(clone._rngs, self._rngs):
+                mine.setstate(theirs.getstate())
+            clone._flip_rng.setstate(self._flip_rng.getstate())
         return clone
 
     def merge_child(self, counters: dict, hits: list) -> None:
@@ -178,8 +167,8 @@ class FaultInjector:
              target: str | None = None) -> bool:
         """Public firing check: consume a matching armed spec (bool).
 
-        Used by the procs backend's parent-side SIGKILL supervisor,
-        which replays observed heartbeat steps through the plan.
+        Used by the job service to spend a stall it punished with a
+        timeout kill (the worker's own ledger dies with it).
         """
         return self._fires(kind, rank, step, target=target) is not None
 
@@ -236,8 +225,6 @@ class FaultInjector:
         Firing consumes one of the spec's ``max_hits`` and increments
         the ``injected_<kind>`` counter.
         """
-        if kind in self.disabled_kinds:
-            return None
         with self._lock:
             for i, spec in enumerate(self.plan.faults):
                 if not self._armed(i, kind, rank, step):
@@ -260,19 +247,10 @@ class FaultInjector:
 
         Raises :class:`InjectedRankCrash` for an armed ``rank_crash``;
         sleeps for an armed ``straggler`` (absorbed faults count as
-        detected and recovered immediately).
-
-        Where a parent owns the kill (``rank_crash`` in
-        :attr:`disabled_kinds`: the parent watches the published steps
-        and sends a real ``SIGKILL``), the rank keeps the appointment: a
-        spec that names this ``(rank, step)``, has hits left and fires
-        with certainty holds the rank here, the step published, until the
-        signal arrives -- however short a step is against the parent's
-        polling interval.  A retried attempt is cloned with the hit
-        consumed and does not hold.  Bounded: :class:`KillNotDeliveredError`
-        after :data:`KILL_WAIT`.  A spec with ``probability < 1`` cannot
-        be foreseen from this side (the parent draws) and stays a matter
-        of polling: it is missed by a step shorter than the interval.
+        detected and recovered immediately).  The crash is raised in the
+        rank it names, on every backend: a process rank
+        (:mod:`repro.cluster.procs`) turns it into a real ``SIGKILL`` of
+        itself, after sending this ledger home.
         """
         self.begin_step(rank, step)
         spec = self._fires("straggler", rank, step)
@@ -280,36 +258,10 @@ class FaultInjector:
             time.sleep(spec.delay)
             self.detected("straggler")
             self.recovered("straggler")
-        if "rank_crash" in self.disabled_kinds:
-            self._hold_for_kill(rank, step)
-        elif self._fires("rank_crash", rank, step) is not None:
+        if self._fires("rank_crash", rank, step) is not None:
             raise InjectedRankCrash(
                 f"injected crash of rank {rank} at step {step}"
             )
-
-    def _hold_for_kill(self, rank: int, step: int) -> None:
-        """Wait for the parent's ``SIGKILL`` if a sure ``rank_crash``
-        with hits left names ``(rank, step)``; consumes nothing (the
-        parent does).  The step is published again at every look: a
-        listener that raises (the procs backend's, once the world has
-        aborted over another rank's kill) ends the wait."""
-        with self._lock:
-            due = next((
-                spec for i, spec in enumerate(self.plan.faults)
-                if spec.probability == 1.0
-                and self._armed(i, "rank_crash", rank, step)
-            ), None)
-        if due is None:
-            return
-        deadline = time.monotonic() + KILL_WAIT
-        while time.monotonic() < deadline:
-            time.sleep(_KILL_POLL)
-            if self.step_listener is not None:
-                self.step_listener(rank, step)
-        raise KillNotDeliveredError(
-            f"rank {rank} held {KILL_WAIT:g} s at step {step} for a "
-            f"SIGKILL its parent never delivered: {due}"
-        )
 
     def on_send(self, rank: int, dest: int, payload):
         """Communicator hook on every point-to-point send.

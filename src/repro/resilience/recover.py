@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from ..exitcodes import TAXONOMY, classify
+from ..exitcodes import TAXONOMY, JobFailedError, classify
 from ..service.retry import BackoffPolicy
 from ..telemetry.clock import wall_now
 from .detect import CheckpointCorruptError
@@ -97,7 +97,7 @@ def find_latest_verified_checkpoint(
 
 def resume(injector: FaultInjector, attempt: int,
            restart_from: str | None = None, ckpt_dir: str | None = None,
-           before: frozenset = frozenset(), disable_kinds: tuple = ()
+           before: frozenset = frozenset()
            ) -> tuple[str | None, int | None, FaultInjector]:
     """Where attempt ``attempt`` (1-based) of a lineage starts, and the
     fault injector it runs under.
@@ -111,7 +111,7 @@ def resume(injector: FaultInjector, attempt: int,
     refire by the same luck.  Returns ``(restart path, its step or None,
     injector)``.
     """
-    clone = injector.child_clone(disable_kinds)
+    clone = injector.child_clone()
     if attempt > 1:
         clone.reseed(attempt)
         if ckpt_dir is not None:
@@ -137,20 +137,6 @@ class RecoveryEvent:
     def action(self) -> str:
         """``"rollback"`` to a generation, or ``"restart"``."""
         return "restart" if self.checkpoint_step is None else "rollback"
-
-
-class ResilienceExhaustedError(RuntimeError):
-    """The supervised driver ran out of recovery attempts."""
-
-    kind = "exhausted"
-
-    def __init__(self, events: list[RecoveryEvent], last: BaseException):
-        self.events = events
-        self.last_failure = last
-        super().__init__(
-            f"recovery exhausted after {len(events)} attempt(s); "
-            f"last failure: {last!r}"
-        )
 
 
 @dataclass
@@ -186,11 +172,13 @@ class ResilientSimulation:
     (``detected_<fault>`` / ``recovered_<fault>`` for the fault kind its
     taxonomy row credits).  A retryable one is retried, resumed as
     :func:`resume` says, until ``config.max_recoveries`` recoveries are
-    spent (:class:`ResilienceExhaustedError`); any other failure -- a
+    spent (:class:`~repro.exitcodes.JobFailedError` of kind
+    ``exhausted``, raised from the last failure); any other failure -- a
     numerics violation, an invalid configuration -- would simply recur
     and propagates at once.  An in-process relaunch has no pool of
     workers to spread its retries over: it waits for nothing.
-    ``attempts`` counts the attempts made so far.
+    ``attempts`` counts the attempts made so far and ``events`` the
+    recoveries made (:class:`RecoveryEvent`), an exhausted run's too.
     """
 
     def __init__(self, config, ic_fn, restart_from: str | None = None,
@@ -202,6 +190,7 @@ class ResilientSimulation:
             else None
         self.injector = injector or FaultInjector(plan)
         self.attempts = 0
+        self.events: list[RecoveryEvent] = []
 
     def run(self) -> ResilientRunResult:
         """Execute the run to completion; returns the ledger.
@@ -217,7 +206,7 @@ class ResilientSimulation:
         delays = policy.delays(lineage.plan.seed)
         ckpt_dir = cfg.checkpoint_dir if cfg.checkpoint_interval > 0 else None
         before = checkpoint_generations(ckpt_dir)
-        events: list[RecoveryEvent] = []
+        self.events = []
         failed = None  #: (kind, cause, seconds lost) of the last attempt
         self.attempts = 0
         t_run = wall_now()
@@ -227,8 +216,8 @@ class ResilientSimulation:
                                         self.restart_from, ckpt_dir, before)
             if failed is not None:
                 kind, cause, lost = failed
-                events.append(RecoveryEvent(self.attempts - 1, kind, cause,
-                                            step, lost))
+                self.events.append(RecoveryEvent(self.attempts - 1, kind,
+                                                 cause, step, lost))
                 if TAXONOMY[kind].credits:
                     lineage.recovered(TAXONOMY[kind].credits)
                 lineage.count("rollbacks")
@@ -243,7 +232,8 @@ class ResilientSimulation:
                 delay = policy.decide(self.attempts, retryable, delays)
                 if delay is None:
                     if retryable:
-                        raise ResilienceExhaustedError(events, exc) from exc
+                        raise JobFailedError.exhausted(
+                            kind, repr(exc), self.attempts) from exc
                     raise
                 failed = (kind, repr(exc), wall_now() - t_attempt)
                 time.sleep(delay)
@@ -254,7 +244,7 @@ class ResilientSimulation:
             return ResilientRunResult(
                 result=result,
                 attempts=self.attempts,
-                events=events,
+                events=self.events,
                 injector=lineage,
                 total_wall_seconds=wall_now() - t_run,
                 final_wall_seconds=wall_now() - t_attempt,

@@ -12,8 +12,8 @@ same gauntlet:
 4. **admission control** -- bounded ready queue, bounded parking lot,
    worst-first shedding (:class:`~repro.service.queue.AdmissionQueue`);
 5. **supervised execution** -- a worker-pool process computes the job
-   under heartbeat liveness, per-job wall-clock timeout, and (for
-   chaos plans) parent-side SIGKILL delivery;
+   under heartbeat liveness and a per-job wall-clock timeout (a chaos
+   plan's faults, ``rank_crash`` included, fire inside the worker);
 6. **bounded retry** -- a failed attempt is classified by the one
    taxonomy (:mod:`repro.exitcodes`); a retryable one retries on a
    *fresh* worker under the decide and resume steps every recovering
@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .. import native
-from ..exitcodes import TAXONOMY
+from ..exitcodes import TAXONOMY, JobFailedError
 from ..resilience.inject import FaultInjector
 from ..resilience.plan import FaultPlan
 from ..resilience.recover import checkpoint_generations, resume
@@ -64,11 +64,6 @@ CANCELLED = "cancelled"
 TERMINAL = frozenset({DONE_COMPUTED, DONE_CACHED, FAILED, SHED,
                       POISONED, CANCELLED})
 
-#: Seconds between two looks at the heartbeat (a shared array has no
-#: handle to wait on) of a worker whose job has a ``rank_crash`` the
-#: engine must deliver; no other job is ever polled.
-_KILL_WATCH = 0.002
-
 #: A worker that dies idle is replaced no sooner than this long after it
 #: was spawned: a worker that cannot start is not a spawn storm.
 _RESPAWN_GAP = 0.5
@@ -79,19 +74,6 @@ STAGES = ("queued", "dispatch", "run", "return", "persist")
 
 class ServiceClosedError(RuntimeError):
     """The engine is draining or stopped; it accepts no new work."""
-
-
-class JobFailedError(RuntimeError):
-    """A job reached a terminal failure; ``kind`` names the taxonomy."""
-
-    def __init__(self, kind: str, cause: str = "", attempts: int = 0):
-        self.kind = kind
-        self.cause = cause
-        self.attempts = attempts
-        msg = f"job failed [{kind}] after {attempts} attempt(s)"
-        if cause:
-            msg += f": {cause}"
-        super().__init__(msg)
 
 
 class JobShedError(JobFailedError):
@@ -176,7 +158,6 @@ class _Job:
     timeout: float | None
     policy: BackoffPolicy
     injector: FaultInjector
-    supervise: bool
     checkpoint_dir: str
     delays: object  #: backoff delay stream
     #: checkpoint generations present before the first attempt
@@ -262,7 +243,7 @@ class JobEngine:
             "submitted": 0, "computed": 0, "cache_hits": 0,
             "dedup_joined": 0, "retries": 0, "shed": 0, "poisoned": 0,
             "exhausted": 0, "breaker_opened": 0, "timeouts": 0,
-            "kills_delivered": 0, "cancelled": 0,
+            "cancelled": 0,
         }
         self.failures_by_kind: dict[str, int] = {}
         self._stop = threading.Event()
@@ -420,12 +401,6 @@ class JobEngine:
         cfg = self.config
         seq = self._next_seq
         self._next_seq += 1
-        injector = FaultInjector(fault_plan)
-        # The engine delivers a sim job's plan ``rank_crash`` SIGKILLs; a
-        # procs job's own parent supervisor delivers them inside the
-        # worker.  Nothing to deliver, nothing to watch the heartbeat for.
-        supervise = request.config.cluster_backend == "sim" and any(
-            spec.kind == "rank_crash" for spec in injector.plan.faults)
         job = _Job(
             seq=seq,
             key=key,
@@ -434,8 +409,7 @@ class JobEngine:
             priority=priority,
             timeout=cfg.job_timeout if timeout is None else timeout,
             policy=policy,
-            injector=injector,
-            supervise=supervise,
+            injector=FaultInjector(fault_plan),
             checkpoint_dir=os.path.join(
                 cfg.workdir, f"job-{seq:04d}-{key[:12]}"
             ),
@@ -455,8 +429,7 @@ class JobEngine:
         job = _Job(
             seq=seq, key=key, request=request, payload={}, priority=0,
             timeout=None, policy=self.config.backoff,
-            injector=FaultInjector(),
-            supervise=False, checkpoint_dir="", delays=iter(()),
+            injector=FaultInjector(), checkpoint_dir="", delays=iter(()),
             status=status, attempts=attempts, error=error,
         )
         if result_payload is not None:
@@ -621,11 +594,10 @@ class JobEngine:
         if delay is None:
             if retryable:
                 self.counters["exhausted"] += 1
-                kind, cause = ("exhausted", f"retry budget spent; last "
-                               f"failure [{kind}] {cause}")
-            self._fail_locked(
-                job, JobFailedError(kind, cause, job.attempts), FAILED
-            )
+                error = JobFailedError.exhausted(kind, cause, job.attempts)
+            else:
+                error = JobFailedError(kind, cause, job.attempts)
+            self._fail_locked(job, error, FAILED)
             return
         job.not_before = time.monotonic() + delay
         job.status = RETRY_WAIT
@@ -635,8 +607,8 @@ class JobEngine:
                        attempt=job.attempts, delay=round(delay, 3))
 
     def _check_workers(self, now: float) -> list[float]:
-        """Replace lost workers and fail their attempts, deliver kills,
-        enforce deadlines; returns when to look next (list of times)."""
+        """Replace lost workers and fail their attempts, enforce
+        deadlines; returns when to look next (list of times)."""
         due: list[float] = []
         for worker in list(self.pool.workers.values()):
             if worker.busy_seq is None:
@@ -665,19 +637,6 @@ class JobEngine:
                 continue  # cancelled, or SIGKILL sent: EOF comes next
             hb_seq, hb_rank, hb_step, hb_beat, hb_busy = worker.heartbeat()
             on_job = hb_seq == job.seq and hb_busy
-            # Parent-side kill delivery: replay observed step progress
-            # through the job's plan, exactly like the procs backend's
-            # supervisor, so an armed rank_crash is a *real* SIGKILL.
-            replayed = worker.replayed_step.get(hb_rank, 0)
-            if job.supervise and on_job and hb_step > replayed:
-                for s in range(replayed + 1, hb_step + 1):
-                    if job.injector.fire("rank_crash", hb_rank, s):
-                        self.counters["kills_delivered"] += 1
-                        self.pool.kill(worker, "rank_crash")
-                        break
-                worker.replayed_step[hb_rank] = hb_step
-                if worker.kill_reason is not None:
-                    continue
             # Wall-clock timeout.
             if worker.deadline is not None and now > worker.deadline:
                 if on_job:
@@ -703,8 +662,6 @@ class JobEngine:
                 due.append(baseline + hb_limit)
             if worker.deadline is not None:
                 due.append(worker.deadline)
-            if job.supervise:
-                due.append(now + _KILL_WATCH)
         return due
 
     def _promote_retries(self, now: float) -> list[float]:
@@ -744,8 +701,7 @@ class JobEngine:
             os.makedirs(ckpt_dir, exist_ok=True)
         restart, step, clone = resume(
             job.injector, attempt, job.request.restart_from, ckpt_dir,
-            job.before,
-            disable_kinds=("rank_crash",) if job.supervise else ())
+            job.before)
         if step is not None:
             self._log.info("retry_resume", seq=job.seq, step=step)
         task = {

@@ -89,7 +89,6 @@ def format_service_scorecard(snapshot: dict) -> str:
         {"metric": "shed", "value": c.get("shed", 0)},
         {"metric": "poisoned", "value": c.get("poisoned", 0)},
         {"metric": "timeouts", "value": c.get("timeouts", 0)},
-        {"metric": "kills delivered", "value": c.get("kills_delivered", 0)},
         {"metric": "worker restarts", "value": c.get("worker_restarts", 0)},
         {"metric": "cache entries", "value": cache.get("entries", 0)},
         {"metric": "cache quarantined", "value": cache.get("quarantined", 0)},

@@ -11,14 +11,16 @@ channels:
 * one *ticker* thread per process, beating every 100 ms while a job
   runs and parked otherwise (process liveness, covering jobs whose rank
   progress happens in grandchild processes under the procs backend);
-* the fault injector's ``step_listener`` (rank/step progress, which the
-  engine's parent-side killer replays against ``rank_crash`` specs to
-  deliver *real* ``SIGKILL``\\ s at addressed steps -- the same idiom as
-  :class:`repro.cluster.procs.ProcsWorld`).
+* the fault injector's ``step_listener`` (rank/step progress: the
+  health snapshot's ``hb_step`` and the step a timed-out job's stall is
+  spent at).
 
-A worker never decides retry policy: it classifies its failure by the
-one taxonomy (:func:`repro.exitcodes.classify`), ships the fault ledger
-(counter deltas + consumed-hit state) home, and lets the engine decide.
+A job's faults fire inside the worker, a ``rank_crash`` as an exception
+of the rank it names (or, under the procs backend, that rank process's
+own ``SIGKILL``).  A worker never decides retry policy: it classifies
+its failure by the one taxonomy (:func:`repro.exitcodes.classify`),
+ships the fault ledger (counter deltas + consumed-hit state) home, and
+lets the engine decide.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,11 +173,8 @@ class WorkerHandle:
     busy_seq: int | None = None
     dispatched_at: float = 0.0
     deadline: float | None = None
-    #: why the parent killed it ("timeout" | "rank_crash" | ...), if it did
+    #: why the parent killed it ("timeout" | "worker_hung" | ...), if it did
     kill_reason: str | None = None
-    #: kill-replay watermarks: rank -> last heartbeat step fed through
-    #: the plan (rank threads share the one heartbeat slot)
-    replayed_step: dict = field(default_factory=dict)
     jobs_done: int = 0
     #: the result pipe hit EOF: the process is gone
     eof: bool = False
@@ -270,7 +269,6 @@ class WorkerPool:
         worker.dispatched_at = time.monotonic()
         worker.deadline = deadline
         worker.kill_reason = None
-        worker.replayed_step = {}
         try:
             worker.task_w.send(task)
         except OSError:

@@ -29,13 +29,14 @@ from repro.cluster import (
 )
 from repro.resilience import (
     MAX_RECOVERY_OVERHEAD,
+    DROPPED,
     CheckpointCorruptError,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     HaloCorruptionError,
     HaloFrame,
-    ResilienceExhaustedError,
+    InjectedRankCrash,
     ResilientSimulation,
     all_faults_recovered,
     crc32_array,
@@ -45,6 +46,7 @@ from repro.resilience import (
     screen_restored_state,
 )
 from repro.container import PRELUDE_SIZE
+from repro.exitcodes import JobFailedError
 from repro.sim import SimulationConfig
 from repro.sim.ic import Bubble, cloud_collapse
 
@@ -115,53 +117,28 @@ class TestFaultInjector:
         with pytest.raises(Exception, match="step 3"):
             inj.at_step(0, 3)
 
-    def test_a_parent_owned_kill_is_waited_for_at_its_step(self, monkeypatch):
-        """Where the parent delivers ``rank_crash`` as a SIGKILL, the rank
-        holds at the step the spec names, the step published -- bounded,
-        and only for a spec it can foresee."""
-        import time
-
-        from repro.resilience import inject
-
-        monkeypatch.setattr(inject, "KILL_WAIT", 0.2)
-        parent = FaultInjector(FaultPlan(faults=[
+    def test_a_clone_starts_where_its_parent_is(self):
+        """A clone carries the consumed hits and the probabilistic
+        streams, not the counters: a spent crash stays spent, and a
+        process rank draws what a thread rank sharing the parent would."""
+        parent = FaultInjector(FaultPlan(seed=4, faults=[
             FaultSpec(kind="rank_crash", rank=1, step=3, max_hits=1),
-            FaultSpec(kind="rank_crash", step=5, probability=0.99),
+            FaultSpec(kind="msg_drop", probability=0.5, max_hits=0),
         ]))
-        child = parent.child_clone(disable_kinds=("rank_crash",))
-        seen = []
-        child.step_listener = lambda rank, step: seen.append((rank, step))
-        t0 = time.monotonic()
-        child.at_step(1, 2)     # another step
-        child.at_step(0, 3)     # another rank
-        child.at_step(1, 5)     # the parent draws: not foreseeable
-        assert time.monotonic() - t0 < 0.1 and len(seen) == 3
-        with pytest.raises(inject.KillNotDeliveredError,
-                           match=r"rank 1 .* step 3 .*max_hits=1"):
-            child.at_step(1, 3)
-        assert time.monotonic() - t0 >= 0.2
-        assert seen.count((1, 3)) > 2       # published while it waited
-        assert child.hit_state() == [0, 0]  # the parent's to consume
-        # the parent fires, the retry's clone starts from the spent hit
-        assert parent.fire("rank_crash", 1, 3)
-        retry = parent.child_clone(disable_kinds=("rank_crash",))
-        t0 = time.monotonic()
-        retry.at_step(1, 3)
-        assert time.monotonic() - t0 < 0.1
-        # a listener that raises (procs: the world aborted over a peer's
-        # kill) ends the wait with its error
-        monkeypatch.setattr(inject, "KILL_WAIT", 30.0)
+        parent.reseed(2)
+        with pytest.raises(InjectedRankCrash, match="rank 1 at step 3"):
+            parent.at_step(1, 3)
 
-        del seen[:]
+        def drops(inj):
+            return [inj.on_send(1, 0, None) is DROPPED for _ in range(32)]
 
-        def aborted(rank, step):
-            seen.append((rank, step))
-            if len(seen) > 3:   # (the first call is begin_step's)
-                raise WorldAbortError("world aborted")
-        child.step_listener = aborted
-        with pytest.raises(WorldAbortError):
-            child.at_step(1, 3)
-        assert len(seen) == 4
+        drops(parent)
+        clone = parent.child_clone()
+        assert clone.counters == {}
+        assert clone.hit_state() == parent.hit_state()
+        clone.at_step(1, 3)  # spent: does not fire again
+        seen = drops(clone)
+        assert seen == drops(parent) and 0 < sum(seen) < 32
 
     def test_probability_stream_is_seeded(self):
         def run(seed):
@@ -516,9 +493,12 @@ class TestChaosRecovery:
             checkpoint_dir=str(tmp_path), fault_plan=plan,
             max_recoveries=2,
         )
-        with pytest.raises(ResilienceExhaustedError) as exc:
-            ResilientSimulation(cfg, collapse_ic()).run()
-        assert len(exc.value.events) == 2
+        sup = ResilientSimulation(cfg, collapse_ic())
+        with pytest.raises(JobFailedError) as exc:
+            sup.run()
+        assert len(sup.events) == 2
+        assert exc.value.kind == "exhausted" and exc.value.attempts == 3
+        assert isinstance(exc.value.__cause__, WorldError)
 
     def test_non_retryable_failure_is_not_retried(self):
         """A failure that would recur (a numerics violation: negative
@@ -610,10 +590,10 @@ def test_cli_fault_plan_campaign(tmp_path, capsys):
 @pytest.mark.slow
 class TestProcsChaos:
     """Chaos coverage for the process-parallel backend: the injected
-    ``rank_crash`` is delivered as a *real* ``SIGKILL`` of the rank
-    process by the parent supervisor -- a genuine rank loss, not a
-    simulated exception -- and the tier-3 rollback-relaunch path must
-    still complete bit-exact."""
+    ``rank_crash`` fires in the rank process it names, which sends its
+    ledger home and dies of a *real* ``SIGKILL`` -- a genuine rank loss,
+    not a simulated exception -- and the tier-3 rollback-relaunch path
+    must still complete bit-exact."""
 
     def test_sigkill_triggers_rollback_bit_exact(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -632,6 +612,9 @@ class TestProcsChaos:
         ev = rres.events[0]
         assert ev.kind == "rank_crash" and ev.action == "rollback"
         assert ev.checkpoint_step == 4
+        # The rank process died of the signal, with no result.
+        assert "rank 1 process died without a result (exitcode -9)" \
+            in ev.cause
         c = rres.counters
         assert c["injected_rank_crash"] == 1
         assert c["detected_rank_crash"] == 1
@@ -648,9 +631,9 @@ class TestProcsChaos:
                                       reference.final_field)
 
     def test_sigkill_consumed_hit_does_not_refire(self, tmp_path):
-        """The parent-side killer consumes the plan hit: after the
-        relaunch the same step passes unharmed (max_hits semantics
-        across real process loss)."""
+        """The killed rank sends its spent hit home before it dies:
+        after the relaunch the same step passes unharmed (max_hits
+        semantics across real process loss)."""
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         plan = FaultPlan(seed=5, faults=[
@@ -668,3 +651,32 @@ class TestProcsChaos:
         # completion -- step 3 passed on the second attempt.
         assert rres.result.records[-1].step == 6
         assert rres.result.records[0].step == 3
+
+    def test_probabilistic_crash_same_ledger_as_sim(self, tmp_path):
+        """A rank-named ``rank_crash`` with ``probability < 1`` is drawn
+        in the rank it names, from the attempt's stream: a procs run
+        recovers exactly as a sim run does -- the same attempts, crashes
+        and rollback steps -- however short its steps are."""
+        plan = FaultPlan(seed=1, faults=[
+            FaultSpec(kind="rank_crash", rank=1, probability=0.3,
+                      max_hits=2),
+        ])
+
+        def ledger(backend):
+            ckpt = tmp_path / backend
+            ckpt.mkdir()
+            cfg = SimulationConfig(
+                **BASE, max_steps=8, ranks=2, cluster_backend=backend,
+                checkpoint_interval=2, checkpoint_dir=str(ckpt),
+                fault_plan=plan, comm_timeout=20.0, max_recoveries=3,
+            )
+            rres = ResilientSimulation(cfg, collapse_ic()).run()
+            return (rres.attempts, rres.counters["injected_rank_crash"],
+                    [(ev.kind, ev.checkpoint_step) for ev in rres.events]
+                    ), rres.result.final_field
+
+        sim, sim_field = ledger("sim")
+        assert sim == (3, 2, [("rank_crash", 4), ("rank_crash", 6)])
+        procs, procs_field = ledger("procs")
+        assert procs == sim
+        np.testing.assert_array_equal(procs_field, sim_field)

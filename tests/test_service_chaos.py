@@ -1,6 +1,6 @@
 """Chaos acceptance of the job service (this PR's acceptance criterion).
 
-A seeded chaos campaign -- worker SIGKILLs, an injected stall punished
+A seeded chaos campaign -- rank crashes, an injected stall punished
 by the per-job timeout, one corrupted cache entry, and a poison config
 -- must leave every legitimate job completed with results bit-identical
 to fault-free runs, duplicates served without recompute, the poison
@@ -101,12 +101,12 @@ class TestChaosAcceptance:
                 np.testing.assert_array_equal(
                     result.final_field, references[handle.key]
                 )
-            # The SIGKILLed and the stalled job were each retried once.
+            # The crashed and the stalled job were each retried once.
             assert results[0].attempts == 2
             assert results[1].attempts == 2
-            # 1 kill for the kill-plan job + 2 for the poison job's
-            # supervised attempts.
-            assert engine.counters["kills_delivered"] == 3
+            # 1 crash of the kill-plan job + 2 of the poison job's
+            # attempts.
+            assert engine.failures_by_kind["rank_crash"] == 3
             assert engine.counters["timeouts"] == 1
             # Duplicates joined the in-flight computation: 5 computes.
             assert engine.counters["computed"] == 5
@@ -148,12 +148,11 @@ class TestChaosAcceptance:
 @pytest.mark.slow
 class TestProcsServiceChaos:
     def test_multi_rank_sigkill_through_service(self, tmp_path):
-        """Simultaneous SIGKILL of both rank processes of a procs job.
+        """Both rank processes of a procs job crash at the same step.
 
-        The worker's internal ProcsWorld supervisor delivers the kills
-        (service-level supervision auto-disables for procs jobs); the
+        Each rank SIGKILLs itself, its spent hit sent home first; the
         worker reports the rank loss gracefully, the service retries on
-        a fresh worker with the consumed kills merged home, and the
+        a fresh worker with the consumed crashes merged home, and the
         retry completes bit-identically.  A duplicate submission is then
         served from the cache without recompute.
         """
@@ -179,7 +178,7 @@ class TestProcsServiceChaos:
             assert result.attempts == 2
             assert engine.failures_by_kind.get("rank_crash") == 1
             assert engine.pool.restarts >= 1
-            # Both kills were delivered inside the worker and merged
+            # Both crashes fired inside the worker and were merged
             # home: the retry saw them consumed.
             assert handle._job.injector.hit_state() == [1, 1]
             # Cross-backend bit-identity holds through the service path.

@@ -132,10 +132,10 @@ class TestEngineChaos:
         with JobEngine(svc) as engine:
             handle = engine.submit(req, fault_plan=plan)
             result = handle.result(timeout=180)
-            # The worker was really SIGKILLed and the job retried on a
-            # fresh worker; the consumed kill did not refire.
+            # The crashed attempt failed in the worker, which was
+            # retired: the job retried on a fresh worker, and the crash
+            # it consumed did not refire.
             assert result.attempts == 2
-            assert engine.counters["kills_delivered"] == 1
             assert engine.counters["retries"] == 1
             assert engine.pool.restarts >= 1
             assert engine.failures_by_kind.get("rank_crash") == 1
@@ -230,8 +230,7 @@ class TestEventDriven:
     """The supervisor waits on handles (wake pipe, result pipes / EOF,
     real deadlines), never on a tick."""
 
-    def test_completion_needs_no_tick(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_KILL_WATCH", 5.0)
+    def test_completion_needs_no_tick(self, tmp_path):
         svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
         returns = []
         with JobEngine(svc) as engine:

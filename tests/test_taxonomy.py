@@ -21,7 +21,6 @@ from repro.resilience import (
     FaultPlan,
     HaloCorruptionError,
     InjectedRankCrash,
-    ResilienceExhaustedError,
     ResilientSimulation,
 )
 from repro.service import (
@@ -76,7 +75,7 @@ ROWS = [
     ("poisoned", PoisonedConfigError("k" * 64, (0, 1), ("rank_crash",) * 2),
      "poisoned", False, 69),
     ("shed", JobShedError(), "shed", True, 75),
-    ("exhausted", ResilienceExhaustedError([], RuntimeError("x")),
+    ("exhausted", JobFailedError.exhausted("rank_crash", "x", 2),
      "exhausted", False, 68),
     ("unknown", RuntimeError("???"), "error", True, 1),
     ("job_failed_unknown", JobFailedError("mystery"), "error", True, 1),
@@ -126,9 +125,11 @@ def test_supervised_run_ledger():
                            max_recoveries=1,
                            fault_plan=FaultPlan.from_dict(ALWAYS_CRASH))
     sup = ResilientSimulation(cfg, uniform())
-    with pytest.raises(ResilienceExhaustedError) as exc:
+    with pytest.raises(JobFailedError) as exc:
         sup.run()
-    assert [ev.kind for ev in exc.value.events] == ["rank_crash"]
+    assert [ev.kind for ev in sup.events] == ["rank_crash"]
+    assert exc.value.attempts == sup.attempts == 2
+    assert classify(exc.value.__cause__) == ("rank_crash", True)
     credited = TAXONOMY["rank_crash"].credits
     assert sup.injector.counters[f"detected_{credited}"] == 2
     assert sup.injector.counters[f"recovered_{credited}"] == 1
