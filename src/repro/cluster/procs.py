@@ -41,11 +41,11 @@ Design
   semantics) instead of running out their timeouts.
 * **Chaos** -- each child runs a clone of the world's
   :class:`~repro.resilience.inject.FaultInjector` and injects every
-  fault kind itself.  A ``rank_crash`` fires in the rank it names,
-  which sends its fault ledger home and ``SIGKILL``\\ s itself -- a
-  genuine process loss the parent learns of as EOF, like any other.
-  Counters and consumed hits of every child merge back into the
-  parent's ledger.
+  fault kind itself.  A ``rank_crash`` fires in the rank it names
+  (rank 0 if it names none), which sends its fault ledger home and
+  ``SIGKILL``\\ s itself -- a genuine process loss the parent learns
+  of as EOF, like any other.  Counters and consumed hits of every
+  child merge back into the parent's ledger.
 
 Select the backend per run with ``SimulationConfig.cluster_backend`` /
 ``repro.cli run --cluster-backend={sim,procs}``; see ``docs/cluster.md``
@@ -613,7 +613,8 @@ class ProcsWorld:
     ``injector`` (a :class:`~repro.resilience.inject.FaultInjector`)
     keeps chaos semantics: every rank injects through a clone of it
     whose ledger merges back, and an armed ``rank_crash`` is a real
-    ``SIGKILL`` of the rank it names.
+    ``SIGKILL`` of the rank it names (rank 0 for a spec that names
+    none, :meth:`~repro.resilience.inject.FaultInjector.world_clone`).
 
     The runtime race tracker is thread-based and cannot observe
     separate address spaces; ``tracker`` must stay ``None``.
@@ -699,7 +700,7 @@ class ProcsWorld:
             }
             spec = WorldSpec(token=token, size=self.size,
                              timeout=self.timeout, locks=locks)
-            injector = (self.injector.child_clone()
+            injector = (self.injector.world_clone(self.size)
                         if self.injector is not None else None)
             child_args = tuple(injector if a is self.injector else a
                                for a in args)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,6 +85,7 @@ class FaultInjector:
             for i in range(len(self.plan.faults))
         ]
         self._flip_rng = random.Random(f"{self.plan.seed}:bitflip")
+        self._draws = [1] * len(self.plan.faults)  #: see world_clone
         self._steps: dict[int, int] = {}  #: rank -> current 1-based step
         self.counters: dict[str, float] = {}
         #: Optional ``fn(rank, step)`` called on :meth:`begin_step` --
@@ -111,7 +113,7 @@ class FaultInjector:
         probabilistic streams (so a process rank draws what a thread
         rank sharing this injector would), with zeroed counters -- the
         child reports counter *deltas* the parent folds back via
-        :meth:`merge_child`.
+        :meth:`merge_child`.  Rank processes run :meth:`world_clone`.
         """
         clone = FaultInjector(self.plan)
         with self._lock:
@@ -119,6 +121,22 @@ class FaultInjector:
             for mine, theirs in zip(clone._rngs, self._rngs):
                 mine.setstate(theirs.getstate())
             clone._flip_rng.setstate(self._flip_rng.getstate())
+        return clone
+
+    def world_clone(self, size: int) -> "FaultInjector":
+        """The clone each rank process of a ``size``-rank world runs.
+
+        A ``rank_crash`` naming no rank would fire in every process's
+        copy; here rank 0 alone holds it and draws it for all ``size``
+        ranks a step, as the thread ranks' shared injector spends it.
+        """
+        clone = self.child_clone()
+        held = [s.kind == "rank_crash" and s.rank is None
+                for s in self.plan.faults]
+        clone.plan = FaultPlan(self.plan.seed, [
+            replace(s, rank=0) if h else s
+            for s, h in zip(self.plan.faults, held)])
+        clone._draws = [size if h else 1 for h in held]
         return clone
 
     def merge_child(self, counters: dict, hits: list) -> None:
@@ -223,21 +241,26 @@ class FaultInjector:
         """The first armed spec firing at this site, or None (FaultSpec).
 
         Firing consumes one of the spec's ``max_hits`` and increments
-        the ``injected_<kind>`` counter.
+        the ``injected_<kind>`` counter, once per rank the spec is drawn
+        for (:meth:`world_clone`).
         """
         with self._lock:
             for i, spec in enumerate(self.plan.faults):
-                if not self._armed(i, kind, rank, step):
-                    continue
                 if target is not None and spec.target != target:
                     continue
-                if spec.probability < 1.0 and \
-                        self._rngs[i].random() >= spec.probability:
-                    continue
-                self._hits[i] += 1
-                self.counters[f"injected_{kind}"] = \
-                    self.counters.get(f"injected_{kind}", 0) + 1
-                return spec
+                fired = 0
+                for _ in range(self._draws[i]):
+                    if not self._armed(i, kind, rank, step):
+                        break
+                    if spec.probability < 1.0 and \
+                            self._rngs[i].random() >= spec.probability:
+                        continue
+                    self._hits[i] += 1
+                    fired += 1
+                if fired:
+                    self.counters[f"injected_{kind}"] = \
+                        self.counters.get(f"injected_{kind}", 0) + fired
+                    return spec
         return None
 
     # -- injection sites --------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +140,41 @@ class TestFaultInjector:
         clone.at_step(1, 3)  # spent: does not fire again
         seen = drops(clone)
         assert seen == drops(parent) and 0 < sum(seen) < 32
+
+    @pytest.mark.parametrize("probability", [1.0, 0.3])
+    def test_world_clone_fires_a_rankless_crash_once(self, probability):
+        """Rank processes each hold a copy of the world clone: a
+        ``rank_crash`` naming no rank fires in rank 0 alone, at the step
+        and with the ledger the shared injector of thread ranks gives."""
+        plan = FaultPlan(seed=7, faults=[
+            FaultSpec(kind="rank_crash", probability=probability),
+        ])
+
+        def first_crash(injectors):
+            crashed = []
+            for step in range(1, 40):
+                for rank, inj in enumerate(injectors):
+                    try:
+                        inj.at_step(rank, step)
+                    except InjectedRankCrash:
+                        crashed.append(rank)
+                if crashed:
+                    return step, crashed
+            return None, crashed
+
+        shared = FaultInjector(plan)
+        step, crashed = first_crash([shared] * 3)
+        assert step is not None and len(crashed) == 1
+
+        parent = FaultInjector(plan)
+        ranks = [pickle.loads(pickle.dumps(parent.world_clone(3)))
+                 for _ in range(3)]
+        assert first_crash(ranks) == (step, [0])
+        for child in ranks:
+            parent.merge_child(child.counters, child.hit_state())
+        assert parent.hit_state() == shared.hit_state() == [1]
+        assert parent.counters == shared.counters == {
+            "injected_rank_crash": 1}
 
     def test_probability_stream_is_seeded(self):
         def run(seed):
@@ -651,6 +687,39 @@ class TestProcsChaos:
         # completion -- step 3 passed on the second attempt.
         assert rres.result.records[-1].step == 6
         assert rres.result.records[0].step == 3
+
+    def test_rankless_crash_kills_one_rank(self, tmp_path):
+        """A ``rank_crash`` naming no rank is one loss on procs, as on
+        sim: one kill, one rollback, every fault accounted for."""
+        plan = FaultPlan(seed=2, faults=[
+            FaultSpec(kind="rank_crash", step=3),
+        ])
+
+        def run(backend):
+            ckpt = tmp_path / backend
+            ckpt.mkdir()
+            cfg = SimulationConfig(
+                **BASE, max_steps=6, ranks=2, cluster_backend=backend,
+                checkpoint_interval=2, checkpoint_dir=str(ckpt),
+                fault_plan=plan, comm_timeout=20.0,
+            )
+            return ResilientSimulation(cfg, collapse_ic()).run()
+
+        procs = run("procs")
+        assert procs.attempts == 2
+        assert procs.counters["injected_rank_crash"] == 1
+        assert "rank 0 process died without a result (exitcode -9)" \
+            in procs.events[0].cause
+        assert all_faults_recovered(procs)
+        sim = run("sim")
+        assert [(ev.kind, ev.checkpoint_step) for ev in procs.events] \
+            == [(ev.kind, ev.checkpoint_step) for ev in sim.events] \
+            == [("rank_crash", 2)]
+        for name in ("injected_rank_crash", "detected_rank_crash",
+                     "recovered_rank_crash", "rollbacks"):
+            assert procs.counters[name] == sim.counters[name] == 1
+        np.testing.assert_array_equal(procs.result.final_field,
+                                      sim.result.final_field)
 
     def test_probabilistic_crash_same_ledger_as_sim(self, tmp_path):
         """A rank-named ``rank_crash`` with ``probability < 1`` is drawn
