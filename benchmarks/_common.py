@@ -26,24 +26,6 @@ def write_result(name: str, text: str) -> str:
     return path
 
 
-def write_json_result(name: str, record: dict) -> str:
-    """Persist a machine-readable record next to the rendered table.
-
-    Writes ``benchmarks/results/<name>.json`` (sorted keys, one trailing
-    newline) so CI can upload/inspect the structured artifact -- e.g.
-    the provenance-stamped kernel microbench record -- alongside the
-    human-readable ``.txt``.  Returns the path.
-    """
-    import json
-
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
 def collapse_fields(cells: int = 32, seed: int = 7):
     """A realistic (p, Gamma) field pair from a short cloud-collapse run.
 

@@ -79,6 +79,9 @@ _WAVELET = (
     "(B, z, y, x); COMPUTE_DTYPE (float64) prediction rounded once"
 )
 
+_ENC = ("a flat C-contiguous unsigned view of float32 or float64 "
+        "elements")
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -134,6 +137,14 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
     KernelSpec("iwt3d", "compression/wavelet.py", _WAVELET + _NATIVE),
     KernelSpec("decimate", "compression/decimation.py",
                "dtype-preserving, in place" + _NATIVE),
+    # ENC -- the significance map and byte planes a stream deflates, and
+    # their scatter back into the coefficient batch.
+    KernelSpec("pack_planes", "compression/encoder.py",
+               _ENC + " in, map | planes bytes and int64 histograms out"
+               + _NATIVE),
+    KernelSpec("unpack_planes", "compression/encoder.py",
+               "map | planes bytes in, " + _ENC + " scattered in place"
+               + _NATIVE),
 )
 
 def modeled_arithmetic(spec: KernelSpec) -> KernelArithmetic | None:

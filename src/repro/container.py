@@ -13,6 +13,15 @@ Layout (little-endian)::
 The index CRC covers the prelude fields before it and the index, which
 goes last so it can be any size (docs/ARCHITECTURE.md, "On-disk
 container").
+
+A reader of a kind is pointed only at that kind's files, so bytes there
+that are not a container are a damaged file of the kind: the kind's
+corruption error at byte 0 -- "damaged magic" when the index CRC
+verifies once ``MAGIC`` is put back (one fault in a real container),
+"not a container" otherwise -- which recovery skips like any other
+(the previous checkpoint, a quarantined cache entry).  Only what is
+positively another format -- an older format's magic, another version
+or kind -- is a :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -153,6 +162,15 @@ def write_collective(comm, path: str, kind: str, meta: dict, payload: bytes,
     return offset
 
 
+def _index_verifies(blob: bytes) -> bool:
+    """Whether the index the prelude of ``blob`` names ends the file and
+    passes its CRC."""
+    _, _, _, at, length = _HEAD.unpack_from(blob)
+    (crc,) = _CRC.unpack_from(blob, _HEAD.size)
+    return (PRELUDE_SIZE <= at and at + length == len(blob)
+            and crc32_bytes(blob[:_HEAD.size] + blob[at:]) == crc)
+
+
 def read(path: str, kind: str) -> Container:
     """Read ``path`` with one ``read`` and verify it as a ``kind`` file."""
     def fail(what: str, offset: int, section: int | None = None):
@@ -171,7 +189,9 @@ def read(path: str, kind: str) -> Container:
                    len(blob))
     magic, version, code, at, length = _HEAD.unpack_from(blob)
     if magic != MAGIC:
-        raise fail(f"not a container: magic {magic!r}", 0)
+        damaged = _index_verifies(MAGIC + blob[len(MAGIC):])
+        what = "damaged magic" if damaged else "not a container: magic"
+        raise fail(f"{what} {magic!r}", 0)
     if at < PRELUDE_SIZE or at + length != len(blob):
         raise fail(f"truncated or overwritten: {len(blob)} bytes, the index "
                    f"claims bytes {at}..{at + length}", len(blob))

@@ -1,9 +1,9 @@
 """The door to the compiled kernels: build on first use, load, or fall back.
 
 ``kernels.c`` holds the tile bodies of RHS, UP and SOS, the per-cell
-pressure of a dump or a diagnostic, and the lifting and decimation of the
-compression layer, byte-identical to the NumPy kernels
-they stand in for.  This module compiles it with the
+pressure of a dump or a diagnostic, and the lifting, decimation and
+byte-plane packing of the compression layer, byte-identical to the NumPy
+kernels they stand in for.  This module compiles it with the
 host's ``gcc`` the first time a kernel is *used*, keeps the result as
 ``kernels-<key>-<digest>.so`` and hands the loaded library out as the
 module attribute :data:`lib` -- ``None`` where there is no compiler, the
@@ -62,7 +62,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno",
          "ggc-min-heapsize=4096", "-shared", "-fPIC")
 
 #: What ``repro_native_abi()`` of a library this module can drive returns.
-ABI = 4
+ABI = 5
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120.0
@@ -89,6 +89,12 @@ _SIGNATURES = {
                    + [ctypes.c_void_p, ctypes.c_void_p]),
     "repro_decimate": (None, [ctypes.c_void_p] + [ctypes.c_long] * 6
                        + [ctypes.c_double, ctypes.c_void_p]),
+    "repro_pack_planes": (ctypes.c_long, [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
+        ctypes.c_void_p]),
+    "repro_unpack_planes": (ctypes.c_long, [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p]),
     "repro_native_abi": (ctypes.c_int, []),
     "repro_native_compiler": (ctypes.c_char_p, []),
 }

@@ -1,6 +1,6 @@
 /* Compiled tile bodies of the core-layer kernels -- RHS, UP, SOS, the
  * per-cell pressure of a dump or a diagnostic -- and of the compression
- * layer's: FWT / IWT, DEC.
+ * layer's: FWT / IWT, DEC, and ENC's byte-plane pack and unpack.
  *
  * Every function here is the per-element arithmetic of a NumPy kernel in
  * repro.physics / repro.core, statement for statement: the same IEEE
@@ -20,6 +20,7 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 #define NQ 7
 enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
@@ -46,7 +47,7 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 #define SIXTH (1.0 / 6.0)
 #define SOUND_SPEED_FLOOR 1.0e-12
 
-int repro_native_abi(void) { return 4; }
+int repro_native_abi(void) { return 5; }
 const char *repro_native_compiler(void) { return __VERSION__; }
 
 /* np.maximum / np.minimum: a NaN in either operand is the result. */
@@ -619,4 +620,155 @@ CLONES_AVX2 void repro_decimate(void *blocks, long B, long nz, long ny,
         decimate_f32(blocks, B, nz, ny, nx, levels, (float)t, zeroed);
     else
         decimate_f64(blocks, B, nz, ny, nx, levels, t, zeroed);
+}
+
+/* ---- ENC: compression.encoder.pack_planes / unpack_planes ------------ */
+
+/* The bit-reversal of every byte: a map byte holds its first element in
+ * the top bit, a mask of 64 elements its first in bit 0. */
+static const unsigned char REVERSED[256] = {
+#define R2(n) n, n + 2 * 64, n + 1 * 64, n + 3 * 64
+#define R4(n) R2(n), R2(n + 2 * 16), R2(n + 1 * 16), R2(n + 3 * 16)
+#define R6(n) R4(n), R4(n + 2 * 4), R4(n + 1 * 4), R4(n + 3 * 4)
+    R6(0), R6(2), R6(1), R6(3)
+#undef R2
+#undef R4
+#undef R6
+};
+
+/* Set bits of x. */
+INLINE long popcount64(unsigned long long x)
+{
+    x -= x >> 1 & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + (x >> 2 & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (long)(x * 0x0101010101010101ULL >> 56);
+}
+
+/* The 64 bits of map at byte (bytes of them where it ends), bit j set
+ * where element j of the 64 is significant. */
+INLINE unsigned long long map_mask(const unsigned char *byte, long bytes)
+{
+    unsigned long long word = 0, mask = 0;
+    memcpy(&word, byte, bytes);
+    for (long b = 0; word && b < bytes; b++)
+        mask |= (unsigned long long)REVERSED[byte[b]] << (8 * b);
+    return mask;
+}
+
+/* What a stream inflates to, from n elements of type T at src: the
+ * significance map -- bit i (the top bit of byte i / 8 first) set where
+ * element i is not all-zero bits -- then plane k, byte k (in memory
+ * order) of every significant element, for each k.  A first sweep writes
+ * the map 64 elements at a time (a zero run of them in one test) and
+ * packs the survivors past where the planes can reach (the caller's out
+ * holds map_size + (2 n + 1) sizeof(T) bytes); a second deals them into
+ * the planes.  hist[s * 256 + b] (zeroed by the caller) counts byte b in
+ * segment s (0 the map, 1 + k plane k), a plane in four tables so that
+ * repeats of one byte do not wait on each other.  Returns the survivor
+ * count. */
+#define PACK(T, NAME)                                                         \
+static CLONES_AVX2 long NAME(const T *restrict src, long n,                   \
+                             unsigned char *restrict out,                     \
+                             long long *restrict hist)                        \
+{                                                                             \
+    enum { W = sizeof(T) };                                                   \
+    const long map_size = (n + 7) / 8;                                        \
+    T *restrict packed = (T *)(out + ((map_size + n * W) / W + 1) * W);      \
+    long count = 0;                                                           \
+    for (long i = 0; i < n; i += 64) {                                        \
+        const long len = n - i < 64 ? n - i : 64, bytes = (len + 7) / 8;      \
+        T any = 0;                                                            \
+        for (long j = 0; j < len; j++)                                        \
+            any |= src[i + j];                                                \
+        if (!any) {                                                           \
+            memset(out + i / 8, 0, bytes);                                    \
+            hist[0] += bytes;                                                 \
+            continue;                                                         \
+        }                                                                     \
+        unsigned long long mask = 0;                                          \
+        for (long j = 0; j < len; j++)                                        \
+            mask |= (unsigned long long)(src[i + j] != 0) << j;               \
+        for (unsigned long long m = mask; m; m &= m - 1)                      \
+            packed[count++] = src[i + __builtin_ctzll(m)];                    \
+        for (long b = 0; b < bytes; b++) {                                    \
+            const unsigned char byte = REVERSED[mask >> (8 * b) & 0xFF];      \
+            out[i / 8 + b] = byte;                                            \
+            hist[byte]++;                                                     \
+        }                                                                     \
+    }                                                                         \
+    const unsigned char *restrict survivors = (const unsigned char *)packed;  \
+    for (long k = 0; k < W; k++) {                                            \
+        unsigned char *restrict plane = out + map_size + k * count;           \
+        unsigned h[4][256] = {{0}};                                           \
+        for (long j = 0; j < count; j++)                                      \
+            plane[j] = survivors[j * W + k];                                  \
+        long j = 0;                                                           \
+        for (; j + 4 <= count; j += 4) {                                      \
+            h[0][plane[j]]++;                                                 \
+            h[1][plane[j + 1]]++;                                             \
+            h[2][plane[j + 2]]++;                                             \
+            h[3][plane[j + 3]]++;                                             \
+        }                                                                     \
+        for (; j < count; j++)                                                \
+            h[0][plane[j]]++;                                                 \
+        for (int b = 0; b < 256; b++)                                         \
+            hist[(1 + k) * 256 + b] = (long long)h[0][b] + h[1][b]            \
+                                      + h[2][b] + h[3][b];                    \
+    }                                                                         \
+    return count;                                                             \
+}
+PACK(unsigned int, pack4)
+PACK(unsigned long long, pack8)
+
+long repro_pack_planes(const void *src, long n, long itemsize,
+                       unsigned char *out, long long *hist)
+{
+    return itemsize == 4 ? pack4(src, n, out, hist)
+                         : pack8(src, n, out, hist);
+}
+
+/* The inverse into n zeroed elements of W bytes at dst, from the avail
+ * bytes at raw: the survivors back where the map's bits say, 64 map bits
+ * at a time.  Returns the map's count of set bits (pad bits left out);
+ * writes nothing unless the planes hold exactly that many elements. */
+#define UNPACK(W, NAME)                                                       \
+static long NAME(const unsigned char *restrict raw, long n, long avail,      \
+                 unsigned char *restrict dst)                                 \
+{                                                                             \
+    const long map_size = (n + 7) / 8;                                        \
+    long count = 0, i = 0;                                                    \
+    for (unsigned long long w; i + 8 <= map_size; i += 8) {                   \
+        memcpy(&w, raw + i, 8);                                               \
+        count += popcount64(w);                                               \
+    }                                                                         \
+    for (; i < map_size; i++)                                                 \
+        count += popcount64(raw[i]);                                          \
+    if (n % 8)                                                                \
+        count -= popcount64(raw[map_size - 1] & (0xFF >> (n % 8)));           \
+    if (avail != map_size + count * W)                                        \
+        return count;                                                         \
+    const unsigned char *restrict planes = raw + map_size;                    \
+    long j = 0;                                                               \
+    for (i = 0; i < n; i += 64) {                                             \
+        const long bytes = map_size - i / 8 < 8 ? map_size - i / 8 : 8;       \
+        unsigned long long mask = map_mask(raw + i / 8, bytes);               \
+        if (n - i < 64) /* the pad bits */                                    \
+            mask &= (1ULL << (n - i)) - 1;                                    \
+        for (; mask; mask &= mask - 1, j++) {                                 \
+            unsigned char *d = dst + (i + __builtin_ctzll(mask)) * W;         \
+            for (long k = 0; k < W; k++)                                      \
+                d[k] = planes[k * count + j];                                 \
+        }                                                                     \
+    }                                                                         \
+    return count;                                                             \
+}
+UNPACK(4, unpack4)
+UNPACK(8, unpack8)
+
+long repro_unpack_planes(const unsigned char *raw, long n, long itemsize,
+                         long avail, unsigned char *dst)
+{
+    return itemsize == 4 ? unpack4(raw, n, avail, dst)
+                         : unpack8(raw, n, avail, dst);
 }

@@ -19,8 +19,8 @@ The observability backbone of the reproduction (see ``docs/telemetry.md``):
   structured logging (lint rule ``CL012``'s sanctioned sink) and the
   live run heartbeat;
 * :mod:`repro.telemetry.trend` -- the performance record
-  (``BENCH_history.jsonl``: ladder records per change, kernel benchmark
-  records) and ``python -m repro.telemetry trend --check``;
+  (``BENCH_history.jsonl``: a ladder record per change) and
+  ``python -m repro.telemetry trend --check``;
 * :mod:`repro.telemetry.clock` -- the sanctioned timing source enforced
   by lint rule ``CL009``.
 """

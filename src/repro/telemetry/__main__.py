@@ -1,12 +1,10 @@
 """Telemetry command-line front end: ``python -m repro.telemetry``.
 
 Dispatches to the telemetry subcommands; currently only ``trend``, the
-perf-trajectory regression gate (see :mod:`repro.telemetry.trend` and
-``docs/telemetry.md``)::
+check of the committed performance record (see
+:mod:`repro.telemetry.trend` and ``docs/telemetry.md``)::
 
     python -m repro.telemetry trend --check
-    python -m repro.telemetry trend --check --record BENCH_kernels.json
-    python -m repro.telemetry trend --append --record BENCH_kernels.json
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
         wants_help = bool(argv)
         print("usage: python -m repro.telemetry trend [options]\n\n"
               "subcommands:\n"
-              "  trend    the performance record: validate, print, gate",
+              "  trend    the performance record: validate, print",
               file=sys.stdout if wants_help else sys.stderr)
         return 0 if wants_help else 2
     if argv[0] == "trend":

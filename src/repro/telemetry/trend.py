@@ -1,44 +1,26 @@
-"""Perf-trajectory provenance, history and the regression gate.
+"""The performance record: provenance, history and its check.
 
 ``BENCH_history.jsonl`` is the committed, append-only performance
-record: one JSON record per line, of two kinds.
-
-* **Ladder records** (schema :data:`LADDER_SCHEMA`), one per change that
-  claims or must not lose speed: the benchmark ladder
-  (``benchmarks/ladder/run.py``) run in alternating parent / change
-  pairs, and per workload x end-to-end metric the two sides' medians and
-  quartiles, normalised to reference host speed and raw, the pair count,
-  the pairs the change won and the verdict of the ladder's
-  ``--compare``.  :func:`ladder_record` builds one from the two sides'
-  result files; a record ``"source": "transcribed"`` was copied from a
-  table in EXPERIMENTS.md and may leave out what the table did not give
-  (quartiles, raw values, verdicts).
-* **Kernel records** (schema :data:`KERNEL_SCHEMA_V2`), the older kernel
-  microbench (``BENCH_kernels.json``, written by
-  ``benchmarks/bench_throughput.py``), still readable and gated.
+record: one JSON ladder record (schema :data:`LADDER_SCHEMA`) per line,
+one per change that claims or must not lose speed: the benchmark ladder
+(``benchmarks/ladder/run.py``) run in alternating parent / change pairs,
+and per workload x end-to-end metric the two sides' medians and
+quartiles, normalised to reference host speed and raw, the pair count,
+the pairs the change won and the verdict of the ladder's ``--compare``.
+:func:`ladder_record` builds one from the two sides' result files; a
+record ``"source": "transcribed"`` was copied from a table in
+EXPERIMENTS.md and may leave out what the table did not give (quartiles,
+raw values, verdicts).
 
 This module owns:
 
-* :func:`provenance` -- the provenance block stamped on every kernel
-  record: host fingerprint, git sha, ISO timestamp, python/numpy
-  versions;
+* :func:`provenance` -- the provenance block of a ladder result file:
+  host fingerprint, git sha, ISO timestamp, python/numpy versions;
 * :func:`append_history` / :func:`load_history` -- the append-only
   trajectory, every line validated on load;
 * ``python -m repro.telemetry trend --check`` -- validates every line of
   the history (exit 2 on a malformed one) and prints the trajectory of
-  each workload x metric over the ladder records
-  (:func:`format_trajectory`);
-* :func:`check_trend` -- the tolerance-gated comparison of a fresh
-  kernel record against the committed ones, run as ``trend --check
-  --record FILE`` (exit 1 on regression).
-
-The gate compares per-kernel Gcells/s against the best committed value
-from the *same host fingerprint* when the history has one (so a laptop
-checking against a CI-made trajectory is not spuriously red), falling
-back to the best value across all hosts.  A kernel regresses when its
-measured throughput drops below ``baseline / (1 + tolerance)`` -- the
-default tolerance 0.5 passes normal best-of-N jitter and fails a 2x
-slowdown outright.
+  each workload x metric (:func:`format_trajectory`).
 """
 
 from __future__ import annotations
@@ -51,15 +33,8 @@ import platform
 import statistics
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-
-#: Kernel microbench schema with the mandatory provenance block.
-KERNEL_SCHEMA_V2 = "repro.bench_kernels/v2"
-
-#: Superseded provenance-free schema (PR 6); still readable.
-KERNEL_SCHEMA_V1 = "repro.bench_kernels/v1"
 
 #: One ladder comparison of a change against its parent.
 LADDER_SCHEMA = "repro.ladder_record/v1"
@@ -74,15 +49,11 @@ VERDICTS = ("ok", "worse", "unresolved")
 #: Repository root (``src/repro/telemetry`` is three levels below it).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: Default locations of the record, the committed trajectory and the
-#: benchmark declaration (units, directions and bounds of the ladder's
-#: end-to-end metrics).
-DEFAULT_RECORD = REPO_ROOT / "BENCH_kernels.json"
+#: Default locations of the committed trajectory and the benchmark
+#: declaration (units, directions and bounds of the ladder's end-to-end
+#: metrics).
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 BENCHMARK = REPO_ROOT / "BENCHMARK.json"
-
-#: Default regression tolerance: fail below ``baseline / (1 + tol)``.
-DEFAULT_TOLERANCE = 0.5
 
 
 def host_fingerprint() -> str:
@@ -119,7 +90,7 @@ def git_sha(repo: Path | str = REPO_ROOT) -> str:
 
 
 def provenance() -> dict:
-    """The provenance block of a v2 record (dict of str).
+    """The provenance block of a ladder result file (dict of str).
 
     Keys: ``host`` (fingerprint), ``git_sha``, ``timestamp`` (ISO 8601
     UTC), ``python``, ``numpy``.
@@ -135,29 +106,6 @@ def provenance() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-
-
-def stamp(record: dict) -> dict:
-    """Returns a copy of ``record`` upgraded to schema v2 + provenance.
-
-    Records already carrying a provenance block keep it; the schema
-    field is always normalized to :data:`KERNEL_SCHEMA_V2`.
-    """
-    out = dict(record)
-    out["schema"] = KERNEL_SCHEMA_V2
-    out.setdefault("provenance", provenance())
-    return out
-
-
-def _validate(record: dict, where: str) -> None:
-    if record.get("schema") not in (KERNEL_SCHEMA_V1, KERNEL_SCHEMA_V2):
-        raise ValueError(
-            f"{where}: unknown bench schema {record.get('schema')!r}"
-        )
-    if record["schema"] == KERNEL_SCHEMA_V2 and "provenance" not in record:
-        raise ValueError(f"{where}: v2 record without a provenance block")
-    if not isinstance(record.get("kernels"), dict) or not record["kernels"]:
-        raise ValueError(f"{where}: record carries no kernel timings")
 
 
 # -- ladder records ---------------------------------------------------------
@@ -387,37 +335,28 @@ def _validate_ladder(record: dict, where: str) -> None:
         raise ValueError(f"{where}: claim {claim!r} names no row")
 
 
-def load_record(path: str | Path) -> dict:
-    """Load and validate one microbench record (returns the dict)."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    _validate(record, str(path))
-    return record
-
-
-def _validate_line(record: dict, where: str) -> None:
-    """Validate one history record of either kind."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    if record.get("schema") == LADDER_SCHEMA:
-        _validate_ladder(record, where)
-    else:
-        _validate(record, where)
-
-
 def append_history(record: dict, path: str | Path = DEFAULT_HISTORY) -> Path:
-    """Append one record to the trajectory; returns the path.
+    """Append one ladder record to the trajectory; returns the path.
 
     The history is strictly append-only JSONL: one validated record per
-    line, never rewritten.  A ladder record is appended as it is; any
-    other is a kernel record, stamped (schema v2 + provenance) first.
+    line, never rewritten.
     """
-    if record.get("schema") != LADDER_SCHEMA:
-        record = stamp(record)
     _validate_line(record, "history append")
     path = Path(path)
     with open(path, "a", encoding="utf-8") as f:
         f.write(json.dumps(record, sort_keys=True) + "\n")
     return path
+
+
+def _validate_line(record: dict, where: str) -> None:
+    """Raise ``ValueError`` unless ``record`` is a well-formed history
+    line."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    if record.get("schema") != LADDER_SCHEMA:
+        raise ValueError(f"{where}: unknown record schema "
+                         f"{record.get('schema')!r}")
+    _validate_ladder(record, where)
 
 
 def load_history(path: str | Path = DEFAULT_HISTORY) -> list[dict]:
@@ -442,39 +381,13 @@ def load_history(path: str | Path = DEFAULT_HISTORY) -> list[dict]:
     return out
 
 
-def trajectory(history: list[dict], host: str | None = None) -> dict[str, float]:
-    """Per-kernel baseline Gcells/s of a trajectory (dict).
-
-    The baseline is the best committed throughput per kernel over the
-    kernel records.  With ``host`` given and present in the history,
-    only that host's records contribute -- cross-machine comparisons are
-    apples-to-oranges and only used as a fallback.
-    """
-    history = [r for r in history if r.get("schema") != LADDER_SCHEMA]
-    if host is not None:
-        same_host = [
-            r for r in history
-            if r.get("provenance", {}).get("host") == host
-        ]
-        if same_host:
-            history = same_host
-    best: dict[str, float] = {}
-    for record in history:
-        for name, row in record["kernels"].items():
-            g = float(row.get("gcells_per_s", 0.0))
-            if g > best.get(name, 0.0):
-                best[name] = g
-    return best
-
-
 def format_trajectory(history: list[dict]) -> str:
     """The ladder records of ``history`` per workload x metric, in
     history order: each record's parent -> change median at reference
     host speed, their ratio, the pairs won, the verdict and whether the
     record claims that row (str)."""
-    records = [r for r in history if r.get("schema") == LADDER_SCHEMA]
     series: dict[tuple, list[str]] = {}
-    for record in records:
+    for record in history:
         label = f"PR {record['pr']}"
         if "variant" in record:
             label += f" ({record['variant']})"
@@ -493,7 +406,7 @@ def format_trajectory(history: list[dict]) -> str:
                 + ("  claimed" if claimed else "")
                 + ("  (transcribed)" if record["source"] == "transcribed"
                    else ""))
-    lines = [f"ladder trajectory: {len(records)} records; medians at "
+    lines = [f"ladder trajectory: {len(history)} records; medians at "
              "reference host speed, parent -> change, pairs won"]
     for (workload, metric, unit, better), entries in series.items():
         lines.append(f"{workload} {metric} ({unit}, {better} is better)")
@@ -501,135 +414,44 @@ def format_trajectory(history: list[dict]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class TrendReport:
-    """Outcome of one trajectory check."""
-
-    tolerance: float
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """Whether every gated kernel cleared the tolerance."""
-        return all(r["ok"] for r in self.rows)
-
-    def regressions(self) -> list[dict]:
-        """The failing rows (list of dicts)."""
-        return [r for r in self.rows if not r["ok"]]
-
-    def format(self) -> str:
-        """Human-readable gate table (returns the str)."""
-        from ..perf.report import format_table
-
-        verdict = "PASS" if self.passed else "REGRESSION"
-        title = (f"Perf trajectory check (tolerance {self.tolerance:.0%} "
-                 f"below baseline): {verdict}")
-        return format_table(self.rows, title, floatfmt="{:.4g}")
-
-
-def check_trend(record: dict, history: list[dict],
-                tolerance: float = DEFAULT_TOLERANCE) -> TrendReport:
-    """Gate a fresh record against the committed trajectory.
-
-    Returns a :class:`TrendReport` with one row per measured kernel:
-    the (host-matched) baseline Gcells/s, the measured value, their
-    ratio and the verdict.  Kernels without any committed baseline pass
-    with a note -- a new kernel must not block the PR that adds it.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    host = record.get("provenance", {}).get("host")
-    baseline = trajectory(history, host=host)
-    floor_scale = 1.0 / (1.0 + tolerance)
-    rows = []
-    for name, row in record["kernels"].items():
-        measured = float(row.get("gcells_per_s", 0.0))
-        base = baseline.get(name)
-        if base is None or base <= 0.0:
-            rows.append({
-                "kernel": name, "baseline": 0.0, "measured": measured,
-                "ratio": 1.0, "ok": True, "note": "no baseline (new kernel)",
-            })
-            continue
-        ratio = measured / base
-        ok = ratio >= floor_scale
-        rows.append({
-            "kernel": name, "baseline": base, "measured": measured,
-            "ratio": ratio, "ok": ok,
-            "note": "" if ok else f"below {floor_scale:.2f}x of baseline",
-        })
-    return TrendReport(tolerance=tolerance, rows=rows)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``trend`` subcommand's argument parser."""
     ap = argparse.ArgumentParser(
         prog="python -m repro.telemetry trend",
         description="The committed performance record: validate it and "
-        "print its trajectory, or gate a kernel microbench record "
-        "against it (see docs/telemetry.md).",
+        "print its trajectory (see docs/telemetry.md).",
     )
-    ap.add_argument("--record", default=None, metavar="PATH",
-                    help="fresh kernel microbench record to gate/append "
-                    f"(e.g. {DEFAULT_RECORD.name}); without it --check "
-                    "validates the history and prints its trajectory")
     ap.add_argument("--history", default=str(DEFAULT_HISTORY), metavar="PATH",
                     help="append-only trajectory file "
                     "(default: BENCH_history.jsonl)")
     ap.add_argument("--check", action="store_true",
                     help="validate every history line and print the "
-                    "trajectory; with --record, gate the record against "
-                    "the history (exit 1 on regression)")
-    ap.add_argument("--append", action="store_true",
-                    help="stamp the record (schema v2 + provenance) and "
-                    "append it to the history")
-    ap.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                    help="allowed fractional slowdown vs baseline "
-                    f"(default {DEFAULT_TOLERANCE})")
+                    "trajectory")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     """``trend`` subcommand entry point; returns the exit code.
 
-    Exit codes: 0 pass, 1 regression detected by ``--check --record``, 2
-    usage error (missing files, no action, a malformed record).
+    Exit codes: 0 every line valid, 2 usage error (no ``--check``, a
+    missing or malformed history).
 
     The prints below are this subcommand's user-facing CLI output
     (dispatched from ``repro.telemetry.__main__``), hence the CL012
     pragmas.
     """
     args = build_parser().parse_args(argv)
-    if not args.check and not (args.append and args.record is not None):
-        print("trend: nothing to do; pass --check, or --record with --check "
-              "and/or --append", file=sys.stderr)  # lint: disable=CL012
+    if not args.check:
+        print("trend: nothing to do; pass --check",
+              file=sys.stderr)  # lint: disable=CL012
         return 2
-    record = None
-    if args.record is not None:
-        try:
-            record = load_record(args.record)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"trend: cannot load record: {exc}",
-                  file=sys.stderr)  # lint: disable=CL012
-            return 2
-    code = 0
-    if args.check:
-        try:
-            history = load_history(args.history)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"trend: cannot load history: {exc}",
-                  file=sys.stderr)  # lint: disable=CL012
-            return 2
-        if record is None:
-            text = (f"trend: {len(history)} records valid in {args.history}\n"
-                    + format_trajectory(history))
-        else:
-            report = check_trend(record, history, tolerance=args.tolerance)
-            text = report.format()
-            code = 0 if report.passed else 1
-        print(text)  # lint: disable=CL012
-    if args.append:
-        path = append_history(record, args.history)
-        print(f"trend: appended "  # lint: disable=CL012
-              f"{args.record} to {path}")
-    return code
+    try:
+        history = load_history(args.history)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"trend: cannot load history: {exc}",
+              file=sys.stderr)  # lint: disable=CL012
+        return 2
+    text = (f"trend: {len(history)} records valid in {args.history}\n"
+            + format_trajectory(history))
+    print(text)  # lint: disable=CL012
+    return 0

@@ -10,6 +10,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import zlib
@@ -37,6 +38,7 @@ from repro.compression.scheme import WaveletCompressor
 from repro.container import FormatError, read
 from repro.exitcodes import KIND_EXIT, classify
 from repro.resilience import (
+    CacheCorruptError,
     CheckpointCorruptError,
     CorruptionError,
     FaultInjector,
@@ -291,6 +293,72 @@ def test_any_cut_or_flip_is_a_located_error(tmp_path, originals, data, kind,
     with pytest.raises(error) as exc:
         (read_field if kind == "dump" else read_checkpoint_field)(path)
     assert exc.value.path == path and exc.value.offset is not None
+
+
+# -- the magic: what is no container at a kind's path is that kind, damaged ----
+
+
+def read_as(kind: str, path: str):
+    """What a reader of ``kind`` makes of ``path``."""
+    return {"dump": read_field, "checkpoint": read_checkpoint_field,
+            "cache": lambda p: read(p, "cache")}[kind](path)
+
+
+KIND_ERROR = {"dump": CorruptionError, "checkpoint": CheckpointCorruptError,
+              "cache": CacheCorruptError}
+
+
+class TestMagic:
+    """The rule in ``container.py``: at a kind's path, bytes that are not
+    a container are a damaged file of that kind -- "damaged magic" when
+    the index CRC verifies once ``MAGIC`` is put back, "not a container"
+    otherwise -- never a ``FormatError``, which is for what is positively
+    an older format (``TestOldFormats``)."""
+
+    @pytest.mark.parametrize("kind", ["dump", "checkpoint", "cache"])
+    @pytest.mark.parametrize("magic", [b"RPRB", b"SPRC", b"\0\0\0\0"])
+    def test_a_damaged_magic_is_the_kinds_corruption_at_byte_0(
+            self, tmp_path, originals, kind, magic):
+        path = str(tmp_path / f"damaged.{kind}")
+        Path(path).write_bytes(magic + originals[kind][4:])
+        with pytest.raises(KIND_ERROR[kind],
+                           match=re.escape(f"damaged magic {magic!r}")) as exc:
+            read_as(kind, path)
+        assert (exc.value.path, exc.value.offset) == (path, 0)
+
+    @pytest.mark.parametrize("kind", ["dump", "checkpoint", "cache"])
+    @pytest.mark.parametrize("foreign", ["png", "zeroed", "magic_and_index"])
+    def test_bytes_that_are_no_container_are_the_kinds_corruption(
+            self, tmp_path, originals, kind, foreign):
+        blob = {"png": b"\x89PNG\r\n\x1a\n" + bytes(range(64)),
+                "zeroed": bytes(len(originals[kind])),
+                # the magic and the last index byte: two faults
+                "magic_and_index": b"RIFF" + originals[kind][4:-1] + b" ",
+                }[foreign]
+        path = str(tmp_path / f"foreign.{kind}")
+        Path(path).write_bytes(blob)
+        with pytest.raises(KIND_ERROR[kind], match="not a container") as exc:
+            read_as(kind, path)
+        assert (exc.value.path, exc.value.offset) == (path, 0)
+        assert not isinstance(exc.value, FormatError)
+
+    def test_recovery_skips_either(self, tmp_path, originals):
+        """A zeroed newest checkpoint falls back to the one before it; a
+        cache entry with either fault is set aside."""
+        for step in (1, 2):
+            Path(checkpoint_path(str(tmp_path), step)).write_bytes(
+                originals["checkpoint"])
+        Path(checkpoint_path(str(tmp_path), 2)).write_bytes(
+            bytes(len(originals["checkpoint"])))
+        injector = FaultInjector()
+        assert find_latest_verified_checkpoint(str(tmp_path), injector) == (
+            1, checkpoint_path(str(tmp_path), 1))
+        assert injector.counters["checkpoints_rejected"] == 1
+        cache = ResultCache(str(tmp_path / "cache"))
+        for blob in (b"RPRB" + originals["cache"][4:], b"\x89PNG" * 16):
+            Path(cache.path("e" * 64)).write_bytes(blob)
+            assert cache.get("e" * 64) is None
+        assert cache.counters["quarantined"] == 2
 
 
 # -- files of the formats the container replaced -------------------------------

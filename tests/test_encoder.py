@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro import native
+from repro.compression import encoder
 from repro.compression.encoder import StreamEncoder
 
 
@@ -183,6 +185,21 @@ def _spec_stream(blocks):
                              for k in range(elems.shape[1]))
 
 
+def _specials(dtype):
+    """The bit patterns that are not numbers or not normal, as unsigned
+    integers of the dtype's width: -0.0, +-inf and subnormals, then NaNs
+    with payloads."""
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    info = np.finfo(dtype)
+    patterns = np.array([-0.0, np.inf, -np.inf, info.smallest_subnormal,
+                         -info.smallest_subnormal, info.tiny / 3], dtype)
+    nans = (np.array([0x7FC00001, 0xFFA00000, 0x7F800001], uint)
+            if uint.itemsize == 4 else
+            np.array([0x7FF8000000000001, 0xFFF4000000000000,
+                      0x7FF0000000000001], uint))
+    return patterns.view(uint), nans
+
+
 def _kinds_of_block(dtype, bs, rng):
     """One block of each kind a decimated buffer holds: all zero, all
     significant, mostly zero, and the bit patterns that are not numbers
@@ -190,22 +207,26 @@ def _kinds_of_block(dtype, bs, rng):
     zeros."""
     shape = (bs,) * 3
     uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
-    info = np.finfo(dtype)
     sparse = rng.normal(size=shape).astype(dtype)
     sparse[rng.random(shape) < 0.9] = 0
     special = np.zeros(shape, dtype)
-    patterns = np.array([-0.0, np.inf, -np.inf, info.smallest_subnormal,
-                         -info.smallest_subnormal, info.tiny / 3], dtype)
-    nans = (np.array([0x7FC00001, 0xFFA00000, 0x7F800001], uint)
-            if uint.itemsize == 4 else
-            np.array([0x7FF8000000000001, 0xFFF4000000000000,
-                      0x7FF0000000000001], uint))
+    patterns, nans = _specials(dtype)
     flat = special.reshape(-1).view(uint)
-    flat[5:5 + len(patterns)] = patterns.view(uint)
+    flat[5:5 + len(patterns)] = patterns
     flat[-len(nans):] = nans
     return [np.zeros(shape, dtype),
             (np.abs(rng.normal(size=shape)) + 1).astype(dtype),
             sparse, special]
+
+
+def _mantissa_block(dtype, bs, rng):
+    """A block of significant elements whose low bytes are uniform random
+    and whose top byte is one constant."""
+    itemsize = np.dtype(dtype).itemsize
+    uint = np.dtype(f"u{itemsize}")
+    low = rng.integers(0, 2 ** (8 * itemsize - 8), size=(bs,) * 3,
+                       dtype=np.uint64).astype(uint)
+    return (low | uint.type(0x3F << (8 * itemsize - 8))).view(dtype)
 
 
 class TestByteMeaning:
@@ -302,11 +323,22 @@ class TestCorruptStream:
             StreamEncoder().decode_batch(bytes(payload), (8, 8, 8))
 
 
-@pytest.fixture(scope="module")
-def small_payload():
-    """Five 4^3 blocks of every kind in two streams, and the blocks."""
-    kinds = _kinds_of_block(np.float32, 4, np.random.default_rng(5))
-    batch = np.stack(kinds + kinds[2:3])
+@pytest.fixture(scope="module", params=["deflated", "stored"])
+def small_payload(request):
+    """A payload and its blocks: five 4^3 blocks of every kind in two
+    streams, every plane deflated; or an 8^3 block with random mantissas
+    (its three low planes stored) and two more in two streams."""
+    if request.param == "deflated":
+        kinds = _kinds_of_block(np.float32, 4, np.random.default_rng(5))
+        batch = np.stack(kinds + kinds[2:3])
+    else:
+        rng = np.random.default_rng(6)
+        kinds = _kinds_of_block(np.float32, 8, rng)
+        batch = np.stack([_mantissa_block(np.float32, 8, rng), kinds[2],
+                          kinds[3]])
+        hist = encoder._pack_planes_numpy(encoder._bits(batch[:2]))[1]
+        assert encoder.stored_segments(hist).tolist() == [False] + [
+            True] * 3 + [False]
     return StreamEncoder().encode(batch, 2)[0], batch
 
 
@@ -318,8 +350,9 @@ def test_any_cut_or_flip_fails_typed_or_decodes_the_same(small_payload, data,
     """A cut payload, or one with a bit flipped, raises ``ValueError`` --
     never ``zlib.error``, ``IndexError`` or an allocation of what a forged
     header claims -- unless the flip hit a bit no reader looks at (a
-    deflate stream's final pad bits), and then it decodes to the same
-    blocks."""
+    deflate stream's final pad bits, a stored block header's), and then
+    it decodes to the same blocks.  In a stored block a flipped data byte
+    fails the stream's ``adler32``, a flipped length its complement."""
     payload, batch = small_payload
     blob = bytearray(payload)
     if cut:
@@ -328,9 +361,129 @@ def test_any_cut_or_flip_fails_typed_or_decodes_the_same(small_payload, data,
         bit = data.draw(st.integers(0, 8 * len(blob) - 1))
         blob[bit // 8] ^= 1 << (bit % 8)
     try:
-        out = StreamEncoder().decode_batch(bytes(blob), (4, 4, 4))
+        out = StreamEncoder().decode_batch(bytes(blob), batch.shape[1:])
     except ValueError as exc:
         assert "stream" in str(exc) or len(blob) < 16 or (
             bytes(blob[:16]) != payload[:16])
     else:
         assert not cut and out.tobytes() == batch.tobytes()
+
+
+# -- the compiled pack and unpack, and what is stored --------------------------
+
+
+compiled = pytest.mark.skipif(
+    native.lib is None,
+    reason=f"no compiled kernels: {native.status()['reason']}")
+
+
+@st.composite
+def _elements(draw):
+    """A flat unsigned view of float32 or float64 elements: all zero, all
+    significant or mixed, of any length (not only multiples of 8 or 64)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    itemsize = np.dtype(dtype).itemsize
+    n = draw(st.integers(1, 300))
+    fill = draw(st.sampled_from(["zero", "significant", "mixed"]))
+    specials = st.sampled_from(np.concatenate(_specials(dtype)).tolist())
+    numbers = st.integers(1, 2 ** (8 * itemsize) - 1)
+    element = {"zero": st.just(0), "significant": st.one_of(specials, numbers),
+               "mixed": st.one_of(st.just(0), st.just(0), specials, numbers)}
+    values = draw(st.lists(element[fill], min_size=n, max_size=n))
+    return np.array(values, dtype=f"u{itemsize}")
+
+
+@compiled
+@seed(20261)
+@settings(max_examples=300, deadline=None, database=None)
+@given(bits=_elements(), cut=st.integers(0, 3))
+def test_compiled_pack_and_unpack_are_the_numpy_oracle(bits, cut):
+    """The compiled pass writes the map, the planes and the histograms
+    byte for byte as NumPy does; its inverse scatters them back, and
+    writes nothing when the planes hold fewer elements than the map
+    names."""
+    raw, hist = encoder.pack_planes(bits)
+    want_raw, want_hist = encoder._pack_planes_numpy(bits)
+    assert raw.tobytes() == want_raw.tobytes()
+    assert hist.tolist() == want_hist.tolist()
+    assert hist.sum(axis=1).tolist() == (
+        [len(raw) - len(bits[bits != 0]) * bits.itemsize]
+        + [int(np.count_nonzero(bits))] * bits.itemsize)
+    cut = min(cut, len(raw) - -(-bits.size // 8))  # the map stays whole
+    data = raw.tobytes()[:len(raw) - cut]
+    out, want = np.zeros_like(bits), np.zeros_like(bits)
+    count = encoder.unpack_planes(data, bits.size, bits.itemsize, out)
+    assert count == encoder._unpack_planes_numpy(data, bits.size,
+                                                 bits.itemsize, want)
+    assert count == np.count_nonzero(bits)
+    assert out.tobytes() == want.tobytes() == (
+        bits if not cut or not count else np.zeros_like(bits)).tobytes()
+
+
+@compiled
+@pytest.mark.parametrize("num_streams", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_compiler_encode_writes_the_same_payload(monkeypatch, rng, dtype,
+                                                    num_streams):
+    kinds = _kinds_of_block(dtype, 16, rng)
+    batch = np.stack(kinds + [_mantissa_block(dtype, 16, rng)] + kinds[::-1])
+    payload = StreamEncoder().encode(batch, num_streams)[0]
+    monkeypatch.setattr(native, "lib", None)
+    assert StreamEncoder().encode(batch, num_streams)[0] == payload
+    assert StreamEncoder().decode_batch(
+        payload, (16,) * 3).tobytes() == batch.tobytes()
+
+
+def _single_rle_payload(batch, num_streams):
+    """The payload the encoder wrote before planes could be stored: each
+    stream's map and planes through one ``Z_RLE`` deflate."""
+    bounds = np.linspace(0, len(batch), num_streams + 1).round().astype(int)
+    chunks = [struct.pack("<4sIII", b"RPSP", num_streams,
+                          batch[0].size, {4: 0, 8: 1}[batch.itemsize])]
+    for lo, hi in zip(bounds, bounds[1:]):
+        coder = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+        comp = coder.compress(_spec_stream(batch[lo:hi])) + coder.flush()
+        chunks += [struct.pack("<II", len(comp), hi - lo), comp]
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_single_rle_payload_still_decodes(kernel_path, rng, dtype):
+    kinds = _kinds_of_block(dtype, 8, rng)
+    batch = np.stack(kinds + [_mantissa_block(dtype, 8, rng)])
+    out = StreamEncoder().decode_batch(_single_rle_payload(batch, 2),
+                                       (8, 8, 8))
+    assert out.tobytes() == batch.tobytes()
+
+
+class TestWhatIsStored:
+    def test_a_uniform_random_plane_is_stored_a_constant_one_deflated(
+            self, rng):
+        uniform = np.bincount(rng.integers(0, 256, 1 << 16), minlength=256)
+        constant = np.bincount(np.full(1 << 16, 0x3F), minlength=256)
+        assert encoder.stored_segments(
+            np.stack([uniform, constant])).tolist() == [True, False]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stored_planes_ride_verbatim_in_one_zlib_stream(self, kernel_path,
+                                                            rng, dtype):
+        """The map and the constant top plane are deflated, every random
+        plane is in the stream as it is; stock zlib inflates the stream to
+        exactly the map and planes, to its end and no further."""
+        block = _mantissa_block(dtype, 16, rng)
+        payload, _ = StreamEncoder().encode([block], 1)
+        comp = payload[24:]
+        raw = _spec_stream(block[np.newaxis])
+        inflater = zlib.decompressobj()
+        assert inflater.decompress(comp) == raw
+        assert inflater.eof and inflater.unused_data == b""
+        assert comp[:2] == b"\x78\x01"
+        n, itemsize = block.size, block.itemsize
+        planes = [raw[n // 8 + k * n : n // 8 + (k + 1) * n]
+                  for k in range(itemsize)]
+        assert all(plane in comp for plane in planes[:-1])
+        assert planes[-1] not in comp and raw[: n // 8] not in comp
+        assert len(comp) < len(raw) - n
+        hist = encoder._pack_planes_numpy(encoder._bits(block))[1]
+        assert encoder.stored_segments(hist).tolist() == (
+            [False] + [True] * (itemsize - 1) + [False])

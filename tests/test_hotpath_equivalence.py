@@ -885,41 +885,42 @@ def _dump_contents(dump_dir):
 
 #: (ranks, backend) -> the digests of ``_diagnostics_and_dumps``, recorded
 #: before p and the kinetic energy were computed by the compiled cell pass;
-#: the dump files' re-recorded for the container framing, and again for
-#: the significance-map streams (what they hold is ``DUMP_CONTENT_DIGESTS``
-#: and ``DUMP_COEFFICIENT_DIGESTS``).
+#: the dump files' re-recorded for the container framing, again for the
+#: significance-map streams and once more for their stored mantissa planes
+#: (what they hold is ``DUMP_CONTENT_DIGESTS`` and
+#: ``DUMP_COEFFICIENT_DIGESTS``).
 DIAG_DUMP_DIGESTS = {
     (1, "sim"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "cce7e43d7fa3fc61fe72d1b615f0588bab52f8944d5b43f5faf801e944f0ce7a",
+            "5f29243a2876fdfc70a2752c7f355e7ce62fdb04ffe9c2b84641294ae49259bb",
         "dump_step000001_p.rwz":
-            "57ff01ce2c7b2750e16f498e3c2a85912fb5b9d857a51286577d3bcaf6b03434",
+            "851ac48d97048058fe62e864c32ac775cf0e20ec649e8b52b1b0719a229116e1",
         "dump_step000002_Gamma.rwz":
-            "deda2c139cc18272cfe2ad8c014f90ea1a368a1a2e79d4111558cbd6929bd9ca",
+            "ffc06497e628d925752953a612b8b797ead2e7ab1640ea202a4cca83b0494201",
         "dump_step000002_p.rwz":
-            "a94504472baf86ccb90f030aede3f2fbe4e5d1bd820ca35268a57d0208242193",
+            "fef4a094e2fc7fbeac019c9166f0969e5a9df8c86840bf9f2ae3db27312d7e88",
         "dump_step000003_Gamma.rwz":
-            "ae77f2002253e2d85207f5642a706ffb5f82c222e6071cd61ac7d4f83b6d309f",
+            "9094e8c6a6d72eea98d9ab4a648971d2a87bc3f3a08b7055e1fff7ab1090d6b1",
         "dump_step000003_p.rwz":
-            "ff49cc064bc6022941d130ee5ca5b15cef211696ed1b8b0c72f115514a065223",
+            "adc484bc17bf693cb9a21350519be40629b0d15cdc94cccde99a4c9b7e1c482b",
     },
     (2, "procs"): {
         "diagnostics":
             "f30f389a4215b2ff632c7dabbff8f8708263de7894c005d0b2e1dc4bf4cd1a89",
         "dump_step000001_Gamma.rwz":
-            "f36b858591d8921a32f5f4c4da512940d11f1f38aa86a8939e3bbd0a5248aea2",
+            "8da4de6afb46f5398c7df254a6f234f7e335c7c37f5c4dd39f42d6621805d9ec",
         "dump_step000001_p.rwz":
-            "7f532bcca14e188a906d284556f06991b710cad6f98b7e62649e460d1db25185",
+            "ef164d6615ab763eb57a39a7d1158a3d33b811a24f1a1d191d2b892350d24216",
         "dump_step000002_Gamma.rwz":
-            "8474f2d229a5ed295291b1598ea74866dcfca9e652317ee702006fd49422f977",
+            "fa32eb55130445e8dcda77ad42ba286e2384cba71a441199484ce1c5448da168",
         "dump_step000002_p.rwz":
-            "17835e0a7acce27e1f6c06b1115c9bcc504cd53434924f71851a5b27e1f0d954",
+            "3d620042d104b22cf086a395ef6141e3004ffa3cf21c20f05fd3655c351f5895",
         "dump_step000003_Gamma.rwz":
-            "882afc1aa5b4441a7124d99a0a05cdb087ccf52b68c710465003b74dd342e2f3",
+            "5912624d3a5fe19cdfc180085d29e69638f5d5fd4ced32c521ec3d2caea265ba",
         "dump_step000003_p.rwz":
-            "f42180ff8bf41409ee45c6d3cf5d2c1cd49940e1cd37e5975c39e1b558c1540d",
+            "20177605d08b89ee0be4dd181e1b1949254a22b986be453d13d6795c1cc32f6c",
     },
 }
 
@@ -928,63 +929,63 @@ DIAG_DUMP_DIGESTS = {
 #: and the restored field of every dump.  The restored fields' recorded
 #: with the 64 KiB JSON header framing (parent of the one on-disk
 #: container, 0df7b0d); the payloads' re-recorded once for the
-#: significance-map streams.
+#: significance-map streams and once for their stored mantissa planes.
 DUMP_CONTENT_DIGESTS = {
     (1, "sim"): {
         "dump_step000001_Gamma.rwz": [
-            "cfffa33124ad72eccb168108f91f1dea46917c2141e296d0475552f1cb4c9652",
+            "d48d18b69421a28b2019b219abde076f64ba177ff79789bb6094af7e9d0ebe09",
             "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
         ],
         "dump_step000001_p.rwz": [
-            "0453d67b8adf1da19107e77f9f281eb430d48533908ca47b6aae4ee6f96e12ab",
+            "c4c6f3ebe73a2c04b0204ba2589ea9a4911260f40e1fae6045b6ddf4da3ac99d",
             "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
         ],
         "dump_step000002_Gamma.rwz": [
-            "4c282b45ff4f4ea655750e4e6fda0569fc28a889ed0878e221f3701870af8346",
+            "44fc971ff769bd010431aff0dfcd769f6e58a7eee986d09f8a27632b9ecd63c1",
             "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
         ],
         "dump_step000002_p.rwz": [
-            "d71c61d95f9a4b706b897742eda3f5e3c78659e39fb091c48f862cdbf525ddfb",
+            "025a23e8b19efa4e0286c1e602cb38968532eaf5fc5683d205ccd6ce81baae43",
             "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
         ],
         "dump_step000003_Gamma.rwz": [
-            "7998568d679e6feebf24313f14cf45474d451005a90743f3cd010396dbee96b0",
+            "6ef15c22e9837c863059453f3b2c18198ec3a36d78aac8041936b686d2a9f047",
             "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
         ],
         "dump_step000003_p.rwz": [
-            "1db11887a43e0a556c7952761763a8381a29da9a05c91de28b262f2ecec03034",
+            "5ceb48c04ed7e19d822661a77fd060dd92f2213f5bad1bb5c0371bcd7c39e935",
             "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
         ],
     },
     (2, "procs"): {
         "dump_step000001_Gamma.rwz": [
-            "f6ba55719544127dc75f8ff3cd5c7675b0e90abce6119ec5ded714990abe6be2",
-            "cee91d9f6d121b9973e9db1534f1374996d3b70601e2193a46baefe7e0f1a3b2",
+            "6a269670c944343eddd13a2692cc6c68be278290162e8682e6f74f38508f51ba",
+            "a5dd04143a7d1a876759f99f6742d3b9f54ec1e11e769217d5bef066565a31e1",
             "8370e8585803d79cbf5489e873bd44b82df1502893b24bda99cc25a6794d7d36",
         ],
         "dump_step000001_p.rwz": [
-            "b5091cecb43c20fba8799451a1b7f021559e193ab176293643b9df2f0600536c",
-            "631618e1c2bab626163b737c3fb275e861784ec227ddb3a7da9c69058c79fd69",
+            "ea958adde90a592aa869454dbc3d560b62a4053f525a3dc1777882b4cdd9ba83",
+            "fcb3b49ea8b3b9dc864d2b558b2080f090e9f0fca307083ed23a59921946b9d1",
             "eb1642316a7fe17076f269ec72f0049f3583355fb49d1033b793ad88c9e92be1",
         ],
         "dump_step000002_Gamma.rwz": [
-            "d6f2c63e995a6dca9ddb919030530a0b8a769a6d11962e5511f037359bdebc07",
-            "ad3a5924987eeceb0ab3d8f098e5411e5c5be972a6e0228325a47aae87f18bcb",
+            "b28b896dcfd20de2cc49dbb62a067303ea4b2699db15d99ddb8e2bb7b418b260",
+            "a1de93ef068d6349949f8afb629bc4ade4fb5c3470df418f721c2206226a620f",
             "b7404c7bef45f58bb30ea5150cfb0edb526617381106f4f6d3933c4949ca3d9c",
         ],
         "dump_step000002_p.rwz": [
-            "d327dde34dac9ea8583639792c7ab9493562d9d29e04d7cdfbc57db2cb637910",
-            "8b4a916c662d85badc58b61b25cd873fefa11b6768b45a47399637854684ee21",
+            "ad0008be337b722a27c6e82c83e58f2d68cf5404bc0b041e4812375585012ce8",
+            "01d1fc5d23cf3bb029afd6a04c273578c945ece5e8952016b7b9ddbce1c29179",
             "35d4c82b4f1731840e42a7beee5191f2d79ccf9a823abccf3df979efa289bbe3",
         ],
         "dump_step000003_Gamma.rwz": [
-            "9a5707cb9102ea311ca68f99655d6c9ed940da578e33fb45da9f47527c7130f9",
-            "f3e704bd03703f88af7868fc09d559df33c81482dd66ac9227c27b25bfe2241b",
+            "f92498ada980b9beee152ed4094a18b0472c85b22083d555064301a98c826a1a",
+            "6ac9e6e3852a8502f7202831b21fde0833d889e1d86ce275222a5cc780642936",
             "58189582bd05f861ea957bbd7869e0a9ecc479081a275a3db9012eb9ecf44b92",
         ],
         "dump_step000003_p.rwz": [
-            "72295b8a6608e59ede36145cc40395262c507e75a269faaf26242cf5c1eccdec",
-            "2c7bfeb8acd7e8cf1bbed5a7347c812fb03928a67d8a7b7181b920f6b293cb81",
+            "a5c2c3f3886092dcd1c9f3a4ff94aef86474e42e81ef6f89a62926f415a0f9f8",
+            "d67534242950afbe50a047fce892b5ced545c662a9bbb74e1f03e5a9dc742f42",
             "c471c120f3dd5aa5ea7f124ca10fb2352c7d77622d8677fcba446666880d9b3b",
         ],
     },
@@ -1957,9 +1958,10 @@ class TestBatchedWaveletBitIdentity:
         """SHA-256 recorded at the parent of the batched kernel (d99d8a7),
         the whole file's re-recorded for the container framing, the
         payload's and the file's (and the payload's length) once more for
-        the significance-map streams.  The coefficient and field hashes
-        hold anywhere; the payload's and the file's only where deflate is
-        the zlib the hash was taken with."""
+        the significance-map streams and once more for their stored
+        mantissa planes.  The coefficient and field hashes hold anywhere;
+        the payload's and the file's only where deflate is the zlib the
+        hash was taken with."""
         fld = _dump_field((32, 64, 32))
         comp = WaveletCompressor(eps=1e-2, block_size=16, num_threads=3,
                                  guaranteed=False)
@@ -1978,15 +1980,16 @@ class TestBatchedWaveletBitIdentity:
             "dd36e1e028feac0da0c40d755eced8e17d080e03e5e9bf319edd869401c11664")
         if zlib.ZLIB_RUNTIME_VERSION == "1.2.13":
             # the payload as the file holds it (30351 bytes of raw
-            # deflated streams before the significance-map streams)
+            # deflated streams before the significance-map streams, 28274
+            # with every plane deflated)
             assert sha(read_compressed(path)[0].payload) == (
-                "5c59f1dae2b39cdff1e69c70380fa9872192025a5e61750b574f1270405f"
-                "7f5b")
+                "8034ab36bbd05793a8c6174274d565df5593e281071eeea9c1d0a3226c03"
+                "5b44")
             with open(path, "rb") as f:
                 assert sha(f.read()) == (
-                    "7339adc0572ef27118e1bb2a01ab204c1ce56bfad43980e2e0f330a6"
-                    "fd3f4176")
-            assert len(cf.payload) == 28274
+                    "10548077bd87f6f65a4fd7e847398ba8103f9ffcff8ce622eba5e397"
+                    "4e75e836")
+            assert len(cf.payload) == 24334
 
 
 class TestDtypeContracts:

@@ -45,6 +45,8 @@ double repro_max_sos(void) { return 0.0; }
 void repro_cell_pressure(void) {}
 void repro_lift(void) {}
 void repro_decimate(void) {}
+long repro_pack_planes(void) { return 0; }
+long repro_unpack_planes(void) { return 0; }
 """
 
 #: SHA-256 of the final field of the 2-step run in ``_RUN``, recorded at
@@ -298,7 +300,7 @@ class TestKey:
         assert stale is None and "repro_lift" in state["reason"]
         (stale_path,) = cache.iterdir()
         lib, state = native.build_or_load(new, [cache])
-        assert lib is not None and lib.repro_native_abi() == 4
+        assert lib is not None and lib.repro_native_abi() == native.ABI
         assert state["path"] != str(stale_path)
         assert sorted(cache.iterdir()) == sorted(
             [stale_path, Path(state["path"])])
@@ -343,7 +345,8 @@ class TestStatus:
             capture_output=True, text=True, timeout=BOUND, check=False)
         report = json.loads(proc.stdout)
         assert report["backend"] == ("numpy" if hidden else "c")
-        assert report["abi"] == native.ABI == 4
-        assert {"repro_lift", "repro_decimate", "repro_cell_pressure"} <= set(
+        assert report["abi"] == native.ABI == 5
+        assert {"repro_lift", "repro_decimate", "repro_cell_pressure",
+                "repro_pack_planes", "repro_unpack_planes"} <= set(
             report["entry_points"])
         assert proc.returncode == (1 if hidden else 0)

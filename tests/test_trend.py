@@ -1,4 +1,4 @@
-"""Tests of the perf-trajectory provenance, history and regression gate."""
+"""Tests of the performance record: provenance, history and its check."""
 
 from __future__ import annotations
 
@@ -11,17 +11,6 @@ import pytest
 from repro.telemetry import trend
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def fresh_record(rhs=0.002, weno5=0.004):
-    return {
-        "schema": trend.KERNEL_SCHEMA_V2,
-        "provenance": trend.provenance(),
-        "kernels": {
-            "rhs": {"wall_s": 0.1, "gcells_per_s": rhs},
-            "weno5": {"wall_s": 0.05, "gcells_per_s": weno5},
-        },
-    }
 
 
 # -- provenance -----------------------------------------------------------
@@ -44,223 +33,6 @@ def test_git_sha_of_this_repo_and_of_a_gitless_dir(tmp_path):
     sha = trend.git_sha(REPO_ROOT)
     assert len(sha) == 40 and int(sha, 16) >= 0
     assert trend.git_sha(tmp_path) == "unknown"
-
-
-def test_stamp_upgrades_v1_and_preserves_existing_provenance():
-    v1 = {"schema": trend.KERNEL_SCHEMA_V1,
-          "kernels": {"rhs": {"gcells_per_s": 1.0}}}
-    out = trend.stamp(v1)
-    assert out["schema"] == trend.KERNEL_SCHEMA_V2
-    assert "provenance" in out
-    assert "provenance" not in v1  # original untouched
-    marked = fresh_record()
-    marked["provenance"]["git_sha"] = "cafebabe"
-    assert trend.stamp(marked)["provenance"]["git_sha"] == "cafebabe"
-
-
-# -- record / history round-trip ------------------------------------------
-
-
-def test_load_record_validates_schema_and_kernels(tmp_path):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(fresh_record()))
-    assert "rhs" in trend.load_record(good)["kernels"]
-
-    bad_schema = tmp_path / "bad1.json"
-    bad_schema.write_text(json.dumps({"schema": "nope/v0", "kernels": {}}))
-    with pytest.raises(ValueError, match="unknown bench schema"):
-        trend.load_record(bad_schema)
-
-    no_prov = tmp_path / "bad2.json"
-    no_prov.write_text(json.dumps({"schema": trend.KERNEL_SCHEMA_V2,
-                                   "kernels": {"rhs": {}}}))
-    with pytest.raises(ValueError, match="provenance"):
-        trend.load_record(no_prov)
-
-    empty = tmp_path / "bad3.json"
-    empty.write_text(json.dumps({"schema": trend.KERNEL_SCHEMA_V1,
-                                 "kernels": {}}))
-    with pytest.raises(ValueError, match="no kernel timings"):
-        trend.load_record(empty)
-
-
-def test_append_and_load_history_round_trip(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    trend.append_history(fresh_record(rhs=0.002), path)
-    trend.append_history(fresh_record(rhs=0.003), path)
-    history = trend.load_history(path)
-    assert len(history) == 2
-    assert all(r["schema"] == trend.KERNEL_SCHEMA_V2 for r in history)
-    assert history[1]["kernels"]["rhs"]["gcells_per_s"] == 0.003
-    # Append-only: a third append leaves the first two lines untouched.
-    before = path.read_text().splitlines()
-    trend.append_history(fresh_record(), path)
-    assert path.read_text().splitlines()[:2] == before
-
-
-def test_load_history_skips_blanks_and_rejects_garbage(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    line = json.dumps(trend.stamp(fresh_record()))
-    path.write_text(line + "\n\n" + line + "\n")
-    assert len(trend.load_history(path)) == 2
-    path.write_text(line + "\n" + json.dumps({"schema": "x"}) + "\n")
-    with pytest.raises(ValueError, match=":2"):
-        trend.load_history(path)
-
-
-def test_trajectory_takes_per_kernel_best_and_prefers_same_host():
-    a, b = fresh_record(rhs=0.002), fresh_record(rhs=0.004)
-    b["provenance"] = dict(b["provenance"], host="ffffffffffff")
-    best = trend.trajectory([a, b])
-    assert best["rhs"] == 0.004  # all hosts: global best
-    same = trend.trajectory([a, b], host=a["provenance"]["host"])
-    assert same["rhs"] == 0.002  # host-matched subset wins
-    # Unknown host falls back to the full history.
-    assert trend.trajectory([a, b], host="000000000000")["rhs"] == 0.004
-
-
-# -- the regression gate --------------------------------------------------
-
-
-def test_check_trend_passes_against_its_own_history():
-    rec = fresh_record()
-    report = trend.check_trend(rec, [rec])
-    assert report.passed
-    assert report.regressions() == []
-    assert all(r["ratio"] == pytest.approx(1.0) for r in report.rows)
-
-
-def test_check_trend_fails_a_synthetic_2x_slowdown():
-    base = fresh_record(rhs=0.002, weno5=0.004)
-    slow = copy.deepcopy(base)
-    slow["kernels"]["rhs"]["gcells_per_s"] = 0.001  # 2x slower
-    report = trend.check_trend(slow, [base], tolerance=0.5)
-    assert not report.passed
-    bad = report.regressions()
-    assert [r["kernel"] for r in bad] == ["rhs"]
-    assert bad[0]["ratio"] == pytest.approx(0.5)
-    assert "below" in bad[0]["note"]
-    assert "REGRESSION" in report.format()
-
-
-def test_check_trend_tolerance_sets_the_floor():
-    base = fresh_record(rhs=0.002)
-    slow = copy.deepcopy(base)
-    slow["kernels"]["rhs"]["gcells_per_s"] = 0.001
-    assert trend.check_trend(slow, [base], tolerance=1.0).passed
-    assert not trend.check_trend(slow, [base], tolerance=0.5).passed
-    with pytest.raises(ValueError, match="tolerance"):
-        trend.check_trend(slow, [base], tolerance=-0.1)
-
-
-def test_check_trend_new_kernel_passes_with_a_note():
-    base = fresh_record()
-    rec = copy.deepcopy(base)
-    rec["kernels"]["hlle"] = {"gcells_per_s": 0.01}
-    report = trend.check_trend(rec, [base])
-    assert report.passed
-    note = {r["kernel"]: r["note"] for r in report.rows}
-    assert note["hlle"] == "no baseline (new kernel)"
-
-
-def test_check_trend_uses_host_matched_baseline():
-    # The same host once ran rhs at 0.002; some other (faster) machine
-    # committed 0.008.  Measuring 0.002 again must PASS -- gating a
-    # laptop against a server's baseline would always be red.
-    mine = fresh_record(rhs=0.002)
-    theirs = fresh_record(rhs=0.008)
-    theirs["provenance"] = dict(theirs["provenance"], host="ffffffffffff")
-    report = trend.check_trend(mine, [mine, theirs], tolerance=0.5)
-    assert report.passed
-
-
-# -- CLI entry point ------------------------------------------------------
-
-
-def run_main(*argv):
-    return trend.main(list(argv))
-
-
-def test_main_requires_an_action(tmp_path, capsys):
-    assert run_main("--record", str(tmp_path / "r.json")) == 2
-    assert "nothing to do" in capsys.readouterr().err
-
-
-def test_main_check_passes_and_appends(tmp_path, capsys):
-    rec_path = tmp_path / "r.json"
-    rec_path.write_text(json.dumps(fresh_record()))
-    hist = tmp_path / "h.jsonl"
-    trend.append_history(fresh_record(), hist)
-    code = run_main("--record", str(rec_path), "--history", str(hist),
-                    "--check", "--append")
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "PASS" in out and "appended" in out
-    assert len(trend.load_history(hist)) == 2
-
-
-def test_main_check_exits_1_on_regression(tmp_path, capsys):
-    base = fresh_record(rhs=0.002)
-    slow = copy.deepcopy(base)
-    slow["kernels"]["rhs"]["gcells_per_s"] = 0.001
-    rec_path = tmp_path / "r.json"
-    rec_path.write_text(json.dumps(slow))
-    hist = tmp_path / "h.jsonl"
-    trend.append_history(base, hist)
-    code = run_main("--record", str(rec_path), "--history", str(hist),
-                    "--check")
-    assert code == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_main_missing_record_or_history_is_exit_2(tmp_path, capsys):
-    assert run_main("--record", str(tmp_path / "nope.json"), "--check") == 2
-    assert "cannot load record" in capsys.readouterr().err
-    rec_path = tmp_path / "r.json"
-    rec_path.write_text(json.dumps(fresh_record()))
-    assert run_main("--record", str(rec_path),
-                    "--history", str(tmp_path / "nope.jsonl"),
-                    "--check") == 2
-    assert "cannot load history" in capsys.readouterr().err
-
-
-def test_module_dispatch_routes_trend(capsys):
-    from repro.telemetry.__main__ import main as module_main
-
-    assert module_main(["trend"]) == 2  # no action -> usage error
-    assert "nothing to do" in capsys.readouterr().err
-    assert module_main(["no-such-command"]) == 2
-    assert module_main(["--help"]) == 0
-    assert "trend" in capsys.readouterr().out
-
-
-# -- committed artifacts drift tests --------------------------------------
-
-
-def test_committed_bench_record_is_v2_with_provenance():
-    record = trend.load_record(REPO_ROOT / "BENCH_kernels.json")
-    assert record["schema"] == trend.KERNEL_SCHEMA_V2
-    prov = record["provenance"]
-    assert set(prov) >= {"host", "git_sha", "timestamp", "python", "numpy"}
-    import sys
-
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    try:
-        from bench_throughput import KERNEL_BENCH_CASES
-    finally:
-        sys.path.remove(str(REPO_ROOT / "benchmarks"))
-    assert set(record["kernels"]) == set(KERNEL_BENCH_CASES)
-    for row in record["kernels"].values():
-        assert row["gcells_per_s"] > 0.0
-        assert row["wall_s"] > 0.0
-
-
-def test_committed_history_loads_and_gates_the_committed_record():
-    history = trend.load_history(REPO_ROOT / "BENCH_history.jsonl")
-    assert history, "BENCH_history.jsonl must hold >= 1 record"
-    record = trend.load_record(REPO_ROOT / "BENCH_kernels.json")
-    report = trend.check_trend(record, history)
-    assert report.passed, report.format()
 
 
 # -- ladder records -------------------------------------------------------
@@ -334,15 +106,50 @@ def test_verdict_is_the_ladders_compare_rule():
     assert set(words) == {"ok", "worse", "unresolved"}
 
 
-def test_ladder_records_append_and_load_beside_kernel_records(tmp_path):
+def test_append_and_load_history_round_trip(tmp_path):
     path = tmp_path / "hist.jsonl"
-    trend.append_history(fresh_record(), path)
-    record = build([0.3, 0.29], [0.2, 0.21])
-    trend.append_history(record, path)
-    history = trend.load_history(path)
-    assert history[1] == record
-    # The kernel gate reads kernel records only.
-    assert set(trend.trajectory(history)) == {"rhs", "weno5"}
+    first, second = build([0.3, 0.29], [0.2, 0.21]), build([0.3], [0.25])
+    trend.append_history(first, path)
+    trend.append_history(second, path)
+    assert trend.load_history(path) == [first, second]
+    # Append-only: a third append leaves the first two lines untouched.
+    before = path.read_text().splitlines()
+    trend.append_history(first, path)
+    assert path.read_text().splitlines()[:2] == before
+
+
+def test_load_history_skips_blanks_and_rejects_garbage(tmp_path):
+    path = tmp_path / "hist.jsonl"
+    line = json.dumps(build([0.3], [0.2]))
+    path.write_text(line + "\n\n" + line + "\n")
+    assert len(trend.load_history(path)) == 2
+    kernel = {"schema": "repro.bench_kernels/v2", "provenance": {},
+              "kernels": {"rhs": {"gcells_per_s": 1.0}}}
+    path.write_text(line + "\n" + json.dumps(kernel) + "\n")
+    with pytest.raises(ValueError, match=":2: unknown record schema"):
+        trend.load_history(path)
+
+
+def run_main(*argv):
+    return trend.main(list(argv))
+
+
+def test_main_requires_an_action(tmp_path, capsys):
+    assert run_main("--history", str(tmp_path / "h.jsonl")) == 2
+    assert "nothing to do" in capsys.readouterr().err
+    assert run_main("--history", str(tmp_path / "nope.jsonl"),
+                    "--check") == 2
+    assert "cannot load history" in capsys.readouterr().err
+
+
+def test_module_dispatch_routes_trend(capsys):
+    from repro.telemetry.__main__ import main as module_main
+
+    assert module_main(["trend"]) == 2  # no action -> usage error
+    assert "nothing to do" in capsys.readouterr().err
+    assert module_main(["no-such-command"]) == 2
+    assert module_main(["--help"]) == 0
+    assert "trend" in capsys.readouterr().out
 
 
 def transcribed():
@@ -408,30 +215,27 @@ def test_a_pairs_record_must_be_complete():
                                  "/nonexistent/never-written.jsonl")
 
 
-def test_check_without_a_record_validates_and_prints_the_trajectory(
+def test_check_validates_and_prints_the_trajectory(
         tmp_path, capsys):
     path = tmp_path / "hist.jsonl"
-    trend.append_history(fresh_record(), path)
     trend.append_history(transcribed(), path)
     trend.append_history(build([0.3, 0.29], [0.2, 0.21]), path)
     assert run_main("--history", str(path), "--check") == 0
     out = capsys.readouterr().out
-    assert "3 records valid" in out
+    assert "2 records valid" in out
     assert "halo2_b8 setup_s (s, lower is better)" in out
     lines = out.splitlines()
     at = lines.index("halo2_b8 setup_s (s, lower is better)")
     assert lines[at + 1].split()[:2] == ["PR", "5"]
     assert "(transcribed)" in lines[at + 1]
     assert lines[at + 2].split()[:2] == ["PR", "99"]
-    assert run_main("--history", str(path), "--append") == 2
 
 
 def test_committed_history_holds_the_ladder_records():
     """Every committed claim holds by the ladder's rule: better in at
     least nine tenths of at least ten pairs, its medians further apart
     than the parent's quartiles."""
-    history = trend.load_history(REPO_ROOT / "BENCH_history.jsonl")
-    ladder = [r for r in history if r["schema"] == trend.LADDER_SCHEMA]
+    ladder = trend.load_history(REPO_ROOT / "BENCH_history.jsonl")
     assert [r["pr"] for r in ladder] == sorted(r["pr"] for r in ladder)
     claims = [(r, row) for r in ladder if "claim" in r for row in r["metrics"]
               if (row["workload"], row["metric"])
@@ -451,8 +255,7 @@ def test_folded_pair_files_give_the_medians_they_were_quoted_with():
     their claims quoted: median parent -> change, pairs won."""
     history = trend.load_history(REPO_ROOT / "BENCH_history.jsonl")
     rows = {(r["pr"], r.get("variant"), row["workload"], row["metric"]): row
-            for r in history if r["schema"] == trend.LADDER_SCHEMA
-            for row in r["metrics"]}
+            for r in history for row in r["metrics"]}
     for key, parent, change, won in [
             ((17, None, "cloud64_b32", "mcells_per_s"), 0.2423, 1.487, 10),
             ((19, None, "cloud32_b8", "mcells_per_s"), 0.9707, 1.607, 10),
