@@ -124,11 +124,6 @@ class RaceTracker:
         clock[rank] = clock.get(rank, 0) + 1
         return clock[rank]
 
-    def clock_of(self, rank: int) -> dict[int, int]:
-        """Snapshot of a rank's current vector clock (dict copy)."""
-        with self._lock:
-            return dict(self._clock(rank))
-
     # -- synchronization edges ------------------------------------------
 
     def on_send(self, rank: int) -> dict[int, int]:

@@ -24,10 +24,11 @@ dtype), :meth:`repro.node.solver.NodeSolver.evaluate_rhs` (per-block RHS
 finiteness), :meth:`repro.node.solver.NodeSolver.max_sos` (per-block SOS
 finiteness), :func:`repro.cluster.driver._dump` (FWT input fields),
 :meth:`repro.core.timestepper.TimeStepper.advance` (array-level stage
-checks) and :func:`repro.cluster.driver.rank_main` (initial condition +
-per-stage context), surfaced through ``RunResult.sanitizer_report`` and
-the ``run --sanitize`` CLI flag.  Findings are localized to the block
-index and the offending quantity name (:attr:`NumericsViolation.field`).
+checks), :func:`repro.cluster.driver._set_up` (initial condition) and
+:func:`repro.cluster.driver._advance` (per-stage context), surfaced
+through ``RunResult.sanitizer_report`` and the ``run --sanitize`` CLI
+flag.  Findings are localized to the block index and the offending
+quantity name (:attr:`NumericsViolation.field`).
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ from ..telemetry.tracer import (
     MetricsSnapshot,
     PhaseTimers,
     SpanEvent,
+    Tracer,
     make_tracer,
 )
 from .halo import HaloExchange, extract_face_slab
@@ -194,7 +195,8 @@ class RunResult:
 def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
               restart_from: str | None = None,
               injector=None) -> RankResult:
-    """The SPMD program executed by every rank.
+    """The SPMD program executed by every rank: set-up, then each step
+    followed by the work this run asked for, then the rank's result.
 
     ``restart_from`` resumes a run from a checkpoint written by
     :func:`repro.cluster.checkpoint.write_checkpoint` (any rank count);
@@ -206,16 +208,65 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     dump/checkpoint degradation paths count on.
     """
     wall_t0 = now()
+    rank, step, t = _set_up(comm, config, ic_fn, restart_from, injector)
+    try:
+        while step < config.max_steps and t < config.t_end:
+            rec = _advance(rank, step, t)
+            for work in rank.work:
+                work(rank, rec)
+            step, t = rec.step, rec.time
+    finally:
+        # Chaos runs crash ranks mid-loop; the flight recorder must
+        # release (flushing the shared sink on last close) regardless.
+        rank.close()
+    return _result(rank, now() - wall_t0)
+
+
+@dataclass
+class _Rank:
+    """One rank as :func:`_set_up` built it, and what its steps leave."""
+
+    comm: Communicator
+    config: SimulationConfig
+    injector: object
+    grid: BlockGrid
+    origin_cells: tuple[int, int, int]
+    timers: PhaseTimers  #: the rank's Tracer, or a bare PhaseTimers
+    solver: NodeSolver
+    halo: HaloExchange
+    interior: list
+    halo_blocks: list
+    stages: tuple
+    sanitizer: object
+    #: the per-step work this run asked for, in order
+    work: list = field(default_factory=list)
+    records: list[StepRecord] = field(default_factory=list)
+    compression_stats: list[dict] = field(default_factory=list)
+    skipped_writes: list[tuple[str, int]] = field(default_factory=list)
+    damage: object = None  #: the wall patch's damage accumulator
+    close: object = lambda: None  #: releases the flight recorder
+
+
+def _set_up(comm: Communicator, config: SimulationConfig, ic_fn,
+            restart_from: str | None, injector) -> tuple[_Rank, int, float]:
+    """Build one rank and choose, once, the per-step work this run does.
+
+    Builds the topology, the grid with its initial condition or restart
+    (SDC-screened), the tracer, solver, halo split, stepper and
+    sanitizer.  The work, in order: erosion, diagnostics, dump,
+    checkpoint, the step record, flight record and progress, each only
+    when its config field is on, the step record always.  Returns the
+    rank and the ``(step, t)`` it starts from.
+    """
     topo = CartTopology(balanced_dims(comm.size), config.periodic)
     if topo.size != comm.size:
         raise ValueError(f"topology size {topo.size} != world size {comm.size}")
     starts, counts = topo.subdomain_blocks(comm.rank, config.global_blocks)
-    n = config.block_size
     h = config.h
-    origin_cells = tuple(s * n for s in starts)
-    grid = BlockGrid(counts, n, h, origin=tuple(o * h for o in origin_cells))
-    t = 0.0
-    step = 0
+    origin_cells = tuple(s * config.block_size for s in starts)
+    grid = BlockGrid(counts, config.block_size, h,
+                     origin=tuple(o * h for o in origin_cells))
+    t, step = 0.0, 0
     if restart_from is None:
         grid.fill(ic_fn)
     else:
@@ -232,19 +283,13 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
     tracer = make_tracer(config.telemetry, rank=comm.rank,
                          max_events=config.telemetry_max_events)
     solver = NodeSolver(
-        grid,
-        boundary=config.boundary_spec(),
+        grid, boundary=config.boundary_spec(),
         dispatcher=Dispatcher(num_workers=config.num_workers),
-        fused=config.fused_weno,
-        use_slices=config.use_slices,
-        order=config.weno_order,
-        solver=config.riemann_solver,
+        fused=config.fused_weno, use_slices=config.use_slices,
+        order=config.weno_order, solver=config.riemann_solver,
         tracer=tracer,
     )
     halo = HaloExchange(comm, topo, grid, tracer=tracer, injector=injector)
-    interior, halo_blocks = halo.halo_split()
-    stepper = make_stepper(config.stepper)
-
     sanitizer = None
     if config.sanitize != "off":
         from ..analysis.sanitizer import make_sanitizer
@@ -254,225 +299,185 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
         sanitizer.set_context("initial condition")
         for idx, block in grid.blocks.items():
             sanitizer.check_state(block.data, block=idx)
-
-    # The wall diagnostic is recorded only by ranks whose subdomain
-    # touches the wall face.
-    wall = None
-    if config.wall is not None and topo.is_domain_boundary(
-        comm.rank, *config.wall
-    ):
-        wall = config.wall
-
-    # Optional erosion accumulation on the wall patch (paper Section 9's
-    # "coupling material erosion models with the flow solver").
-    damage = None
-    if config.erosion is not None and wall is not None:
-        from ..sim.erosion import WallDamageAccumulator
-
-        patch_shape = tuple(
-            c for d, c in enumerate(grid.cells) if d != wall[0]
-        )
-        damage = WallDamageAccumulator(patch_shape, h, config.erosion)
-
     # The tracer doubles as the phase-timer dict; with telemetry off a
     # bare PhaseTimers keeps the legacy ``StepRecord.timers`` payload
     # without constructing any telemetry state.
     timers = tracer if tracer is not None else PhaseTimers()
-    ncells = int(np.prod(grid.cells))
-    records: list[StepRecord] = []
-    compression_stats: list[dict] = []
-    skipped_writes: list[tuple[str, int]] = []
+    rank = _Rank(comm, config, injector, grid, origin_cells, timers, solver,
+                 halo, *halo.halo_split(), make_stepper(config.stepper).stages,
+                 sanitizer)
+    work = rank.work
+
+    # The wall diagnostic is recorded only by ranks whose subdomain
+    # touches the wall face.
+    wall = config.wall
+    if wall is not None and not topo.is_domain_boundary(comm.rank, *wall):
+        wall = None
+
+    # Each piece of work is called with the rank and the step's record.
+    # Erosion accumulated on the wall patch (paper Section 9's
+    # "coupling material erosion models with the flow solver").
+    if config.erosion is not None and wall is not None:
+        from ..sim.erosion import WallDamageAccumulator
+
+        patch = tuple(c for d, c in enumerate(grid.cells) if d != wall[0])
+        rank.damage = WallDamageAccumulator(patch, h, config.erosion)
+
+        def erode(rank: _Rank, rec: StepRecord) -> None:
+            with rank.timers.span("EROSION"):
+                layer = extract_face_slab(rank.grid, wall[0], wall[1],
+                                          width=1)
+                p_wall = pressure_field(np.squeeze(layer, axis=wall[0]))
+                rank.damage.update(p_wall, rec.dt)
+
+        work.append(erode)
+
+    if config.diag_interval:
+        def diagnose(rank: _Rank, rec: StepRecord) -> None:
+            if rec.step % config.diag_interval == 0:
+                with rank.timers.span("DIAG"):
+                    local = rank_diagnostics(rank.grid.to_array(), h, wall)
+                    rec.diagnostics = reduce_diagnostics(rank.comm, local)
+
+        work.append(diagnose)
+
+    # Compressed data dumps: p and Gamma only, as in the paper.
     if config.dump_interval:
         # The wavelet / I/O stack _dump runs loads here, before step 1; a
         # run that does not dump never loads it.
         from ..compression import io  # noqa: F401
+
+        def dump_fields(rank: _Rank, rec: StepRecord) -> None:
+            if rec.step % config.dump_interval == 0:
+                with rank.timers.span("IO_WAVELET"):
+                    try:
+                        rank.compression_stats.extend(_dump(rank, rec.step))
+                    except WriteError:
+                        _skip_write(rank, "dump", rec.step)
+
+        work.append(dump_fields)
+
+    # Lossless checkpoints: atomic, rotated generations.
     if config.checkpoint_interval:
-        from .checkpoint import (
-            checkpoint_path,
-            prune_checkpoints,
-            write_checkpoint,
-        )
+        from .checkpoint import (checkpoint_path, prune_checkpoints,
+                                 write_checkpoint)
 
-    # -- flight recorder / live progress (opt-in observability) ----------
-    flight = None
-    flight_state: dict = {"timers": {}, "sanitizer": 0, "resilience": 0}
-    conservation0 = (0.0, 0.0)
+        def checkpoint_state(rank: _Rank, rec: StepRecord) -> None:
+            if rec.step % config.checkpoint_interval:
+                return
+            with rank.timers.span("CHECKPOINT"):
+                path = checkpoint_path(config.checkpoint_dir, rec.step)
+                try:
+                    write_checkpoint(rank.comm, path, rank.grid.to_array(),
+                                     rank.origin_cells, rec.time, rec.step,
+                                     injector=injector)
+                except WriteError:
+                    _skip_write(rank, "checkpoint", rec.step)
+                    return
+                if rank.comm.rank == 0 and config.checkpoint_keep:
+                    pruned = prune_checkpoints(config.checkpoint_dir,
+                                               config.checkpoint_keep)
+                    if injector is not None:
+                        injector.count("ckpt_generations_pruned", len(pruned))
+                        injector.set_counter(
+                            "ckpt_generations_kept",
+                            min(config.checkpoint_keep,
+                                rec.step // config.checkpoint_interval))
+
+        work.append(checkpoint_state)
+
+    def record_step(rank: _Rank, rec: StepRecord) -> None:
+        rec.timers = dict(rank.timers)
+        rank.records.append(rec)
+
+    work.append(record_step)
     if config.flight_out:
-        from ..telemetry import scorecard  # noqa: F401 -- _flight_step's
-        from ..telemetry.flight import FlightRecorder
-
-        conservation0 = _conservation_sums(grid)
-        flight = FlightRecorder(
-            config.flight_out,
-            rank=comm.rank,
-            meta={
-                "ranks": comm.size,
-                "cells": list(config.cells),
-                "block_size": config.block_size,
-                "max_steps": config.max_steps,
-                "telemetry": config.telemetry,
-                "sanitize": config.sanitize,
-            },
-            flush_every=config.flight_flush_every,
-            # Rank processes share no memory: each writes a private
-            # part file the parent merges once the world finishes.
-            per_rank=getattr(comm, "process_parallel", False),
-        )
-    progress = None
+        work.append(_flight_work(rank))
     if config.progress_interval and comm.rank == 0:
         from ..telemetry.log import ProgressReporter
 
-        progress = ProgressReporter(
-            total_steps=config.max_steps,
-            cells=int(np.prod(config.cells)),
-            interval=config.progress_interval,
-        )
+        progress = ProgressReporter(total_steps=config.max_steps,
+                                    cells=int(np.prod(config.cells)),
+                                    interval=config.progress_interval)
 
-    try:
-        while step < config.max_steps and t < config.t_end:
-            step_t0 = now() if flight is not None else 0.0
-            # -- chaos hook: injected rank crashes / stragglers --------------
-            if injector is not None:
-                injector.at_step(comm.rank, step + 1)
+        def report_progress(rank: _Rank, rec: StepRecord) -> None:
+            sched = rank.solver.last_schedule
+            progress.step(rec.step, sim_time=rec.time, dt=rec.dt,
+                          imbalance=getattr(sched, "imbalance", None))
 
-            # -- DT kernel: SOS reduction -> CFL time step -------------------
-            if sanitizer is not None:
-                sanitizer.set_context(f"step {step + 1} DT")
-            with timers.span("DT"):
-                sos = comm.allreduce(solver.max_sos(sanitizer=sanitizer),
-                                     op="max")
-                if not np.isfinite(sos):
-                    raise RuntimeError(
-                        f"solution diverged at step {step}: non-finite "
-                        "characteristic velocity (check resolution/CFL)"
-                    )
-                dt = dt_from_sos(sos, h, config.cfl)
-                if t + dt > config.t_end:
-                    dt = config.t_end - t
-            if tracer is not None:
-                tracer.count("allreduce_calls")
+        work.append(report_progress)
+    return rank, step, t
 
-            # -- RK stages: RHS (overlapped halo exchange) + UP ---------------
-            for si, stage in enumerate(stepper.stages):
-                if sanitizer is not None:
-                    sanitizer.set_context(f"step {step + 1} stage {si + 1}")
-                with timers.span("RHS"):
-                    pending = halo.start()
-                    rhs_map = solver.evaluate_rhs(interior, sanitizer=sanitizer)
-                with timers.span("COMM_WAIT"):
-                    provider = halo.finish(pending)
-                with timers.span("RHS"):
-                    rhs_map.update(
-                        solver.evaluate_rhs(halo_blocks, provider,
-                                            sanitizer=sanitizer)
-                    )
-                with timers.span("UP"):
-                    solver.update(rhs_map, stage.a, stage.b, dt,
-                                  sanitizer=sanitizer)
 
-            t += dt
-            step += 1
-            if tracer is not None:
-                tracer.count("steps")
-                tracer.count("cell_steps", ncells)
+def _advance(rank: _Rank, step: int, t: float) -> StepRecord:
+    """One step from ``(step, t)``: the chaos hook, DT (SOS allreduce,
+    divergence check, ``t_end`` clamp) and the RK stages -- the interior
+    blocks' RHS while the halo messages travel, the halo blocks' RHS,
+    UP.  Returns the step's record; the work fills in the rest."""
+    comm, config, solver, halo = rank.comm, rank.config, rank.solver, rank.halo
+    timers, sanitizer = rank.timers, rank.sanitizer
+    if rank.injector is not None:  # injected rank crashes / stragglers
+        rank.injector.at_step(comm.rank, step + 1)
 
-            # -- erosion accumulation on the wall layer ----------------------
-            if damage is not None:
-                with timers.span("EROSION"):
-                    layer = extract_face_slab(grid, wall[0], wall[1], width=1)
-                    p_wall = pressure_field(np.squeeze(layer, axis=wall[0]))
-                    damage.update(p_wall, dt)
-
-            # -- diagnostics ---------------------------------------------------
-            diag = None
-            if config.diag_interval and step % config.diag_interval == 0:
-                with timers.span("DIAG"):
-                    local = rank_diagnostics(grid.to_array(), h, wall)
-                    diag = reduce_diagnostics(comm, local)
-
-            # -- compressed data dumps (p and Gamma only, as in the paper) ----
-            if config.dump_interval and step % config.dump_interval == 0:
-                with timers.span("IO_WAVELET"):
-                    try:
-                        compression_stats.extend(_dump(
-                            comm, config, grid, origin_cells, step, timers,
-                            tracer, sanitizer=sanitizer, injector=injector))
-                    except WriteError:
-                        _skip_write(comm, injector, skipped_writes, "dump",
-                                    step)
-
-            # -- lossless checkpoints (atomic, rotated generations) ----------
-            if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                with timers.span("CHECKPOINT"):
-                    ck_path = checkpoint_path(config.checkpoint_dir, step)
-                    try:
-                        write_checkpoint(
-                            comm, ck_path, grid.to_array(), origin_cells, t,
-                            step, injector=injector,
-                        )
-                    except WriteError:
-                        _skip_write(comm, injector, skipped_writes,
-                                    "checkpoint", step)
-                    else:
-                        if comm.rank == 0 and config.checkpoint_keep:
-                            pruned = prune_checkpoints(
-                                config.checkpoint_dir, config.checkpoint_keep
-                            )
-                            if injector is not None:
-                                injector.count("ckpt_generations_pruned",
-                                               len(pruned))
-                                injector.set_counter(
-                                    "ckpt_generations_kept",
-                                    min(config.checkpoint_keep,
-                                        step // config.checkpoint_interval),
-                                )
-
-            records.append(
-                StepRecord(step=step, time=t, dt=dt, diagnostics=diag,
-                           timers=dict(timers))
+    if sanitizer is not None:
+        sanitizer.set_context(f"step {step + 1} DT")
+    with timers.span("DT"):
+        sos = comm.allreduce(solver.max_sos(sanitizer=sanitizer), op="max")
+        if not np.isfinite(sos):
+            raise RuntimeError(
+                f"solution diverged at step {step}: non-finite "
+                "characteristic velocity (check resolution/CFL)"
             )
+        dt = dt_from_sos(sos, config.h, config.cfl)
+        if t + dt > config.t_end:
+            dt = config.t_end - t
 
-            # -- step-level observability ----------------------------
-            if flight is not None:
-                _flight_step(
-                    flight, step, t, dt, now() - step_t0, dict(timers),
-                    flight_state, grid, ncells, conservation0,
-                    sanitizer, injector, solver.last_schedule,
-                )
-            if progress is not None:
-                sched = solver.last_schedule
-                progress.step(
-                    step, sim_time=t, dt=dt,
-                    imbalance=(sched.imbalance if sched is not None
-                               else None),
-                )
+    for si, stage in enumerate(rank.stages):
+        if sanitizer is not None:
+            sanitizer.set_context(f"step {step + 1} stage {si + 1}")
+        with timers.span("RHS"):
+            pending = halo.start()
+            rhs_map = solver.evaluate_rhs(rank.interior, sanitizer=sanitizer)
+        with timers.span("COMM_WAIT"):
+            provider = halo.finish(pending)
+        with timers.span("RHS"):
+            rhs_map.update(solver.evaluate_rhs(rank.halo_blocks, provider,
+                                               sanitizer=sanitizer))
+        with timers.span("UP"):
+            solver.update(rhs_map, stage.a, stage.b, dt, sanitizer=sanitizer)
+    return StepRecord(step=step + 1, time=t + dt, dt=dt, diagnostics=None)
 
-    finally:
-        # Chaos runs crash ranks mid-loop; the recorder handle must
-        # release (flushing the shared sink on last close) regardless.
-        if flight is not None:
-            flight.close()
 
-    wall_seconds = now() - wall_t0
+def _result(rank: _Rank, wall_seconds: float) -> RankResult:
+    """The rank's :class:`RankResult`.  The counters every step adds
+    alike -- ``steps``, ``cell_steps`` and DT's ``allreduce_calls`` --
+    are set here, from the records."""
+    comm, records = rank.comm, rank.records
+    tracer = rank.timers if isinstance(rank.timers, Tracer) else None
+    if tracer is not None and records:
+        steps = len(records)
+        tracer.count("allreduce_calls", steps)
+        tracer.count("steps", steps)
+        tracer.count("cell_steps", steps * int(np.prod(rank.grid.cells)))
+    traced = tracer is not None and tracer.mode == "trace"
     return RankResult(
         rank=comm.rank,
         records=records,
-        field=grid.to_array() if config.collect_final_field else None,
-        origin_cells=origin_cells,
-        timers=dict(timers),
+        field=(rank.grid.to_array() if rank.config.collect_final_field
+               else None),
+        origin_cells=rank.origin_cells,
+        timers=dict(rank.timers),
         bytes_sent=comm.bytes_sent,
         messages_sent=comm.messages_sent,
-        compression_stats=compression_stats,
-        wall_damage=damage.damage if damage is not None else None,
-        sanitizer_report=sanitizer.report if sanitizer is not None else None,
+        compression_stats=rank.compression_stats,
+        wall_damage=getattr(rank.damage, "damage", None),
+        sanitizer_report=getattr(rank.sanitizer, "report", None),
         wall_seconds=wall_seconds,
-        telemetry=tracer.snapshot(wall_seconds) if tracer is not None else None,
-        trace_events=(
-            list(tracer.events)
-            if tracer is not None and tracer.mode == "trace" else None
-        ),
+        telemetry=(tracer.snapshot(wall_seconds) if tracer is not None
+                   else None),
+        trace_events=list(tracer.events) if traced else None,
         kernels=native.status(),
-        skipped_writes=skipped_writes,
+        skipped_writes=rank.skipped_writes,
     )
 
 
@@ -480,48 +485,37 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
 _SKIP_COUNTERS = {"dump": "dumps_skipped", "checkpoint": "checkpoints_failed"}
 
 
-def _skip_write(comm: Communicator, injector, skipped: list, what: str,
-                step: int) -> None:
+def _skip_write(rank: _Rank, what: str, step: int) -> None:
     """Degrade a failed dump or checkpoint write to a recorded skip.
 
     The writer raised on every rank and left no file behind (previous
     checkpoint generations are intact), so every rank records the skip
     and keeps computing; rank 0 credits the recovery.
     """
-    skipped.append((what, step))
-    if comm.rank == 0 and injector is not None:
-        injector.recovered("io_fail")
-        injector.count(_SKIP_COUNTERS[what])
+    rank.skipped_writes.append((what, step))
+    if rank.comm.rank == 0 and rank.injector is not None:
+        rank.injector.recovered("io_fail")
+        rank.injector.count(_SKIP_COUNTERS[what])
 
 
-def _dump(
-    comm: Communicator,
-    config: SimulationConfig,
-    grid: BlockGrid,
-    origin_cells: tuple[int, int, int],
-    step: int,
-    timers: PhaseTimers,
-    tracer=None,
-    sanitizer=None,
-    injector=None,
-) -> list[dict]:
+def _dump(rank: _Rank, step: int) -> list[dict]:
     """Compress and collectively write p and Gamma (one file each).
 
     Spans nested in the caller's ``IO_WAVELET``: ``IO_COLLECT`` (the
     field, p, the Gamma cast, the screen), then per quantity ``IO_FWT``
-    and ``IO_WRITE``.  ``sanitizer`` (an optional
-    :class:`repro.analysis.sanitizer.NumericsSanitizer`) checks the FWT
+    and ``IO_WRITE``.  The rank's sanitizer, if any, checks the FWT
     input fields for NaN/Inf before they reach the wavelet transform,
-    labelling findings with the dumped quantity name.  ``injector``'s
+    labelling findings with the dumped quantity name.  The injector's
     ``io_fail`` site fires in the writer; a failed write raises
     :class:`~repro.resilience.detect.WriteError` on every rank.
     """
-    # Loaded by rank_main's set-up: only a run that dumps pays for them.
+    # Loaded by _set_up: only a run that dumps pays for them.
     from ..compression.io import write_compressed_parallel
     from ..compression.scheme import WaveletCompressor
 
+    config, timers, sanitizer = rank.config, rank.timers, rank.sanitizer
     with timers.span("IO_COLLECT"):
-        fld = grid.to_array()
+        fld = rank.grid.to_array()
         quantities = {
             "p": (pressure_field(fld).astype(STORAGE_DTYPE),
                   config.eps_pressure),
@@ -545,14 +539,14 @@ def _dump(
         path = os.path.join(config.dump_dir, f"dump_step{step:06d}_{name}.rwz")
         with timers.span("IO_WRITE"):
             ws = write_compressed_parallel(
-                comm, path, name, cf,
-                rank_meta={"origin_cells": list(origin_cells)},
-                injector=injector, step=step,
+                rank.comm, path, name, cf,
+                rank_meta={"origin_cells": list(rank.origin_cells)},
+                injector=rank.injector, step=step,
             )
-        if tracer is not None:
-            tracer.count("fwt_cells", data.size)
-            tracer.count("io_raw_bytes", cf.stats.raw_bytes)
-            tracer.count("io_compressed_bytes", cf.stats.compressed_bytes)
+        if isinstance(timers, Tracer):
+            timers.count("fwt_cells", data.size)
+            timers.count("io_raw_bytes", cf.stats.raw_bytes)
+            timers.count("io_compressed_bytes", cf.stats.compressed_bytes)
         out.append(
             {
                 "step": step,
@@ -584,55 +578,75 @@ def _conservation_sums(grid: BlockGrid) -> tuple[float, float]:
     return mass, energy
 
 
-def _flight_step(flight, step, t, dt, step_wall, cum_timers, state, grid,
-                 ncells, conservation0, sanitizer, injector,
-                 schedule) -> None:
-    """Append one ``(step, rank)`` record to the flight stream.
+def _flight_work(rank: _Rank):
+    """The flight recorder's per-step work: one ``(step, rank)`` record
+    to ``config.flight_out`` after each step.
 
-    The driver accumulates phase timers and event tallies cumulatively;
-    this converts them into per-step deltas (previous totals tracked in
-    ``state``) so every record is self-contained: per-phase wall times,
-    instantaneous throughput, sanitizer/resilience event counts,
-    conservation drift vs the initial state and the node-level schedule
-    summary.
+    Phase timers and event tallies are running totals; the work keeps
+    the previous ones, and the initial conservation sums, so that every
+    record stands alone: the step's per-phase seconds, its wall time
+    since the previous record and throughput, sanitizer and resilience
+    events, conservation drift against the initial state and the node
+    schedule summary.
     """
+    from ..telemetry.flight import FlightRecorder
     from ..telemetry.scorecard import safe_rate
 
-    phases = {}
-    prev = state["timers"]
-    for name, total in cum_timers.items():
-        delta = total - prev.get(name, 0.0)
-        if delta > 0.0:
-            phases[name] = delta
-    state["timers"] = cum_timers
+    comm, config = rank.comm, rank.config
+    mass0, energy0 = _conservation_sums(rank.grid)
+    flight = FlightRecorder(
+        config.flight_out, rank=comm.rank,
+        meta={"ranks": comm.size, "cells": list(config.cells),
+              "block_size": config.block_size,
+              "max_steps": config.max_steps, "telemetry": config.telemetry,
+              "sanitize": config.sanitize},
+        flush_every=config.flight_flush_every,
+        # Rank processes share no memory: each writes a private
+        # part file the parent merges once the world finishes.
+        per_rank=getattr(comm, "process_parallel", False),
+    )
+    rank.close = flight.close
+    ncells = int(np.prod(rank.grid.cells))
+    last_timers: dict = {}
+    last_findings = last_events = 0
+    clock = now()
 
-    fields: dict = {
-        "t": t,
-        "dt": dt,
-        "wall": step_wall,
-        "phases": phases,
-        "gcells_per_s": safe_rate(
-            ncells, step_wall, "flight_degenerate_step_wall") / 1e9,
-    }
-    mass0, energy0 = conservation0
-    mass, energy = _conservation_sums(grid)
-    fields["drift"] = {
-        "mass": safe_rate(mass - mass0, abs(mass0),
-                          "flight_degenerate_drift"),
-        "energy": safe_rate(energy - energy0, abs(energy0),
-                            "flight_degenerate_drift"),
-    }
-    if sanitizer is not None:
-        seen = len(sanitizer.report)
-        fields["sanitizer_events"] = seen - state["sanitizer"]
-        state["sanitizer"] = seen
-    if injector is not None:
-        seen = int(sum(injector.counters.values()))
-        fields["resilience_events"] = seen - state["resilience"]
-        state["resilience"] = seen
-    if schedule is not None:
-        fields["schedule"] = schedule.to_dict()
-    flight.record(step, **fields)
+    def record_flight(rank: _Rank, rec: StepRecord) -> None:
+        nonlocal last_timers, last_findings, last_events, clock
+        wall = now() - clock
+        phases = {}
+        for name, total in rec.timers.items():
+            delta = total - last_timers.get(name, 0.0)
+            if delta > 0.0:
+                phases[name] = delta
+        last_timers = rec.timers
+        mass, energy = _conservation_sums(rank.grid)
+        fields: dict = {
+            "t": rec.time, "dt": rec.dt, "wall": wall, "phases": phases,
+            "gcells_per_s": safe_rate(
+                ncells, wall, "flight_degenerate_step_wall") / 1e9,
+            "drift": {
+                "mass": safe_rate(mass - mass0, abs(mass0),
+                                  "flight_degenerate_drift"),
+                "energy": safe_rate(energy - energy0, abs(energy0),
+                                    "flight_degenerate_drift"),
+            },
+        }
+        if rank.sanitizer is not None:
+            seen = len(rank.sanitizer.report)
+            fields["sanitizer_events"] = seen - last_findings
+            last_findings = seen
+        if rank.injector is not None:
+            seen = int(sum(rank.injector.counters.values()))
+            fields["resilience_events"] = seen - last_events
+            last_events = seen
+        schedule = rank.solver.last_schedule
+        if schedule is not None:
+            fields["schedule"] = schedule.to_dict()
+        flight.record(rec.step, **fields)
+        clock = now()
+
+    return record_flight
 
 
 class Simulation:
@@ -668,24 +682,15 @@ class Simulation:
         timeout = (self.config.comm_timeout
                    if self.config.comm_timeout is not None
                    else DEFAULT_TIMEOUT)
-        if self.config.cluster_backend == "procs":
+        procs = self.config.cluster_backend == "procs"
+        if procs:
             from .procs import ProcsWorld
 
             # Built here, once, not by every rank process starting cold.
             native.ensure_loaded()
-            world = ProcsWorld(
-                self.config.ranks,
-                timeout=timeout,
-                injector=self.injector,
-                tracker=tracker,
-            )
-        else:
-            world = SimWorld(
-                self.config.ranks,
-                timeout=timeout,
-                injector=self.injector,
-                tracker=tracker,
-            )
+        world = (ProcsWorld if procs else SimWorld)(
+            self.config.ranks, timeout=timeout, injector=self.injector,
+            tracker=tracker)
         try:
             rank_results: list[RankResult] = world.run(
                 rank_main, self.config, self.ic_fn, self.restart_from,
@@ -701,28 +706,17 @@ class Simulation:
             # of the SPMD wrapper.  Teardown aborts of surviving ranks
             # are not primary causes and do not block the unwrap.
             failures = list(we.primary_failures.values())
-            if failures and all(
-                isinstance(f, NumericsViolationError) for f in failures
-            ):
-                merged: list = []
-                for f in failures:
-                    merged.extend(f.violations)
-                raise NumericsViolationError(merged) from we
-            if failures and all(
-                isinstance(f, ConcurrencyViolationError) for f in failures
-            ):
-                merged = []
-                for f in failures:
-                    merged.extend(f.violations)
-                raise ConcurrencyViolationError(merged) from we
+            for kind in (NumericsViolationError, ConcurrencyViolationError):
+                if failures and all(isinstance(f, kind) for f in failures):
+                    raise kind([v for f in failures
+                                for v in f.violations]) from we
             raise
         finally:
             # Multi-process flight recordings land as per-rank part
             # files; merge them into the final single-header stream
             # even when the run failed (a chaos attempt's flushed
             # prefix must stay readable).
-            if (self.config.cluster_backend == "procs"
-                    and self.config.flight_out):
+            if procs and self.config.flight_out:
                 from ..telemetry.flight import merge_flight_parts
 
                 merge_flight_parts(self.config.flight_out)

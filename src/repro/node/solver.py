@@ -515,21 +515,6 @@ class NodeSolver:
                 "up_cell_updates", len(rhs_map) * self.grid.block_size ** 3
             )
 
-    def state_crc(self) -> dict[tuple[int, int, int], int]:
-        """CRC32 digest of every block's state (dict block index -> crc).
-
-        A cheap integrity fingerprint of the rank subdomain: comparing
-        digests across a checkpoint/restore round trip (or between
-        decompositions of the same field) localizes silent corruption to
-        a block without a field-sized diff.
-        """
-        from ..resilience.detect import crc32_array
-
-        return {
-            idx: crc32_array(block.data)
-            for idx, block in self.grid.blocks.items()
-        }
-
     def max_sos(self, sanitizer=None) -> float:
         """Rank-local SOS reduction (maximum characteristic velocity).
 

@@ -1,18 +1,25 @@
 """Tests for the simulation driver (repro.cluster.driver)."""
 
+import hashlib
+import json
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.cluster.checkpoint import list_checkpoints, read_checkpoint_field
 from repro.cluster.driver import Simulation
 from repro.cluster.mpi_sim import SimWorld, WorldError
 from repro.cluster.procs import ProcsWorld
-from repro.compression.io import read_field, read_header
+from repro.compression.encoder import StreamEncoder
+from repro.compression.io import read_compressed, read_field, read_header
 from repro.sim.config import SimulationConfig
 from repro.sim.ic import cloud_collapse, uniform
-from repro.sim.cloud import Bubble
+from repro.sim.cloud import Bubble, generate_cloud
+from repro.sim.erosion import ErosionModel
+from repro.telemetry.flight import read_flight
 
 
 def small_config(**kw):
@@ -212,3 +219,144 @@ class TestDivergenceReachesTheCheck:
         assert dt_from_sos(5.0, 0.25, 0.3) == 0.3 * 0.25 / 5.0
         with pytest.raises(ValueError, match="must be positive"):
             dt_from_sos(-1.0, 0.25, 0.3)
+
+
+def _sha(data) -> str:
+    """SHA-256 of an array's bytes, of bytes, or of JSON (sorted keys)."""
+    if isinstance(data, np.ndarray):
+        data = data.tobytes()
+    elif not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _all_features_digests(ranks, backend, tmp_path):
+    """SHA-256 digests of what a 6-step 32^3 cloud run with every per-step
+    feature on leaves behind: the final field, the diagnostics series,
+    the wall damage map, every dump's decoded coefficients, every kept
+    checkpoint's restored field, each flight record's step, t, dt and
+    drift, the merged counters and the non-timing fields of every
+    rank's compression stats."""
+    config = SimulationConfig(
+        cells=32, block_size=8, max_steps=6, ranks=ranks,
+        cluster_backend=backend, num_workers=1,
+        sanitize="warn", telemetry="trace",
+        flight_out=str(tmp_path / "flight.jsonl"), progress_interval=1,
+        wall=(2, -1), erosion=ErosionModel(p_threshold=50.0),
+        diag_interval=1, dump_interval=2, dump_dir=str(tmp_path / "dumps"),
+        checkpoint_interval=2, checkpoint_keep=2,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    cloud = generate_cloud(8, (0.5, 0.5, 0.5), 0.38,
+                           rng=np.random.default_rng(39), r_min=0.07,
+                           r_max=0.11)
+    result = Simulation(config, cloud_collapse(cloud, smoothing=config.h)).run()
+    assert len(result.records) == 6
+    assert result.skipped_writes == []
+    assert result.sanitizer_report is not None
+    assert result.wall_damage.any()
+    digests = {
+        "field": _sha(result.final_field),
+        "diagnostics": _sha(b"".join(
+            struct.pack("<4d", d.max_pressure, d.wall_max_pressure,
+                        d.kinetic_energy, d.vapor_volume)
+            for d in (rec.diagnostics for rec in result.records))),
+        "wall_damage": _sha(result.wall_damage),
+        "counters": _sha(result.telemetry.counters),
+        "compression_stats": _sha([
+            [{k: s[k] for k in ("step", "quantity", "rate", "raw_bytes",
+                                "compressed_bytes")}
+             for s in rr.compression_stats]
+            for rr in result.rank_results]),
+    }
+    _, flight = read_flight(config.flight_out)
+    digests["flight"] = _sha(sorted(
+        [r["step"], r["rank"], r["t"], r["dt"], r["drift"]] for r in flight))
+    for path in sorted((tmp_path / "dumps").glob("*.rwz")):
+        digests[path.name] = _sha([
+            _sha(StreamEncoder().decode_batch(cf.payload,
+                                              (cf.block_size,) * 3))
+            for cf in read_compressed(str(path))])
+    for step, path in list_checkpoints(config.checkpoint_dir):
+        fld, t, at = read_checkpoint_field(path)
+        digests[os.path.basename(path)] = _sha([_sha(fld), t, at, step])
+    return digests
+
+
+#: (ranks, backend) -> ``_all_features_digests``, recorded before the
+#: driver's step loop was split into set-up, step, chosen work and result.
+ALL_FEATURES_DIGESTS = {
+    (1, "sim"): {
+        "field":
+            "ec277f7aa87fb4c4bd8255d428aad41564e6286638919510c2b16a928861f0dc",
+        "diagnostics":
+            "fb79d0ea948fde553f539f00267da4cd9beb4e7b42d99db3b3345e6f7fbcc028",
+        "wall_damage":
+            "cd2f371102943ef82b862f65e1b99c359376362fb2c7b476be220bdd5de51962",
+        "counters":
+            "8d204184d9dde9a07f3a6aa5ea2342d931b459071ecaa979eecf8b6e0290e5ec",
+        "compression_stats":
+            "46933313a9f89629d64e1c7b3036f56773e7a99a5ce8fd74a6c05bd11a46ef71",
+        "flight":
+            "0898326bd0a6b3da3389f383989a928c2782eb61eae5cab423e4bc37467b866c",
+        "dump_step000002_Gamma.rwz":
+            "24f5a6a20567f403374bcc880f79363d37bf531a86f4daada0065094d0a83c0b",
+        "dump_step000002_p.rwz":
+            "6332368da6b0b9522daa0f385342898312c29a4ec6e0ffb4aec50dfd7676e358",
+        "dump_step000004_Gamma.rwz":
+            "fee487a1596ab172da90b511d674c3a8887be04207d2c012fe2b3cabbd41a8b9",
+        "dump_step000004_p.rwz":
+            "4042327e45052a961791aecb0080571f3b5739e989e77f81f1ed8dca5a36796c",
+        "dump_step000006_Gamma.rwz":
+            "5b35276c3154f331bedc68a4a72e5e90965b28df3c7fcb9e9f827cb2f181bf7b",
+        "dump_step000006_p.rwz":
+            "e6dedf89cc753a570b03c347ee1beed7458aa3ed283f75c874a854c8da9f0e8c",
+        "ckpt_000004.rck":
+            "637fabbbb669d62be4505bbbc0d3b6810df3208e04e53c65b48a541c3c4ce633",
+        "ckpt_000006.rck":
+            "6c10f9990deed3562f8ee214754cf314190449b88580a04cb142169c061fb4a5",
+    },
+    (2, "procs"): {
+        "field":
+            "ec277f7aa87fb4c4bd8255d428aad41564e6286638919510c2b16a928861f0dc",
+        "diagnostics":
+            "fb79d0ea948fde553f539f00267da4cd9beb4e7b42d99db3b3345e6f7fbcc028",
+        "wall_damage":
+            "cd2f371102943ef82b862f65e1b99c359376362fb2c7b476be220bdd5de51962",
+        "counters":
+            "4ebb74fccba0e7df220989d4b0f444800f81087fff1fd5fc2a38eaa405686e87",
+        "compression_stats":
+            "42818510848fe8c7cee6fac2ec76fba08efd971a658bc848e10b4d4ca7412fb5",
+        "flight":
+            "da4beb5435595427889771a52ee3445deb7a954ca5b461c55abce0d495e068fe",
+        "dump_step000002_Gamma.rwz":
+            "832e629cfa8376650ab97269266f586dfa7d1d84c970023fbf4d79a42bfd6784",
+        "dump_step000002_p.rwz":
+            "929dd1ac4d5f73a315c977f7481b6ed220e3a1955e10bb1d1d3faf3abbf7b8ad",
+        "dump_step000004_Gamma.rwz":
+            "cd2d6c4925f9ea4a1a272aa4eb7af2551d7b363c992ac47662c5b17826339136",
+        "dump_step000004_p.rwz":
+            "b11a2c74cfc4e9e2b595cbce86f8cc252530647c5cf75b355ca74620f5dc7c2a",
+        "dump_step000006_Gamma.rwz":
+            "5a5f79fb0624c6c33f951411552d874ddcf0bd0b8f3c8e311e54a68d7115a8bc",
+        "dump_step000006_p.rwz":
+            "db844a13ed735e3ec31d0f9c0d7ee2a3302f18e5bb2e4164adf2519a77cc5386",
+        "ckpt_000004.rck":
+            "637fabbbb669d62be4505bbbc0d3b6810df3208e04e53c65b48a541c3c4ce633",
+        "ckpt_000006.rck":
+            "6c10f9990deed3562f8ee214754cf314190449b88580a04cb142169c061fb4a5",
+    },
+}
+
+
+class TestAllFeaturesDigests:
+    """A run that turns on every per-step feature -- sanitizer, trace,
+    flight recording, progress, erosion, diagnostics, dumps and rotated
+    checkpoints -- leaves the bytes it left before the step loop was
+    restructured, on either kernel path."""
+
+    @pytest.mark.parametrize("ranks, backend", [(1, "sim"), (2, "procs")])
+    def test_every_feature_every_artifact(self, ranks, backend, tmp_path,
+                                          resource_ledger, kernel_path):
+        digests = _all_features_digests(ranks, backend, tmp_path)
+        assert digests == ALL_FEATURES_DIGESTS[(ranks, backend)]

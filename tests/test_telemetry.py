@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import Simulation
 from repro.sim import SimulationConfig
+from repro.sim.erosion import ErosionModel
 from repro.sim.ic import uniform
 from repro.telemetry import (
     MODES,
@@ -202,8 +203,25 @@ def test_run_trace_events_requires_trace_mode():
 # -- driver integration ---------------------------------------------------
 
 
-def test_driver_off_keeps_legacy_timers_and_no_telemetry():
-    result = run_sim(telemetry="off")
+#: The phases of every step: what the ladder's second path (all but RHS)
+#: and the Fig. 7 distribution read from ``StepRecord.timers``.
+STEP_PHASES = {"DT", "RHS", "COMM_WAIT", "UP"}
+#: The phases the optional per-step work adds.
+WORK_PHASES = {"DIAG", "IO_WAVELET", "IO_COLLECT", "IO_FWT", "IO_WRITE",
+               "CHECKPOINT", "EROSION"}
+
+
+def _assert_cumulative(records, phases):
+    """Every record's timers hold exactly ``phases``, none decreasing."""
+    prev: dict = {}
+    for rec in records:
+        assert set(rec.timers) == phases
+        assert all(v >= prev.get(k, 0.0) for k, v in rec.timers.items())
+        prev = rec.timers
+
+
+def test_driver_off_keeps_legacy_timers_and_no_telemetry(tmp_path):
+    result = run_sim(telemetry="off", steps=3, diag_interval=0)
     assert result.telemetry is None
     for rr in result.rank_results:
         assert rr.telemetry is None
@@ -211,11 +229,17 @@ def test_driver_off_keeps_legacy_timers_and_no_telemetry():
     # legacy timers shape: plain dict of phase -> seconds
     rec = result.records[-1]
     assert isinstance(rec.timers, dict)
-    assert {"DT", "RHS", "UP", "COMM_WAIT"} <= set(rec.timers)
     assert all(isinstance(v, float) for v in rec.timers.values())
+    _assert_cumulative(result.records, STEP_PHASES)
     # wall clock and throughput exist even with telemetry off
     assert result.wall_seconds > 0.0
     assert result.cells_per_second > 0.0
+    # the optional work adds its own phases and moves none of the step's
+    result = run_sim(tmp_path, telemetry="off", steps=3, diag_interval=1,
+                     dump_interval=1, checkpoint_interval=1,
+                     checkpoint_dir=str(tmp_path), wall=(2, -1),
+                     erosion=ErosionModel(p_threshold=50.0))
+    _assert_cumulative(result.records, STEP_PHASES | WORK_PHASES)
 
 
 def test_driver_metrics_mode_counts_the_run():
