@@ -13,37 +13,36 @@ machine instead of by convention:
   must never produce NaN/Inf, negative density or negative pressure
   mid-collapse.
 
-Four static families, rule sets over one program model
+Three static families, rule sets over one program model
 (:mod:`repro.analysis.program`: each file parsed once, one function
-table, one rule registry, one :class:`Report` type):
+table, one rule registry, one :class:`Report` type), twelve rules in
+all -- the ones that have caught something in this repository:
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` --
-  ``cubism-lint``, per-file rules CL001..CL012 with
-  ``# lint: disable=RULE`` pragmas.  Run it as
+  ``cubism-lint``, per-file rules CL001, CL005-CL007, CL009, CL011 and
+  CL012 with ``# lint: disable=RULE`` pragmas.  Run it as
   ``python -m repro.analysis src/repro`` (or the ``cubism-lint`` script).
-* :mod:`repro.analysis.concurrency` -- **comm-check**, a static
-  whole-program MPI protocol verifier (rules CC001..CC004,
-  ``python -m repro.analysis --concurrency``), beside a dynamic
-  vector-clock race detector + deadlock watchdog for the thread-based
-  runtime (CC101/CC102, ``--concurrency-check`` on runs).
 * :mod:`repro.analysis.perfcheck` -- **kernel-check**, a static hot-path
-  performance analyzer (rules CP001..CP003 and CP006, ``python -m
+  performance analyzer (rules CP003 and CP006, ``python -m
   repro.analysis --perf``) that holds the declared hot-path kernels to
-  their contracts and emits the machine-readable
-  ``kernel_manifest.json``.
+  their allocation and arithmetic contracts and, on request, writes the
+  machine-readable ``kernel_manifest.json``.
 * :mod:`repro.analysis.syscheck` -- **sys-check**, a static
-  resource-lifecycle and process-safety analyzer for the multi-process
-  layers (rules RS001..RS007, ``python -m repro.analysis --sys``), plus
+  resource-lifecycle analyzer for the multi-process layers (rules
+  RS001, RS003 and RS006, ``python -m repro.analysis --sys``), plus
   :class:`ResourceLedger`, the runtime leak sanitizer the test suite
   wraps around every cluster/service/chaos test.
 
-``python -m repro.analysis --all`` runs all four static families in one
+``python -m repro.analysis --all`` runs the three static families in one
 pass and emits a single merged report with a worst-of exit code.
 
-Beside them, :mod:`repro.analysis.sanitizer` --
-:class:`NumericsSanitizer`, a runtime checker with an off / warn / raise
-policy that hooks into the core kernels, the time stepper and the
-cluster driver, accumulating a per-run :class:`ViolationReport`.
+Beside them, the runtime checkers: :mod:`repro.analysis.sanitizer` --
+:class:`NumericsSanitizer`, an off / warn / raise policy that hooks into
+the core kernels, the time stepper and the cluster driver, accumulating
+a per-run :class:`ViolationReport` -- and
+:mod:`repro.analysis.concurrency`, a vector-clock race detector +
+deadlock watchdog for the thread-based runtime (CC101/CC102,
+``--concurrency-check`` on runs).
 
 The names below resolve on first use: the runtime imports the sanitizer
 and the race tracker, never the static analysers beside them.
@@ -58,7 +57,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "ConcurrencyViolationError",
         "ConcurrencyWarning",
         "RaceTracker",
-        "check_sources",
         "make_tracker",
     ),
     "perfcheck": (

@@ -1,20 +1,18 @@
-"""Command-line front end of the four static analysis families.
+"""Command-line front end of the three static analysis families.
 
 Usage::
 
     python -m repro.analysis src/repro            # lint the solver tree
-    python -m repro.analysis --concurrency src/repro  # static comm-check
     python -m repro.analysis --perf src/repro     # static perf analyzer
     python -m repro.analysis --sys src/repro      # static sys-check
-    python -m repro.analysis --all src/repro      # all four, one report
+    python -m repro.analysis --all src/repro      # all three, one report
     python -m repro.analysis --list-rules         # print the catalogues
-    cubism-lint src/repro --select CL001,CL002    # installed entry point
+    cubism-lint src/repro --select CL001,CL005    # installed entry point
 
-``--perf`` (and ``--all``) additionally emit the kernel manifest
-(``--manifest-out``, default ``kernel_manifest.json``).
+``--perf`` (and ``--all``) write the kernel manifest only when
+``--manifest-out PATH`` names where.
 ``--all`` merges every family into one JSON report
-(``repro.analysis_report/v1``) with a worst-of exit code, collapsing
-four CI invocations into one.
+(``repro.analysis_report/v1``) with a worst-of exit code.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/config error (unknown
 rule id, nonexistent path, unreadable file).
@@ -36,12 +34,10 @@ MERGED_SCHEMA = "repro.analysis_report/v1"
 
 #: Per family: the name its messages start with, the flag that selects
 #: it, and the scope ``--list-rules`` shows for a rule without paths.
-_TOOL = {"lint": "cubism-lint", "comm": "comm-check",
-         "perf": "kernel-check", "sys": "sys-check"}
-_FLAG = {"lint": None, "comm": "--concurrency", "perf": "--perf",
-         "sys": "--sys"}
-_UNSCOPED = {"lint": "all files", "comm": "whole program",
-             "perf": "hot-path kernels", "sys": ""}
+_TOOL = {"lint": "cubism-lint", "perf": "kernel-check",
+         "sys": "sys-check"}
+_FLAG = {"lint": None, "perf": "--perf", "sys": "--sys"}
+_UNSCOPED = {"lint": "all files", "perf": "hot-path kernels", "sys": ""}
 
 
 def _usage_error(message: str) -> int:
@@ -60,22 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cubism-lint",
         description="Solver-aware lint enforcing the repo's precision, "
-        "stencil and conservation contracts, plus the static MPI "
-        "protocol verifier (--concurrency).",
+        "timing and contract-documentation rules, plus the hot-path "
+        "kernel check (--perf) and the resource-lifecycle check (--sys).",
     )
     ap.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to analyze (default: src/repro)",
     )
     ap.add_argument(
-        "--concurrency", action="store_true",
-        help="run comm-check (whole-program MPI protocol verification, "
-        "CC-series rules) instead of the per-file lint rules",
-    )
-    ap.add_argument(
         "--perf", action="store_true",
         help="run kernel-check (static hot-path performance analyzer, "
-        "CP-series rules) and emit the kernel manifest",
+        "CP-series rules)",
     )
     ap.add_argument(
         "--sys", dest="syscheck", action="store_true",
@@ -84,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--all", dest="all_families", action="store_true",
-        help="run every family (lint + comm + perf + sys) in one pass "
+        help="run every family (lint + perf + sys) in one pass "
         "and emit a single merged report with a worst-of exit code",
     )
     ap.add_argument(
         "--manifest-out", metavar="PATH", default=None,
-        help="where --perf writes kernel_manifest.json "
-        "(default: ./kernel_manifest.json)",
+        help="write the kernel manifest of --perf / --all to PATH "
+        "(none is written without it)",
     )
     ap.add_argument(
         "--select", metavar="RULES",
@@ -116,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_rules() -> str:
-    """Returns the formatted rule catalogues of the four families."""
+    """Returns the formatted rule catalogues of the three families."""
     lines = []
     for family in FAMILIES:
         for cls in registered_rules(family):
@@ -174,15 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     elif args.perf:
         families = ["perf"]
     else:
-        families = ["comm" if args.concurrency else "lint"]
+        families = ["lint"]
     reports = {}
-    manifest_out = args.manifest_out or "kernel_manifest.json"
     try:
         program = Program.load(args.paths)
         for family in families:
             model, reports[family] = analyze(program, family, select, ignore)
-            if family == "perf":
-                write_kernel_manifest(model, reports[family], manifest_out)
+            if family == "perf" and args.manifest_out:
+                write_kernel_manifest(model, reports[family],
+                                      args.manifest_out)
     except OSError as exc:
         return _usage_error(str(exc))
     # The files that do not parse, once, in the first family's report.

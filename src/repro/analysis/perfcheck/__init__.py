@@ -2,18 +2,17 @@
 
 Whole-program abstract interpretation over the solver's hot-path
 modules (WENO, Riemann, EOS, RHS assembly, block kernels, time stepper,
-ghost exchange) that holds each declared kernel to its contracts.  Four
-rules -- CP001 silent float32/float64 promotion, CP002 strong-scalar
-contamination, CP003 hidden-temporary accounting, CP006
-counted-vs-modeled arithmetic-intensity divergence -- produce :class:`~repro.analysis.report.Violation` findings
-plus a machine-readable ``kernel_manifest.json``.  Run with
-``python -m repro.analysis --perf``; see ``docs/analysis.md``.
+ghost exchange) that holds each declared kernel to its contracts.  Two
+rules -- CP003 hidden-temporary accounting and CP006 counted-vs-modeled
+arithmetic-intensity divergence -- produce
+:class:`~repro.analysis.report.Violation` findings, and
+``--manifest-out`` writes a machine-readable ``kernel_manifest.json``.
+Run with ``python -m repro.analysis --perf``; see ``docs/analysis.md``.
 """
 
 from ..._exports import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "dtypes": ("DtypeInference", "Promotion", "StrongScalar", "infer"),
     "manifest": (
         "MANIFEST_SCHEMA", "build_kernel_manifest", "native_entry_points",
         "write_kernel_manifest",

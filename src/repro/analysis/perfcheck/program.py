@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..program import Function, Program, call_name, path_matches
-from .dtypes import ELEMENTWISE
 from .model import KernelSpec
 
 #: Recursion bound of the local-call inlining in the FLOP counter.
@@ -46,6 +45,15 @@ _DATA_MOVEMENT = frozenset({
     "empty", "empty_like", "zeros", "zeros_like", "ones", "ones_like",
     "full", "full_like", "array", "asarray", "dtype", "float", "int",
     "tuple", "len", "range", "isinstance",
+})
+
+#: Elementwise ufuncs: one vector op per point.
+ELEMENTWISE = frozenset({
+    "sqrt", "abs", "absolute", "fabs", "maximum", "minimum", "fmin",
+    "fmax", "where", "exp", "log", "log2", "log10", "power", "add",
+    "subtract", "multiply", "divide", "true_divide", "negative", "square",
+    "sign", "clip", "hypot", "copysign", "mod", "floor_divide",
+    "reciprocal", "moveaxis", "swapaxes", "stack", "concatenate",
 })
 
 #: Reduction methods/functions: one op per point (the paper's running

@@ -1,17 +1,9 @@
 """CP-series rules of the static hot-path performance analyzer.
 
-Four whole-program rules hold the declared hot-path kernels
-(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) to their dtype,
-allocation and arithmetic contracts (CP004 / CP005 certified kernels for
-a ``numba`` backend that was decided against; retired with it):
+Two whole-program rules hold the declared hot-path kernels
+(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) to their
+allocation and arithmetic contracts:
 
-* **CP001 silent-promotion** -- a float32 and a float64 operand provably
-  meet in one expression (dtype propagation per
-  :mod:`~repro.analysis.perfcheck.dtypes`); the mix silently doubles the
-  memory traffic of the whole expression chain.
-* **CP002 strong-scalar** -- a dtype-less ``np.asarray(scalar)`` /
-  ``np.float64(x)`` creates a *strong* float64 scalar array (NEP 50)
-  that promotes every float32 expression it touches.
 * **CP003 hidden-temporaries** -- a kernel-path function allocates many
   intermediate arrays per call with (almost) no ``out=`` / workspace /
   in-place discipline, against the ``Weno5Workspace`` / ``SliceRing``
@@ -22,7 +14,9 @@ a ``numba`` backend that was decided against; retired with it):
   kernel grew arithmetic the model does not know about, or the model is
   stale.
 
-All findings are :class:`~repro.analysis.report.Violation` records, honor
+The dtype contract (float32 in, float32 out) is held at run time by the
+kernels' dtype tests, not here.  All findings are
+:class:`~repro.analysis.report.Violation` records, honor
 ``# lint: disable=CPxxx`` pragmas and accumulate in a
 :class:`~repro.analysis.report.Report`.  Run with
 ``python -m repro.analysis --perf [paths]``.
@@ -42,9 +36,8 @@ from ..program import (
     registered_rules,
 )
 from ..report import Report, Violation
-from .dtypes import ELEMENTWISE, infer
 from .model import HOT_KERNELS, KernelSpec, modeled_arithmetic
-from .program import _REDUCTIONS, PerfProgram, build_program
+from .program import _REDUCTIONS, ELEMENTWISE, PerfProgram, build_program
 
 #: CP003 fires at or above this many allocating array ops per function.
 ALLOC_THRESHOLD = 12
@@ -64,68 +57,6 @@ def _unique_functions(program: PerfProgram) -> Iterator[Function]:
     """Each function in scope exactly once (kernels + helper closures)."""
     names = dict.fromkeys(n for info in program.kernels for n in info.closure)
     return (program.functions[name] for name in names)
-
-
-# -- CP001 / CP002: dtype propagation -------------------------------------
-
-
-@register_rule
-class SilentPromotion(Rule):
-    """CP001: provable float32/float64 mix inside one expression.
-
-    Dtype labels propagate from explicit evidence only (``dtype=``
-    keywords, ``astype``, the ``COMPUTE_DTYPE``/``STORAGE_DTYPE``
-    contract names, layer helpers); a finding therefore means the
-    promotion is certain, not merely possible.
-    """
-
-    family = "perf"
-    rule_id = "CP001"
-    name = "silent-promotion"
-    description = (
-        "float32 and float64 operands provably meet in one kernel "
-        "expression -- the silent upcast doubles memory traffic"
-    )
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program):
-            for promo in infer(entry.node).promotions:
-                yield self.violation(
-                    entry.path, promo.node,
-                    f"silent {promo.left}/{promo.right} promotion in "
-                    f"{entry.name}(): pin one operand to the contract "
-                    "dtype (COMPUTE_DTYPE / STORAGE_DTYPE)",
-                )
-
-
-@register_rule
-class StrongScalarContamination(Rule):
-    """CP002: dtype-less scalar-array construction in a kernel body.
-
-    ``np.asarray(0.5)`` / ``np.float64(x)`` produce float64 scalar
-    *arrays*, which NEP 50 treats as strong: unlike plain python floats
-    they promote every float32 array they meet.  Kernel bodies must pass
-    python scalars through unwrapped or pin an explicit ``dtype=``.
-    """
-
-    family = "perf"
-    rule_id = "CP002"
-    name = "strong-scalar"
-    description = (
-        "dtype-less np.asarray/np.array/np.float64 of a python scalar "
-        "in a kernel body -- a strong float64 scalar that contaminates "
-        "float32 expressions"
-    )
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program):
-            for ev in infer(entry.node).strong_scalars:
-                yield self.violation(
-                    entry.path, ev.node,
-                    f"{ev.func}() wraps a python scalar into a strong "
-                    f"float64 array inside {entry.name}(); pass the bare "
-                    "scalar (weak under NEP 50) or pin dtype=",
-                )
 
 
 # -- CP003: hidden-temporary accounting -----------------------------------

@@ -1,16 +1,14 @@
-"""The one program model of the four static analysis families.
+"""The one program model of the three static analysis families.
 
-lint (CL), comm-check (CC), kernel-check (CP) and sys-check (RS) are rule
-sets over what this module builds once per run:
+lint (CL), kernel-check (CP) and sys-check (RS) are rule sets over what
+this module builds once per run:
 
 * :class:`Program` -- every analysed file read and parsed once into a
   :class:`SourceFile` (its text, tree, ``# lint: disable=RULE`` pragmas,
   parent map, functions and module constants), the files that do not
   parse as ``CL000`` findings, and the program-wide function table by
-  bare name;
-* :func:`propagate` -- the one "bearing" propagation up the call graph
-  (comm-check's collectives, sys-check's blocking calls); each family
-  resolves a call through the function table with its own policy;
+  bare name (each family resolves a call through it with its own
+  policy);
 * :class:`Rule` and the one registry (:func:`register_rule`,
   :func:`registered_rules`), each rule carrying its family;
 * :func:`analyze` -- runs one family over a program and returns its
@@ -33,11 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .report import Report, Violation
 
-#: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL002``.
+#: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL005``.
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -46,7 +44,6 @@ _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: runs its rules.
 FAMILIES = {
     "lint": "repro.analysis.lint",
-    "comm": "repro.analysis.concurrency.commcheck",
     "perf": "repro.analysis.perfcheck.rules",
     "sys": "repro.analysis.syscheck.rules",
 }
@@ -61,7 +58,6 @@ class Function:
     qualname: str  #: ``Class.name`` for a method, else the bare name
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    module_level: bool  #: not nested inside another function
 
 
 class SourceFile:
@@ -181,10 +177,6 @@ class SourceFile:
             cur = parents.get(cur)
         return out
 
-    def enclosing_function(self, node: ast.AST):
-        """The nearest enclosing def, or None."""
-        return next(iter(self.enclosing_functions(node)), None)
-
     @cached_property
     def functions(self) -> list[Function]:
         """Every def of the file, in ``ast.walk`` order."""
@@ -195,7 +187,6 @@ class SourceFile:
             out.append(Function(
                 self.path, node.name,
                 f"{cls}.{node.name}" if cls else node.name, cls, node,
-                not self.enclosing_functions(node),
             ))
         return out
 
@@ -294,30 +285,6 @@ def walk_own(fn: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def propagate(functions, seeds: dict, callees: Callable[[object], Iterable],
-              why: Callable[[object, str], str] = lambda callee, r: r) -> dict:
-    """Spreads a property up the call graph to its fixed point.
-
-    ``seeds`` maps the functions that have the property themselves to a
-    reason.  Each of ``functions`` without it gains it through the first
-    of ``callees(fn)`` that has it, with the reason ``why(callee,
-    callee_reason)``.  Returns the grown mapping.
-    """
-    bearing = dict(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for fn in functions:
-            if fn in bearing:
-                continue
-            for callee in callees(fn):
-                if callee in bearing:
-                    bearing[fn] = why(callee, bearing[callee])
-                    changed = True
-                    break
-    return bearing
-
-
 def path_matches(path: str, pattern: str) -> bool:
     """Returns whether a posix ``path`` falls under a scope ``pattern``.
 
@@ -351,8 +318,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 class Rule:
     """Base class of every analysis rule.
 
-    Subclasses set ``family`` (``"lint"``, ``"comm"``, ``"perf"`` or
-    ``"sys"``), ``rule_id``, ``name`` and ``description`` and implement
+    Subclasses set ``family`` (``"lint"``, ``"perf"`` or ``"sys"``),
+    ``rule_id``, ``name`` and ``description`` and implement
     :meth:`check`, which takes a :class:`SourceFile` for lint and the
     family's whole-program model otherwise.  ``paths`` restricts the
     rule to path patterns (see :func:`path_matches`); ``None`` means it

@@ -1,7 +1,7 @@
 """The finding record and the report of every analysis family.
 
 :class:`Violation` is the one finding type and :class:`Report` the one
-report type: the four static families (:mod:`repro.analysis.program`
+report type: the three static families (:mod:`repro.analysis.program`
 runs them) build them from source, the runtime race detector
 (:mod:`repro.analysis.concurrency.race`) at run time -- the same
 ``file:line:col: RULE message`` lines on the CLI, the same JSON payload
@@ -38,8 +38,9 @@ class Violation:
 class Report:
     """The findings of one family over one program or one run.
 
-    ``family`` is ``"lint"``, ``"comm"``, ``"perf"`` or ``"sys"``;
-    ``checks_run`` is ``None`` for lint, which counts no checks.
+    ``family`` is ``"lint"``, ``"perf"`` or ``"sys"`` for a static
+    family and ``"comm"`` for the runtime race detector; ``checks_run``
+    is ``None`` for lint, which counts no checks.
     """
 
     family: str

@@ -1,4 +1,4 @@
-"""The ``cubism-lint`` rule catalogue (CL001..CL012).
+"""The ``cubism-lint`` rule catalogue (CL001, CL005-CL007, CL009, CL011, CL012).
 
 Each rule encodes one contract the paper's solver design depends on;
 the docstrings below are the normative description (also surfaced by
@@ -18,9 +18,6 @@ from .report import Violation
 
 #: Attribute names of raw numpy float dtypes covered by CL001.
 _RAW_FLOAT_ATTRS = {"float32", "float64", "single", "double", "half", "float16"}
-
-#: Ghost-width literals that must be derived from GHOSTS (CL002).
-_GHOST_LITERALS = {3, 6}
 
 #: Docstring tokens accepted as return-contract documentation (CL006).
 _RETURN_DOC_RE = re.compile(r"(?i)\breturn|shape|dtype|->")
@@ -71,130 +68,6 @@ class NoRawFloatDtypes(Rule):
                     f"raw dtype np.{node.attr}; use "
                     "STORAGE_DTYPE/COMPUTE_DTYPE from repro.physics.state",
                 )
-
-
-@register_rule
-class NoHardcodedGhostWidth(Rule):
-    """CL002: no hard-coded ghost widths in stencil slicing.
-
-    The WENO5 stencil needs exactly ``GHOSTS`` (3) ghost cells per side
-    and ``2 * GHOSTS`` (6) of padding; slicing with the literals keeps
-    working right up until someone changes the reconstruction order.
-    Slice bounds in ``core/`` and ``node/`` must derive from ``GHOSTS``.
-    """
-
-    rule_id = "CL002"
-    name = "hardcoded-ghost-width"
-    description = "stencil slice bounds must derive from GHOSTS, not 3/6"
-    paths = ("core/", "node/")
-
-    @staticmethod
-    def _ghost_literal(bound: ast.expr | None) -> ast.Constant | None:
-        """A slice bound that is literally +/-3 or +/-6, else ``None``."""
-        node = bound
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            node = node.operand
-        if isinstance(node, ast.Constant) and node.value in _GHOST_LITERALS:
-            return node
-        return None
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in source.nodes(ast.Subscript):
-            slices = (
-                node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
-            )
-            for sl in slices:
-                if not isinstance(sl, ast.Slice):
-                    continue
-                for bound in (sl.lower, sl.upper):
-                    lit = self._ghost_literal(bound)
-                    if lit is not None:
-                        yield self.violation(
-                            source.path,
-                            lit,
-                            f"hard-coded ghost width {lit.value} in slice; "
-                            "derive it from GHOSTS",
-                        )
-
-
-@register_rule
-class NoComputePathDowncast(Rule):
-    """CL003: no ``.astype`` toward lower precision on compute paths.
-
-    Kernels convert storage blocks to ``COMPUTE_DTYPE`` once on load and
-    down-cast once on the block store (``soa_to_aos`` / in-place
-    assignment).  An ``.astype(np.float32)`` in the middle of a kernel
-    silently truncates the mixed-precision scheme -- the dominant source
-    of wrong-but-plausible results reported by related solvers.
-    """
-
-    rule_id = "CL003"
-    name = "compute-path-downcast"
-    description = "kernels must not .astype() toward lower precision"
-    paths = ("core/kernels.py", "physics/")
-
-    @staticmethod
-    def _is_lower_precision(arg: ast.expr) -> bool:
-        if isinstance(arg, ast.Constant) and arg.value in ("float32", "f4", "float16"):
-            return True
-        if isinstance(arg, ast.Name) and arg.id == "STORAGE_DTYPE":
-            return True
-        return _is_np_attr(arg, {"float32", "single", "half", "float16"})
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in source.nodes(ast.Call):
-            if not (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "astype"):
-                continue
-            args = list(node.args) + [
-                kw.value for kw in node.keywords if kw.arg == "dtype"
-            ]
-            for arg in args:
-                if self._is_lower_precision(arg):
-                    yield self.violation(
-                        source.path,
-                        node,
-                        "downcast .astype() on a compute path; keep "
-                        "COMPUTE_DTYPE and down-convert only at the block "
-                        "storage write",
-                    )
-
-
-@register_rule
-class NoMutableDefaults(Rule):
-    """CL004: no mutable default arguments.
-
-    A ``def f(x=[])`` default is shared across calls; in a long-running
-    campaign server that is cross-request state leakage.
-    """
-
-    rule_id = "CL004"
-    name = "mutable-default"
-    description = "function defaults must not be mutable (list/dict/set)"
-
-    @staticmethod
-    def _is_mutable(node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "dict", "set", "bytearray")
-        )
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in source.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for d in defaults:
-                if self._is_mutable(d):
-                    yield self.violation(
-                        source.path,
-                        d,
-                        f"mutable default argument in {node.name}(); use "
-                        "None and create inside the function",
-                    )
 
 
 @register_rule
@@ -449,99 +322,6 @@ class NoRawTimingCalls(Rule):
                     node,
                     f"raw time-module call {fn.id}(); route it through "
                     "repro.telemetry (Tracer.span or clock.now/wall_now)",
-                )
-
-
-@register_rule
-class RingDepthNotLiteral(Rule):
-    """CL008: ring-buffer depths must reference ``RING_DEPTH``.
-
-    The paper's streaming RHS keeps exactly ``RING_DEPTH`` (6) primitive
-    z-slices resident -- the WENO5 z-face stencil.  Constructing a
-    ``SliceRing`` with a literal depth detaches the buffer from the
-    stencil it exists to serve.
-    """
-
-    rule_id = "CL008"
-    name = "literal-ring-depth"
-    description = "SliceRing depth must be RING_DEPTH-derived, not a literal"
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in source.nodes(ast.Call):
-            if call_name(node) != "SliceRing":
-                continue
-            depth_args = [kw.value for kw in node.keywords if kw.arg == "depth"]
-            if len(node.args) >= 2:
-                depth_args.append(node.args[1])
-            for arg in depth_args:
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-                    yield self.violation(
-                        source.path,
-                        arg,
-                        f"literal ring depth {arg.value}; use RING_DEPTH "
-                        "from repro.core.ringbuffer",
-                    )
-
-
-@register_rule
-class BoundedRecoveryLoops(Rule):
-    """CL010: resilience-critical code fails visibly and stays bounded.
-
-    In ``repro.cluster`` and ``repro.resilience``: (a) bare ``except:``
-    clauses are forbidden outright -- name what you recover from (CL005
-    tolerates logged broad handlers; recovery code gets no such
-    leniency); (b) every ``while True`` loop must be *bounded* -- its
-    body must either raise on exhaustion or consult a
-    deadline/attempt/timeout bound.  An unbounded retry loop turns a
-    transient fault into a silent hang, the one failure mode the
-    recovery supervisor cannot detect.
-    """
-
-    rule_id = "CL010"
-    name = "unbounded-recovery"
-    description = "bare except / unbounded while-True in resilience paths"
-    paths = ("cluster/", "resilience/")
-
-    #: Identifiers that signal a bound on the loop (deadline arithmetic,
-    #: attempt counters, timeout plumbing).
-    _BOUND_RE = re.compile(
-        r"(?i)^(deadline|remaining|attempt|attempts|timeout|retries|"
-        r"max_\w+|budget)$"
-    )
-
-    def _is_bounded(self, loop: ast.While) -> bool:
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Raise):
-                return True
-            name = None
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            if name is not None and self._BOUND_RE.match(name):
-                return True
-        return False
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in source.nodes(ast.ExceptHandler, ast.While):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.violation(
-                    source.path,
-                    node,
-                    "bare except in a resilience-critical path; name the "
-                    "exceptions you recover from",
-                )
-            if (
-                isinstance(node, ast.While)
-                and isinstance(node.test, ast.Constant)
-                and node.test.value
-                and not self._is_bounded(node)
-            ):
-                yield self.violation(
-                    source.path,
-                    node,
-                    "unbounded 'while True' retry/wait loop; raise on "
-                    "exhaustion or check a deadline/attempt bound",
                 )
 
 

@@ -1,16 +1,15 @@
-"""sys-check: resource-lifecycle & process-safety analysis (RS rules).
+"""sys-check: resource-lifecycle analysis (RS rules).
 
-The fourth analysis family.  Static side: RS001-RS007 abstractly
-interpret the multi-process layers (``cluster/procs.py``,
-``cluster/mpi_sim.py``, the service layer, resilience, the flight
-recorder) and prove acquire/release discipline, shared-memory
-ownership, lock/blocking separation, spawn safety, thread joins,
-atomic durable writes and SIGKILL-window hygiene.  Dynamic side:
-:class:`ResourceLedger`, the leak sanitizer the test suite wraps
-around every cluster/service/chaos test.
+Static side: RS001, RS003 and RS006 abstractly interpret the
+multi-process layers (``cluster/procs.py``, ``cluster/mpi_sim.py``, the
+service layer, resilience, the flight recorder) and prove
+acquire/release discipline, lock/blocking separation and atomic durable
+writes.  Dynamic side: :class:`ResourceLedger`, the leak sanitizer the
+test suite wraps around every cluster/service/chaos test -- it catches
+the leaked segments, threads and children at run time.
 
-Entry points mirror comm-check: ``analyze`` / ``check_sources`` for
-the static pass, ``python -m repro.analysis --sys`` on the CLI.
+Entry points: ``analyze`` / ``check_sources`` for the static pass,
+``python -m repro.analysis --sys`` on the CLI.
 """
 
 from ..._exports import lazy_exports

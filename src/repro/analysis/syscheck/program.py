@@ -3,12 +3,12 @@
 Over the parsed :class:`~repro.analysis.program.Program` and its
 function table, compute per-function *facts* --
 resource acquisitions with their release/escape structure, lockset
-regions with the calls they cover, blocking-call sites, spawn targets
-and durable-write sites.  The rules in
+regions with the calls they cover, blocking-call sites and
+durable-write sites.  The rules in
 :mod:`repro.analysis.syscheck.rules` are thin pattern matches over
 these facts.
 
-Bounded like comm-check: one level of helper substitution (a helper
+Bounded: one level of helper substitution (a helper
 that *returns* a resource it created makes its call sites
 acquisitions; a callee whose body blocks makes its call sites
 blocking), resolved through the call graph by bare name with a
@@ -27,7 +27,6 @@ from ..program import (
     Program,
     call_name,
     keyword,
-    propagate,
     walk_own,
 )
 from .model import (
@@ -63,10 +62,6 @@ def _dotted(node: ast.AST) -> str:
 
 def _ctor_kind(call: ast.Call) -> str | None:
     return RESOURCE_CTORS.get(call_name(call))
-
-
-def _is_true(node: ast.expr | None) -> bool:
-    return isinstance(node, ast.Constant) and node.value is True
 
 
 def _locklike(expr: ast.expr) -> str | None:
@@ -193,8 +188,6 @@ class Acquisition:
     kind: str
     call: ast.Call
     stmt: ast.stmt
-    create: bool = False        # SharedMemory(..., create=True)
-    daemon: bool | None = None  # Thread daemon flag (ctor or attr set)
     started: bool = False       # .start() seen (process/thread kinds)
     escaped: bool = False
     discarded: bool = False     # bare-expression acquire, never bound
@@ -217,12 +210,10 @@ class FuncInfo(Function):
     acquisitions: list[Acquisition] = field(default_factory=list)
     locked_calls: list[LockedCall] = field(default_factory=list)
     blocking_direct: list[tuple] = field(default_factory=list)
-    spawn_sites: list[ast.Call] = field(default_factory=list)
     write_opens: list[ast.Call] = field(default_factory=list)
     path_writes: list[ast.Call] = field(default_factory=list)
     calls_fsync: bool = False
     calls_replace: bool = False
-    has_any_join: bool = False
     #: kinds of resources this function creates and hands to its caller
     returned_kinds: frozenset = frozenset()
     returns_started_thread: bool = False
@@ -235,15 +226,11 @@ class SysProgram:
         self.program = program
         self.sources = program.sources
         #: the facts of each function of the program, by path
-        self._info: dict[Function, FuncInfo] = {}
-        #: path -> module-level names bound to mutable literals
-        self.module_mutables: dict[str, set] = {}
-        #: path -> SharedMemory facts for RS002
-        self.shm_creates: dict[str, list[ast.Call]] = {}
-        self.shm_attaches: dict[str, list[ast.Call]] = {}
-        self.shm_unlinks: dict[str, list[ast.AST]] = {}
-        for path in sorted(self.sources):
-            self._extract(path, self.sources[path])
+        self._info: dict[Function, FuncInfo] = {
+            fn: FuncInfo(**vars(fn))
+            for path in sorted(self.sources)
+            for fn in self.sources[path].functions
+        }
         infos = self.infos()
         # Pass 1: direct facts (needed before helper substitution can
         # resolve resource-returning callees in any order).
@@ -258,57 +245,28 @@ class SysProgram:
                           if isinstance(node, ast.Call)
                           and (t := self.resolve(node, info)) is not None]
                    for info in infos}
-        self._bearing = propagate(
-            infos,
-            {info: info.blocking_direct[0][1] for info in infos
-             if info.blocking_direct},
-            callees.__getitem__,
-            lambda target, reason: f"calls {target.qualname}() which {reason}",
-        )
-
-    # -- extraction ---------------------------------------------------
-
-    def _extract(self, path: str, src) -> None:
-        mutables = set()
-        for stmt in src.tree.body:
-            if isinstance(stmt, ast.Assign) and isinstance(
-                stmt.value, (ast.Dict, ast.List, ast.Set)
-            ):
-                for t in stmt.targets:
-                    if isinstance(t, ast.Name):
-                        mutables.add(t.id)
-        self.module_mutables[path] = mutables
-        creates, attaches, unlinks = [], [], []
-        for node in src.nodes(ast.Call):
-            if call_name(node) == "SharedMemory":
-                if _is_true(keyword(node, "create")):
-                    creates.append(node)
-                else:
-                    attaches.append(node)
-            elif (isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "unlink"
-                  and _dotted(node.func.value)):
-                unlinks.append(node)
-        for fn in src.functions:
-            self._info[fn] = FuncInfo(**vars(fn))
-        self.shm_creates[path] = creates
-        self.shm_attaches[path] = attaches
-        self.shm_unlinks[path] = unlinks
+        # Blocking spreads up the call graph to its fixed point: a
+        # function blocks through the first of its callees that does.
+        self._bearing = {info: info.blocking_direct[0][1] for info in infos
+                         if info.blocking_direct}
+        changed = True
+        while changed:
+            changed = False
+            for info in infos:
+                if info in self._bearing:
+                    continue
+                target = next((t for t in callees[info]
+                               if t in self._bearing), None)
+                if target is not None:
+                    self._bearing[info] = (f"calls {target.qualname}() "
+                                           f"which {self._bearing[target]}")
+                    changed = True
 
     # -- per-function facts --------------------------------------------
 
     def infos(self) -> list[FuncInfo]:
         """Every function, by path in sorted order."""
         return list(self._info.values())
-
-    def spawn_target(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
-        """The one def of ``info``'s file a ``Process(target=...)`` names."""
-        target = keyword(call, "target")
-        if not isinstance(target, (ast.Name, ast.Attribute)):
-            return None
-        bare = _dotted(target).rsplit(".", 1)[-1]
-        cands = [c for c in self.named(bare) if c.path == info.path]
-        return cands[0] if len(cands) == 1 else None
 
     def named(self, name: str) -> list[FuncInfo]:
         """The functions defined under bare ``name``."""
@@ -327,10 +285,6 @@ class SysProgram:
                 info.calls_fsync = True
             if dotted in ("os.replace", "os.rename"):
                 info.calls_replace = True
-            if bare == "join":
-                info.has_any_join = True
-            if bare == "Process":
-                info.spawn_sites.append(node)
             if bare == "open":
                 mode = (node.args[1] if len(node.args) > 1
                         else keyword(node, "mode"))
@@ -352,16 +306,10 @@ class SysProgram:
                     acqs.append(Acquisition(
                         var=None, kind=kind, call=call, stmt=stmt,
                         discarded=True,
-                        create=_is_true(keyword(call, "create")),
                     ))
             elif len(targets) == 1 and isinstance(targets[0], ast.Name):
-                daemon_kw = keyword(call, "daemon")
                 acqs.append(Acquisition(
                     var=targets[0].id, kind=kind, call=call, stmt=stmt,
-                    create=_is_true(keyword(call, "create")),
-                    daemon=(True if _is_true(daemon_kw)
-                            else (False if daemon_kw is not None
-                                  else None)),
                 ))
         self._trace(info, acqs)
 
@@ -435,11 +383,6 @@ class SysProgram:
                     continue  # other method use: neutral, not an escape
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id == var:
-                if node.attr == "daemon":
-                    # t.daemon = True before start()
-                    stmt = _enclosing_stmt(node, parents)
-                    if isinstance(stmt, ast.Assign) and _is_true(stmt.value):
-                        acq.daemon = True
                 continue
             if isinstance(node, (ast.For, ast.AsyncFor)) and isinstance(
                 node.iter, ast.Name

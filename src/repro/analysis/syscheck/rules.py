@@ -1,4 +1,4 @@
-"""RS-series rules: resource lifecycle and process safety.
+"""RS-series rules: resource lifecycle, locks and durable writes.
 
 Each rule consumes the facts of a :class:`~repro.analysis.syscheck.
 program.SysProgram` and emits :class:`~repro.analysis.report.Violation`
@@ -9,20 +9,10 @@ records with the ast's 0-based column.  Findings honour the shared
 
 from __future__ import annotations
 
-import ast
-
-from ..program import (
-    Program,
-    Rule,
-    call_name,
-    keyword,
-    register_rule,
-    registered_rules,
-    walk_own,
-)
+from ..program import Program, Rule, register_rule, registered_rules
 from ..report import Report, Violation
 from .model import DURABLE_WRITER_PATHS, EAGER_KINDS, SYS_SCOPE
-from .program import FuncInfo, SysProgram, _blocking_reason, _dotted
+from .program import FuncInfo, SysProgram, _blocking_reason
 
 
 def _scoped(rule: Rule, program: SysProgram) -> list[FuncInfo]:
@@ -127,47 +117,6 @@ class ReleaseOnAllPaths(Rule):
 
 
 @register_rule
-class SegmentOwnership(Rule):
-    """RS002: shared_memory create/unlink ownership discipline."""
-
-    family = "sys"
-    rule_id = "RS002"
-    name = "segment-ownership"
-    description = (
-        "The side that creates a shared_memory segment (create=True) "
-        "must also unlink it; attach-only sides must never unlink."
-    )
-    paths = SYS_SCOPE
-    col_base = 0
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        out: list[Violation] = []
-        for path, src in program.sources.items():
-            if not self.applies(path):
-                continue
-            creates = program.shm_creates.get(path, [])
-            attaches = program.shm_attaches.get(path, [])
-            unlinks = program.shm_unlinks.get(path, [])
-            if creates and not unlinks:
-                for node in creates:
-                    out.append(self.violation(
-                        path, node,
-                        "SharedMemory(create=True) without any "
-                        ".unlink() in this module: the segment "
-                        "outlives every process of the world",
-                    ))
-            if attaches and not creates and unlinks:
-                for node in unlinks:
-                    out.append(self.violation(
-                        path, node,
-                        "attach-only module calls .unlink(): only "
-                        "the creating side owns segment removal "
-                        "(double-unlink races the owner)",
-                    ))
-        return out
-
-
-@register_rule
 class LockAcrossBlocking(Rule):
     """RS003: no blocking call while holding a lock."""
 
@@ -207,131 +156,6 @@ class LockAcrossBlocking(Rule):
                         f"held: {bearing} -- move the call outside the "
                         f"locked region",
                     ))
-        return out
-
-
-@register_rule
-class SpawnSafety(Rule):
-    """RS004: what crosses the spawn boundary must survive pickling."""
-
-    family = "sys"
-    rule_id = "RS004"
-    name = "spawn-safety"
-    description = (
-        "Process targets/args must be module-level and picklable; "
-        "module-level mutable state read in a spawn target is copied "
-        "per child and silently diverges."
-    )
-    paths = SYS_SCOPE
-    col_base = 0
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        out: list[Violation] = []
-        for info in _scoped(self, program):
-            for call in info.spawn_sites:
-                out.extend(self._check_spawn(program, info, call))
-        return out
-
-    def _check_spawn(self, program, info, call) -> list[Violation]:
-        out = []
-        target = keyword(call, "target")
-        if isinstance(target, ast.Lambda):
-            out.append(self.violation(
-                info.path, call,
-                "lambda spawn target cannot cross the process boundary "
-                "(not picklable under the spawn start method)",
-            ))
-        elif isinstance(target, (ast.Name, ast.Attribute)):
-            dotted = _dotted(target)
-            bare = dotted.rsplit(".", 1)[-1]
-            tinfo = program.spawn_target(call, info)
-            if dotted.startswith("self."):
-                out.append(self.violation(
-                    info.path, call,
-                    f"bound-method spawn target {dotted} pickles the "
-                    f"whole owning object across the process boundary",
-                ))
-            elif tinfo is not None and not tinfo.module_level:
-                out.append(self.violation(
-                    info.path, call,
-                    f"nested function {bare}() is not picklable under "
-                    f"the spawn start method -- hoist it to module level",
-                ))
-            elif tinfo is not None:
-                mutables = program.module_mutables.get(tinfo.path, set())
-                read = sorted({
-                    n.id for n in ast.walk(tinfo.node)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                    and n.id in mutables
-                })
-                if read:
-                    out.append(self.violation(
-                        info.path, call,
-                        f"spawn target {bare}() reads module-level "
-                        f"mutable state ({', '.join(read)}): each child "
-                        f"gets a private copy that silently diverges "
-                        f"from the parent",
-                    ))
-        args = keyword(call, "args")
-        if isinstance(args, (ast.Tuple, ast.List)) and any(
-            isinstance(e, ast.Lambda) for e in args.elts
-        ):
-            out.append(self.violation(
-                info.path, call,
-                "lambda in spawn args cannot cross the process boundary "
-                "(not picklable)",
-            ))
-        return out
-
-
-@register_rule
-class ThreadJoinOnShutdown(Rule):
-    """RS005: non-daemon threads need a join on the shutdown path."""
-
-    family = "sys"
-    rule_id = "RS005"
-    name = "thread-join-on-shutdown"
-    description = (
-        "A non-daemon thread without a join keeps the interpreter "
-        "alive past shutdown; a fire-and-forget thread can touch "
-        "freed resources after the owner exits."
-    )
-    paths = SYS_SCOPE
-    col_base = 0
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        out: list[Violation] = []
-        for info in _scoped(self, program):
-            bound_ctors = {id(a.call) for a in info.acquisitions
-                           if a.kind == "thread"}
-            for acq in info.acquisitions:
-                if acq.kind != "thread" or acq.from_helper is not None:
-                    continue
-                if acq.daemon is True or acq.escaped:
-                    continue
-                if not any(r.method == "join" for r in acq.releases):
-                    out.append(self.violation(
-                        info.path, acq.call,
-                        f"non-daemon thread {acq.var!r} is never joined "
-                        f"in {info.qualname}(): it outlives every "
-                        f"shutdown path -- join it (or mark daemon=True "
-                        f"and join before releasing shared state)",
-                    ))
-            for node in walk_own(info.node):
-                if (isinstance(node, ast.Call)
-                        and call_name(node) == "Thread"
-                        and id(node) not in bound_ctors):
-                    daemon = keyword(node, "daemon")
-                    if (isinstance(daemon, ast.Constant)
-                            and daemon.value is True):
-                        continue
-                    if not info.has_any_join:
-                        out.append(self.violation(
-                            info.path, node,
-                            f"fire-and-forget non-daemon thread in "
-                            f"{info.qualname}() has no join on any "
-                            f"shutdown path",
-                        ))
         return out
 
 
@@ -376,63 +200,6 @@ class AtomicDurableWrite(Rule):
                     f"is non-atomic: a crash mid-write leaves a torn "
                     f"file -- write tmp + fsync + os.replace",
                 ))
-        return out
-
-
-@register_rule
-class KillWindowHazard(Rule):
-    """RS007: SIGKILL-exposed code must not own persistent state."""
-
-    family = "sys"
-    rule_id = "RS007"
-    name = "kill-window-hazard"
-    description = (
-        "Code running in a kill-supervised child (a Process spawn "
-        "target) can be SIGKILLed between any heartbeat publish and "
-        "the parent's kill watermark: OS-persistent resources it "
-        "creates (named segments, non-atomic files) are orphaned."
-    )
-    paths = SYS_SCOPE
-    col_base = 0
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        exposed: dict[int, FuncInfo] = {}
-        for info in program.infos():
-            for call in info.spawn_sites:
-                tinfo = program.spawn_target(call, info)
-                if tinfo is None:
-                    continue
-                exposed[id(tinfo)] = tinfo
-                # one level of same-file callees
-                for node in walk_own(tinfo.node):
-                    if isinstance(node, ast.Call):
-                        callee = program.resolve(node, tinfo)
-                        if callee is not None and callee.path == tinfo.path:
-                            exposed[id(callee)] = callee
-        out: list[Violation] = []
-        for info in exposed.values():
-            if not self.applies(info.path):
-                continue
-            for acq in info.acquisitions:
-                if acq.kind == "segment" and acq.create:
-                    out.append(self.violation(
-                        info.path, acq.call,
-                        f"{info.qualname}() runs in a kill-supervised "
-                        f"child but creates a named segment: a SIGKILL "
-                        f"between the heartbeat publish and the kill "
-                        f"watermark orphans it -- create in the parent, "
-                        f"attach in the child",
-                    ))
-            if not info.calls_replace:
-                for call in info.write_opens:
-                    out.append(self.violation(
-                        info.path, call,
-                        f"{info.qualname}() runs in a kill-supervised "
-                        f"child and writes a file non-atomically: a "
-                        f"SIGKILL mid-write leaves a torn file -- use "
-                        f"tmp + fsync + os.replace (the tmp is "
-                        f"sweepable after the kill)",
-                    ))
         return out
 
 

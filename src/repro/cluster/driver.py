@@ -280,8 +280,7 @@ def _set_up(comm: Communicator, config: SimulationConfig, ic_fn,
         nz, ny, nx = grid.cells
         grid.from_array(global_field[oz:oz + nz, oy:oy + ny, ox:ox + nx])
 
-    tracer = make_tracer(config.telemetry, rank=comm.rank,
-                         max_events=config.telemetry_max_events)
+    tracer = make_tracer(config.telemetry, rank=comm.rank)
     solver = NodeSolver(
         grid, boundary=config.boundary_spec(),
         dispatcher=Dispatcher(num_workers=config.num_workers),
@@ -600,7 +599,6 @@ def _flight_work(rank: _Rank):
               "block_size": config.block_size,
               "max_steps": config.max_steps, "telemetry": config.telemetry,
               "sanitize": config.sanitize},
-        flush_every=config.flight_flush_every,
         # Rank processes share no memory: each writes a private
         # part file the parent merges once the world finishes.
         per_rank=getattr(comm, "process_parallel", False),

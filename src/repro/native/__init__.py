@@ -189,8 +189,6 @@ def _build(source: Path, compiler: str, flags, directory: Path, key: str):
     os.close(fd)
     try:
         try:
-            # (Popen + communicate rather than subprocess.run: comm-check
-            # resolves calls by bare name, and ``run`` is ``World.run``)
             with subprocess.Popen(
                 [compiler, *flags, "-o", tmp, str(source), "-lm"],
                 stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,

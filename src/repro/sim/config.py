@@ -41,8 +41,6 @@ class SimulationConfig:
     #: on the results) or "trace" (metrics + per-rank span events
     #: exportable as a Perfetto timeline).  See :mod:`repro.telemetry`.
     telemetry: str = "off"
-    #: bound of the per-rank span-event buffer in trace mode
-    telemetry_max_events: int = 65536
     #: runtime concurrency-check policy for the thread-based cluster
     #: runtime: "off" (production default; zero overhead), "warn"
     #: (record races/deadlocks on the run report, keep running) or
@@ -53,8 +51,6 @@ class SimulationConfig:
     #: ``repro.flight/v1``; see :mod:`repro.telemetry.flight`), or None
     #: (off, the production default; the step loop carries no recorder).
     flight_out: str | None = None
-    #: flight records buffered between flushes of the shared sink
-    flight_flush_every: int = 32
     #: steps between live progress heartbeats emitted by rank 0 through
     #: :class:`repro.telemetry.ProgressReporter` (0 = silent, default)
     progress_interval: int = 0
@@ -156,10 +152,6 @@ class SimulationConfig:
             raise ValueError(
                 f"telemetry={self.telemetry!r} not in {MODES}"
             )
-        if self.telemetry_max_events < 0:
-            raise ValueError("telemetry_max_events must be >= 0")
-        if self.flight_flush_every < 1:
-            raise ValueError("flight_flush_every must be >= 1")
         if self.progress_interval < 0:
             raise ValueError("progress_interval must be >= 0")
         if self.concurrency_check != "off":

@@ -1,4 +1,4 @@
-"""RS005: non-daemon threads without a join."""
+"""RS001: a started thread that is never joined."""
 
 import threading
 

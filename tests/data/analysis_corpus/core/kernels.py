@@ -1,4 +1,4 @@
-"""CP002 clean twin, CP003 violating and clean twin, CP006 violating."""
+"""CP003 violating and clean twin, CP006 violating; gather_conv is clean."""
 
 import numpy as np
 

@@ -1,16 +1,12 @@
 """A runtime check a kernel calls through an object: outside its closure."""
 
-import numpy as np
-
-from repro.physics.state import COMPUTE_DTYPE, STORAGE_DTYPE
-
 
 class Sanitizer:
     """Checks blocks for non-finite values."""
 
     def check_block(self, a):
-        """Returns whether a mixed-precision sum of the block is finite."""
-        x = np.zeros(4, dtype=STORAGE_DTYPE)
-        y = np.zeros(4, dtype=COMPUTE_DTYPE)
-        total = x + y + a
-        return bool(np.isfinite(total).all())
+        """Returns twelve unfused array expressions of the block."""
+        t = (a + a) * (a - a) + (a * a) / (a + 1.0)
+        u = (t + a) * (t - a) + (t * t) / (a + 1.0)
+        v = (u + t) * (u - a) + (u * a) / (t + 1.0)
+        return v

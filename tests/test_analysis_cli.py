@@ -11,8 +11,8 @@ from repro.analysis.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "tests" / "data" / "analysis_corpus"
-MODES = ([], ["--concurrency"], ["--perf"], ["--sys"], ["--all"])
-MODE_IDS = ["lint", "concurrency", "perf", "sys", "all"]
+MODES = ([], ["--perf"], ["--sys"], ["--all"])
+MODE_IDS = ["lint", "perf", "sys", "all"]
 
 
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
@@ -66,3 +66,25 @@ def test_all_on_the_tree_is_clean_and_regenerates_the_manifest(tmp_path,
     assert code == 0, capsys.readouterr().out
     assert "all families clean" in capsys.readouterr().err
     assert manifest.read_bytes() == (REPO / "kernel_manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", (["--perf"], ["--all"]), ids=["perf", "all"])
+def test_no_manifest_without_manifest_out(mode, tmp_path, monkeypatch,
+                                          capsys):
+    tree = tmp_path / "tree" / "core"
+    tree.mkdir(parents=True)
+    (tree / "kernels.py").write_text(
+        'def update_stage(a):\n    """Returns a."""\n    return a * 2.0\n')
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([*mode, str(tmp_path / "tree")]) == 0, capsys.readouterr()
+    assert list(cwd.iterdir()) == []
+    assert sorted(p.name for p in tree.iterdir()) == ["kernels.py"]
+
+
+def test_concurrency_mode_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--concurrency", str(CORPUS)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --concurrency" in capsys.readouterr().err

@@ -221,7 +221,7 @@ class TestExit:
         out = tmp_path / "flight.jsonl"
         config = SimulationConfig(cells=16, block_size=8, max_steps=3,
                                   ranks=2, cluster_backend="procs",
-                                  flight_out=str(out), flight_flush_every=64)
+                                  flight_out=str(out))
         Simulation(config, uniform(velocity=(1.0, 0.5, 0.25))).run()
         header, steps = read_flight(str(out))
         assert header["ranks"] == 2

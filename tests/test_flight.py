@@ -264,9 +264,7 @@ def test_cli_analyze_flight_bad_file_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_config_validates_flight_and_progress_fields():
-    with pytest.raises(ValueError, match="flight_flush_every"):
-        SimulationConfig(cells=16, block_size=8, flight_flush_every=0)
+def test_config_validates_progress_interval():
     with pytest.raises(ValueError, match="progress_interval"):
         SimulationConfig(cells=16, block_size=8, progress_interval=-1)
 

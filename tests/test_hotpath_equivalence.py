@@ -11,8 +11,8 @@ the sweep axis first.  None of that may change a bit of the result:
   and ``+0.0`` equal, and ``0.0 - div`` is not ``-div``.  The whole RHS
   is held to an expression-form reference sweep (last-axis layout, no
   tiling, no workspace) built on ``_weno5_minus_raw``;
-* **dtype preservation** -- float32 face states stay float32 end to end
-  (rules CP001/CP002: no silent promotion, no strong scalars).
+* **dtype preservation** -- float32 face states stay float32 end to end:
+  no silent promotion to float64, no strong float64 scalar.
 
 The memory-bound kernels are streamed through held scratch: UP against
 the six-line expression form it replaced, SOS (one chunk shared by all the
@@ -1993,7 +1993,8 @@ class TestBatchedWaveletBitIdentity:
 
 
 class TestDtypeContracts:
-    """float32 in -> float32 out (rules CP001/CP002 at runtime)."""
+    """float32 in -> float32 out: no silent float64 promotion, no strong
+    float64 scalar, checked on the kernels' results."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_hlle_flux_preserves_dtype(self, dtype):

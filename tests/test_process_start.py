@@ -35,7 +35,6 @@ DENIED = (
     "repro.analysis.rules",
     "repro.analysis.perfcheck",
     "repro.analysis.syscheck",
-    "repro.analysis.concurrency.commcheck",
     "repro.compression.zerotree",
     "repro.compression.amr_analysis",
     "repro.sim.campaign",
@@ -282,14 +281,13 @@ print(json.dumps({
     "CL": [r.rule_id for r in registered_rules("lint")],
     "CP": [r.rule_id for r in registered_rules("perf")],
     "RS": [r.rule_id for r in registered_rules("sys")],
-    "CC": [r.rule_id for r in registered_rules("comm")],
 }))
 """
 
 
 def test_rule_catalogues_do_not_depend_on_import_order():
     full = fresh(["-c", "import repro.analysis.rules\n" + CATALOGUES])
-    assert all(full[family] for family in ("CL", "CP", "RS", "CC"))
+    assert all(full[family] for family in ("CL", "CP", "RS"))
     assert "CL001" in full["CL"]
     for first in FIRST_IMPORTS:
         assert fresh(["-c", f"import {first}\n" + CATALOGUES]) == full, first

@@ -49,10 +49,9 @@ def rules_fired(report):
 
 
 class TestRegistry:
-    def test_catalogue_is_exactly_rs001_to_rs007(self):
+    def test_catalogue_is_exactly_rs001_rs003_rs006(self):
         assert {cls.rule_id for cls in registered_rules("sys")} == {
-            f"RS{i:03d}" for i in range(1, 8)
-        }
+            "RS001", "RS003", "RS006"}
 
     def test_registered_rules_sorted_and_described(self):
         rules = registered_rules("sys")
@@ -142,6 +141,31 @@ class TestRS001:
         fired = [v for v in report.violations if v.rule == "RS001"]
         assert fired and any("discarded" in v.message for v in fired)
 
+    def test_started_thread_from_helper_must_be_joined(self):
+        report = run("""
+            import threading
+
+            def _body():
+                return None
+
+            def start():
+                t = threading.Thread(target=_body)
+                t.start()
+                return t
+
+            def dropped():
+                start()
+
+            def unjoined():
+                t = start()
+
+            def joined():
+                t = start()
+                t.join()
+        """)
+        fired = sorted(v.line for v in report.violations if v.rule == "RS001")
+        assert fired == [13, 16]
+
     def test_with_open_is_clean(self):
         report = run("""
             def ok(path):
@@ -161,66 +185,6 @@ class TestRS001:
         """)
         # Ownership transfers through the return: not RS001 here.
         assert "RS001" not in rules_fired(report)
-
-
-# ---------------------------------------------------------------------------
-# RS002 segment-ownership
-
-
-class TestRS002:
-    def test_create_without_unlink_fires(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def create_only(token):
-                seg = shared_memory.SharedMemory(
-                    name=token, create=True, size=64)
-                seg.close()
-        """)
-        assert "RS002" in rules_fired(report)
-
-    def test_create_with_unlink_is_clean(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def owner(token):
-                seg = shared_memory.SharedMemory(
-                    name=token, create=True, size=64)
-                try:
-                    seg.buf[0] = 1
-                finally:
-                    seg.close()
-                    seg.unlink()
-        """)
-        assert "RS002" not in rules_fired(report)
-
-    def test_non_owner_unlink_fires(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def attach_and_unlink(token):
-                seg = shared_memory.SharedMemory(name=token)
-                try:
-                    return bytes(seg.buf[:8])
-                finally:
-                    seg.close()
-                    seg.unlink()
-        """)
-        fired = [v for v in report.violations if v.rule == "RS002"]
-        assert fired and "unlink" in fired[0].message
-
-    def test_attach_close_only_is_clean(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def attach(token):
-                seg = shared_memory.SharedMemory(name=token)
-                try:
-                    return bytes(seg.buf[:8])
-                finally:
-                    seg.close()
-        """)
-        assert "RS002" not in rules_fired(report)
 
 
 # ---------------------------------------------------------------------------
@@ -307,107 +271,6 @@ class TestRS003:
 
 
 # ---------------------------------------------------------------------------
-# RS004 spawn-safety
-
-
-class TestRS004:
-    def test_lambda_target_fires(self):
-        report = run("""
-            def spawn(ctx):
-                p = ctx.Process(target=lambda: None)
-                p.start()
-                p.join()
-        """)
-        assert "RS004" in rules_fired(report)
-
-    def test_bound_method_target_fires(self):
-        report = run("""
-            class Owner:
-                def work(self):
-                    pass
-
-                def spawn(self, ctx):
-                    p = ctx.Process(target=self.work)
-                    p.start()
-                    p.join()
-        """)
-        assert "RS004" in rules_fired(report)
-
-    def test_module_level_target_is_clean(self):
-        report = run("""
-            def work(n):
-                return n * 2
-
-            def spawn(ctx):
-                p = ctx.Process(target=work, args=(3,))
-                p.start()
-                p.join()
-        """)
-        assert "RS004" not in rules_fired(report)
-
-    def test_target_reading_module_mutable_fires(self):
-        report = run("""
-            REGISTRY = {}
-
-            def work(n):
-                return REGISTRY.get(n)
-
-            def spawn(ctx):
-                p = ctx.Process(target=work, args=(3,))
-                p.start()
-                p.join()
-        """)
-        fired = [v for v in report.violations if v.rule == "RS004"]
-        assert fired and "REGISTRY" in fired[0].message
-
-
-# ---------------------------------------------------------------------------
-# RS005 thread-join-on-shutdown
-
-
-class TestRS005:
-    def test_non_daemon_thread_without_join_fires(self):
-        report = run("""
-            import threading
-
-            def work():
-                pass
-
-            def fire_and_forget():
-                t = threading.Thread(target=work)
-                t.start()
-        """)
-        assert "RS005" in rules_fired(report)
-
-    def test_daemon_thread_is_exempt(self):
-        report = run("""
-            import threading
-
-            def work():
-                pass
-
-            def background():
-                t = threading.Thread(target=work, daemon=True)
-                t.start()
-        """)
-        assert "RS005" not in rules_fired(report)
-
-    def test_joined_thread_is_clean(self):
-        report = run("""
-            import threading
-
-            def work():
-                pass
-
-            def scoped():
-                t = threading.Thread(target=work)
-                t.start()
-                t.join()
-        """)
-        assert "RS005" not in rules_fired(report)
-
-
-# ---------------------------------------------------------------------------
 # RS006 atomic-durable-write
 
 
@@ -467,63 +330,6 @@ class TestRS006:
 
 
 # ---------------------------------------------------------------------------
-# RS007 kill-window-hazard
-
-
-class TestRS007:
-    def test_segment_create_in_spawn_target_fires(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def child(token):
-                seg = shared_memory.SharedMemory(
-                    name=token, create=True, size=64)
-                try:
-                    seg.buf[0] = 1
-                finally:
-                    seg.close()
-                    seg.unlink()
-
-            def parent(ctx):
-                p = ctx.Process(target=child, args=("tok",))
-                p.start()
-                p.join()
-        """)
-        assert "RS007" in rules_fired(report)
-
-    def test_non_atomic_write_in_spawn_target_fires(self):
-        report = run("""
-            def child(path):
-                with open(path, "w") as fh:
-                    fh.write("state")
-
-            def parent(ctx):
-                p = ctx.Process(target=child, args=("f",))
-                p.start()
-                p.join()
-        """)
-        assert "RS007" in rules_fired(report)
-
-    def test_attach_only_spawn_target_is_clean(self):
-        report = run("""
-            from multiprocessing import shared_memory
-
-            def child(token):
-                seg = shared_memory.SharedMemory(name=token)
-                try:
-                    seg.buf[0] = 1
-                finally:
-                    seg.close()
-
-            def parent(ctx):
-                p = ctx.Process(target=child, args=("tok",))
-                p.start()
-                p.join()
-        """)
-        assert "RS007" not in rules_fired(report)
-
-
-# ---------------------------------------------------------------------------
 # pragmas, report shape, acceptance
 
 
@@ -533,7 +339,7 @@ class TestPragmasAndReport:
             from multiprocessing import shared_memory
 
             def leak(token):
-                seg = shared_memory.SharedMemory(  # lint: disable=RS001,RS002
+                seg = shared_memory.SharedMemory(  # lint: disable=RS001
                     name=token, create=True, size=64)
                 seg.buf[0] = 1
         """)
@@ -581,7 +387,7 @@ class TestPragmasAndReport:
         # The acceptance bar: --sys exits 0 on src/repro.
         report = analyze(src_program, "sys")[1]
         assert not report.violations, report.summary()
-        assert report.checks_run > 1000
+        assert report.checks_run > 0
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +395,19 @@ class TestPragmasAndReport:
 
 
 BAD_FIXTURE = textwrap.dedent("""
+    import threading
+    import time
     from multiprocessing import shared_memory
+
+    _LOCK = threading.Lock()
 
     def leak(token):
         seg = shared_memory.SharedMemory(name=token, create=True, size=64)
         seg.buf[0] = 1
+
+    def stall():
+        with _LOCK:
+            time.sleep(0.1)
 """)
 
 
@@ -608,7 +422,7 @@ class TestCLI:
         tree = self._tree(tmp_path, BAD_FIXTURE)
         assert cli_main(["--sys", str(tree)]) == 1
         out = capsys.readouterr().out
-        assert "RS001" in out and "RS002" in out
+        assert "RS001" in out and "RS003" in out
 
     def test_sys_exit_0_on_clean(self, tmp_path, capsys):
         tree = self._tree(
@@ -626,10 +440,10 @@ class TestCLI:
     def test_select_narrows_findings(self, tmp_path, capsys):
         tree = self._tree(tmp_path, BAD_FIXTURE)
         assert cli_main(
-            ["--sys", "--select", "RS002", str(tree)]
+            ["--sys", "--select", "RS003", str(tree)]
         ) == 1
         out = capsys.readouterr().out
-        assert "RS002" in out and "RS001" not in out
+        assert "RS003" in out and "RS001" not in out
 
     def test_all_merged_report_and_worst_of_exit(self, tmp_path, capsys):
         tree = self._tree(tmp_path, BAD_FIXTURE)
@@ -643,7 +457,7 @@ class TestCLI:
         assert code == 1
         payload = json.loads(report_out.read_text())
         assert payload["schema"] == "repro.analysis_report/v1"
-        assert set(payload["families"]) == {"lint", "comm", "perf", "sys"}
+        assert set(payload["families"]) == {"lint", "perf", "sys"}
         assert payload["totals"]["by_family"]["sys"] >= 2
         assert payload["totals"]["findings"] == len(payload["findings"])
         assert all(f["family"] for f in payload["findings"])
@@ -663,7 +477,7 @@ class TestCLI:
     def test_list_rules_includes_rs_catalogue(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rid in ("RS001", "RS004", "RS007"):
+        for rid in ("RS001", "RS003", "RS006"):
             assert rid in out
 
 

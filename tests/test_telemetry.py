@@ -353,8 +353,16 @@ def test_io_fraction_zero_without_dumps():
 def test_config_rejects_bad_telemetry():
     with pytest.raises(ValueError, match="telemetry"):
         SimulationConfig(cells=16, block_size=8, telemetry="verbose")
-    with pytest.raises(ValueError, match="telemetry_max_events"):
-        SimulationConfig(cells=16, block_size=8, telemetry_max_events=-1)
+
+
+@pytest.mark.parametrize("knob", ["telemetry_max_events",
+                                  "flight_flush_every"])
+def test_buffer_bounds_are_not_config_fields(knob):
+    """The span-buffer bound and the flight flush cadence are the module
+    constants ``tracer.DEFAULT_MAX_EVENTS`` and
+    ``flight.DEFAULT_FLUSH_EVERY``; a run cannot set them."""
+    with pytest.raises(TypeError, match=knob):
+        SimulationConfig(cells=16, block_size=8, **{knob: 64})
 
 
 def test_timestepper_advance_traces_stages():
