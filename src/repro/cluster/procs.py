@@ -133,28 +133,25 @@ def _poll_sleep(polls: int) -> None:
 
 def encode_frame(source: int, tag: int, kind: int, payload: Any) -> bytes:
     """Serialize one message into its CRC-framed wire record (bytes)."""
-    app_crc = 0
-    if kind == KIND_HALO:
-        arr = np.ascontiguousarray(payload.payload)
+    app_crc = payload.crc if kind == KIND_HALO else 0
+    if kind in (KIND_HALO, KIND_ARRAY):
+        arr = np.ascontiguousarray(
+            payload.payload if kind == KIND_HALO else payload)
         meta = pickle.dumps((arr.dtype.str, arr.shape))
-        body = arr.tobytes()
-        app_crc = payload.crc
-    elif kind == KIND_ARRAY:
-        arr = np.ascontiguousarray(payload)
-        meta = pickle.dumps((arr.dtype.str, arr.shape))
-        body = arr.tobytes()
+        body = arr.reshape(-1).view(np.uint8)
     else:
         meta = b""
         body = pickle.dumps(payload)
     # The wire CRC covers the whole record -- header fields included
     # (computed with the CRC slot zeroed), so a flipped source/tag byte
-    # cannot silently misroute a frame.
+    # cannot silently misroute a frame.  It runs over the pieces in
+    # turn: the record is put together once, to be sent.
     bare = _HEADER.pack(_MAGIC, kind, source, tag, app_crc, 0,
                         len(meta), len(body))
-    wire_crc = crc32_bytes(bare + meta + body)
+    wire_crc = crc32_bytes(body, crc32_bytes(meta, crc32_bytes(bare)))
     header = _HEADER.pack(_MAGIC, kind, source, tag, app_crc, wire_crc,
                           len(meta), len(body))
-    return header + meta + body
+    return b"".join((header, meta, body))
 
 
 def _frame_kind(obj: Any) -> int:
@@ -179,7 +176,9 @@ class _Frame:
         return self.kind == KIND_COLL
 
 
-def _decode_body(kind: int, app_crc: int, meta: bytes, body: bytes) -> Any:
+def _decode_body(kind: int, app_crc: int, meta, body) -> Any:
+    """The payload of a frame from its ``meta`` and ``body`` bytes, copied
+    out of them: nothing it returns refers to the stream they lie in."""
     if kind in (KIND_ARRAY, KIND_HALO):
         dtype_str, shape = pickle.loads(meta)
         arr = np.empty(shape, dtype=np.dtype(dtype_str))
@@ -193,36 +192,40 @@ def parse_frames(stream: bytearray, source_hint: int | None = None
                  ) -> list[_Frame]:
     """Extract every complete frame at the head of ``stream`` (list).
 
-    Consumed bytes are removed from ``stream`` in place; a partial
-    trailing frame stays buffered for the next drain.  Raises
-    :class:`RingCorruptionError` on a bad magic or a wire-CRC mismatch
-    -- a corrupted shared-memory byte must never silently pass.
+    Frames are read in place -- each CRC'd where it lies, its body copied
+    once, into its payload -- and the bytes they took are removed from
+    ``stream`` once, at the end; a partial trailing frame stays buffered
+    for the next drain.  Raises :class:`RingCorruptionError` on a bad
+    magic or a wire-CRC mismatch -- a corrupted shared-memory byte must
+    never silently pass.
     """
     frames: list[_Frame] = []
-    while len(stream) >= _HEADER.size:
-        (magic, kind, source, tag, app_crc, wire_crc, meta_len,
-         payload_len) = _HEADER.unpack_from(stream, 0)
-        if magic != _MAGIC:
-            raise RingCorruptionError(
-                f"ring stream from rank {source_hint}: bad frame magic "
-                f"{magic:#010x} (framing corrupted)"
-            )
-        total = _HEADER.size + meta_len + payload_len
-        if len(stream) < total:
-            break
-        meta = bytes(stream[_HEADER.size:_HEADER.size + meta_len])
-        body = bytes(stream[_HEADER.size + meta_len:total])
-        del stream[:total]
-        bare = _HEADER.pack(magic, kind, source, tag, app_crc, 0,
-                            meta_len, payload_len)
-        actual = crc32_bytes(bare + meta + body)
-        if actual != wire_crc:
-            raise RingCorruptionError(
-                f"frame from rank {source} (tag {tag}) failed its wire "
-                f"CRC32: expected {wire_crc:#010x}, got {actual:#010x}"
-            )
-        frames.append(_Frame(source, tag, kind,
-                             _decode_body(kind, app_crc, meta, body)))
+    at = 0
+    with memoryview(stream) as view:
+        while len(view) - at >= _HEADER.size:
+            (magic, kind, source, tag, app_crc, wire_crc, meta_len,
+             payload_len) = _HEADER.unpack_from(view, at)
+            if magic != _MAGIC:
+                raise RingCorruptionError(
+                    f"ring stream from rank {source_hint}: bad frame magic "
+                    f"{magic:#010x} (framing corrupted)"
+                )
+            start = at + _HEADER.size
+            split, end = start + meta_len, start + meta_len + payload_len
+            if len(view) < end:
+                break
+            bare = _HEADER.pack(magic, kind, source, tag, app_crc, 0,
+                                meta_len, payload_len)
+            actual = crc32_bytes(view[start:end], crc32_bytes(bare))
+            if actual != wire_crc:
+                raise RingCorruptionError(
+                    f"frame from rank {source} (tag {tag}) failed its wire "
+                    f"CRC32: expected {wire_crc:#010x}, got {actual:#010x}"
+                )
+            frames.append(_Frame(source, tag, kind, _decode_body(
+                kind, app_crc, view[start:split], view[split:end])))
+            at = end
+    del stream[:at]
     return frames
 
 

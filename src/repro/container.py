@@ -84,7 +84,8 @@ def _frame(kind: str, meta: dict, entries: list[dict]) -> list[tuple]:
     end = entries[-1]["offset"] + entries[-1]["size"]
     index = json.dumps({"meta": meta, "sections": entries}).encode()
     head = _HEAD.pack(MAGIC, VERSION, KINDS.index(kind), end, len(index))
-    return [(0, head + _CRC.pack(crc32_bytes(head + index))), (end, index)]
+    crc = crc32_bytes(index, crc32_bytes(head))
+    return [(0, head + _CRC.pack(crc)), (end, index)]
 
 
 def write_atomic(path: str, *chunks: bytes) -> None:
@@ -162,13 +163,10 @@ def write_collective(comm, path: str, kind: str, meta: dict, payload: bytes,
     return offset
 
 
-def _index_verifies(blob: bytes) -> bool:
-    """Whether the index the prelude of ``blob`` names ends the file and
-    passes its CRC."""
-    _, _, _, at, length = _HEAD.unpack_from(blob)
-    (crc,) = _CRC.unpack_from(blob, _HEAD.size)
-    return (PRELUDE_SIZE <= at and at + length == len(blob)
-            and crc32_bytes(blob[:_HEAD.size] + blob[at:]) == crc)
+def _index_crc(head, view: memoryview, at: int) -> int:
+    """The CRC32 a prelude holds: of its fields ``head``, then of the
+    index from byte ``at`` of the file's bytes ``view`` on."""
+    return crc32_bytes(view[at:], crc32_bytes(head))
 
 
 def read(path: str, kind: str) -> Container:
@@ -187,16 +185,19 @@ def read(path: str, kind: str) -> Container:
     if len(blob) < PRELUDE_SIZE:
         raise fail(f"truncated: {len(blob)} bytes, no whole prelude",
                    len(blob))
+    view = memoryview(blob)
     magic, version, code, at, length = _HEAD.unpack_from(blob)
+    (crc,) = _CRC.unpack_from(blob, _HEAD.size)
+    whole = PRELUDE_SIZE <= at and at + length == len(blob)
     if magic != MAGIC:
-        damaged = _index_verifies(MAGIC + blob[len(MAGIC):])
+        damaged = whole and _index_crc(MAGIC + blob[len(MAGIC):_HEAD.size],
+                                       view, at) == crc
         what = "damaged magic" if damaged else "not a container: magic"
         raise fail(f"{what} {magic!r}", 0)
-    if at < PRELUDE_SIZE or at + length != len(blob):
+    if not whole:
         raise fail(f"truncated or overwritten: {len(blob)} bytes, the index "
                    f"claims bytes {at}..{at + length}", len(blob))
-    (crc,) = _CRC.unpack_from(blob, _HEAD.size)
-    if crc32_bytes(blob[:_HEAD.size] + blob[at:]) != crc:
+    if _index_crc(view[:_HEAD.size], view, at) != crc:
         raise fail("index failed CRC32", at)
     if (version, code) != (VERSION, KINDS.index(kind)):
         raise FormatError(f"{path}: unsupported format: version {version} "
@@ -207,7 +208,6 @@ def read(path: str, kind: str) -> Container:
         spans = [(e["offset"], e["size"], e["crc32"]) for e in sections]
     except (ValueError, KeyError, TypeError) as exc:
         raise fail(f"unreadable index ({exc})", at) from exc
-    view = memoryview(blob)
     payloads = [view[offset:offset + size] for offset, size, _ in spans]
     for i, (offset, size, crc) in enumerate(spans):
         if crc32_bytes(payloads[i]) != crc:

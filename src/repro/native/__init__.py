@@ -3,12 +3,14 @@
 ``kernels.c`` holds the tile bodies of RHS, UP and SOS, the per-cell
 pressure of a dump or a diagnostic, and the lifting, decimation and
 byte-plane packing of the compression layer, byte-identical to the NumPy
-kernels they stand in for.  This module compiles it with the
-host's ``gcc`` the first time a kernel is *used*, keeps the result as
-``kernels-<key>-<digest>.so`` and hands the loaded library out as the
-module attribute :data:`lib` -- ``None`` where there is no compiler, the
-build failed or the file cannot be loaded, in which case every caller runs
-the NumPy path it ran before, silently and with the same bytes.
+kernels they stand in for -- and ``repro_crc32``, the value of
+``zlib.crc32`` by carry-less multiplication.  This module compiles it
+with the host's ``gcc`` the first time a kernel is *used*, keeps the
+result as ``kernels-<key>-<digest>.so`` and hands the loaded library out
+as the module attribute :data:`lib` -- ``None`` where there is no
+compiler, the build failed or the file cannot be loaded, in which case
+every caller runs the NumPy path it ran before, silently and with the
+same bytes.
 :func:`status` says which it was, and why.
 
 Reading ``native.lib`` is the trigger: until the first read the attribute
@@ -62,7 +64,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno",
          "ggc-min-heapsize=4096", "-shared", "-fPIC")
 
 #: What ``repro_native_abi()`` of a library this module can drive returns.
-ABI = 5
+ABI = 6
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120.0
@@ -95,6 +97,8 @@ _SIGNATURES = {
     "repro_unpack_planes": (ctypes.c_long, [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         ctypes.c_void_p]),
+    "repro_crc32": (ctypes.c_uint32, [
+        ctypes.c_uint32, ctypes.c_void_p, ctypes.c_long]),
     "repro_native_abi": (ctypes.c_int, []),
     "repro_native_compiler": (ctypes.c_char_p, []),
 }
@@ -285,6 +289,17 @@ def addressable(array, dtype, writeable: bool = False) -> bool:
     Shapes are the caller's to check."""
     return (array.dtype == dtype and array.flags.c_contiguous
             and (array.flags.writeable or not writeable))
+
+
+def address(view: memoryview) -> int:
+    """Where the first byte of ``view`` lies (int): a C-contiguous
+    memoryview that is not empty, read-only ones through NumPy, which
+    takes any buffer.  The caller keeps ``view`` alive for the call."""
+    if not view.readonly:
+        return ctypes.addressof(ctypes.c_char.from_buffer(view))
+    import numpy as np
+
+    return np.frombuffer(view, np.uint8).ctypes.data
 
 
 _lock = threading.Lock()

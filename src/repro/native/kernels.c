@@ -1,6 +1,7 @@
 /* Compiled tile bodies of the core-layer kernels -- RHS, UP, SOS, the
  * per-cell pressure of a dump or a diagnostic -- and of the compression
- * layer's: FWT / IWT, DEC, and ENC's byte-plane pack and unpack.
+ * layer's: FWT / IWT, DEC, and ENC's byte-plane pack and unpack -- and the
+ * CRC-32 of every checksummed byte, zlib.crc32's value at memory speed.
  *
  * Every function here is the per-element arithmetic of a NumPy kernel in
  * repro.physics / repro.core, statement for statement: the same IEEE
@@ -47,7 +48,7 @@ enum { RHO = 0, RHOU = 1, RHOV = 2, RHOW = 3, ENERGY = 4, GAMMA = 5, PI = 6 };
 #define SIXTH (1.0 / 6.0)
 #define SOUND_SPEED_FLOOR 1.0e-12
 
-int repro_native_abi(void) { return 5; }
+int repro_native_abi(void) { return 6; }
 const char *repro_native_compiler(void) { return __VERSION__; }
 
 /* np.maximum / np.minimum: a NaN in either operand is the result. */
@@ -771,4 +772,101 @@ long repro_unpack_planes(const unsigned char *raw, long n, long itemsize,
 {
     return itemsize == 4 ? unpack4(raw, n, avail, dst)
                          : unpack8(raw, n, avail, dst);
+}
+
+/* ---- CRC-32: resilience.detect.crc32_bytes (zlib.crc32) -------------- */
+
+/* zlib's CRC-32: bit-reflected, polynomial 0xEDB88320, register inverted
+ * on the way in and out.  CRC_TABLE[b] is the register after byte b
+ * meets a zero register; it runs the tail of every buffer, and all of it
+ * where the CPU has no carry-less multiply. */
+static unsigned CRC_TABLE[256];
+static int HAVE_CLMUL;
+
+static __attribute__((constructor)) void crc_init(void)
+{
+    for (unsigned b = 0; b < 256; b++) {
+        unsigned c = b;
+        for (int k = 0; k < 8; k++)
+            c = c & 1 ? 0xEDB88320u ^ c >> 1 : c >> 1;
+        CRC_TABLE[b] = c;
+    }
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    HAVE_CLMUL = __builtin_cpu_supports("pclmul");
+#endif
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define CLMUL __attribute__((target("pclmul")))
+
+/* x * k (its low half by k's low, its high half by k's high) + next: one
+ * 128-bit lane moved 128 bits further along the message (k1 / k2) or
+ * into the lane that follows it (k3 / k4). */
+static inline CLMUL __m128i fold(__m128i x, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         next);
+}
+
+/* The register after the n bytes at p (n >= 64, a multiple of 16) from
+ * register c, by folding (Gopal et al., "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ Instruction", Intel 2009): four lanes 64
+ * bytes a step, then into one lane, then 16 bytes a step; 128 -> 64 -> 32
+ * bits by k5, and a Barrett reduction by P' and mu.  The constants are
+ * Gopal et al.'s, bit-reflected: k1..k5 = x^(4*128+32), x^(4*128-32),
+ * x^(128+32), x^(128-32) and x^64, each mod P; P' = P, mu = x^64 / P. */
+static CLMUL unsigned crc_fold(unsigned c, const unsigned char *p, long n)
+{
+    const __m128i k12 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k34 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+#define LOAD(at) _mm_loadu_si128((const __m128i *)(at))
+    __m128i x0 = _mm_xor_si128(LOAD(p), _mm_cvtsi32_si128((int)c));
+    __m128i x1 = LOAD(p + 16), x2 = LOAD(p + 32), x3 = LOAD(p + 48);
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x0 = fold(x0, k12, LOAD(p));
+        x1 = fold(x1, k12, LOAD(p + 16));
+        x2 = fold(x2, k12, LOAD(p + 32));
+        x3 = fold(x3, k12, LOAD(p + 48));
+    }
+    x0 = fold(fold(fold(x0, k34, x1), k34, x2), k34, x3);
+    for (; n >= 16; p += 16, n -= 16)
+        x0 = fold(x0, k34, LOAD(p));
+#undef LOAD
+    /* 128 -> 64 bits: the low half by x^(128-32), on the high half */
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(x0, k34, 0x10));
+    /* 64 -> 32 bits */
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5,
+                                            0x00));
+    /* Barrett: q = floor(x * mu / x^64), x - q * P */
+    __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+    q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly, 0x00);
+    return (unsigned)_mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x0, q),
+                                                      4));
+}
+#endif
+
+/* zlib.crc32(bytes of the n at p, value): value is the CRC of what came
+ * before, so a message may be checked a piece at a time. */
+unsigned repro_crc32(unsigned value, const unsigned char *p, long n)
+{
+    unsigned c = ~value;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (HAVE_CLMUL && n >= 64) {
+        const long bulk = n & ~15L;
+        c = crc_fold(c, p, bulk);
+        p += bulk;
+        n -= bulk;
+    }
+#endif
+    for (; n > 0; n--)
+        c = CRC_TABLE[(c ^ *p++) & 0xFF] ^ c >> 8;
+    return ~c;
 }

@@ -24,17 +24,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..physics.state import GAMMA, NQ, RHO
 
+#: Below this many bytes ``zlib.crc32`` is done before a call into the
+#: compiled library would be (a ``ctypes`` call is ~1 us on the build
+#: host); both give the same value.
+NATIVE_MIN_BYTES = 4096
 
-def crc32_bytes(data: bytes) -> int:
-    """CRC32 of a byte string (int in [0, 2**32))."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+
+def crc32_bytes(data, value: int = 0) -> int:
+    """CRC32 of the bytes of ``data`` -- bytes, a bytearray, a memoryview
+    or an array, C-contiguous -- continued from ``value``, the CRC32 of
+    what came before (int in [0, 2**32)): ``crc32_bytes(b,
+    crc32_bytes(a)) == crc32_bytes(a + b)``, so a message is checked a
+    piece at a time and never joined to be checked.
+
+    ``zlib.crc32``'s value either way: computed by the compiled
+    ``repro_crc32`` where this process has loaded the library (a checksum
+    never builds it) and the buffer holds :data:`NATIVE_MIN_BYTES` or
+    more, by ``zlib`` otherwise.  Raises ``BufferError`` for a buffer that
+    is not C-contiguous.
+    """
+    lib = vars(native).get("lib")
+    view = memoryview(data)
+    if not view.c_contiguous:
+        raise BufferError("crc32 of a buffer that is not C-contiguous")
+    if lib is None or view.nbytes < NATIVE_MIN_BYTES:
+        return zlib.crc32(view, value)
+    # ctypes passes a bytes object as the address of its bytes
+    at = data if type(data) is bytes else native.address(view)
+    return lib.repro_crc32(value, at, view.nbytes)
 
 
-def crc32_array(arr: np.ndarray) -> int:
-    """CRC32 over an array's C-contiguous bytes (int in [0, 2**32))."""
-    return crc32_bytes(np.ascontiguousarray(arr).tobytes())
+def crc32_array(arr: np.ndarray, value: int = 0) -> int:
+    """CRC32 over an array's bytes in C order, continued from ``value``
+    (int in [0, 2**32)): ``crc32_bytes(arr.tobytes(), value)`` for any
+    layout, read in place where ``arr`` is C-contiguous."""
+    return crc32_bytes(np.ascontiguousarray(arr), value)
 
 
 class CorruptionError(ValueError):

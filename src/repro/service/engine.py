@@ -45,7 +45,7 @@ from ..resilience.recover import checkpoint_generations, resume
 from ..telemetry.log import get_logger
 from .cache import ResultCache
 from .queue import AdmissionQueue
-from .request import JobRequest
+from .request import JobRequest, canonical_key
 from .retry import BackoffPolicy, CircuitBreaker
 from .workers import WorkerPool
 
@@ -157,7 +157,7 @@ class _Job:
     priority: int
     timeout: float | None
     policy: BackoffPolicy
-    injector: FaultInjector
+    injector: FaultInjector | None  #: None for a job born terminal
     checkpoint_dir: str
     delays: object  #: backoff delay stream
     #: checkpoint generations present before the first attempt
@@ -339,12 +339,15 @@ class JobEngine:
         """
         submitted_at = time.monotonic()
         # Request hashing and the cache probe do real IO (a restart
-        # checkpoint is CRC'd into the key; the cache reads payload
-        # files from disk) -- do all of it before taking the engine
-        # lock so submit never stalls the supervisor/drain paths.
-        key = request.key()
-        payload = request.to_payload()
+        # checkpoint is read and CRC'd into the key, once; the cache
+        # reads payload files from disk) -- do all of it before taking
+        # the engine lock so submit never stalls the supervisor/drain
+        # paths.
+        semantic = request.semantic_dict()
+        key = canonical_key(semantic)
         hit = self.cache.get(key)
+        # the wire form only a miss sends, from the semantic dict above
+        payload = request.to_payload(semantic) if hit is None else None
         policy = self.config.backoff
         if max_attempts is not None:
             policy = replace(policy, max_attempts=max_attempts)
@@ -359,11 +362,11 @@ class JobEngine:
                 )
                 return JobHandle(self, job)
             if hit is not None:
-                meta, payload = hit
+                meta, result = hit
                 self.counters["cache_hits"] += 1
                 job = self._terminal_job_locked(
                     key, request, DONE_CACHED,
-                    result_payload=payload,
+                    result_payload=result,
                     attempts=int(meta.get("attempts", 1)),
                 )
                 self._log.info("cache_hit", key=key[:16])
@@ -429,7 +432,7 @@ class JobEngine:
         job = _Job(
             seq=seq, key=key, request=request, payload={}, priority=0,
             timeout=None, policy=self.config.backoff,
-            injector=FaultInjector(), checkpoint_dir="", delays=iter(()),
+            injector=None, checkpoint_dir="", delays=iter(()),
             status=status, attempts=attempts, error=error,
         )
         if result_payload is not None:

@@ -231,10 +231,12 @@ class JobRequest:
         """The content-addressed cache key (64-char hex SHA-256)."""
         return canonical_key(self.semantic_dict())
 
-    def to_payload(self) -> dict:
-        """A JSON-able wire form a worker can rebuild the job from."""
+    def to_payload(self, semantic: dict | None = None) -> dict:
+        """A JSON-able wire form a worker can rebuild the job from;
+        ``semantic``: this request's :meth:`semantic_dict`, where the
+        caller has it (a restart checkpoint is read to build one)."""
         return {
-            "semantic": self.semantic_dict(),
+            "semantic": self.semantic_dict() if semantic is None else semantic,
             "runtime": self.runtime_dict(),
             "restart_from": self.restart_from,
         }

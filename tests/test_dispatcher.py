@@ -98,11 +98,20 @@ class TestDispatcher:
         assert stats.busy.size == 4
 
     def test_threads_mode_actually_distributes(self):
+        """Items 0 and 1 meet at a barrier, so they run on two workers at
+        once however the OS schedules the threads: no worker can take all
+        16 items.  A dispatcher that ran every item on one thread would
+        raise ``BrokenBarrierError`` here instead of passing."""
+        import threading
+
         import numpy as _np
 
         d = Dispatcher(num_workers=4, mode="threads")
+        meet = threading.Barrier(2, timeout=10)
 
-        def work(_):
+        def work(i):
+            if i < 2:
+                meet.wait()
             return float(_np.linalg.norm(_np.ones((200, 200)) @ _np.ones((200, 200))))
 
         _, stats = d.run(range(16), work)

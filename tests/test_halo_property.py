@@ -11,6 +11,7 @@ and ring layers are exercised in-process (no spawning): the byte
 format is identical either way.
 """
 
+import itertools
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.cluster.halo import HaloExchange
 from repro.cluster.mpi_sim import SimWorld
 from repro.cluster.procs import (
     KIND_ARRAY,
+    KIND_COLL,
     KIND_HALO,
     KIND_PICKLE,
     Ring,
@@ -192,6 +194,73 @@ def test_corrupt_byte_never_delivers(seed, offset_frac):
     # The only non-raising outcome: a corrupted length field made the
     # frame look longer than the stream -- nothing may be delivered.
     assert frames == []
+
+
+def _same_frame(a, b) -> bool:
+    """Whether two decoded frames carry the same message."""
+    if (a.source, a.tag, a.kind) != (b.source, b.tag, b.kind):
+        return False
+    pa, pb = a.payload, b.payload
+    if isinstance(pa, HaloFrame):
+        if pa.crc != pb.crc:
+            return False
+        pa, pb = pa.payload, pb.payload
+    if isinstance(pa, np.ndarray):
+        return (pa.dtype == pb.dtype and pa.shape == pb.shape
+                and pa.tobytes() == pb.tobytes())
+    return pa == pb
+
+
+@given(seed=st.integers(0, 2**31), mask=st.integers(1, 255),
+       split=st.floats(0.05, 0.95))
+@settings(max_examples=15, deadline=None)
+def test_any_cut_or_flip_of_a_mixed_stream_parses_a_prefix_or_raises(
+        seed, mask, split):
+    """The in-place ingress over every cut and every single-byte flip of a
+    stream of halo, array, pickle and collective frames with one more
+    frame split across its end: each case raises RingCorruptionError or
+    returns a prefix of the clean parse and leaves the bytes after that
+    prefix buffered -- in bounded time, and never a ``BufferError`` (the
+    stream stays resizable after either ending).  A cut only defers: it
+    returns exactly the frames it holds whole."""
+    rng = make_rng(seed)
+    arr = rng.normal(size=(2, 3, 4)).astype(np.float32)
+    records = [
+        encode_frame(1, 11, KIND_HALO,
+                     HaloFrame(crc=crc32_array(arr), payload=arr)),
+        encode_frame(1, 12, KIND_ARRAY, rng.integers(0, 9, size=5)),
+        encode_frame(1, 13, KIND_PICKLE, {"step": seed % 97, "dt": 0.5}),
+        encode_frame(1, 14, KIND_COLL, {0: ("allreduce", float(seed % 7))}),
+    ]
+    tail = encode_frame(1, 15, KIND_ARRAY, arr)
+    wire = b"".join(records) + tail[:max(1, int(split * len(tail)))]
+    ends = [0, *itertools.accumulate(map(len, records))]
+    clean = parse_frames(bytearray(wire))
+    assert len(clean) == len(records)
+
+    def parsed(stream: bytes) -> int | None:
+        """Frames parsed from ``stream``, None where it raised."""
+        buf = bytearray(stream)
+        t0 = time.perf_counter()
+        try:
+            frames = parse_frames(buf)
+        except RingCorruptionError:
+            frames = None
+        assert time.perf_counter() - t0 < 1.0
+        buf.append(0)  # no view of the stream is left behind
+        if frames is None:
+            return None
+        n = len(frames)
+        assert all(map(_same_frame, frames, clean))
+        assert bytes(buf[:-1]) == stream[ends[n]:]
+        return n
+
+    for cut in range(len(wire) + 1):
+        assert parsed(wire[:cut]) == sum(end <= cut for end in ends[1:])
+    for pos in range(len(wire)):
+        flipped = bytearray(wire)
+        flipped[pos] ^= mask
+        parsed(bytes(flipped))
 
 
 def test_corrupt_payload_byte_raises():

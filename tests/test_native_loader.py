@@ -47,6 +47,7 @@ void repro_lift(void) {}
 void repro_decimate(void) {}
 long repro_pack_planes(void) { return 0; }
 long repro_unpack_planes(void) { return 0; }
+unsigned repro_crc32(void) { return 0; }
 """
 
 #: SHA-256 of the final field of the 2-step run in ``_RUN``, recorded at
@@ -345,8 +346,9 @@ class TestStatus:
             capture_output=True, text=True, timeout=BOUND, check=False)
         report = json.loads(proc.stdout)
         assert report["backend"] == ("numpy" if hidden else "c")
-        assert report["abi"] == native.ABI == 5
+        assert report["abi"] == native.ABI == 6
         assert {"repro_lift", "repro_decimate", "repro_cell_pressure",
-                "repro_pack_planes", "repro_unpack_planes"} <= set(
+                "repro_pack_planes", "repro_unpack_planes",
+                "repro_crc32"} <= set(
             report["entry_points"])
         assert proc.returncode == (1 if hidden else 0)

@@ -98,6 +98,43 @@ class TestEngineBasics:
             assert engine.counters["shed"] == 1
             assert engine.queue.shed_total == 1
 
+    def test_submit_reads_a_restart_checkpoint_once(self, tmp_path,
+                                                    monkeypatch):
+        """``submit`` builds the request's semantic dict once and takes the
+        key and a miss's wire form from it: the restart checkpoint (whose
+        CRC enters the key) is read once for a miss and once for a hit.
+        A job born terminal carries no fault injector."""
+        ckpt = tmp_path / "restart.rpc"
+        ckpt.write_bytes(np.random.default_rng(3).bytes(50_000))
+        request = JobRequest(config=SimulationConfig(cells=16, block_size=8,
+                                                     max_steps=3),
+                             ic=IC, restart_from=str(ckpt))
+        reads, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            if os.fspath(file) == str(ckpt):
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        # Never started: the miss stays queued, nothing else reads.
+        engine = JobEngine(ServiceConfig(workers=1,
+                                         workdir=str(tmp_path / "w")))
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.open", counting_open)
+                miss = engine.submit(request)
+            assert len(reads) == 1 and miss.status == engine_mod.QUEUED
+            assert miss._job.payload["semantic"] == request.semantic_dict()
+            engine.cache.put(miss.key, {"dts": [0.1]})
+            reads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.open", counting_open)
+                hit = engine.submit(request)
+            assert len(reads) == 1 and hit.result(timeout=1).cached
+            assert hit._job.injector is None
+        finally:
+            engine.shutdown(drain=False)
+
     def test_closed_engine_rejects_submits(self, tmp_path):
         svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
         engine = JobEngine(svc).start()
