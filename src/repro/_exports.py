@@ -6,7 +6,7 @@ by :func:`lazy_exports`::
 
     __getattr__, __all__ = lazy_exports(__name__, {
         "eos": ("LIQUID", "pressure"),
-        "perfcheck": ("check_sources as perf_check_sources",),
+        "lint": ("lint_source as lint",),
         "zerotree": ("zerotree",),  # the submodule itself
     })
 

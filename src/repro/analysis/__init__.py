@@ -13,39 +13,26 @@ machine instead of by convention:
   must never produce NaN/Inf, negative density or negative pressure
   mid-collapse.
 
-Three static families, rule sets over one program model
-(:mod:`repro.analysis.program`: each file parsed once, one function
-table, one rule registry, one :class:`Report` type), twelve rules in
-all -- the ones that have caught something in this repository:
+One static lint over one program model
+(:mod:`repro.analysis.program`: each file parsed once, one call-resolution
+policy, one rule registry, one :class:`Report` type):
+:mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` --
+``cubism-lint``, rules CL001, CL005-CL007, CL009, CL011, CL012 and CP003
+(hidden temporaries in the declared hot-path kernels) with
+``# lint: disable=RULE`` pragmas.  Run it as
+``python -m repro.analysis src/repro`` (or the ``cubism-lint`` script).
 
-* :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` --
-  ``cubism-lint``, per-file rules CL001, CL005-CL007, CL009, CL011 and
-  CL012 with ``# lint: disable=RULE`` pragmas.  Run it as
-  ``python -m repro.analysis src/repro`` (or the ``cubism-lint`` script).
-* :mod:`repro.analysis.perfcheck` -- **kernel-check**, a static hot-path
-  performance analyzer (rules CP003 and CP006, ``python -m
-  repro.analysis --perf``) that holds the declared hot-path kernels to
-  their allocation and arithmetic contracts and, on request, writes the
-  machine-readable ``kernel_manifest.json``.
-* :mod:`repro.analysis.syscheck` -- **sys-check**, a static
-  resource-lifecycle analyzer for the multi-process layers (rules
-  RS001, RS003 and RS006, ``python -m repro.analysis --sys``), plus
-  :class:`ResourceLedger`, the runtime leak sanitizer the test suite
-  wraps around every cluster/service/chaos test.
-
-``python -m repro.analysis --all`` runs the three static families in one
-pass and emits a single merged report with a worst-of exit code.
-
-Beside them, the runtime checkers: :mod:`repro.analysis.sanitizer` --
+Beside it, the runtime checkers: :mod:`repro.analysis.sanitizer` --
 :class:`NumericsSanitizer`, an off / warn / raise policy that hooks into
 the core kernels, the time stepper and the cluster driver, accumulating
-a per-run :class:`ViolationReport` -- and
-:mod:`repro.analysis.concurrency`, a vector-clock race detector +
-deadlock watchdog for the thread-based runtime (CC101/CC102,
-``--concurrency-check`` on runs).
+a per-run :class:`ViolationReport`; :mod:`repro.analysis.concurrency`, a
+vector-clock race detector + deadlock watchdog for the thread-based
+runtime (CC101/CC102, ``--concurrency-check`` on runs); and
+:class:`ResourceLedger` (:mod:`repro.analysis.ledger`), the leak
+sanitizer the test suite wraps around the multi-process tests.
 
 The names below resolve on first use: the runtime imports the sanitizer
-and the race tracker, never the static analysers beside them.
+and the race tracker, never the lint beside them.
 
 See ``docs/analysis.md`` for the full rule catalogue and usage.
 """
@@ -59,20 +46,10 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "RaceTracker",
         "make_tracker",
     ),
-    "perfcheck": (
-        "HOT_KERNELS",
-        "KernelSpec",
-        "build_kernel_manifest",
-        "check_sources as perf_check_sources",
-        "write_kernel_manifest",
-    ),
-    "syscheck": (
-        "LeakError",
-        "ResourceLedger",
-        "check_sources as sys_check_sources",
-    ),
+    "ledger": ("LeakError", "ResourceLedger"),
     "lint": (
         "LintConfig",
+        "analyze",
         "format_violations",
         "lint_source",
     ),
@@ -80,7 +57,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "Program",
         "Rule",
         "SourceFile",
-        "analyze",
         "register_rule",
         "registered_rules",
     ),

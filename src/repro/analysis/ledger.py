@@ -1,4 +1,4 @@
-"""Runtime leak sanitizer: the dynamic counterpart of the RS rules.
+"""Runtime leak sanitizer of the multi-process layers.
 
 A :class:`ResourceLedger` watches the four OS resource kinds the
 multi-process layers can leak -- shared-memory segments, child
@@ -16,8 +16,7 @@ left none behind.  Two modes compose:
 
 The pytest fixture in ``tests/conftest.py`` wraps the snapshot mode
 around every cluster/service/chaos test, which is how the acceptance
-bar "zero leaked segments/processes/threads" is enforced at runtime
-(the static RS rules prove the same discipline at review time).
+bar "zero leaked segments/processes/threads" is enforced at runtime.
 """
 
 from __future__ import annotations

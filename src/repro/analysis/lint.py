@@ -1,13 +1,13 @@
-"""``cubism-lint``: the per-file lint family (CL rules).
+"""``cubism-lint``: run the rule catalogue over one program.
 
-Each CL rule (:mod:`repro.analysis.rules`) receives one parsed
-:class:`~repro.analysis.program.SourceFile` and yields
-:class:`~repro.analysis.report.Violation` records; the program model
-owns discovery, parsing and ``# lint: disable=RULE`` pragmas.  This
-module adds per-rule path scoping through :class:`LintConfig` (e.g. the
-mixed precision rule applies to ``core/``/``node/``/``cluster/``/
-``physics/`` but exempts ``compression/`` and ``sim/`` diagnostics) and
-the ``file:line:col: RULE message`` formatting.
+Each rule (:mod:`repro.analysis.rules`) yields
+:class:`~repro.analysis.report.Violation` records from the parsed
+:class:`~repro.analysis.program.Program`; the program model owns
+discovery, parsing and ``# lint: disable=RULE`` pragmas.  This module
+adds per-rule path scoping through :class:`LintConfig` (e.g. the mixed
+precision rule applies to ``core/``/``node/``/``cluster/``/``physics/``
+but exempts ``compression/`` and ``sim/`` diagnostics) and the
+``file:line:col: RULE message`` formatting.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from . import rules as _rules  # noqa: F401  (registers the CL catalogue)
 from .program import Program, Rule, path_matches, registered_rules
 from .report import Report, Violation
 
@@ -36,9 +35,9 @@ class LintConfig:
     rule_paths: Mapping[str, tuple[str, ...] | None] = field(default_factory=dict)
 
     def active_rules(self) -> list[Rule]:
-        """Returns instantiated lint rules enabled by select/ignore."""
+        """Returns instantiated rules enabled by select/ignore."""
         return [
-            cls() for cls in registered_rules("lint")
+            cls() for cls in registered_rules()
             if (self.select is None or cls.rule_id in self.select)
             and cls.rule_id not in self.ignore
         ]
@@ -51,18 +50,13 @@ class LintConfig:
         return any(path_matches(path, pat) for pat in patterns)
 
 
-def analyze(program: Program,
-            config: LintConfig | None = None) -> tuple[Program, Report]:
-    """Lints every file of ``program``; returns ``(program, report)``."""
+def analyze(program: Program, config: LintConfig | None = None) -> Report:
+    """Lints ``program``; returns the report of the findings no pragma
+    covers (the files that do not parse stay in ``program.errors``)."""
     config = config or LintConfig()
-    rules = config.active_rules()
-    found = [
-        v
-        for path, source in program.sources.items()
-        for rule in rules if config.applies(rule, path)
-        for v in rule.check(source)
-    ]
-    return program, Report("lint", sorted(program.unsuppressed(found)), None)
+    found = [v for rule in config.active_rules()
+             for v in rule.run(program, config.applies)]
+    return Report("lint", sorted(program.unsuppressed(found)), None)
 
 
 def lint_source(text: str, path: str, config: LintConfig | None = None) -> list[Violation]:
@@ -72,7 +66,7 @@ def lint_source(text: str, path: str, config: LintConfig | None = None) -> list[
     tests can place fixture snippets in any layer of the tree.
     """
     program = Program({path: text})
-    return sorted(program.errors + analyze(program, config)[1].violations)
+    return sorted(program.errors + analyze(program, config).violations)
 
 
 def format_violations(violations: Iterable[Violation]) -> str:

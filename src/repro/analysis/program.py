@@ -1,18 +1,13 @@
-"""The one program model of the three static analysis families.
-
-lint (CL), kernel-check (CP) and sys-check (RS) are rule sets over what
-this module builds once per run:
+"""The program model ``cubism-lint`` runs its rules over.
 
 * :class:`Program` -- every analysed file read and parsed once into a
   :class:`SourceFile` (its text, tree, ``# lint: disable=RULE`` pragmas,
-  parent map, functions and module constants), the files that do not
-  parse as ``CL000`` findings, and the program-wide function table by
-  bare name (each family resolves a call through it with its own
-  policy);
+  parent map and functions), the files that do not parse as ``CL000``
+  findings, and the one call-resolution policy: a bare ``name(...)``
+  call resolves to the first def of that name in load order
+  (:attr:`Program.functions`, :meth:`Program.closure`);
 * :class:`Rule` and the one registry (:func:`register_rule`,
-  :func:`registered_rules`), each rule carrying its family;
-* :func:`analyze` -- runs one family over a program and returns its
-  model and :class:`~repro.analysis.report.Report`.
+  :func:`registered_rules`).
 
 Pragma syntax: a ``# lint: disable=RULE[,RULE...]`` comment on a line of
 its own disables the rules for the whole file; a trailing pragma
@@ -29,24 +24,15 @@ import re
 import tokenize
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import import_module
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .report import Report, Violation
+from .report import Violation
 
 #: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL005``.
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: Each family, in report order, and the module whose ``analyze(program)``
-#: runs its rules.
-FAMILIES = {
-    "lint": "repro.analysis.lint",
-    "perf": "repro.analysis.perfcheck.rules",
-    "sys": "repro.analysis.syscheck.rules",
-}
 
 
 @dataclass(eq=False)
@@ -55,13 +41,11 @@ class Function:
 
     path: str
     name: str
-    qualname: str  #: ``Class.name`` for a method, else the bare name
-    class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
 
 
 class SourceFile:
-    """A parsed python file plus the metadata every family reads.
+    """A parsed python file plus the metadata every rule reads.
 
     Attributes
     ----------
@@ -180,27 +164,8 @@ class SourceFile:
     @cached_property
     def functions(self) -> list[Function]:
         """Every def of the file, in ``ast.walk`` order."""
-        out = []
-        for node in self.nodes(*_FUNC_NODES):
-            owner = self.parents().get(node)
-            cls = owner.name if isinstance(owner, ast.ClassDef) else None
-            out.append(Function(
-                self.path, node.name,
-                f"{cls}.{node.name}" if cls else node.name, cls, node,
-            ))
-        return out
-
-    @cached_property
-    def consts(self) -> dict[str, object]:
-        """Module-level ``NAME = <constant>`` bindings (the last wins)."""
-        out: dict[str, object] = {}
-        for node in self.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                t = node.targets[0]
-                if (isinstance(t, ast.Name)
-                        and isinstance(node.value, ast.Constant)):
-                    out[t.id] = node.value.value
-        return out
+        return [Function(self.path, node.name, node)
+                for node in self.nodes(*_FUNC_NODES)]
 
 
 class Program:
@@ -241,13 +206,31 @@ class Program:
         return cls(texts)
 
     @cached_property
-    def functions(self) -> dict[str, list[Function]]:
-        """Bare name -> every def of that name, in load order."""
-        out: dict[str, list[Function]] = {}
+    def functions(self) -> dict[str, Function]:
+        """Bare name -> the first def of that name in load order: what a
+        bare ``name(...)`` call anywhere in the program resolves to."""
+        out: dict[str, Function] = {}
         for source in self.sources.values():
             for fn in source.functions:
-                out.setdefault(fn.name, []).append(fn)
+                out.setdefault(fn.name, fn)
         return out
+
+    def closure(self, roots: Iterable[str]) -> list[Function]:
+        """The defs ``roots`` reach through bare-name calls, each once,
+        roots included (a name with no def is left out).  Attribute calls
+        (``np.sqrt``, methods of runtime objects) are not followed."""
+        seen: dict[str, Function] = {}
+        stack = list(roots)
+        while stack:
+            name = stack.pop()
+            fn = self.functions.get(name)
+            if fn is None or name in seen:
+                continue
+            seen[name] = fn
+            stack.extend(node.func.id for node in ast.walk(fn.node)
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name))
+        return list(seen.values())
 
     def unsuppressed(self, violations: Iterable[Violation]) -> list[Violation]:
         """The violations no ``# lint: disable`` pragma covers."""
@@ -265,24 +248,6 @@ def call_name(call: ast.Call) -> str | None:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return None
-
-
-def keyword(call: ast.Call, name: str) -> ast.expr | None:
-    """The value of keyword argument ``name`` of a call, or None."""
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def walk_own(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``fn`` skipping nested function/lambda bodies."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _FUNC_NODES + (ast.Lambda,)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def path_matches(path: str, pattern: str) -> bool:
@@ -316,45 +281,44 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 class Rule:
-    """Base class of every analysis rule.
+    """Base class of every lint rule.
 
-    Subclasses set ``family`` (``"lint"``, ``"perf"`` or ``"sys"``),
-    ``rule_id``, ``name`` and ``description`` and implement
-    :meth:`check`, which takes a :class:`SourceFile` for lint and the
-    family's whole-program model otherwise.  ``paths`` restricts the
-    rule to path patterns (see :func:`path_matches`); ``None`` means it
-    applies everywhere.
+    Subclasses set ``rule_id``, ``name`` and ``description`` and
+    implement :meth:`check`, which takes one :class:`SourceFile`.
+    ``paths`` restricts the rule to path patterns (see
+    :func:`path_matches`); ``None`` means it applies everywhere, and
+    ``scope`` says so in ``--list-rules``.
     """
 
-    family: str = "lint"
     rule_id: str = ""
     name: str = ""
     description: str = ""
     paths: tuple[str, ...] | None = None
-    #: Added to the ast's 0-based column offset of a finding.
-    col_base: int = 1
+    scope: str = "all files"
 
-    def check(self, subject) -> Iterable[Violation]:
-        """Yield the rule's violations."""
+    def check(self, source: SourceFile) -> Iterable[Violation]:
+        """Yield the rule's violations in one file."""
         raise NotImplementedError
 
-    def applies(self, path: str) -> bool:
-        """Returns whether ``path`` is in the rule's scope."""
-        return self.paths is None or any(path_matches(path, p)
-                                         for p in self.paths)
+    def run(self, program: Program, in_scope) -> Iterator[Violation]:
+        """Yield the rule's violations in every file of ``program`` for
+        which ``in_scope(rule, path)`` holds."""
+        for path, source in program.sources.items():
+            if in_scope(self, path):
+                yield from self.check(source)
 
     def violation(self, path: str, node, message: str) -> Violation:
         """Returns a :class:`Violation` anchored at ``node``."""
         return Violation(
             path=path,
             line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + self.col_base,
+            col=getattr(node, "col_offset", 0) + 1,
             rule=self.rule_id,
             message=message,
         )
 
 
-#: The open rule registry of every family, keyed by rule id.
+#: The rule registry, keyed by rule id.
 REGISTRY: dict[str, type[Rule]] = {}
 
 
@@ -368,31 +332,13 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
-def registered_rules(family: str | None = None) -> list[type[Rule]]:
-    """Returns the registered rule classes of ``family`` (default: every
-    family) in id order.
+def registered_rules() -> list[type[Rule]]:
+    """Returns the registered rule classes in id order.
 
-    The built-in catalogues register themselves on import; importing
-    them here makes the answer the same whichever module the caller
-    loaded first.
+    The catalogue (:mod:`repro.analysis.rules`) registers itself on
+    import; importing it here makes the answer the same whichever module
+    the caller loaded first.
     """
-    for module in FAMILIES.values():
-        import_module(module)
-    return [REGISTRY[k] for k in sorted(REGISTRY)
-            if family is None or REGISTRY[k].family == family]
+    from . import rules  # noqa: F401
 
-
-def analyze(program: Program, family: str, select=None,
-            ignore=frozenset()) -> tuple[object, Report]:
-    """Runs one family's rules over ``program``.
-
-    Returns ``(model, report)``: the family's whole-program model and
-    its report, keeping the findings of rules in ``select`` (``None`` =
-    all) and not in ``ignore``.  ``checks_run`` counts every rule.
-    """
-    model, report = import_module(FAMILIES[family]).analyze(program)
-    report.violations = [
-        v for v in report.violations
-        if (select is None or v.rule in select) and v.rule not in ignore
-    ]
-    return model, report
+    return [REGISTRY[k] for k in sorted(REGISTRY)]

@@ -1,8 +1,8 @@
-"""The finding record and the report of every analysis family.
+"""The finding record and the report of the lint and the race detector.
 
 :class:`Violation` is the one finding type and :class:`Report` the one
-report type: the three static families (:mod:`repro.analysis.program`
-runs them) build them from source, the runtime race detector
+report type: ``cubism-lint`` (:mod:`repro.analysis.lint`) builds them
+from source, the runtime race detector
 (:mod:`repro.analysis.concurrency.race`) at run time -- the same
 ``file:line:col: RULE message`` lines on the CLI, the same JSON payload
 in the CI artifact, and one ``summary()`` string on the run scorecard.
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: The word a family's ``summary()`` starts with.
-_SUMMARY_LABEL = {"comm": "concurrency", "perf": "perfcheck",
-                  "sys": "syscheck"}
+_SUMMARY_LABEL = {"comm": "concurrency"}
 
 
 @dataclass(frozen=True, order=True)
@@ -36,11 +35,11 @@ class Violation:
 
 @dataclass
 class Report:
-    """The findings of one family over one program or one run.
+    """The findings of the lint over one program or of one run.
 
-    ``family`` is ``"lint"``, ``"perf"`` or ``"sys"`` for a static
-    family and ``"comm"`` for the runtime race detector; ``checks_run``
-    is ``None`` for lint, which counts no checks.
+    ``family`` is ``"lint"`` for the static lint and ``"comm"`` for the
+    runtime race detector; ``checks_run`` is ``None`` for lint, which
+    counts no checks.
     """
 
     family: str

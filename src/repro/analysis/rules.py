@@ -1,10 +1,12 @@
-"""The ``cubism-lint`` rule catalogue (CL001, CL005-CL007, CL009, CL011, CL012).
+"""The ``cubism-lint`` rule catalogue (CL001, CL005-CL007, CL009, CL011,
+CL012 and CP003).
 
 Each rule encodes one contract the paper's solver design depends on;
 the docstrings below are the normative description (also surfaced by
-``python -m repro.analysis --list-rules``).  Path scopes are the
-defaults tuned to this repository -- override them through
-:class:`repro.analysis.lint.LintConfig`.
+``python -m repro.analysis --list-rules``).  The CL rules read one file
+at a time; CP003 reads the declared hot-path kernels and the defs they
+call.  Path scopes are the defaults tuned to this repository -- override
+them through :class:`repro.analysis.lint.LintConfig`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from .program import Rule, SourceFile, call_name, register_rule
+from .program import Rule, SourceFile, call_name, path_matches, register_rule
 from .report import Violation
 
 #: Attribute names of raw numpy float dtypes covered by CL001.
@@ -520,4 +522,125 @@ class NoBarePrintInLibrary(Rule):
                     "bare print() in library code; use "
                     "repro.telemetry.log.get_logger(...) (or justify "
                     "with a trailing '# lint: disable=CL012')",
+                )
+
+
+#: The declared hot-path kernels, ``(module path suffix, function name)``:
+#: the RHS stages (WENO, HLLE, CONV/BACK, SOS), their block and box
+#: wrappers, UP, the ghost fill, and the compression layer's FWT, DEC and
+#: ENC.  A kernel and the defs it reaches through bare-name calls are
+#: CP003's scan scope.
+HOT_KERNELS: tuple[tuple[str, str], ...] = (
+    *(("physics/weno.py", k) for k in ("weno5", "weno5_fused", "weno3")),
+    *(("physics/riemann.py", k) for k in ("hlle_flux", "einfeldt_wave_speeds",
+                                          "hllc_flux")),
+    *(("physics/eos.py", k) for k in (
+        "conserved_to_primitive", "primitive_to_conserved", "pressure",
+        "total_energy", "sound_speed", "max_characteristic_velocity")),
+    ("physics/equations.py", "compute_rhs"),
+    *(("core/kernels.py", k) for k in (
+        "gather_conv", "scatter_aos", "rhs_kernel", "rhs_kernel_slices",
+        "sos_kernel", "cell_pressure", "update_stage")),
+    ("core/timestepper.py", "advance"),
+    ("node/ghosts.py", "fill_block_ghosts"),
+    ("compression/wavelet.py", "fwt3d"),
+    ("compression/wavelet.py", "iwt3d"),
+    ("compression/decimation.py", "decimate"),
+    ("compression/encoder.py", "pack_planes"),
+    ("compression/encoder.py", "unpack_planes"),
+)
+
+#: Elementwise ufuncs and reductions: an array temporary per call unless
+#: it writes to ``out=``.
+_UFUNCS = frozenset({
+    "sqrt", "abs", "absolute", "fabs", "maximum", "minimum", "fmin",
+    "fmax", "where", "exp", "log", "log2", "log10", "power", "add",
+    "subtract", "multiply", "divide", "true_divide", "negative", "square",
+    "sign", "clip", "hypot", "copysign", "mod", "floor_divide",
+    "reciprocal", "moveaxis", "swapaxes", "stack", "concatenate",
+    "max", "min", "sum", "prod", "amax", "amin", "nanmax", "nanmin",
+})
+
+#: CP003 fires at or above this many allocating array ops per function ...
+ALLOC_THRESHOLD = 12
+
+#: ... unless at least ``alloc / DISCIPLINE_RATIO`` ops are disciplined
+#: (``out=``, in-place augmented assignment, subscript store, copyto).
+DISCIPLINE_RATIO = 4
+
+
+def _alloc_discipline(fn: ast.AST) -> tuple[int, int]:
+    """(allocating array ops, disciplined ops) of one function body.
+
+    Index arithmetic inside subscript slices and ``is``/``is not``
+    identity checks are scalar bookkeeping, not array temporaries, and
+    are excluded from the allocation count.
+    """
+    in_slice = {id(sub) for node in ast.walk(fn)
+                if isinstance(node, ast.Subscript)
+                for sub in ast.walk(node.slice)}
+    alloc = disciplined = 0
+    for node in ast.walk(fn):
+        if id(node) in in_slice:
+            continue
+        if isinstance(node, ast.BinOp):
+            alloc += 1
+        elif isinstance(node, ast.UnaryOp):
+            alloc += not isinstance(node.operand, ast.Constant)
+        elif isinstance(node, ast.Compare):
+            alloc += not all(isinstance(op, (ast.Is, ast.IsNot))
+                             for op in node.ops)
+        elif isinstance(node, ast.Call):
+            has_out = any(kw.arg == "out" for kw in node.keywords)
+            if has_out or call_name(node) == "copyto":
+                disciplined += 1
+            elif call_name(node) in _UFUNCS:
+                alloc += 1
+        elif isinstance(node, ast.AugAssign):
+            disciplined += 1
+        elif isinstance(node, ast.Assign):
+            disciplined += sum(isinstance(t, ast.Subscript)
+                               for t in node.targets)
+    return alloc, disciplined
+
+
+@register_rule
+class HiddenTemporaries(Rule):
+    """CP003: chained ufunc expressions allocating many intermediates.
+
+    Every un-disciplined array binop/ufunc call in a NumPy kernel
+    allocates (and streams) a hidden temporary; the paper's micro-fused
+    kernels exist precisely to avoid those passes.  A declared hot-path
+    kernel (:data:`HOT_KERNELS`), or a def it reaches through bare-name
+    calls (:meth:`~repro.analysis.program.Program.closure`), whose
+    allocating-op count reaches :data:`ALLOC_THRESHOLD` with less than
+    one disciplined op (``out=`` / in-place / workspace store) per
+    :data:`DISCIPLINE_RATIO` allocations is flagged.
+    """
+
+    rule_id = "CP003"
+    name = "hidden-temporaries"
+    description = (
+        "kernel-path function allocating many intermediate arrays per "
+        "call with no out=/workspace reuse (Weno5Workspace idiom)"
+    )
+    scope = "hot-path kernels"
+
+    def run(self, program, in_scope) -> Iterator[Violation]:
+        roots = [name for module, name in HOT_KERNELS
+                 if any(fn.name == name
+                        for path, source in program.sources.items()
+                        if path_matches(path, module)
+                        for fn in source.functions)]
+        for fn in program.closure(roots):
+            if not in_scope(self, fn.path):
+                continue
+            alloc, disciplined = _alloc_discipline(fn.node)
+            if alloc >= ALLOC_THRESHOLD and disciplined * DISCIPLINE_RATIO < alloc:
+                yield self.violation(
+                    fn.path, fn.node,
+                    f"{fn.name}() allocates ~{alloc} intermediate "
+                    f"arrays per call ({disciplined} disciplined ops); "
+                    "thread out=/workspace buffers through the hot "
+                    "expression chain (Weno5Workspace idiom)",
                 )

@@ -196,9 +196,10 @@ def unpack_planes(raw, n: int, itemsize: int, dst: np.ndarray) -> int:
     """Scatter the survivors of ``raw`` (a whole map of ``n`` elements,
     then their byte planes) into ``dst``, their ``n`` zeroed elements as
     a C-contiguous unsigned view -- if the planes hold as many as the map
-    names.  Returns the map's count.  One compiled pass where there is a
-    library, :func:`_unpack_planes_numpy` otherwise."""
-    lib = native.lib
+    names.  Returns the map's count.  One compiled pass where this
+    process has loaded the library (reading a dump never builds it),
+    :func:`_unpack_planes_numpy` otherwise: the same bytes."""
+    lib = vars(native).get("lib")
     if lib is None:
         return _unpack_planes_numpy(raw, n, itemsize, dst)
     return lib.repro_unpack_planes(raw, n, itemsize, len(raw),

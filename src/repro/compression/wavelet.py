@@ -269,8 +269,10 @@ def _lift_compiled(blocks: np.ndarray, levels: int, inverse: bool,
     """:func:`lift_batch` of a validated batch by the compiled library, if
     there is one and the batch is C-contiguous: the same tree per sample
     on one row slab of scratch (this call's own -- rank threads compress
-    concurrently), the bytes of :func:`_lift`.  False: not taken."""
-    lib = native.lib
+    concurrently), the bytes of :func:`_lift`.  False: not taken.  The
+    inverse, which reading a dump runs, takes the library only where this
+    process has loaded it: a read never builds it."""
+    lib = vars(native).get("lib") if inverse else native.lib
     taken = lib is not None and native.addressable(blocks, blocks.dtype,
                                                    writeable=True)
     if taken:

@@ -15,8 +15,11 @@ same bytes.
 
 Reading ``native.lib`` is the trigger: until the first read the attribute
 does not exist and the module-level ``__getattr__`` loads it (so importing
-``repro``, reading a dump or a checkpoint never compiles); from then on it
-is a plain attribute.  Tests choose a path by setting it
+``repro`` never compiles); from then on it is a plain attribute.  The read
+path -- a checksum, a dump's inverse lift and plane unpack -- reads
+``vars(native).get("lib")`` instead, so reading a dump or a checkpoint
+never compiles either
+(``tests/test_native_loader.py::TestStatus::test_reading_a_dump_and_a_checkpoint_never_builds``).  Tests choose a path by setting it
 (``monkeypatch.setattr(native, "lib", None)``) -- a test seam, there is no
 option.
 

@@ -90,87 +90,3 @@ KERNELS = (RHS, DT, UP, FWT)
 def flops_per_cell_step() -> float:
     """Total FLOPs each cell costs per time step (RK3 production step)."""
     return sum(k.flops_per_cell_step() for k in KERNELS)
-
-
-# -- per-point arithmetic table (shared with perfcheck) -------------------
-#
-# Scheme-derived arithmetic of the individual hot-path kernels, normalized
-# *per output point* (one face, one cell, one slice element -- whatever one
-# application of the kernel's vectorized expression produces) rather than
-# per cell-step.  Byte counts follow a uniform accounting convention:
-# every distinct array operand the kernel touches, loads and stores alike,
-# contributes one compute-precision word (8 B) per point.  The static
-# analyzer (``repro.analysis.perfcheck``, rule CP006) counts FLOPs and
-# operands with the *same* convention straight off the AST and cross-checks
-# the two, so the table below is the single source of truth the analyzer,
-# the roofline model and the docs all share.
-
-
-@dataclass(frozen=True)
-class KernelArithmetic:
-    """Scheme-derived per-point arithmetic of one hot-path kernel."""
-
-    key: str  #: table key (stable; used by perfcheck kernel specs)
-    flops_per_point: float  #: scheme FLOPs per output point
-    bytes_per_point: float  #: distinct operands x 8 B (compute precision)
-    note: str  #: one-line derivation of the counts
-
-    @property
-    def intensity(self) -> float:
-        """Arithmetic intensity in FLOP/byte (per-point convention)."""
-        return self.flops_per_point / self.bytes_per_point
-
-
-#: The shared table, keyed by kernel-family name.  Derivations follow the
-#: scheme counts in the module docstring (WENO ~52 FLOP/reconstruction,
-#: HLLE ~13 FLOP/quantity + ~25 for wave speeds, CONV/BACK ~20 FLOP/cell).
-KERNEL_ARITHMETIC: dict[str, KernelArithmetic] = {
-    a.key: a
-    for a in (
-        KernelArithmetic(
-            "weno5", 104.0, 64.0,
-            "2 biased reconstructions x 52 FLOP; 6 stencil loads + 2 face "
-            "stores",
-        ),
-        KernelArithmetic(
-            "hlle", 116.0, 176.0,
-            "13 FLOP x 7 quantities + 25 wave-speed FLOP; 14 face loads + "
-            "8 stores (7 fluxes + u*)",
-        ),
-        KernelArithmetic(
-            "wavespeeds", 20.0, 96.0,
-            "2 sound speeds + 4 bound ops; 10 loads + 2 stores",
-        ),
-        KernelArithmetic(
-            "conv", 20.0, 112.0,
-            "4 divisions + kinetic energy + EOS inversion over 7 "
-            "quantities; 7 loads + 7 stores",
-        ),
-        KernelArithmetic(
-            "back", 20.0, 112.0,
-            "3 products + kinetic energy + EOS evaluation over 7 "
-            "quantities; 7 loads + 7 stores",
-        ),
-        KernelArithmetic(
-            "pressure", 10.0, 64.0,
-            "kinetic energy (6) + EOS inversion (3-4); 7 loads + 1 store",
-        ),
-        KernelArithmetic(
-            "total_energy", 9.0, 64.0,
-            "kinetic energy (6) + EOS evaluation (3); 7 loads + 1 store",
-        ),
-        KernelArithmetic(
-            "sound_speed", 7.0, 40.0,
-            "c^2 rational evaluation (5) + floor + sqrt; 4 loads + 1 store",
-        ),
-        KernelArithmetic(
-            "sos", 16.0, 64.0,
-            "sound speed (7) + 3 |u| + 3 max + add + running max; 7 loads "
-            "+ 1 store",
-        ),
-        KernelArithmetic(
-            "up", 5.0, 40.0,
-            "S = aS + dt R; U += bS (2 FMA + scale); 3 loads + 2 stores",
-        ),
-    )
-}

@@ -68,7 +68,7 @@ SRC_REPRO = str(Path(__file__).resolve().parents[1] / "src" / "repro")
 @pytest.fixture(scope="session")
 def src_program():
     """``src/repro`` read and parsed once, shared by every test that
-    analyses the whole tree (no analysis family modifies a program)."""
+    analyses the whole tree (no rule modifies a program)."""
     from repro.analysis.program import Program
 
     return Program.load([SRC_REPRO])
@@ -98,7 +98,7 @@ def resource_ledger():
     ordinary wind-down).  Multi-process suites opt in with an autouse
     wrapper -- see ``tests/test_service_chaos.py``.
     """
-    from repro.analysis.syscheck import ResourceLedger
+    from repro.analysis.ledger import ResourceLedger
 
     ledger = ResourceLedger()
     ledger.begin()

@@ -1,4 +1,4 @@
-"""Kernel-check call-graph policy: a kernel's helper closure follows bare
+"""CP003 call-graph policy: a kernel's helper closure follows bare
 calls only, and a bare name resolves to its first definition in load
 order (here compression/decimation.py's ``_lift``)."""
 

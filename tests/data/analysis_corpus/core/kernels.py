@@ -1,4 +1,4 @@
-"""CP003 violating and clean twin, CP006 violating; gather_conv is clean."""
+"""CP003 violating and clean twin; gather_conv is clean."""
 
 import numpy as np
 
@@ -36,7 +36,3 @@ def rhs_kernel_slices(a, b, ws):
     np.subtract(t0, a, out=t0)
     return t0
 
-
-def update_stage(a, b):
-    """Returns a[0] to the sixth power: 2.5x the modeled intensity."""
-    return a[0] * a[0] * a[0] * a[0] * a[0] * a[0]

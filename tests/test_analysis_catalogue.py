@@ -20,13 +20,14 @@ CORPUS = Path(__file__).resolve().parent / "data" / "analysis_corpus"
 FINDINGS = json.loads((CORPUS / "golden_report.json").read_text())["findings"]
 KEPT = sorted({f["rule"] for f in FINDINGS})
 
-#: The rules that never caught anything in this repository's history:
-#: the static comm-check, CP001/CP002 (dtype promotion), four sys-check
-#: rules and five lint rules.
+#: The rules that never caught anything in this repository's history
+#: (the static comm-check, CP001/CP002 (dtype promotion), four sys-check
+#: rules and five lint rules), then the rest of sys-check, whose
+#: contracts run-time holders check, and CP006 with the kernel manifest.
 DELETED = [
     "CC001", "CC002", "CC003", "CC004", "CP001", "CP002", "RS002",
     "RS004", "RS005", "RS007", "CL002", "CL003", "CL004", "CL008",
-    "CL010",
+    "CL010", "RS001", "RS003", "RS006", "CP006",
 ]
 
 
@@ -34,12 +35,11 @@ def of(rule_id):
     return [f for f in FINDINGS if f["rule"] == rule_id]
 
 
-def run_all(tree, tmp_path, monkeypatch, capsys, *args):
-    """``--all`` over ``tree`` from inside it; returns the findings."""
+def run_lint(tree, tmp_path, monkeypatch, capsys, *args):
+    """The lint over ``tree`` from inside it; returns the findings."""
     report = tmp_path / "report.json"
     monkeypatch.chdir(tree)
-    code = main(["--all", ".", "--quiet", "--report-out", str(report),
-                 "--manifest-out", str(tmp_path / "manifest.json"), *args])
+    code = main([".", "--quiet", "--report-out", str(report), *args])
     capsys.readouterr()
     findings = json.loads(report.read_text())["findings"]
     assert code == (1 if findings else 0)
@@ -61,7 +61,7 @@ def test_corpus_holds_each_kept_rule_and_no_deleted_one():
 @pytest.mark.parametrize("rule_id", KEPT)
 def test_rule_alone_reproduces_its_golden_findings(rule_id, tmp_path,
                                                    monkeypatch, capsys):
-    found = run_all(CORPUS, tmp_path, monkeypatch, capsys,
+    found = run_lint(CORPUS, tmp_path, monkeypatch, capsys,
                     "--select", rule_id)
     assert found == of(rule_id)
 
@@ -75,7 +75,7 @@ def test_trailing_pragma_silences_only_its_rule(rule_id, tmp_path,
         lines = path.read_text().split("\n")
         lines[f["line"] - 1] += f"  # lint: disable={rule_id}"
         path.write_text("\n".join(lines))
-    found = run_all(tree, tmp_path, monkeypatch, capsys)
+    found = run_lint(tree, tmp_path, monkeypatch, capsys)
     assert found == [f for f in FINDINGS if f["rule"] != rule_id]
 
 
@@ -86,7 +86,7 @@ def test_file_pragma_silences_only_its_rule(rule_id, tmp_path, monkeypatch,
     for path in {tree / f["path"] for f in of(rule_id)}:
         with path.open("a") as fh:
             fh.write(f"# lint: disable={rule_id}\n")
-    found = run_all(tree, tmp_path, monkeypatch, capsys)
+    found = run_lint(tree, tmp_path, monkeypatch, capsys)
     assert found == [f for f in FINDINGS if f["rule"] != rule_id]
 
 
@@ -100,16 +100,15 @@ def test_pragma_naming_another_rule_leaves_it_standing(rule_id, tmp_path,
         lines = path.read_text().split("\n")
         lines[f["line"] - 1] += f"  # lint: disable={others}"
         path.write_text("\n".join(lines))
-    found = run_all(tree, tmp_path, monkeypatch, capsys)
+    found = run_lint(tree, tmp_path, monkeypatch, capsys)
     assert [f for f in found if f["rule"] == rule_id] == of(rule_id)
 
 
 @pytest.mark.parametrize("rule_id", DELETED)
-def test_deleted_rule_id_is_unknown(rule_id, tmp_path, capsys):
+def test_deleted_rule_id_is_unknown(rule_id, capsys):
     assert rule_id not in {cls.rule_id for cls in registered_rules()}
     for flag in ("--select", "--ignore"):
-        code = main(["--all", str(CORPUS), flag, rule_id,
-                     "--manifest-out", str(tmp_path / "manifest.json")])
+        code = main([str(CORPUS), flag, rule_id])
         err = capsys.readouterr().err
         assert code == 2
         assert f"unknown rule id(s): {rule_id}" in err

@@ -1,10 +1,9 @@
-"""The golden corpus of the four static analysis families.
+"""The golden corpus of ``cubism-lint``.
 
 ``tests/data/analysis_corpus`` holds one violating snippet and one clean
-twin per rule id; its ``--all`` report is committed as
-``golden_report.json``.  The analysers must reproduce it byte for byte:
-the same findings and messages, the same ``checks_run`` per family and
-the same totals.
+twin per rule id; its report is committed as ``golden_report.json``.
+The lint must reproduce it byte for byte: the same findings, messages
+and order.
 """
 
 import json
@@ -17,11 +16,10 @@ CORPUS = Path(__file__).resolve().parent / "data" / "analysis_corpus"
 GOLDEN = CORPUS / "golden_report.json"
 
 
-def test_all_reproduces_the_golden_report(tmp_path, monkeypatch, capsys):
+def test_lint_reproduces_the_golden_report(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(CORPUS)
     report = tmp_path / "report.json"
-    code = main(["--all", ".", "--report-out", str(report),
-                 "--manifest-out", str(tmp_path / "manifest.json")])
+    code = main([".", "--report-out", str(report)])
     capsys.readouterr()
     assert code == 1
     assert report.read_bytes() == GOLDEN.read_bytes()

@@ -29,21 +29,16 @@ def rules_of(violations):
 # -- registry & framework ------------------------------------------------
 
 
-#: The lint rules that have caught something in this repository.
-LINT_IDS = ["CL001", "CL005", "CL006", "CL007", "CL009", "CL011", "CL012"]
+#: The rules that have caught something in this repository.
+LINT_IDS = ["CL001", "CL005", "CL006", "CL007", "CL009", "CL011", "CL012",
+            "CP003"]
 
 
-def test_registry_has_the_seven_rules():
-    ids = [cls.rule_id for cls in registered_rules("lint")]
+def test_registry_has_the_eight_rules():
+    ids = [cls.rule_id for cls in registered_rules()]
     assert ids == LINT_IDS
-    for cls in registered_rules("lint"):
+    for cls in registered_rules():
         assert cls.name and cls.description
-
-
-def test_registry_has_the_twelve_rules():
-    ids = {cls.rule_id for cls in registered_rules()}
-    assert ids == {*LINT_IDS, "CP003", "CP006", "RS001", "RS003", "RS006"}
-    assert len(registered_rules()) == 12
 
 
 def test_syntax_error_reported_as_cl000():
@@ -591,7 +586,7 @@ def test_path_matches_semantics():
 
 
 def test_self_lint_src_repro_is_clean(src_program):
-    violations = src_program.errors + analyze(src_program, "lint")[1].violations
+    violations = src_program.errors + analyze(src_program).violations
     assert violations == [], "\n" + format_violations(violations)
 
 
@@ -621,11 +616,9 @@ def test_cli_exit_code_2_on_missing_path(capsys):
 def test_cli_report_out_writes_json_artifact(tmp_path, cli_src_program):
     import json
 
-    report = tmp_path / "sys-check.json"
-    assert lint_main(["--sys", SRC, "--report-out", str(report)]) == 0
-    payload = json.loads(report.read_text())
-    assert payload["findings"] == []
-    assert payload["checks_run"] > 0
+    report = tmp_path / "clean.json"
+    assert lint_main([SRC, "--report-out", str(report)]) == 0
+    assert json.loads(report.read_text()) == {"findings": []}
 
     lint_report = tmp_path / "lint.json"
     bad = tmp_path / "core" / "bad.py"
@@ -639,7 +632,7 @@ def test_cli_report_out_writes_json_artifact(tmp_path, cli_src_program):
 def test_cli_report_out_unwritable_is_exit_2(tmp_path, capsys,
                                             cli_src_program):
     target = tmp_path / "missing-dir" / "report.json"
-    assert lint_main(["--sys", SRC, "--report-out", str(target)]) == 2
+    assert lint_main([SRC, "--report-out", str(target)]) == 2
     assert "cubism-lint" in capsys.readouterr().err
 
 
@@ -648,5 +641,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in LINT_IDS:
         assert rule_id in out
-    assert "--perf" in out and "--sys" in out
-    assert "CC00" not in out and "--concurrency" not in out
+    assert "[hot-path kernels]" in out
+    for gone in ("CC00", "--concurrency", "--perf", "--sys", "RS00",
+                 "CP006"):
+        assert gone not in out

@@ -34,8 +34,8 @@ BASE = dict(cells=16, block_size=8)
 @pytest.fixture(autouse=True)
 def _no_leaked_resources(resource_ledger):
     """Every cross-backend test must wind down to zero leaked
-    segments, rank processes and threads (the RS acceptance bar,
-    enforced at runtime by the syscheck :class:`ResourceLedger`)."""
+    segments, rank processes and threads (enforced at runtime by
+    :class:`repro.analysis.ledger.ResourceLedger`)."""
     yield
 
 #: Diagnostics attributes compared series-wise across backends.

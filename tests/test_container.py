@@ -35,7 +35,7 @@ from repro.compression.io import (
     write_compressed_parallel,
 )
 from repro.compression.scheme import WaveletCompressor
-from repro.container import FormatError, read
+from repro.container import FormatError, read, write_atomic
 from repro.exitcodes import KIND_EXIT, classify
 from repro.resilience import (
     CacheCorruptError,
@@ -306,6 +306,46 @@ def read_as(kind: str, path: str):
 
 KIND_ERROR = {"dump": CorruptionError, "checkpoint": CheckpointCorruptError,
               "cache": CacheCorruptError}
+
+
+class TestWriteAtomic:
+    """The one-writer files (cache entries, baselines): the new bytes go
+    to a temporary name, are synced, and only then replace the old file."""
+
+    @pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch,
+                                                stage):
+        path = str(tmp_path / "entry")
+        write_atomic(path, b"old")
+        chunks = (b"new", None) if stage == "write" else (b"new",)
+        if stage != "write":  # the new bytes are written, then this fails
+            def fail(*args):
+                raise OSError(f"{stage} failed")
+            monkeypatch.setattr(os, stage, fail)
+        with pytest.raises((TypeError, OSError)):
+            write_atomic(path, *chunks)
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["entry"]
+
+    def test_the_bytes_are_synced_before_the_rename(self, tmp_path,
+                                                   monkeypatch):
+        path, events = str(tmp_path / "entry"), []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_atomic(path, b"abc", b"de")
+        assert events == [("fsync", 5), ("replace", path + ".tmp", path)]
+        assert Path(path).read_bytes() == b"abcde"
 
 
 class TestMagic:

@@ -11,6 +11,7 @@ call.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -20,9 +21,16 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import native
+from repro.cluster.checkpoint import (STORAGE_DTYPE, read_checkpoint_field,
+                                      write_checkpoint)
+from repro.cluster.mpi_sim import SimWorld
+from repro.compression.io import read_field, write_compressed_parallel
+from repro.compression.scheme import WaveletCompressor
+from repro.compression.wavelet import fwt3d, iwt3d
 
 pytestmark = pytest.mark.skipif(
     native.find_compiler() is None, reason="no C compiler on PATH")
@@ -336,6 +344,41 @@ class TestStatus:
         assert out["status"]["backend"] == "numpy"
         assert "not loaded" in out["status"]["reason"]
 
+    def test_reading_a_dump_and_a_checkpoint_never_builds(self, tmp_path):
+        """A fresh process that reads a dump (inverse lift, plane unpack)
+        and a checkpoint leaves the library unloaded, and decodes the
+        bytes the compiled path decodes."""
+        if native.lib is None:
+            pytest.skip(native.status()["reason"])
+        dump, ckpt = str(tmp_path / "p.rwz"), str(tmp_path / "c.rck")
+        t = np.linspace(0.0, 1.0, 32)
+        field = np.sin(7 * t[:, None, None] * t[None, :, None]
+                       + t[None, None, :]).astype(np.float32)
+        aos = np.repeat(field[..., None], 7, axis=3)
+
+        def write(comm):
+            cf = WaveletCompressor(eps=1e-3).compress(field)
+            write_compressed_parallel(comm, dump, "p", cf)
+            write_checkpoint(comm, ckpt, aos, (0, 0, 0), t=0.5, step=3)
+
+        SimWorld(1).run(write)
+        digest = [hashlib.sha256(read_field(dump).tobytes()).hexdigest(),
+                  hashlib.sha256(read_checkpoint_field(ckpt)[0].tobytes())
+                  .hexdigest()]
+        out = _python(textwrap.dedent(f"""
+            import hashlib, json
+            from repro import native
+            from repro.cluster.checkpoint import read_checkpoint_field
+            from repro.compression.io import read_field
+            field = read_field({dump!r})
+            aos = read_checkpoint_field({ckpt!r})[0]
+            print(json.dumps({{
+                "loaded": "lib" in vars(native),
+                "digest": [hashlib.sha256(a.tobytes()).hexdigest()
+                           for a in (field, aos)]}}))
+        """))
+        assert out == {"loaded": False, "digest": digest}
+
     @pytest.mark.parametrize("hidden", [False, True])
     def test_module_entry_point(self, hidden):
         env = {**os.environ, "PYTHONPATH": SRC}
@@ -352,3 +395,65 @@ class TestStatus:
                 "repro_crc32"} <= set(
             report["entry_points"])
         assert proc.returncode == (1 if hidden else 0)
+
+
+def _smooth(dtype, n=32):
+    """A smooth ``n**3`` field: the wavelets keep few of its details."""
+    t = np.linspace(0.0, 1.0, n)
+    return np.sin(7 * t[:, None, None] * t[None, :, None]
+                  + t[None, None, :]).astype(dtype)
+
+
+class TestReadPath:
+    """Reading in a process that has not loaded the library: the inverse
+    lift and the plane unpack run their NumPy twins, the read leaves the
+    library unloaded, and it decodes the bytes the compiled path decodes.
+    ``monkeypatch.delattr`` puts ``native.lib`` back where it was."""
+
+    @pytest.fixture(autouse=True)
+    def _loaded(self):
+        if native.lib is None:
+            pytest.skip(native.status()["reason"])
+
+    @pytest.mark.parametrize("encoder_kind", ["zlib", "zerotree"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("block_size", [8, 16])
+    def test_a_dump_reads_the_same_without_loading(
+            self, tmp_path, monkeypatch, block_size, eps, encoder_kind):
+        path = str(tmp_path / "p.rwz")
+        compressor = WaveletCompressor(eps=eps, block_size=block_size,
+                                       encoder_kind=encoder_kind)
+        cf = compressor.compress(_smooth(np.float32))
+        SimWorld(1).run(
+            lambda comm: write_compressed_parallel(comm, path, "p", cf))
+        compiled = read_field(path, compressor)
+        monkeypatch.delattr(native, "lib")
+        fallback = read_field(path, compressor)
+        assert "lib" not in vars(native)
+        assert fallback.tobytes() == compiled.tobytes()
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_inverse_lift_is_the_same_without_loading(
+            self, monkeypatch, rng, dtype, levels):
+        coeffs = fwt3d(rng.standard_normal((3, 32, 32, 32)).astype(dtype),
+                       levels)
+        compiled = iwt3d(coeffs, levels)
+        monkeypatch.delattr(native, "lib")
+        fallback = iwt3d(coeffs, levels)
+        assert "lib" not in vars(native)
+        assert fallback.tobytes() == compiled.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_checkpoint_reads_the_same_without_loading(
+            self, tmp_path, monkeypatch, dtype):
+        path = str(tmp_path / "c.rck")
+        aos = np.repeat(_smooth(dtype, 16)[..., None], 7, axis=3)
+        SimWorld(1).run(lambda comm: write_checkpoint(
+            comm, path, aos, (0, 0, 0), t=0.5, step=3))
+        compiled = read_checkpoint_field(path)[0]
+        monkeypatch.delattr(native, "lib")
+        fallback = read_checkpoint_field(path)[0]
+        assert "lib" not in vars(native)
+        assert fallback.tobytes() == compiled.tobytes() == aos.astype(
+            STORAGE_DTYPE).tobytes()

@@ -4,7 +4,7 @@ step imports nothing its set-up did not.
 A procs rank, a service worker and the CLI start in a fresh interpreter,
 so every module their first import pulls in is start-up they pay before
 any work (``docs/ARCHITECTURE.md``, "What a process imports").  None of
-them may load the static analysers, the Blue Gene/Q models, the
+them may load the lint or the leak ledger, the Blue Gene/Q models, the
 zerotree / AMR half of the dump stack, the campaign tooling, the
 reference solutions or SciPy.  A plain run -- no sanitizer, race tracker,
 checkpoint, flight recording or slice ring -- loads none of the modules
@@ -30,11 +30,11 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 #: Modules (and their submodules) no entry point may load.
 DENIED = (
+    "repro.analysis.cli",
     "repro.analysis.lint",
     "repro.analysis.program",
     "repro.analysis.rules",
-    "repro.analysis.perfcheck",
-    "repro.analysis.syscheck",
+    "repro.analysis.ledger",
     "repro.compression.zerotree",
     "repro.compression.amr_analysis",
     "repro.sim.campaign",
@@ -269,25 +269,20 @@ FIRST_IMPORTS = (
     "repro.analysis.report",
     "repro.analysis.cli",
     "repro.analysis.concurrency",
-    "repro.analysis.perfcheck.rules",
-    "repro.analysis.syscheck",
+    "repro.analysis.ledger",
     "repro.cluster.driver",
 )
 
 CATALOGUES = """
 import json, sys
 from repro.analysis.program import registered_rules
-print(json.dumps({
-    "CL": [r.rule_id for r in registered_rules("lint")],
-    "CP": [r.rule_id for r in registered_rules("perf")],
-    "RS": [r.rule_id for r in registered_rules("sys")],
-}))
+print(json.dumps([r.rule_id for r in registered_rules()]))
 """
 
 
 def test_rule_catalogues_do_not_depend_on_import_order():
     full = fresh(["-c", "import repro.analysis.rules\n" + CATALOGUES])
-    assert all(full[family] for family in ("CL", "CP", "RS"))
-    assert "CL001" in full["CL"]
+    assert full == ["CL001", "CL005", "CL006", "CL007", "CL009", "CL011",
+                    "CL012", "CP003"]
     for first in FIRST_IMPORTS:
         assert fresh(["-c", f"import {first}\n" + CATALOGUES]) == full, first

@@ -33,8 +33,8 @@ IC = ICSpec("uniform", {"rho": 1000.0, "p": 100.0})
 @pytest.fixture(autouse=True)
 def _no_leaked_resources(resource_ledger):
     """Every chaos test must wind down to zero leaked segments,
-    worker processes and threads (the RS acceptance bar, enforced at
-    runtime by the syscheck :class:`ResourceLedger`)."""
+    worker processes and threads (enforced at runtime by
+    :class:`repro.analysis.ledger.ResourceLedger`)."""
     yield
 
 

@@ -451,6 +451,53 @@ class TestEventDriven:
         assert engine.state == "stopped"
         assert handle.status in ("cancelled", "done_computed")
 
+    def test_shutdown_returns_after_the_supervisor_is_gone(self, tmp_path,
+                                                          monkeypatch):
+        real_wait = multiprocessing.connection.wait
+
+        def slow_last_look(objs, timeout=None):
+            if in_supervisor() and engine._stop.is_set():
+                time.sleep(2.0)  # the final drain outlasts the pool's stop
+            return real_wait(objs, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait",
+                            slow_last_look)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        engine = JobEngine(svc).start()
+        engine.shutdown(drain=False)
+        assert not engine._supervisor.is_alive()
+
+    def test_no_lock_is_held_across_a_receive(self, tmp_path, monkeypatch):
+        """A client never waits on a result in transit: the supervisor
+        takes a message off a pipe without holding the engine's lock."""
+        receiving, gate = threading.Event(), threading.Event()
+        real_recv = multiprocessing.connection.Connection.recv
+
+        def held_recv(conn):
+            if in_supervisor() and not gate.is_set():
+                receiving.set()
+                gate.wait(30.0)
+            return real_recv(conn)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                            held_recv)
+        svc = ServiceConfig(workers=1, workdir=str(tmp_path / "w"))
+        with JobEngine(svc) as engine:
+            first = engine.submit(make_request(max_steps=1))
+            try:
+                assert receiving.wait(180.0), "no result reached the pipe"
+                client = threading.Thread(
+                    target=engine.submit, args=(make_request(max_steps=2),))
+                client.start()
+                client.join(timeout=5.0)
+                assert not client.is_alive(), \
+                    "submit waited on the supervisor's receive"
+            finally:
+                gate.set()
+            client.join(timeout=10.0)
+            assert not client.is_alive()
+            assert first.result(timeout=180).attempts == 1
+
     def test_no_fd_or_process_left_behind(self, tmp_path, monkeypatch,
                                           resource_ledger):
         monkeypatch.setattr(engine_mod, "_RESPAWN_GAP", 0.0)
