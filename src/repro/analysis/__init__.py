@@ -25,14 +25,14 @@ policy, one rule registry, one :class:`Report` type):
 Beside it, the runtime checkers: :mod:`repro.analysis.sanitizer` --
 :class:`NumericsSanitizer`, an off / warn / raise policy that hooks into
 the core kernels, the time stepper and the cluster driver, accumulating
-a per-run :class:`ViolationReport`; :mod:`repro.analysis.concurrency`, a
-vector-clock race detector + deadlock watchdog for the thread-based
-runtime (CC101/CC102, ``--concurrency-check`` on runs); and
-:class:`ResourceLedger` (:mod:`repro.analysis.ledger`), the leak
-sanitizer the test suite wraps around the multi-process tests.
+a per-run :class:`ViolationReport`; :class:`ResourceLedger`
+(:mod:`repro.analysis.ledger`), the leak sanitizer the test suite wraps
+around the multi-process tests; and the cluster runtime's deadlock
+watchdog (:class:`repro.cluster.mpi_sim.DeadlockError`), which lives in
+the communicator it watches.
 
-The names below resolve on first use: the runtime imports the sanitizer
-and the race tracker, never the lint beside them.
+The names below resolve on first use: the runtime imports the sanitizer,
+never the lint beside it.
 
 See ``docs/analysis.md`` for the full rule catalogue and usage.
 """
@@ -40,12 +40,6 @@ See ``docs/analysis.md`` for the full rule catalogue and usage.
 from .._exports import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "concurrency": (
-        "ConcurrencyViolationError",
-        "ConcurrencyWarning",
-        "RaceTracker",
-        "make_tracker",
-    ),
     "ledger": ("LeakError", "ResourceLedger"),
     "lint": (
         "LintConfig",

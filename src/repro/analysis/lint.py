@@ -56,7 +56,7 @@ def analyze(program: Program, config: LintConfig | None = None) -> Report:
     config = config or LintConfig()
     found = [v for rule in config.active_rules()
              for v in rule.run(program, config.applies)]
-    return Report("lint", sorted(program.unsuppressed(found)), None)
+    return Report(sorted(program.unsuppressed(found)))
 
 
 def lint_source(text: str, path: str, config: LintConfig | None = None) -> list[Violation]:

@@ -336,9 +336,8 @@ class UnsynchronizedSharedMutation(Rule):
     function mutated from a nested function (thread bodies, callbacks)
     are *shared across rank threads*.  Mutating them -- item assignment,
     ``del``, or a mutating method call (``append``/``update``/...) --
-    outside a ``with <lock>`` block is the static shadow of the data
-    races the runtime detector (CC101) finds dynamically.  State that is
-    safe by construction (e.g. per-rank slots of a results list) carries
+    outside a ``with <lock>`` block is a data race between rank
+    threads.  State that is safe by construction (e.g. per-rank slots of a results list) carries
     a trailing ``# lint: disable=CL011`` stating why.
     """
 

@@ -99,7 +99,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         max_recoveries=args.max_recoveries,
         comm_timeout=args.comm_timeout,
-        concurrency_check=args.concurrency_check,
         cluster_backend=args.cluster_backend,
         flight_out=args.flight_out,
         progress_interval=args.progress,
@@ -151,17 +150,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.sanitize != "off":
         print()
         print(format_sanitizer_report(result.sanitizer_report))
-    if result.concurrency_report is not None:
-        print()
-        print(result.concurrency_report.summary())
-        for v in result.concurrency_report.violations:
-            print(f"  {v.rule} {v.message}")
-        if args.concurrency_out:
-            import json
-
-            with open(args.concurrency_out, "w") as f:
-                json.dump(result.concurrency_report.to_dict(), f, indent=2)
-            print(f"concurrency report written to {args.concurrency_out}")
     if rres is not None:
         from .resilience import all_faults_recovered, format_resilience_scorecard
 
@@ -436,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-recoveries", type=int, default=3)
     run.add_argument("--comm-timeout", type=float, default=None,
                      help="receive/collective timeout in seconds")
-    run.add_argument("--concurrency-check", choices=["off", "warn", "raise"],
-                     default="off",
-                     help="runtime race detector + deadlock watchdog "
-                          "policy for the thread-based cluster runtime "
-                          "(see repro.analysis.concurrency)")
-    run.add_argument("--concurrency-out", metavar="PATH", default=None,
-                     help="write the runtime concurrency report as JSON")
     run.add_argument("--resilience-out", metavar="PATH", default=None,
                      help="write the resilience scorecard as JSON")
     run.add_argument("--flight-out", metavar="PATH", default=None,

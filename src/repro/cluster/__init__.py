@@ -11,7 +11,7 @@ exclusive prefix sum ahead of collective compressed writes) over two
 interchangeable transports:
 
 * :mod:`repro.cluster.mpi_sim` -- ranks as threads of one interpreter,
-  frames in mailboxes (deterministic, debuggable, race-trackable); the
+  frames in mailboxes (deterministic, debuggable, the oracle); the
   default.
 * :mod:`repro.cluster.procs` -- ranks as real OS processes exchanging
   CRC-framed messages through shared-memory rings (real multi-core

@@ -56,11 +56,10 @@ from .halo import HaloExchange, extract_face_slab
 from .mpi_sim import Communicator, SimWorld, WorldError
 from .topology import CartTopology, balanced_dims
 
-# A plain run -- no sanitizer, race tracker, checkpoint or flight
-# recording -- imports none of these: each is imported in the set-up of
-# the runs that use it (docs/ARCHITECTURE.md, "What a process imports").
+# A plain run -- no sanitizer, checkpoint or flight recording -- imports
+# none of these: each is imported in the set-up of the runs that use it
+# (docs/ARCHITECTURE.md, "What a process imports").
 if TYPE_CHECKING:
-    from ..analysis.report import Report
     from ..analysis.sanitizer import ViolationReport
 
 
@@ -121,9 +120,6 @@ class RunResult:
     wall_seconds: float = 0.0
     #: merged metrics snapshot over all ranks (None when telemetry="off")
     telemetry: MetricsSnapshot | None = None
-    #: runtime concurrency findings -- races and watchdog-diagnosed
-    #: deadlocks (None when concurrency_check="off")
-    concurrency_report: Report | None = None
 
     @property
     def kernels(self) -> dict:
@@ -217,7 +213,7 @@ def rank_main(comm: Communicator, config: SimulationConfig, ic_fn,
             step, t = rec.step, rec.time
     finally:
         # Chaos runs crash ranks mid-loop; the flight recorder must
-        # release (flushing the shared sink on last close) regardless.
+        # release (flushing its part file) regardless.
         rank.close()
     return _result(rank, now() - wall_t0)
 
@@ -599,9 +595,6 @@ def _flight_work(rank: _Rank):
               "block_size": config.block_size,
               "max_steps": config.max_steps, "telemetry": config.telemetry,
               "sanitize": config.sanitize},
-        # Rank processes share no memory: each writes a private
-        # part file the parent merges once the world finishes.
-        per_rank=getattr(comm, "process_parallel", False),
     )
     rank.close = flight.close
     ncells = int(np.prod(rank.grid.cells))
@@ -672,11 +665,6 @@ class Simulation:
     def run(self) -> RunResult:
         from .mpi_sim import DEFAULT_TIMEOUT
 
-        tracker = None
-        if self.config.concurrency_check != "off":
-            from ..analysis.concurrency.race import make_tracker
-
-            tracker = make_tracker(self.config.concurrency_check)
         timeout = (self.config.comm_timeout
                    if self.config.comm_timeout is not None
                    else DEFAULT_TIMEOUT)
@@ -687,34 +675,31 @@ class Simulation:
             # Built here, once, not by every rank process starting cold.
             native.ensure_loaded()
         world = (ProcsWorld if procs else SimWorld)(
-            self.config.ranks, timeout=timeout, injector=self.injector,
-            tracker=tracker)
+            self.config.ranks, timeout=timeout, injector=self.injector)
         try:
             rank_results: list[RankResult] = world.run(
                 rank_main, self.config, self.ic_fn, self.restart_from,
                 self.injector
             )
         except WorldError as we:
-            from ..analysis.concurrency.race import ConcurrencyViolationError
             from ..analysis.sanitizer import NumericsViolationError
 
-            # Unwrap sanitizer/concurrency aborts: when every failed rank
-            # raised the same violation-carrying error, re-raise one
-            # merged error so callers see the findings directly instead
-            # of the SPMD wrapper.  Teardown aborts of surviving ranks
-            # are not primary causes and do not block the unwrap.
+            # Unwrap sanitizer aborts: when every failed rank raised a
+            # NumericsViolationError, re-raise one merged error so
+            # callers see the findings directly instead of the SPMD
+            # wrapper.  Teardown aborts of surviving ranks are not
+            # primary causes and do not block the unwrap.
             failures = list(we.primary_failures.values())
-            for kind in (NumericsViolationError, ConcurrencyViolationError):
-                if failures and all(isinstance(f, kind) for f in failures):
-                    raise kind([v for f in failures
-                                for v in f.violations]) from we
+            if failures and all(isinstance(f, NumericsViolationError)
+                                for f in failures):
+                raise NumericsViolationError(
+                    [v for f in failures for v in f.violations]) from we
             raise
         finally:
-            # Multi-process flight recordings land as per-rank part
-            # files; merge them into the final single-header stream
-            # even when the run failed (a chaos attempt's flushed
-            # prefix must stay readable).
-            if procs and self.config.flight_out:
+            # Every rank records into its own part file; merge them into
+            # the final single-header stream even when the run failed (a
+            # chaos attempt's flushed prefix must stay readable).
+            if self.config.flight_out:
                 from ..telemetry.flight import merge_flight_parts
 
                 merge_flight_parts(self.config.flight_out)
@@ -758,5 +743,4 @@ class Simulation:
             telemetry=(
                 MetricsSnapshot.merged(snapshots) if snapshots else None
             ),
-            concurrency_report=tracker.report if tracker is not None else None,
         )

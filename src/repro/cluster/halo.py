@@ -242,24 +242,27 @@ class HaloExchange:
         next ``finish``, which overwrites its buffers.
 
         Raises :class:`~repro.resilience.detect.HaloCorruptionError` when
-        a received frame fails its checksum (counted as a
-        ``msg_corrupt`` detection on the injector first).
+        a received payload is not a :class:`HaloFrame` (every
+        :meth:`start` frames its slab) or fails its checksum -- counted
+        as a ``msg_corrupt`` detection on the injector first.
         """
         from ..resilience.detect import HaloCorruptionError
 
         for (axis, side), req in pending.items():
             frame = req.wait()
-            if isinstance(frame, HaloFrame):
-                try:
-                    frame.verify(source=self._neighbors[(axis, side)],
-                                 axis=axis, side=side)
-                except HaloCorruptionError:
-                    if self.injector is not None:
-                        self.injector.detected("msg_corrupt")
-                    raise
-                frame = frame.payload
-            # (a pre-framing peer sends a plain slab: accepted unchecked)
-            self._received[(axis, side)][...] = frame
+            source = self._neighbors[(axis, side)]
+            try:
+                if not isinstance(frame, HaloFrame):
+                    raise HaloCorruptionError(
+                        f"halo payload from rank {source} (axis {axis}, "
+                        f"side {side:+d}) is an unframed "
+                        f"{type(frame).__name__}, not a HaloFrame")
+                frame.verify(source=source, axis=axis, side=side)
+            except HaloCorruptionError:
+                if self.injector is not None:
+                    self.injector.detected("msg_corrupt")
+                raise
+            self._received[(axis, side)][...] = frame.payload
         return self._provider
 
     def exchange(self) -> RemoteGhostProvider:

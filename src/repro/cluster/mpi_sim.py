@@ -7,7 +7,7 @@ parallel I/O offsets).  This module writes that API once, as the
 :class:`SimWorld` runs each rank of the SPMD program as a thread of one
 process and :class:`SimComm` moves frames through selective-receive
 mailboxes.  NumPy releases the GIL inside kernels, so rank threads
-genuinely overlap, and the control flow (Isend/Irecv + overlap of
+genuinely overlap, and the control flow (isend/irecv + overlap of
 interior computation with communication) is exercised exactly as on a
 real cluster.  :mod:`repro.cluster.procs` is the second transport (rank
 processes, shared-memory rings) under the same protocol.
@@ -19,8 +19,8 @@ which an application receive never matches -- then a rank-ordered left
 fold over the complete contribution set: the same code, hence the same
 bits, on both transports.
 
-The API follows mpi4py conventions: lowercase methods communicate Python
-objects, capitalized methods communicate NumPy arrays.
+The API follows mpi4py's lowercase methods, which carry Python objects
+and NumPy arrays alike.
 
 Deadlock safety: every blocking wait carries a timeout
 (:data:`DEFAULT_TIMEOUT` seconds) and, instead of hanging the test
@@ -28,13 +28,10 @@ suite, raises :class:`DeadlockError` -- a :class:`CommTimeoutError`
 carrying the deadlock watchdog's localized dump: every rank's pending
 operation plus the transport's view of the unmatched messages.
 
-Concurrency checking: a :class:`repro.analysis.concurrency.RaceTracker`
-attached to the world (``SimWorld(..., tracker=...)``) receives
-happens-before edges from the runtime -- every frame, collective rounds
-included, piggybacks the sender's vector clock on :class:`_Message` --
-and annotated accesses to the runtime's shared structures (mailboxes,
-abort event, failure table).  With no tracker attached (the default),
-every hook is one ``is None`` test.
+Both transports carry the same things: frames, the pending operation of
+each rank and the abort.  Nothing outside them asks which one runs; the
+thread world's shared state (mailboxes, abort event, failure table) is
+guarded by its own locks.
 
 Fault tolerance: when any rank thread dies, the world is *aborted* --
 ``MPI_Abort`` semantics -- so peers blocked in receives or collectives
@@ -172,17 +169,12 @@ class Communicator:
     * ``_report_lines()`` -- the transport's lines of the deadlock report.
     """
 
-    #: Ranks share one address space here; the procs backend sets True.
-    process_parallel = False
-
     def __init__(self, rank: int, size: int, timeout: float,
-                 injector: Any = None, tracker: Any = None):
+                 injector: Any = None):
         self.rank = rank
         self.size = size
         self.timeout = timeout
         self.injector = injector
-        #: optional :class:`repro.analysis.concurrency.RaceTracker`
-        self.tracker = tracker
         #: Point-to-point traffic; collective frames are not counted.
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -204,12 +196,6 @@ class Communicator:
         except CommTimeoutError as exc:
             report = "\n".join(["deadlock watchdog: pending operation per rank:",
                                 *self._report_lines()])
-            if self.tracker is not None:
-                self.tracker.on_deadlock(
-                    f"deadlock: rank {self.rank} timed out in {op} "
-                    "(see DeadlockError report for the per-rank dump)",
-                    site=f"runtime:rank{self.rank}",
-                )
             raise DeadlockError(f"rank {self.rank}: {op} timed out",
                                 report) from exc
         finally:
@@ -252,12 +238,6 @@ class Communicator:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         return Request(lambda t: self.recv(source, tag, timeout=t))
 
-    # Uppercase aliases for NumPy arrays (mpi4py convention).
-    Send = send
-    Recv = recv
-    Isend = isend
-    Irecv = irecv
-
     # -- collectives --------------------------------------------------------
 
     def _gossip(self, value: Any, label: str) -> list[Any]:
@@ -265,9 +245,7 @@ class Communicator:
 
         In round ``k`` rank ``r`` sends all it knows to ``r + 2**k`` and
         merges what ``r - 2**k`` knows, so after ``ceil(log2 P)`` rounds
-        every rank knows every contribution -- and, through the frames'
-        vector clocks, whatever any rank did before the collective
-        happens before what every rank does after it.  Round frames are
+        every rank knows every contribution.  Round frames are
         matched exactly by ``(source, gen, round)``: each pair's frames
         arrive in order and every rank runs collectives in program order.
         """
@@ -327,9 +305,6 @@ class _Message:
     tag: int
     payload: Any
     collective: bool = False
-    #: sender's vector clock at send time (happens-before piggyback;
-    #: None when no tracker is attached)
-    clock: dict[int, int] | None = None
 
 
 class _Mailbox:
@@ -389,8 +364,7 @@ class SimComm(Communicator):
     """The thread transport: one rank of a :class:`SimWorld`."""
 
     def __init__(self, world: "SimWorld", rank: int):
-        super().__init__(rank, world.size, world.timeout, world.injector,
-                         world.tracker)
+        super().__init__(rank, world.size, world.timeout, world.injector)
         self._world = world
 
     def _deliver(self, dest: int, tag: int, payload: Any, collective: bool,
@@ -402,25 +376,13 @@ class SimComm(Communicator):
             payload = payload.copy()
         elif collective:
             payload = dict(payload)
-        clock = None
-        if self.tracker is not None:
-            self.tracker.write(f"mailbox[{dest}]", self.rank,
-                               locks=(f"mailbox[{dest}].cv",),
-                               site="repro.cluster.mpi_sim:_Mailbox.put")
-            clock = self.tracker.on_send(self.rank)
         self._world._mailboxes[dest].put(
-            _Message(self.rank, tag, payload, collective, clock))
+            _Message(self.rank, tag, payload, collective))
 
     def _take(self, source: int, tag: int, collective: bool,
               timeout: float) -> Any:
-        msg = self._world._mailboxes[self.rank].get(source, tag, collective,
-                                                    timeout)
-        if self.tracker is not None:
-            self.tracker.write(f"mailbox[{self.rank}]", self.rank,
-                               locks=(f"mailbox[{self.rank}].cv",),
-                               site="repro.cluster.mpi_sim:_Mailbox.get")
-            self.tracker.on_deliver(self.rank, msg.clock)
-        return msg.payload
+        return self._world._mailboxes[self.rank].get(source, tag, collective,
+                                                     timeout).payload
 
     def _set_op(self, op: str) -> None:
         with self._world._pending_lock:
@@ -462,15 +424,12 @@ class SimWorld:
     """
 
     def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT,
-                 injector: Any | None = None, tracker: Any | None = None):
+                 injector: Any | None = None):
         if size < 1:
             raise ValueError("world size must be >= 1")
         self.size = size
         self.timeout = timeout
         self.injector = injector
-        #: optional :class:`repro.analysis.concurrency.RaceTracker`
-        #: (None = no concurrency checking, zero overhead)
-        self.tracker = tracker
         self._abort = threading.Event()
         self._mailboxes = [_Mailbox(self._abort) for _ in range(size)]
         # Deadlock watchdog state: the blocking operation each rank is
@@ -482,16 +441,12 @@ class SimWorld:
     def comm(self, rank: int) -> SimComm:
         return SimComm(self, rank)
 
-    def _signal_abort(self, rank: int | None = None) -> None:
+    def _signal_abort(self) -> None:
         """MPI_Abort analogue: wake every blocked rank with WorldAbortError.
 
         Called when any rank fails; without it, surviving ranks would sit
-        in recv/collective waits until their timeout expires.  ``rank``
-        (when known) attributes the abort-event write for the tracker.
+        in recv/collective waits until their timeout expires.
         """
-        if self.tracker is not None and rank is not None:
-            self.tracker.write("world.abort", rank, locks=("abort.event",),
-                               site="repro.cluster.mpi_sim:SimWorld._signal_abort")
         self._abort.set()
         for box in self._mailboxes:
             box.wake_for_abort()
@@ -509,15 +464,9 @@ class SimWorld:
                 # Each rank owns its slot: disjoint indices, no lock needed.
                 results[rank] = main(self.comm(rank), *args)  # lint: disable=CL011
             except BaseException as exc:  # noqa: BLE001 - reported below  # lint: disable=CL005
-                if self.tracker is not None:
-                    self.tracker.write(
-                        "world.failures", rank,
-                        locks=("world.failures.lock",),
-                        site="repro.cluster.mpi_sim:SimWorld.run",
-                    )
                 with failures_lock:
                     failures[rank] = exc
-                self._signal_abort(rank)
+                self._signal_abort()
 
         if self.size == 1:
             # Fast path: no threads for single-rank runs.

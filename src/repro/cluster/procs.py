@@ -326,20 +326,25 @@ class Ring:
             self._advance_tail(n)
             offset += n
 
-    def drain(self) -> bytes:
-        """Consume and return every unread byte (empty when idle)."""
+    def drain(self, out: bytearray | None = None) -> bytearray:
+        """Consume every unread byte, appended to ``out`` (a new
+        ``bytearray`` when None), which is returned.
+
+        Each byte is copied once, out of the segment straight onto
+        ``out``, the wrapped part as well.
+        """
+        if out is None:
+            out = bytearray()
         head, tail = self._cursors()
         avail = tail - head
-        if avail == 0:
-            return b""
-        cap = self.capacity
-        pos = head % cap
-        first = min(avail, cap - pos)
-        base = _RING_CTRL_BYTES
-        out = bytes(self._seg.buf[base + pos:base + pos + first])
-        if avail > first:
-            out += bytes(self._seg.buf[base:base + (avail - first)])
-        self._advance_head(avail)
+        if avail:
+            cap = self.capacity
+            pos = head % cap
+            first = min(avail, cap - pos)
+            base = _RING_CTRL_BYTES
+            out += self._seg.buf[base + pos:base + pos + first]
+            out += self._seg.buf[base:base + (avail - first)]
+            self._advance_head(avail)
         return out
 
 
@@ -438,10 +443,6 @@ class ProcsComm(Communicator):
     :class:`_StatusBoard` slot carries its pending operation.
     """
 
-    #: Ranks are OS processes; process-aware consumers (the flight
-    #: recorder) key off this to avoid cross-process file contention.
-    process_parallel = True
-
     def __init__(self, spec: WorldSpec, rank: int, injector: Any = None):
         super().__init__(rank, spec.size, spec.timeout, injector)
         self._board: _StatusBoard | None = None
@@ -495,10 +496,9 @@ class ProcsComm(Communicator):
     def _drain_all(self) -> None:
         """Pull every complete frame out of the incoming rings."""
         for src, ring in self._in.items():
-            chunk = ring.drain()
-            if chunk:
-                stream = self._streams[src]
-                stream.extend(chunk)
+            stream = self._streams[src]
+            held = len(stream)
+            if len(ring.drain(stream)) > held:
                 self._frames.extend(parse_frames(stream, source_hint=src))
 
     def _take(self, source: int, tag: int, collective: bool,
@@ -618,21 +618,12 @@ class ProcsWorld:
     whose ledger merges back, and an armed ``rank_crash`` is a real
     ``SIGKILL`` of the rank it names (rank 0 for a spec that names
     none, :meth:`~repro.resilience.inject.FaultInjector.world_clone`).
-
-    The runtime race tracker is thread-based and cannot observe
-    separate address spaces; ``tracker`` must stay ``None``.
     """
 
     def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT,
-                 injector: Any | None = None, tracker: Any | None = None):
+                 injector: Any | None = None):
         if size < 1:
             raise ValueError("world size must be >= 1")
-        if tracker is not None:
-            raise ValueError(
-                "the procs backend has no runtime race tracker (ranks "
-                "share no address space); run concurrency_check on the "
-                "sim backend"
-            )
         self.size = size
         self.timeout = timeout
         self.injector = injector

@@ -41,12 +41,6 @@ class SimulationConfig:
     #: on the results) or "trace" (metrics + per-rank span events
     #: exportable as a Perfetto timeline).  See :mod:`repro.telemetry`.
     telemetry: str = "off"
-    #: runtime concurrency-check policy for the thread-based cluster
-    #: runtime: "off" (production default; zero overhead), "warn"
-    #: (record races/deadlocks on the run report, keep running) or
-    #: "raise" (abort the offending rank on the first race).  See
-    #: :mod:`repro.analysis.concurrency`.
-    concurrency_check: str = "off"
     #: step-level flight recorder output path (JSONL, schema
     #: ``repro.flight/v1``; see :mod:`repro.telemetry.flight`), or None
     #: (off, the production default; the step loop carries no recorder).
@@ -60,7 +54,7 @@ class SimulationConfig:
     num_workers: int = 4  #: threads per rank (dispatch simulation)
     periodic: tuple[bool, bool, bool] = (False, False, False)
     #: cluster runtime: "sim" (rank threads in one interpreter, the
-    #: default -- deterministic, debuggable, race-trackable) or "procs"
+    #: default -- deterministic, debuggable, the oracle) or "procs"
     #: (each rank a real OS process exchanging halos through
     #: shared-memory rings -- real multi-core scaling).  Both backends
     #: are bit-identical on the same config; see docs/cluster.md.
@@ -154,24 +148,10 @@ class SimulationConfig:
             )
         if self.progress_interval < 0:
             raise ValueError("progress_interval must be >= 0")
-        if self.concurrency_check != "off":
-            from ..analysis.concurrency import POLICIES as CONCURRENCY_POLICIES
-
-            if self.concurrency_check not in CONCURRENCY_POLICIES:
-                raise ValueError(
-                    f"concurrency_check={self.concurrency_check!r} not in "
-                    f"{CONCURRENCY_POLICIES}"
-                )
         if self.cluster_backend not in ("sim", "procs"):
             raise ValueError(
                 f"cluster_backend={self.cluster_backend!r} not in "
                 f"('sim', 'procs')"
-            )
-        if self.cluster_backend == "procs" and self.concurrency_check != "off":
-            raise ValueError(
-                "concurrency_check requires the thread-based 'sim' "
-                "backend: the runtime race tracker cannot observe "
-                "separate rank processes"
             )
         if self.checkpoint_keep < 0:
             raise ValueError("checkpoint_keep must be >= 0")

@@ -16,25 +16,14 @@ time series it collapses -- one JSON record per ``(step, rank)`` with
 * the node-level dispatcher schedule summary (per-worker busy
   imbalance, paper Table 4's metric).
 
-Records are buffered per file and flushed every ``flush_every`` records
-(and on close), so a tailing consumer sees the run *live* while the
-per-step cost stays at a dict build and an occasional write -- the
-< 5 % overhead budget vs ``telemetry="metrics"``.
-
-Under the thread-based cluster backend all ranks are threads of one
-process writing one file, so the underlying appender is shared per path
-and serialized by a lock (acquired/released by refcount: the first rank
-opening a path truncates it and writes the header record, the last one
-to close it flushes and closes the handle).
-
-Under the process-parallel backend (:mod:`repro.cluster.procs`) that
-in-memory refcount cannot serialize anything -- each rank is its own
-process.  Recorders there open in ``per_rank`` mode: every rank appends
-to its private part file (``<path>.rank<NNNN>``, each with its own
-header) and the parent merges the parts into the final single-header
-stream with :func:`merge_flight_parts` once the world has finished.
-The merged file is byte-compatible with the thread backend's output:
-one header, step records ordered by ``(step, rank)``.
+Every rank, thread or process, writes its own part file
+(``<path>.rank<NNNN>``, each with its own header), buffered and flushed
+every :data:`FLUSH_EVERY` records (and on close), so a tailing consumer
+sees the run *live* while the per-step cost stays at a dict build and an
+occasional write -- the < 5 % overhead budget vs ``telemetry="metrics"``.
+Once the world has finished, :func:`merge_flight_parts` merges the parts
+into the final stream at ``path``: one header, step records ordered by
+``(step, rank)`` -- the same file on either cluster backend.
 """
 
 from __future__ import annotations
@@ -42,121 +31,46 @@ from __future__ import annotations
 import glob
 import json
 import os
-import threading
 from typing import Iterator
 
 #: Schema identifier stamped on the header record of every flight file.
 FLIGHT_SCHEMA = "repro.flight/v1"
 
-#: Default number of buffered records between flushes.
-DEFAULT_FLUSH_EVERY = 32
-
-
-class _FlightSink:
-    """Shared append-only writer of one flight file (one per path)."""
-
-    def __init__(self, path: str, flush_every: int):
-        self.path = path
-        self.flush_every = max(1, int(flush_every))
-        self.lock = threading.Lock()
-        self.refs = 0
-        self.records_written = 0
-        self._buffer: list[str] = []
-        self._file = open(path, "w", encoding="utf-8")
-
-    def write(self, record: dict) -> None:
-        """Buffer one record; flush when the buffer reaches the bound."""
-        line = json.dumps(record, sort_keys=True)
-        with self.lock:
-            self._buffer.append(line)
-            self.records_written += 1
-            if len(self._buffer) >= self.flush_every:
-                self._drain()
-
-    def flush(self) -> None:
-        """Force buffered records to disk."""
-        with self.lock:
-            self._drain()
-
-    def _drain(self) -> None:
-        # Caller holds self.lock.
-        if self._buffer:
-            self._file.write("\n".join(self._buffer) + "\n")
-            self._buffer.clear()
-        self._file.flush()
-
-    def close(self) -> None:
-        with self.lock:
-            self._drain()
-            self._file.close()
-
-
-#: Open sinks keyed by absolute path, shared across rank threads.
-_SINKS: dict[str, _FlightSink] = {}
-_SINKS_LOCK = threading.Lock()
-
-
-def _acquire_sink(path: str, flush_every: int) -> tuple[_FlightSink, bool]:
-    """Returns ``(sink, is_first)`` for ``path``, refcounted."""
-    with _SINKS_LOCK:
-        sink = _SINKS.get(path)
-        first = sink is None
-        if first:
-            sink = _SINKS[path] = _FlightSink(path, flush_every)
-        sink.refs += 1
-        return sink, first
-
-
-def _release_sink(path: str) -> None:
-    with _SINKS_LOCK:
-        sink = _SINKS.get(path)
-        if sink is None:
-            return
-        sink.refs -= 1
-        if sink.refs <= 0:
-            del _SINKS[path]
-            sink.close()
+#: Buffered records between flushes of a part file.
+FLUSH_EVERY = 32
 
 
 class FlightRecorder:
-    """Per-rank handle onto a shared flight-record stream.
+    """One rank's writer of its part of a flight recording.
 
     Parameters
     ----------
     path:
-        Flight file (JSONL).  The first rank to open it truncates the
-        file and writes the header record.
+        Flight file (JSONL) the parts merge into; this rank writes
+        ``part_path(path, rank)``, truncating it and writing the header
+        record first.
     rank:
         Owning rank, stamped on every record this handle writes.
     meta:
         Run metadata merged into the header record (ranks, cells,
-        ``max_steps``, telemetry mode, ...).  Only the first opener's
-        header is written.
-    flush_every:
-        Buffered records between flushes of the shared sink.
-    per_rank:
-        Multi-process mode: write to a private part file
-        (``<path>.rank<NNNN>``) instead of the shared sink.  The
-        process-parallel cluster backend sets this (rank processes
-        share no memory, so the refcounted sink cannot serialize
-        them); the parent merges the parts with
-        :func:`merge_flight_parts` after the run.
+        ``max_steps``, telemetry mode, ...).  The merged file keeps the
+        lowest rank's header.
     """
 
-    def __init__(self, path: str, rank: int = 0, meta: dict | None = None,
-                 flush_every: int = DEFAULT_FLUSH_EVERY,
-                 per_rank: bool = False):
+    def __init__(self, path: str, rank: int = 0, meta: dict | None = None):
         self.path = str(path)
         self.rank = int(rank)
         self.records = 0  #: step records written by this handle
-        self._sink_path = (part_path(self.path, self.rank) if per_rank
-                           else self.path)
-        self._sink, first = _acquire_sink(self._sink_path, flush_every)
-        self._closed = False
-        if first:
-            header = {"kind": "header", "schema": FLIGHT_SCHEMA}
-            header.update(meta or {})
-            self._sink.write(header)
+        self._buffer: list[str] = []
+        self._file = open(part_path(self.path, self.rank), "w",
+                          encoding="utf-8")
+        self._write({"kind": "header", "schema": FLIGHT_SCHEMA,
+                     **(meta or {})})
+
+    def _write(self, record: dict) -> None:
+        self._buffer.append(json.dumps(record, sort_keys=True))
+        if len(self._buffer) >= FLUSH_EVERY:
+            self.flush()
 
     def record(self, step: int, **fields) -> None:
         """Append one ``(step, rank)`` record to the stream.
@@ -165,40 +79,40 @@ class FlightRecorder:
         ``gcells_per_s``, ``drift``, ...); ``kind``/``step``/``rank``
         are stamped here.
         """
-        if self._closed:
+        if self._file.closed:
             raise ValueError(f"flight recorder for {self.path} is closed")
-        rec = {"kind": "step", "step": int(step), "rank": self.rank}
-        rec.update(fields)
-        self._sink.write(rec)
+        self._write({"kind": "step", "step": int(step), "rank": self.rank,
+                     **fields})
         self.records += 1
 
     def flush(self) -> None:
-        """Force buffered records of the shared sink to disk."""
-        self._sink.flush()
+        """Force buffered records to disk."""
+        if self._buffer:
+            self._file.write("\n".join(self._buffer) + "\n")
+            self._buffer.clear()
+        self._file.flush()
 
     def close(self) -> None:
-        """Release this rank's handle (idempotent).
+        """Flush and close the part file (idempotent).
 
-        The shared sink flushes and closes when the last rank releases
-        it -- crashing ranks must close in a ``finally`` so chaos runs
-        never leak buffered records.
+        Crashing ranks must close in a ``finally`` so chaos runs never
+        leak buffered records.
         """
-        if not self._closed:
-            self._closed = True
-            _release_sink(self._sink_path)
+        if not self._file.closed:
+            self.flush()
+            self._file.close()
 
 
 def part_path(path: str, rank: int) -> str:
-    """The per-rank part file of ``path`` in multi-process mode (str)."""
+    """The part file rank ``rank`` writes of ``path`` (str)."""
     return f"{path}.rank{rank:04d}"
 
 
 def merge_flight_parts(path: str) -> int:
     """Merge ``<path>.rank*`` part files into one flight file at ``path``.
 
-    Produces the same layout as a thread-backend recording: a single
-    header record (taken from the lowest-ranked part) followed by every
-    step record ordered by ``(step, rank)``.  Part files are deleted on
+    Produces a single header record (taken from the lowest-ranked part)
+    followed by every step record ordered by ``(step, rank)``.  Part files are deleted on
     success.  Missing or empty parts are tolerated -- a crashed rank's
     flushed prefix still merges, so chaos runs keep a usable stream.
     Returns the number of step records merged; with no parts present

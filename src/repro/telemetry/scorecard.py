@@ -127,9 +127,6 @@ def run_scorecard_rows(result) -> list[dict]:
                 "MB": comp / 1e6,
                 "rate": raw / comp if comp else 0.0,
             })
-    creport = getattr(result, "concurrency_report", None)
-    if creport is not None:
-        rows.append({"phase": "concurrency", "check": creport.summary()})
     frac = io_fraction(result)
     rows.append({
         "phase": "I/O fraction",

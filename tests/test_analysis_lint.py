@@ -14,6 +14,7 @@ from repro.analysis import (
 )
 from repro.analysis.cli import main as lint_main
 from repro.analysis.lint import path_matches
+from repro.analysis.report import Report, Violation
 
 SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro")
 
@@ -52,6 +53,29 @@ def test_violation_format_is_file_line_col_rule():
     formatted = format_violations(out)
     assert formatted.startswith("src/repro/core/fixture.py:2:")
     assert " CL001 " in formatted
+
+
+def test_empty_report_payload_has_no_findings():
+    assert len(Report()) == 0
+    assert Report().to_dict() == {"findings": []}
+
+
+def test_report_payload_lists_findings_in_report_order():
+    """``to_dict`` sorts by path, line, column, rule and keeps every
+    field; the report's length is its number of findings."""
+    late = Violation("b.py", 1, 0, "CL001", "m1")
+    early = Violation("a.py", 9, 4, "CL012", "m2")
+    same_line = Violation("a.py", 9, 4, "CL005", "m3")
+    report = Report([late, early, same_line])
+    assert len(report) == 3
+    assert report.to_dict() == {"findings": [
+        {"path": "a.py", "line": 9, "col": 4, "rule": "CL005",
+         "message": "m3"},
+        {"path": "a.py", "line": 9, "col": 4, "rule": "CL012",
+         "message": "m2"},
+        {"path": "b.py", "line": 1, "col": 0, "rule": "CL001",
+         "message": "m1"},
+    ]}
 
 
 # -- CL001: raw float dtypes ---------------------------------------------

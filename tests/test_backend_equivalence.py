@@ -129,8 +129,7 @@ def test_procs_flight_stream_valid(tmp_path):
 
     Rank processes write per-rank part files; the driver merges them on
     completion into a single-header stream ordered by (step, rank) and
-    removes the parts -- the regression this guards is the thread-only
-    refcounted sink silently splitting or clobbering the stream.
+    removes the parts.
     """
     out = tmp_path / "flight.jsonl"
     res = _run("procs", 2, steps=4, flight_out=str(out))
@@ -145,13 +144,6 @@ def test_procs_flight_stream_valid(tmp_path):
         assert s["dt"] > 0 and "phases" in s and "drift" in s
     # Parts were merged and removed.
     assert not list(tmp_path.glob("flight.jsonl.rank*"))
-
-
-def test_procs_rejects_runtime_race_tracker():
-    """The runtime race tracker is thread-only; procs must refuse it."""
-    with pytest.raises(ValueError, match="concurrency_check"):
-        SimulationConfig(**BASE, ranks=2, cluster_backend="procs",
-                         concurrency_check="warn")
 
 
 def test_config_validates_backend_name():

@@ -10,6 +10,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.cluster import Simulation
+from repro.cluster.mpi_sim import WorldError
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.sim import SimulationConfig
 from repro.sim.ic import uniform
 from repro.telemetry import (
@@ -22,11 +24,13 @@ from repro.telemetry import (
     format_flight_report,
     get_logger,
     iter_flight,
+    merge_flight_parts,
     read_flight,
     run_imbalance,
     step_imbalance,
     straggler_summary,
 )
+from repro.telemetry.flight import FLUSH_EVERY, part_path
 
 
 def run_sim(steps=2, ranks=1, cells=16, block_size=8, **kw):
@@ -57,6 +61,7 @@ def test_recorder_writes_header_then_step_records(tmp_path):
     rec.record(1, dt=1e-3, phases={"RHS": 0.1})
     rec.record(2, dt=1e-3, phases={"RHS": 0.1})
     rec.close()
+    assert merge_flight_parts(path) == 2
     records = list(iter_flight(path))
     assert records[0]["kind"] == "header"
     assert records[0]["schema"] == FLIGHT_SCHEMA
@@ -65,29 +70,18 @@ def test_recorder_writes_header_then_step_records(tmp_path):
     assert all(r["rank"] == 0 for r in records[1:])
 
 
-def test_recorder_shared_sink_across_rank_handles(tmp_path):
-    # All simulated ranks are threads of one process writing one file:
-    # the first opener truncates + writes the header, later openers
-    # append, the last close flushes.
-    path = str(tmp_path / "f.jsonl")
-    r0 = FlightRecorder(path, rank=0, meta={"ranks": 2})
-    r1 = FlightRecorder(path, rank=1, meta={"ranks": 999})  # not first
-    r0.record(1, phases={"RHS": 0.1})
-    r1.record(1, phases={"RHS": 0.2})
-    r0.close()
-    r1.close()
-    header, steps = read_flight(path)
-    assert header["ranks"] == 2  # first opener's meta won
-    assert {s["rank"] for s in steps} == {0, 1}
-
-
 def test_recorder_buffers_until_flush_threshold(tmp_path):
     path = str(tmp_path / "f.jsonl")
-    rec = FlightRecorder(path, rank=0, flush_every=100)
-    rec.record(1, phases={})
-    assert len(list(iter_flight(path))) == 0  # still buffered
+    rec = FlightRecorder(path, rank=3)
+    part = part_path(path, 3)
+    for step in range(1, FLUSH_EVERY - 1):
+        rec.record(step, phases={})
+    assert len(list(iter_flight(part))) == 0  # still buffered
+    rec.record(FLUSH_EVERY - 1, phases={})  # with the header: a flush
+    assert len(list(iter_flight(part))) == FLUSH_EVERY
+    rec.record(FLUSH_EVERY, phases={})
     rec.flush()
-    assert len(list(iter_flight(path))) == 2  # header + step
+    assert len(list(iter_flight(part))) == FLUSH_EVERY + 1
     rec.close()
 
 
@@ -108,34 +102,124 @@ def test_recorder_reopen_after_close_truncates(tmp_path):
     second = FlightRecorder(path, rank=0, meta={"run": 2})
     second.record(1, phases={})
     second.close()
+    merge_flight_parts(path)
     header, steps = read_flight(path)
     assert header["run"] == 2
     assert len(steps) == 1
 
 
-def test_concurrent_rank_threads_write_without_interleaving(tmp_path):
-    # Handles are opened up front (the driver opens every rank's
-    # recorder before the lockstep loop starts, so the shared sink's
-    # refcount never dips to zero mid-run); only record() races.
+def test_sim_and_procs_write_the_same_flight_layout(tmp_path):
+    """Thread ranks and process ranks each write a part file, merged at
+    the end: one config on 2-rank ``sim`` and on 2-rank ``procs`` gives
+    files with the same header keys and the same ``(kind, step, rank)``
+    sequence, and leaves no part file."""
+    layouts = []
+    for backend in ("sim", "procs"):
+        path = tmp_path / f"{backend}.jsonl"
+        run_sim(steps=3, ranks=2, flight_out=str(path),
+                cluster_backend=backend)
+        header, *steps = iter_flight(str(path))
+        layouts.append((sorted(header),
+                        [(r["kind"], r["step"], r["rank"]) for r in steps]))
+    assert not list(tmp_path.glob("*.rank*"))
+    assert layouts[0] == layouts[1]
+    assert layouts[0][1] == [("step", step, rank)
+                             for step in (1, 2, 3) for rank in (0, 1)]
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 4])
+def test_concurrent_rank_threads_write_their_own_parts(tmp_path, ranks):
+    """Thread ranks recording at once each write their own part file:
+    the merge holds every record of every rank exactly once, whole, in
+    ``(step, rank)`` order, and removes the parts."""
     path = str(tmp_path / "f.jsonl")
-    nranks, nsteps = 4, 25
-    recorders = [FlightRecorder(path, rank=r, meta={"ranks": nranks},
-                                flush_every=7) for r in range(nranks)]
+    steps = 3 * FLUSH_EVERY + 5  # several flushes and a buffered tail
+    start = threading.Barrier(ranks)
 
-    def rank_body(rec):
-        for s in range(1, nsteps + 1):
-            rec.record(s, phases={"RHS": 0.01 * rec.rank})
-        rec.close()
+    def rank_main(rank):
+        rec = FlightRecorder(path, rank=rank, meta={"ranks": ranks})
+        start.wait()
+        try:
+            for step in range(1, steps + 1):
+                rec.record(step, dt=1e-3, phases={"RHS": 0.1 * rank})
+        finally:
+            rec.close()
 
-    threads = [threading.Thread(target=rank_body, args=(rec,))
-               for rec in recorders]
+    threads = [threading.Thread(target=rank_main, args=(r,))
+               for r in range(ranks)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    header, steps = read_flight(path)  # every line parses
-    assert len(steps) == nranks * nsteps
-    assert {s["rank"] for s in steps} == set(range(nranks))
+    assert merge_flight_parts(path) == ranks * steps
+    header, records = read_flight(path)
+    assert header["ranks"] == ranks
+    assert [(r["step"], r["rank"]) for r in records] == [
+        (step, rank) for step in range(1, steps + 1) for rank in range(ranks)]
+    assert all(r["phases"] == {"RHS": 0.1 * r["rank"]} for r in records)
+    assert not list(tmp_path.glob("*.rank*"))
+
+
+def test_merge_keeps_the_lowest_ranks_header(tmp_path):
+    path = str(tmp_path / "f.jsonl")
+    for rank in (2, 0, 1):
+        rec = FlightRecorder(path, rank=rank, meta={"writer": rank})
+        rec.record(1, phases={})
+        rec.close()
+    assert merge_flight_parts(path) == 3
+    header, records = read_flight(path)
+    assert header["writer"] == 0
+    assert [r["rank"] for r in records] == [0, 1, 2]
+
+
+def test_merge_without_parts_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text("kept\n")
+    assert merge_flight_parts(str(path)) == 0
+    assert path.read_text() == "kept\n"
+
+
+def test_merge_takes_a_crashed_ranks_flushed_prefix(tmp_path):
+    """A rank that died after a flush leaves a headed, truncated part;
+    one that died before its first flush leaves an empty part.  Both
+    merge, the first's records kept, and both parts are removed."""
+    path = str(tmp_path / "f.jsonl")
+    whole = FlightRecorder(path, rank=0, meta={"ranks": 3})
+    for step in (1, 2, 3):
+        whole.record(step, phases={})
+    whole.close()
+    header = json.dumps({"kind": "header", "schema": FLIGHT_SCHEMA})
+    step1 = json.dumps({"kind": "step", "step": 1, "rank": 1})
+    with open(part_path(path, 1), "w", encoding="utf-8") as f:
+        f.write(header + "\n" + step1 + "\n")
+    open(part_path(path, 2), "w", encoding="utf-8").close()
+    assert merge_flight_parts(path) == 4
+    header, records = read_flight(path)
+    assert header["ranks"] == 3
+    assert [(r["step"], r["rank"]) for r in records] == [
+        (1, 0), (1, 1), (2, 0), (3, 0)]
+    assert not list(tmp_path.glob("*.rank*"))
+
+
+@pytest.mark.parametrize("backend", ["sim", "procs"])
+def test_a_failed_run_still_merges_its_flight_parts(tmp_path, backend):
+    """Rank 1 crashes at the top of step 3: the run fails, and the
+    flight file still holds both ranks' steps 1 and 2 under one header,
+    with no part file left."""
+    path = tmp_path / "f.jsonl"
+    config = SimulationConfig(
+        cells=16, block_size=8, max_steps=4, ranks=2, flight_out=str(path),
+        cluster_backend=backend, comm_timeout=30.0)
+    injector = FaultInjector(FaultPlan(faults=[
+        FaultSpec(kind="rank_crash", rank=1, step=3)]))
+    with pytest.raises(WorldError):
+        Simulation(config, uniform(), injector=injector).run()
+    header, records = read_flight(str(path))
+    assert header["schema"] == FLIGHT_SCHEMA
+    assert [(r["step"], r["rank"]) for r in records
+            if r["step"] <= 2] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert all(r["rank"] == 0 for r in records if r["step"] > 2)
+    assert not list(tmp_path.glob("*.rank*"))
 
 
 def test_read_flight_rejects_headerless_and_wrong_schema(tmp_path):

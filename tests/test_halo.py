@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from repro.cluster import Simulation
-from repro.cluster.halo import HaloExchange, extract_face_slab
+from repro.cluster.halo import HaloExchange, _face_tag, extract_face_slab
 from repro.cluster.mpi_sim import SimWorld
+from repro.cluster.procs import ProcsWorld
 from repro.cluster.topology import CartTopology, balanced_dims
 from repro.core.block import GHOSTS
 from repro.node import Dispatcher, NodeSolver
 from repro.node.grid import BlockGrid
 from repro.physics.state import NQ
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
+from repro.resilience.detect import HaloCorruptionError, crc32_array
 from repro.sim.cloud import Bubble
 from repro.sim.config import SimulationConfig
 from repro.sim.ic import cloud_collapse
@@ -187,6 +189,58 @@ class TestExchange:
         # Only the shared z-face has a neighbor; slab = 3*16*16 cells.
         assert list(sizes) == [(0, 1)]
         assert sizes[(0, 1)] == GHOSTS * 16 * 16 * NQ * 4
+
+
+# -- an unframed slab is corruption ---------------------------------------
+
+
+def _bare_slab_peer(comm, injector, payload=None):
+    """Rank 1 sends rank 0 ``payload(slab)`` -- the bare ndarray when
+    None -- on the tag of its low z face instead of a framed slab; rank
+    0's exchange must refuse it."""
+    topo = CartTopology((2, 1, 1))
+    g = BlockGrid((1, 1, 1), 8, h=1.0)
+    halo = HaloExchange(comm, topo, g, injector=injector)
+    if comm.rank == 1:
+        slab = extract_face_slab(g, 0, -1)
+        comm.send(slab if payload is None else payload(slab), dest=0,
+                  tag=_face_tag(0, -1))
+        comm.recv(source=0, tag=_face_tag(0, 1))  # rank 0's framed slab
+        return None
+    with pytest.raises(HaloCorruptionError) as exc:
+        halo.exchange()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("world_cls", [SimWorld, ProcsWorld])
+def test_an_unframed_halo_slab_is_corruption(world_cls):
+    injector = FaultInjector()
+    message, _ = world_cls(2, timeout=30.0, injector=injector).run(
+        _bare_slab_peer, injector)
+    assert "rank 1 (axis 0, side +1)" in message
+    assert "unframed ndarray" in message
+    assert injector.counters["detected_msg_corrupt"] == 1
+
+
+#: payload name -> how the peer builds it from its slab: anything that
+#: is not a HaloFrame, however close to one, is refused.
+_UNFRAMED = {
+    "bytes": lambda slab: slab.tobytes(),
+    "NoneType": lambda slab: None,
+    "tuple": lambda slab: (crc32_array(slab), slab),
+    "dict": lambda slab: {"crc": crc32_array(slab), "payload": slab},
+    "memoryview": lambda slab: memoryview(slab.tobytes()),
+}
+
+
+@pytest.mark.parametrize("kind", list(_UNFRAMED))
+def test_any_unframed_payload_is_corruption(kind):
+    injector = FaultInjector()
+    message, _ = SimWorld(2, timeout=30.0, injector=injector).run(
+        _bare_slab_peer, injector, _UNFRAMED[kind])
+    assert "rank 1 (axis 0, side +1)" in message
+    assert f"unframed {kind}, not a HaloFrame" in message
+    assert injector.counters["detected_msg_corrupt"] == 1
 
 
 # -- a rank is not its own neighbour --------------------------------------

@@ -343,3 +343,59 @@ def test_ring_write_times_out_when_full():
     big = encode_frame(0, 0, KIND_PICKLE, b"x" * (1 << 17))
     with pytest.raises(CommTimeoutError):
         ring.write(big, deadline=time.monotonic() + 0.2)
+
+
+def test_ring_drain_across_the_wrap_appends_the_unread_bytes():
+    """A drain appends exactly the unread bytes, in order, onto the
+    stream it is given -- the part before the wrap and the part after --
+    and advances ``head`` to ``tail``."""
+    ring = _make_ring(64)
+    first = bytes(range(40))
+    ring.write(first, deadline=time.monotonic() + 1.0)
+    assert ring.drain() == first
+    wrapped = bytes(range(100, 150))  # 24 bytes to the end, 26 after
+    ring.write(wrapped, deadline=time.monotonic() + 1.0)
+    assert ring._cursors() == (40, 90)
+    stream = bytearray(b"held")
+    assert ring.drain(stream) is stream
+    assert stream == b"held" + wrapped
+    assert ring._cursors() == (90, 90)
+    assert ring.drain(stream) == b"held" + wrapped  # idle: nothing added
+
+
+#: ``(bytes consumed before, unread length)`` on a 64-byte ring: empty,
+#: no wrap, full from 0, ending on the boundary, one byte past it, full
+#: across it, and after two laps.
+_DRAIN_CASES = {
+    "empty": (40, 0),
+    "no_wrap": (0, 10),
+    "full_from_0": (0, 64),
+    "ends_at_boundary": (40, 24),
+    "one_past_boundary": (40, 25),
+    "full_across_wrap": (63, 64),
+    "after_two_laps": (130, 50),
+}
+
+
+@pytest.mark.parametrize("consumed, length", list(_DRAIN_CASES.values()),
+                         ids=list(_DRAIN_CASES))
+def test_ring_drain_appends_exactly_the_unread_bytes(consumed, length):
+    """Wherever the unread bytes sit, ``drain(out)`` appends exactly
+    them, in order, to ``out`` and returns it, and ``drain()`` returns
+    them in a new ``bytearray``; either advances ``head`` to ``tail``."""
+    rng = make_rng(consumed * 64 + length)
+    unread = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+    for given in (bytearray(b"prefix"), None):
+        ring = _make_ring(64)
+        while ring._cursors()[1] < consumed:
+            n = min(64, consumed - ring._cursors()[1])
+            ring.write(b"\xff" * n, deadline=time.monotonic() + 1.0)
+            ring.drain()
+        ring.write(unread, deadline=time.monotonic() + 1.0)
+        assert ring._cursors() == (consumed, consumed + length)
+        out = ring.drain(given)
+        if given is None:
+            assert isinstance(out, bytearray) and out == unread
+        else:
+            assert out is given and out == b"prefix" + unread
+        assert ring._cursors() == (consumed + length,) * 2

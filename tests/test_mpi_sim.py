@@ -4,6 +4,7 @@ transports: the thread world and the process world (repro.cluster.procs).
 Mains run by :class:`ProcsWorld` are module-level: spawn pickles them.
 """
 
+import importlib
 import math
 import os
 import signal
@@ -13,16 +14,19 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.cluster.mpi_sim import (
     ANY_SOURCE,
     ANY_TAG,
     CommTimeoutError,
+    DeadlockError,
     Request,
     SimWorld,
     WorldAbortError,
     WorldError,
 )
-from repro.cluster.procs import ProcsWorld, RankLostError
+from repro.cluster.procs import ProcsComm, ProcsWorld, RankLostError
+from repro.sim.config import SimulationConfig
 
 
 class TestWorldBasics:
@@ -109,6 +113,28 @@ class TestPointToPoint:
             return got
 
         assert world.run(main)[0] == {1, 2}
+
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_concurrent_senders_reach_one_mailbox_in_order(self, size):
+        """Every other rank sends rank 0 a run of messages at once: rank
+        0 receives each exactly once, and each sender's in send order."""
+        world = SimWorld(size, timeout=30.0)
+        count = 200
+
+        def main(comm):
+            if comm.rank != 0:
+                for i in range(count):
+                    comm.send((comm.rank, i), dest=0, tag=7)
+                return None
+            got = {source: [] for source in range(1, size)}
+            for _ in range(count * (size - 1)):
+                source, i = comm.recv(ANY_SOURCE, tag=7)
+                got[source].append(i)
+            return got
+
+        got = world.run(main)[0]
+        assert got == {source: list(range(count))
+                       for source in range(1, size)}
 
     def test_isend_irecv(self):
         world = SimWorld(2)
@@ -395,7 +421,7 @@ def _die_during_allreduce(comm):
     """Rank 1 dies -- a real SIGKILL on the procs transport -- and so
     never joins the allreduce its peers wait in."""
     if comm.rank == 1:
-        if comm.process_parallel:
+        if isinstance(comm, ProcsComm):
             os.kill(os.getpid(), signal.SIGKILL)
         raise RuntimeError("rank 1 died")
     return comm.allreduce(1.0)
@@ -430,3 +456,75 @@ def test_contribution_sets_survive_thread_interleaving():
     assert time.monotonic() - start < 30.0
     expected = [[(i, r) for r in range(7)] for i in range(20)]
     assert out == [expected] * 7
+
+
+# -- the deadlock watchdog --------------------------------------------------
+
+
+class TestDeadlockWatchdog:
+    def test_seeded_deadlock_produces_localized_report(self):
+        world = SimWorld(2, timeout=1.0)
+
+        def main(comm):
+            if comm.rank == 0:
+                comm.send(b"x", dest=1, tag=5)
+                comm.recv(source=1, tag=6)  # never sent
+            else:
+                comm.recv(source=0, tag=9)  # wrong tag: never matches
+
+        start = time.monotonic()
+        with pytest.raises(WorldError) as exc:
+            world.run(main)
+        # The watchdog fired instead of hanging for the default 120 s.
+        assert time.monotonic() - start < 30
+        deadlocks = [
+            e for e in exc.value.failures.values()
+            if isinstance(e, DeadlockError)
+        ]
+        assert deadlocks, exc.value.failures
+        report = deadlocks[0].report
+        assert "pending operation per rank" in report
+        assert "recv" in report
+        # The unmatched edge set names rank 0's orphaned tag-5 send.
+        assert "tag=5" in report
+
+    def test_deadlock_report_without_pending_sends(self):
+        world = SimWorld(2, timeout=0.5)
+
+        def main(comm):
+            comm.recv(source=1 - comm.rank, tag=0)  # nobody sends
+
+        with pytest.raises(WorldError) as exc:
+            world.run(main)
+        (err,) = [e for e in exc.value.failures.values()
+                  if isinstance(e, DeadlockError)][:1]
+        assert "the matching send was never posted" in err.report
+
+
+# -- the runtime race tracker is gone --------------------------------------
+
+
+class TestNoRaceTracker:
+    """The race tracker could not fire on the runtime it watched (every
+    access it saw came with a fixed lock token); it is gone, and no
+    way to ask for it is left."""
+
+    def test_config_has_no_concurrency_check(self):
+        with pytest.raises(TypeError, match="concurrency_check"):
+            SimulationConfig(cells=16, block_size=8, concurrency_check="warn")
+
+    @pytest.mark.parametrize("world_cls", [SimWorld, ProcsWorld])
+    def test_worlds_take_no_tracker(self, world_cls):
+        with pytest.raises(TypeError, match="tracker"):
+            world_cls(2, tracker=object())
+
+    def test_run_has_no_concurrency_check_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--cells", "16", "--steps", "1",
+                      "--concurrency-check", "raise"])
+        assert exc.value.code == 2
+        assert "--concurrency-check" in capsys.readouterr().err
+
+    def test_the_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.analysis.concurrency")

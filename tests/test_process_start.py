@@ -6,8 +6,8 @@ so every module their first import pulls in is start-up they pay before
 any work (``docs/ARCHITECTURE.md``, "What a process imports").  None of
 them may load the lint or the leak ledger, the Blue Gene/Q models, the
 zerotree / AMR half of the dump stack, the campaign tooling, the
-reference solutions or SciPy.  A plain run -- no sanitizer, race tracker,
-checkpoint, flight recording or slice ring -- loads none of the modules
+reference solutions or SciPy.  A plain run -- no sanitizer, checkpoint,
+fault injector, flight recording or slice ring -- loads none of the modules
 only those run (``MOVED``); a run that uses one loads it in set-up.
 Once set-up is done a step imports nothing: a module first loaded in
 step 1 would move its import from the set-up time into the step time
@@ -33,6 +33,7 @@ DENIED = (
     "repro.analysis.cli",
     "repro.analysis.lint",
     "repro.analysis.program",
+    "repro.analysis.report",
     "repro.analysis.rules",
     "repro.analysis.ledger",
     "repro.compression.zerotree",
@@ -48,13 +49,11 @@ DENIED = (
 )
 #: The part of ``repro.perf`` the runtime calls: telemetry's tables.
 PERF_USED = ("repro.perf", "repro.perf.report")
-#: Modules only a run with a sanitizer, race tracker, checkpoint, fault
-#: injector, flight recording or the slice ring executes: a plain rank
-#: or worker loads none of them.
+#: Modules only a run with a sanitizer, checkpoint, fault injector,
+#: flight recording or the slice ring executes: a plain rank or worker
+#: loads none of them.
 MOVED = (
     "repro.analysis.sanitizer",
-    "repro.analysis.concurrency.race",
-    "repro.analysis.report",
     "repro.cluster.checkpoint",
     "repro.container",
     "repro.resilience.recover",
@@ -268,8 +267,8 @@ FIRST_IMPORTS = (
     "repro.analysis.program",
     "repro.analysis.report",
     "repro.analysis.cli",
-    "repro.analysis.concurrency",
     "repro.analysis.ledger",
+    "repro.analysis.sanitizer",
     "repro.cluster.driver",
 )
 

@@ -360,7 +360,7 @@ def test_config_rejects_bad_telemetry():
 def test_buffer_bounds_are_not_config_fields(knob):
     """The span-buffer bound and the flight flush cadence are the module
     constants ``tracer.DEFAULT_MAX_EVENTS`` and
-    ``flight.DEFAULT_FLUSH_EVERY``; a run cannot set them."""
+    ``flight.FLUSH_EVERY``; a run cannot set them."""
     with pytest.raises(TypeError, match=knob):
         SimulationConfig(cells=16, block_size=8, **{knob: 64})
 

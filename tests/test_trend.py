@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,21 @@ def test_host_fingerprint_is_stable_within_a_process():
 
 
 def test_git_sha_of_this_repo_and_of_a_gitless_dir(tmp_path):
-    sha = trend.git_sha(REPO_ROOT)
+    """The sha of a repository the test makes itself (so it also passes
+    in a source export with no ``.git``), and ``"unknown"`` beside it."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=trend test",
+           "-c", "user.email=trend@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"],
+                   check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    sha = trend.git_sha(repo)
     assert len(sha) == 40 and int(sha, 16) >= 0
+    assert sha == head
     assert trend.git_sha(tmp_path) == "unknown"
 
 
