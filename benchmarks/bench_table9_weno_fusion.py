@@ -9,7 +9,7 @@ bit, as ``out=``-threaded passes over shared line tables) -- the same
 engineering idea, observable in Python as fewer passes over memory.
 
 Below it, the fusion done for real: one whole RHS of a 32^3 block through
-the NumPy pencil-tile passes against the compiled tile body of
+the NumPy whole-box passes against the compiled sweep of
 ``repro.native`` (WENO5 -> HLLE -> difference -> SUM once through
 registers, a ring of two flux rows), byte-identical, with the cost per
 cell that the PAPER_MAP row compares with MFC's reported grind time.
@@ -100,16 +100,16 @@ def whole_rhs_comparison(monkeypatch, n=32, reps=7) -> str:
         t_numpy, want = median_ms()
     lines = [f"Whole RHS of one {n}^3 block (compute_rhs: CONV + the three "
              "sweeps), median of 7:",
-             f"  NumPy pencil-tile passes  : {t_numpy:7.2f} ms  "
+             f"  NumPy whole-box passes    : {t_numpy:7.2f} ms  "
              f"({1e6 * t_numpy / n ** 3:6.0f} ns per cell)"]
     if native.lib is None:
-        lines.append("  compiled tile body        : not built here "
+        lines.append("  compiled sweep            : not built here "
                      f"({native.status()['reason']})")
     else:
         t_c, got = median_ms()
         assert got == want
         lines.append(
-            f"  compiled tile body (C)    : {t_c:7.2f} ms  "
+            f"  compiled sweep (C)        : {t_c:7.2f} ms  "
             f"({1e6 * t_c / n ** 3:6.0f} ns per cell)   same bytes")
         lines.append(
             f"  time improvement          : {t_numpy / t_c:7.2f}x")

@@ -138,10 +138,6 @@ class Request:
             self._done = True
         return self._value
 
-    @staticmethod
-    def waitall(requests: list["Request"], timeout: float | None = None) -> list[Any]:
-        return [r.wait(timeout) for r in requests]
-
 
 # Reduction operators usable with allreduce/exscan.  "max" and "min"
 # carry a NaN from any rank to the result (``a != a``): the driver's

@@ -24,7 +24,6 @@ from ..physics.state import (
     RHO,
     STORAGE_DTYPE,
     aos_to_soa,
-    soa_to_aos,
 )
 
 #: Production block edge in cells (paper: blocks of 32 elements per
@@ -82,10 +81,6 @@ class Block:
         """Double-precision SoA copy ``(NQ, n, n, n)`` (kernel input)."""
         return aos_to_soa(self.data, dtype=dtype)
 
-    def set_soa(self, soa: np.ndarray) -> None:
-        """Store an SoA array back into the block (down-casts to storage)."""
-        self.data[...] = soa_to_aos(soa, dtype=STORAGE_DTYPE)
-
     def quantity(self, q: int) -> np.ndarray:
         """View of one quantity, shape (n, n, n) -- strided, zero-copy."""
         return self.data[..., q]
@@ -113,14 +108,6 @@ class Block:
         sel = [slice(None)] * 3
         sel[axis] = slice(0, width) if side == -1 else slice(self.n - width, self.n)
         return self.data[tuple(sel)]
-
-    def face_slab(self, axis: int, side: int, width: int = GHOSTS) -> np.ndarray:
-        """Return the slab of ``width`` cell layers at one face.
-
-        As :meth:`face_view`, but the returned array is a copy (it is
-        about to be shipped into an MPI message).
-        """
-        return self.face_view(axis, side, width).copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Block(n={self.n}, index={self.index})"

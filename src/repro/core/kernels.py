@@ -137,7 +137,7 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
                order: int = 5, solver: str = "hlle",
                workspace: SweepWorkspace | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Whole-box RHS: pencil-tile directional sweeps over one padded box.
+    """Whole-box RHS: the three directional sweeps over one padded box.
 
     Parameters
     ----------
@@ -175,7 +175,7 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
             and pad_aos.shape[-1] == NQ):
         # Storage pad -> primitive SoA in one pass (the staging copy and
         # the CONV stage: a plan of one row), then the three sweeps: the
-        # bytes of the path below, and no tile scratch.
+        # bytes of the path below, and no staging field.
         Wpad, rhs_soa = workspace.fields(interior, COMPUTE_DTYPE)
         gather_conv(lib, _plan_whole(pad_aos), Wpad)
         lib.repro_rhs_sweeps(Wpad.ctypes.data, 1, *interior, 1.0 / h,

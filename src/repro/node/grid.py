@@ -81,10 +81,6 @@ class BlockGrid:
         n = self.block_size
         return tuple(b * n for b in self.num_blocks)
 
-    @property
-    def num_blocks_total(self) -> int:
-        return len(self.blocks)
-
     def block_origin(self, index: tuple[int, int, int]) -> tuple[float, float, float]:
         """Physical low-corner coordinates of one block."""
         n = self.block_size
@@ -113,11 +109,6 @@ class BlockGrid:
         coords[axis] += side
         return self.blocks.get(tuple(coords))
 
-    def is_rank_boundary(self, index: tuple[int, int, int], axis: int, side: int) -> bool:
-        coords = list(index)
-        coords[axis] += side
-        return not (0 <= coords[axis] < self.num_blocks[axis])
-
     # -- residual registers ----------------------------------------------
 
     def residual_storage(self) -> np.ndarray:
@@ -133,10 +124,6 @@ class BlockGrid:
         :meth:`residual_storage`)."""
         self.residual_storage()
         return self.residuals[index]
-
-    def reset_residuals(self) -> None:
-        if self._residual is not None:
-            self._residual[...] = 0.0
 
     # -- whole-field assembly (tests, diagnostics, I/O) --------------------
 

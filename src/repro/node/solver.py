@@ -8,9 +8,10 @@ block split used by the cluster layer to overlap communication with
 computation.
 
 Everything a step needs is held: the gather plans of the boxes, the padded
-buffer of the largest box, the sweep scratch and the UP/SOS scratch per
+buffer of the largest box, the sweep fields and the UP/SOS scratch per
 worker, one RHS array per solver.  After its first step a rank's step
-allocates no array.
+on the compiled executor allocates no array (the NumPy sweeps, the
+oracle and fallback, allocate their scratch per box).
 """
 
 from __future__ import annotations
@@ -69,14 +70,14 @@ from .grid import BlockGrid
 BOX_CELLS = (16, 16, 32)
 
 #: The same for the NumPy executor of a box -- no compiled library, or a
-#: scheme it does not implement: what one sweep tile holds in every
-#: direction (:data:`repro.physics.equations.TILE_ELEMENTS`; any larger
-#: candidate is tiled by rows and holds the tile scratch of a 32^3 block),
-#: 1.2 times the scratch of the parent's five 8^3 blocks to a tile.
-#: Compiler hidden, four pairs against the parent (seeds 2071-2074):
-#: cloud32_b8 0.166 -> 0.267 Mcells/s, peak RSS + 2.6 %; halo2_b8 0.262
-#: -> 0.388, + 3.7 % (under the cap above and with scratch from NumPy's
-#: allocator: 0.208 and 0.352, + 7 % and + 19 %).
+#: scheme it does not implement -- whose whole-box sweeps allocate scratch
+#: in proportion to the box (WENO5's tables and buffers: 5 MB at 16^3,
+#: 10 MB at 16 x 16 x 32).  Compiler hidden, four alternating pairs
+#: against :data:`BOX_CELLS` (seeds 3-6, medians): cloud32_b8 0.195 vs
+#: 0.206 Mcells/s, peak RSS 57.9 vs 64.9 MB (+ 12 %); halo2_b8 0.436 vs
+#: 0.427 Mcells/s, 148.4 vs 154.0 MB (+ 3.8 %).  The larger box is 5 %
+#: faster on one and level on the other, and adds more than the 3 % of
+#: peak RSS a box may.
 NUMPY_BOX_CELLS = (16, 16, 16)
 
 #: Block lists of more than one block whose boxes and plans a solver keeps
@@ -216,10 +217,11 @@ class _BoxPlan:
 
 class _WorkArea:
     """What one worker's kernels keep across calls (paper Section 6, the
-    per-thread dedicated buffers): the scratch of the RHS sweeps, which
-    also holds the padded primitives and the result of a box, the scratch
-    UP and SOS stream block data through and, where the NumPy executor
-    runs, the AoS pad of a box.  The first RHS sizes them for ``shapes``,
+    per-thread dedicated buffers): the fields of the RHS sweeps -- the
+    padded primitives and the result of a box, and where the NumPy
+    executor runs the conserved state staged for it -- the scratch UP and
+    SOS stream block data through and, where the NumPy executor runs, the
+    AoS pad of a box.  The first RHS sizes them for ``shapes``,
     the cells of every box the solver can cut (largest first); the stream
     scratch is made at once, so that whichever area UP or SOS is handed
     has one (memory no kernel has touched is not resident)."""
@@ -243,7 +245,7 @@ class _WorkArea:
         if self.pad is None:
             self.pad = padded_aos(shapes[0]).reshape(-1)
             self.fields(shapes[0], shapes)
-            self.sweep.reserve(shapes, COMPUTE_DTYPE)
+            self.sweep.staging(shapes[0], COMPUTE_DTYPE)
         shape = tuple(c + 2 * GHOSTS for c in interior) + (NQ,)
         return self.pad[:np.prod(shape)].reshape(shape)
 

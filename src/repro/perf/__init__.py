@@ -30,7 +30,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "MONTE_ROSA_NODE", "PIZ_DAINT", "PIZ_DAINT_NODE", "SEQUOIA", "ZRL",
         "ClusterSpec", "MachineSpec", "bqc_table", "machines_table",
     ),
-    "report": ("compare_row", "format_table"),
+    "report": ("format_table",),
     "scorecard": (
         "ScorecardRow", "format_scorecard", "reproduction_scorecard",
         "scorecard_ok",

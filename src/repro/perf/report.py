@@ -42,15 +42,3 @@ def format_table(rows: Iterable[Mapping], title: str | None = None,
     for r in rendered:
         lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def compare_row(name: str, paper: float, model: float, unit: str = "") -> dict:
-    """A paper-vs-model comparison row with relative deviation."""
-    dev = (model - paper) / paper if paper else float("nan")
-    return {
-        "quantity": name,
-        "paper": paper,
-        "model": model,
-        "unit": unit,
-        "deviation [%]": 100.0 * dev,
-    }

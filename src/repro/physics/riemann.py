@@ -77,15 +77,10 @@ class HlleWorkspace:
     ``shape`` is the shape of the face states, ``(NQ, ...)``.  The
     workspace holds ``flux`` (that shape), ``ustar`` and
     :attr:`TEMPORARIES` scratch arrays (one quantity of it each) and the
-    mask of degenerate faces, so a caller that keeps it across calls --
-    the sweeps keep one per tile shape -- evaluates fluxes without
-    allocating; the arrays :func:`hlle_flux` returns are then valid until
-    its next call with this workspace.
-
-    ``buffer`` is an optional flat array of at least :meth:`elements`
-    entries of ``dtype`` to carve everything from (the sweeps hold one per
-    thread, sized for their full tile); by default the workspace allocates
-    its own.
+    mask of degenerate faces, all carved from one flat allocation of
+    :meth:`elements` entries, so a caller that keeps it across calls
+    evaluates fluxes without allocating; the arrays :func:`hlle_flux`
+    returns are then valid until its next call with this workspace.
     """
 
     #: Face-shaped scratch arrays besides ``flux`` and ``ustar``: the two
@@ -94,21 +89,15 @@ class HlleWorkspace:
     #: that holds ``rho * u_n`` and later the total energy.
     TEMPORARIES = 12
 
-    def __init__(self, shape: tuple[int, ...], dtype=COMPUTE_DTYPE,
-                 buffer: np.ndarray | None = None):
+    def __init__(self, shape: tuple[int, ...], dtype=COMPUTE_DTYPE):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         needed = self.elements(self.shape, self.dtype)
-        if buffer is None:
-            buffer = np.empty(needed, dtype=self.dtype)
-        elif buffer.dtype != self.dtype or buffer.size < needed:
-            raise ValueError(
-                f"buffer must hold {needed} {self.dtype} entries, got "
-                f"{buffer.size} of {buffer.dtype}"
-            )
+        buffer = np.empty(needed, dtype=self.dtype)
         nq, faces = self.shape[0], self.shape[1:]
         n = math.prod(faces)
-        self.flux = buffer[:nq * n].reshape(self.shape)
+        # Views, every element written before it is read.
+        self.flux = buffer[:nq * n].reshape(self.shape)  # lint: disable=CL007
         #: ``flux[q]`` as an array also where the faces are 0-d.
         self.flux_rows = tuple(self.flux[q, ...] for q in range(nq))
         rows = tuple(
@@ -268,14 +257,12 @@ def hlle_flux(W_l: np.ndarray, W_r: np.ndarray, normal: int,
 
 # Expression-form on purpose: HLLC is the numpy-only contact-resolution
 # reference, read against Toro's formulas; HLLE is the production solver.
-def hllc_flux(W_l: np.ndarray, W_r: np.ndarray, normal: int,  # lint: disable=CP003
-              workspace=None):
+def hllc_flux(W_l: np.ndarray, W_r: np.ndarray, normal: int):  # lint: disable=CP003
     """HLLC flux: HLLE plus a restored contact wave (Toro).
 
     Same contract as :func:`hlle_flux`: returns ``(flux, ustar)`` with
-    ``flux`` of shape ``(NQ, ...)``; ``workspace`` is accepted so that the
-    sweeps call either solver alike, and not used -- the expression form
-    allocates what it returns.  The contact speed ``s*`` doubles
+    ``flux`` of shape ``(NQ, ...)``, arrays the expression form allocates.
+    The contact speed ``s*`` doubles
     as the interface velocity of the quasi-conservative Gamma/Pi
     transport -- HLLC keeps isolated material contacts *exactly*
     stationary, which HLLE smears (the ablation the contact-resolution

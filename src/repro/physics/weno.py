@@ -91,16 +91,13 @@ class Weno5Workspace:
     *line tables* of :func:`weno5` (``2v 3v 4v 5v 7v 11v`` and the
     smoothness terms ``S-``, ``S+``, ``Q``), together with their shifted
     views: a table entry is computed once per cell and read by every
-    face whose stencil covers that cell, on both sides.
-
-    ``buffer`` is an optional flat array of at least :meth:`elements`
-    entries of ``dtype`` to carve all eighteen arrays from, for a caller
-    that views one held scratch per shape instead of allocating per
-    shape; by default the workspace allocates its own.
+    face whose stencil covers that cell, on both sides.  All eighteen
+    arrays are carved from one flat allocation of :meth:`elements`
+    entries.
     """
 
     def __init__(self, shape: tuple[int, ...], dtype=COMPUTE_DTYPE,
-                 axis: int = -1, buffer: np.ndarray | None = None):
+                 axis: int = -1):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         self.axis = axis % len(self.shape)
@@ -108,25 +105,13 @@ class Weno5Workspace:
         ncells = nfaces + 5
         cells = (self.shape[: self.axis] + (ncells,)
                  + self.shape[self.axis + 1:])
-        needed = self.elements(self.shape, self.axis)
-        if buffer is None:
-            buffer = np.empty(needed, dtype=self.dtype)
-        elif buffer.dtype != self.dtype or buffer.size < needed:
-            raise ValueError(
-                f"buffer must hold {needed} {self.dtype} entries, got "
-                f"{buffer.size} of {buffer.dtype}"
-            )
-        nface_elems, ncell_elems = math.prod(self.shape), math.prod(cells)
-        tables_at = 9 * nface_elems
-        self._bufs = tuple(
-            buffer[k * nface_elems:(k + 1) * nface_elems].reshape(self.shape)
-            for k in range(9)
-        )
-        tables = tuple(
-            buffer[tables_at + k * ncell_elems:
-                   tables_at + (k + 1) * ncell_elems].reshape(cells)
-            for k in range(9)
-        )
+        buffer = np.empty(self.elements(self.shape, self.axis),
+                          dtype=self.dtype)
+        # Nine face-shaped buffers, then nine tables: views, every element
+        # written before it is read.
+        faces = buffer[:9 * math.prod(self.shape)]  # lint: disable=CL007
+        self._bufs = tuple(faces.reshape((9,) + self.shape))
+        tables = tuple(buffer[faces.size:].reshape((9,) + cells))
         #: ``2v, 3v, 4v, 5v, 7v, 11v`` over every cell of the line.
         self.scaled = tables[:6]
         #: ``S-``, ``S+``, ``Q`` over the cells that have both neighbours.

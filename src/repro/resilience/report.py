@@ -67,34 +67,25 @@ def resilience_scorecard_rows(rres: ResilientRunResult) -> list[dict]:
 
     Fault-accounting rows first, then summary rows (attempts, rollbacks,
     skipped dumps, recovery overhead vs the acceptance bound, checkpoint
-    write amplification); render with
+    write amplification), whose counts go in a ``count`` column of their
+    own, not under ``injected``; render with
     :func:`repro.perf.report.format_table`.
     """
     c = rres.counters
     rows = fault_accounting(rres)
     rows.append({
         "fault": "attempts",
-        "injected": rres.attempts,
+        "count": rres.attempts,
         "status": f"{int(c.get('rollbacks', 0))} rollback(s)",
     })
-    if c.get("comm_retries"):
-        rows.append({
-            "fault": "comm retries",
-            "injected": int(c["comm_retries"]),
-            "status": "backoff",
-        })
-    if c.get("dumps_skipped"):
-        rows.append({
-            "fault": "dumps skipped",
-            "injected": int(c["dumps_skipped"]),
-            "status": "degraded",
-        })
-    if c.get("checkpoints_failed"):
-        rows.append({
-            "fault": "ckpt writes failed",
-            "injected": int(c["checkpoints_failed"]),
-            "status": "degraded",
-        })
+    for counter, name, status in (
+        ("comm_retries", "comm retries", "backoff"),
+        ("dumps_skipped", "dumps skipped", "degraded"),
+        ("checkpoints_failed", "ckpt writes failed", "degraded"),
+    ):
+        if c.get(counter):
+            rows.append({"fault": name, "count": int(c[counter]),
+                         "status": status})
     overhead = rres.recovery_overhead
     rows.append({
         "fault": "recovery overhead",
@@ -105,10 +96,13 @@ def resilience_scorecard_rows(rres: ResilientRunResult) -> list[dict]:
     })
     amp = checkpoint_write_amplification(rres)
     if amp:
+        # checkpoint_keep=0 prunes nothing: every generation is kept
+        kept = (f"{int(c.get('ckpt_generations_kept', 0))} gen kept"
+                if rres.result.config.checkpoint_keep else "all kept")
         rows.append({
             "fault": "ckpt write amplification",
             "ratio": amp,
-            "status": f"{int(c.get('ckpt_generations_kept', 0))} gen kept",
+            "status": kept,
         })
     return rows
 

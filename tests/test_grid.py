@@ -10,7 +10,7 @@ from repro.physics.state import NQ
 class TestConstruction:
     def test_block_count(self):
         g = BlockGrid((2, 3, 4), block_size=8, h=0.1)
-        assert g.num_blocks_total == 24
+        assert len(g.blocks) == 24
         assert g.cells == (16, 24, 32)
 
     def test_invalid_counts(self):
@@ -51,11 +51,6 @@ class TestTraversal:
         n = g.neighbor((0, 0, 0), axis=2, side=1)
         assert n is not None and n.index == (0, 0, 1)
         assert g.neighbor((0, 0, 0), axis=2, side=-1) is None
-
-    def test_is_rank_boundary(self):
-        g = BlockGrid((2, 2, 2), 8, 0.1)
-        assert g.is_rank_boundary((0, 0, 0), 0, -1)
-        assert not g.is_rank_boundary((0, 0, 0), 0, 1)
 
 
 class TestFieldAssembly:
@@ -99,9 +94,3 @@ class TestResiduals:
         r = g.residual((0, 0, 0))
         assert r.shape == (8, 8, 8, NQ)
         assert g.residual((0, 0, 0)) is r
-
-    def test_reset(self):
-        g = BlockGrid((1, 1, 1), 8, 0.1)
-        g.residual((0, 0, 0))[...] = 5.0
-        g.reset_residuals()
-        assert not g.residuals[(0, 0, 0)].any()

@@ -2,15 +2,16 @@
 
 The production WENO5/HLLE kernels thread ``out=``/workspace buffers
 through the hot expression chains (rule CP003), WENO5 reads shared line
-tables, and the RHS walks each direction in cache-sized pencil tiles with
-the sweep axis first.  None of that may change a bit of the result:
+tables, and the RHS sweeps each direction with the sweep axis first.
+None of that may change a bit of the result:
 
 * **bit identity** -- every kernel issues the evaluation tree of its
   expression form per element, so results are compared with
   ``conftest.bytes_equal`` (``tobytes()``): ``np.array_equal`` calls ``-0.0``
   and ``+0.0`` equal, and ``0.0 - div`` is not ``-div``.  The whole RHS
   is held to an expression-form reference sweep (last-axis layout, no
-  tiling, no workspace) built on ``_weno5_minus_raw``;
+  workspace) built on ``_weno5_minus_raw``, and to SHA-256 digests
+  recorded while its NumPy sweeps were still tiled;
 * **dtype preservation** -- float32 face states stay float32 end to end:
   no silent promotion to float64, no strong float64 scalar.
 
@@ -122,7 +123,7 @@ from .conftest import bytes_equal, make_rng, make_smooth_aos
 @pytest.fixture
 def numpy_kernels(monkeypatch):
     """Pins a test to the NumPy kernels.  The classes below that hold the
-    tiled sweeps and the streamed UP / SOS to their expression forms are
+    NumPy sweeps and the streamed UP / SOS to their expression forms are
     about *those* kernels; ``TestNativeBitIdentity`` then holds the
     compiled ones to them."""
     monkeypatch.setattr(native, "lib", None)
@@ -342,32 +343,28 @@ def _ref_compute_rhs(Upad, h, order=5, solver="hlle"):
     return rhs
 
 
-#: The schemes of the sweeps: production, and the three ablations.
-SCHEMES = [dict(), dict(order=3), dict(solver="hllc"), dict(fused=True)]
-SCHEME_IDS = ["weno5-hlle", "weno3", "hllc", "fused"]
-
 #: Boxes the sweeps are given.
 BOXES = [
     (16, 16, 32),  # the compiled executor's box of 8^3 blocks
     (8, 16, 16),   # a box of four 8^3 blocks
     (10, 12, 14),  # no two extents alike
-    (32, 32, 32),  # a paper block: 32 rows in tiles of 7, remainder 4
+    (32, 32, 32),  # a paper block
 ]
 
-#: (TILE_ELEMENTS, WENO_CHUNK_ELEMENTS): from one row a tile and one
-#: quantity a WENO chunk up to the whole box at once.
-SPLITS = {
-    "row-quantity": (1, 1),
-    "row-box": (1, 1 << 30),
-    "3rows-7000": (3 * NQ * 38 * 32, 7000),
-    "box-quantity": (1 << 30, 1),
-    "box-box": (1 << 30, 1 << 30),
+#: The schemes of :data:`RHS_DIGESTS` by name: the production scheme,
+#: each ablation and WENO3 + HLLC.
+DIGEST_SCHEMES = {
+    "weno5-hlle": dict(),
+    "weno3": dict(order=3),
+    "hllc": dict(solver="hllc"),
+    "weno3-hllc": dict(order=3, solver="hllc"),
+    "fused": dict(fused=True),
 }
 
 
 @pytest.mark.usefixtures("numpy_kernels")
 class TestWholeRhsBitIdentity:
-    """``compute_rhs`` against the untiled expression-form reference."""
+    """``compute_rhs`` against the expression-form reference."""
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("solver", ["hlle", "hllc"])
@@ -377,24 +374,31 @@ class TestWholeRhsBitIdentity:
         rhs = compute_rhs(Upad, 0.01, order=order, solver=solver)
         assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01, order, solver))
 
-    @pytest.mark.parametrize("split", SPLITS)
-    @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+    @pytest.mark.parametrize("destination", ["held", "strided"])
+    @pytest.mark.parametrize("scheme", DIGEST_SCHEMES)
     @pytest.mark.parametrize("interior", BOXES)
-    def test_every_box_scheme_and_split(self, monkeypatch, interior, scheme,
-                                        split):
-        # The split never shows in the bytes.
+    def test_every_box_scheme_and_destination(self, interior, scheme,
+                                              destination):
+        # The SUM writes each direction through a transposed view of
+        # ``out``, and a held workspace hands back fields dirtied by the
+        # call before: neither shows in the bytes.
         Upad = _padded_state(interior, seed=sum(interior))
-        want = compute_rhs(Upad, 0.02, **scheme)
-        tile, chunk = SPLITS[split]
-        monkeypatch.setattr(equations, "TILE_ELEMENTS", tile)
-        monkeypatch.setattr(equations, "WENO_CHUNK_ELEMENTS", chunk)
-        assert bytes_equal(compute_rhs(Upad, 0.02, **scheme), want)
-
-    @pytest.mark.parametrize("rows", [1, 3, 5])
-    def test_pencil_count_not_a_multiple_of_the_tile(self, monkeypatch, rows):
-        Upad = _padded_state((16, 16, 16), seed=rows)
-        monkeypatch.setattr(equations, "TILE_ELEMENTS", rows * NQ * 22 * 16)
-        assert bytes_equal(compute_rhs(Upad, 0.01), _ref_compute_rhs(Upad, 0.01))
+        want = compute_rhs(Upad, 0.02, **DIGEST_SCHEMES[scheme])
+        if destination == "held":
+            workspace = SweepWorkspace()
+            compute_rhs(_padded_state(interior, seed=1), 0.02,
+                        workspace=workspace)
+            out = np.full_like(want, np.nan)
+        else:
+            # x-major memory, a step of two between neighbours
+            workspace = None
+            big = np.full((NQ,) + tuple(2 * n for n in interior[::-1]),
+                          np.nan)
+            out = big[:, ::2, ::2, ::2].transpose(0, 3, 2, 1)
+        rhs = compute_rhs(Upad, 0.02, workspace=workspace, out=out,
+                          **DIGEST_SCHEMES[scheme])
+        assert rhs is out
+        assert bytes_equal(rhs, want)
 
     @pytest.mark.parametrize("solver", ["hlle", "hllc"])
     def test_uniform_state_is_positive_zero_everywhere(self, solver):
@@ -416,8 +420,8 @@ class TestWholeRhsBitIdentity:
         assert bytes_equal(rhs, _ref_compute_rhs(Upad, 0.01))
 
     def test_held_workspace_across_shapes_and_dtypes(self):
-        # One workspace serves every tile shape it has seen; revisiting
-        # a shape finds buffers dirtied by the calls in between.
+        # One workspace serves every box shape it has seen; revisiting
+        # a shape finds fields dirtied by the calls in between.
         ws = SweepWorkspace()
         states = [
             _padded_state((8, 8, 8), seed=1),
@@ -451,36 +455,109 @@ class TestWholeRhsBitIdentity:
                                rhs_kernel(pad, 0.1))
 
 
+#: SHA-256 of ``compute_rhs(_padded_state(box, seed=sum(box)), 0.02,
+#: **scheme)``, recorded on the NumPy executor at the parent of the
+#: whole-box NumPy sweeps (c97eccb), which swept every direction in
+#: cache-sized tiles of rows with WENO5 chunked by quantity.
+RHS_DIGESTS = {
+    ((8, 8, 8), "weno5-hlle"):
+        "b6766d65298d2dbb390bf39fd89e544dca341ec631cfdc83750a3b3bfece3de7",
+    ((8, 8, 8), "weno3"):
+        "7e56110cd3c0b019a6aabf0d99e75ba4396d978ac0cc8a94a5ac31ca933face7",
+    ((8, 8, 8), "hllc"):
+        "3cfc666897427fcd698fad28d7746bf04db35238566187435f784724d02a38a9",
+    ((8, 8, 8), "weno3-hllc"):
+        "1e181cce6be6c9c510cb80f09e70bda31b7d599dcafbe846db1d76d349ba6466",
+    ((8, 8, 8), "fused"):
+        "b429970d6dd26177a489be9ccd0f035758a2b9abdff1242e32fe9e597cc41314",
+    ((16, 16, 16), "weno5-hlle"):
+        "029c768bff3ae5f7355180e0bfffa60384fe8221b49a86b87924172e0afcc99b",
+    ((16, 16, 16), "weno3"):
+        "84df8ec0d28b2c145a3602ca820cddca1a9e4aa63a9a0a2fae84b7ea0e390695",
+    ((16, 16, 16), "hllc"):
+        "f9f2277d9ee9dd0e09740e3024579d6d433b606586d2e9734c941f6fa77704d6",
+    ((16, 16, 16), "weno3-hllc"):
+        "d178dbd2fd138b6ef79d978826414dcc6eefb32c1849423760c376d599bce9be",
+    ((16, 16, 16), "fused"):
+        "36f0b0608061c935562cd1a5493e8253ac8535736ffb9718bdae0bdf9c78ea8e",
+    ((16, 16, 32), "weno5-hlle"):
+        "8523983bb6d23d323b0520c340733e484a1656f2e4c2083823697e7ef051b0a5",
+    ((16, 16, 32), "weno3"):
+        "959737bfe0d1adbf62242618433409451a85994f0c05a3edfb8e4159097e15d8",
+    ((16, 16, 32), "hllc"):
+        "2c39f7bfa53c0923d935ef08b94d8dd57f00aa587ec9a77bdec78099e6b795ac",
+    ((16, 16, 32), "weno3-hllc"):
+        "6b69dbfc7b0762211b0557d9e947971c36c76d40690f362e77be92db7dd26b98",
+    ((16, 16, 32), "fused"):
+        "eb99e4dee1e9a0c40d5e18e04cc8e550829f5cc8bffd78253287907fd458f40f",
+    ((8, 16, 16), "weno5-hlle"):
+        "6ce705ce5e23013ed01f4f6d7c2c54df8db0181423652e896e14e44333284880",
+    ((8, 16, 16), "weno3"):
+        "47206ffc0e7f8303d353095a860264ac379a55bbc41e7a28892e5dc1176a1abd",
+    ((8, 16, 16), "hllc"):
+        "ff3abd9fde2fc202fe40c14ec6f2b17936cc7d6750363420712de4b19b67729e",
+    ((8, 16, 16), "weno3-hllc"):
+        "bf0298882b97833ac4260857f0d561ed0849e32b75b24e5419f693f549d9bf79",
+    ((8, 16, 16), "fused"):
+        "216d6873e49a8b1bd3a41d22b5f58e36fd1f3d770bdd3e04db279739c995c125",
+    ((10, 12, 14), "weno5-hlle"):
+        "3c56379da82f16a0587aae33fda470db08c70c47ee3ca49e0c495fee2af9263e",
+    ((10, 12, 14), "weno3"):
+        "02ca77a707baabf89c337640690d382d742f6c8eaa3c6ea64cf6f792fc269862",
+    ((10, 12, 14), "hllc"):
+        "9c6e0c475e04028585dac65f6c440592d7749d3451d39da86b0257782fd9ee29",
+    ((10, 12, 14), "weno3-hllc"):
+        "156580eafcaaa33ce76fc86cfc15e9ee6b421465eb911fee76a66151b36f62ce",
+    ((10, 12, 14), "fused"):
+        "23c5efbdd710bc879a66c0087c786575af593280ac9140f316d56aaedd7a9341",
+    ((32, 32, 32), "weno5-hlle"):
+        "6e487382b7ab2983192139220343232143a1b8dca32bf23b8bc05b921f101062",
+    ((32, 32, 32), "weno3"):
+        "fabe44847383c94d82df8e030a88cd492e00e86cdb2c9030746914a28076edd8",
+    ((32, 32, 32), "hllc"):
+        "7db255e64f24a8a9cba49a6f770b79da91962831b5c03fbde9fdd08532a0d13b",
+    ((32, 32, 32), "weno3-hllc"):
+        "ff253320afb9aaf402b5951c212e43c5943cfdd37e267441ba6c92867f1c9723",
+    ((32, 32, 32), "fused"):
+        "aee8a7da1786438fc245d3d807ea86096d6988fe4230be381fa07a75debfc3b7",
+}
+
+
+class TestRecordedRhsDigests:
+    """The RHS of every box and scheme of the matrix above ends in the
+    bytes it ended in when the NumPy sweeps were tiled, on either kernel
+    path (the compiled one runs WENO5 + HLLE, NumPy the rest)."""
+
+    @pytest.mark.parametrize("box, scheme", RHS_DIGESTS, ids=[
+        "x".join(map(str, box)) + "-" + scheme
+        for box, scheme in RHS_DIGESTS])
+    def test_compute_rhs(self, box, scheme, kernel_path):
+        Upad = _padded_state(box, seed=sum(box))
+        rhs = compute_rhs(Upad, 0.02, **DIGEST_SCHEMES[scheme])
+        assert hashlib.sha256(rhs.tobytes()).hexdigest() == (
+            RHS_DIGESTS[box, scheme])
+
+
 class TestChunkedWenoBitIdentity:
-    """WENO5 per chunk of whole quantities out of one carved workspace
-    against the whole tile at once and against the expression form."""
+    """WENO5 per chunk of whole quantities against all of them at once
+    and against the expression form, in the sweeps' layout."""
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunks_equal_whole_tile_and_raw(self, per_chunk, dtype):
-        # A tile as the sweep holds it: (NQ, cells, rows, width).
+        # A box as the sweep holds it: (NQ, cells, rows, width).
         v = (make_rng(per_chunk).normal(size=(NQ, 14, 12, 8)) * 9.0).astype(dtype)
         whole_minus, whole_plus = weno5(v, axis=1)
-        faces = (per_chunk, 9, 12, 8)
-        buffer = np.empty(Weno5Workspace.elements(faces, axis=1), dtype=dtype)
         minus, plus = np.empty_like(whole_minus), np.empty_like(whole_plus)
         for q0 in range(0, NQ, per_chunk):
             q1 = min(q0 + per_chunk, NQ)
-            ws = Weno5Workspace((q1 - q0,) + faces[1:], dtype=dtype, axis=1,
-                                buffer=buffer)
+            ws = Weno5Workspace((q1 - q0, 9, 12, 8), dtype=dtype, axis=1)
             weno5(v[q0:q1], ws, minus[q0:q1], plus[q0:q1], 1)
         assert bytes_equal(minus, whole_minus)
         assert bytes_equal(plus, whole_plus)
         a, b, c, d, e, f = (v[:, k:k + 9] for k in range(6))
         assert bytes_equal(minus, _weno5_minus_raw(a, b, c, d, e))
         assert bytes_equal(plus, _weno5_minus_raw(f, e, d, c, b))
-
-    def test_workspace_buffer_must_fit(self):
-        with pytest.raises(ValueError, match="buffer must hold"):
-            Weno5Workspace((2, 9, 4), axis=1, buffer=np.empty(10))
-        with pytest.raises(ValueError, match="buffer must hold"):
-            Weno5Workspace((2, 9, 4), axis=1,
-                           buffer=np.empty(10_000, dtype=np.float32))
 
 
 def _ref_update_stage(u, res, rhs, a, b, dt):
@@ -710,12 +787,10 @@ def _zero_face(W_l, W_r, index):
 
 
 class TestHlleWorkspaceBitIdentity:
-    """HLLE on a held workspace (the sweeps hold one per thread) against
-    the allocating expression form."""
+    """HLLE on a held workspace against the allocating expression form."""
 
-    #: Face tiles of the sweeps: an 8^3 and a 16^3 box, a full and a
-    #: remainder tile of a 32^3 block, a plane of the ring-buffer kernel, a
-    #: line.
+    #: Face batches: an 8^3 and a 16^3 box, two slabs of a 32^3 block, a
+    #: plane of the ring-buffer kernel, a line.
     SHAPES = [(9, 8, 8), (17, 16, 16), (33, 7, 32), (33, 4, 32), (8, 9),
               (11,)]
 
@@ -768,18 +843,6 @@ class TestHlleWorkspaceBitIdentity:
             # A workspace of another shape or dtype is not written to.
             assert (flux is ws.flux) == (W_l.shape == ws.shape
                                          and W_l.dtype == ws.dtype)
-
-    def test_buffer_is_the_callers_and_must_fit(self):
-        shape = (NQ, 9, 2, 8, 8)
-        needed = HlleWorkspace.elements(shape)
-        flat = np.empty(needed + 10)
-        ws = HlleWorkspace(shape, buffer=flat)
-        assert np.shares_memory(ws.flux, flat)
-        assert np.shares_memory(ws.degenerate, flat)
-        with pytest.raises(ValueError, match="buffer must hold"):
-            HlleWorkspace(shape, buffer=np.empty(needed - 1))
-        with pytest.raises(ValueError, match="buffer must hold"):
-            HlleWorkspace(shape, buffer=np.empty(needed, dtype=np.float32))
 
 
 #: name -> (cells, block size, periodic, cloud centre (z, y, x)): the case

@@ -261,10 +261,6 @@ class TestCollectives:
 
 
 class TestRequest:
-    def test_waitall(self):
-        reqs = [Request(lambda t, i=i: i) for i in range(3)]
-        assert Request.waitall(reqs) == [0, 1, 2]
-
     def test_wait_is_idempotent(self):
         calls = []
         req = Request(lambda t: calls.append(1) or "x")

@@ -11,7 +11,7 @@ import pytest
 from repro.perf.issue import rhs_issue_bound_fraction, rhs_issue_bounds
 from repro.perf.kernels import DT, FWT, RHS, RHS_STAGES, UP, flops_per_cell_step
 from repro.perf.machines import BGQ_NODE, SEQUOIA, MachineSpec
-from repro.perf.report import compare_row, format_table
+from repro.perf.report import format_table
 from repro.perf.roofline import attainable, example_from_paper, roofline_curve
 from repro.perf.scaling import (
     cluster_perf,
@@ -245,10 +245,6 @@ class TestReport:
         assert "0.75" in lines[3] and "seconds" not in lines[3]
         # the blank fill keeps every row aligned to the header width
         assert len({len(line) for line in lines[1:]}) <= 2
-
-    def test_compare_row(self):
-        row = compare_row("x", paper=10.0, model=11.0)
-        assert row["deviation [%]"] == pytest.approx(10.0)
 
     def test_empty_table(self):
         assert "empty" in format_table([])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -547,6 +548,53 @@ class TestChaosRecovery:
         with pytest.raises(NumericsViolationError):
             sup.run()
         assert sup.attempts == 1
+
+
+#: The columns of a scorecard with every kind of row, in first-seen order.
+SCORECARD_COLUMNS = ["fault", "injected", "detected", "recovered", "status",
+                     "count", "share [%]", "ratio"]
+
+
+def scorecard_cells(card):
+    """``(header, {fault: {column: text}})`` of a rendered scorecard."""
+    lines = card.splitlines()
+    header = lines[1]
+    starts = [header.index(name) for name in SCORECARD_COLUMNS]
+    rows = {}
+    for line in lines[3:]:
+        if not line:
+            break  # the recovery ledger follows
+        cells = [line[a:b].strip()
+                 for a, b in zip(starts, starts[1:] + [None])]
+        rows[cells[0]] = dict(zip(SCORECARD_COLUMNS, cells))
+    return header, rows
+
+
+class TestScorecard:
+    def test_counts_have_their_own_column_and_keep_0_keeps_all(
+            self, tmp_path):
+        """One injected crash is one ``injected``; the two attempts it
+        cost are a ``count``; ``checkpoint_keep=0`` prunes nothing."""
+        plan = FaultPlan(faults=[FaultSpec(kind="rank_crash", rank=0,
+                                           step=3)])
+        cfg = SimulationConfig(**BASE, max_steps=6, checkpoint_interval=2,
+                               checkpoint_dir=str(tmp_path),
+                               fault_plan=plan)
+        rres = ResilientSimulation(cfg, collapse_ic()).run()
+        header, rows = scorecard_cells(format_resilience_scorecard(rres))
+        assert re.split(r"\s{2,}", header.strip()) == SCORECARD_COLUMNS
+        assert list(rows) == ["rank_crash", "attempts", "recovery overhead",
+                              "ckpt write amplification"]
+        blank = dict.fromkeys(SCORECARD_COLUMNS, "")
+        assert rows["rank_crash"] == {
+            **blank, "fault": "rank_crash", "injected": "1",
+            "detected": "1", "recovered": "1", "status": "ok"}
+        assert rows["attempts"] == {
+            **blank, "fault": "attempts", "status": "1 rollback(s)",
+            "count": "2"}
+        amplification = rows["ckpt write amplification"]
+        assert amplification["status"] == "all kept"
+        assert float(amplification["ratio"]) > 1.0
 
 
 def other_run_ic():
